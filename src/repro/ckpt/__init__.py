@@ -43,9 +43,7 @@ from repro.ckpt.protocol import (
 )
 from repro.ckpt.single import SingleCheckpoint
 from repro.ckpt.double import DoubleCheckpoint
-from repro.ckpt.self_ckpt import SelfCheckpoint
-from repro.ckpt.self_rs import SelfCheckpointRS
-from repro.ckpt.encoding_rs import EncodeRSResult, GroupEncoderRS
+from repro.ckpt.self_ckpt import SelfCheckpoint, SelfCheckpointRS
 from repro.ckpt.incremental import IncrementalCheckpoint
 from repro.ckpt.buddy import BuddyCheckpoint
 from repro.ckpt.disk import BlockDevice, DiskCheckpoint, HDD, PFS, SSD
@@ -88,8 +86,6 @@ __all__ = [
     "SelfCheckpointRS",
     "IncrementalCheckpoint",
     "BuddyCheckpoint",
-    "GroupEncoderRS",
-    "EncodeRSResult",
     "available_fraction_self_rs",
     "BlockDevice",
     "DiskCheckpoint",

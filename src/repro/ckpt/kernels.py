@@ -1,7 +1,8 @@
 """Batched GF(2^8) encode/decode kernels behind selectable backends.
 
-The RAID-6 hot loops (:class:`repro.ckpt.raid6.RSCodec` and the stripe
-paths in :mod:`repro.ckpt.stripes_rs`) funnel through three primitives:
+The row-codec hot loops (:class:`repro.ckpt.raid6.RSCodec`, driven by
+the stripe paths in :mod:`repro.ckpt.stripes`) funnel through three
+primitives:
 
 ``xor_fold(rows, out)``
     ``out = rows[0] ^ rows[1] ^ ...`` — the P parity.
@@ -13,10 +14,10 @@ paths in :mod:`repro.ckpt.stripes_rs`) funnel through three primitives:
     ``out = c*v`` for an arbitrary field constant — the final division in
     the 1-loss-via-Q and 2-loss solves.
 
-Three interchangeable backends implement them, selected through the
-``REPRO_KERNEL_BACKEND`` environment variable (``numpy`` | ``reference``
-| ``numba`` | ``auto``); all produce byte-identical output, which the
-equivalence suite in ``tests/ckpt/test_kernels.py`` enforces.
+Two interchangeable backends implement them, selected through the
+``REPRO_KERNEL_BACKEND`` environment variable (``numpy`` | ``reference``);
+both produce byte-identical output, which the equivalence suite in
+``tests/ckpt/test_kernels.py`` enforces.
 
 ``numpy`` (default)
     Bitsliced Horner evaluation.  Eight bytes are packed per ``uint64``
@@ -35,30 +36,22 @@ equivalence suite in ``tests/ckpt/test_kernels.py`` enforces.
     gathers, byte-identically.
 ``reference``
     The pre-batching formulation — one 256-entry table gather per row via
-    :meth:`GF256.vec_mul_xor` — kept as the semantic oracle.
-``numba``
-    Optional compiled backend (lazily imported; never required).  Uses
-    the ISA-L/SSSE3 low/high-nibble split-table decomposition
-    ``c*v = lo_tbl[v & 0xF] ^ hi_tbl[v >> 4]`` — 16-entry tables per
-    constant, the formulation pshufb-style hardware wants — fused into
-    single-pass P+Q jitted loops.  Per-element table lookups are a
-    pessimization under plain numpy (no pshufb equivalent), which is why
-    this decomposition lives only behind the compiled backend.
+    :meth:`GF256.vec_mul_xor` — kept as the semantic oracle the sweep
+    compares against.
 
-Backend objects are stateless apart from cached tables/compiled
-functions; :func:`get_kernels` memoizes the process-wide active backend
-and :func:`use_backend` swaps it (tests, benchmarks).
+Backend objects are stateless; :func:`get_kernels` memoizes the backend
+the environment names and :func:`use_backend` re-selects it.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache as _lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-#: Environment variable naming the backend: numpy | reference | numba | auto.
+#: Environment variable naming the backend: numpy | reference.
 BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 #: Stripe sizes below this use the table-gather fold even on the numpy
@@ -234,178 +227,46 @@ class NumpyKernels(KernelBackend):
                 lanes.gmul()
 
 
-class NumbaKernels(KernelBackend):
-    """Compiled split-table backend (lazy ``numba`` import; opt-in)."""
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        import numba  # confined here by the simlint kernel-backend rule
-
-        self._njit = numba.njit
-        self._tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._fns: Optional[Tuple[Callable, Callable, Callable]] = None
-
-    def _tables_for(self, c: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The 16-entry low/high-nibble product tables for constant ``c``:
-        ``c*v = lo[v & 0xF] ^ hi[v >> 4]`` (GF addition is xor and the
-        nibbles partition the byte, so the split is exact)."""
-        cached = self._tables.get(c)
-        if cached is not None:
-            return cached
-        gf = _gf()
-        lo = np.empty(16, dtype=np.uint8)
-        hi = np.empty(16, dtype=np.uint8)
-        for x in range(16):
-            lo[x] = gf.mul(c, x)
-            hi[x] = gf.mul(c, x << 4)
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        self._tables[c] = (lo, hi)
-        return lo, hi
-
-    def _compiled(self) -> Tuple[Callable, Callable, Callable]:
-        if self._fns is not None:
-            return self._fns
-        njit = self._njit
-
-        def xor_into(out, v):  # pragma: no cover - jitted
-            for i in range(out.shape[0]):
-                out[i] ^= v[i]
-
-        def scale_into(out, v, lo, hi, accumulate):  # pragma: no cover - jitted
-            for i in range(out.shape[0]):
-                x = v[i]
-                y = lo[x & 0xF] ^ hi[x >> 4]
-                if accumulate:
-                    out[i] ^= y
-                else:
-                    out[i] = y
-
-        def encode_row(p, q, v, lo, hi):  # pragma: no cover - jitted
-            for i in range(p.shape[0]):
-                x = v[i]
-                p[i] ^= x
-                q[i] ^= lo[x & 0xF] ^ hi[x >> 4]
-
-        jit = njit(nogil=True, cache=False)
-        self._fns = (jit(xor_into), jit(scale_into), jit(encode_row))
-        return self._fns
-
-    def xor_fold(self, rows: Sequence[np.ndarray], out: np.ndarray) -> None:
-        xor_into, _, _ = self._compiled()
-        np.copyto(out, rows[0])
-        for r in rows[1:]:
-            xor_into(out, r)
-
-    def gpow_fold(
-        self, rows: Sequence[np.ndarray], exps: Sequence[int], out: np.ndarray
-    ) -> None:
-        _, scale_into, _ = self._compiled()
-        gf = _gf()
-        for i, (r, e) in enumerate(zip(rows, exps)):
-            lo, hi = self._tables_for(gf.pow_g(e))
-            scale_into(out, r, lo, hi, i > 0)
-
-    def encode_pq(
-        self, rows: Sequence[np.ndarray], out_p: np.ndarray, out_q: np.ndarray
-    ) -> None:
-        _, scale_into, encode_row = self._compiled()
-        gf = _gf()
-        np.copyto(out_p, rows[0])
-        lo, hi = self._tables_for(gf.pow_g(0))
-        scale_into(out_q, rows[0], lo, hi, False)
-        for j in range(1, len(rows)):
-            lo, hi = self._tables_for(gf.pow_g(j))
-            encode_row(out_p, out_q, rows[j], lo, hi)
-
-    def scale(self, c: int, v: np.ndarray, out: np.ndarray) -> None:
-        c = int(c)
-        if c == 0:
-            out[:] = 0
-            return
-        if c == 1:
-            if out is not v:
-                np.copyto(out, v)
-            return
-        _, scale_into, _ = self._compiled()
-        lo, hi = self._tables_for(c)
-        # same-index read-then-write, so out aliasing v is safe
-        scale_into(out, v, lo, hi, False)
-
-
 _FACTORIES: Dict[str, Callable[[], KernelBackend]] = {
     "numpy": NumpyKernels,
     "reference": ReferenceKernels,
-    "numba": NumbaKernels,
 }
-
-#: backend installed by :func:`use_backend`; the hot path only reads it
-_override: Optional[KernelBackend] = None
-
-
-def numba_available() -> bool:
-    """True when the optional compiled backend can be imported."""
-    try:
-        import numba  # noqa: F401  (lazy probe; confined to this module)
-    except Exception:
-        return False
-    return True
 
 
 def available_backends() -> List[str]:
-    """Backend names usable in this environment, default first."""
-    names = ["numpy", "reference"]
-    if numba_available():
-        names.append("numba")
-    return names
+    """Backend names, default first."""
+    return list(_FACTORIES)
 
 
 def resolve_backend_name(name: Optional[str] = None) -> str:
     """Resolve an explicit name or the ``REPRO_KERNEL_BACKEND`` setting."""
     raw = name if name is not None else os.environ.get(BACKEND_ENV, "")
     raw = (raw or "numpy").strip().lower()
-    if raw == "auto":
-        return "numba" if numba_available() else "numpy"
     if raw not in _FACTORIES:
         raise ValueError(
             f"unknown GF(256) kernel backend {raw!r} (via {BACKEND_ENV}): "
-            f"choose one of {', '.join(sorted(_FACTORIES))}, or 'auto'"
+            f"choose one of {', '.join(sorted(_FACTORIES))}"
         )
     return raw
 
 
 def make_backend(name: Optional[str] = None) -> KernelBackend:
     """Construct a backend by name (``None`` reads the environment)."""
-    resolved = resolve_backend_name(name)
-    try:
-        return _FACTORIES[resolved]()
-    except ImportError as exc:
-        raise RuntimeError(
-            f"kernel backend {resolved!r} selected via {BACKEND_ENV} but its "
-            f"compiled dependency is not importable: {exc}"
-        ) from exc
+    return _FACTORIES[resolve_backend_name(name)]()
 
 
 @_lru_cache(maxsize=None)
-def _default_backend() -> KernelBackend:
-    """The backend the environment selects, resolved once per process."""
+def get_kernels() -> KernelBackend:
+    """The process-wide active backend: the one ``REPRO_KERNEL_BACKEND``
+    names, resolved once and then a pure read on the hot path."""
     return make_backend(None)
 
 
-def get_kernels() -> KernelBackend:
-    """The process-wide active backend (resolved once, lazily).
-
-    Pure read on the hot path: the environment-selected default is an
-    ``lru_cache`` singleton and :func:`use_backend` overrides are only
-    ever written outside the encode/decode kernels.
-    """
-    return _override if _override is not None else _default_backend()
-
-
 def use_backend(name: Optional[str] = None) -> KernelBackend:
-    """Install (and return) the active backend; ``None`` re-reads the
-    environment.  For tests and benchmarks."""
-    global _override
-    _override = make_backend(name)
-    return _override
+    """Select (and return) the process-wide backend: records ``name`` in
+    ``REPRO_KERNEL_BACKEND`` — so worker processes started afterwards
+    agree — and re-resolves; ``None`` just re-reads the environment."""
+    if name is not None:
+        os.environ[BACKEND_ENV] = resolve_backend_name(name)
+    get_kernels.cache_clear()
+    return get_kernels()

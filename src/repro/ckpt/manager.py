@@ -31,8 +31,7 @@ from repro.ckpt.grouping import GroupLayout, partition_groups
 from repro.ckpt.incremental import IncrementalCheckpoint
 from repro.ckpt.multilevel import MultiLevelCheckpoint
 from repro.ckpt.protocol import CheckpointInfo, RestoreReport
-from repro.ckpt.self_ckpt import SelfCheckpoint
-from repro.ckpt.self_rs import SelfCheckpointRS
+from repro.ckpt.self_ckpt import SelfCheckpoint, SelfCheckpointRS
 from repro.ckpt.single import SingleCheckpoint
 from repro.sim.mpi import Communicator
 from repro.sim.runtime import RankContext

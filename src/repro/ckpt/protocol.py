@@ -82,6 +82,9 @@ class Checkpointer(ABC):
     N_FLAGS: int = 0
     #: human name used in reports
     METHOD: str = "abstract"
+    #: parity stripes per slot row of the group's stripe layout — the
+    #: number of simultaneous member losses one group's encoding survives
+    PARITY: int = 1
 
     def __init__(
         self,
@@ -94,7 +97,7 @@ class Checkpointer(ABC):
     ):
         self.ctx = ctx
         self.group = group_comm
-        self.encoder = GroupEncoder(group_comm, op=op)
+        self.encoder = GroupEncoder(group_comm, op=op, parity=self.PARITY)
         self.prefix = prefix
         self.layout = StateLayout(a2_capacity=a2_capacity)
         #: the A2 dict — small per-rank scalars (iteration counters, pivot

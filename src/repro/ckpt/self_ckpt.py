@@ -8,8 +8,8 @@ segment      contents                                               size
 ``A1.*``     the workspace arrays themselves (allocated in SHM)     M
 ``B2``       copy of the small local/static state A2                ~KBs
 ``B``        the committed checkpoint (flat A1 ‖ A2)                M
-``C``        checksum consistent with B                             M/(N-1)
-``D``        checksum of the *live* workspace (A1 ‖ B2)             M/(N-1)
+``C``        checksum consistent with B                             mM/(N-m)
+``D``        checksum of the *live* workspace (A1 ‖ B2)             mM/(N-m)
 ``CTRL``     [magic, epoch_F, epoch_B, epoch_R]                     32 B
 ===========  =====================================================  =========
 
@@ -42,6 +42,11 @@ buffers and checksum stripes, then rewrites a clean (B, C) pair so the
 group returns to the steady state.  A single node loss per group is
 therefore tolerated **at any time** — while using one checkpoint copy and
 two small checksums instead of the double-checkpoint's two full copies.
+
+``m`` is the number of parity stripes per slot row of the group's
+``(N, m)`` layout (:mod:`repro.ckpt.stripes`): the paper's protocol is
+``m = 1``; :class:`SelfCheckpointRS` is the very same protocol at
+``m = 2``, tolerating two simultaneous losses per group.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.ckpt import stripes
 from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport
 from repro.sim.errors import UnrecoverableError
 
@@ -62,26 +68,18 @@ class SelfCheckpoint(Checkpointer):
 
     N_FLAGS = 3
     METHOD = "self"
-    #: simultaneous member losses one group tolerates (1 for the XOR/SUM
-    #: stripes; the Reed-Solomon subclass raises it to 2)
-    MAX_LOSSES = 1
 
     def _span_attrs(self) -> dict:
         """Extra attributes stamped on this protocol's ``ckpt``/``restore``
         root spans (subclasses add their codec)."""
         return {"method": self.METHOD, "group": self.group.size}
 
-    # -- encode/recover hooks (overridden by the double-parity subclass) ----
-    def _do_encode(self, flat: np.ndarray):
-        """Encode the group's buffers; returns (checksum bytes, seconds)."""
-        enc = self.encoder.encode(flat)
-        return enc.checksum, enc.seconds
-
     def _do_recover(self, flat, checksum, missing: list):
-        """Group-reconstruct the missing members.  Survivors pass their
-        buffer and checksum bytes; missing members pass None and receive
-        their rebuilt ``(flat, checksum)``; survivors receive None."""
-        return self.encoder.recover(flat, checksum, missing[0])
+        """Group-reconstruct the missing members — the single call through
+        which both restore paths rebuild.  Survivors pass their buffer and
+        checksum segment; missing members pass None and receive their
+        rebuilt ``(flat, checksum)``; survivors receive None."""
+        return self.encoder.recover(flat, checksum, missing)
 
     # -- placement: the workspace lives in SHM ------------------------------------
     def _alloc_array(self, name: str, shape, dtype) -> np.ndarray:
@@ -129,8 +127,9 @@ class SelfCheckpoint(Checkpointer):
             # step 2: encode the live workspace (A1 ‖ B2) into D
             with ctx.span("ckpt.encode", nbytes=int(self._padded)):
                 flat = self._pack_flat()
-                checksum, encode_s = self._do_encode(flat)
-                self._d[:] = checksum
+                enc = self.encoder.encode(flat)
+                self._d[:] = enc.checksum
+                encode_s = enc.seconds
                 ctx.phase("ckpt.encode")
 
             # flush license: a *world* barrier, so that "any rank flushing"
@@ -186,10 +185,10 @@ class SelfCheckpoint(Checkpointer):
             self._fresh_reset()
             return None
         missing = self._group_missing(statuses)
-        if len(missing) > self.MAX_LOSSES:
+        if len(missing) > self.PARITY:
             raise UnrecoverableError(
                 f"group lost {len(missing)} members ({missing}); this "
-                f"encoding tolerates {self.MAX_LOSSES}"
+                f"encoding tolerates {self.PARITY}"
             )
 
         # world-wide flag maxima: every group takes the same branch
@@ -319,21 +318,16 @@ class SelfCheckpoint(Checkpointer):
         a consistent codeword across the whole group.  Safe to call at any
         quiescent point (all members must call together).
         """
-        from repro.ckpt import stripes
-
         n = self.group.size
-        op = self.encoder.op if hasattr(self.encoder, "op") else "xor"
+        m = self.PARITY
 
         def compute(data):
-            bufs = [data[r][0] for r in range(n)]
-            cs = [data[r][1] for r in range(n)]
-            if self.METHOD == "self-rs":
-                from repro.ckpt import stripes_rs
-
-                parity = [self._unpack_parity(c) for c in cs]
-                ok = stripes_rs.verify_group_rs(bufs, parity, n)
-            else:
-                ok = stripes.verify_group(bufs, cs, op)
+            ok = stripes.verify_parity(
+                [data[r][0] for r in range(n)],
+                [data[r][1].reshape(m, -1) for r in range(n)],
+                m,
+                self.encoder.op,
+            )
             return {r: ok for r in data}
 
         contribution = (np.array(self._b, copy=True), np.array(self._c, copy=True))
@@ -364,3 +358,18 @@ class SelfCheckpoint(Checkpointer):
             offset += a.nbytes
         out[offset : offset + self._b2.nbytes] = self._b2
         return out
+
+
+class SelfCheckpointRS(SelfCheckpoint):
+    """Self-checkpoint over (P, Q) parity — the paper's "RAID-6 and
+    Reed-Solomon" remark (§2.1) applied to its own protocol: C and D each
+    hold a P and a Q stripe, and any TWO members of a group may be lost at
+    once.  Checksums are ``2M/(N-2)`` per member, so available memory is
+    ``(N-2)/2N`` — the single-parity scheme at half the group size, but
+    with any-2-of-N tolerance instead of 1-per-subgroup."""
+
+    METHOD = "self-rs"
+    PARITY = 2
+
+    def _span_attrs(self) -> dict:
+        return {**super()._span_attrs(), "codec": "rs", "max_losses": self.PARITY}

@@ -1,340 +1,67 @@
-"""Double-parity (RAID-6 style) stripe layout over a group — the paper's
-"more complex encoding methods, such as RAID-6 and Reed-Solomon, to
-tolerate more node failures" (§2.1), worked out for the self-checkpoint
-setting.
+"""Double parity (RAID-6 style): the ``m = 2`` bindings of
+:mod:`repro.ckpt.stripes` — the paper's "more complex encoding methods,
+such as RAID-6 and Reed-Solomon, to tolerate more node failures" (§2.1).
 
-Layout
-------
-A group of ``N`` members (N >= 4) protects each member's padded buffer by
-splitting it into ``N-2`` data stripes.  Conceptually there are ``N``
-*slot rows*; in row ``r``:
+In slot row ``r`` the **P parity** (plain XOR) lives on member ``r`` and
+the **Q parity** (GF(2^8) Reed-Solomon) on member ``(r+1) mod N``; every
+member hosts one P stripe, one Q stripe and ``N-2`` data stripes, and any
+**two** members may be lost.  Layout, loops and codec all live in
+:mod:`repro.ckpt.stripes` / :mod:`repro.ckpt.raid6`; nothing here but the
+parity count.
 
-* the **P parity** (plain XOR) lives on member ``r``,
-* the **Q parity** (GF(2^8) Reed-Solomon) lives on member ``(r+1) mod N``,
-* the remaining ``N-2`` members each contribute one data stripe, in
-  member-index order.
-
-Every member therefore hosts exactly one P stripe, one Q stripe, and
-``N-2`` data stripes.  Losing any **two** members removes at most two
-entries from each row — data and/or parity — which the (P, Q) pair decodes
-(:class:`repro.ckpt.raid6.RSCodec` handles every erasure case).
-
-The row/stripe mapping is pure combinatorics of ``N``, so it is computed
-once per group size and cached as a :class:`GroupLayout` (the hot encode
-path previously re-derived it with O(N^2) scans per stripe lookup).  The
-per-group-size :class:`~repro.ckpt.raid6.RSCodec` is likewise cached —
-construction is cheap but the encode/decode paths run once per row per
-checkpoint, so nothing worth hoisting is left inside the loops.
-
-The hot paths are zero-copy and matrix-form end-to-end: each member
-buffer is reshaped **once** into an ``(n_stripes, stripe_size)`` view
-(no bytes move — ``padded_size_rs`` guarantees the alignment), encode
-writes every row's (P, Q) directly into two preallocated ``(N,
-stripe_size)`` parity matrices via ``RSCodec.encode(out_p=, out_q=)``,
-and reconstruction decodes straight through stripe views of the rebuilt
-member buffers via ``RSCodec.decode(out=)``.  The returned parity
-stripes are row views of the shared matrices; callers that persist them
-(:meth:`repro.ckpt.self_rs.SelfCheckpointRS._pack_parity`) copy into
-their own storage.  The underlying GF(2^8) kernels are selectable via
-``REPRO_KERNEL_BACKEND`` (see :mod:`repro.ckpt.kernels`).
-
-Space
------
-Checksum storage per member is ``2m/(N-2)`` (one P + one Q stripe), so the
-self-checkpoint totals become ``2M + 4M/(N-2)`` and the available fraction
-``(N-2)/2N``.  Notably this equals the *single*-failure XOR scheme at group
-size ``N/2`` — same memory, but any-2-of-N tolerance instead of 1-per-N/2:
-the ablation benchmark quantifies the trade.
-
-All functions operate on ``uint8`` buffers whose length is a multiple of
-``8 * (N-2)`` (see :func:`padded_size_rs`).
+Space: parity storage per member is ``2m/(N-2)``, so the self-checkpoint
+totals become ``2M + 4M/(N-2)`` and the available fraction ``(N-2)/2N`` —
+equal to the *single*-failure XOR scheme at group size ``N/2``, but with
+any-2-of-N tolerance instead of 1-per-N/2 (the ablation benchmark
+quantifies the trade).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.ckpt.raid6 import RSCodec
+from repro.ckpt import stripes
+from repro.ckpt.stripes import MemberParity
 
 
 def padded_size_rs(nbytes: int, group_size: int) -> int:
     """Smallest size >= ``nbytes`` divisible into ``N-2`` word stripes."""
-    if group_size < 4:
-        raise ValueError("double-parity groups need >= 4 members")
-    unit = 8 * (group_size - 2)
-    return ((max(1, nbytes) + unit - 1) // unit) * unit
+    return stripes.padded_size(nbytes, group_size, 2)
 
 
 def checksum_size_rs(nbytes_padded: int, group_size: int) -> int:
-    """Per-member checksum bytes: one P + one Q stripe = 2m/(N-2)."""
-    n_stripes = group_size - 2
-    if nbytes_padded % (8 * n_stripes):
-        raise ValueError(f"{nbytes_padded} not stripe aligned")
-    return 2 * (nbytes_padded // n_stripes)
+    """Per-member parity bytes: one P + one Q stripe = 2m/(N-2)."""
+    return stripes.checksum_size(nbytes_padded, group_size, 2)
 
 
-@dataclass(frozen=True)
-class GroupLayout:
-    """Precomputed row/stripe combinatorics of one group size.
-
-    ``rows[r]`` is ``(p_holder, q_holder, data_members)`` for slot row
-    ``r``; ``stripe_of[(member, row)]`` maps a member's contribution to a
-    row onto its local stripe index (inverse: ``row_of[(member, stripe)]``)
-    and ``position_of[(member, row)]`` onto its codec position within the
-    row.  All three replace the O(N^2) rescans the encode and reconstruct
-    loops used to perform per stripe.
-    """
-
-    group_size: int
-    rows: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
-    stripe_of: Dict[Tuple[int, int], int]
-    row_of: Dict[Tuple[int, int], int]
-    position_of: Dict[Tuple[int, int], int]
-
-
-@lru_cache(maxsize=None)
-def layout_for(group_size: int) -> GroupLayout:
-    """The cached :class:`GroupLayout` for ``group_size`` members."""
-    n = group_size
-    if n < 4:
-        raise ValueError("double-parity groups need >= 4 members")
-    rows: List[Tuple[int, int, Tuple[int, ...]]] = []
-    stripe_of: Dict[Tuple[int, int], int] = {}
-    row_of: Dict[Tuple[int, int], int] = {}
-    position_of: Dict[Tuple[int, int], int] = {}
-    counts = [0] * n
-    for row in range(n):
-        p = row % n
-        q = (row + 1) % n
-        data = tuple(j for j in range(n) if j != p and j != q)
-        rows.append((p, q, data))
-        for pos, j in enumerate(data):
-            stripe = counts[j]
-            counts[j] += 1
-            stripe_of[(j, row)] = stripe
-            row_of[(j, stripe)] = row
-            position_of[(j, row)] = pos
-    return GroupLayout(
-        group_size=n,
-        rows=tuple(rows),
-        stripe_of=stripe_of,
-        row_of=row_of,
-        position_of=position_of,
-    )
-
-
-@lru_cache(maxsize=None)
-def codec_for(n_stripes: int) -> RSCodec:
-    """One shared :class:`~repro.ckpt.raid6.RSCodec` per stripe count."""
-    return RSCodec(n_stripes)
-
-
-def row_roles(row: int, group_size: int) -> Tuple[int, int, List[int]]:
-    """(P holder, Q holder, data holders in member order) for a slot row."""
-    p, q, data = layout_for(group_size).rows[row % group_size]
-    return p, q, list(data)
-
-
-def data_row_of(member: int, stripe: int, group_size: int) -> int:
-    """The slot row in which ``member``'s data stripe ``stripe`` lives.
-
-    Member ``j`` contributes data to every row where it is neither P nor Q
-    holder — ``N-2`` rows; this maps local stripe index to row index.
-    """
-    row = layout_for(group_size).row_of.get((member, stripe))
-    if row is None:
-        raise ValueError(
-            f"member {member} has only {group_size - 2} data stripes"
-        )
-    return row
-
-
-def _stripe(buf: np.ndarray, idx: int, n_stripes: int) -> np.ndarray:
-    """Zero-copy view of data stripe ``idx`` of ``buf``."""
-    size = len(buf) // n_stripes
-    return buf[idx * size : (idx + 1) * size]
-
-
-def _stripe_matrix(buf: np.ndarray, n_stripes: int) -> np.ndarray:
-    """One zero-copy ``(n_stripes, stripe_size)`` view of a member buffer:
-    row ``i`` is data stripe ``i``.  Replaces ``n_stripes`` separate
-    :func:`_stripe` slices on the hot paths."""
-    return buf.reshape(n_stripes, len(buf) // n_stripes)
-
-
-def build_parity(
-    buffers: Sequence[np.ndarray], group_size: int
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Compute (P stripe, Q stripe) hosted by each member.
-
-    ``buffers[j]`` is member ``j``'s padded uint8 buffer.  Member ``j``
-    hosts P of row ``j`` and Q of row ``j-1 mod N``.  The returned
-    stripes are row views of two parity matrices allocated here — the
-    only allocations this function makes.
-    """
-    n = group_size
-    if len(buffers) != n:
-        raise ValueError(f"need {n} buffers, got {len(buffers)}")
-    size = len(buffers[0])
-    if any(len(b) != size or b.dtype != np.uint8 for b in buffers):
-        raise ValueError("buffers must be equal-length uint8")
-    layout = layout_for(n)
-    n_stripes = n - 2
-    codec = codec_for(n_stripes)
-    stripe_size = size // n_stripes
-
-    mats = [_stripe_matrix(b, n_stripes) for b in buffers]
-    pmat = np.empty((n, stripe_size), dtype=np.uint8)
-    qmat = np.empty((n, stripe_size), dtype=np.uint8)
-    for row in range(n):
-        _, _, data_members = layout.rows[row]
-        contributions = [
-            mats[j][layout.stripe_of[(j, row)]] for j in data_members
-        ]
-        codec.encode(contributions, out_p=pmat[row], out_q=qmat[row])
-
-    return [(pmat[member], qmat[(member - 1) % n]) for member in range(n)]
-
-
-def _stripe_index_of(member: int, row: int, group_size: int) -> int:
-    """Inverse of :func:`data_row_of`: the local stripe index of
-    ``member``'s contribution to ``row``."""
-    stripe = layout_for(group_size).stripe_of.get((member, row))
-    if stripe is None:
-        raise ValueError(f"member {member} holds no data in row {row}")
-    return stripe
+def build_parity(buffers: Sequence[np.ndarray], group_size: int) -> np.ndarray:
+    """The ``(N, 2, stripe)`` parity block: ``[j]`` is member ``j``'s
+    ``(P, Q)`` pair (P of row ``j``, Q of row ``j-1 mod N``)."""
+    if len(buffers) != group_size:
+        raise ValueError(f"need {group_size} buffers, got {len(buffers)}")
+    return stripes.build_parity(buffers, 2)
 
 
 def reconstruct_rs(
-    survivors: Dict[int, np.ndarray],
-    survivor_parity: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    survivors: Mapping[int, np.ndarray],
+    survivor_parity: Mapping[int, MemberParity],
     missing: Sequence[int],
     group_size: int,
-) -> Dict[int, Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]]:
-    """Rebuild up to two lost members' buffers and parity stripes.
-
-    Parameters
-    ----------
-    survivors:
-        ``{member: buffer}`` for the healthy members.
-    survivor_parity:
-        ``{member: (P stripe, Q stripe)}`` for the same members.
-    missing:
-        One or two lost member indices.
-
-    Returns
-    -------
-    ``{member: (buffer, (P, Q))}`` for each missing member.
-    """
-    n = group_size
-    missing = sorted(set(missing))
-    if not 1 <= len(missing) <= 2:
-        raise ValueError("double-parity recovery handles 1 or 2 losses")
-    expect = set(range(n)) - set(missing)
-    if set(survivors) != expect or set(survivor_parity) != expect:
-        raise ValueError("need buffers+parity from exactly the survivors")
-    size = len(next(iter(survivors.values())))
-    layout = layout_for(n)
-    n_stripes = n - 2
-    stripe_size = size // n_stripes
-    codec = codec_for(n_stripes)
-
-    rebuilt_mats = {
-        m: np.empty((n_stripes, stripe_size), dtype=np.uint8) for m in missing
-    }
-    surv_mats = {j: _stripe_matrix(b, n_stripes) for j, b in survivors.items()}
-    rebuilt_p: Dict[int, np.ndarray] = {}
-    rebuilt_q: Dict[int, np.ndarray] = {}
-    # scratch stripes for the parity halves re-encode must produce but a
-    # survivor still holds (encode always computes the (P, Q) pair)
-    p_scratch = np.empty(stripe_size, dtype=np.uint8)
-    q_scratch = np.empty(stripe_size, dtype=np.uint8)
-
-    for row in range(n):
-        p_holder, q_holder, data_members = layout.rows[row]
-        p = (
-            survivor_parity[p_holder][0]
-            if p_holder not in missing
-            else None
-        )
-        q = (
-            survivor_parity[q_holder][1]
-            if q_holder not in missing
-            else None
-        )
-        present: Dict[int, np.ndarray] = {}
-        lost_views: Dict[int, np.ndarray] = {}  # codec position -> out stripe
-        for pos, j in enumerate(data_members):
-            if j in missing:
-                lost_views[pos] = rebuilt_mats[j][layout.stripe_of[(j, row)]]
-            else:
-                present[pos] = surv_mats[j][layout.stripe_of[(j, row)]]
-        # decode writes straight through the rebuilt members' stripe views
-        decoded = codec.decode(present, p, q, out=lost_views)
-        # recompute lost parity stripes from the (now complete) row data
-        if p is None or q is None:
-            full = [
-                decoded[pos] if pos in decoded else present[pos]
-                for pos in range(n_stripes)
-            ]
-            if p is None:
-                out_p = rebuilt_p.setdefault(
-                    p_holder, np.empty(stripe_size, dtype=np.uint8)
-                )
-            else:
-                out_p = p_scratch
-            if q is None:
-                out_q = rebuilt_q.setdefault(
-                    q_holder, np.empty(stripe_size, dtype=np.uint8)
-                )
-            else:
-                out_q = q_scratch
-            codec.encode(full, out_p=out_p, out_q=out_q)
-
-    out: Dict[int, Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]] = {}
-    for m in missing:
-        # member m hosts P of row m and Q of row m-1, and both rows saw
-        # that parity as lost, so the row loop always rebuilt the pair
-        assert m in rebuilt_p and m in rebuilt_q, (
-            f"row loop failed to rebuild member {m}'s parity stripes"
-        )
-        out[m] = (rebuilt_mats[m].reshape(-1), (rebuilt_p[m], rebuilt_q[m]))
-    return out
+) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """Rebuild one or two lost members: ``{member: (buffer, (P, Q))}``."""
+    return stripes.reconstruct_members(
+        survivors, survivor_parity, missing, group_size, 2
+    )
 
 
 def verify_group_rs(
     buffers: Sequence[np.ndarray],
-    parity: Sequence[Tuple[np.ndarray, np.ndarray]],
+    parity: Sequence[MemberParity],
     group_size: int,
 ) -> bool:
-    """True when the (P, Q) stripes are consistent with the buffers.
-
-    Checks row by row and returns ``False`` at the first mismatching
-    stripe instead of materializing every fresh parity pair first — a
-    corrupted group is detected after one row's worth of encoding.
-    """
-    n = group_size
-    if len(buffers) != n or len(parity) != n:
-        raise ValueError(f"need {n} buffers and parity pairs")
-    layout = layout_for(n)
-    n_stripes = n - 2
-    codec = codec_for(n_stripes)
-    stripe_size = len(buffers[0]) // n_stripes
-    mats = [_stripe_matrix(b, n_stripes) for b in buffers]
-    p_buf = np.empty(stripe_size, dtype=np.uint8)
-    q_buf = np.empty(stripe_size, dtype=np.uint8)
-    for row in range(n):
-        p_holder, q_holder, data_members = layout.rows[row]
-        contributions = [
-            mats[j][layout.stripe_of[(j, row)]] for j in data_members
-        ]
-        codec.encode(contributions, out_p=p_buf, out_q=q_buf)
-        if not np.array_equal(p_buf, parity[p_holder][0]):
-            return False
-        if not np.array_equal(q_buf, parity[q_holder][1]):
-            return False
-    return True
+    """True when the (P, Q) stripes are consistent with the buffers."""
+    if len(buffers) != group_size:
+        raise ValueError(f"need {group_size} buffers and parity pairs")
+    return stripes.verify_parity(buffers, parity, 2)

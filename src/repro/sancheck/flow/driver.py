@@ -44,7 +44,7 @@ class FlowConfig:
         "try_restore",
     )
     #: last path components of the pure encode/reconstruct kernel modules
-    kernel_modules: Tuple[str, ...] = ("stripes", "stripes_rs", "raid6")
+    kernel_modules: Tuple[str, ...] = ("stripes", "stripes_rs", "raid6", "kernels")
 
 
 def analyze_index(index: ProjectIndex, config: FlowConfig) -> List[Finding]:

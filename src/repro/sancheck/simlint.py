@@ -36,13 +36,6 @@ tree:
     engine whose deterministic merge keeps artifacts byte-identical
     (everything else would race the campaign's canonical ordering).
 
-``kernel-backend``
-    No direct ``numba``/``cffi``/``cython`` imports outside
-    :mod:`repro.ckpt.kernels` — compiled GF(256) backends are probed and
-    selected in exactly one place (lazily, behind
-    ``REPRO_KERNEL_BACKEND``), so the rest of the tree never grows a hard
-    dependency on an optional accelerator.
-
 ``obs-label``
     String literals passed to ``ctx.span(...)`` must come from
     :data:`repro.obs.labels.SPAN_LABELS` and literals naming instruments
@@ -151,11 +144,6 @@ METRIC_METHODS = {"counter", "gauge", "histogram"}
 #: modules whose import marks host-process parallelism (``parallel`` rule)
 PARALLEL_MODULES = ("multiprocessing", "concurrent.futures")
 
-#: compiled kernel-backend dependencies (``kernel-backend`` rule): these
-#: imports stay confined to repro.ckpt.kernels so backend availability is
-#: probed in exactly one place and REPRO_KERNEL_BACKEND governs selection
-KERNEL_BACKEND_MODULES = ("numba", "cffi", "cython")
-
 ALL_RULES = (
     "wallclock",
     "threading",
@@ -163,7 +151,6 @@ ALL_RULES = (
     "recv-mutate",
     "obs-label",
     "parallel",
-    "kernel-backend",
 )
 
 _PRAGMA_RE = re.compile(
@@ -185,7 +172,6 @@ class LintConfig:
     threading_allow: Tuple[str, ...] = ("repro.sim",)
     rng_allow: Tuple[str, ...] = ("repro.util.rng",)
     parallel_allow: Tuple[str, ...] = ("repro.par", "repro.shard")
-    kernel_backend_allow: Tuple[str, ...] = ("repro.ckpt.kernels",)
     rules: Tuple[str, ...] = ALL_RULES
 
 
@@ -351,37 +337,14 @@ class _Linter(ast.NodeVisitor):
                 "memo cache, crash folding)",
             )
 
-    # -- kernel-backend: compiled-backend imports outside the kernel module ----
-    def _check_kernel_backend_import(self, node: ast.AST, module: str) -> None:
-        hit = next(
-            (
-                p
-                for p in KERNEL_BACKEND_MODULES
-                if module == p or module.startswith(p + ".")
-            ),
-            None,
-        )
-        if hit is not None and not _module_allowed(
-            self.module, self.config.kernel_backend_allow
-        ):
-            self._report(
-                "kernel-backend",
-                node,
-                f"direct {hit} import — compiled GF(256) backends live in "
-                "repro.ckpt.kernels (lazy import, REPRO_KERNEL_BACKEND "
-                "selection, byte-identical equivalence tests)",
-            )
-
     def visit_Import(self, node: ast.Import) -> None:
         for a in node.names:
             self._check_parallel_import(node, a.name)
-            self._check_kernel_backend_import(node, a.name)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module is not None and not node.level:
             self._check_parallel_import(node, node.module)
-            self._check_kernel_backend_import(node, node.module)
         self.generic_visit(node)
 
     # -- scope handling for recv-mutate ---------------------------------------

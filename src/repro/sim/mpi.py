@@ -180,6 +180,9 @@ class _CollectiveSlot:
         self.phase = "gathering"  # -> "draining" -> "gathering" ...
         self.contrib: Dict[int, Tuple[Any, float]] = {}
         self.results: Optional[Dict[int, Any]] = None
+        #: what ``compute``/``cost`` raised in the completing rank, if they
+        #: did — the outcome every member then re-raises
+        self.error: Optional[Exception] = None
         self.finish_clock = 0.0
         self.taken = 0
 
@@ -443,6 +446,10 @@ class Communicator:
         price the operation.  Every participant leaves with its clock set to
         ``max(entry clocks) + cost``.  This is the extension point the
         checkpoint encoder uses for its fused stripe reduce.
+
+        If ``compute`` or ``cost`` raises, that exception is the collective's
+        outcome: the slot drains as usual, every member raises it, and the
+        communicator stays usable.
         """
         ctx = current_ctx()
         ctx.check()
@@ -463,8 +470,12 @@ class Communicator:
             if len(slot.contrib) == slot.size:
                 data = {r: c for r, (c, _) in slot.contrib.items()}
                 t_start = max(t for _, t in slot.contrib.values())
-                slot.results = compute(data)
-                slot.finish_clock = t_start + cost(data)
+                try:
+                    slot.results = compute(data)
+                    slot.finish_clock = t_start + cost(data)
+                except Exception as exc:
+                    slot.error = exc
+                    slot.finish_clock = t_start
                 slot.phase = "draining"
                 slot.cond.notify_all()
             else:
@@ -474,7 +485,8 @@ class Communicator:
                     desc=self._collective_desc("collective-drain"),
                     peers=others,
                 )
-            result = slot.results[me]  # type: ignore[index]
+            error = slot.error
+            result = None if error is not None else slot.results[me]  # type: ignore[index]
             ctx.clock = max(ctx.clock, slot.finish_clock)
             if obs is not None:
                 obs.on_collective_exit(self.name, self.size, ctx.rank, ctx.clock)
@@ -482,9 +494,12 @@ class Communicator:
             if slot.taken == slot.size:
                 slot.contrib = {}
                 slot.results = None
+                slot.error = None
                 slot.taken = 0
                 slot.phase = "gathering"
                 slot.cond.notify_all()
+        if error is not None:
+            raise error
         return result
 
     # -- standard collectives ---------------------------------------------------------

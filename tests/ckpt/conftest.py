@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt import CheckpointManager
+from repro.ckpt import CheckpointManager, kernels
 from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
 
 
@@ -53,6 +53,18 @@ def make_app(
         }
 
     return app
+
+
+@pytest.fixture
+def install(monkeypatch):
+    """``install(backend)`` makes a kernel-backend *instance* the active
+    one for the rest of the test (the forced-bitsliced variant has no name
+    to select it by)."""
+
+    def _install(backend):
+        monkeypatch.setattr(kernels, "get_kernels", lambda: backend)
+
+    return _install
 
 
 @pytest.fixture

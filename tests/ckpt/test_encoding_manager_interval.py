@@ -1,6 +1,8 @@
 """Tests for the group encoder collective, the manager facade, and the
 checkpoint-interval helpers."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -62,22 +64,25 @@ class TestGroupEncoder:
         run(main)
 
     def test_mismatched_sizes_rejected(self):
+        """The size check runs inside the collective, in the last arriver:
+        every member must see the same ValueError at once (not one rank
+        raising while its peers sit out the deadlock timeout), and the
+        communicator must be usable afterwards."""
+
         def main(ctx):
             comm = ctx.world
             enc = GroupEncoder(comm)
             n = 8 * 3 * (2 if comm.rank == 0 else 4)
             flat = np.zeros(n, dtype=np.uint8)
-            try:
+            with pytest.raises(ValueError, match="disagree on flat size"):
                 enc.encode(flat)
-            except Exception:
-                return "raised"
-            return "ok"
+            comm.barrier()
+            return "raised"
 
-        cl = Cluster(4)
-        res = Job(cl, main, 4, procs_per_node=1).run()
-        # the compute callback raises inside the collective; at least the
-        # computing rank observes it
-        assert not res.completed or "raised" in res.rank_results.values()
+        t0 = time.monotonic()
+        res = run(main)
+        assert time.monotonic() - t0 < 5.0  # was the 60 s deadlock timeout
+        assert res.rank_results == {r: "raised" for r in range(4)}
 
     def test_unaligned_buffer_rejected(self):
         def main(ctx):
@@ -90,12 +95,33 @@ class TestGroupEncoder:
         run(main)
 
     def test_single_root_ablation_slower(self):
+        """What the encoder charges is the stripe cost, and the naive
+        alternative — N whole-buffer reduces through single roots, priced
+        by the ablation straight from the network model — costs more."""
+
         def main(ctx):
-            enc = GroupEncoder(ctx.world)
+            net = ctx.world.net
             flat = np.zeros(8 * 3 * 1000, dtype=np.uint8)
-            t_stripe = enc.encode(flat).seconds
-            t_single = enc.encode_single_root(flat).seconds
-            assert t_single > t_stripe
+            t_stripe = GroupEncoder(ctx.world).encode(flat).seconds
+            assert t_stripe == net.stripe_encode_time(flat.nbytes, 4)
+            assert 4 * net.single_root_encode_time(flat.nbytes, 4) > t_stripe
+            return True
+
+        run(main)
+
+    def test_second_parity_rejects_sum(self):
+        """op and parity meet in one constructor: (P, Q) parity is GF(2^8)
+        arithmetic, so asking for it with op="sum" is an error naming
+        both — directly and through the manager (self-rs used to drop op
+        silently and run XOR)."""
+
+        def main(ctx):
+            with pytest.raises(ValueError, match=r"op='sum'.*parity=2"):
+                GroupEncoder(ctx.world, op="sum", parity=2)
+            with pytest.raises(ValueError, match=r"op='sum'.*parity=2"):
+                CheckpointManager(
+                    ctx, ctx.world, group_size=4, method="self-rs", op="sum"
+                )
             return True
 
         run(main)

@@ -7,21 +7,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ckpt import (
-    GroupEncoderRS,
+    GroupEncoder,
     available_fraction_self,
     available_fraction_self_rs,
 )
+from repro.ckpt.stripes import layout_for
 from repro.ckpt.stripes_rs import (
     build_parity,
     checksum_size_rs,
-    data_row_of,
     padded_size_rs,
     reconstruct_rs,
-    row_roles,
     verify_group_rs,
 )
 from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger, UnrecoverableError
 from tests.ckpt.conftest import assert_final_state, make_app
+
+
+def row_roles(row, n):
+    """(P holder, Q holder, data holders in member order) of a slot row."""
+    (p, q), cells = layout_for(n, 2).rows[row]
+    return p, q, [j for j, _ in cells]
 
 
 class TestLayout:
@@ -42,11 +47,16 @@ class TestLayout:
     def test_data_row_bijection(self):
         n = 6
         for member in range(n):
-            rows = [data_row_of(member, s, n) for s in range(n - 2)]
-            assert len(set(rows)) == n - 2
-            for row in rows:
-                p, q, data = row_roles(row, n)
-                assert member in data
+            rows = [
+                row
+                for row, (_, cells) in enumerate(layout_for(n, 2).rows)
+                if member in dict(cells)
+            ]
+            assert len(rows) == n - 2
+            # the member's local stripes 0..N-3, handed out in row order
+            assert [dict(layout_for(n, 2).rows[r][1])[member] for r in rows] == list(
+                range(n - 2)
+            )
 
     def test_sizes(self):
         assert padded_size_rs(1, 4) == 16
@@ -95,10 +105,11 @@ class TestEncoderCollective:
     def test_encode_recover_two_members(self):
         def main(ctx):
             comm = ctx.world
-            enc = GroupEncoderRS(comm)
+            enc = GroupEncoder(comm, parity=2)
             rng = np.random.default_rng(comm.rank)
             flat = rng.integers(0, 256, 8 * (comm.size - 2) * 4, dtype=np.uint8)
             res = enc.encode(flat)
+            assert res.checksum_bytes == 2 * len(flat) // (comm.size - 2)
             missing = [1, 4]
             if comm.rank in missing:
                 got = enc.recover(None, None, missing)
@@ -106,10 +117,9 @@ class TestEncoderCollective:
                     0, 256, len(flat), dtype=np.uint8
                 )
                 np.testing.assert_array_equal(got[0], ref)
-                np.testing.assert_array_equal(got[1][0], res.parity[0])
-                np.testing.assert_array_equal(got[1][1], res.parity[1])
+                np.testing.assert_array_equal(got[1], res.checksum)
             else:
-                assert enc.recover(flat, res.parity, missing) is None
+                assert enc.recover(flat, res.checksum, missing) is None
             return True
 
         cl = Cluster(6)
@@ -120,19 +130,17 @@ class TestEncoderCollective:
         def main(ctx):
             sub = ctx.world.split(color=ctx.world.rank // 3)
             with pytest.raises(ValueError):
-                GroupEncoderRS(sub)
+                GroupEncoder(sub, parity=2)
             return True
 
         cl = Cluster(6)
         assert Job(cl, main, 6, procs_per_node=1).run().completed
 
     def test_rs_encode_costs_more_than_xor(self):
-        from repro.ckpt import GroupEncoder
-
         def main(ctx):
             flat = np.zeros(8 * 12 * 100, dtype=np.uint8)  # /4 and /2 aligned
             t_xor = GroupEncoder(ctx.world).encode(flat).seconds
-            t_rs = GroupEncoderRS(ctx.world).encode(flat).seconds
+            t_rs = GroupEncoder(ctx.world, parity=2).encode(flat).seconds
             assert t_rs > t_xor
             return True
 

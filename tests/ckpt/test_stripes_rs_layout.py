@@ -1,16 +1,15 @@
-"""Tests for the cached GroupLayout and codec reuse in stripes_rs."""
+"""Tests for the cached stripe layout and codec reuse at ``m = 2``, and
+the zero-copy contract of the (P, Q) paths."""
 
 import numpy as np
 import pytest
 
-from repro.ckpt.raid6 import RSCodec
+from repro.ckpt.raid6 import RSCodec, codec_for
+from repro.ckpt.stripes import _stripe_matrix, layout_for
 from repro.ckpt.stripes_rs import (
     build_parity,
-    codec_for,
-    data_row_of,
-    layout_for,
     padded_size_rs,
-    row_roles,
+    reconstruct_rs,
     verify_group_rs,
 )
 from repro.util.rng import seeded_rng
@@ -24,44 +23,58 @@ def _group(n, words_per_stripe=4, seed=0):
     ]
 
 
+def _row_of(layout):
+    """``{(member, local stripe): slot row}`` — the inverse of the
+    layout's per-row cells."""
+    return {
+        cell: row for row, (_, cells) in enumerate(layout.rows) for cell in cells
+    }
+
+
 class TestGroupLayout:
     def test_cached_identity(self):
-        assert layout_for(6) is layout_for(6)
-        assert codec_for(4) is codec_for(4)
-        assert isinstance(codec_for(4), RSCodec)
+        assert layout_for(6, 2) is layout_for(6, 2)
+        assert layout_for(6, 2) is not layout_for(6, 1)
+        assert codec_for(4, 2) is codec_for(4, 2)
+        assert isinstance(codec_for(4, 2), RSCodec)
 
     def test_rows_partition_roles(self):
         for n in (4, 5, 6, 8):
-            layout = layout_for(n)
-            for row, (p, q, data) in enumerate(layout.rows):
+            layout = layout_for(n, 2)
+            for row, ((p, q), cells) in enumerate(layout.rows):
                 assert q == (row + 1) % n and p == row % n
-                assert set(data) == set(range(n)) - {p, q}
+                assert [j for j, _ in cells] == sorted(set(range(n)) - {p, q})
 
     def test_every_member_hosts_n_minus_2_data_stripes(self):
         n = 6
-        layout = layout_for(n)
+        row_of = _row_of(layout_for(n, 2))
         for member in range(n):
-            stripes = [
-                s for (m, s) in layout.row_of if m == member
-            ]
+            stripes = [s for (m, s) in row_of if m == member]
             assert sorted(stripes) == list(range(n - 2))
 
     def test_maps_are_mutually_inverse(self):
+        """Each member hands out its stripes in row order, once each."""
         n = 7
-        layout = layout_for(n)
-        for (member, row), stripe in layout.stripe_of.items():
-            assert layout.row_of[(member, stripe)] == row
-            assert data_row_of(member, stripe, n) == row
+        layout = layout_for(n, 2)
+        row_of = _row_of(layout)
+        assert len(row_of) == n * (n - 2)  # no (member, stripe) cell repeats
+        for member in range(n):
+            rows = [row_of[(member, s)] for s in range(n - 2)]
+            assert rows == sorted(rows)
+            assert all(member not in layout.rows[r][0] for r in rows)
 
     def test_row_roles_wrapper_matches_layout(self):
+        """``n_stripes`` and the row table agree."""
         n = 5
-        for row in range(n):
-            p, q, data = row_roles(row, n)
-            assert (p, q, tuple(data)) == layout_for(n).rows[row]
+        layout = layout_for(n, 2)
+        assert layout.n_stripes == n - 2
+        assert all(len(cells) == n - 2 for _, cells in layout.rows)
 
     def test_small_group_rejected(self):
         with pytest.raises(ValueError):
-            layout_for(3)
+            layout_for(3, 2)
+        with pytest.raises(ValueError):
+            padded_size_rs(64, 3)
 
 
 class TestVerifyShortCircuit:
@@ -90,9 +103,9 @@ class TestVerifyShortCircuit:
         calls = {"n": 0}
         real_encode = RSCodec.encode
 
-        def counting_encode(self, buffers, **kwargs):
+        def counting_encode(self, buffers, *outs):
             calls["n"] += 1
-            return real_encode(self, buffers, **kwargs)
+            return real_encode(self, buffers, *outs)
 
         monkeypatch.setattr(RSCodec, "encode", counting_encode)
         assert not verify_group_rs(bufs, parity, n)
@@ -104,35 +117,39 @@ class TestZeroCopyStripes:
     parity unpacking are views, and the kernels never mutate inputs."""
 
     def test_stripe_is_a_view(self):
-        from repro.ckpt.stripes_rs import _stripe
-
         buf = np.arange(64, dtype=np.uint8)
-        s = _stripe(buf, 1, 4)
-        assert s.base is buf
+        s = _stripe_matrix(buf, 4)[1]
+        assert np.shares_memory(s, buf)
         s[0] = 0xAA  # writes through to the buffer
         assert buf[16] == 0xAA
 
     def test_unpack_parity_returns_views(self):
-        from repro.ckpt.self_rs import SelfCheckpointRS
-
-        inst = object.__new__(SelfCheckpointRS)
+        """A member's checksum segment splits into its (P, Q) stripes by
+        a reshape — views of the segment, P first."""
         blob = np.arange(32, dtype=np.uint8)
-        p, q = inst._unpack_parity(blob)
+        p, q = blob.reshape(2, -1)
         assert p.base is blob and q.base is blob
         np.testing.assert_array_equal(p, blob[:16])
         np.testing.assert_array_equal(q, blob[16:])
 
     def test_pack_unpack_parity_roundtrip(self):
-        from repro.ckpt.self_rs import SelfCheckpointRS
-
-        inst = object.__new__(SelfCheckpointRS)
+        """The segment a protocol stores is ``block[member]`` flattened —
+        P ‖ Q, without a pack copy — and feeding segments back rebuilds."""
         n = 5
         bufs = _group(n)
         parity = build_parity(bufs, n)
-        blob = inst._pack_parity(parity[2])
-        p, q = inst._unpack_parity(blob)
-        np.testing.assert_array_equal(p, parity[2][0])
-        np.testing.assert_array_equal(q, parity[2][1])
+        blob = parity[2].reshape(-1)
+        assert np.shares_memory(blob, parity)
+        half = len(blob) // 2
+        np.testing.assert_array_equal(blob[:half], parity[2][0])
+        np.testing.assert_array_equal(blob[half:], parity[2][1])
+        out = reconstruct_rs(
+            {m: bufs[m] for m in range(n) if m != 2},
+            {m: parity[m].reshape(-1).reshape(2, -1) for m in range(n) if m != 2},
+            [2],
+            n,
+        )
+        np.testing.assert_array_equal(out[2][1].reshape(-1), blob)
 
     def test_build_parity_does_not_mutate_buffers(self):
         n = 6
@@ -143,11 +160,9 @@ class TestZeroCopyStripes:
             np.testing.assert_array_equal(b, orig)
 
     def test_reconstruct_with_view_parity_matches_copies(self):
-        """Recovery fed parity *views* (the post-fix `_unpack_parity`
-        output) rebuilds byte-identically to recovery fed copies, and
-        never writes through the views into survivor state."""
-        from repro.ckpt.stripes_rs import reconstruct_rs
-
+        """Recovery fed parity *views* of a checksum segment rebuilds
+        byte-identically to recovery fed copies, and never writes through
+        the views into survivor state."""
         n = 6
         bufs = _group(n)
         parity = build_parity(bufs, n)
@@ -194,8 +209,6 @@ class TestParityRebuild:
 
     @pytest.mark.parametrize("lost", range(6))
     def test_single_loss_rebuilds_exact_parity(self, lost):
-        from repro.ckpt.stripes_rs import reconstruct_rs
-
         n = 6
         bufs = _group(n, seed=21)
         golden = build_parity(bufs, n)
@@ -214,8 +227,6 @@ class TestParityRebuild:
     def test_double_loss_rebuilds_exact_parity(self, missing):
         """Includes adjacent pairs, where both parity rows a single
         stripe row needs (P on m, Q on m+1) are lost together."""
-        from repro.ckpt.stripes_rs import reconstruct_rs
-
         n = 6
         bufs = _group(n, seed=22)
         golden = build_parity(bufs, n)

@@ -175,3 +175,34 @@ class TestRealTree:
             "MultiLevelCheckpoint",
             "DiskCheckpoint",
         } <= names
+
+
+class TestKernelModuleList:
+    """``repro.ckpt.kernels`` holds every GF(256) fold, so it is under
+    the ``flow-kernel-*`` purity rules like the stripe and codec modules."""
+
+    def test_rng_call_in_a_kernels_module_is_reported(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "kernels.py").write_text(
+            "import numpy as np\n\n\n"
+            "def gpow_fold(rows, out):\n"
+            "    out[:] = np.random.default_rng().integers(0, 256, out.size)\n"
+        )
+        (f,) = analyze_paths([pkg])
+        assert f.rule == "flow-kernel-nondet" and f.severity == "error"
+        assert "gpow_fold" in f.message and "unseeded RNG" in f.message
+        # the hole this closes: the pre-kernels module list saw nothing
+        old = FlowConfig(kernel_modules=("stripes", "stripes_rs", "raid6"))
+        assert analyze_paths([pkg], old) == []
+
+    def test_shipped_folds_are_kernel_functions(self):
+        index = build_index([default_lint_root()])
+        quals = kernel_functions(index, FlowConfig().kernel_modules)
+        for name in (
+            "kernels.NumpyKernels.gpow_fold",
+            "kernels.use_backend",
+            "raid6.RSCodec.decode",
+            "stripes.reconstruct_members",
+        ):
+            assert any(q.endswith(name) for q in quals), name

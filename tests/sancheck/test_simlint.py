@@ -302,36 +302,3 @@ class TestParallel:
         # only the concurrent.futures subpackage carries executors
         fs = lint("import concurrency_helpers\n")
         assert fs == []
-
-
-class TestKernelBackend:
-    def test_numba_import_flagged(self):
-        fs = lint("import numba\n")
-        assert rules(fs) == ["kernel-backend"]
-        assert "repro.ckpt.kernels" in fs[0].message
-
-    def test_from_import_flagged(self):
-        fs = lint("from numba import njit\n")
-        assert rules(fs) == ["kernel-backend"]
-
-    def test_submodule_import_flagged(self):
-        fs = lint("import numba.typed\n")
-        assert rules(fs) == ["kernel-backend"]
-
-    def test_kernel_module_allowed(self):
-        fs = lint("import numba\n", module="repro.ckpt.kernels")
-        assert fs == []
-
-    def test_function_scoped_lazy_import_still_flagged(self):
-        # the lazy-import idiom does not exempt other modules: backend
-        # probing belongs to repro.ckpt.kernels alone
-        fs = lint("def f():\n    import numba\n    return numba\n")
-        assert rules(fs) == ["kernel-backend"]
-
-    def test_pragma_escape_hatch(self):
-        fs = lint("import numba  # simlint: allow[kernel-backend]\n")
-        assert fs == []
-
-    def test_similar_name_not_flagged(self):
-        fs = lint("import numbawrap\n")
-        assert fs == []

@@ -1,5 +1,7 @@
 """Error-path and payload-variety tests for the communicator."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -14,18 +16,38 @@ def run(main, n_ranks=4, **kw):
 
 class TestErrorPaths:
     def test_scatter_wrong_length_raises(self):
+        """``compute`` raises in the completing rank: the error is the
+        collective's outcome, so every rank raises it at once (no peer
+        waits out the deadlock timeout) and the slot is reusable."""
+
         def main(ctx):
             comm = ctx.world
             items = [1, 2] if comm.rank == 0 else None  # too short for 4
-            try:
+            with pytest.raises(SimError, match="exactly 4 items"):
                 comm.scatter(items, root=0)
-            except Exception:
-                return "raised"
-            return "ok"
+            comm.barrier()
+            return "raised"
 
+        t0 = time.monotonic()
         res = run(main)
-        # the compute callback raises in the completing rank; the job fails
-        assert not res.completed or "raised" in res.rank_results.values()
+        assert time.monotonic() - t0 < 5.0  # was the 60 s deadlock timeout
+        assert res.completed, res.rank_errors
+        assert res.rank_results == {r: "raised" for r in range(4)}
+
+    def test_cost_callback_error_reaches_every_rank(self):
+        def main(ctx):
+            comm = ctx.world
+            with pytest.raises(ZeroDivisionError):
+                comm.custom_collective(
+                    comm.rank,
+                    compute=lambda data: dict(data),
+                    cost=lambda data: 1 / 0,
+                )
+            # the failed collective charged nothing and left the slot clean
+            assert comm.allgather(comm.rank) == list(range(comm.size))
+            return True
+
+        assert run(main).completed
 
     def test_alltoall_wrong_length_rejected_locally(self):
         def main(ctx):
