@@ -11,6 +11,10 @@ recoverable") becomes machine-checkable here:
 * :mod:`repro.chaos.schedules` — seeded randomized campaigns: MTBF
   storms, correlated ``extra_nodes`` losses, back-to-back failures in
   the recovery window;
+* :mod:`repro.chaos.plan` — the one campaign pipeline every engine runs:
+  plan (probe, enumerate, pin, draw → ordered units) → execute
+  (in-process serial / pool, or the :mod:`repro.shard` queue) → merge
+  (the only place results are built from outcomes);
 * :mod:`repro.chaos.shrink` — delta-debugging of failing schedules to
   1-minimal reproducers (deterministic runs make this sound);
 * :mod:`repro.chaos.report` / :mod:`repro.chaos.bench` — the ASCII
@@ -46,6 +50,12 @@ from repro.chaos.campaign import (
     run_with_triggers,
 )
 from repro.chaos.cli import chaos_main
+from repro.chaos.plan import (
+    CampaignPlan,
+    merge_campaign,
+    plan_campaign,
+    run_campaign,
+)
 from repro.chaos.report import (
     render_campaign,
     render_failures,
@@ -72,6 +82,7 @@ from repro.chaos.shrink import ShrinkResult, shrink_failures, shrink_schedule
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BaselineProbe",
+    "CampaignPlan",
     "CampaignReport",
     "ChaosError",
     "ChaosScenario",
@@ -94,6 +105,8 @@ __all__ = [
     "classify",
     "enumerate_kill_points",
     "generate_schedule",
+    "merge_campaign",
+    "plan_campaign",
     "point_trigger",
     "probe_baseline",
     "random_campaign",
@@ -103,6 +116,7 @@ __all__ = [
     "render_matrix",
     "render_schedules",
     "render_shrink",
+    "run_campaign",
     "run_kill_matrix",
     "run_kill_point",
     "run_schedule",

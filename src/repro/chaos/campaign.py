@@ -18,7 +18,8 @@ turns that claim into a machine-checkable matrix:
    ``unrecoverable``, ``gave-up``, or ``not-fired`` (the trigger never
    tripped — an enumeration mismatch, itself a red flag).
 4. :func:`run_kill_matrix` sweeps the whole matrix into a
-   :class:`CampaignReport`.
+   :class:`CampaignReport` — a one-scenario campaign through the
+   plan -> execute -> merge pipeline of :mod:`repro.chaos.plan`.
 
 Everything is deterministic: runs are driven by virtual clocks and the
 byte-identical failure delivery of the runtime, so the same scenario and
@@ -33,15 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.scenarios import ChaosScenario, ScenarioInstance
 from repro.hpl.daemon import DaemonReport, JobDaemon
-from repro.par.cache import replay_fingerprint
-from repro.par.engine import ParallelEngine
-from repro.par.replay import (
-    ReplayOutcome,
-    ReplaySpec,
-    crash_outcome,
-    replay,
-    replay_scenario,
-)
+from repro.par.replay import ReplayOutcome, ReplaySpec, run_units
 from repro.sim.errors import SimError
 from repro.sim.failures import AnyTrigger, FailurePlan, PhaseTrigger
 from repro.sim.runtime import Job
@@ -400,7 +393,8 @@ def run_kill_point(
     probe: Optional[BaselineProbe] = None,
 ) -> KillResult:
     """Replay the scenario, killing the node at exactly this announcement."""
-    outcome = replay_scenario(scenario, (point_trigger(point, probe),), obs=obs)
+    spec = ReplaySpec(scenario.recipe, (point_trigger(point, probe),), obs=obs)
+    (outcome,) = run_units([spec])
     return _kill_result(point, outcome)
 
 
@@ -415,47 +409,27 @@ def replay_kill_points(
     obs: str = "off",
     probe: Optional[BaselineProbe] = None,
 ) -> List[KillResult]:
-    """Replay every kill point, optionally fanned out over worker processes.
-
-    With ``workers > 1`` the replays run in a :class:`ParallelEngine`
-    pool and are merged back in canonical point order, so the result list
-    — and every artifact derived from it — is byte-identical to the
-    serial sweep.  ``cache`` (a :class:`~repro.par.cache.MemoCache`)
-    skips points whose fingerprint was already classified.  A replay that
-    raises is folded into its own ``gave-up`` result rather than aborting
-    the matrix.  ``obs`` ("off" | "summary" | "full") arms per-attempt
-    instrumentation whose payload rides back in :attr:`KillResult.obs`
-    (part of the cache fingerprint, so modes never share entries).
-    ``probe`` pins each trigger to its probe-resolved announcement (see
-    :func:`point_trigger`).
+    """Replay exactly these kill points, in order: a one-matrix campaign
+    (:func:`repro.chaos.plan.run_campaign`, which documents ``workers`` /
+    ``cache`` / ``registry`` / ``progress``) whose points are given, not
+    enumerated.  ``obs`` ("off" | "summary" | "full") arms per-attempt
+    instrumentation whose payload rides back in :attr:`KillResult.obs`.
+    Triggers are pinned against ``probe`` (see :func:`point_trigger`);
+    without one the baseline is probed here.
     """
-    engine = ParallelEngine(workers, registry=registry, progress=progress)
-    if scenario.spec is None:
-        if engine.workers > 1:
-            raise ChaosError(
-                f"scenario {scenario.name!r} has no pickleable spec "
-                "(custom factory/protocol closure); run it with workers=1"
-            )
-        outcomes = engine.map(
-            lambda pt: replay_scenario(
-                scenario, (point_trigger(pt, probe),), obs=obs
-            ),
-            points,
-            on_error=crash_outcome,
-        )
-        return [_kill_result(pt, out) for pt, out in zip(points, outcomes)]
-    specs = [
-        ReplaySpec(scenario.spec, (point_trigger(pt, probe),), obs=obs)
-        for pt in points
-    ]
-    outcomes = engine.map(
-        replay,
-        specs,
+    from repro.chaos.plan import run_campaign  # plan imports this module
+
+    _, (report,), _ = run_campaign(
+        [scenario],
+        workers=workers,
         cache=cache,
-        key=replay_fingerprint,
-        on_error=crash_outcome,
+        registry=registry,
+        progress=progress,
+        obs=obs,
+        probes=None if probe is None else [probe],
+        points=[points],
     )
-    return [_kill_result(pt, out) for pt, out in zip(points, outcomes)]
+    return report.results
 
 
 def run_kill_matrix(
@@ -471,42 +445,26 @@ def run_kill_matrix(
     progress: Any = None,
     obs: str = "off",
 ) -> CampaignReport:
-    """Sweep the exhaustive kill matrix and report per-point verdicts.
-
-    ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`) gets the
-    campaign counters (``chaos.kill_points``, ``chaos.runs``, one counter
-    per verdict) so campaigns export through the same metrics pipeline as
-    instrumented runs.  ``chaos.runs`` counts *resolved* replays — cache
-    hits included — so campaign reports stay independent of cache state;
-    the engine's ``par.cache_hits``/``par.cache_misses`` counters say how
-    many actually executed.
-
-    ``workers``/``cache``/``progress`` fan the sweep out over the
-    :mod:`repro.par` engine; verdicts, ordering and artifacts are
-    byte-identical to the serial run regardless of worker count.
+    """Sweep the exhaustive kill matrix and report per-point verdicts: a
+    one-scenario campaign through :func:`repro.chaos.plan.run_campaign`
+    (``workers`` / ``cache`` / ``progress`` are its executor's; artifacts
+    are byte-identical whatever they are).  ``registry`` (a
+    :class:`~repro.obs.metrics.MetricsRegistry`) also gets the campaign
+    counters of :func:`~repro.chaos.plan.count_campaign`.
     """
-    probe = probe or probe_baseline(scenario)
-    points = enumerate_kill_points(
-        probe, nodes=nodes, phases=phases, max_occurrences=max_occurrences
-    )
-    results = replay_kill_points(
-        scenario,
-        points,
+    from repro.chaos.plan import count_campaign, run_campaign
+
+    _, matrices, _ = run_campaign(
+        [scenario],
         workers=workers,
         cache=cache,
         registry=registry,
         progress=progress,
         obs=obs,
-        probe=probe,
+        probes=None if probe is None else [probe],
+        nodes=nodes,
+        phases=phases,
+        max_occurrences=max_occurrences,
     )
-    if registry is not None:
-        registry.counter("chaos.kill_points").inc(len(points))
-        registry.counter("chaos.runs").inc(len(points) + 1)  # + baseline
-        for r in results:
-            registry.counter(_VERDICT_METRIC[r.verdict]).inc()
-    return CampaignReport(
-        scenario=scenario.name,
-        params=dict(scenario.params),
-        baseline_makespan_s=probe.makespan_s,
-        results=results,
-    )
+    count_campaign(registry, matrices, None)
+    return matrices[0]

@@ -34,17 +34,15 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 from typing import List, Optional
 
 from repro.chaos.bench import bench_record, write_bench
-from repro.chaos.campaign import (
-    VERDICT_WRONG_ANSWER,
-    probe_baseline,
-    run_kill_matrix,
-)
+from repro.chaos.campaign import VERDICT_WRONG_ANSWER, ChaosError
+from repro.chaos.plan import count_campaign, run_campaign
 from repro.chaos.report import render_campaign
 from repro.chaos.scenarios import selfckpt_scenario, skt_scenario
-from repro.chaos.schedules import RandomCampaignConfig, random_campaign
+from repro.chaos.schedules import RandomCampaignConfig
 from repro.chaos.shrink import shrink_failures
 
 SCENARIOS = ("selfckpt", "skt-hpl")
@@ -56,14 +54,12 @@ def _finish_campaign(
     matrices,
     schedules,
     shrinks,
-    scenarios_by_matrix,
-    probes_by_matrix,
+    plan,
     registry,
     engine_desc: str,
 ) -> int:
-    """Everything downstream of the replays: report, artifacts, store,
-    exit status.  Shared verbatim by the serial/pooled path and the
-    sharded path so their outputs cannot drift apart."""
+    """Everything downstream of the merge: report, artifacts, store,
+    exit status — one code path whatever engine executed the plan."""
     text = render_campaign(matrices, schedules, shrinks)
     print(text)
     print()
@@ -101,17 +97,15 @@ def _finish_campaign(
         cid = campaign_id_for(args.seed, args.scenario, methods)
         with TraceStore(store_path) as store:
             ord_ = 0
-            for scenario, probe, rep in zip(
-                scenarios_by_matrix, probes_by_matrix, matrices
-            ):
+            for m, rep in zip(plan.matrices, matrices):
                 ord_ = ingest_kill_matrix(
-                    store, cid, scenario, rep,
+                    store, cid, m.scenario, rep,
                     seed=args.seed, obs_mode=args.obs, ord_base=ord_,
-                    probe=probe,
+                    probe=m.probe,
                 )
-            if schedules is not None and scenarios_by_matrix:
+            if schedules is not None:
                 ord_ = ingest_schedules(
-                    store, cid, scenarios_by_matrix[0], schedules,
+                    store, cid, plan.matrices[0].scenario, schedules,
                     seed=args.seed, obs_mode=args.obs, ord_base=ord_,
                 )
             n_runs, digest = store.counts()["runs"], store.digest()
@@ -124,23 +118,6 @@ def _finish_campaign(
         r.verdict == VERDICT_WRONG_ANSWER for r in schedules or []
     )
     return 0 if ok else 1
-
-
-def _count_campaign(registry, matrices, schedules) -> None:
-    """Reproduce the serial engine's campaign counters from merged
-    results, so the sharded path's summary line and metrics exports
-    match a serial run of the same campaign."""
-    from repro.chaos.campaign import _VERDICT_METRIC
-
-    for rep in matrices:
-        registry.counter("chaos.kill_points").inc(len(rep.results))
-        registry.counter("chaos.runs").inc(len(rep.results) + 1)  # + baseline
-        for r in rep.results:
-            registry.counter(_VERDICT_METRIC[r.verdict]).inc()
-    if schedules is not None:
-        registry.counter("chaos.runs").inc(len(schedules) + 1)  # + baseline
-        for r in schedules:
-            registry.counter(_VERDICT_METRIC[r.verdict]).inc()
 
 
 def _build_scenario(args: argparse.Namespace, method: str):
@@ -328,9 +305,10 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
                 f"{', '.join(METHODS)}"
             )
 
-    cache = MemoCache(args.cache) if args.cache else MemoCache()
-    progress = None if args.no_progress else ProgressReporter(label="chaos")
-
+    if args.max_occurrences is not None and args.max_occurrences < 1:
+        parser.error(f"--max-occurrences must be >= 1, got {args.max_occurrences}")
+    if args.random < 0:
+        parser.error(f"--random must be >= 0, got {args.random}")
     if args.resume is not None and not args.shards:
         parser.error("--resume requires --shards N (the original shard count)")
     if args.salvage and args.resume is None:
@@ -338,6 +316,8 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     if args.shards:
         if args.shards < 1:
             parser.error(f"--shards must be >= 1, got {args.shards}")
+        if args.lease <= 0:
+            parser.error(f"--lease must be > 0 seconds, got {args.lease}")
         if args.respawn < 0:
             parser.error(f"--respawn must be >= 0, got {args.respawn}")
         if args.attempts_cap < 1:
@@ -349,139 +329,98 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
             )
         if args.resume is not None:
             args.out = args.resume
-        import sys
 
+    cache = MemoCache(args.cache) if args.cache else MemoCache()
+    progress = None if args.no_progress else ProgressReporter(label="chaos")
+    scenarios = [_build_scenario(args, m) for m in methods]
+    campaign = dict(
+        seed=args.seed,
+        obs=args.obs,
+        max_occurrences=args.max_occurrences,
+        random_cfg=RandomCampaignConfig(
+            n_schedules=args.random, seed=args.seed, mtbf_scale=args.mtbf_scale
+        )
+        if args.random
+        else None,
+        progress=progress,
+        registry=registry,
+    )
+    # exit 2: nothing to run / infra misuse; exit 3: resumable abort
+    misuse, resumable, stats = (ChaosError,), (), {}
+    if args.shards:
         from repro.shard import (
             FaultSpecError,
+            QueueCorruptError,
+            QueueMismatchError,
             ShardCampaignError,
-            quarantined_ords,
             run_sharded_campaign,
         )
-        from repro.shard.queue import QueueCorruptError, QueueMismatchError
 
-        scenarios = [_build_scenario(args, m) for m in methods]
-        random_cfg = None
-        if args.random:
-            random_cfg = RandomCampaignConfig(
-                n_schedules=args.random,
-                seed=args.seed,
-                mtbf_scale=args.mtbf_scale,
-            )
-        try:
+        misuse += (FaultSpecError, QueueMismatchError, QueueCorruptError)
+        resumable = (ShardCampaignError,)
+    try:
+        if args.shards:
             plan, matrices, schedules, stats = run_sharded_campaign(
                 scenarios,
                 n_shards=args.shards,
                 out_dir=args.out,
-                seed=args.seed,
-                obs=args.obs,
-                max_occurrences=args.max_occurrences,
-                random_cfg=random_cfg,
                 lease_s=args.lease,
                 cache_dir=args.cache,
-                progress=progress,
                 respawn=args.respawn,
                 attempts_cap=args.attempts_cap,
                 salvage=args.salvage,
-                registry=registry,
+                **campaign,
             )
-        except ShardCampaignError as err:
-            print(f"repro chaos: {err}", file=sys.stderr)
-            return 3
-        except (QueueMismatchError, QueueCorruptError) as err:
-            print(f"repro chaos: {err}", file=sys.stderr)
-            return 2
-        except FaultSpecError as err:
-            print(f"repro chaos: {err}", file=sys.stderr)
-            return 2
-        shrinks = None
-        if args.shrink and schedules is not None:
-            shrinks = shrink_failures(
-                scenarios[0], schedules, registry=registry, cache=cache
+        else:
+            plan, matrices, schedules = run_campaign(
+                scenarios, workers=workers, cache=cache, **campaign
             )
-        _count_campaign(registry, matrices, schedules)
-        status = _finish_campaign(
-            args, methods, matrices, schedules, shrinks,
-            scenarios, [m.probe for m in plan.matrices], registry,
-            f"{args.shards} shard{'s' if args.shards != 1 else ''}",
-        )
-        if stats.get("respawns"):
-            print(
-                f"supervisor respawned {stats['respawns']} crashed "
-                f"executor{'s' if stats['respawns'] != 1 else ''}"
-            )
-        if stats.get("fence_rejections"):
-            print(
-                f"fencing rejected {stats['fence_rejections']} stale "
-                "write(s) from superseded executors"
-            )
-        if stats.get("quarantined"):
-            # engine degradation, not a protocol verdict: name the units
-            # so the operator can replay them in isolation
-            from repro.shard.queue import ShardQueue, queue_path_for
-
-            with ShardQueue(queue_path_for(args.out)) as queue:
-                ords = quarantined_ords(queue.outcomes())
-            print(
-                f"WARNING: {stats['quarantined']} unit(s) quarantined after "
-                "repeatedly crashing their executor "
-                f"(plan ordinals: {', '.join(map(str, ords))}); they appear "
-                "as 'gave-up' verdicts with a 'quarantined:' reason"
-            )
-        return status
-
-    matrices = []
-    schedules = None
+    except misuse + resumable as err:
+        print(f"repro chaos: {err}", file=sys.stderr)
+        return 3 if isinstance(err, resumable) else 2
+    count_campaign(registry, matrices, schedules)
     shrinks = None
-    scenarios_by_matrix = []
-    probes_by_matrix = []
-    for method in methods:
-        scenario = _build_scenario(args, method)
-        probe = probe_baseline(scenario)
-        scenarios_by_matrix.append(scenario)
-        probes_by_matrix.append(probe)
-        matrices.append(
-            run_kill_matrix(
-                scenario,
-                probe=probe,
-                max_occurrences=args.max_occurrences,
-                registry=registry,
-                workers=workers,
-                cache=cache,
-                progress=progress,
-                obs=args.obs,
-            )
+    if args.shrink and schedules is not None:
+        shrinks = shrink_failures(
+            scenarios[0], schedules, registry=registry, cache=cache
         )
-        if args.random and method == methods[0]:
-            cfg = RandomCampaignConfig(
-                n_schedules=args.random,
-                seed=args.seed,
-                mtbf_scale=args.mtbf_scale,
-            )
-            schedules = random_campaign(
-                scenario,
-                cfg,
-                probe=probe,
-                registry=registry,
-                workers=workers,
-                cache=cache,
-                progress=progress,
-                obs=args.obs,
-            )
-            if args.shrink:
-                shrinks = shrink_failures(
-                    scenario, schedules, registry=registry, cache=cache
-                )
 
-    hits = int(registry.total("par.cache_hits"))
-    cached = f", {hits} cached" if hits else ""
-    return _finish_campaign(
-        args, methods, matrices, schedules, shrinks,
-        scenarios_by_matrix, probes_by_matrix, registry,
-        f"{workers} worker{'s' if workers != 1 else ''}{cached}",
+    if args.shards:
+        engine_desc = f"{args.shards} shard{'s' if args.shards != 1 else ''}"
+    else:
+        hits = int(registry.total("par.cache_hits"))
+        engine_desc = f"{workers} worker{'s' if workers != 1 else ''}" + (
+            f", {hits} cached" if hits else ""
+        )
+    status = _finish_campaign(
+        args, methods, matrices, schedules, shrinks, plan, registry, engine_desc
     )
+    if stats.get("respawns"):
+        print(
+            f"supervisor respawned {stats['respawns']} crashed "
+            f"executor{'s' if stats['respawns'] != 1 else ''}"
+        )
+    if stats.get("fence_rejections"):
+        print(
+            f"fencing rejected {stats['fence_rejections']} stale "
+            "write(s) from superseded executors"
+        )
+    if stats.get("quarantined"):
+        # engine degradation, not a protocol verdict: name the units
+        # so the operator can replay them in isolation
+        from repro.shard import ShardQueue, quarantined_ords
+        from repro.shard.queue import queue_path_for
+
+        with ShardQueue(queue_path_for(args.out)) as queue:
+            ords = quarantined_ords(queue.outcomes())
+        print(
+            f"WARNING: {stats['quarantined']} unit(s) quarantined after "
+            "repeatedly crashing their executor "
+            f"(plan ordinals: {', '.join(map(str, ords))}); they appear "
+            "as 'gave-up' verdicts with a 'quarantined:' reason"
+        )
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover
-    import sys
-
     sys.exit(chaos_main())

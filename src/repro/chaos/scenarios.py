@@ -57,8 +57,8 @@ class ChaosScenario:
     ``spec`` is the pickleable :class:`~repro.par.spec.ScenarioSpec` a
     worker process rebuilds the scenario from; it is ``None`` when the
     recipe closes over something that cannot cross a process boundary
-    (a ``protocol_factory`` closure), in which case campaigns stay on
-    the serial path.
+    (a ``protocol_factory`` closure), in which case the scenario is its
+    own :attr:`recipe` and campaigns over it run in-process only.
     """
 
     name: str
@@ -68,6 +68,16 @@ class ChaosScenario:
 
     def make(self) -> ScenarioInstance:
         return self.factory()
+
+    @property
+    def recipe(self) -> Any:
+        """What a replay unit carries: the pickleable spec, else the
+        scenario itself — in-process only and, fingerprint-less, uncached."""
+        return self if self.spec is None else self.spec
+
+    def build(self) -> "ChaosScenario":
+        """Mirror of ``ScenarioSpec.build``: a scenario builds to itself."""
+        return self
 
 
 def _policy_fields(policy: RestartPolicy) -> Tuple[float, float, float, int]:

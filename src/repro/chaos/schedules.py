@@ -20,22 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from repro.chaos.campaign import (
-    ChaosError,
-    ChaosScenario,
-    BaselineProbe,
-    _VERDICT_METRIC,
-    probe_baseline,
-)
-from repro.par.cache import replay_fingerprint
-from repro.par.engine import ParallelEngine
-from repro.par.replay import (
-    ReplayOutcome,
-    ReplaySpec,
-    crash_outcome,
-    replay,
-    replay_scenario,
-)
+from repro.chaos.campaign import BaselineProbe, ChaosScenario
+from repro.par.replay import ReplayOutcome, ReplaySpec, run_units
 from repro.sim.failures import (
     AnyTrigger,
     MTBFFailureGenerator,
@@ -145,24 +131,17 @@ def run_schedule(
     A schedule with zero triggers (the MTBF drew nothing inside the
     horizon) is classified like any other run — typically ``not-fired``
     with a completed job, which the campaign summary reports as vacuous
-    rather than as survival.
+    rather than as survival.  A replay that raises is a ``gave-up``
+    verdict here exactly as it is inside a campaign, so the shrinker can
+    re-probe any schedule a campaign classified.
 
     ``cache`` (a :class:`~repro.par.cache.MemoCache`) short-circuits
     schedules whose fingerprint was already classified — the shrinker's
     delta-debug loop re-probes heavily overlapping trigger sets, and a
     deterministic replay is a pure function of its fingerprint.
     """
-    key = None
-    if cache is not None and scenario.spec is not None:
-        key = replay_fingerprint(
-            ReplaySpec(scenario.spec, tuple(triggers), obs=obs)
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            return _schedule_result(index, triggers, hit)
-    outcome = replay_scenario(scenario, tuple(triggers), obs=obs)
-    if key is not None:
-        cache.put(key, outcome)
+    spec = ReplaySpec(scenario.recipe, tuple(triggers), obs=obs)
+    (outcome,) = run_units([spec], cache=cache)
     return _schedule_result(index, triggers, outcome)
 
 
@@ -179,46 +158,24 @@ def random_campaign(
 ) -> List[ScheduleResult]:
     """Run ``cfg.n_schedules`` seeded schedules; same seed, same verdicts.
 
-    All schedules derive from the probe and the campaign seed before any
-    replay starts, so they are independent jobs: ``workers > 1`` fans
-    them out over the :mod:`repro.par` engine and merges the results in
-    schedule order — verdicts and artifacts are identical to the serial
-    sweep.
+    A campaign (:func:`repro.chaos.plan.run_campaign`) of schedules and
+    no kill points: all schedules derive from the probe and the campaign
+    seed before any replay starts, so they are independent units and
+    ``workers > 1`` changes nothing but wall-clock time.
     """
-    probe = probe or probe_baseline(scenario)
-    schedules = [
-        generate_schedule(probe, cfg, cfg.seed + i) for i in range(cfg.n_schedules)
-    ]
-    engine = ParallelEngine(workers, registry=registry, progress=progress)
-    if scenario.spec is None:
-        if engine.workers > 1:
-            raise ChaosError(
-                f"scenario {scenario.name!r} has no pickleable spec "
-                "(custom factory/protocol closure); run it with workers=1"
-            )
-        outcomes = engine.map(
-            lambda trigs: replay_scenario(scenario, tuple(trigs), obs=obs),
-            schedules,
-            on_error=crash_outcome,
-        )
-    else:
-        specs = [
-            ReplaySpec(scenario.spec, tuple(trigs), obs=obs)
-            for trigs in schedules
-        ]
-        outcomes = engine.map(
-            replay,
-            specs,
-            cache=cache,
-            key=replay_fingerprint,
-            on_error=crash_outcome,
-        )
-    results = [
-        _schedule_result(i, trigs, out)
-        for i, (trigs, out) in enumerate(zip(schedules, outcomes))
-    ]
-    if registry is not None:
-        registry.counter("chaos.runs").inc(len(results) + 1)  # + baseline
-        for r in results:
-            registry.counter(_VERDICT_METRIC[r.verdict]).inc()
+    from repro.chaos.plan import count_campaign, run_campaign
+
+    _, _, results = run_campaign(
+        [scenario],
+        workers=workers,
+        cache=cache,
+        registry=registry,
+        progress=progress,
+        seed=cfg.seed,
+        obs=obs,
+        random_cfg=cfg,
+        probes=None if probe is None else [probe],
+        points=[()],
+    )
+    count_campaign(registry, [], results)
     return results

@@ -11,7 +11,10 @@ ones.  Pieces:
 * :mod:`repro.par.spec` — :class:`ScenarioSpec`, the pickleable scenario
   recipe workers rebuild through a builder registry;
 * :mod:`repro.par.replay` — :class:`ReplaySpec`/:class:`ReplayOutcome`,
-  the work unit and its scalar result;
+  the work unit and its scalar result, and :func:`run_units`, the one
+  unit runner (cache → replay → crash fold) every campaign engine uses —
+  this package is the in-process executor of :mod:`repro.chaos.plan`,
+  :mod:`repro.shard` the durable one;
 * :mod:`repro.par.cache` — content-addressed memoization keyed by a
   scenario+triggers+code fingerprint;
 * :mod:`repro.par.progress` — wall-clock throughput reporting (stderr
@@ -41,7 +44,7 @@ from repro.par.replay import (
     ReplaySpec,
     crash_outcome,
     replay,
-    replay_scenario,
+    run_units,
 )
 from repro.par.spec import ScenarioSpec, register_scenario, registered_kinds
 
@@ -63,6 +66,6 @@ __all__ = [
     "registered_kinds",
     "replay",
     "replay_fingerprint",
-    "replay_scenario",
     "resolve_workers",
+    "run_units",
 ]

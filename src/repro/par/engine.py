@@ -98,8 +98,8 @@ class ParallelEngine:
         corrupt_before = getattr(cache, "corrupt", 0) if cache is not None else 0
         for i, task in enumerate(tasks):
             if cache is not None and key is not None:
-                keys[i] = key(task)
-                hit = cache.get(keys[i])
+                keys[i] = key(task)  # None: this task has no cache identity
+                hit = None if keys[i] is None else cache.get(keys[i])
                 if hit is not None:
                     results[i] = hit
                     hits += 1

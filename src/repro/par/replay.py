@@ -1,10 +1,13 @@
 """The replay work unit: one scenario + one trigger set -> one outcome.
 
-:class:`ReplaySpec` is the pickleable job description the parallel engine
-ships to a worker; :func:`replay` is the worker entry point — it rebuilds
-the scenario from its :class:`~repro.par.spec.ScenarioSpec`, runs it under
+:class:`ReplaySpec` is the job description every campaign engine ships
+to whoever runs it; :func:`replay` is the worker entry point — it builds
+the scenario from its recipe (a :class:`~repro.par.spec.ScenarioSpec`,
+or the scenario itself when it has no pickleable spec), runs it under
 the :class:`~repro.hpl.daemon.JobDaemon` with the triggers armed, and
-classifies the result into a :class:`ReplayOutcome`.
+classifies the result into a :class:`ReplayOutcome`.  :func:`run_units`
+is the one unit runner around it: cache lookup, replay, crash fold,
+cache store.
 
 :class:`ReplayOutcome` deliberately carries only the scalar verdict
 fields — never the :class:`~repro.sim.runtime.JobResult` with its per-rank
@@ -32,7 +35,7 @@ All imports of :mod:`repro.chaos` happen inside function bodies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: verdict used when a replay raises instead of classifying — the crash is
 #: itself a campaign outcome (matches repro.chaos.campaign.VERDICT_GAVE_UP)
@@ -81,20 +84,20 @@ class ReplayOutcome:
 
 @dataclass(frozen=True)
 class ReplaySpec:
-    """One pickleable replay job: scenario recipe + armed triggers."""
+    """One replay job: scenario recipe + armed triggers."""
 
-    scenario: Any  # ScenarioSpec
+    #: a ScenarioSpec, or the ChaosScenario itself (then in-process only)
+    scenario: Any
     triggers: Tuple[Any, ...]  # AnyTrigger instances (plain dataclasses)
     #: obs sampling mode the worker arms ("off" | "summary" | "full")
     obs: str = OBS_OFF
 
 
-def replay_scenario(
-    scenario: Any, triggers: Tuple[Any, ...], obs: str = OBS_OFF
-) -> ReplayOutcome:
-    """Replay an already-built :class:`ChaosScenario` in this process."""
+def replay(spec: ReplaySpec) -> ReplayOutcome:
+    """Worker entry point: build the scenario from its recipe, replay it."""
     from repro.chaos.campaign import classify, run_with_triggers
 
+    obs = spec.obs
     tracer = observer = None
     if obs != OBS_OFF:
         from repro.obs.metrics import MetricsObserver
@@ -106,7 +109,7 @@ def replay_scenario(
         tracer = SpanTracer()
         observer = MetricsObserver()
     inst, plan, report = run_with_triggers(
-        scenario, list(triggers), tracer=tracer, observer=observer
+        spec.scenario.build(), list(spec.triggers), tracer=tracer, observer=observer
     )
     payload = None
     if tracer is not None and observer is not None:
@@ -131,11 +134,6 @@ def replay_scenario(
     )
 
 
-def replay(spec: ReplaySpec) -> ReplayOutcome:
-    """Worker entry point: rebuild the scenario and replay it."""
-    return replay_scenario(spec.scenario.build(), spec.triggers, obs=spec.obs)
-
-
 def crash_outcome(spec: Any, exc: BaseException) -> ReplayOutcome:
     """Fold a replay that raised (in-pool or inline) into its own verdict
     instead of losing the whole campaign to one crash."""
@@ -146,3 +144,35 @@ def crash_outcome(spec: Any, exc: BaseException) -> ReplayOutcome:
         gave_up_reason=f"replay crashed: {type(exc).__name__}: {exc}",
         fired=(),
     )
+
+
+def run_units(
+    specs: Sequence[ReplaySpec],
+    *,
+    workers: int = 1,
+    cache: Any = None,
+    registry: Any = None,
+    progress: Any = None,
+) -> List[ReplayOutcome]:
+    """The one unit runner: cache lookup -> :func:`replay` -> crash fold ->
+    cache store for every spec, outcomes in spec order.
+
+    Every door a replay comes through ends here — a whole campaign plan
+    (serial at ``workers == 1``, the pool above that), one unit inside a
+    shard executor, one ``run_kill_point`` / ``run_schedule`` probe of
+    the shrinker — so a replay that raises is the same ``gave-up``
+    :func:`crash_outcome` verdict everywhere, and is never cached.
+    ``cache`` is a :class:`~repro.par.cache.MemoCache`; the engine asks
+    for fingerprints only when there is one, and a recipe without a
+    pickleable spec has none, so it is never cached.
+    """
+    from repro.par.cache import replay_fingerprint
+    from repro.par.engine import ParallelEngine
+    from repro.par.spec import ScenarioSpec
+
+    def key(spec: ReplaySpec) -> Optional[str]:
+        recipe = spec.scenario
+        return replay_fingerprint(spec) if isinstance(recipe, ScenarioSpec) else None
+
+    engine = ParallelEngine(workers, registry=registry, progress=progress)
+    return engine.map(replay, specs, cache=cache, key=key, on_error=crash_outcome)

@@ -1,14 +1,15 @@
 """repro.shard — the self-healing, crash-tolerant sharded campaign engine.
 
-``repro chaos --workers N`` fans replays over one multiprocessing pool;
-lose the host and the whole campaign is gone.  This package holds the
+``repro chaos --workers N`` executes the campaign plan in-process — at
+smoke scale for the same wall time as ``--shards N`` (docs/PERFORMANCE.md)
+— but lose the host and the whole campaign is gone.  This package holds the
 campaign engine to the same bar the paper holds recovery machinery to:
 the campaign itself must survive failures *of the campaign engine*.
 
 Pieces:
 
-* :mod:`repro.shard.planner` — partitions a kill matrix / randomized
-  campaign into pickleable, content-addressed shards.  Unit identity is
+* :mod:`repro.shard.planner` — partitions the campaign plan every engine
+  shares (:mod:`repro.chaos.plan`) into content-addressed shards.  Unit identity is
   the :func:`~repro.par.cache.replay_fingerprint` the memo cache already
   uses; shard identity is a digest over its member fingerprints, and the
   plan fingerprint over the shard ids — change any parameter or any
@@ -19,8 +20,8 @@ Pieces:
   re-issued shard skips everything the dead executor already finished,
   and a zombie claimant's writes are rejected the moment its grant is
   superseded.
-* :mod:`repro.shard.executor` — the worker loop: claim a shard, replay
-  each unjournaled unit (crash-folded exactly like the serial engine),
+* :mod:`repro.shard.executor` — the worker loop: claim a shard, run each
+  unjournaled unit (:func:`repro.par.replay.run_units`, like every engine),
   journal the outcome under the fencing token, keep the lease alive via
   a heartbeat thread, commit the shard.
 * :mod:`repro.shard.health` — the self-healing layer: the driver-side
@@ -32,11 +33,10 @@ Pieces:
   (``REPRO_SHARD_FAULTS``): SIGKILL-grade deaths, zombie stalls, poison
   units, injected ``OperationalError``, clock skew — the torture suite
   that proves the above actually heals.
-* :mod:`repro.shard.merge` — folds journaled outcomes back into the
-  canonical :class:`~repro.chaos.campaign.CampaignReport` /
-  :class:`~repro.chaos.schedules.ScheduleResult` sequences, so the
-  ``BENCH_chaos.json``, ``report.txt`` and trace-store digests are
-  byte-identical to the serial engine's, and surfaces quarantined units.
+* the merge is not this package's: journaled outcomes go through the one
+  :func:`repro.chaos.plan.merge_campaign` (re-exported here), so
+  ``BENCH_chaos.json``, ``report.txt`` and trace-store digests are the
+  serial engine's by construction.
 * :mod:`repro.shard.driver` — ``repro chaos --shards N [--resume DIR]
   [--respawn N] [--salvage]``: create or reopen the queue (integrity-
   checked; salvageable when corrupt), launch supervised executors,
@@ -57,15 +57,16 @@ from repro.shard.health import (
     ExecutorSupervisor,
     LeaseHeartbeat,
     quarantine_outcome,
+    quarantined_ords,
     retry_transient,
 )
-from repro.shard.merge import merge_campaign, quarantined_ords
 from repro.shard.planner import (
     PLAN_SCHEMA_VERSION,
     CampaignPlan,
     MatrixPlan,
     PlannedUnit,
     ShardPlan,
+    merge_campaign,
     plan_campaign,
 )
 from repro.shard.queue import (

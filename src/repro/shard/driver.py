@@ -1,10 +1,12 @@
 """Shard driver: plan → queue → supervised executors → merge.
 
-``repro chaos --shards N`` lands here.  The driver freezes the campaign
-into a plan, binds (or resumes) the SQLite queue under the ``--out``
-directory, launches N executor processes against it under an
-:class:`~repro.shard.health.ExecutorSupervisor`, and merges the journal
-into the serial engine's artifacts when every shard is done.
+``repro chaos --shards N`` lands here: the durable one of the campaign
+pipeline's two executors (:mod:`repro.chaos.plan`).  The driver freezes
+the campaign into the plan every engine shares, binds (or resumes) the
+SQLite queue under the ``--out`` directory, launches N executor
+processes against it under an
+:class:`~repro.shard.health.ExecutorSupervisor`, and hands the journal
+to the one merger when every shard is done.
 
 Failure modes, one answer each:
 
@@ -41,13 +43,12 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.campaign import CampaignReport
-from repro.chaos.schedules import RandomCampaignConfig, ScheduleResult
+from repro.chaos.schedules import ScheduleResult
 
 from repro.shard.executor import run_executor
 from repro.shard.faults import FaultPlan
 from repro.shard.health import DEFAULT_ATTEMPTS_CAP, ExecutorSupervisor
-from repro.shard.merge import merge_campaign
-from repro.shard.planner import CampaignPlan, plan_campaign
+from repro.shard.planner import CampaignPlan, merge_campaign, plan_campaign
 from repro.shard.queue import (
     QueueCorruptError,
     ShardQueue,
@@ -126,10 +127,6 @@ def run_sharded_campaign(
     *,
     n_shards: int,
     out_dir: str,
-    seed: int = 0,
-    obs: str = "off",
-    max_occurrences: Optional[int] = None,
-    random_cfg: Optional[RandomCampaignConfig] = None,
     lease_s: float = 60.0,
     cache_dir: Optional[str] = None,
     executors: Optional[int] = None,
@@ -141,6 +138,7 @@ def run_sharded_campaign(
     attempts_cap: int = DEFAULT_ATTEMPTS_CAP,
     salvage: bool = False,
     registry: Any = None,
+    **plan_kw: Any,
 ) -> Tuple[
     CampaignPlan,
     List[CampaignReport],
@@ -149,15 +147,18 @@ def run_sharded_campaign(
 ]:
     """Run (or resume) one sharded campaign to completion and merge it.
 
-    ``scenarios`` is one scenario per method, in method order — the same
-    list the serial CLI builds.  The queue lives at
+    ``scenarios`` is one scenario per method, in method order, and
+    ``plan_kw`` (``seed``, ``obs``, ``max_occurrences``, ``random_cfg``,
+    ...) the campaign as :func:`repro.chaos.plan.plan_campaign` takes it
+    — what the in-process engines are given too.  The queue lives at
     ``queue_path_for(out_dir)``; when it already exists it is resumed
     (after an integrity check and the plan-fingerprint check) and only
     unjournaled units run.  ``executors`` defaults to one process per
     shard, capped at ``n_shards``.  ``respawn`` is the total budget of
     crash respawns the supervisor may spend; ``attempts_cap`` bounds
     barren re-issues before a poison unit is quarantined; ``salvage``
-    rebuilds a corrupt queue from its parseable journal rows.
+    rebuilds a corrupt queue from its parseable journal rows;
+    ``lease_s`` must be positive (``ValueError`` otherwise).
     ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
     receives the ``shard.*`` health counters.  Returns ``(plan,
     matrices, schedules, stats)`` with ``matrices``/``schedules``
@@ -169,18 +170,13 @@ def run_sharded_campaign(
     the respawn budget spent) with shards still unfinished — the queue
     keeps the journal, so rerunning with ``--resume`` continues.
     """
+    if lease_s <= 0:
+        raise ValueError(f"lease_s must be > 0 seconds, got {lease_s}")
     # validate any armed fault spec *here*, where the error is readable —
     # otherwise every spawned executor would crash on it at startup and
     # the campaign would misreport an infra failure as "all workers died"
     FaultPlan.from_env(0)
-    plan = plan_campaign(
-        scenarios,
-        n_shards=n_shards,
-        seed=seed,
-        obs=obs,
-        max_occurrences=max_occurrences,
-        random_cfg=random_cfg,
-    )
+    plan = plan_campaign(scenarios, n_shards=n_shards, **plan_kw)
     os.makedirs(out_dir, exist_ok=True)
     queue_path = queue_path_for(out_dir)
     salvaged = _prepare_queue_file(queue_path, plan, salvage)

@@ -28,17 +28,17 @@ Self-healing behaviours layered on the basic loop:
   :func:`~repro.shard.health.retry_transient`, absorbing ``database is
   locked``-class ``sqlite3.OperationalError`` with jittered backoff.
 
-Crash folding matches the serial engine exactly: a replay that raises
-becomes a ``gave-up`` :func:`~repro.par.replay.crash_outcome` journal
-row, never a lost campaign.
+Units run through the one unit runner every engine shares
+(:func:`repro.par.replay.run_units`): cache lookup, replay, and a replay
+that raises becomes a ``gave-up`` :func:`~repro.par.replay.crash_outcome`
+journal row, never a lost campaign.
 
 Fault injection for the torture harness lives in
 :mod:`repro.shard.faults`: the declarative ``REPRO_SHARD_FAULTS`` spec
 (SIGKILL-grade deaths, zombie stalls, poison units, injected
-``OperationalError``, clock skew) plus the legacy
-``REPRO_SHARD_DIE_AFTER``/``REPRO_SHARD_DIE_WORKER`` pair, which still
-hard-exits (``os._exit``) after journaling K units — a real
-SIGKILL-grade death: no commit, lease left dangling, WAL mid-flight.
+``OperationalError``, clock skew).  A ``kill`` hard-exits (``os._exit``)
+after journaling K units — a real SIGKILL-grade death: no commit, lease
+left dangling, WAL mid-flight.
 """
 
 from __future__ import annotations
@@ -48,15 +48,9 @@ import time
 from typing import Optional
 
 from repro.par.cache import MemoCache
-from repro.par.replay import ReplayOutcome, ReplaySpec, crash_outcome, replay
+from repro.par.replay import run_units
 
-from repro.shard.faults import (  # noqa: F401  (re-exported: test/CI surface)
-    DIE_AFTER_ENV,
-    DIE_EXIT_CODE,
-    DIE_WORKER_ENV,
-    POISON_EXIT_CODE,
-    FaultPlan,
-)
+from repro.shard.faults import FaultPlan
 from repro.shard.health import (
     DEFAULT_ATTEMPTS_CAP,
     LeaseHeartbeat,
@@ -64,20 +58,6 @@ from repro.shard.health import (
     retry_transient,
 )
 from repro.shard.queue import Lease, ShardQueue
-
-
-def _run_unit(spec: ReplaySpec, cache: Optional[MemoCache], key: str) -> ReplayOutcome:
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    try:
-        outcome = replay(spec)
-    except Exception as exc:  # fold, don't lose the campaign
-        return crash_outcome(spec, exc)
-    if cache is not None:
-        cache.put(key, outcome)
-    return outcome
 
 
 def run_executor(
@@ -99,8 +79,12 @@ def run_executor(
     so lease rows name their claimant.  ``attempts_cap`` bounds how
     often a barren shard is re-issued before its first unjournaled unit
     is quarantined; ``heartbeat=False`` disables the renewal thread
-    (inline tests that want deterministic lease expiry).
+    (inline tests that want deterministic lease expiry).  ``lease_s``
+    must be positive: a lease that expires at grant is stolen before its
+    first journal write, and healthy units end up quarantined.
     """
+    if lease_s <= 0:
+        raise ValueError(f"lease_s must be > 0 seconds, got {lease_s}")
     if owner is None:
         owner = f"exec{worker_index}.pid{os.getpid()}"
     faults = FaultPlan.from_env(worker_index)
@@ -180,7 +164,7 @@ def _drain_shard(
             if _q(lambda: queue.has_result(ord_)):
                 continue  # journaled by a previous (dead) claimant
             faults.check_poison(ord_)
-            outcome = _run_unit(spec, cache, fingerprint)
+            (outcome,) = run_units([spec], cache=cache)
             if not _q(lambda: queue.record(ord_, fingerprint, outcome, lease)):
                 return ran  # zombie write rejected: abandon the shard
             ran += 1

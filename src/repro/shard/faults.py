@@ -17,8 +17,9 @@ executor index (default: all of them).  Malformed specs raise
 :class:`FaultSpecError` naming the variable — a typo in a chaos spec
 must never look like a passing campaign.
 
-The legacy hooks ``REPRO_SHARD_DIE_AFTER``/``REPRO_SHARD_DIE_WORKER``
-are folded in as a ``kill`` clause, with the same strict validation.
+The retired hooks ``REPRO_SHARD_DIE_AFTER``/``REPRO_SHARD_DIE_WORKER``
+are rejected the same way: a stale CI environment that still sets them
+gets a :class:`FaultSpecError` naming the ``kill:`` clause to use.
 
 Fault classes and what they prove:
 
@@ -50,9 +51,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 #: env var holding the declarative fault spec
 FAULTS_ENV = "REPRO_SHARD_FAULTS"
 
-#: legacy single-fault hooks (equivalent to ``kill:after=K,worker=W``)
-DIE_AFTER_ENV = "REPRO_SHARD_DIE_AFTER"
-DIE_WORKER_ENV = "REPRO_SHARD_DIE_WORKER"
+#: retired single-fault hooks; setting either is an error (see from_env)
+_RETIRED_ENVS = ("REPRO_SHARD_DIE_AFTER", "REPRO_SHARD_DIE_WORKER")
 
 #: ``os._exit`` code of a fault-injected death, so tests can tell a
 #: simulated crash from a real one
@@ -97,19 +97,19 @@ class Fault:
         return self.worker is None or self.worker == worker_index
 
 
-def _bad(env: str, raw: str, why: str) -> FaultSpecError:
-    return FaultSpecError(f"invalid {env}={raw!r}: {why}")
+def _bad(raw: str, why: str) -> FaultSpecError:
+    return FaultSpecError(f"invalid {FAULTS_ENV}={raw!r}: {why}")
 
 
-def _parse_worker(env: str, raw: str, value: str) -> Optional[int]:
+def _parse_worker(raw: str, value: str) -> Optional[int]:
     if value == "all":
         return None
     try:
         worker = int(value)
     except ValueError:
-        raise _bad(env, raw, f"worker must be an integer or 'all', got {value!r}") from None
+        raise _bad(raw, f"worker must be an integer or 'all', got {value!r}") from None
     if worker < 0:
-        raise _bad(env, raw, f"worker must be >= 0, got {worker}")
+        raise _bad(raw, f"worker must be >= 0, got {worker}")
     return worker
 
 
@@ -117,13 +117,13 @@ def _clause_fields(raw: str, clause: str) -> Tuple[str, Dict[str, str]]:
     head, _, tail = clause.partition(":")
     kind = head.strip()
     if kind not in _KINDS:
-        raise _bad(FAULTS_ENV, raw, f"unknown fault kind {kind!r}; choose from {_KINDS}")
+        raise _bad(raw, f"unknown fault kind {kind!r}; choose from {_KINDS}")
     fields: Dict[str, str] = {}
     if tail.strip():
         for item in tail.split(","):
             key, sep, value = item.partition("=")
             if not sep or not key.strip() or not value.strip():
-                raise _bad(FAULTS_ENV, raw, f"expected key=value, got {item!r}")
+                raise _bad(raw, f"expected key=value, got {item!r}")
             fields[key.strip()] = value.strip()
     return kind, fields
 
@@ -131,13 +131,13 @@ def _clause_fields(raw: str, clause: str) -> Tuple[str, Dict[str, str]]:
 def _take(raw: str, fields: Dict[str, str], key: str, conv, *, required=False, default=None):
     if key not in fields:
         if required:
-            raise _bad(FAULTS_ENV, raw, f"fault requires {key}=...")
+            raise _bad(raw, f"fault requires {key}=...")
         return default
     value = fields.pop(key)
     try:
         return conv(value)
     except (TypeError, ValueError):
-        raise _bad(FAULTS_ENV, raw, f"bad value for {key}: {value!r}") from None
+        raise _bad(raw, f"bad value for {key}: {value!r}") from None
 
 
 def parse_faults(raw: Optional[str]) -> List[Fault]:
@@ -151,63 +151,42 @@ def parse_faults(raw: Optional[str]) -> List[Fault]:
             continue
         kind, fields = _clause_fields(raw, clause)
         worker = (
-            _parse_worker(FAULTS_ENV, raw, fields.pop("worker"))
+            _parse_worker(raw, fields.pop("worker"))
             if "worker" in fields
             else None
         )
         if kind == KIND_KILL:
             after = _take(raw, fields, "after", int, required=True)
             if after < 1:
-                raise _bad(FAULTS_ENV, raw, f"kill needs after >= 1, got {after}")
+                raise _bad(raw, f"kill needs after >= 1, got {after}")
             fault = Fault(kind=kind, after=after, worker=worker)
         elif kind == KIND_ZOMBIE:
             after = _take(raw, fields, "after", int, required=True)
             stall = _take(raw, fields, "stall", float, required=True)
             if after < 1:
-                raise _bad(FAULTS_ENV, raw, f"zombie needs after >= 1, got {after}")
+                raise _bad(raw, f"zombie needs after >= 1, got {after}")
             if stall <= 0:
-                raise _bad(FAULTS_ENV, raw, f"zombie needs stall > 0, got {stall}")
+                raise _bad(raw, f"zombie needs stall > 0, got {stall}")
             fault = Fault(kind=kind, after=after, stall_s=stall, worker=worker)
         elif kind == KIND_POISON:
             ord_ = _take(raw, fields, "ord", int, required=True)
             if ord_ < 0:
-                raise _bad(FAULTS_ENV, raw, f"poison needs ord >= 0, got {ord_}")
+                raise _bad(raw, f"poison needs ord >= 0, got {ord_}")
             fault = Fault(kind=kind, ord=ord_, worker=worker)
         elif kind == KIND_BUSY:
             ops = _take(raw, fields, "ops", int, required=True)
             if ops < 1:
-                raise _bad(FAULTS_ENV, raw, f"busy needs ops >= 1, got {ops}")
+                raise _bad(raw, f"busy needs ops >= 1, got {ops}")
             fault = Fault(kind=kind, ops=ops, worker=worker)
         else:  # KIND_SKEW
             delta = _take(raw, fields, "delta", float, required=True)
             if delta == 0:
-                raise _bad(FAULTS_ENV, raw, "skew needs a nonzero delta")
+                raise _bad(raw, "skew needs a nonzero delta")
             fault = Fault(kind=kind, delta_s=delta, worker=worker)
         if fields:
-            raise _bad(
-                FAULTS_ENV, raw,
-                f"unknown key(s) for {kind}: {', '.join(sorted(fields))}",
-            )
+            raise _bad(raw, f"unknown key(s) for {kind}: {', '.join(sorted(fields))}")
         faults.append(fault)
     return faults
-
-
-def legacy_kill_fault(environ: Optional[Dict[str, str]] = None) -> Optional[Fault]:
-    """Fold ``REPRO_SHARD_DIE_AFTER``/``_WORKER`` into a ``kill`` fault,
-    validating both variables with errors that name them."""
-    env = os.environ if environ is None else environ
-    raw = env.get(DIE_AFTER_ENV)
-    if raw is None:
-        return None
-    try:
-        after = int(raw)
-    except ValueError:
-        raise _bad(DIE_AFTER_ENV, raw, "must be an integer count of journaled units") from None
-    if after < 1:
-        raise _bad(DIE_AFTER_ENV, raw, f"must be >= 1, got {after}")
-    victim = env.get(DIE_WORKER_ENV, "0")
-    worker = _parse_worker(DIE_WORKER_ENV, victim, victim)
-    return Fault(kind=KIND_KILL, after=after, worker=worker)
 
 
 class FaultPlan:
@@ -256,11 +235,13 @@ class FaultPlan:
         cls, worker_index: int, environ: Optional[Dict[str, str]] = None, **kw
     ) -> "FaultPlan":
         env = os.environ if environ is None else environ
-        faults = parse_faults(env.get(FAULTS_ENV))
-        legacy = legacy_kill_fault(env)
-        if legacy is not None:
-            faults.append(legacy)
-        return cls(faults, worker_index, **kw)
+        for retired in _RETIRED_ENVS:
+            if retired in env:
+                raise FaultSpecError(
+                    f"{retired} is no longer supported; use "
+                    f'{FAULTS_ENV}="kill:after=K,worker=W" instead'
+                )
+        return cls(parse_faults(env.get(FAULTS_ENV)), worker_index, **kw)
 
     @property
     def armed(self) -> bool:

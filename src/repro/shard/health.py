@@ -35,7 +35,7 @@ import hashlib
 import sqlite3
 import threading
 import time
-from typing import Any, Callable, List, Optional, TypeVar
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from repro.par.replay import CRASH_VERDICT, ReplayOutcome
 
@@ -108,6 +108,13 @@ def is_quarantined(outcome: ReplayOutcome) -> bool:
         outcome.gave_up_reason
         and outcome.gave_up_reason.startswith(QUARANTINE_PREFIX)
     )
+
+
+def quarantined_ords(outcomes: Dict[int, ReplayOutcome]) -> List[int]:
+    """Plan ordinals whose journal row is a synthesized poison-unit
+    quarantine — surfaced explicitly after the merge: they are
+    engine-degradation verdicts, not protocol verdicts."""
+    return sorted(o for o, out in outcomes.items() if is_quarantined(out))
 
 
 # -- executor-side lease heartbeat -----------------------------------------------

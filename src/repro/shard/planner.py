@@ -1,12 +1,13 @@
-"""Shard planner: a campaign becomes pickleable, content-addressed shards.
+"""Shard planner: a campaign plan becomes content-addressed shards.
 
-The planner runs where the serial engine starts: probe each method's
-baseline, enumerate the kill matrix, draw the randomized schedules from
-the campaign seed.  But instead of replaying, it freezes the whole
-campaign into an ordered list of :class:`PlannedUnit` work items — each a
-pickleable :class:`~repro.par.replay.ReplaySpec` plus the metadata the
-merger needs to rebuild the canonical result objects — and stripes them
-over ``n_shards`` :class:`ShardPlan` partitions.
+Planning itself — probe each method's baseline, enumerate the kill
+matrix, draw the randomized schedules from the campaign seed, freeze the
+ordered :class:`~repro.chaos.plan.PlannedUnit` list — is
+:func:`repro.chaos.plan.plan_campaign`, shared with the in-process
+engines.  What is shard-specific lives here: every unit must be
+pickleable (an executor is another process), the units are striped over
+``n_shards`` :class:`ShardPlan` partitions, and the plan gets an identity
+a queue can be bound to.
 
 Identity is content-addressed at every level, reusing the memo cache's
 vocabulary:
@@ -31,52 +32,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Sequence, Tuple
 
-from repro.chaos.campaign import (
-    BaselineProbe,
-    ChaosError,
-    KillPoint,
-    enumerate_kill_points,
-    point_trigger,
-    probe_baseline,
+from repro.chaos import plan as chaos_plan
+from repro.chaos.plan import (  # noqa: F401  (the plan vocabulary, re-exported)
+    KIND_KILL,
+    KIND_RANDOM,
+    CampaignPlan,
+    MatrixPlan,
+    PlannedUnit,
+    merge_campaign,
 )
-from repro.chaos.schedules import RandomCampaignConfig, generate_schedule
-from repro.par.cache import code_fingerprint, replay_fingerprint
-from repro.par.replay import ReplaySpec
+from repro.par.cache import code_fingerprint
 
 #: bump when the plan/queue layout changes incompatibly
 PLAN_SCHEMA_VERSION = 1
-
-KIND_KILL = "kill"
-KIND_RANDOM = "random"
-
-
-@dataclass(frozen=True)
-class PlannedUnit:
-    """One replay job plus the metadata the merger rebuilds results from."""
-
-    ord: int
-    kind: str  # "kill" | "random"
-    #: index into :attr:`CampaignPlan.matrices` (kill units only)
-    matrix: int
-    fingerprint: str
-    spec: ReplaySpec
-    #: kill: the matrix point; random: the schedule index
-    point: Optional[KillPoint] = None
-    schedule_index: Optional[int] = None
-
-
-@dataclass
-class MatrixPlan:
-    """One method's kill matrix: scenario recipe, probe, points."""
-
-    scenario_name: str
-    params: Dict[str, Any]
-    spec: Any  # ScenarioSpec
-    probe: BaselineProbe
-    points: List[KillPoint]
 
 
 @dataclass(frozen=True)
@@ -86,31 +57,6 @@ class ShardPlan:
     shard_id: str
     index: int
     unit_ords: Tuple[int, ...]
-
-
-@dataclass
-class CampaignPlan:
-    """The frozen campaign: everything an executor or merger needs."""
-
-    seed: int
-    obs: str
-    methods: List[str]
-    matrices: List[MatrixPlan]
-    #: randomized schedules (trigger lists) drawn against matrices[0]
-    schedules: List[List[Any]]
-    units: List[PlannedUnit] = field(default_factory=list)
-    shards: List[ShardPlan] = field(default_factory=list)
-    fingerprint: str = ""
-
-    @property
-    def n_units(self) -> int:
-        return len(self.units)
-
-    def shard_of(self, shard_id: str) -> ShardPlan:
-        for s in self.shards:
-            if s.shard_id == shard_id:
-                return s
-        raise KeyError(shard_id)
 
 
 def _shard_id(unit_fingerprints: Sequence[str]) -> str:
@@ -146,105 +92,26 @@ def partition(n_units: int, n_shards: int) -> List[Tuple[int, ...]]:
 
 
 def plan_campaign(
-    scenarios: Sequence[Any],
-    *,
-    n_shards: int,
-    seed: int = 0,
-    obs: str = "off",
-    max_occurrences: Optional[int] = None,
-    random_cfg: Optional[RandomCampaignConfig] = None,
-    probes: Optional[Sequence[BaselineProbe]] = None,
+    scenarios: Sequence[Any], *, n_shards: int, **plan_kw: Any
 ) -> CampaignPlan:
-    """Freeze one ``repro chaos`` campaign into a sharded plan.
-
-    ``scenarios`` is one :class:`~repro.chaos.scenarios.ChaosScenario`
-    per method, in method order — exactly what the serial CLI builds.
-    ``random_cfg`` (if given) draws the randomized schedules against the
-    first scenario, mirroring the serial engine.  ``probes`` may carry
-    already-computed baselines (the driver reuses them on resume);
-    otherwise each scenario is probed here.
+    """Freeze one ``repro chaos`` campaign into a sharded plan:
+    :func:`repro.chaos.plan.plan_campaign` (``plan_kw``: the same campaign,
+    hence the same units, as on every other engine), then the partition
+    and the identities.
 
     Raises :class:`~repro.chaos.campaign.ChaosError` for scenarios
     without a pickleable spec — a closure-factory scenario cannot cross
-    an executor process boundary, same rule as ``--workers N``.
+    an executor process boundary, same rule as ``--workers N`` — and for
+    a campaign with no units.
     """
-    methods: List[str] = []
-    matrices: List[MatrixPlan] = []
-    units: List[PlannedUnit] = []
-    for idx, scenario in enumerate(scenarios):
-        if scenario.spec is None:
-            raise ChaosError(
-                f"scenario {scenario.name!r} has no pickleable spec "
-                "(custom factory/protocol closure); it cannot be sharded"
-            )
-        probe = (
-            probes[idx] if probes is not None else probe_baseline(scenario)
-        )
-        points = enumerate_kill_points(probe, max_occurrences=max_occurrences)
-        matrices.append(
-            MatrixPlan(
-                scenario_name=scenario.name,
-                params=dict(scenario.params),
-                spec=scenario.spec,
-                probe=probe,
-                points=points,
-            )
-        )
-        methods.append(str(scenario.params.get("method", "?")))
-        for point in points:
-            spec = ReplaySpec(
-                scenario.spec, (point_trigger(point, probe),), obs=obs
-            )
-            units.append(
-                PlannedUnit(
-                    ord=len(units),
-                    kind=KIND_KILL,
-                    matrix=idx,
-                    fingerprint=replay_fingerprint(spec),
-                    spec=spec,
-                    point=point,
-                )
-            )
-
-    schedules: List[List[Any]] = []
-    if random_cfg is not None and matrices:
-        probe0 = matrices[0].probe
-        schedules = [
-            generate_schedule(probe0, random_cfg, random_cfg.seed + i)
-            for i in range(random_cfg.n_schedules)
-        ]
-        for i, triggers in enumerate(schedules):
-            spec = ReplaySpec(matrices[0].spec, tuple(triggers), obs=obs)
-            units.append(
-                PlannedUnit(
-                    ord=len(units),
-                    kind=KIND_RANDOM,
-                    matrix=0,
-                    fingerprint=replay_fingerprint(spec),
-                    spec=spec,
-                    schedule_index=i,
-                )
-            )
-
-    if not units:
-        raise ChaosError("campaign plan is empty: no kill points enumerated")
-
-    shards = [
+    plan = chaos_plan.plan_campaign(scenarios, portable=True, **plan_kw)
+    plan.shards = [
         ShardPlan(
-            shard_id=_shard_id([units[o].fingerprint for o in ords]),
+            shard_id=_shard_id([plan.units[o].fingerprint for o in ords]),
             index=i,
             unit_ords=ords,
         )
-        for i, ords in enumerate(partition(len(units), n_shards))
+        for i, ords in enumerate(partition(plan.n_units, n_shards))
     ]
-    plan = CampaignPlan(
-        seed=seed,
-        obs=obs,
-        methods=methods,
-        matrices=matrices,
-        schedules=schedules,
-        units=units,
-        shards=shards,
-        fingerprint=_plan_fingerprint(shards, obs, seed),
-    )
+    plan.fingerprint = _plan_fingerprint(plan.shards, plan.obs, plan.seed)
     return plan

@@ -1,0 +1,213 @@
+"""One campaign pipeline (repro.chaos.plan): plan -> execute -> merge.
+
+The contract under test: the engine — inline, the pool, the shard queue —
+changes wall-clock time and durability and nothing else.  One campaign
+with kill matrices for two methods *and* random schedules must come out
+of all three with the same ``BENCH_chaos.json`` bytes, report text and
+trace-store content, equal to ``pipeline_golden.json`` — captured from
+the three-walks implementation this pipeline replaced, so the collapse
+is pinned as behaviour-preserving, not merely self-consistent.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from repro.chaos import (
+    ChaosError,
+    RandomCampaignConfig,
+    chaos_main,
+    enumerate_kill_points,
+    probe_baseline,
+    run_campaign,
+    run_kill_matrix,
+    selfckpt_scenario,
+)
+from repro.chaos import bench as chaos_bench
+from repro.chaos.report import render_campaign
+from repro.obs.store import (
+    TraceStore,
+    campaign_id_for,
+    ingest_kill_matrix,
+    ingest_schedules,
+)
+from repro.shard import plan_campaign, run_sharded_campaign
+from repro.shard.queue import queue_path_for
+
+SEED = 7
+CFG = dict(n_nodes=2, procs_per_node=1, group_size=2, iters=4, ckpt_every=2)
+METHODS = ("self", "double")
+OBS = "summary"
+ENGINES = ("workers=1", "workers=2", "n_shards=2")
+
+with open(os.path.join(os.path.dirname(__file__), "pipeline_golden.json")) as f:
+    GOLDEN = json.load(f)
+
+
+def scenarios():
+    return [selfckpt_scenario(method=m, **CFG) for m in METHODS]
+
+
+def specless_scenario(protocol_factory):
+    return selfckpt_scenario(protocol_factory=protocol_factory, **CFG)
+
+
+def run_engine(engine, out_dir, **campaign):
+    """(plan, matrices, schedules) of one campaign on the named engine."""
+    knob, n = engine.split("=")
+    if knob == "workers":
+        return run_campaign(scenarios(), workers=int(n), **campaign)
+    return run_sharded_campaign(
+        scenarios(), n_shards=int(n), out_dir=str(out_dir), **campaign
+    )[:3]
+
+
+def stripped_digest(store):
+    """Store content with the code-fingerprint-derived ids (run id,
+    campaign id) replaced by the run's ordinal: comparable across
+    commits, where :meth:`TraceStore.digest` is only comparable within
+    one."""
+    ords = dict(store.query("SELECT run_id, ord FROM runs"))
+    lines = []
+    for table in ("runs", "summaries", "spans", "metrics"):
+        cols = [r[1] for r in store.query(f"PRAGMA table_info({table})")]
+        rows = []
+        for row in store.query(f"SELECT * FROM {table}"):
+            doc = dict(zip(cols, row))
+            doc["run_id"] = ords[doc["run_id"]]
+            doc.pop("campaign_id", None)
+            rows.append(json.dumps({"table": table, **doc}, sort_keys=True))
+        lines.extend(sorted(rows))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """engine -> (bench bytes, report text, store digest, stripped digest)."""
+    out = {}
+    for engine in ENGINES:
+        plan, matrices, schedules = run_engine(
+            engine,
+            tmp_path_factory.mktemp("shards"),
+            seed=SEED,
+            obs=OBS,
+            max_occurrences=1,
+            random_cfg=RandomCampaignConfig(n_schedules=3, seed=SEED),
+        )
+        scs = scenarios()
+        cid = campaign_id_for(SEED, "selfckpt", list(METHODS))
+        with TraceStore(":memory:") as store:
+            ord_ = 0
+            for sc, m, rep in zip(scs, plan.matrices, matrices):
+                ord_ = ingest_kill_matrix(
+                    store, cid, sc, rep,
+                    seed=SEED, obs_mode=OBS, ord_base=ord_, probe=m.probe,
+                )
+            ingest_schedules(
+                store, cid, scs[0], schedules,
+                seed=SEED, obs_mode=OBS, ord_base=ord_,
+            )
+            out[engine] = (
+                chaos_bench.bench_json(
+                    chaos_bench.bench_record(matrices, schedules, None, seed=SEED)
+                ),
+                render_campaign(matrices, schedules),
+                store.digest(),
+                stripped_digest(store),
+            )
+    return out
+
+
+class TestThreeEngineIdentity:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_reproduces_the_parent_commit_golden(self, artifacts, engine):
+        bench, report, _, stripped = artifacts[engine]
+        assert bench == GOLDEN["bench"]
+        assert report == GOLDEN["report"]
+        assert stripped == GOLDEN["store_digest"]
+
+    def test_store_digests_equal_across_engines(self, artifacts):
+        assert len({digest for _, _, digest, _ in artifacts.values()}) == 1
+
+
+class TestSpeclessScenario:
+    def test_runs_in_process(self):
+        from repro.ckpt.self_ckpt import SelfCheckpoint
+
+        sc = specless_scenario(SelfCheckpoint)
+        assert sc.spec is None and sc.recipe is sc
+        plan, (report,), _ = run_campaign(
+            [sc], phases=["ckpt.done"], max_occurrences=1
+        )
+        assert report.survived_all
+        assert [u.spec.scenario for u in plan.units] == [sc] * plan.n_units
+
+    def test_pool_and_shard_planner_raise_the_same_error(self):
+        # the factory would crash the baseline probe: the check comes first
+        sc = specless_scenario(lambda *a, **k: None)
+        with pytest.raises(ChaosError, match="workers=1") as pool:
+            run_campaign([sc], workers=2)
+        with pytest.raises(ChaosError, match="workers=1") as shard:
+            plan_campaign([sc], n_shards=2)
+        assert str(pool.value) == str(shard.value)
+
+
+class TestMatrixFilters:
+    def test_run_kill_matrix_filters_like_enumerate_kill_points(self):
+        sc = selfckpt_scenario(method="self", **CFG)
+        probe = probe_baseline(sc)
+        filt = dict(nodes=[1], phases=["ckpt.flush", "ckpt.done"], max_occurrences=1)
+        want = enumerate_kill_points(probe, **filt)
+        assert len(want) == 2
+        report = run_kill_matrix(sc, probe=probe, **filt)
+        assert [r.point for r in report.results] == want
+
+
+CLI_FLAGS = [
+    "--methods", "self", "--nodes", "2", "--ppn", "1", "--group-size", "2",
+    "--no-progress",
+]
+ENGINE_FLAGS = {"workers=1": [], "workers=2": ["--workers", "2"],
+                "n_shards=2": ["--shards", "2"]}
+
+
+class TestEmptyCampaign:
+    """A campaign that enumerates nothing is an error with one answer on
+    every engine — never an empty artifact that looks like a run."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_api_raises_and_creates_nothing(self, tmp_path, engine):
+        out = tmp_path / "out"
+        with pytest.raises(ChaosError, match="campaign plan is empty"):
+            run_engine(engine, out, max_occurrences=0)
+        assert not os.path.exists(queue_path_for(str(out)))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_cli_exits_2_without_artifacts(self, tmp_path, capsys, engine):
+        out = tmp_path / "out"
+        # zero iterations: the baseline announces no phase to kill at
+        rc = chaos_main(
+            CLI_FLAGS + ENGINE_FLAGS[engine] + ["--iters", "0", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "repro chaos: campaign plan is empty" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-occurrences", "0"), ("--random", "-1")]
+    )
+    def test_cli_rejects_below_minimum_knobs(
+        self, tmp_path, capsys, engine, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            chaos_main(
+                CLI_FLAGS + ENGINE_FLAGS[engine]
+                + [flag, value, "--out", str(tmp_path / "out")]
+            )
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

@@ -152,3 +152,61 @@ class TestShrink:
         assert shrinks[1].minimal == [
             TimeTrigger(node_id=0, at_time=2.5, extra_nodes=(1,))
         ]
+
+
+def raising_oracle_scenario():
+    """The selfckpt app, except that its answer oracle *raises* on any
+    run that consumed a spare node (i.e. any run a kill actually hit)."""
+    import dataclasses
+
+    from repro.chaos import ChaosScenario
+
+    base = scenario()
+
+    def factory():
+        inst = base.make()
+        spares = len(inst.cluster.spare_ids)
+
+        def check(result):
+            if len(inst.cluster.spare_ids) < spares:
+                raise RuntimeError("oracle exploded")
+            return inst.check(result)
+
+        return dataclasses.replace(inst, check=check)
+
+    return ChaosScenario(name=base.name, params=base.params, factory=factory)
+
+
+class TestCrashFoldingIsDoorIndependent:
+    """A replay that raises is a ``gave-up`` verdict through every door —
+    the campaign, ``run_schedule``, ``run_kill_point`` — so whatever a
+    campaign classified, the shrinker can re-probe."""
+
+    def test_single_replay_doors_fold_like_the_campaign(self):
+        from repro.chaos import KillPoint, run_kill_point
+
+        sc = raising_oracle_scenario()
+        kill = [TimeTrigger(node_id=0, at_time=2.5)]
+        cfg = RandomCampaignConfig(n_schedules=4, seed=3)
+        crashed = [
+            r for r in random_campaign(sc, cfg) if r.verdict == "gave-up"
+        ]
+        assert crashed, "no schedule of the campaign reached the oracle"
+        for result in crashed + [
+            run_schedule(sc, kill),
+            run_kill_point(sc, KillPoint("ckpt.flush", 1, 0)),
+        ]:
+            assert result.verdict == "gave-up"
+            assert result.gave_up_reason == (
+                "replay crashed: RuntimeError: oracle exploded"
+            )
+
+    def test_shrinks_a_schedule_whose_oracle_raises(self):
+        sc = raising_oracle_scenario()
+        triggers = [
+            PhaseTrigger(node_id=2, phase="ckpt.begin", occurrence=1),
+            TimeTrigger(node_id=0, at_time=2.5),
+        ]
+        (shrunk,) = shrink_failures(sc, [run_schedule(sc, triggers)])
+        assert shrunk.verdict == "gave-up"
+        assert len(shrunk.minimal) == 1

@@ -26,7 +26,7 @@ from repro.chaos import (
 from repro.chaos import bench as chaos_bench
 from repro.chaos.report import render_campaign
 from repro.shard import ShardCampaignError, run_sharded_campaign
-from repro.shard.executor import DIE_AFTER_ENV, DIE_WORKER_ENV
+from repro.shard.faults import FAULTS_ENV
 from repro.shard.queue import ShardQueue, queue_path_for
 
 SEED = 7
@@ -131,8 +131,7 @@ class TestExecutorCrash:
     ):
         """Worker 0 hard-exits after one journaled unit; the survivors
         take over its expired lease and finish the same invocation."""
-        monkeypatch.setenv(DIE_AFTER_ENV, "1")
-        monkeypatch.setenv(DIE_WORKER_ENV, "0")
+        monkeypatch.setenv(FAULTS_ENV, "kill:after=1,worker=0")
         plan, matrices, schedules, stats = run_sharded(
             tmp_path / "out", lease_s=0.5
         )
@@ -145,16 +144,14 @@ class TestExecutorCrash:
         """Every executor dies mid-shard (the deterministic stand-in for
         a dead driver); the same out dir resumes to identical results."""
         out = tmp_path / "out"
-        monkeypatch.setenv(DIE_AFTER_ENV, "2")
-        monkeypatch.setenv(DIE_WORKER_ENV, "all")
+        monkeypatch.setenv(FAULTS_ENV, "kill:after=2,worker=all")
         with pytest.raises(ShardCampaignError, match="resume"):
-            run_sharded(out)
+            run_sharded(out, lease_s=0.5)
         with ShardQueue(queue_path_for(str(out))) as queue:
             partial = queue.progress()
         assert 0 < partial["done_units"] < partial["total_units"]
-        monkeypatch.delenv(DIE_AFTER_ENV)
-        monkeypatch.delenv(DIE_WORKER_ENV)
-        plan, matrices, schedules, stats = run_sharded(out)
+        monkeypatch.delenv(FAULTS_ENV)
+        plan, matrices, schedules, stats = run_sharded(out, lease_s=0.5)
         assert stats["done_units"] == plan.n_units
         assert_matches_serial(serial, matrices, schedules)
 
@@ -175,8 +172,7 @@ def cli_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src)
-    env.pop(DIE_AFTER_ENV, None)
-    env.pop(DIE_WORKER_ENV, None)
+    env.pop(FAULTS_ENV, None)
     return env
 
 
@@ -194,7 +190,7 @@ class TestDriverKill:
 
         shard_out = tmp_path / "sharded"
         proc = subprocess.Popen(
-            cli_cmd("--shards", "3", "--out", str(shard_out)),
+            cli_cmd("--shards", "3", "--lease", "1", "--out", str(shard_out)),
             env=cli_env(), start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
@@ -213,7 +209,7 @@ class TestDriverKill:
         proc.wait(timeout=300)
 
         res = subprocess.run(
-            cli_cmd("--shards", "3", "--resume", str(shard_out)),
+            cli_cmd("--shards", "3", "--lease", "1", "--resume", str(shard_out)),
             env=cli_env(), capture_output=True, text=True, timeout=300,
         )
         assert res.returncode == 0, res.stderr

@@ -5,17 +5,18 @@ import sqlite3
 import pytest
 
 from repro.shard.faults import (
-    DIE_AFTER_ENV,
     DIE_EXIT_CODE,
-    DIE_WORKER_ENV,
     FAULTS_ENV,
     POISON_EXIT_CODE,
     Fault,
     FaultPlan,
     FaultSpecError,
-    legacy_kill_fault,
     parse_faults,
 )
+
+# the retired hooks: repro.shard no longer names them except to refuse them
+DIE_AFTER_ENV = "REPRO_SHARD_DIE_AFTER"
+DIE_WORKER_ENV = "REPRO_SHARD_DIE_WORKER"
 
 
 class TestParse:
@@ -95,29 +96,37 @@ class TestParseErrors:
 
 
 class TestLegacyEnv:
+    """The retired ``REPRO_SHARD_DIE_*`` pair is refused, never folded
+    in and never ignored: a stale CI environment must not look like a
+    passing campaign.  (Test ids predate the retirement.)"""
+
+    @staticmethod
+    def rejected(environ):
+        with pytest.raises(FaultSpecError) as exc:
+            FaultPlan.from_env(0, environ)
+        return str(exc.value)
+
     def test_absent_means_no_fault(self):
-        assert legacy_kill_fault({}) is None
+        assert not FaultPlan.from_env(0, {}).armed
 
     def test_valid_pair_folds_into_a_kill_fault(self):
-        fault = legacy_kill_fault({DIE_AFTER_ENV: "2", DIE_WORKER_ENV: "1"})
-        assert fault == Fault(kind="kill", after=2, worker=1)
+        msg = self.rejected({DIE_AFTER_ENV: "2", DIE_WORKER_ENV: "1"})
+        assert f'{FAULTS_ENV}="kill:after=K,worker=W"' in msg
 
     def test_worker_defaults_to_zero(self):
-        assert legacy_kill_fault({DIE_AFTER_ENV: "1"}).worker == 0
+        assert DIE_AFTER_ENV in self.rejected({DIE_AFTER_ENV: "1"})
 
     def test_worker_all(self):
-        fault = legacy_kill_fault({DIE_AFTER_ENV: "1", DIE_WORKER_ENV: "all"})
-        assert fault.worker is None
+        # the worker variable alone is just as stale as the pair
+        assert DIE_WORKER_ENV in self.rejected({DIE_WORKER_ENV: "all"})
 
     @pytest.mark.parametrize("bad", ["", "two", "1.5", "0", "-3"])
     def test_malformed_die_after_names_its_variable(self, bad):
-        with pytest.raises(FaultSpecError, match=DIE_AFTER_ENV):
-            legacy_kill_fault({DIE_AFTER_ENV: bad})
+        assert DIE_AFTER_ENV in self.rejected({DIE_AFTER_ENV: bad})
 
     @pytest.mark.parametrize("bad", ["", "first", "-1"])
     def test_malformed_die_worker_names_its_variable(self, bad):
-        with pytest.raises(FaultSpecError, match=DIE_WORKER_ENV):
-            legacy_kill_fault({DIE_AFTER_ENV: "1", DIE_WORKER_ENV: bad})
+        assert DIE_WORKER_ENV in self.rejected({DIE_WORKER_ENV: bad})
 
 
 class Exited(Exception):
@@ -155,11 +164,9 @@ class TestFaultPlan:
         assert not plan.armed
 
     def test_legacy_env_folds_in(self):
-        plan = plan_for(None, environ={DIE_AFTER_ENV: "3"})
-        assert plan.armed
-        with pytest.raises(Exited) as exc:
-            plan.check_kill(3)
-        assert exc.value.code == DIE_EXIT_CODE
+        # ... no longer: even next to a valid spec it is refused
+        with pytest.raises(FaultSpecError, match="kill:after=K"):
+            plan_for("kill:after=3", environ={DIE_AFTER_ENV: "3"})
 
     def test_kill_fires_at_the_threshold(self):
         plan = plan_for("kill:after=2")

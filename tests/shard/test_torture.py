@@ -299,7 +299,7 @@ class TestCLIExitContract:
         victim = the_plan.n_units // 2
         out = tmp_path / "out"
         res = cli(
-            "--shards", "2", "--out", str(out),
+            "--shards", "2", "--lease", "1", "--out", str(out),
             "--respawn", "10", "--attempts-cap", "2",
             env_extra={FAULTS_ENV: f"poison:ord={victim},worker=all"},
         )
@@ -307,6 +307,39 @@ class TestCLIExitContract:
         assert "quarantined" in res.stdout
         assert str(victim) in res.stdout
         assert "respawned" in res.stdout
+
+
+class TestLeaseValidation:
+    """``--lease 0`` used to run: leases expired at grant, executors
+    stole shards from each other, barren re-issues hit the attempts cap
+    and healthy units were journaled as ``quarantined:`` gave-up rows.
+    A non-positive lease is refused at every door instead."""
+
+    @pytest.mark.parametrize("lease", ["0", "-1.5"])
+    def test_cli_rejects_nonpositive_lease(self, tmp_path, lease):
+        out = tmp_path / "out"
+        res = cli("--shards", "2", "--lease", lease, "--out", str(out))
+        assert res.returncode == 2
+        assert "--lease" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lease_s", [0, -1.0])
+    def test_driver_rejects_nonpositive_lease(self, tmp_path, lease_s):
+        with pytest.raises(ValueError, match="lease_s"):
+            run_sharded(tmp_path / "out", lease_s=lease_s)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lease_s", [0, -1.0])
+    def test_executor_rejects_nonpositive_lease(self, tmp_path, the_plan, lease_s):
+        from repro.shard import run_executor
+
+        path = queue_path_for(str(tmp_path))
+        with ShardQueue(path) as queue:
+            queue.populate(the_plan)
+        with pytest.raises(ValueError, match="lease_s"):
+            run_executor(path, 0, lease_s=lease_s)
+        with ShardQueue(path) as queue:
+            assert queue.progress()["done_units"] == 0
 
 
 def test_poison_exit_code_is_observable():
