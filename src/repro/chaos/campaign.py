@@ -161,8 +161,8 @@ class CampaignReport:
 def probe_baseline(scenario: ChaosScenario) -> BaselineProbe:
     """Run the scenario fault-free and collect its phase announcements.
 
-    Raises :class:`ChaosError` if the baseline itself does not complete or
-    fails its own answer oracle — a campaign over a broken baseline would
+    Raises :class:`ChaosError` if the baseline itself crashes, does not
+    complete or fails its own answer oracle — a campaign over a broken baseline would
     report noise.
     """
     inst = scenario.make()
@@ -176,7 +176,15 @@ def probe_baseline(scenario: ChaosScenario) -> BaselineProbe:
         trace=trace,
         name="chaos-baseline",
     )
-    result = job.run()
+    try:
+        result = job.run()
+    except SimError as err:
+        # a rank raised: typically a protocol that cannot be constructed on
+        # this configuration (group too small for its parity, ...)
+        raise ChaosError(
+            f"baseline run of scenario {scenario.name!r} {scenario.params} "
+            f"crashed: {err}"
+        ) from err
     if not result.completed:
         raise ChaosError(
             f"baseline run of scenario {scenario.name!r} did not complete: "

@@ -41,8 +41,7 @@ from repro.ckpt.protocol import (
     Checkpointer,
     RestoreReport,
 )
-from repro.ckpt.single import SingleCheckpoint
-from repro.ckpt.double import DoubleCheckpoint
+from repro.ckpt.double import DoubleCheckpoint, SingleCheckpoint
 from repro.ckpt.self_ckpt import SelfCheckpoint, SelfCheckpointRS
 from repro.ckpt.incremental import IncrementalCheckpoint
 from repro.ckpt.buddy import BuddyCheckpoint

@@ -4,45 +4,42 @@ The state of the art the paper measures against is FTC-Charm++'s buddy
 scheme: ranks are paired; each keeps one checkpoint copy in its own memory
 and mirrors a second copy into its buddy's memory.  Either copy alone
 restores the pair after a single node loss — no encoding mathematics at
-all, just replication.  The price is the paper's headline complaint:
-two full copies leave only ~1/3 of memory for the application ("This
-scheme can only use one third of the memory", §7).
+all, just replication.
 
-Like our group-encoded :class:`~repro.ckpt.double.DoubleCheckpoint`, two
-alternating slots make the update window safe; slot validity is judged
-world-wide so all pairs restore the same epoch.
+This is the slotted lifecycle of :mod:`repro.ckpt.double` at two slots —
+the same update sequence, world-wide slot validity and restore — with the
+buddy's mirror in place of the checksum; only the two steps that move
+bytes between members differ.
 
-Memory per rank: 2 slots x (own copy + buddy's copy) = 4 checkpoint-sized
-buffers?  No — each *slot* holds one local copy of our data and one mirror
-of the buddy's, and the two slots alternate, so the steady state is
-2 x (M_local + M_buddy) / ... with equal sizes: 2M per slot-pair member,
-i.e. the same 1/3 availability as the encoded double scheme at group size
-2 (Eq. 3 with N=2 gives (N-1)/(3N-1) = 1/5; replication does better than
-encoding at N=2 because no checksum slot is needed: U = 1/3).
+Memory per rank: 2 slots x (own copy + buddy's mirror) = four
+checkpoint-sized buffers beside the workspace, so 1/5 of memory is left
+for the application — identical to the encoded double scheme at group
+size 2 (Eq. 3 with N = 2: (N-1)/(3N-1) = 1/5; the XOR parity of a
+one-stripe row *is* a copy).  The paper's "This scheme can only use one
+third of the memory" (§7) describes [38]'s layout, which keeps a single
+slot: workspace + own copy + mirror.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport
-from repro.sim.errors import UnrecoverableError
-
-# control layout: [magic, c0, b0, c1, b1] (c = mirror sent, b = local done)
-_C = (1, 3)
-_B = (2, 4)
+from repro.ckpt.double import SlottedCheckpoint
 
 
-class BuddyCheckpoint(Checkpointer):
+class BuddyCheckpoint(SlottedCheckpoint):
     """Pairwise replicated double checkpoint (FTC-Charm++ style).
 
     Requires groups of exactly 2 (use ``group_size=2`` in the manager).
     """
 
-    N_FLAGS = 4
     METHOD = "buddy"
+    N_SLOTS = 2
+    #: my local copy and my buddy's mirror — the redundancy segment is
+    #: mirror-sized as it stands: a group of two has M/(N-1) = M of checksum
+    KINDS = ("L", "M")
 
     def __init__(self, *args, **kwargs):
         kwargs.pop("op", None)  # replication needs no encoding operator
@@ -53,161 +50,32 @@ class BuddyCheckpoint(Checkpointer):
                 f"(got {self.group.size})"
             )
 
-    def _alloc_array(self, name: str, shape, dtype) -> np.ndarray:
-        arr = np.zeros(shape, dtype=dtype)
-        self.ctx.malloc(arr.nbytes)
-        return arr
-
-    def _create_segments(self) -> None:
-        self._ctrl = self._make_ctrl()
-        # two alternating slots, each holding my copy and my buddy's mirror
-        self._mine = [
-            self.ctx.shm_create(
-                self._seg(f"L{s}"), self._padded, np.uint8, exist_ok=True
-            ).array
-            for s in (0, 1)
-        ]
-        self._mirror = [
-            self.ctx.shm_create(
-                self._seg(f"M{s}"), self._padded, np.uint8, exist_ok=True
-            ).array
-            for s in (0, 1)
-        ]
-
-    @property
-    def overhead_bytes(self) -> int:
-        return (
-            sum(b.nbytes for b in self._mine)
-            + sum(b.nbytes for b in self._mirror)
-            + self._ctrl.nbytes
-        )
-
     @property
     def buddy(self) -> int:
         return 1 - self.group.rank
 
-    def _epoch(self) -> int:
-        return max(int(self._ctrl[i]) for i in (*_C, *_B))
+    def _protect_span(self):
+        return self.ctx.span("ckpt.exchange", buddy=self.buddy, nbytes=int(self._padded))
 
-    def checkpoint(self) -> CheckpointInfo:
-        self._require_committed()
-        ctx = self.ctx
-        e = self._epoch() + 1
-        slot = e % 2
-
-        with ctx.span("ckpt", epoch=e, method=self.METHOD, slot=slot):
-            ctx.phase("ckpt.begin")
-            self.ckpt_world_entry_barrier()
-            self._ctrl[_C[slot]] = e  # slot dirty
-            ctx.phase("ckpt.update")
-
-            # exchange full copies with the buddy (the replication "encode")
-            with ctx.span("ckpt.exchange", buddy=self.buddy, nbytes=int(self._padded)):
-                flat = self._pack_flat()
-                theirs = self.group.sendrecv(
-                    flat, dest=self.buddy, source=self.buddy, sendtag=e, recvtag=e
-                )
-                self._mirror[slot][:] = theirs
-                ctx.phase("ckpt.update.mid")
-
-            with ctx.span("ckpt.commit", nbytes=int(flat.nbytes)):
-                self.ctx.world.barrier()
-                self._mine[slot][:] = flat
-                flush_s = self._charge_copy(2 * flat.nbytes)
-                self._ctrl[_B[slot]] = e
-                ctx.phase("ckpt.flush")
-                self.ctx.world.barrier()
-                ctx.phase("ckpt.done")
-
-        self.n_checkpoints += 1
-        # "encode" time here is the pairwise exchange, already charged by
-        # sendrecv; report the nominal transfer time for stats symmetry
-        exch = self.group.net.p2p_time(int(flat.nbytes), contended=True)
-        self.total_encode_seconds += exch
-        self.total_flush_seconds += flush_s
-        return CheckpointInfo(
-            epoch=e,
-            protected_bytes=self._padded,
-            checksum_bytes=self._padded,  # the mirror IS the redundancy
-            encode_seconds=exch,
-            flush_seconds=flush_s,
+    def _protect(self, flat: np.ndarray, epoch: int, mirror: np.ndarray) -> Tuple[float, int]:
+        """Exchange full copies with the buddy (the replication "encode")."""
+        mirror[:] = self.group.sendrecv(
+            flat, dest=self.buddy, source=self.buddy, sendtag=epoch, recvtag=epoch
         )
+        # sendrecv charged the exchange already; report the nominal
+        # transfer time for stats symmetry with the encoded schemes
+        return self.group.net.p2p_time(int(flat.nbytes), contended=True), mirror.nbytes
 
-    def try_restore(self) -> Optional[RestoreReport]:
-        self._require_committed()
-        epochs = (
-            tuple(int(self._ctrl[i]) for i in (1, 2, 3, 4))
-            if self._had_state
-            else (0, 0, 0, 0)
-        )
-        statuses = self._exchange_status(epochs, self._had_state)
-        if not any(s.has_state for s in statuses):
-            return None
-        missing = self._group_missing(statuses)
-        if len(missing) > 1:
-            raise UnrecoverableError(
-                "both buddies lost — replication tolerates one per pair"
+    def _rebuild(self, mine: np.ndarray, mirror: np.ndarray, missing: List[int]) -> None:
+        if not missing:
+            return
+        if self.group.rank in missing:
+            # my copy is on my buddy: it sends both my data (its mirror)
+            # and its own data (so my mirror of IT is rebuilt too)
+            mine[:], mirror[:] = self.group.recv(self.buddy, tag=999)
+        else:
+            self.group.send(
+                (np.array(mirror, copy=True), np.array(mine, copy=True)),
+                dest=self.buddy,
+                tag=999,
             )
-
-        # slot validity judged world-wide, as in the encoded double scheme
-        valid: dict = {}
-        for slot in (0, 1):
-            cs = {s.epochs[2 * slot] for s in statuses if s.has_state}
-            bs = {s.epochs[2 * slot + 1] for s in statuses if s.has_state}
-            if cs == bs and len(cs) == 1:
-                valid[slot] = cs.pop()
-        if not valid:
-            raise UnrecoverableError("both buddy slots inconsistent")
-        slot, epoch = max(valid.items(), key=lambda kv: kv[1])
-        if epoch == 0:
-            self._reset_flags()
-            return None
-
-        ctx = self.ctx
-        me = self.group.rank
-        with ctx.span("restore", epoch=epoch, source="checkpoint", missing=len(missing)):
-            ctx.phase("restore.begin")
-            # normalize flags: the interrupted slot's stale dirty marks would
-            # otherwise make ranks disagree on the next epoch/slot (the
-            # replacement starts with zeroed flags); wipe anything that is not
-            # the restored slot's clean epoch
-            other = 1 - slot
-            if (
-                self._ctrl[_C[other]] != self._ctrl[_B[other]]
-                or int(self._ctrl[_C[other]]) >= epoch
-            ):
-                self._ctrl[_C[other]] = 0
-                self._ctrl[_B[other]] = 0
-            with ctx.span("restore.rebuild"):
-                if missing:
-                    lost = missing[0]
-                    if me == lost:
-                        # my copy is on my buddy: it sends both my data (its mirror)
-                        # and its own data (so my mirror of IT is rebuilt too)
-                        my_data, buddy_data = self.group.recv(self.buddy, tag=999)
-                        self._mine[slot][:] = my_data
-                        self._mirror[slot][:] = buddy_data
-                        self._ctrl[_C[slot]] = epoch
-                        self._ctrl[_B[slot]] = epoch
-                    else:
-                        self.group.send(
-                            (
-                                np.array(self._mirror[slot], copy=True),
-                                np.array(self._mine[slot], copy=True),
-                            ),
-                            dest=lost,
-                            tag=999,
-                        )
-            with ctx.span("restore.commit"):
-                self.local = self.layout.unpack_into(self._mine[slot], self._arrays)
-                self._charge_copy(self._mine[slot].nbytes)
-                self.ctx.world.barrier()
-                ctx.phase("restore.done")
-
-        self.n_restores += 1
-        return RestoreReport(
-            epoch=epoch,
-            source="checkpoint",
-            reconstructed=tuple(missing),
-            local=dict(self.local),
-        )

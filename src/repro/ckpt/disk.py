@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +55,8 @@ PFS = BlockDevice(name="pfs", write_Bps=10e9, read_Bps=12e9, latency_s=2e-2)
 
 
 class StableImageStore:
-    """Epoch-tagged checkpoint images in the cluster's stable store.
+    """One rank's epoch-tagged checkpoint images on a block device, kept in
+    the cluster's non-volatile stable store.
 
     A failure can strike while some ranks have written image ``e`` and
     others are still at ``e-1``; restoring each rank's *latest* image would
@@ -66,19 +67,50 @@ class StableImageStore:
     checkpoint entry enforces.
     """
 
-    def __init__(self, store: Dict[str, Any], prefix: str, rank: int):
-        self._store = store
-        self._prefix = f"{prefix}.r{rank}"
+    def __init__(
+        self,
+        ctx: RankContext,
+        device: BlockDevice,
+        prefix: str,
+        ranks_sharing: Optional[int] = None,
+    ):
+        self.ctx = ctx
+        self.device = device
+        self._store: Dict[str, Any] = ctx.job.cluster.stable_store
+        self._prefix = f"{prefix}.r{ctx.rank}"
+        self._ranks_sharing = ranks_sharing
 
     def _key(self, epoch: int) -> str:
         return f"{self._prefix}.e{epoch}"
 
-    def put(self, epoch: int, blob: bytes) -> None:
+    def _sharing(self) -> int:
+        """Ranks the device's bandwidth is divided between: this node's."""
+        if self._ranks_sharing is not None:
+            return self._ranks_sharing
+        job = self.ctx.job
+        return len(job.cluster.ranks_on_node(job.ranklist, self.ctx.node.node_id))
+
+    def save(self, epoch: int, flat: np.ndarray) -> Tuple[float, int]:
+        """Write ``flat`` as the image of ``epoch``, charging the device
+        time.  Returns ``(seconds, image bytes)``."""
+        blob = pickle.dumps(
+            {"flat": flat, "epoch": epoch}, protocol=pickle.HIGHEST_PROTOCOL
+        )
+        t = self.device.write_time(len(blob), self._sharing())
+        self.ctx.elapse(t)
         self._store[self._key(epoch)] = blob
         self._store.pop(self._key(epoch - 2), None)
+        return t, len(blob)
 
-    def get(self, epoch: int) -> Optional[bytes]:
-        return self._store.get(self._key(epoch))
+    def load(self, epoch: int) -> np.ndarray:
+        """Read back the flat buffer of ``epoch``, charging the device time."""
+        blob = self._store.get(self._key(epoch))
+        if blob is None:  # epoch skew exceeded one: cannot happen with the
+            raise RuntimeError(  # entry barrier, but fail loudly if it does
+                f"rank {self.ctx.rank} lost checkpoint epoch {epoch}"
+            )
+        self.ctx.elapse(self.device.read_time(len(blob), self._sharing()))
+        return pickle.loads(blob)["flat"]
 
     def latest_epoch(self) -> int:
         best = 0
@@ -115,21 +147,11 @@ class DiskCheckpoint:
         self.local: Dict[str, Any] = {}
         self._arrays: Dict[str, np.ndarray] = {}
         self._committed = False
-        self._ranks_sharing = ranks_sharing
         self._epoch = 0
-        self._images = StableImageStore(
-            ctx.job.cluster.stable_store, prefix, ctx.rank
-        )
+        self._images = StableImageStore(ctx, device, prefix, ranks_sharing)
         self.n_checkpoints = 0
         self.n_restores = 0
         self.total_write_seconds = 0.0
-
-    def _sharing(self) -> int:
-        if self._ranks_sharing is not None:
-            return self._ranks_sharing
-        return self.ctx.job.cluster.ranks_on_node(
-            self.ctx.job.ranklist, self.ctx.node.node_id
-        ).__len__()
 
     # -- same registration surface as the in-memory protocols ---------------------
     def alloc(self, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -162,25 +184,22 @@ class DiskCheckpoint:
         if not self._committed:
             raise RuntimeError("call commit() first")
         ctx = self.ctx
-        ctx.phase("ckpt.begin")
-        # entry barrier bounds the epoch skew between ranks to one, which is
-        # what lets a restart agree on a common image (StableImageStore)
-        ctx.world.barrier()
         epoch = self._epoch + 1
-        flat = self.layout.pack(self._arrays, self.local)
-        blob = pickle.dumps(
-            {"flat": flat, "epoch": epoch}, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        t = self.device.write_time(len(blob), self._sharing())
-        ctx.elapse(t)
-        self._images.put(epoch, blob)
-        self._epoch = epoch
-        ctx.phase("ckpt.flush")
+        with ctx.span("ckpt", epoch=epoch, method=self.METHOD):
+            ctx.phase("ckpt.begin")
+            # entry barrier bounds the epoch skew between ranks to one, which is
+            # what lets a restart agree on a common image (StableImageStore)
+            ctx.world.barrier()
+            with ctx.span("ckpt.commit", nbytes=int(self.protected_bytes)):
+                flat = self.layout.pack(self._arrays, self.local)
+                t, image_bytes = self._images.save(epoch, flat)
+                self._epoch = epoch
+                ctx.phase("ckpt.flush")
         self.n_checkpoints += 1
         self.total_write_seconds += t
         return CheckpointInfo(
             epoch=epoch,
-            protected_bytes=len(blob),
+            protected_bytes=image_bytes,
             checksum_bytes=0,
             encode_seconds=0.0,
             flush_seconds=t,
@@ -194,16 +213,13 @@ class DiskCheckpoint:
         target = self.ctx.world.allreduce_obj(self._images.latest_epoch(), min)
         if target == 0:
             return None
-        blob = self._images.get(target)
-        if blob is None:  # epoch skew exceeded one: cannot happen with the
-            raise RuntimeError(  # entry barrier, but fail loudly if it does
-                f"rank {self.ctx.rank} lost checkpoint epoch {target}"
-            )
-        t = self.device.read_time(len(blob), self._sharing())
-        self.ctx.elapse(t)
-        payload = pickle.loads(blob)
-        self.local = self.layout.unpack_into(payload["flat"], self._arrays)
-        self._epoch = target
+        with self.ctx.span(
+            "restore", epoch=target, method=self.METHOD, source="disk", missing=0
+        ):
+            with self.ctx.span("restore.commit"):
+                flat = self._images.load(target)
+                self.local = self.layout.unpack_into(flat, self._arrays)
+                self._epoch = target
         self.n_restores += 1
         return RestoreReport(
             epoch=target,

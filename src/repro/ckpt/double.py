@@ -1,120 +1,122 @@
-"""Double in-memory checkpoint (paper Fig. 3) — the state of the art.
+"""The slotted in-memory checkpoints (paper Figs. 2-3): single and double.
 
-Two alternating (checkpoint, checksum) slots; each update overwrites the
-*older* slot, so one consistent pair always survives a failure mid-update.
-Fully fault tolerant like self-checkpoint, but the second full copy caps
-available memory at (N-1)/(3N-1) — barely a third — which is exactly the
-cost the paper eliminates.  This is the scheme the SCR-memory row of
-Table 3 and the Zheng et al. buddy system use.
+One protocol, parameterised by how many ``(checkpoint, checksum)`` slots it
+keeps (Table 1 compares the schemes by exactly that):
+
+* ``N_SLOTS = 1`` — :class:`SingleCheckpoint` (Fig. 2), the weak baseline.
+  ``B`` and ``C`` are updated **in place**, so a failure while the update
+  is in flight leaves the only pair inconsistent and the run is
+  unrecoverable — the paper's CASE 2.  Cheapest in memory (Eq. 4:
+  (N-1)/(2N-1) available).
+* ``N_SLOTS = 2`` — :class:`DoubleCheckpoint` (Fig. 3), the state of the
+  art.  Each update overwrites the *older* slot, so one consistent pair
+  always survives a failure mid-update.  Fully fault tolerant like
+  self-checkpoint, but the second full copy caps available memory at
+  (N-1)/(3N-1) — barely a third — which is exactly the cost the paper
+  eliminates.  This is the scheme the SCR-memory row of Table 3 uses.
+
+The control flags ``[magic, c0, b0, c1, b1 ...]`` make the vulnerable
+window observable: ``c_s`` is bumped *before* slot ``s``'s update starts
+(declaring it dirty) and ``b_s`` *after* its checkpoint lands.  A slot is
+restorable only when every survivor shows ``c_s == b_s`` at one common
+epoch.
+
+:class:`~repro.ckpt.buddy.BuddyCheckpoint` is the same lifecycle with a
+mirror in place of the checksum.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport
 from repro.sim.errors import UnrecoverableError
 
-# control layout: [magic, c0, b0, c1, b1]
-_C = (1, 3)
-_B = (2, 4)
 
+class SlottedCheckpoint(Checkpointer):
+    """``N_SLOTS`` alternating (copy, redundancy) pairs: the one update
+    sequence, validity rule and restore of the single, double and buddy
+    schemes."""
 
-class DoubleCheckpoint(Checkpointer):
-    """Two-copy in-memory checkpoint: fully fault tolerant, memory hungry."""
+    #: epoch ``e`` updates slot ``e mod N_SLOTS``
+    N_SLOTS: int
+    #: segment kinds of a slot's copy and of its redundancy
+    KINDS = ("B", "C")
 
-    N_FLAGS = 4
-    METHOD = "double"
+    @property
+    def N_FLAGS(self) -> int:
+        return 2 * self.N_SLOTS
 
-    def _alloc_array(self, name: str, shape, dtype) -> np.ndarray:
-        arr = np.zeros(shape, dtype=dtype)
-        self.ctx.malloc(arr.nbytes)
-        return arr
+    @staticmethod
+    def _flag_index(slot: int) -> Tuple[int, int]:
+        """Control-segment indices of slot ``slot``'s ``(c_s, b_s)`` flags."""
+        return 1 + 2 * slot, 2 + 2 * slot
 
     def _create_segments(self) -> None:
-        self._ctrl = self._make_ctrl()
-        self._b = [
-            self.ctx.shm_create(
-                self._seg(f"B{s}"), self._padded, np.uint8, exist_ok=True
-            ).array
-            for s in (0, 1)
-        ]
-        self._c = [
-            self.ctx.shm_create(
-                self._seg(f"C{s}"), self._cs_size, np.uint8, exist_ok=True
-            ).array
-            for s in (0, 1)
-        ]
+        # a lone slot keeps the paper's bare names B / C
+        slots = range(self.N_SLOTS) if self.N_SLOTS > 1 else ("",)
+        copy, redundancy = self.KINDS
+        self._b = [self._shm(f"{copy}{s}", self._padded) for s in slots]
+        self._c = [self._shm(f"{redundancy}{s}", self._cs_size) for s in slots]
 
     @property
     def overhead_bytes(self) -> int:
-        return (
-            sum(b.nbytes for b in self._b)
-            + sum(c.nbytes for c in self._c)
-            + self._ctrl.nbytes
-        )
+        return sum(seg.nbytes for seg in (*self._b, *self._c)) + self._ctrl.nbytes
 
-    def _epoch(self) -> int:
-        return max(int(self._ctrl[i]) for i in (*_C, *_B))
+    # -- protect: the step of the update that moves bytes between members
+    # (its restore counterpart is ``Checkpointer._rebuild``) ---------------------
+    def _protect_span(self):
+        """The span the protect step runs under."""
+        return self.ctx.span("ckpt.encode", nbytes=int(self._padded))
 
+    def _protect(self, flat: np.ndarray, epoch: int, redundancy: np.ndarray) -> Tuple[float, int]:
+        """Fill the slot's redundancy for ``flat``.  Returns the modelled
+        seconds (already charged) and the bytes it copied locally, which
+        the flush charges."""
+        enc = self.encoder.encode(flat)
+        redundancy[:] = enc.checksum
+        return enc.seconds, 0
+
+    # -- checkpoint ---------------------------------------------------------------
     def checkpoint(self) -> CheckpointInfo:
         self._require_committed()
         ctx = self.ctx
-        e = self._epoch() + 1
-        slot = e % 2  # overwrite the older slot
+        e = int(self._ctrl[1:].max()) + 1
+        slot = e % self.N_SLOTS  # overwrite the oldest slot
+        c_flag, b_flag = self._flag_index(slot)
 
         with ctx.span("ckpt", epoch=e, method=self.METHOD, slot=slot):
             ctx.phase("ckpt.begin")
             self.ckpt_world_entry_barrier()
-            self._ctrl[_C[slot]] = e  # slot is dirty from here
+            self._ctrl[c_flag] = e  # the slot is dirty from here on
             ctx.phase("ckpt.update")
 
-            with ctx.span("ckpt.encode", nbytes=int(self._padded)):
+            with self._protect_span():
                 flat = self._pack_flat()
-                enc = self.encoder.encode(flat)
-                self._c[slot][:] = enc.checksum
+                encode_s, copied = self._protect(flat, e, self._c[slot])
                 ctx.phase("ckpt.update.mid")
 
+            # the flush happens together system-wide (world barrier, keeping
+            # all groups' epochs aligned); a failure now catches peers
+            # mid-update
             with ctx.span("ckpt.commit", nbytes=int(flat.nbytes)):
                 self.ctx.world.barrier()
                 self._b[slot][:] = flat
-                flush_s = self._charge_copy(flat.nbytes)
-                self._ctrl[_B[slot]] = e
+                flush_s = self._charge_copy(flat.nbytes + copied)
+                self._ctrl[b_flag] = e
                 ctx.phase("ckpt.flush")
                 self.ctx.world.barrier()
                 ctx.phase("ckpt.done")
 
-        self.n_checkpoints += 1
-        self.total_encode_seconds += enc.seconds
-        self.total_flush_seconds += flush_s
-        return CheckpointInfo(
-            epoch=e,
-            protected_bytes=self._padded,
-            checksum_bytes=self._cs_size,
-            encode_seconds=enc.seconds,
-            flush_seconds=flush_s,
-        )
+        return self._checkpointed(e, encode_s, flush_s)
 
-    def _my_epochs(self) -> tuple:
-        return (
-            tuple(int(self._ctrl[i]) for i in (1, 2, 3, 4))
-            if self._had_state
-            else (0, 0, 0, 0)
-        )
-
-    def exchange_status(self):
-        """World status exchange (one collective); reusable by wrappers like
-        the multi-level tier that must pre-check feasibility."""
-        self._require_committed()
-        return self._exchange_status(self._my_epochs(), self._had_state)
-
-    @staticmethod
-    def valid_slots(statuses) -> dict:
+    # -- restore ------------------------------------------------------------------
+    def valid_slots(self, statuses) -> Dict[int, int]:
         """Slots on which every surviving rank agrees on one clean epoch."""
-        valid: dict[int, int] = {}
-        for slot in (0, 1):
+        valid: Dict[int, int] = {}
+        for slot in range(self.N_SLOTS):
             cs = {s.epochs[2 * slot] for s in statuses if s.has_state}
             bs = {s.epochs[2 * slot + 1] for s in statuses if s.has_state}
             if cs == bs and len(cs) == 1:
@@ -127,26 +129,29 @@ class DoubleCheckpoint(Checkpointer):
         rank of the world computes the same value for its own group."""
         if not any(s.has_state for s in statuses):
             return True  # fresh start is fine
-        if len(self._group_missing(statuses)) > 1:
+        if len(self._group_missing(statuses)) > self.PARITY:
             return False
         return bool(self.valid_slots(statuses))
 
     def try_restore(self, statuses=None) -> Optional[RestoreReport]:
+        """``statuses``: an already exchanged world status (the multi-level
+        tier pre-checks feasibility on it); exchanged here when absent."""
         self._require_committed()
         if statuses is None:
-            statuses = self.exchange_status()
+            statuses = self._exchange_status()
 
         if not any(s.has_state for s in statuses):
             return None
         missing = self._group_missing(statuses)
-        if len(missing) > 1:
-            raise UnrecoverableError(f"group lost {len(missing)} members")
+        self._check_tolerance(missing)
 
         valid = self.valid_slots(statuses)
         if not valid:
             raise UnrecoverableError(
-                "both double-checkpoint slots are inconsistent — this "
-                "requires more than one failure window"
+                f"no {self.METHOD}-checkpoint slot is consistent across the "
+                "survivors (failure during checkpoint update, with no "
+                "untouched slot left): flags="
+                f"{sorted({s.epochs for s in statuses if s.has_state})}"
             )
         slot, epoch = max(valid.items(), key=lambda kv: kv[1])
         if epoch == 0:
@@ -154,45 +159,44 @@ class DoubleCheckpoint(Checkpointer):
             return None
 
         ctx = self.ctx
-        me = self.group.rank
         with ctx.span("restore", epoch=epoch, source="checkpoint", missing=len(missing)):
             ctx.phase("restore.begin")
-            # normalize flags: the interrupted slot's stale dirty marks would
+            # normalize flags: an interrupted slot's stale dirty marks would
             # otherwise make ranks disagree on the next epoch/slot (the
             # replacement starts with zeroed flags); wipe anything that is not
-            # the restored slot's clean epoch
-            other = 1 - slot
-            if (
-                self._ctrl[_C[other]] != self._ctrl[_B[other]]
-                or int(self._ctrl[_C[other]]) >= epoch
-            ):
-                self._ctrl[_C[other]] = 0
-                self._ctrl[_B[other]] = 0
+            # a clean epoch older than the restored one
+            for other in range(self.N_SLOTS):
+                c_flag, b_flag = self._flag_index(other)
+                if other != slot and (
+                    self._ctrl[c_flag] != self._ctrl[b_flag]
+                    or int(self._ctrl[c_flag]) >= epoch
+                ):
+                    self._ctrl[c_flag] = 0
+                    self._ctrl[b_flag] = 0
             with ctx.span("restore.rebuild"):
-                if missing:
-                    lost = missing[0]
-                    if me == lost:
-                        rebuilt = self.encoder.recover(None, None, lost)
-                        assert rebuilt is not None
-                        self._b[slot][:], self._c[slot][:] = rebuilt
-                        self._ctrl[_C[slot]] = epoch
-                        self._ctrl[_B[slot]] = epoch
-                    else:
-                        self.encoder.recover(
-                            np.array(self._b[slot], copy=True),
-                            np.array(self._c[slot], copy=True),
-                            lost,
-                        )
+                self._rebuild(self._b[slot], self._c[slot], missing)
+                if self.group.rank in missing:
+                    c_flag, b_flag = self._flag_index(slot)
+                    self._ctrl[c_flag] = epoch
+                    self._ctrl[b_flag] = epoch
             with ctx.span("restore.commit"):
                 self.local = self.layout.unpack_into(self._b[slot], self._arrays)
                 self._charge_copy(self._b[slot].nbytes)
                 self.ctx.world.barrier()
                 ctx.phase("restore.done")
 
-        self.n_restores += 1
-        return RestoreReport(
-            epoch=epoch,
-            source="checkpoint",
-            reconstructed=tuple(missing),
-            local=dict(self.local),
-        )
+        return self._restored(epoch, "checkpoint", missing)
+
+
+class SingleCheckpoint(SlottedCheckpoint):
+    """Single-copy in-memory checkpoint: NOT fully fault tolerant."""
+
+    METHOD = "single"
+    N_SLOTS = 1
+
+
+class DoubleCheckpoint(SlottedCheckpoint):
+    """Two-copy in-memory checkpoint: fully fault tolerant, memory hungry."""
+
+    METHOD = "double"
+    N_SLOTS = 2

@@ -65,34 +65,16 @@ class IncrementalCheckpoint(Checkpointer):
         #: dirty-byte history, one entry per checkpoint (for the ablation)
         self.dirty_bytes_history: List[int] = []
 
-    # workspace in ordinary process memory; B is the SHM reference copy
-    def _alloc_array(self, name: str, shape, dtype) -> np.ndarray:
-        arr = np.zeros(shape, dtype=dtype)
-        self.ctx.malloc(arr.nbytes)
-        return arr
-
+    # the workspace is in ordinary process memory; B is the SHM reference copy
     def _create_segments(self) -> None:
-        self._ctrl = self._make_ctrl()
-        self._b = self.ctx.shm_create(
-            self._seg("B"), self._padded, np.uint8, exist_ok=True
-        ).array
-        self._c = self.ctx.shm_create(
-            self._seg("C"), self._cs_size, np.uint8, exist_ok=True
-        ).array
-        self._c_undo = self.ctx.shm_create(
-            self._seg("Cu"), self._cs_size, np.uint8, exist_ok=True
-        ).array
+        self._b = self._shm("B", self._padded)
+        self._c = self._shm("C", self._cs_size)
+        self._c_undo = self._shm("Cu", self._cs_size)
         n_pages = -(-self._padded // self.page_bytes)
         self._undo_capacity = max(1, int(n_pages * self.undo_fraction))
-        self._undo_pages = self.ctx.shm_create(
-            self._seg("U"),
-            (self._undo_capacity, self.page_bytes),
-            np.uint8,
-            exist_ok=True,
-        ).array
-        self._undo_index = self.ctx.shm_create(
-            self._seg("Ui"), self._undo_capacity + 1, np.int64, exist_ok=True
-        ).array  # [count, page indices...]
+        self._undo_pages = self._shm("U", (self._undo_capacity, self.page_bytes))
+        # [count, page indices...]
+        self._undo_index = self._shm("Ui", self._undo_capacity + 1, np.int64)
 
     @property
     def overhead_bytes(self) -> int:
@@ -138,63 +120,57 @@ class IncrementalCheckpoint(Checkpointer):
         e = int(self._ctrl[_U]) + 1
         pb = self.page_bytes
 
-        ctx.phase("ckpt.begin")
-        self.ckpt_world_entry_barrier()
+        with ctx.span("ckpt", epoch=e, method=self.METHOD):
+            ctx.phase("ckpt.begin")
+            self.ckpt_world_entry_barrier()
 
-        flat = self._pack_flat()
-        dirty = self._dirty_pages(flat)
-        dirty_bytes = int(len(dirty) * pb)
-        self.dirty_bytes_history.append(dirty_bytes)
-        if len(dirty) > self._undo_capacity:
-            raise UnrecoverableError(
-                f"rank {ctx.rank}: {len(dirty)} dirty pages exceed the undo "
-                f"capacity of {self._undo_capacity}; this application's "
-                "footprint defeats incremental checkpointing (raise "
-                "undo_fraction, or use the self/double protocols)"
-            )
+            flat = self._pack_flat()
+            dirty = self._dirty_pages(flat)
+            dirty_bytes = int(len(dirty) * pb)
+            self.dirty_bytes_history.append(dirty_bytes)
+            if len(dirty) > self._undo_capacity:
+                raise UnrecoverableError(
+                    f"rank {ctx.rank}: {len(dirty)} dirty pages exceed the undo "
+                    f"capacity of {self._undo_capacity}; this application's "
+                    "footprint defeats incremental checkpointing (raise "
+                    "undo_fraction, or use the self/double protocols)"
+                )
 
-        # delta buffer: new ^ old, zero outside dirty pages (XOR linearity)
-        delta = np.zeros(self._padded, dtype=np.uint8)
-        for p in dirty:
-            lo, hi = p * pb, min((p + 1) * pb, self._padded)
-            delta[lo:hi] = flat[lo:hi] ^ self._b[lo:hi]
-        enc = self.encoder.encode(delta, effective_bytes=dirty_bytes)
-        ctx.phase("ckpt.encode")
+            with ctx.span("ckpt.encode", nbytes=dirty_bytes):
+                # delta buffer: new ^ old, zero outside dirty pages (XOR linearity)
+                delta = np.zeros(self._padded, dtype=np.uint8)
+                for p in dirty:
+                    lo, hi = p * pb, min((p + 1) * pb, self._padded)
+                    delta[lo:hi] = flat[lo:hi] ^ self._b[lo:hi]
+                enc = self.encoder.encode(delta, effective_bytes=dirty_bytes)
+                ctx.phase("ckpt.encode")
 
-        # prepare the undo log, then license the in-place update world-wide
-        self._c_undo[:] = self._c
-        self._undo_index[0] = len(dirty)
-        for i, p in enumerate(dirty):
-            lo, hi = p * pb, min((p + 1) * pb, self._padded)
-            self._undo_index[1 + i] = p
-            self._undo_pages[i, : hi - lo] = self._b[lo:hi]
-        self.ctx.world.barrier()
-        self._ctrl[_U] = e
-        ctx.phase("ckpt.undo_ready")
+            with ctx.span("ckpt.commit", nbytes=2 * dirty_bytes + int(self._c.nbytes)):
+                # prepare the undo log, then license the in-place update world-wide
+                self._c_undo[:] = self._c
+                self._undo_index[0] = len(dirty)
+                for i, p in enumerate(dirty):
+                    lo, hi = p * pb, min((p + 1) * pb, self._padded)
+                    self._undo_index[1 + i] = p
+                    self._undo_pages[i, : hi - lo] = self._b[lo:hi]
+                self.ctx.world.barrier()
+                self._ctrl[_U] = e
+                ctx.phase("ckpt.undo_ready")
 
-        # in-place update of B and C (the vulnerable window the undo covers)
-        for p in dirty:
-            lo, hi = p * pb, min((p + 1) * pb, self._padded)
-            self._b[lo:hi] = flat[lo:hi]
-        self._c[:] = self._c ^ enc.checksum
-        flush_s = self._charge_copy(2 * dirty_bytes + self._c.nbytes)
-        self._ctrl[_B] = e
-        ctx.phase("ckpt.flush")
+                # in-place update of B and C (the vulnerable window the undo covers)
+                for p in dirty:
+                    lo, hi = p * pb, min((p + 1) * pb, self._padded)
+                    self._b[lo:hi] = flat[lo:hi]
+                self._c[:] = self._c ^ enc.checksum
+                flush_s = self._charge_copy(2 * dirty_bytes + self._c.nbytes)
+                self._ctrl[_B] = e
+                ctx.phase("ckpt.flush")
 
-        self.ctx.world.barrier()
-        self._ctrl[_R] = e
-        ctx.phase("ckpt.done")
+                self.ctx.world.barrier()
+                self._ctrl[_R] = e
+                ctx.phase("ckpt.done")
 
-        self.n_checkpoints += 1
-        self.total_encode_seconds += enc.seconds
-        self.total_flush_seconds += flush_s
-        return CheckpointInfo(
-            epoch=e,
-            protected_bytes=dirty_bytes,
-            checksum_bytes=self._cs_size,
-            encode_seconds=enc.seconds,
-            flush_seconds=flush_s,
-        )
+        return self._checkpointed(e, enc.seconds, flush_s, protected_bytes=dirty_bytes)
 
     # -- restore ---------------------------------------------------------------------
     def _rollback(self) -> None:
@@ -210,17 +186,11 @@ class IncrementalCheckpoint(Checkpointer):
 
     def try_restore(self) -> Optional[RestoreReport]:
         self._require_committed()
-        epochs = (
-            (int(self._ctrl[_U]), int(self._ctrl[_B]), int(self._ctrl[_R]))
-            if self._had_state
-            else (0, 0, 0)
-        )
-        statuses = self._exchange_status(epochs, self._had_state)
+        statuses = self._exchange_status()
         if not any(s.has_state for s in statuses):
             return None
         missing = self._group_missing(statuses)
-        if len(missing) > 1:
-            raise UnrecoverableError(f"group lost {len(missing)} members")
+        self._check_tolerance(missing)
 
         e_u = self._world_max(statuses, 0)
         e_r = self._world_max(statuses, 2)
@@ -241,30 +211,19 @@ class IncrementalCheckpoint(Checkpointer):
             self._reset_flags()
             return None
 
-        me = self.group.rank
-        if missing:
-            if me in missing:
-                rebuilt = self.encoder.recover(None, None, missing[0])
-                assert rebuilt is not None
-                self._b[:], self._c[:] = rebuilt
-                self._ctrl[_U] = epoch
-                self._ctrl[_B] = epoch
-            else:
-                self.encoder.recover(
-                    np.array(self._b, copy=True),
-                    np.array(self._c, copy=True),
-                    missing[0],
-                )
-        self.local = self.layout.unpack_into(self._b, self._arrays)
-        self._charge_copy(self._b.nbytes)
-        self._ctrl[_R] = epoch
-        self.ctx.world.barrier()
-        ctx.phase("restore.done")
+        with ctx.span(
+            "restore", epoch=epoch, method=self.METHOD, source="checkpoint", missing=len(missing)
+        ):
+            with ctx.span("restore.rebuild"):
+                self._rebuild(self._b, self._c, missing)
+                if self.group.rank in missing:
+                    self._ctrl[_U] = epoch
+                    self._ctrl[_B] = epoch
+            with ctx.span("restore.commit"):
+                self.local = self.layout.unpack_into(self._b, self._arrays)
+                self._charge_copy(self._b.nbytes)
+                self._ctrl[_R] = epoch
+                self.ctx.world.barrier()
+                ctx.phase("restore.done")
 
-        self.n_restores += 1
-        return RestoreReport(
-            epoch=epoch,
-            source="checkpoint",
-            reconstructed=tuple(missing),
-            local=dict(self.local),
-        )
+        return self._restored(epoch, "checkpoint", missing)

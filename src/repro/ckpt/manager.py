@@ -25,14 +25,13 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.ckpt.disk import BlockDevice, DiskCheckpoint, HDD, SSD
-from repro.ckpt.double import DoubleCheckpoint
+from repro.ckpt.double import DoubleCheckpoint, SingleCheckpoint
 from repro.ckpt.buddy import BuddyCheckpoint
 from repro.ckpt.grouping import GroupLayout, partition_groups
 from repro.ckpt.incremental import IncrementalCheckpoint
 from repro.ckpt.multilevel import MultiLevelCheckpoint
 from repro.ckpt.protocol import CheckpointInfo, RestoreReport
 from repro.ckpt.self_ckpt import SelfCheckpoint, SelfCheckpointRS
-from repro.ckpt.single import SingleCheckpoint
 from repro.sim.mpi import Communicator
 from repro.sim.runtime import RankContext
 
@@ -47,6 +46,19 @@ METHODS = (
     "disk-ssd",
     "multilevel",
 )
+
+#: the group-encoded methods' protocol classes
+_PROTOCOLS = {
+    "self": SelfCheckpoint,
+    "self-rs": SelfCheckpointRS,
+    "single": SingleCheckpoint,
+    "double": DoubleCheckpoint,
+    "buddy": BuddyCheckpoint,
+    "incremental": IncrementalCheckpoint,
+    "multilevel": MultiLevelCheckpoint,
+}
+#: the disk methods' default devices (no encoding group needed)
+_DEVICES = {"disk-hdd": HDD, "disk-ssd": SSD}
 
 
 class CheckpointManager:
@@ -79,9 +91,8 @@ class CheckpointManager:
         if method.startswith("disk"):
             self.group_layout: Optional[GroupLayout] = None
             self.group: Optional[Communicator] = None
-            dev = device or (HDD if method == "disk-hdd" else SSD)
             self._impl = DiskCheckpoint(
-                ctx, dev, prefix=prefix, a2_capacity=a2_capacity
+                ctx, device or _DEVICES[method], prefix=prefix, a2_capacity=a2_capacity
             )
         else:
             self.group_layout = partition_groups(
@@ -101,33 +112,13 @@ class CheckpointManager:
                 # tests) that must run a custom — even deliberately broken —
                 # protocol variant through the standard grouping machinery
                 self._impl = protocol_factory(ctx, self.group, **kwargs)
-            elif method == "self":
-                self._impl = SelfCheckpoint(ctx, self.group, **kwargs)
-            elif method == "self-rs":
-                self._impl = SelfCheckpointRS(ctx, self.group, **kwargs)
-            elif method == "single":
-                self._impl = SingleCheckpoint(ctx, self.group, **kwargs)
-            elif method == "double":
-                self._impl = DoubleCheckpoint(ctx, self.group, **kwargs)
-            elif method == "buddy":
-                self._impl = BuddyCheckpoint(ctx, self.group, **kwargs)
-            elif method == "incremental":
-                self._impl = IncrementalCheckpoint(
-                    ctx,
-                    self.group,
-                    page_bytes=page_bytes,
-                    undo_fraction=undo_fraction,
-                    **kwargs,
-                )
-            else:  # multilevel
-                self._impl = MultiLevelCheckpoint(
-                    ctx,
-                    self.group,
-                    device=device or HDD,
-                    flush_every=flush_every,
-                    op=op,
-                    prefix=f"{prefix}.g{gid}",
-                    a2_capacity=a2_capacity,
+            else:
+                extra = {
+                    "incremental": dict(page_bytes=page_bytes, undo_fraction=undo_fraction),
+                    "multilevel": dict(device=device or HDD, flush_every=flush_every),
+                }
+                self._impl = _PROTOCOLS[method](
+                    ctx, self.group, **kwargs, **extra.get(method, {})
                 )
 
     # -- delegated surface ---------------------------------------------------------

@@ -11,10 +11,7 @@ Restore prefers the in-memory level and falls back to disk.
 
 from __future__ import annotations
 
-import pickle
-from typing import Any, Dict, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.ckpt.disk import BlockDevice, HDD, StableImageStore
 from repro.ckpt.double import DoubleCheckpoint
@@ -23,8 +20,12 @@ from repro.sim.mpi import Communicator
 from repro.sim.runtime import RankContext
 
 
-class MultiLevelCheckpoint:
+class MultiLevelCheckpoint(DoubleCheckpoint):
     """Memory (level 1, double-copy) + device (level 2) checkpointing.
+
+    Level 1 *is* the double scheme — its segments, flags, spans (stamped
+    ``method="double"``) and layout magic, under the ``<prefix>.L1`` name
+    space; this class adds the level-2 image beneath it.
 
     Parameters
     ----------
@@ -32,8 +33,6 @@ class MultiLevelCheckpoint:
         Every ``flush_every``-th checkpoint is also written to the device
         (SCR's "checkpoint frequency by level" knob).
     """
-
-    METHOD = "multilevel"
 
     def __init__(
         self,
@@ -48,65 +47,19 @@ class MultiLevelCheckpoint:
     ):
         if flush_every < 1:
             raise ValueError("flush_every must be >= 1")
-        self.ctx = ctx
-        self.device = device
-        self.flush_every = flush_every
-        self.prefix = prefix
-        self._mem = DoubleCheckpoint(
+        super().__init__(
             ctx, group_comm, op=op, prefix=f"{prefix}.L1", a2_capacity=a2_capacity
         )
-        self._images = StableImageStore(
-            ctx.job.cluster.stable_store, f"{prefix}.L2", ctx.rank
-        )
+        self.device = device
+        self.flush_every = flush_every
+        self._images = StableImageStore(ctx, device, f"{prefix}.L2")
         self.n_level2 = 0
         self.total_level2_seconds = 0.0
 
-    # delegate the registration surface to the level-1 protocol
-    def alloc(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        return self._mem.alloc(name, shape, dtype)
-
-    def array(self, name: str) -> np.ndarray:
-        return self._mem.array(name)
-
-    def commit(self) -> None:
-        self._mem.commit()
-
-    @property
-    def local(self) -> Dict[str, Any]:
-        return self._mem.local
-
-    @local.setter
-    def local(self, value: Dict[str, Any]) -> None:
-        self._mem.local = value
-
-    @property
-    def overhead_bytes(self) -> int:
-        return self._mem.overhead_bytes
-
-    @property
-    def protected_bytes(self) -> int:
-        return self._mem.protected_bytes
-
-    @property
-    def n_checkpoints(self) -> int:
-        return self._mem.n_checkpoints
-
     def checkpoint(self) -> CheckpointInfo:
-        info = self._mem.checkpoint()
-        if self._mem.n_checkpoints % self.flush_every == 0:
-            flat = self._mem._pack_flat()
-            blob = pickle.dumps(
-                {"flat": flat, "epoch": info.epoch},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            sharing = len(
-                self.ctx.job.cluster.ranks_on_node(
-                    self.ctx.job.ranklist, self.ctx.node.node_id
-                )
-            )
-            t = self.device.write_time(len(blob), sharing)
-            self.ctx.elapse(t)
-            self._images.put(info.epoch, blob)
+        info = super().checkpoint()
+        if self.n_checkpoints % self.flush_every == 0:
+            t, _ = self._images.save(info.epoch, self._pack_flat())
             self.ctx.phase("ckpt.level2")
             self.n_level2 += 1
             self.total_level2_seconds += t
@@ -120,39 +73,29 @@ class MultiLevelCheckpoint:
         world-wide first: if any group cannot recover from memory, every
         rank falls back to the level-2 image together.
         """
+        self._require_committed()
         world = self.ctx.world
-        statuses = self._mem.exchange_status()
-        mem_ok = self._mem.restore_feasible(statuses)
+        statuses = self._exchange_status()
+        mem_ok = self.restore_feasible(statuses)
         all_mem_ok = world.allreduce_obj(mem_ok, lambda a, b: a and b)
         if all_mem_ok:
-            return self._mem.try_restore(statuses=statuses)
+            return super().try_restore(statuses)
         # level-2 target: the newest image every rank holds (0 = none)
         target = world.allreduce_obj(self._images.latest_epoch(), min)
         if target == 0:
             # neither level is whole: reset level-1 flags so the next run
             # starts from a clean epoch-0 state
-            self._mem._ctrl[1:] = 0
+            self._reset_flags()
             return None
 
-        blob = self._images.get(target)
-        payload = pickle.loads(blob)
-        sharing = len(
-            self.ctx.job.cluster.ranks_on_node(
-                self.ctx.job.ranklist, self.ctx.node.node_id
-            )
-        )
-        self.ctx.elapse(self.device.read_time(len(blob), sharing))
-        self._mem.local = self._mem.layout.unpack_into(
-            payload["flat"], self._mem._arrays
-        )
-        # the level-1 slots no longer match the restored state: reset their
-        # flags so future checkpoints rebuild from epoch 1 consistently
-        self._mem._ctrl[1:] = 0
-        world.barrier()
-        self.ctx.phase("restore.level2")
-        return RestoreReport(
-            epoch=payload["epoch"],
-            source="disk",
-            reconstructed=(),
-            local=dict(self._mem.local),
-        )
+        n_missing = len(self._group_missing(statuses))
+        with self.ctx.span("restore", epoch=target, source="disk", missing=n_missing):
+            with self.ctx.span("restore.commit"):
+                self.local = self.layout.unpack_into(self._images.load(target), self._arrays)
+                # the level-1 slots no longer match the restored state: reset
+                # their flags so future checkpoints rebuild from epoch 1
+                # consistently
+                self._reset_flags()
+                world.barrier()
+                self.ctx.phase("restore.level2")
+        return self._restored(target, "disk")

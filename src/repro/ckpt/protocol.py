@@ -25,13 +25,13 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ckpt.encoding import GroupEncoder
 from repro.ckpt.state import StateLayout
-from repro.sim.errors import ShmError
+from repro.sim.errors import ShmError, UnrecoverableError
 from repro.sim.mpi import Communicator
 from repro.sim.runtime import RankContext
 
@@ -76,7 +76,11 @@ class _Status:
 
 
 class Checkpointer(ABC):
-    """Base class: naming, layout agreement, control flags, statistics."""
+    """Base class — everything the protocols share, once: segment naming
+    and creation, layout agreement, control flags and their world-wide
+    exchange, the tolerance check, the group rebuild, statistics and the
+    checkpoint / restore reports (docs/PROTOCOLS.md, "What a new protocol
+    supplies")."""
 
     #: subclass-specific number of epoch counters in the control segment
     N_FLAGS: int = 0
@@ -114,9 +118,14 @@ class Checkpointer(ABC):
         self.total_encode_seconds = 0.0
         self.total_flush_seconds = 0.0
 
-    # -- naming -----------------------------------------------------------------
+    # -- segments ---------------------------------------------------------------
     def _seg(self, kind: str) -> str:
         return f"{self.prefix}.r{self.ctx.rank}.{kind}"
+
+    def _shm(self, kind: str, shape, dtype=np.uint8) -> np.ndarray:
+        """Create (or re-attach after a restart) this rank's SHM segment
+        ``kind`` and return its array."""
+        return self.ctx.shm_create(self._seg(kind), shape, dtype, exist_ok=True).array
 
     # -- registration -----------------------------------------------------------
     def alloc(self, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -128,9 +137,12 @@ class Checkpointer(ABC):
         self._arrays[name] = arr
         return arr
 
-    @abstractmethod
     def _alloc_array(self, name: str, shape, dtype) -> np.ndarray:
-        """Place one workspace array (SHM vs. process memory)."""
+        """Place one workspace array: ordinary process memory, lost on a
+        restart (self-checkpoint overrides this to keep it in SHM)."""
+        arr = np.zeros(shape, dtype=dtype)
+        self.ctx.malloc(arr.nbytes)
+        return arr
 
     def array(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -145,6 +157,7 @@ class Checkpointer(ABC):
         self._padded = self.encoder.padded_size(max(sizes))
         self._cs_size = self.encoder.checksum_size(self._padded)
         self._magic = self._compute_magic()
+        self._ctrl = self._make_ctrl()
         self._create_segments()
         self._committed = True
 
@@ -161,24 +174,23 @@ class Checkpointer(ABC):
 
     @abstractmethod
     def _create_segments(self) -> None:
-        """Create or re-attach this protocol's SHM segments."""
+        """Create or re-attach this protocol's data SHM segments (the
+        control segment ``self._ctrl`` already exists)."""
 
     def _make_ctrl(self) -> np.ndarray:
         """Create/attach the control segment: [magic, flag0, flag1, ...]."""
         pre_existing = self.ctx.shm_exists(self._seg("CTRL"))
-        seg = self.ctx.shm_create(
-            self._seg("CTRL"), 1 + self.N_FLAGS, np.int64, exist_ok=True
-        )
+        ctrl = self._shm("CTRL", 1 + self.N_FLAGS, np.int64)
         if pre_existing:
-            if int(seg.array[0]) != self._magic:
+            if int(ctrl[0]) != self._magic:
                 raise ShmError(
                     f"rank {self.ctx.rank}: checkpoint control segment has "
                     "mismatched layout magic — state layout changed between runs"
                 )
         else:
-            seg.array[0] = self._magic
+            ctrl[0] = self._magic
         self._had_state = pre_existing
-        return seg.array
+        return ctrl
 
     # -- shared helpers ------------------------------------------------------------
     def _require_committed(self) -> None:
@@ -195,7 +207,14 @@ class Checkpointer(ABC):
         self.ctx.elapse(t)
         return t
 
-    def _exchange_status(self, epochs: Tuple[int, ...], has_state: bool) -> List[_Status]:
+    def _flags(self) -> Tuple[int, ...]:
+        """This rank's epoch flags as of the restart — zeros on a rank
+        whose control segment did not survive."""
+        if not self._had_state:
+            return (0,) * self.N_FLAGS
+        return tuple(int(f) for f in self._ctrl[1:])
+
+    def _exchange_status(self) -> List[_Status]:
         """World-wide status exchange (indexed by **world** rank).
 
         The restore decision must be identical across *all* groups: groups
@@ -211,7 +230,8 @@ class Checkpointer(ABC):
         buffers must not feed a reconstruction, so it advertises itself as
         missing (and is rebuilt like any lost member).
         """
-        has_state = has_state and any(e != 0 for e in epochs)
+        epochs = self._flags()
+        has_state = any(e != 0 for e in epochs)
         raw = self.ctx.world.allgather(
             (has_state, self._magic if has_state else 0, epochs)
         )
@@ -224,6 +244,36 @@ class Checkpointer(ABC):
             for g, w in enumerate(self.group.members)
             if not statuses[w].has_state
         ]
+
+    def _check_tolerance(self, missing: List[int]) -> None:
+        """More lost members than the group's encoding has parities cannot
+        be rebuilt — refuse, never answer wrongly."""
+        if len(missing) > self.PARITY:
+            raise UnrecoverableError(
+                f"group lost {len(missing)} members ({missing}); this "
+                f"encoding tolerates {self.PARITY}"
+            )
+
+    def _do_recover(self, flat, checksum, missing: list):
+        """Group-reconstruct the missing members — the single call through
+        which every restore rebuilds.  Survivors pass their buffer and
+        checksum segment; missing members pass None and receive their
+        rebuilt ``(flat, checksum)``; survivors receive None."""
+        return self.encoder.recover(flat, checksum, missing)
+
+    def _rebuild(self, data: np.ndarray, checksum: np.ndarray, missing: List[int]) -> None:
+        """Make the group's ``(data, checksum)`` pair whole again, in
+        place: lost members receive theirs, survivors contribute copies."""
+        if not missing:
+            return
+        if self.group.rank in missing:
+            rebuilt = self._do_recover(None, None, missing)
+            assert rebuilt is not None
+            data[:], checksum[:] = rebuilt
+        else:
+            self._do_recover(
+                np.array(data, copy=True), np.array(checksum, copy=True), missing
+            )
 
     @staticmethod
     def _world_max(statuses: List[_Status], flag: int) -> int:
@@ -261,6 +311,32 @@ class Checkpointer(ABC):
     @abstractmethod
     def overhead_bytes(self) -> int:
         """Per-rank memory the protocol consumes beyond the workspace."""
+
+    # -- the tails every checkpoint() / try_restore() ends with ---------------------
+    def _checkpointed(
+        self, epoch: int, encode_s: float, flush_s: float, protected_bytes: Optional[int] = None
+    ) -> CheckpointInfo:
+        """Count one completed checkpoint and describe it."""
+        self.n_checkpoints += 1
+        self.total_encode_seconds += encode_s
+        self.total_flush_seconds += flush_s
+        return CheckpointInfo(
+            epoch=epoch,
+            protected_bytes=self._padded if protected_bytes is None else protected_bytes,
+            checksum_bytes=self._cs_size,
+            encode_seconds=encode_s,
+            flush_seconds=flush_s,
+        )
+
+    def _restored(self, epoch: int, source: str, missing: Sequence[int] = ()) -> RestoreReport:
+        """Count one completed restore and describe it."""
+        self.n_restores += 1
+        return RestoreReport(
+            epoch=epoch,
+            source=source,
+            reconstructed=tuple(missing),
+            local=dict(self.local),
+        )
 
     # -- the protocol API --------------------------------------------------------------
     @abstractmethod

@@ -57,7 +57,6 @@ import numpy as np
 
 from repro.ckpt import stripes
 from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport
-from repro.sim.errors import UnrecoverableError
 
 _F, _B, _R = 1, 2, 3  # control-segment flag indices (0 is the magic)
 
@@ -74,34 +73,15 @@ class SelfCheckpoint(Checkpointer):
         root spans (subclasses add their codec)."""
         return {"method": self.METHOD, "group": self.group.size}
 
-    def _do_recover(self, flat, checksum, missing: list):
-        """Group-reconstruct the missing members — the single call through
-        which both restore paths rebuild.  Survivors pass their buffer and
-        checksum segment; missing members pass None and receive their
-        rebuilt ``(flat, checksum)``; survivors receive None."""
-        return self.encoder.recover(flat, checksum, missing)
-
     # -- placement: the workspace lives in SHM ------------------------------------
     def _alloc_array(self, name: str, shape, dtype) -> np.ndarray:
-        seg = self.ctx.shm_create(
-            self._seg(f"A1.{name}"), shape, dtype, exist_ok=True
-        )
-        return seg.array
+        return self._shm(f"A1.{name}", shape, dtype)
 
     def _create_segments(self) -> None:
-        self._ctrl = self._make_ctrl()
-        self._b = self.ctx.shm_create(
-            self._seg("B"), self._padded, np.uint8, exist_ok=True
-        ).array
-        self._b2 = self.ctx.shm_create(
-            self._seg("B2"), 8 + self.layout.a2_capacity, np.uint8, exist_ok=True
-        ).array
-        self._c = self.ctx.shm_create(
-            self._seg("C"), self._cs_size, np.uint8, exist_ok=True
-        ).array
-        self._d = self.ctx.shm_create(
-            self._seg("D"), self._cs_size, np.uint8, exist_ok=True
-        ).array
+        self._b = self._shm("B", self._padded)
+        self._b2 = self._shm("B2", 8 + self.layout.a2_capacity)
+        self._c = self._shm("C", self._cs_size)
+        self._d = self._shm("D", self._cs_size)
 
     @property
     def overhead_bytes(self) -> int:
@@ -156,26 +136,12 @@ class SelfCheckpoint(Checkpointer):
                 self._ctrl[_R] = e
                 ctx.phase("ckpt.done")
 
-        self.n_checkpoints += 1
-        self.total_encode_seconds += encode_s
-        self.total_flush_seconds += flush_s
-        return CheckpointInfo(
-            epoch=e,
-            protected_bytes=self._padded,
-            checksum_bytes=self._cs_size,
-            encode_seconds=encode_s,
-            flush_seconds=flush_s,
-        )
+        return self._checkpointed(e, encode_s, flush_s)
 
     # -- restore -------------------------------------------------------------------------
     def try_restore(self) -> Optional[RestoreReport]:
         self._require_committed()
-        epochs = (
-            (int(self._ctrl[_F]), int(self._ctrl[_B]), int(self._ctrl[_R]))
-            if self._had_state
-            else (0, 0, 0)
-        )
-        statuses = self._exchange_status(epochs, self._had_state)
+        statuses = self._exchange_status()
 
         if not any(s.has_state for s in statuses):
             # brand-new system OR a failure before the first checkpoint
@@ -185,11 +151,7 @@ class SelfCheckpoint(Checkpointer):
             self._fresh_reset()
             return None
         missing = self._group_missing(statuses)
-        if len(missing) > self.PARITY:
-            raise UnrecoverableError(
-                f"group lost {len(missing)} members ({missing}); this "
-                f"encoding tolerates {self.PARITY}"
-            )
+        self._check_tolerance(missing)
 
         # world-wide flag maxima: every group takes the same branch
         e_f = self._world_max(statuses, 0)
@@ -197,9 +159,9 @@ class SelfCheckpoint(Checkpointer):
         e_r = self._world_max(statuses, 2)
 
         if e_f > e_r:
-            return self._restore_workspace_path(e_f, missing)
+            return self._restore(e_f, "workspace", missing)
         if e_b >= 1:
-            return self._restore_checkpoint_path(e_b, missing)
+            return self._restore(e_b, "checkpoint", missing)
         self._fresh_reset()
         return None
 
@@ -213,101 +175,55 @@ class SelfCheckpoint(Checkpointer):
             self._b2[:] = 0
             self._reset_flags()
 
-    def _restore_workspace_path(self, epoch: int, missing: list) -> RestoreReport:
-        """CASE 2 (Fig. 4): the flush was interrupted; the live workspace
-        A1/B2 plus the new checksum D are globally consistent."""
+    def _restore(self, epoch: int, source: str, missing: list) -> RestoreReport:
+        """Rebuild the lost members from the globally consistent pair, then
+        bring the other pair in line with it (Fig. 4).
+
+        ``source="workspace"`` — CASE 2, the flush was interrupted: the
+        live workspace A1 ‖ B2 plus the new checksum D are consistent;
+        afterwards complete the flush into (B, C).
+        ``source="checkpoint"`` — CASE 1, compute or encode was
+        interrupted: the committed (B, C) is consistent; afterwards roll
+        the workspace and D back to it.
+        """
         ctx = self.ctx
-        me = self.group.rank
+        from_workspace = source == "workspace"
+        a2 = self.layout.a2_region
         with ctx.span(
-            "restore", epoch=epoch, source="workspace", missing=len(missing), **self._span_attrs()
+            "restore", epoch=epoch, source=source, missing=len(missing), **self._span_attrs()
         ):
             ctx.phase("restore.begin")
 
             with ctx.span("restore.rebuild"):
-                if missing:
-                    if me in missing:
-                        rebuilt = self._do_recover(None, None, missing)
-                        assert rebuilt is not None
-                        flat, checksum = rebuilt
-                        self.local = self.layout.unpack_into(flat, self._arrays)
-                        self._b2[:] = flat[
-                            self.layout.raw_size - self._b2.nbytes : self.layout.raw_size
-                        ]
-                        self._d[:] = checksum
-                    else:
-                        flat = self._flat_from_workspace()
-                        self._do_recover(flat, np.array(self._d, copy=True), missing)
-                        self.local = self.layout.unpack_a2(self._b2)
+                if from_workspace:
+                    data, checksum = self._flat_from_workspace(), self._d
                 else:
-                    flat = self._flat_from_workspace()
+                    data, checksum = self._b, self._c
+                self._rebuild(data, checksum, missing)
+                if from_workspace:
+                    if self.group.rank in missing:
+                        self.layout.unpack_into(data, self._arrays)
+                        self._b2[:] = data[a2]
                     self.local = self.layout.unpack_a2(self._b2)
                 ctx.phase("restore.reconstruct")
 
-            # complete the interrupted flush so the steady state holds again
             with ctx.span("restore.commit"):
-                flat = self._flat_from_workspace() if missing and me in missing else flat
-                self._b[:] = flat
-                self._c[:] = self._d
-                self._charge_copy(flat.nbytes + self._d.nbytes)
+                if from_workspace:
+                    self._b[:] = data
+                    self._c[:] = self._d
+                    self._charge_copy(data.nbytes + self._d.nbytes)
+                else:
+                    self.local = self.layout.unpack_into(self._b, self._arrays)
+                    self._b2[:] = self._b[a2]
+                    self._d[:] = self._c
+                    self._charge_copy(self._b.nbytes)
                 self._ctrl[_F] = epoch
                 self._ctrl[_B] = epoch
                 self.ctx.world.barrier()
                 self._ctrl[_R] = epoch
                 ctx.phase("restore.done")
 
-        self.n_restores += 1
-        return RestoreReport(
-            epoch=epoch,
-            source="workspace",
-            reconstructed=tuple(missing),
-            local=dict(self.local),
-        )
-
-    def _restore_checkpoint_path(self, epoch: int, missing: list) -> RestoreReport:
-        """CASE 1 (Fig. 4): compute or encode was interrupted; the committed
-        checkpoint (B, C) is globally consistent."""
-        ctx = self.ctx
-        me = self.group.rank
-        with ctx.span(
-            "restore", epoch=epoch, source="checkpoint", missing=len(missing), **self._span_attrs()
-        ):
-            ctx.phase("restore.begin")
-
-            with ctx.span("restore.rebuild"):
-                if missing:
-                    if me in missing:
-                        rebuilt = self._do_recover(None, None, missing)
-                        assert rebuilt is not None
-                        b_new, c_new = rebuilt
-                        self._b[:] = b_new
-                        self._c[:] = c_new
-                    else:
-                        self._do_recover(
-                            np.array(self._b, copy=True), np.array(self._c, copy=True), missing
-                        )
-                ctx.phase("restore.reconstruct")
-
-            # roll the workspace back to the checkpoint
-            with ctx.span("restore.commit"):
-                self.local = self.layout.unpack_into(self._b, self._arrays)
-                self._b2[:] = self._b[
-                    self.layout.raw_size - self._b2.nbytes : self.layout.raw_size
-                ]
-                self._d[:] = self._c
-                self._charge_copy(self._b.nbytes)
-                self._ctrl[_F] = epoch
-                self._ctrl[_B] = epoch
-                self.ctx.world.barrier()
-                self._ctrl[_R] = epoch
-                ctx.phase("restore.done")
-
-        self.n_restores += 1
-        return RestoreReport(
-            epoch=epoch,
-            source="checkpoint",
-            reconstructed=tuple(missing),
-            local=dict(self.local),
-        )
+        return self._restored(epoch, source, missing)
 
     # -- diagnostics -----------------------------------------------------------
     def verify(self) -> dict:
@@ -348,16 +264,9 @@ class SelfCheckpoint(Checkpointer):
     def _flat_from_workspace(self) -> np.ndarray:
         """Flat view of the live workspace with A2 taken from B2 (the
         process's in-memory A2 did not survive the restart)."""
-        out = np.zeros(self._padded, dtype=np.uint8)
-        offset = 0
-        for name in self.layout.names:
-            a = self._arrays[name]
-            out[offset : offset + a.nbytes] = np.ascontiguousarray(a).view(
-                np.uint8
-            ).reshape(-1)
-            offset += a.nbytes
-        out[offset : offset + self._b2.nbytes] = self._b2
-        return out
+        flat = self._pack_flat()
+        flat[self.layout.a2_region] = self._b2
+        return flat
 
 
 class SelfCheckpointRS(SelfCheckpoint):

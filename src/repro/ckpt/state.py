@@ -76,6 +76,11 @@ class StateLayout:
         """Bytes needed before stripe padding: arrays + A2 header + A2 area."""
         return self._arrays_size + 8 + self.a2_capacity
 
+    @property
+    def a2_region(self) -> slice:
+        """Where the packed A2 blob (header + area) sits in a flat buffer."""
+        return slice(self._arrays_size, self.raw_size)
+
     def spec_of(self, name: str) -> Tuple[Tuple[int, ...], np.dtype]:
         for s in self._slots:
             if s.name == name:
@@ -141,7 +146,7 @@ class StateLayout:
             out[s.offset : s.offset + s.nbytes] = np.ascontiguousarray(a).view(
                 np.uint8
             ).reshape(-1)
-        out[self._arrays_size : self.raw_size] = self.pack_a2(local)
+        out[self.a2_region] = self.pack_a2(local)
         return out
 
     def unpack_into(
@@ -162,4 +167,4 @@ class StateLayout:
                 )
             raw = flat[s.offset : s.offset + s.nbytes]
             dst.reshape(-1).view(np.uint8)[:] = raw
-        return self.unpack_a2(flat[self._arrays_size : self.raw_size])
+        return self.unpack_a2(flat[self.a2_region])

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.ckpt.disk import DiskCheckpoint
 from repro.ckpt.manager import CheckpointManager
 from repro.hpl import matgen
 from repro.hpl.config import HPLConfig
@@ -148,6 +149,11 @@ def skt_hpl_main(ctx: RankContext, scfg: SKTConfig) -> SKTResult:
     elapsed = ctx.clock - t_start
 
     impl = mgr.impl
+    if isinstance(impl, DiskCheckpoint):
+        # a full image has no encode step; its flush is the device write
+        encode_s, flush_s = 0.0, impl.total_write_seconds
+    else:
+        encode_s, flush_s = impl.total_encode_seconds, impl.total_flush_seconds
     return SKTResult(
         hpl=HPLResult(
             config=cfg,
@@ -161,9 +167,8 @@ def skt_hpl_main(ctx: RankContext, scfg: SKTConfig) -> SKTResult:
         restored=report is not None,
         restored_panel=start_panel,
         restore_source=report.source if report else None,
-        n_checkpoints=getattr(impl, "n_checkpoints", 0),
-        ckpt_encode_s=getattr(impl, "total_encode_seconds", 0.0),
-        ckpt_flush_s=getattr(impl, "total_flush_seconds", 0.0)
-        + getattr(impl, "total_write_seconds", 0.0),
+        n_checkpoints=impl.n_checkpoints,
+        ckpt_encode_s=encode_s,
+        ckpt_flush_s=flush_s,
         overhead_bytes=mgr.overhead_bytes,
     )

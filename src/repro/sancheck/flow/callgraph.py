@@ -220,15 +220,16 @@ def _contains_shm_source(node: ast.AST) -> bool:
     return False
 
 
-def _returns_shm(fn_node: ast.AST) -> bool:
+def _returns_shm(fn_node: ast.AST, is_source=_contains_shm_source) -> bool:
     """Does this function return SHM-backed memory?  Tracks locals bound
     to ``shm_create``/``shm_attach`` results (``seg = ctx.shm_create(...);
-    return seg.array`` is the idiom everywhere)."""
+    return seg.array`` is the idiom everywhere).  ``is_source`` widens
+    what counts as manufacturing SHM (see :func:`build_index`)."""
     shm_locals: Set[str] = set()
     for _ in range(2):
         for sub in ast.walk(fn_node):
             if isinstance(sub, ast.Assign):
-                tainted = _contains_shm_source(sub.value) or any(
+                tainted = is_source(sub.value) or any(
                     isinstance(n, ast.Name) and n.id in shm_locals
                     for n in ast.walk(sub.value)
                 )
@@ -238,7 +239,7 @@ def _returns_shm(fn_node: ast.AST) -> bool:
                             shm_locals.add(target.id)
     for sub in ast.walk(fn_node):
         if isinstance(sub, ast.Return) and sub.value is not None:
-            if _contains_shm_source(sub.value) or any(
+            if is_source(sub.value) or any(
                 isinstance(n, ast.Name) and n.id in shm_locals
                 for n in ast.walk(sub.value)
             ):
@@ -630,23 +631,31 @@ def build_index(paths: Sequence[Path]) -> ProjectIndex:
                 cnode.shm_attrs |= index.classes[anc].shm_attrs
                 for k, v in index.classes[anc].attr_types.items():
                     cnode.attr_types.setdefault(k, v)
-        # methods returning self.<shm attr> also manufacture SHM aliases
+        # methods returning self.<shm attr>, or what an SHM-returning
+        # method of theirs returned (``return self._shm(...)``), also
+        # manufacture SHM aliases
         for q in sorted(index.functions):
             fn = index.functions[q]
             owner = index.classes.get(fn.cls) if fn.cls else None
             if fn.body is None or owner is None or q in shm_returning:
                 continue
             self_name = _first_arg_name(fn.body)
-            for sub in ast.walk(fn.body):
-                if isinstance(sub, ast.Return) and sub.value is not None:
-                    for n in ast.walk(sub.value):
-                        if (
-                            isinstance(n, ast.Attribute)
-                            and isinstance(n.value, ast.Name)
-                            and n.value.id == self_name
-                            and n.attr in owner.shm_attrs
-                        ):
-                            shm_returning.add(q)
+
+            def is_source(value: ast.expr) -> bool:
+                return (
+                    _contains_shm_source(value)
+                    or _calls_shm_returning(value, self_name, owner, index, shm_returning)
+                    or any(
+                        isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == self_name
+                        and n.attr in owner.shm_attrs
+                        for n in ast.walk(value)
+                    )
+                )
+
+            if _returns_shm(fn.body, is_source):
+                shm_returning.add(q)
 
     # pass 3: per-function call/write scan
     for module, file, tree, imports in parsed:

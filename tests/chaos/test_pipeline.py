@@ -9,7 +9,6 @@ the three-walks implementation this pipeline replaced, so the collapse
 is pinned as behaviour-preserving, not merely self-consistent.
 """
 
-import hashlib
 import json
 import os
 
@@ -35,6 +34,7 @@ from repro.obs.store import (
 )
 from repro.shard import plan_campaign, run_sharded_campaign
 from repro.shard.queue import queue_path_for
+from tests.chaos.helpers import stripped_digest
 
 SEED = 7
 CFG = dict(n_nodes=2, procs_per_node=1, group_size=2, iters=4, ckpt_every=2)
@@ -62,25 +62,6 @@ def run_engine(engine, out_dir, **campaign):
     return run_sharded_campaign(
         scenarios(), n_shards=int(n), out_dir=str(out_dir), **campaign
     )[:3]
-
-
-def stripped_digest(store):
-    """Store content with the code-fingerprint-derived ids (run id,
-    campaign id) replaced by the run's ordinal: comparable across
-    commits, where :meth:`TraceStore.digest` is only comparable within
-    one."""
-    ords = dict(store.query("SELECT run_id, ord FROM runs"))
-    lines = []
-    for table in ("runs", "summaries", "spans", "metrics"):
-        cols = [r[1] for r in store.query(f"PRAGMA table_info({table})")]
-        rows = []
-        for row in store.query(f"SELECT * FROM {table}"):
-            doc = dict(zip(cols, row))
-            doc["run_id"] = ords[doc["run_id"]]
-            doc.pop("campaign_id", None)
-            rows.append(json.dumps({"table": table, **doc}, sort_keys=True))
-        lines.extend(sorted(rows))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +192,30 @@ class TestEmptyCampaign:
             )
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+class TestUnconstructibleProtocol:
+    """A method that cannot be built on the requested configuration is a
+    usage error — one ``repro chaos:`` line, exit 2, on every engine —
+    not a traceback out of the baseline probe."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "method, group_size, why",
+        [("self-rs", "2", "needs >= 4 members"), ("buddy", "4", "group size must be 2")],
+    )
+    def test_cli_exits_2_with_one_line(
+        self, tmp_path, capsys, engine, method, group_size, why
+    ):
+        out = tmp_path / "out"
+        rc = chaos_main(
+            ["--methods", method, "--group-size", group_size, "--no-progress"]
+            + ENGINE_FLAGS[engine] + ["--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro chaos: baseline run of scenario 'selfckpt'")
+        assert method in line and why in line
+        assert not out.exists()

@@ -87,6 +87,39 @@ class TestMultiLevel:
         # ranks of the destroyed group came back via the disk image
         assert res.rank_results[0]["restore"].source == "disk"
 
+    def test_level2_restore_is_counted_and_traced(self):
+        """The disk fallback is a restore like any other: it counts in
+        ``n_restores`` and opens the ``restore`` span."""
+        from repro.ckpt import CheckpointManager
+        from repro.obs.spans import SpanTracer
+
+        def app(ctx):
+            mgr = CheckpointManager(
+                ctx, ctx.world, group_size=4, method="multilevel", flush_every=1
+            )
+            a = mgr.alloc("data", 16)
+            mgr.commit()
+            if mgr.try_restore() is None:
+                a[:] = ctx.world.rank
+                mgr.checkpoint()
+            return mgr.impl.n_restores
+
+        cluster = Cluster(N, n_spares=4)
+        job = Job(cluster, app, N, procs_per_node=1)
+        assert job.run().completed
+        cluster.fail_node(0)
+        cluster.fail_node(2)  # both in stride-group 0
+        repl = cluster.replace_dead()
+        tracer = SpanTracer()
+        res = Job(
+            cluster, app, N, ranklist=[repl.get(n, n) for n in job.ranklist], tracer=tracer
+        ).run()
+        assert res.completed and set(res.rank_results.values()) == {1}
+        restores = tracer.by_name("restore")
+        assert len(restores) == N
+        assert {s.attrs["source"] for s in restores} == {"disk"}
+        assert {s.attrs["missing"] for s in restores} == {0, 2}  # group 1 lost nobody
+
     def test_flush_every_validation(self):
         from repro.ckpt import MultiLevelCheckpoint
 

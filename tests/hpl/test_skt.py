@@ -59,6 +59,26 @@ class TestFaultFree:
         assert r0.ckpt_flush_s > 0
         assert r0.overhead_bytes > 0
 
+    def test_multilevel_reports_its_level1_cost(self):
+        """Level 1 of multilevel IS the double scheme: the same checkpoints
+        cost the same encode / flush seconds (they once read as 0.0)."""
+
+        def run(method):
+            scfg = SKTConfig(hpl=CFG, method=method, group_size=4, interval_panels=3)
+            res = Job(Cluster(8), skt_hpl_main, 8, args=(scfg,), procs_per_node=1).run()
+            return res.rank_results[0]
+
+        double, multilevel = run("double"), run("multilevel")
+        assert multilevel.n_checkpoints == double.n_checkpoints == 3
+        assert multilevel.ckpt_encode_s == double.ckpt_encode_s > 0
+        assert multilevel.ckpt_flush_s == double.ckpt_flush_s > 0
+
+    def test_disk_flush_time_is_the_device_write(self):
+        scfg = SKTConfig(hpl=CFG, method="disk-ssd", interval_panels=3)
+        res = Job(Cluster(8), skt_hpl_main, 8, args=(scfg,), procs_per_node=1).run()
+        r0 = res.rank_results[0]
+        assert r0.ckpt_encode_s == 0.0 and r0.ckpt_flush_s > 3 * 5e-3  # 3 x latency
+
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             SKTConfig(hpl=CFG, interval_panels=0)

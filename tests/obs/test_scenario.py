@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.ckpt import METHODS
+
 # alias: bench_* names would otherwise be collected as benchmark functions
 from repro.obs.bench import BENCH_SCHEMA_VERSION
 from repro.obs.bench import bench_record as make_bench_record
@@ -49,6 +51,23 @@ class TestScenario:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             run_scenario("nope")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_is_visible_to_observability(self, method):
+        """Every protocol opens the ``ckpt`` and ``restore`` root spans
+        (docs/OBSERVABILITY.md): 4 ranks x 3 checkpoints, one kill."""
+        run = run_scenario(
+            "selfckpt",
+            method=method,
+            group_size=4 if method == "self-rs" else 2,
+            fail_at="ckpt.begin:2",
+        )
+        assert run.completed and run.n_restarts == 1
+        assert run.registry.total("ckpt.count") == 3 * 4
+        assert run.registry.total("restore.count") == 4
+        roots = {"ckpt": {"epoch", "method"}, "restore": {"epoch", "source", "missing"}}
+        for s in run.spans:
+            assert roots.get(s.name, set()) <= set(s.attrs), (s.name, s.attrs)
 
 
 class TestReport:

@@ -171,10 +171,30 @@ class TestRealTree:
         assert {
             "SelfCheckpoint",
             "SelfCheckpointRS",
+            "SingleCheckpoint",
             "DoubleCheckpoint",
+            "BuddyCheckpoint",
+            "IncrementalCheckpoint",
             "MultiLevelCheckpoint",
             "DiskCheckpoint",
         } <= names
+
+    def test_segments_made_by_the_shared_helper_are_tracked(self):
+        """Every protocol creates its segments through
+        ``Checkpointer._shm``; the control flags and the (possibly SHM)
+        workspace reach their attributes through a second helper on top
+        of it (``_make_ctrl``, ``_alloc_array``).  Writes through either
+        must still count as SHM writes — ``lifecycle-premature-write``
+        is blind to a flag reset otherwise."""
+        index = build_index([default_lint_root()])
+        for cls, attrs in {
+            "repro.ckpt.double.SingleCheckpoint": {"_b", "_c"},
+            "repro.ckpt.buddy.BuddyCheckpoint": {"_b", "_c"},
+            "repro.ckpt.multilevel.MultiLevelCheckpoint": {"_b", "_c"},
+            "repro.ckpt.incremental.IncrementalCheckpoint": {"_b", "_c", "_undo_pages"},
+            "repro.ckpt.self_ckpt.SelfCheckpointRS": {"_b", "_b2", "_c", "_d"},
+        }.items():
+            assert attrs | {"_ctrl", "_arrays"} <= index.classes[cls].shm_attrs, cls
 
 
 class TestKernelModuleList:
