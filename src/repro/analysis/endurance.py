@@ -1,12 +1,13 @@
 """Endurance harness: survive an MTBF-driven failure storm to completion.
 
 The paper validates single injected failures; production fault tolerance
-must ride out *repeated* random failures.  This harness runs an iterative
-self-checkpointed application under exponential node failures (drawn fresh
-each incarnation from the per-node MTBF), restarts daemon-style until the
-work completes, and accounts the total virtual time — which the classic
-first-order model (:func:`repro.ckpt.interval.expected_runtime`) should
-predict to within a small factor.
+must ride out *repeated* random failures.  This harness runs the iterative
+self-checkpointed application (:mod:`repro.apps.iterative`) under
+exponential node failures (drawn fresh each incarnation from the per-node
+MTBF), restarts daemon-style until the work completes, and accounts the
+total virtual time — which the classic first-order model
+(:func:`repro.ckpt.interval.expected_runtime`) should predict to within a
+small factor.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
-from repro.ckpt import CheckpointManager, expected_runtime
+from repro.apps.iterative import IterativeConfig, iterative_answer_ok, iterative_main
+from repro.ckpt import expected_runtime
 from repro.hpl.daemon import RestartPolicy
 from repro.sim import Cluster, FailurePlan, Job, MTBFFailureGenerator
 from repro.sim.errors import SimError
@@ -34,24 +34,6 @@ class EnduranceReport:
     restarts_log: List[int] = field(default_factory=list)  # failed node ids
 
 
-def _iterative_app(iters: int, ckpt_every: int, work_per_iter_s: float):
-    def app(ctx):
-        mgr = CheckpointManager(ctx, ctx.world, group_size=4, method="self")
-        a = mgr.alloc("data", 64)
-        mgr.commit()
-        report = mgr.try_restore()
-        start = report.local["it"] if report else 0
-        for it in range(start, iters):
-            a += ctx.world.rank + 1
-            ctx.elapse(work_per_iter_s)
-            if (it + 1) % ckpt_every == 0:
-                mgr.local["it"] = it + 1
-                mgr.checkpoint()
-        return a.copy()
-
-    return app
-
-
 def endurance_run(
     *,
     n_ranks: int = 8,
@@ -66,11 +48,15 @@ def endurance_run(
     """Run the iterative app to completion under random node failures."""
     policy = policy or RestartPolicy()
     gen = MTBFFailureGenerator(mtbf_node_s, seed=seed)
-    app = _iterative_app(iters, ckpt_every, work_per_iter_s)
+    cfg = IterativeConfig(
+        iters=iters, ckpt_every=ckpt_every, group_size=4, work_s=work_per_iter_s
+    )
 
     # fault-free reference (both duration and final state)
     ref_cluster = Cluster(n_ranks)
-    ref = Job(ref_cluster, app, n_ranks, procs_per_node=1).run()
+    ref = Job(
+        ref_cluster, iterative_main, n_ranks, args=(cfg,), procs_per_node=1
+    ).run()
     if not ref.completed:
         raise RuntimeError(f"reference run failed: {ref.rank_errors}")
     work_s = ref.makespan
@@ -90,7 +76,12 @@ def endurance_run(
         )
         failures_possible = len(plan.fired)
         job = Job(
-            cluster, app, n_ranks, ranklist=ranklist, failure_plan=plan
+            cluster,
+            iterative_main,
+            n_ranks,
+            args=(cfg,),
+            ranklist=ranklist,
+            failure_plan=plan,
         )
         result = job.run()
         total += result.makespan
@@ -117,12 +108,11 @@ def endurance_run(
         policy.detect_s + policy.replace_s + policy.restart_s,
     )
 
-    state_ok = False
-    if completed and result is not None:
-        state_ok = all(
-            np.all(result.rank_results[r] == iters * (r + 1))
-            for r in range(n_ranks)
-        )
+    state_ok = (
+        completed
+        and result is not None
+        and iterative_answer_ok(cfg, result.rank_results, n_ranks)
+    )
     return EnduranceReport(
         completed=completed,
         n_restarts=len(restarts),

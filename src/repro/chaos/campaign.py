@@ -303,6 +303,14 @@ def classify(
     """Map one supervised run onto a campaign verdict."""
     if not plan.fired:
         return VERDICT_NOT_FIRED
+    return judge(inst, report)
+
+
+def judge(inst: ScenarioInstance, report: DaemonReport) -> str:
+    """The verdict once delivery is settled: the answer oracle for a run
+    that completed, the give-up reason for one that did not.  Alone, it
+    judges a run that armed nothing on purpose (a clean ``repro obs``
+    profile), where ``not-fired`` would be vacuous."""
     if report.completed:
         assert report.result is not None
         return (

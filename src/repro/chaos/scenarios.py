@@ -10,9 +10,9 @@ worst possible verdict, silent corruption.
 
 Two built-ins cover the protocol-only and full-application paths:
 
-* :func:`selfckpt_scenario` — the iterative self-checkpointed app (same
-  shape as the endurance harness); the oracle is the exact closed-form
-  final value of every rank's array.
+* :func:`selfckpt_scenario` — the iterative self-checkpointed app
+  (:mod:`repro.apps.iterative`, which the endurance harness runs too); the
+  oracle is the exact closed-form final value of every rank's array.
 * :func:`skt_scenario` — SKT-HPL; the oracle is HPL's own scaled residual
   check on every rank (``SKTResult.hpl.passed``).
 """
@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.ckpt.manager import CheckpointManager
+from repro.apps.iterative import IterativeConfig, iterative_answer_ok, iterative_main
 from repro.hpl.daemon import RestartPolicy
 from repro.par.spec import ScenarioSpec, register_scenario
 from repro.sim.cluster import Cluster
@@ -114,52 +112,35 @@ def selfckpt_scenario(
 ) -> ChaosScenario:
     """Iterative self-checkpointed app with a closed-form answer oracle.
 
-    Each rank owns a 64-element array, adds ``rank + 1`` per iteration and
-    checkpoints every ``ckpt_every`` iterations, so the correct final
-    value of rank ``r``'s array is exactly ``iters * (r + 1)`` — any
-    recovery that silently loses or corrupts an update is caught by the
-    oracle, not just crashes.  ``protocol_factory`` swaps in a custom
-    (possibly deliberately broken) protocol through
+    The app is :func:`repro.apps.iterative.iterative_main` at 1 s of
+    modelled work per iteration; the correct final value of rank ``r``'s
+    array is exactly ``iters * (r + 1)`` — any recovery that silently
+    loses or corrupts an update is caught by the oracle, not just
+    crashes.  ``protocol_factory`` swaps in a custom (possibly
+    deliberately broken) protocol through
     :class:`~repro.ckpt.manager.CheckpointManager` — the regression tests
     use it to prove the kill matrix catches protocol bugs.
     """
     n_ranks = n_nodes * procs_per_node
     spares = n_spares if n_spares is not None else 4 * n_nodes + 4
-
-    def app(ctx):
-        mgr = CheckpointManager(
-            ctx,
-            ctx.world,
-            group_size=group_size,
-            method=method,
-            op=op,
-            protocol_factory=protocol_factory,
-        )
-        a = mgr.alloc("data", 64)
-        mgr.commit()
-        report = mgr.try_restore()
-        start = int(report.local["it"]) if report else 0
-        for it in range(start, iters):
-            a += ctx.world.rank + 1
-            ctx.elapse(1.0)
-            if (it + 1) % ckpt_every == 0:
-                mgr.local["it"] = it + 1
-                mgr.checkpoint()
-        return a.copy()
+    cfg = IterativeConfig(
+        iters=iters,
+        ckpt_every=ckpt_every,
+        method=method,
+        group_size=group_size,
+        op=op,
+        protocol_factory=protocol_factory,
+    )
 
     def check(result: JobResult) -> bool:
-        for r in range(n_ranks):
-            a = result.rank_results.get(r)
-            if a is None or not bool(np.all(a == iters * (r + 1))):
-                return False
-        return True
+        return iterative_answer_ok(cfg, result.rank_results, n_ranks)
 
     def factory() -> ScenarioInstance:
         return ScenarioInstance(
             cluster=Cluster(n_nodes, n_spares=spares),
-            main=app,
+            main=iterative_main,
             n_ranks=n_ranks,
-            args=(),
+            args=(cfg,),
             procs_per_node=procs_per_node,
             policy=policy or FAST_POLICY,
             check=check,

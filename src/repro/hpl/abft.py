@@ -33,12 +33,7 @@ import scipy.linalg as sla
 
 from repro.hpl import matgen
 from repro.hpl.config import HPLConfig
-from repro.hpl.core import (
-    GEMM_EFFICIENCY,
-    PANEL_EFFICIENCY,
-    HPLResult,
-    verify,
-)
+from repro.hpl.core import GEMM_EFFICIENCY, HPLResult, hpl_solve, verify
 from repro.hpl.grid import BlockCyclicMap, ProcessGrid
 from repro.sim.runtime import RankContext
 
@@ -89,16 +84,14 @@ class _ChecksumState:
         self.corrected = 0
         self.checks = 0
 
-    def apply_panel_ops(
-        self,
-        panel: np.ndarray,
-        piv: np.ndarray,
-        k0: int,
-        nbk: int,
-        pr: int,
-    ) -> None:
-        """Mirror the row swaps / L11 solve / L21 update on c1, c2."""
+    def apply_panel_ops(self, k: int, panel: np.ndarray, piv: np.ndarray) -> None:
+        """Mirror panel ``k``'s row swaps / L11 solve / L21 update on c1,
+        c2 — ``hpl_solve``'s ``on_panel_factors`` hook (ABFT's extra work,
+        charged above the plain HPL cost)."""
         grid, rowmap, ctx = self.grid, self.rowmap, self.ctx
+        k0 = k * self.cfg.nb
+        nbk = panel.shape[1]
+        pr = k % grid.P
         # row swaps (checksums are replicated across process columns, like b)
         for j, r2 in enumerate(piv):
             r1 = k0 + j
@@ -207,7 +200,7 @@ def abft_hpl_main(
 
     def on_panel_end(k: int) -> None:
         # the panel's transforms were applied inside hpl_solve; the
-        # checksum state mirrored them through _PanelObserver below
+        # checksum state mirrored them through apply_panel_ops
         if (k + 1) % check_every == 0:
             if inject is not None and inject.panel == k and (
                 ctx.world.rank == inject.world_rank
@@ -218,8 +211,10 @@ def abft_hpl_main(
             checksums.check_and_correct(a_loc, k + 1)
 
     t_start = ctx.clock
-    x, timers = _hpl_solve_with_observer(
-        ctx, cfg, grid, rowmap, colmap, a_loc, b_loc, checksums, on_panel_end
+    x, timers = hpl_solve(
+        ctx, cfg, grid, rowmap, colmap, a_loc, b_loc,
+        on_panel_factors=checksums.apply_panel_ops,
+        on_panel_end=on_panel_end,
     )
     residual, passed = verify(ctx, cfg, grid, rowmap, colmap, x)
     elapsed = ctx.clock - t_start
@@ -238,96 +233,3 @@ def abft_hpl_main(
         errors_corrected=checksums.corrected,
         checks_run=checksums.checks,
     )
-
-
-def _hpl_solve_with_observer(
-    ctx, cfg, grid, rowmap, colmap, a_loc, b_loc, checksums, on_panel_end
-):
-    """The HPL elimination loop with the checksum vectors transformed in
-    lock-step.
-
-    The checksum transforms need each panel's factors and pivots *before*
-    they are discarded, so the loop is inlined here (sharing the phase
-    helpers with :mod:`repro.hpl.core`) rather than driven through
-    ``hpl_solve``'s end-of-panel hook."""
-    from repro.hpl import core as _core
-
-    n, nb = cfg.n, cfg.nb
-    nbl = cfg.n_blocks
-    my_grows = rowmap.globals_of(grid.myrow)
-    timers = _core.HPLTimers()
-
-    for k in range(nbl):
-        k0 = k * nb
-        nbk = min(nb, n - k0)
-        pr = k % grid.P
-        pc = k % grid.Q
-        root_rank = grid.rank_of(pr, pc)
-        t0 = ctx.clock
-
-        panel_piv = None
-        if grid.mycol == pc:
-            lr = rowmap.local_start(grid.myrow, k0)
-            lc0 = colmap.local_index(k0)
-            contrib = (my_grows[lr:], a_loc[lr:, lc0 : lc0 + nbk].copy())
-            parts = grid.col_comm.gather(contrib, root=pr)
-            if grid.myrow == pr:
-                panel = np.empty((n - k0, nbk))
-                for g_rows, data in parts:
-                    panel[g_rows - k0, :] = data
-                piv = _core._factor_panel(ctx, panel, k0)
-                panel_piv = (panel, piv)
-        panel, piv = grid.comm.bcast(panel_piv, root=root_rank)
-        timers.panel += ctx.clock - t0
-        t0 = ctx.clock
-
-        lc_trail = colmap.local_start(grid.mycol, k0 + nbk)
-        _core._apply_row_swaps(
-            ctx, grid, rowmap, a_loc, b_loc, piv, k0, lc_trail, tag_base=k
-        )
-        if grid.mycol == pc:
-            lr = rowmap.local_start(grid.myrow, k0)
-            lc0 = colmap.local_index(k0)
-            a_loc[lr:, lc0 : lc0 + nbk] = panel[my_grows[lr:] - k0, :]
-        timers.swap += ctx.clock - t0
-        t0 = ctx.clock
-
-        l11 = panel[:nbk, :nbk]
-        u12_y = None
-        if grid.myrow == pr:
-            lr0 = rowmap.local_index(k0)
-            a12 = a_loc[lr0 : lr0 + nbk, lc_trail:]
-            u12 = sla.solve_triangular(l11, a12, lower=True, unit_diagonal=True)
-            yk = sla.solve_triangular(
-                l11, b_loc[lr0 : lr0 + nbk], lower=True, unit_diagonal=True
-            )
-            a_loc[lr0 : lr0 + nbk, lc_trail:] = u12
-            b_loc[lr0 : lr0 + nbk] = yk
-            ctx.compute(
-                float(nbk) * nbk * (a12.shape[1] + 1),
-                efficiency=PANEL_EFFICIENCY,
-            )
-            u12_y = (u12, yk)
-        u12, yk = grid.col_comm.bcast(u12_y, root=pr)
-
-        lr_trail = rowmap.local_start(grid.myrow, k0 + nbk)
-        l21 = panel[my_grows[lr_trail:] - k0, :]
-        if l21.size and u12.size:
-            a_loc[lr_trail:, lc_trail:] -= l21 @ u12
-        if l21.size:
-            b_loc[lr_trail:] -= l21 @ yk
-        ctx.compute(
-            2.0 * l21.shape[0] * nbk * (u12.shape[1] + 1),
-            efficiency=GEMM_EFFICIENCY,
-        )
-        timers.update += ctx.clock - t0
-
-        # mirror the panel's row ops onto the checksum vectors (ABFT's
-        # extra work, charged above the plain HPL cost)
-        checksums.apply_panel_ops(panel, piv, k0, nbk, pr)
-        on_panel_end(k)
-
-    t0 = ctx.clock
-    x = _core._back_substitute(ctx, cfg, grid, rowmap, colmap, a_loc, b_loc)
-    timers.backsub += ctx.clock - t0
-    return x, timers

@@ -115,6 +115,7 @@ def hpl_solve(
     b_loc: np.ndarray,
     *,
     start_panel: int = 0,
+    on_panel_factors: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
     on_panel_end: Optional[Callable[[int], None]] = None,
 ) -> Tuple[np.ndarray, HPLTimers]:
     """Run the elimination loop from ``start_panel`` and back-substitute.
@@ -124,6 +125,10 @@ def hpl_solve(
     ``on_panel_end(k)`` fires after panel ``k``'s update completes — the
     checkpoint hook (paper Fig. 9: "checkpoints are made at the end of a
     certain iteration during the elimination step").
+    ``on_panel_factors(k, panel, piv)`` fires just before it, while the
+    panel's factors and pivots still exist — ABFT mirrors the row
+    operations onto its checksum vectors from there; its cost lands on
+    the rank's clock but in none of the phase timers.
 
     Returns the replicated solution vector and this rank's phase timers.
     """
@@ -213,6 +218,8 @@ def hpl_solve(
             )
             timers.update += ctx.clock - t0
 
+            if on_panel_factors is not None:
+                on_panel_factors(k, panel, piv)
             if on_panel_end is not None:
                 on_panel_end(k)
 

@@ -119,7 +119,6 @@ class JobDaemon:
         trace: Optional["Trace"] = None,
         observer: Optional["SimObserver"] = None,
         tracer: Optional["SpanTracer"] = None,
-        attempt_hook: Optional[Callable[[int, JobResult], None]] = None,
         name: str = "daemon",
     ):
         self.cluster = cluster
@@ -141,10 +140,6 @@ class JobDaemon:
         #: its incarnation index per attempt so restarted spans land on
         #: separate trace tracks
         self.tracer = tracer
-        #: optional campaign hook called after every attempt with
-        #: ``(attempt_index, JobResult)`` — the chaos engine uses it to
-        #: watch a supervised run without wrapping the daemon
-        self.attempt_hook = attempt_hook
         if ranklist is None:
             ranklist = cluster.default_ranklist(n_ranks, procs_per_node=procs_per_node)
         self.ranklist: List[int] = list(ranklist)
@@ -193,8 +188,6 @@ class JobDaemon:
             report.attempt_fired.append(attempt_fired)
             report.total_virtual_s += result.makespan
             report.result = result
-            if self.attempt_hook is not None:
-                self.attempt_hook(attempt, result)
 
             if result.completed:
                 report.completed = True

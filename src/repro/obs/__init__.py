@@ -55,7 +55,7 @@ from repro.obs.rollup import (
     span_from_doc,
 )
 from repro.obs.spans import NULL_SPAN, STATUS_INTERRUPTED, STATUS_OK, Span, SpanTracer
-from repro.obs.store import TraceStore, attempt_run_id, obs_run_id
+from repro.obs.store import TraceStore, attempt_run_id
 
 __all__ = [
     "METRIC_NAMES",
@@ -79,7 +79,6 @@ __all__ = [
     "attempt_payload",
     "attempt_run_id",
     "attempt_summary",
-    "obs_run_id",
     "span_doc",
     "span_from_doc",
     "aggregate_by_name",

@@ -14,7 +14,11 @@ fully compatible: it writes a Perfetto-loadable ``trace.json``, a
 ``metrics.jsonl`` snapshot, the ASCII ``report.txt`` and a
 machine-readable ``BENCH_obs.json`` into ``--out``.  ``run`` is the same
 thing spelled explicitly, plus ``--store`` to also persist the run into
-a :class:`~repro.obs.store.TraceStore`.
+a :class:`~repro.obs.store.TraceStore`.  Exit status: 0 when the run's
+campaign verdict is ``survived``, 1 for any other verdict (``not-fired``
+included: a ``--fail-at`` that never fired is not a clean run), 2 for a
+usage error — a method that cannot be constructed on the requested shape
+included.
 
 ``query`` filters and aggregates the store (byte-stable tables or JSON
 lines), ``ingest`` loads ``BENCH_{obs,perf,chaos}.json`` records, and
@@ -29,10 +33,12 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.ckpt import METHODS
 from repro.obs.scenario import (
     SCENARIOS,
     parse_fail_at,
     run_scenario,
+    store_run,
     summarize,
     write_artifacts,
 )
@@ -69,7 +75,7 @@ def _run_main(argv: List[str]) -> int:
     parser.add_argument("--nb", type=int, default=8, help="HPL block size")
     parser.add_argument("--grid", default="2x2", help="process grid PxQ")
     parser.add_argument(
-        "--method", default="self", help="checkpoint method (self, double, ...)"
+        "--method", choices=METHODS, default="self", help="checkpoint method"
     )
     parser.add_argument(
         "--group-size", type=int, default=4, help="checkpoint group size"
@@ -101,19 +107,25 @@ def _run_main(argv: List[str]) -> int:
     except ValueError as exc:
         parser.error(f"--fail-at: {exc}")
 
-    run = run_scenario(
-        args.scenario,
-        fail_at=args.fail_at,
-        seed=args.seed,
-        n=args.n,
-        nb=args.nb,
-        p=p,
-        q=q,
-        group_size=args.group_size,
-        interval_panels=args.interval,
-        method=args.method,
-        ckpt_every=args.interval,
-    )
+    from repro.chaos.campaign import VERDICT_SURVIVED, ChaosError
+
+    try:
+        run = run_scenario(
+            args.scenario,
+            fail_at=args.fail_at,
+            seed=args.seed,
+            n=args.n,
+            nb=args.nb,
+            p=p,
+            q=q,
+            group_size=args.group_size,
+            interval_panels=args.interval,
+            method=args.method,
+            ckpt_every=args.interval,
+        )
+    except ChaosError as err:
+        print(f"repro obs: {err}", file=sys.stderr)
+        return 2
 
     from repro.obs.report import render_report
 
@@ -137,10 +149,10 @@ def _run_main(argv: List[str]) -> int:
         from repro.obs.store import TraceStore
 
         with TraceStore(args.store) as store:
-            run_id = store.ingest_obs_run(run)
+            run_id = store_run(store, run)
         print(f"stored run {run_id[:12]} in {args.store}")
 
-    return 0 if run.completed else 1
+    return 0 if run.verdict == VERDICT_SURVIVED else 1
 
 
 def _parse_filter(args: argparse.Namespace):

@@ -1,11 +1,13 @@
 """Instrumented scenarios behind ``repro obs`` and the obs benchmark.
 
-:func:`run_scenario` wires a :class:`~repro.obs.spans.SpanTracer` and a
-:class:`~repro.obs.metrics.MetricsObserver` into a supervised run of one
-of the built-in applications, optionally aiming a failure at a named
-protocol phase, and returns everything the exporters need.
-:func:`write_artifacts` turns one run into the artifact set — Chrome
-trace, metrics JSON-lines, ASCII report, ``BENCH_obs.json``.
+:func:`run_scenario` is a thin front end over the chaos catalogue: it
+builds the ``skt-hpl`` / ``selfckpt`` recipe of
+:mod:`repro.chaos.scenarios`, optionally aims one failure at a named
+protocol phase, runs it through the campaigns' own instrumented
+supervised run (:func:`repro.par.replay.instrumented_run`) and returns
+everything the exporters need.  :func:`write_artifacts` turns one run
+into the artifact set — Chrome trace, metrics JSON-lines, ASCII report,
+``BENCH_obs.json`` — and :func:`store_run` persists it in a trace store.
 
 Determinism contract: everything is driven by virtual clocks and the
 fixed matrix seed; two calls with identical arguments produce
@@ -15,10 +17,10 @@ byte-identical artifacts, and the tests hold this to be true.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsObserver, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 
 SCENARIOS = ("skt-hpl", "selfckpt")
@@ -54,180 +56,16 @@ class ObsRun:
     makespan_s: float
     tracer: SpanTracer
     registry: MetricsRegistry
-    params: Dict[str, Any] = field(default_factory=dict)
+    params: Dict[str, Any]
+    #: campaign verdict (:data:`repro.chaos.campaign.VERDICTS`)
+    verdict: str
+    #: store identity: the replay fingerprint of (recipe, trigger, "full"),
+    #: the id a ``repro chaos --obs full`` unit of the same run gets
+    run_id: str
 
     @property
     def spans(self) -> list:
         return self.tracer.spans()
-
-
-def _fill_job_metrics(run: ObsRun, report: Any, plan: Any) -> None:
-    """Derive the job/ckpt-level counters from the daemon report and the
-    recorded spans — the shared :func:`repro.obs.rollup.fill_job_metrics`
-    rule, so obs runs and campaign attempts agree on these counters."""
-    from repro.obs.rollup import fill_job_metrics
-
-    fill_job_metrics(
-        run.registry,
-        run.tracer.spans(),
-        n_restarts=report.n_restarts,
-        n_failures=len(plan.fired),
-        completed=report.completed,
-        makespan_s=report.total_virtual_s,
-    )
-
-
-def _build_plan(fail_at: Optional[Tuple[str, int]], node_id: int):
-    from repro.sim import FailurePlan, PhaseTrigger
-
-    if fail_at is None:
-        return FailurePlan()
-    phase, occurrence = fail_at
-    return FailurePlan(
-        [PhaseTrigger(node_id=node_id, phase=phase, occurrence=occurrence)]
-    )
-
-
-def _run_skt_hpl(
-    fail_at: Optional[Tuple[str, int]],
-    seed: int,
-    n: int,
-    nb: int,
-    p: int,
-    q: int,
-    group_size: int,
-    interval_panels: int,
-    method: str,
-) -> ObsRun:
-    from repro.hpl import (
-        HPLConfig,
-        JobDaemon,
-        RestartPolicy,
-        SKTConfig,
-        skt_hpl_main,
-    )
-    from repro.sim import Cluster
-
-    cfg = HPLConfig(n=n, nb=nb, p=p, q=q, seed=seed)
-    scfg = SKTConfig(
-        hpl=cfg,
-        method=method,
-        group_size=group_size,
-        interval_panels=interval_panels,
-    )
-    n_ranks = cfg.n_ranks
-    cluster = Cluster(n_ranks, n_spares=2)
-    # doom the last compute node: far from rank 0, so the report's
-    # critical path crosses the rescue traffic
-    plan = _build_plan(fail_at, node_id=n_ranks - 1)
-
-    tracer = SpanTracer()
-    metrics = MetricsObserver()
-    metrics.watch_cluster(cluster)
-    daemon = JobDaemon(
-        cluster,
-        skt_hpl_main,
-        n_ranks,
-        args=(scfg,),
-        procs_per_node=1,
-        failure_plan=plan,
-        policy=RestartPolicy(detect_s=63.0, replace_s=10.0, restart_s=9.0),
-        observer=metrics,
-        tracer=tracer,
-        name="obs-skt",
-    )
-    report = daemon.run()
-
-    run = ObsRun(
-        scenario="skt-hpl",
-        seed=seed,
-        completed=report.completed,
-        n_restarts=report.n_restarts,
-        makespan_s=report.total_virtual_s,
-        tracer=tracer,
-        registry=metrics.registry,
-        params={
-            "n": n,
-            "nb": nb,
-            "grid": f"{p}x{q}",
-            "method": method,
-            "group_size": group_size,
-            "interval_panels": interval_panels,
-            "fail_at": None if fail_at is None else f"{fail_at[0]}:{fail_at[1]}",
-        },
-    )
-    _fill_job_metrics(run, report, plan)
-    return run
-
-
-def _run_selfckpt(
-    fail_at: Optional[Tuple[str, int]],
-    seed: int,
-    n_ranks: int,
-    group_size: int,
-    iters: int,
-    ckpt_every: int,
-    method: str,
-) -> ObsRun:
-    """A small iterative self-checkpoint app under the daemon — the
-    protocol alone, no HPL, for quick protocol-path profiles."""
-    from repro.ckpt import CheckpointManager
-    from repro.hpl import JobDaemon, RestartPolicy
-    from repro.sim import Cluster
-
-    def app(ctx):
-        mgr = CheckpointManager(
-            ctx, ctx.world, group_size=group_size, method=method
-        )
-        a = mgr.alloc("data", 256)
-        mgr.commit()
-        report = mgr.try_restore()
-        start = report.local["it"] if report else 0
-        for it in range(start, iters):
-            a += ctx.world.rank + 1 + seed
-            ctx.compute(1e7)
-            if (it + 1) % ckpt_every == 0:
-                mgr.local["it"] = it + 1
-                mgr.checkpoint()
-        return True
-
-    cluster = Cluster(n_ranks, n_spares=2)
-    plan = _build_plan(fail_at, node_id=n_ranks - 1)
-    tracer = SpanTracer()
-    metrics = MetricsObserver()
-    metrics.watch_cluster(cluster)
-    daemon = JobDaemon(
-        cluster,
-        app,
-        n_ranks,
-        procs_per_node=1,
-        failure_plan=plan,
-        policy=RestartPolicy(detect_s=30.0, replace_s=10.0, restart_s=9.0),
-        observer=metrics,
-        tracer=tracer,
-        name="obs-selfckpt",
-    )
-    report = daemon.run()
-
-    run = ObsRun(
-        scenario="selfckpt",
-        seed=seed,
-        completed=report.completed,
-        n_restarts=report.n_restarts,
-        makespan_s=report.total_virtual_s,
-        tracer=tracer,
-        registry=metrics.registry,
-        params={
-            "n_ranks": n_ranks,
-            "group_size": group_size,
-            "iters": iters,
-            "ckpt_every": ckpt_every,
-            "method": method,
-            "fail_at": None if fail_at is None else f"{fail_at[0]}:{fail_at[1]}",
-        },
-    )
-    _fill_job_metrics(run, report, plan)
-    return run
 
 
 def run_scenario(
@@ -249,18 +87,98 @@ def run_scenario(
 
     ``fail_at`` is the CLI spelling ``"phase[:occurrence]"`` (with the
     ``panel``/``flush``/``encode`` aliases); the failure is aimed at the
-    last compute node, and the job daemon supervises the restart.
+    last compute node, and the job daemon supervises the restart.  The
+    scenario is the chaos recipe of the same name on ``p * q`` one-rank
+    nodes with two spares and the measured detect/replace/restart costs
+    (Tianhe-2's 63 s detection for ``skt-hpl``, Tianhe-1A's 30 s for
+    ``selfckpt``), run through the campaigns' own
+    :func:`~repro.par.replay.instrumented_run`.
+
+    Raises :class:`ValueError` for an unknown scenario and
+    :class:`~repro.chaos.campaign.ChaosError` for a configuration whose
+    protocol cannot be constructed (a rank raises before anything was
+    injected: unknown method, group too small for the method's parity).
     """
+    from repro.chaos.campaign import ChaosError, classify, judge
+    from repro.chaos.scenarios import selfckpt_scenario, skt_scenario
+    from repro.hpl.daemon import RestartPolicy
+    from repro.obs.store import attempt_run_id
+    from repro.par.replay import instrumented_run
+    from repro.sim.failures import PhaseTrigger
+
     parsed = parse_fail_at(fail_at)
+    n_ranks = p * q
     if scenario == "skt-hpl":
-        return _run_skt_hpl(
-            parsed, seed, n, nb, p, q, group_size, interval_panels, method
+        recipe = skt_scenario(
+            n=n,
+            nb=nb,
+            p=p,
+            q=q,
+            group_size=group_size,
+            interval_panels=interval_panels,
+            method=method,
+            seed=seed,
+            n_spares=2,
+            policy=RestartPolicy(detect_s=63.0, replace_s=10.0, restart_s=9.0),
         )
-    if scenario == "selfckpt":
-        return _run_selfckpt(
-            parsed, seed, p * q, group_size, iters, ckpt_every, method
+        params: Dict[str, Any] = {
+            "n": n,
+            "nb": nb,
+            "grid": f"{p}x{q}",
+            "method": method,
+            "group_size": group_size,
+            "interval_panels": interval_panels,
+        }
+    elif scenario == "selfckpt":
+        recipe = selfckpt_scenario(
+            n_nodes=n_ranks,
+            group_size=group_size,
+            iters=iters,
+            ckpt_every=ckpt_every,
+            method=method,
+            n_spares=2,
+            policy=RestartPolicy(detect_s=30.0, replace_s=10.0, restart_s=9.0),
         )
-    raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
+        params = {
+            "n_ranks": n_ranks,
+            "group_size": group_size,
+            "iters": iters,
+            "ckpt_every": ckpt_every,
+            "method": method,
+        }
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
+    params["fail_at"] = None
+    triggers: Tuple[Any, ...] = ()
+    if parsed is not None:
+        phase, occurrence = parsed
+        params["fail_at"] = f"{phase}:{occurrence}"
+        # doom the last compute node: far from rank 0, so the report's
+        # critical path crosses the rescue traffic
+        triggers = (
+            PhaseTrigger(node_id=n_ranks - 1, phase=phase, occurrence=occurrence),
+        )
+
+    inst, plan, report, tracer, registry = instrumented_run(recipe, triggers, "full")
+    if report.result is None and not plan.fired:
+        # a rank crashed (run_with_triggers folds that into a result-less
+        # report) with nothing injected yet: the recipe itself cannot run
+        raise ChaosError(
+            f"scenario {scenario!r} {params} cannot run: {report.gave_up_reason}"
+        )
+    return ObsRun(
+        scenario=scenario,
+        seed=seed,
+        completed=report.completed,
+        n_restarts=report.n_restarts,
+        makespan_s=report.total_virtual_s,
+        tracer=tracer,
+        registry=registry,
+        params=params,
+        # with nothing armed, not-fired would be vacuous: the oracle judges
+        verdict=classify(inst, plan, report) if triggers else judge(inst, report),
+        run_id=attempt_run_id(recipe, triggers, "full"),
+    )
 
 
 def write_artifacts(run: ObsRun, out_dir: str) -> Dict[str, str]:
@@ -291,6 +209,28 @@ def write_artifacts(run: ObsRun, out_dir: str) -> Dict[str, str]:
     return paths
 
 
+def store_run(store: Any, run: ObsRun) -> str:
+    """Persist one run in a :class:`~repro.obs.store.TraceStore`, in full
+    fidelity, under its replay fingerprint; returns the ``run_id``."""
+    from repro.obs.rollup import attempt_payload
+
+    return store.ingest_attempt(
+        run_id=run.run_id,
+        campaign_id="obs",
+        ord=0,
+        kind="obs",
+        scenario=run.scenario,
+        method=str(run.params.get("method", "?")),
+        seed=run.seed,
+        label=str(run.params.get("fail_at") or "baseline"),
+        verdict=run.verdict,
+        n_restarts=run.n_restarts,
+        makespan_s=run.makespan_s,
+        params=dict(run.params),
+        obs=attempt_payload(run.tracer, run.registry, "full"),
+    )
+
+
 def summarize(run: ObsRun) -> List[str]:
     """Short human summary lines for the CLI."""
     sent, recv, posted = (
@@ -300,7 +240,7 @@ def summarize(run: ObsRun) -> List[str]:
     )
     return [
         f"scenario={run.scenario} seed={run.seed} completed={run.completed} "
-        f"restarts={run.n_restarts}",
+        f"restarts={run.n_restarts} verdict={run.verdict}",
         f"spans={len(run.tracer)} makespan={run.makespan_s:.1f}s (virtual)",
         f"delivered bytes sent={int(sent)} recv={int(recv)} "
         f"stranded={int(posted - sent)}",

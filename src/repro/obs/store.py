@@ -13,9 +13,11 @@ Identity is content-addressed, not autoincremented.  An attempt's
 memo cache uses — scenario spec + triggers + obs mode + code fingerprint
 — so re-ingesting the same campaign is idempotent (``INSERT OR
 REPLACE``), a serial and a ``--workers N`` sweep land byte-identically,
-and two *different* code versions never collide on one id.  Runs without
-a pickleable spec (obs scenario runs, custom factories) hash their
-describable surface instead.
+and two *different* code versions never collide on one id.  A ``repro
+obs`` profile run is stored under the same fingerprint (``kind="obs"``):
+it is a chaos recipe plus at most one trigger at obs mode ``full``.  Runs
+without a pickleable spec (custom factories) hash their describable
+surface instead.
 
 Determinism contract: every stored value derives from virtual clocks and
 seeds.  :meth:`TraceStore.digest` hashes the *logical* content (canonical
@@ -141,21 +143,6 @@ def attempt_run_id(scenario: Any, triggers: Iterable[Any], obs_mode: str) -> str
                 for t in triggers
             ],
             "obs": obs_mode,
-        }
-    )
-
-
-def obs_run_id(run: Any) -> str:
-    """Content address of one ``repro obs`` scenario run."""
-    from repro.par.cache import code_fingerprint
-
-    return _sha(
-        {
-            "code": code_fingerprint(),
-            "kind": "obs",
-            "scenario": run.scenario,
-            "seed": run.seed,
-            "params": dict(run.params),
         }
     )
 
@@ -295,36 +282,6 @@ class TraceStore:
                 for doc in metric_docs
             ],
         )
-
-    def ingest_obs_run(
-        self, run: Any, *, campaign_id: str = "obs", ord: int = 0
-    ) -> str:
-        """Store one :class:`~repro.obs.scenario.ObsRun` in full fidelity."""
-        from repro.obs.rollup import attempt_summary, metric_docs, span_doc
-
-        run_id = obs_run_id(run)
-        spans = run.spans
-        self.ingest_attempt(
-            run_id=run_id,
-            campaign_id=campaign_id,
-            ord=ord,
-            kind="obs",
-            scenario=run.scenario,
-            method=str(run.params.get("method", "?")),
-            seed=run.seed,
-            label=str(run.params.get("fail_at") or "baseline"),
-            verdict="completed" if run.completed else "incomplete",
-            n_restarts=run.n_restarts,
-            makespan_s=run.makespan_s,
-            params=dict(run.params),
-            obs={
-                "mode": "full",
-                "summary": attempt_summary(spans, run.registry),
-                "spans": [span_doc(s) for s in spans],
-                "metrics": metric_docs(run.registry),
-            },
-        )
-        return run_id
 
     def ingest_bench_record(self, record: Dict[str, Any]) -> str:
         """Store one raw ``BENCH_*.json`` record (obs, chaos or perf)."""

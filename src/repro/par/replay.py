@@ -4,7 +4,8 @@
 to whoever runs it; :func:`replay` is the worker entry point — it builds
 the scenario from its recipe (a :class:`~repro.par.spec.ScenarioSpec`,
 or the scenario itself when it has no pickleable spec), runs it under
-the :class:`~repro.hpl.daemon.JobDaemon` with the triggers armed, and
+the :class:`~repro.hpl.daemon.JobDaemon` with the triggers armed
+(:func:`instrumented_run`, which ``repro obs`` profile runs share), and
 classifies the result into a :class:`ReplayOutcome`.  :func:`run_units`
 is the one unit runner around it: cache lookup, replay, crash fold,
 cache store.
@@ -93,12 +94,22 @@ class ReplaySpec:
     obs: str = OBS_OFF
 
 
-def replay(spec: ReplaySpec) -> ReplayOutcome:
-    """Worker entry point: build the scenario from its recipe, replay it."""
-    from repro.chaos.campaign import classify, run_with_triggers
+def instrumented_run(
+    scenario: Any, triggers: Sequence[Any], obs: str = OBS_OFF
+) -> Tuple[Any, Any, Any, Any, Any]:
+    """The one instrumented supervised run: :func:`repro.chaos.campaign.
+    run_with_triggers` with, unless ``obs`` is ``"off"``, a fresh
+    :class:`~repro.obs.spans.SpanTracer` + metrics observer attached and
+    the job-level counters filled in afterwards.
 
-    obs = spec.obs
-    tracer = observer = None
+    Campaign units (:func:`replay`) and ``repro obs`` profile runs
+    (:func:`repro.obs.scenario.run_scenario`) both come through here, so
+    they agree on every span and counter.  Returns ``(instance, plan,
+    report, tracer, registry)``; the last two are ``None`` at ``"off"``.
+    """
+    from repro.chaos.campaign import run_with_triggers
+
+    tracer = observer = registry = None
     if obs != OBS_OFF:
         from repro.obs.metrics import MetricsObserver
         from repro.obs.rollup import OBS_MODES
@@ -108,22 +119,36 @@ def replay(spec: ReplaySpec) -> ReplayOutcome:
             raise ValueError(f"unknown obs mode {obs!r}; choose from {OBS_MODES}")
         tracer = SpanTracer()
         observer = MetricsObserver()
+        registry = observer.registry
     inst, plan, report = run_with_triggers(
-        spec.scenario.build(), list(spec.triggers), tracer=tracer, observer=observer
+        scenario, list(triggers), tracer=tracer, observer=observer
     )
-    payload = None
-    if tracer is not None and observer is not None:
-        from repro.obs.rollup import attempt_payload, fill_job_metrics
+    if tracer is not None:
+        from repro.obs.rollup import fill_job_metrics
 
         fill_job_metrics(
-            observer.registry,
+            registry,
             tracer.spans(),
             n_restarts=report.n_restarts,
             n_failures=len(plan.fired),
             completed=report.completed,
             makespan_s=report.total_virtual_s,
         )
-        payload = attempt_payload(tracer, observer.registry, obs)
+    return inst, plan, report, tracer, registry
+
+
+def replay(spec: ReplaySpec) -> ReplayOutcome:
+    """Worker entry point: build the scenario from its recipe, replay it."""
+    from repro.chaos.campaign import classify
+
+    inst, plan, report, tracer, registry = instrumented_run(
+        spec.scenario.build(), spec.triggers, spec.obs
+    )
+    payload = None
+    if tracer is not None:
+        from repro.obs.rollup import attempt_payload
+
+        payload = attempt_payload(tracer, registry, spec.obs)
     return ReplayOutcome(
         verdict=classify(inst, plan, report),
         n_restarts=report.n_restarts,

@@ -11,8 +11,9 @@ broken.
   same SHM segment with no ordering message between them;
 * :func:`run_seeded_deadlock` — a send/recv pair with mismatched tags
   (sender uses tag 1, receiver waits on tag 99);
-* :func:`run_clean_selfckpt` — a small self-checkpoint application (the
-  paper's protocol) running to completion under any detectors handed in.
+* :func:`run_clean_selfckpt` — the toy self-checkpoint application
+  (:mod:`repro.apps.iterative`, the paper's protocol alone) running to
+  completion under any detectors handed in.
 """
 
 from __future__ import annotations
@@ -110,29 +111,16 @@ def run_clean_selfckpt(
     """A correct self-checkpoint run (the paper's protocol, §3) under both
     detectors; any finding here is a detector false positive — or a real
     simulator regression, which is exactly what CI wants to catch."""
-    from repro.ckpt import CheckpointManager
+    from repro.apps.iterative import IterativeConfig, iterative_main
 
-    def app(ctx):
-        mgr = CheckpointManager(
-            ctx, ctx.world, group_size=group_size, method="self"
-        )
-        a = mgr.alloc("data", 32)
-        mgr.commit()
-        report = mgr.try_restore()
-        start = report.local["it"] if report else 0
-        for it in range(start, iters):
-            a += ctx.world.rank + 1
-            ctx.compute(1e7)
-            if (it + 1) % ckpt_every == 0:
-                mgr.local["it"] = it + 1
-                mgr.checkpoint()
-        return True
-
+    cfg = IterativeConfig(iters=iters, ckpt_every=ckpt_every, group_size=group_size)
     cluster = Cluster(n_ranks)
     race = race or RaceDetector(n_ranks)
     deadlock = deadlock or DeadlockDetector()
     trace = Trace()
-    job = Job(cluster, app, n_ranks, procs_per_node=1, trace=trace)
+    job = Job(
+        cluster, iterative_main, n_ranks, args=(cfg,), procs_per_node=1, trace=trace
+    )
     race.install(job)
     deadlock.install(job)
     result = job.run()

@@ -1,4 +1,17 @@
-"""Tests for the ABFT baseline and the restart daemon."""
+"""Tests for the ABFT baseline and the restart daemon.
+
+``abft_golden.json`` pins ``abft_hpl_main`` bit for bit.  It was captured at
+the commit *before* ABFT's private copy of the elimination loop was replaced
+by ``hpl_solve``'s factor hook (ISSUE 18), by running this module
+(``PYTHONPATH=src python -m tests.hpl.test_abft_daemon``) on that tree;
+recapture the same way, and only when a change of the solve's arithmetic or
+charged virtual time is intended.
+"""
+
+import hashlib
+import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,8 +29,53 @@ from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger, TimeTrigger
 
 CFG = HPLConfig(n=64, nb=8, p=2, q=2)
 
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "abft_golden.json")
+#: name -> (config, injection): one clean run and two corrected soft errors
+GOLDEN_RUNS = {
+    "clean-48": (HPLConfig(n=48, nb=8, p=2, q=2), None),
+    "inject-64-2x4": (
+        HPLConfig(n=64, nb=8, p=2, q=4),
+        SoftErrorInjection(panel=2, world_rank=3),
+    ),
+    "inject-40": (
+        HPLConfig(n=40, nb=8, p=2, q=2),
+        SoftErrorInjection(panel=1, world_rank=0),
+    ),
+}
+
+
+def abft_fingerprint(cfg, inject):
+    """Everything one ABFT run computes and charges, exactly: per rank the
+    solution bytes, residual, error counts, phase timers and final clock."""
+    n = cfg.n_ranks
+    res = Job(
+        Cluster(n), lambda ctx: abft_hpl_main(ctx, cfg, inject=inject), n,
+        procs_per_node=1,
+    ).run()
+    assert res.completed, res.rank_errors
+    ranks = []
+    for r in range(n):
+        out, t = res.rank_results[r], res.rank_results[r].hpl.timers
+        ranks.append(
+            {
+                "x_sha256": hashlib.sha256(out.hpl.x.tobytes()).hexdigest(),
+                "residual": out.hpl.residual.hex(),
+                "passed": out.hpl.passed,
+                "counts": [out.errors_detected, out.errors_corrected, out.checks_run],
+                "timers": [v.hex() for v in (t.panel, t.swap, t.update, t.backsub)],
+                "clock": res.rank_clocks[r].hex(),
+            }
+        )
+    return ranks
+
 
 class TestABFT:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_results_are_bit_identical_to_the_golden(self, name):
+        with open(GOLDEN_PATH) as f:
+            want = json.load(f)[name]
+        assert abft_fingerprint(*GOLDEN_RUNS[name]) == want
+
     def test_clean_run_is_correct(self):
         cl = Cluster(4)
         res = Job(
@@ -216,3 +274,13 @@ class TestDaemonEdgeCases:
         assert report.result.rank_results[2] == 4  # the spare
         assert report.result.rank_results[3] == 3
         assert report.cycles[0].replacements == {2: 4}
+
+
+if __name__ == "__main__":  # capture: rewrites the golden from this tree
+    with open(GOLDEN_PATH, "w") as f:
+        json.dump(
+            {name: abft_fingerprint(*run) for name, run in sorted(GOLDEN_RUNS.items())},
+            f, indent=1, sort_keys=True,
+        )
+        f.write("\n")
+    sys.exit(0)

@@ -1,6 +1,20 @@
-"""Scenario runner, report, bench record and CLI tests."""
+"""Scenario runner, report, bench record and CLI tests.
 
+``scenario_golden.json`` holds the sha256 of the four ``skt-hpl`` artifacts
+for the CI invocation (``--fail-at panel:3 --n 32``) and its clean twin.  It
+was captured at the commit *before* ``run_scenario`` became a front end over
+the chaos recipes (ISSUE 18), by running this module (``PYTHONPATH=src
+python -m tests.obs.test_scenario``) on that tree; recapture the same way,
+and only when a change of spans, metrics or charged virtual seconds is
+intended.
+"""
+
+import hashlib
 import json
+import os
+import re
+import sys
+import tempfile
 
 import pytest
 
@@ -18,6 +32,19 @@ from repro.obs.report import (
     render_report,
 )
 from repro.obs.scenario import parse_fail_at, run_scenario, write_artifacts
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "scenario_golden.json")
+GOLDEN_RUNS = {"panel3": dict(fail_at="panel:3", n=32), "clean": dict(n=32)}
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+
+
+def artifact_hashes(out_dir, **kwargs):
+    paths = write_artifacts(run_scenario("skt-hpl", **kwargs), out_dir)
+    hashes = {}
+    for kind, path in sorted(paths.items()):
+        with open(path, "rb") as f:
+            hashes[kind] = hashlib.sha256(f.read()).hexdigest()
+    return hashes
 
 
 class TestParseFailAt:
@@ -70,6 +97,35 @@ class TestScenario:
             assert roots.get(s.name, set()) <= set(s.attrs), (s.name, s.attrs)
 
 
+class TestOneRunPath:
+    """The run path exists once (ISSUE 18): everything under ``src/repro``
+    that needs a supervised or an instrumented run calls the campaigns'."""
+
+    def _sources(self):
+        for root, _, files in os.walk(SRC):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    with open(path, encoding="utf-8") as f:
+                        yield os.path.relpath(path, SRC), f.read()
+
+    def test_daemon_and_instrumentation_are_constructed_once(self):
+        daemons, instrumented, fills = {}, [], 0
+        for rel, text in self._sources():
+            if rel != os.path.join("hpl", "daemon.py"):
+                daemons[rel] = len(re.findall(r"\bJobDaemon\(", text))
+            if "SpanTracer()" in text and "MetricsObserver()" in text:
+                instrumented.append(rel)
+            fills += len(re.findall(r"(?<!def )\bfill_job_metrics\(", text))
+        assert {rel: n for rel, n in daemons.items() if n} == {
+            os.path.join("chaos", "campaign.py"): 1,
+            # fig10_restart_cycle: the phase-Trace'd cycle
+            os.path.join("analysis", "experiments.py"): 1,
+        }
+        assert instrumented == [os.path.join("par", "replay.py")]
+        assert fills == 1
+
+
 class TestReport:
     def _spans(self):
         return run_scenario("selfckpt", fail_at="encode:2").spans
@@ -117,6 +173,12 @@ class TestBenchRecord:
 
 
 class TestArtifactsAndCli:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_skt_hpl_artifacts_match_the_golden(self, tmp_path, name):
+        with open(GOLDEN_PATH) as f:
+            want = json.load(f)[name]
+        assert artifact_hashes(str(tmp_path), **GOLDEN_RUNS[name]) == want
+
     def test_write_artifacts_deterministic(self, tmp_path):
         outs = []
         for sub in ("a", "b"):
@@ -151,3 +213,44 @@ class TestArtifactsAndCli:
         assert rc == 0
         assert not (tmp_path / "obs-out").exists()
         assert "message balance" in capsys.readouterr().out
+
+    def test_cli_unknown_method_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["--scenario", "selfckpt", "--method", "bogus", "--report-only"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("repro obs: error: argument --method")
+
+    def test_cli_unconstructible_protocol_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = obs_main(
+            ["--scenario", "selfckpt", "--method", "self-rs", "--group-size", "2"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro obs: scenario 'selfckpt'")
+        assert "needs >= 4 members" in line
+        assert not (tmp_path / "obs-out").exists()
+
+    def test_cli_trigger_that_never_fires_is_not_a_clean_run(self, capsys):
+        rc = obs_main(
+            ["--scenario", "selfckpt", "--fail-at", "nosuch:1", "--report-only"]
+        )
+        assert rc == 1
+        assert "restarts=0 verdict=not-fired" in capsys.readouterr().out
+
+
+if __name__ == "__main__":  # capture: rewrites the golden from this tree
+    golden = {}
+    for run_name, run_kwargs in sorted(GOLDEN_RUNS.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            golden[run_name] = artifact_hashes(tmp, **run_kwargs)
+    with open(GOLDEN_PATH, "w") as f:
+        json.dump(golden, f, indent=1, sort_keys=True)
+        f.write("\n")
+    sys.exit(0)

@@ -7,9 +7,9 @@ from repro.obs.rollup import (
     span_doc,
     span_from_doc,
 )
-from repro.obs.scenario import run_scenario
+from repro.obs.scenario import run_scenario, store_run
 from repro.obs.spans import SpanTracer
-from repro.obs.store import TraceStore, attempt_run_id, obs_run_id
+from repro.obs.store import TraceStore, attempt_run_id
 
 
 def _sample_tracer():
@@ -152,11 +152,29 @@ class TestDigest:
 
 class TestRunIdentity:
     def test_obs_run_id_is_content_addressed(self):
-        run = run_scenario("selfckpt", seed=3, iters=2, ckpt_every=1)
-        again = run_scenario("selfckpt", seed=3, iters=2, ckpt_every=1)
-        other = run_scenario("selfckpt", seed=4, iters=2, ckpt_every=1)
-        assert obs_run_id(run) == obs_run_id(again)
-        assert obs_run_id(run) != obs_run_id(other)
+        """An obs run's id is the replay fingerprint of the chaos recipe it
+        ran plus its one trigger, at obs mode ``full`` — what a ``repro
+        chaos --obs full`` unit of the same run is stored under."""
+        from repro.chaos.scenarios import selfckpt_scenario
+        from repro.hpl.daemon import RestartPolicy
+        from repro.par.cache import replay_fingerprint
+        from repro.par.replay import ReplaySpec
+        from repro.sim.failures import PhaseTrigger
+
+        run = run_scenario("selfckpt", fail_at="flush:1", iters=2, ckpt_every=1)
+        recipe = selfckpt_scenario(
+            n_nodes=4, group_size=4, iters=2, ckpt_every=1, n_spares=2,
+            policy=RestartPolicy(detect_s=30.0, replace_s=10.0, restart_s=9.0),
+        )
+        trigger = PhaseTrigger(node_id=3, phase="ckpt.flush", occurrence=1)
+        assert run.run_id == replay_fingerprint(
+            ReplaySpec(recipe.spec, (trigger,), obs="full")
+        )
+        again = run_scenario("selfckpt", fail_at="flush:1", iters=2, ckpt_every=1)
+        other = run_scenario("selfckpt", fail_at="flush:1", iters=3, ckpt_every=1)
+        clean = run_scenario("selfckpt", iters=2, ckpt_every=1)
+        assert run.run_id == again.run_id
+        assert len({run.run_id, other.run_id, clean.run_id}) == 3
 
     def test_attempt_run_id_reuses_replay_fingerprint(self):
         from repro.chaos.scenarios import selfckpt_scenario
@@ -180,14 +198,18 @@ class TestRunIdentity:
             "selfckpt", fail_at="flush:1", seed=3, iters=2, ckpt_every=1
         )
         with TraceStore(":memory:") as store:
-            rid = store.ingest_obs_run(run)
-            counts = store.counts()
-            mode = store.query(
-                "SELECT obs_mode, verdict FROM runs WHERE run_id = ?", (rid,)
+            rid = store_run(store, run)
+            counts, digest = store.counts(), store.digest()
+            store_run(store, run)  # re-ingesting is idempotent
+            assert store.digest() == digest
+            row = store.query(
+                "SELECT kind, obs_mode, verdict FROM runs WHERE run_id = ?", (rid,)
             )[0]
+        assert rid == run.run_id
+        assert counts["runs"] == 1
         assert counts["spans"] == len(run.spans)
         assert counts["summaries"] > 0
-        assert mode == ("full", "completed")
+        assert row == ("obs", "full", "survived")
 
 
 class TestSpanDocRoundTrip:

@@ -9,11 +9,14 @@ finding, not a vague count change.
 
 from pathlib import Path
 
+import pytest
+
 from repro.sancheck import default_lint_root
 from repro.sancheck.flow import (
     FlowConfig,
     RNG_UNSEEDED,
     WALLCLOCK,
+    analyze_index,
     analyze_paths,
     build_index,
     propagate,
@@ -27,6 +30,12 @@ FIXTURE = Path(__file__).parent / "fixtures" / "badckpt"
 
 def fixture_findings():
     return analyze_paths([FIXTURE])
+
+
+@pytest.fixture(scope="module")
+def shipped_index():
+    """The whole-program index of the shipped tree, parsed once (~2 s)."""
+    return build_index([default_lint_root()])
 
 
 def by_rule(findings):
@@ -158,15 +167,16 @@ class TestDeterminism:
 
 
 class TestRealTree:
-    def test_shipped_package_has_no_errors(self):
+    def test_shipped_package_has_no_errors(self, shipped_index):
         """The shipped protocols must satisfy their own lifecycle
         discipline (warnings may exist; errors may not)."""
-        fs = analyze_paths([default_lint_root()])
+        fs = analyze_index(shipped_index, FlowConfig())
         assert [f for f in fs if f.severity == "error"] == []
 
-    def test_all_shipped_protocols_are_seen(self):
-        index = build_index([default_lint_root()])
-        names = {q.split(".")[-1] for q in protocol_classes(index, "Checkpointer")}
+    def test_all_shipped_protocols_are_seen(self, shipped_index):
+        names = {
+            q.split(".")[-1] for q in protocol_classes(shipped_index, "Checkpointer")
+        }
         # nominal subclasses AND the duck-typed protocols
         assert {
             "SelfCheckpoint",
@@ -179,14 +189,13 @@ class TestRealTree:
             "DiskCheckpoint",
         } <= names
 
-    def test_segments_made_by_the_shared_helper_are_tracked(self):
+    def test_segments_made_by_the_shared_helper_are_tracked(self, shipped_index):
         """Every protocol creates its segments through
         ``Checkpointer._shm``; the control flags and the (possibly SHM)
         workspace reach their attributes through a second helper on top
         of it (``_make_ctrl``, ``_alloc_array``).  Writes through either
         must still count as SHM writes — ``lifecycle-premature-write``
         is blind to a flag reset otherwise."""
-        index = build_index([default_lint_root()])
         for cls, attrs in {
             "repro.ckpt.double.SingleCheckpoint": {"_b", "_c"},
             "repro.ckpt.buddy.BuddyCheckpoint": {"_b", "_c"},
@@ -194,7 +203,9 @@ class TestRealTree:
             "repro.ckpt.incremental.IncrementalCheckpoint": {"_b", "_c", "_undo_pages"},
             "repro.ckpt.self_ckpt.SelfCheckpointRS": {"_b", "_b2", "_c", "_d"},
         }.items():
-            assert attrs | {"_ctrl", "_arrays"} <= index.classes[cls].shm_attrs, cls
+            assert (
+                attrs | {"_ctrl", "_arrays"} <= shipped_index.classes[cls].shm_attrs
+            ), cls
 
 
 class TestKernelModuleList:
@@ -216,9 +227,8 @@ class TestKernelModuleList:
         old = FlowConfig(kernel_modules=("stripes", "stripes_rs", "raid6"))
         assert analyze_paths([pkg], old) == []
 
-    def test_shipped_folds_are_kernel_functions(self):
-        index = build_index([default_lint_root()])
-        quals = kernel_functions(index, FlowConfig().kernel_modules)
+    def test_shipped_folds_are_kernel_functions(self, shipped_index):
+        quals = kernel_functions(shipped_index, FlowConfig().kernel_modules)
         for name in (
             "kernels.NumpyKernels.gpow_fold",
             "kernels.use_backend",
