@@ -20,6 +20,7 @@ from repro.ckpt import expected_runtime
 from repro.hpl.daemon import RestartPolicy
 from repro.sim import Cluster, FailurePlan, Job, MTBFFailureGenerator
 from repro.sim.errors import SimError
+from repro.util import render_table
 
 
 @dataclass
@@ -122,4 +123,17 @@ def endurance_run(
         failures_injected=failures,
         final_state_ok=state_ok,
         restarts_log=restarts,
+    )
+
+
+def render_endurance(r: EnduranceReport) -> str:
+    return render_table(
+        ["metric", "value"],
+        [
+            ["completed", r.completed],
+            ["restarts", r.n_restarts],
+            ["total virtual (s)", f"{r.total_virtual_s:.0f}"],
+            ["model expected (s)", f"{r.model_expected_s:.0f}"],
+        ],
+        title="Endurance under an MTBF failure storm",
     )

@@ -5,7 +5,8 @@ Usage::
     python -m repro list
     python -m repro fig6
     python -m repro table3
-    python -m repro all          # everything (slow: live power-off checks)
+    python -m repro all          # every target once (slow: live power-off checks)
+    python -m repro report       # the same artifacts as one markdown document
     python -m repro check --all  # sanitizer suite (lint, flow, races, deadlock)
     python -m repro check --deep # static gauntlet: lint + whole-program flow
     python -m repro obs --scenario skt-hpl --fail-at panel:3  # profile run
@@ -14,6 +15,7 @@ Usage::
     python -m repro chaos --smoke --obs summary  # campaign + trace store
 
 Each target prints the same ASCII table the corresponding benchmark emits;
+the targets are the rows of :data:`repro.analysis.report.CATALOGUE`.
 ``check`` delegates to the :mod:`repro.sancheck` suite and exits non-zero
 on any finding.
 """
@@ -22,155 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
-
-
-def _fig6() -> str:
-    from repro.analysis import fig6_available_memory
-    from repro.analysis.experiments import render_fig6
-
-    return render_fig6(fig6_available_memory())
-
-
-def _fig7() -> str:
-    from repro.analysis import fig7_model_fit
-    from repro.analysis.experiments import render_fig7
-
-    return render_fig7(fig7_model_fit())
-
-
-def _fig8() -> str:
-    from repro.analysis import fig8_top10_projection
-    from repro.analysis.experiments import render_fig8
-
-    return render_fig8(fig8_top10_projection())
-
-
-def _fig10() -> str:
-    from repro.analysis import fig10_restart_cycle
-    from repro.analysis.experiments import render_fig10
-
-    return render_fig10(fig10_restart_cycle())
-
-
-def _fig11() -> str:
-    from repro.analysis import fig11_skt_efficiency
-    from repro.analysis.experiments import render_fig11
-
-    return render_fig11(fig11_skt_efficiency())
-
-
-def _fig12() -> str:
-    from repro.analysis import fig12_memory_vs_efficiency
-    from repro.analysis.experiments import render_fig12
-
-    return render_fig12(fig12_memory_vs_efficiency())
-
-
-def _fig13() -> str:
-    from repro.analysis import fig13_encoding_cost
-    from repro.analysis.experiments import render_fig13
-
-    return render_fig13(fig13_encoding_cost())
-
-
-def _table1() -> str:
-    from repro.analysis import table1_memory_breakdown
-    from repro.analysis.experiments import render_table1
-
-    return render_table1(table1_memory_breakdown())
-
-
-def _table2() -> str:
-    from repro.analysis.experiments import render_table2, table2_node_configs
-
-    return render_table2(table2_node_configs())
-
-
-def _table3() -> str:
-    from repro.analysis import table3_method_comparison
-    from repro.analysis.experiments import render_table3
-
-    return render_table3(table3_method_comparison())
-
-
-def _table3_live() -> str:
-    from repro.analysis.experiments import (
-        render_table3_live,
-        table3_live_miniature,
-    )
-
-    return render_table3_live(table3_live_miniature())
-
-
-def _ablations() -> str:
-    from repro.analysis import (
-        ablation_encoding_op,
-        ablation_group_size,
-        ablation_incremental,
-        ablation_interval,
-        ablation_rack_mapping,
-        ablation_stripe_vs_single_root,
-    )
-    from repro.analysis.ablations import (
-        render_encoding_op,
-        render_group_size,
-        render_incremental,
-        render_interval,
-        render_rack_mapping,
-        render_stripe_vs_single,
-    )
-
-    parts = [
-        render_group_size(ablation_group_size()),
-        render_interval(ablation_interval()),
-        render_encoding_op(ablation_encoding_op()),
-        render_stripe_vs_single(ablation_stripe_vs_single_root()),
-        render_incremental(ablation_incremental()),
-        render_rack_mapping(ablation_rack_mapping()),
-    ]
-    return "\n\n".join(parts)
-
-
-def _endurance() -> str:
-    from repro.analysis.endurance import endurance_run
-    from repro.util import render_table
-
-    r = endurance_run(mtbf_node_s=3000.0, seed=11)
-    return render_table(
-        ["metric", "value"],
-        [
-            ["completed", r.completed],
-            ["restarts", r.n_restarts],
-            ["total virtual (s)", f"{r.total_virtual_s:.0f}"],
-            ["model expected (s)", f"{r.model_expected_s:.0f}"],
-        ],
-        title="Endurance under an MTBF failure storm",
-    )
-
-
-def _report() -> str:
-    from repro.analysis.report import build_report
-
-    return build_report(include_slow=True)
-
-
-TARGETS: Dict[str, Callable[[], str]] = {
-    "report": _report,
-    "table1": _table1,
-    "table2": _table2,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "table3": _table3,
-    "table3-live": _table3_live,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
-    "ablations": _ablations,
-    "endurance": _endurance,
-}
 
 
 def main(argv=None) -> int:
@@ -188,6 +41,9 @@ def main(argv=None) -> int:
 
         return chaos_main(argv[1:])
 
+    from repro.analysis.report import build_report, render_target, targets
+
+    names = sorted(targets() + ["report"])
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -197,7 +53,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "target",
-        choices=sorted(TARGETS) + ["list", "all", "check", "obs", "chaos"],
+        choices=names + ["list", "all", "check", "obs", "chaos"],
         help="which experiment to run ('check' = sanitizer suite, "
         "'obs' = instrumented profile run / trace-store queries, "
         "'chaos' = fault-injection campaign)",
@@ -205,16 +61,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.target == "list":
-        for name in sorted(TARGETS):
+        for name in names:
             print(name)
-        return 0
-    if args.target == "all":
-        for name in sorted(TARGETS):
+    elif args.target == "all":
+        for name in targets():
             print(f"== {name} ==")
-            print(TARGETS[name]())
+            print(render_target(name))
             print()
-        return 0
-    print(TARGETS[args.target]())
+    elif args.target == "report":
+        print(build_report(include_slow=True))
+    else:
+        print(render_target(args.target))
     return 0
 
 

@@ -11,8 +11,7 @@ two runs with one seed produce byte-identical artifacts.
 
 Campaign-scale telemetry persists in the SQLite-backed
 :class:`~repro.obs.store.TraceStore` (``repro chaos --obs summary``
-ingests every attempt; ``repro obs query``/``trend`` aggregate across
-runs), with per-attempt payloads built by :mod:`repro.obs.rollup`.
+ingests every attempt; ``repro obs query`` aggregates across runs), with per-attempt payloads built by :mod:`repro.obs.rollup`.
 
 Entry points: ``repro obs --scenario skt-hpl --fail-at panel:3`` (CLI) or
 :func:`repro.obs.scenario.run_scenario` (programmatic / benchmarks).
@@ -54,12 +53,11 @@ from repro.obs.rollup import (
     span_doc,
     span_from_doc,
 )
-from repro.obs.spans import NULL_SPAN, STATUS_INTERRUPTED, STATUS_OK, Span, SpanTracer
+from repro.obs.spans import STATUS_INTERRUPTED, STATUS_OK, Span, SpanTracer
 from repro.obs.store import TraceStore, attempt_run_id
 
 __all__ = [
     "METRIC_NAMES",
-    "NULL_SPAN",
     "OBS_FULL",
     "OBS_MODES",
     "OBS_OFF",

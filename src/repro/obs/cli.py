@@ -6,8 +6,6 @@ Usage::
     repro obs run --scenario selfckpt --fail-at flush:2 --store obs.sqlite
     repro obs query --store obs.sqlite --verdict survived --name ckpt.flush
     repro obs query --store obs.sqlite --section summary --format jsonl
-    repro obs ingest --store obs.sqlite obs-out/BENCH_obs.json
-    repro obs trend --store obs.sqlite --baseline benchmarks/perf_baseline.json
 
 The bare form (no subcommand) is the original profile runner and stays
 fully compatible: it writes a Perfetto-loadable ``trace.json``, a
@@ -21,17 +19,15 @@ usage error — a method that cannot be constructed on the requested shape
 included.
 
 ``query`` filters and aggregates the store (byte-stable tables or JSON
-lines), ``ingest`` loads ``BENCH_{obs,perf,chaos}.json`` records, and
-``trend`` renders the cross-run bench trajectory with the perf
-speedup-ratio regression gate.
+lines) and never writes to it; a bad ``--store``, ``--section``, ``--rank``
+or ``--incarnation`` is one ``repro obs query:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.ckpt import METHODS
 from repro.obs.scenario import (
@@ -43,7 +39,7 @@ from repro.obs.scenario import (
     write_artifacts,
 )
 
-SUBCOMMANDS = ("run", "query", "ingest", "trend")
+SUBCOMMANDS = ("run", "query")
 
 
 def _run_main(argv: List[str]) -> int:
@@ -177,19 +173,6 @@ def _parse_filter(args: argparse.Namespace):
     )
 
 
-def _require_store(parser: argparse.ArgumentParser, path: str) -> None:
-    """Read-only subcommands must not conjure an empty store.
-
-    ``sqlite3.connect`` happily creates the file, so a typo'd ``--store``
-    would silently query zero rows (and litter an empty .sqlite) instead
-    of failing.
-    """
-    import os
-
-    if path != ":memory:" and not os.path.exists(path):
-        parser.error(f"trace store not found: {path}")
-
-
 def _query_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro obs query",
@@ -227,18 +210,32 @@ def _query_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.obs.query import query_jsonl, query_report
-    from repro.obs.store import TraceStore
+    from repro.obs.query import SECTIONS, query_jsonl, query_report
+    from repro.obs.store import NotATraceStore, TraceStore
 
-    _require_store(parser, args.store)
-    flt = _parse_filter(args)
+    def usage_error(msg: str) -> NoReturn:
+        """One line, no usage block: the message names the offending flag."""
+        parser.exit(2, f"{parser.prog}: {msg}\n")
+
+    try:
+        flt = _parse_filter(args)
+    except ValueError as err:
+        usage_error(f"--rank / --incarnation take comma-separated integers ({err})")
     sections = tuple(s.strip() for s in args.section.split(",") if s.strip())
+    if not sections or set(sections) - set(SECTIONS):
+        usage_error(
+            f"--section takes a csv of {','.join(SECTIONS)}, got {args.section!r}"
+        )
     keys = (
         tuple(k.strip() for k in args.keys.split(",") if k.strip())
         if args.keys
         else None
     )
-    with TraceStore(args.store) as store:
+    try:
+        store = TraceStore(args.store, readonly=True)
+    except NotATraceStore as err:
+        usage_error(str(err))
+    with store:
         if args.format == "jsonl":
             sys.stdout.write(
                 query_jsonl(store, flt, sections=sections, keys=keys)
@@ -246,66 +243,6 @@ def _query_main(argv: List[str]) -> int:
         else:
             print(query_report(store, flt, sections=sections, keys=keys))
     return 0
-
-
-def _ingest_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro obs ingest",
-        description=(
-            "Load BENCH_{obs,perf,chaos}.json records into a trace store "
-            "(idempotent: records are content-addressed)."
-        ),
-    )
-    parser.add_argument("--store", required=True, metavar="DB")
-    parser.add_argument("files", nargs="+", metavar="BENCH.json")
-    args = parser.parse_args(argv)
-
-    from repro.obs.store import TraceStore
-
-    with TraceStore(args.store) as store:
-        for path in args.files:
-            with open(path, "r", encoding="utf-8") as f:
-                record = json.load(f)
-            record_id = store.ingest_bench_record(record)
-            print(
-                f"ingested {record.get('bench', '?')} record "
-                f"{record_id[:12]} from {path}"
-            )
-        counts = store.counts()
-    print(
-        "store now holds "
-        + ", ".join(f"{counts[t]} {t}" for t in sorted(counts))
-    )
-    return 0
-
-
-def _trend_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro obs trend",
-        description=(
-            "Cross-run bench trajectory from the store's raw records, "
-            "with the perf speedup-ratio regression gate."
-        ),
-    )
-    parser.add_argument("--store", required=True, metavar="DB")
-    parser.add_argument(
-        "--baseline", default=None, metavar="JSON",
-        help="perf ratio baseline (e.g. benchmarks/perf_baseline.json)",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.obs.query import trend_report
-    from repro.obs.store import TraceStore
-
-    _require_store(parser, args.store)
-    baseline = None
-    if args.baseline is not None:
-        with open(args.baseline, "r", encoding="utf-8") as f:
-            baseline = json.load(f)
-    with TraceStore(args.store) as store:
-        text, ok = trend_report(store, baseline)
-    print(text)
-    return 0 if ok else 1
 
 
 def obs_main(argv: Optional[List[str]] = None) -> int:
@@ -321,11 +258,7 @@ def obs_main(argv: Optional[List[str]] = None) -> int:
         sub, rest = argv[0], argv[1:]
         if sub == "run":
             return _run_main(rest)
-        if sub == "query":
-            return _query_main(rest)
-        if sub == "ingest":
-            return _ingest_main(rest)
-        return _trend_main(rest)
+        return _query_main(rest)
     return _run_main(argv)
 
 

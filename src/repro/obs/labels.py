@@ -65,12 +65,6 @@ METRIC_NAMES = frozenset(
         "ckpt.count",
         "ckpt.bytes_encoded",
         "restore.count",
-        # kernel throughput host metrics (wall-clock gauges fed by
-        # benchmarks/bench_perf_kernels.py: data bytes encoded/decoded per
-        # second through the batched GF(256) kernels at MB-scale stripes;
-        # recorded in BENCH_perf.json and tracked by `repro obs trend`)
-        "ckpt.encode_bytes_per_s",
-        "ckpt.decode_bytes_per_s",
         # chaos campaign engine (src/repro/chaos): per-campaign verdict
         # accounting — kill_points counts matrix cells, runs counts every
         # supervised job the engine launched (matrix + random + shrink)

@@ -1,10 +1,11 @@
-"""``repro obs query``/``trend`` — cross-run queries over the trace store.
+"""``repro obs query`` — cross-run queries over the trace store.
 
 The :class:`~repro.obs.store.TraceStore` holds attempts from many
 campaigns; this module answers the questions a campaign report cannot —
 "how long do ``ckpt.flush`` spans run across every survived kill point?",
-"what is the p99 recovery path over the whole matrix?", "did the encode
-kernel's speedup ratio regress against the checked-in baseline?".
+"what is the p99 recovery path over the whole matrix?", "how did this
+scenario's makespan and checkpoint count move from one stored run to the
+next?".
 
 All output is byte-stable: filters, aggregation and rendering are pure
 functions of the store's logical content, rows are ordered by explicit
@@ -16,7 +17,6 @@ stores but equal query output, which CI compares bytewise.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,6 +27,9 @@ from repro.util.tables import render_table
 
 #: percentile columns of the aggregation views
 QUERY_PERCENTILES = (0.50, 0.90, 0.99)
+
+#: the sections a query answer is made of, in output order
+SECTIONS = ("runs", "spans", "summary")
 
 
 def _fmt(v: Any) -> str:
@@ -339,7 +342,7 @@ def query_report(
     store: TraceStore,
     flt: QueryFilter,
     *,
-    sections: Sequence[str] = ("runs", "spans", "summary"),
+    sections: Sequence[str] = SECTIONS,
     keys: Optional[Sequence[str]] = None,
 ) -> str:
     """The full byte-stable query answer (table form)."""
@@ -361,7 +364,7 @@ def query_jsonl(
     store: TraceStore,
     flt: QueryFilter,
     *,
-    sections: Sequence[str] = ("runs", "spans", "summary"),
+    sections: Sequence[str] = SECTIONS,
     keys: Optional[Sequence[str]] = None,
 ) -> str:
     """The same answer as machine-readable JSON lines."""
@@ -406,179 +409,3 @@ def query_jsonl(
             )
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-# -- bench trajectory -----------------------------------------------------------
-
-#: a tracked speedup ratio may shrink by at most this factor vs baseline
-#: (same rule as benchmarks/bench_perf_kernels.py)
-TREND_REGRESSION_FACTOR = 3.0
-
-
-def _bench_records(store: TraceStore, bench: str) -> List[Dict[str, Any]]:
-    return [
-        json.loads(blob)
-        for (blob,) in store.query(
-            "SELECT record_json FROM bench_records WHERE bench = ? "
-            "ORDER BY record_id",
-            (bench,),
-        )
-    ]
-
-
-def perf_trend_rows(
-    store: TraceStore, baseline: Optional[Dict[str, Any]]
-) -> Tuple[List[List[str]], bool]:
-    """Speedup-ratio rows for every stored perf record vs the baseline.
-
-    Returns ``(rows, ok)`` — ``ok`` flips false when any tracked ratio
-    fell below ``baseline / TREND_REGRESSION_FACTOR`` (the same gate the
-    perf benchmark enforces at measurement time).
-    """
-    rows: List[List[str]] = []
-    ok = True
-    for rec in _bench_records(store, "perf_kernels"):
-        rid = _sha8(rec)
-        for group, key in (
-            ("gf_vec_mul", "size"),
-            ("rs_encode", "stripe_bytes"),
-            ("matrix_encode", "stripe_bytes"),
-        ):
-            base_rows = (baseline or {}).get(group, [])
-            base_by_key = {b[key]: b for b in base_rows}
-            for cur in rec.get(group, []):
-                ref = base_by_key.get(cur[key])
-                speedup = float(cur["speedup"])
-                if ref is None:
-                    floor, verdict = 0.0, "no-baseline"
-                else:
-                    floor = float(ref["speedup"]) / TREND_REGRESSION_FACTOR
-                    verdict = "ok" if speedup >= floor else "REGRESSED"
-                    ok = ok and speedup >= floor
-                rows.append(
-                    [
-                        rid,
-                        f"{group}[{cur[key]}]",
-                        _fmt(speedup),
-                        _fmt(floor),
-                        verdict,
-                    ]
-                )
-    return rows, ok
-
-
-def throughput_trend_rows(store: TraceStore) -> List[List[str]]:
-    """Kernel-throughput trajectory from the perf records' host metrics.
-
-    Renders every ``host_metrics`` gauge a stored ``BENCH_perf.json``
-    carries (``ckpt.encode_bytes_per_s`` / ``ckpt.decode_bytes_per_s``);
-    absolute bytes/s are hardware-bound, so these rows track, they do
-    not gate — the ratio gate above is the regression check.
-    """
-    rows: List[List[str]] = []
-    for rec in _bench_records(store, "perf_kernels"):
-        rid = _sha8(rec)
-        metrics = rec.get("host_metrics", {})
-        for name in sorted(metrics):
-            rows.append([rid, name, _fmt(float(metrics[name]) / 1e9)])
-    return rows
-
-
-def _sha8(doc: Dict[str, Any]) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:8]
-
-
-def obs_trend_rows(store: TraceStore) -> List[List[str]]:
-    """Headline trajectory of every stored ``BENCH_obs.json`` record."""
-    return [
-        [
-            _sha8(rec),
-            str(rec.get("scenario", "?")),
-            str(rec.get("seed", 0)),
-            str(rec.get("completed", "?")),
-            str(rec.get("n_restarts", 0)),
-            _fmt(float(rec.get("makespan_s", 0.0))),
-            _fmt(float(rec.get("ckpt_count", 0.0))),
-            _fmt(float(rec.get("traffic", {}).get("bytes_stranded", 0.0))),
-        ]
-        for rec in _bench_records(store, "obs")
-    ]
-
-
-def chaos_trend_rows(store: TraceStore) -> List[List[str]]:
-    """Survivability trajectory of every stored ``BENCH_chaos.json``."""
-    rows = []
-    for rec in _bench_records(store, "chaos"):
-        n_points = sum(m.get("n_kill_points", 0) for m in rec.get("matrices", []))
-        verdicts: Dict[str, int] = {}
-        for m in rec.get("matrices", []):
-            for v, n in m.get("verdicts", {}).items():
-                verdicts[v] = verdicts.get(v, 0) + n
-        summary = ",".join(f"{v}={n}" for v, n in sorted(verdicts.items()) if n)
-        rows.append(
-            [
-                _sha8(rec),
-                str(rec.get("seed", 0)),
-                str(len(rec.get("matrices", []))),
-                str(n_points),
-                str(rec.get("survived_all", "?")),
-                summary or "-",
-            ]
-        )
-    return rows
-
-
-def trend_report(
-    store: TraceStore, baseline: Optional[Dict[str, Any]] = None
-) -> Tuple[str, bool]:
-    """Render the cross-run bench trajectory; returns ``(text, ok)``."""
-    parts = []
-    perf_rows, ok = perf_trend_rows(store, baseline)
-    if perf_rows:
-        parts.append(
-            render_table(
-                ["record", "kernel", "speedup", "floor", "gate"],
-                perf_rows,
-                title=f"perf speedup ratios (floor = baseline / "
-                f"{TREND_REGRESSION_FACTOR})",
-            )
-        )
-    tput_rows = throughput_trend_rows(store)
-    if tput_rows:
-        parts.append(
-            render_table(
-                ["record", "metric", "GB/s"],
-                tput_rows,
-                title="kernel throughput (host wall-clock, informational)",
-            )
-        )
-    obs_rows = obs_trend_rows(store)
-    if obs_rows:
-        parts.append(
-            render_table(
-                [
-                    "record",
-                    "scenario",
-                    "seed",
-                    "completed",
-                    "restarts",
-                    "makespan s",
-                    "ckpts",
-                    "stranded B",
-                ],
-                obs_rows,
-                title="obs run trajectory",
-            )
-        )
-    chaos_rows = chaos_trend_rows(store)
-    if chaos_rows:
-        parts.append(
-            render_table(
-                ["record", "seed", "matrices", "kill points", "survived", "verdicts"],
-                chaos_rows,
-                title="chaos campaign trajectory",
-            )
-        )
-    if not parts:
-        parts.append("(no bench records in store)")
-    return "\n\n".join(parts), ok

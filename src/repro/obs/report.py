@@ -76,50 +76,54 @@ def rank_busy(spans: List[Span]) -> Dict[int, float]:
     return busy
 
 
+def _descend(spans: List[Span], heads: List[Span]) -> List[Span]:
+    """From the head with the latest end clock (ties: lowest rank /
+    earliest begin), descend through the longest child at each level."""
+    if not heads:
+        return []
+    children: Dict[Optional[str], List[Span]] = {}
+    for s in spans:
+        children.setdefault(s.parent_id, []).append(s)
+    chain = [max(heads, key=lambda s: (s.end or s.begin, -s.rank, -s.begin))]
+    while True:
+        kids = children.get(chain[-1].span_id, [])
+        if not kids:
+            return chain
+        chain.append(max(kids, key=lambda s: (_dur(s), -s.begin)))
+
+
 def critical_path(spans: List[Span]) -> List[Span]:
-    """The chain that bounds the makespan: start from the span with the
-    latest end clock (ties: lowest rank / earliest begin), then descend
-    through the longest child at each level.
+    """The chain that bounds the makespan: the latest-ending root span
+    and its longest-child descent.
 
     After a failure + recovery, the latest-ending spans belong to the
     restarted incarnation, so the chain surfaces the recovery path
     (``restore`` -> ``restore.rebuild`` / ``restore.commit``) ahead of
     steady-state compute — the paper's Fig. 10 decomposition, measured.
     """
-    if not spans:
-        return []
-    children: Dict[Optional[str], List[Span]] = {}
-    for s in spans:
-        children.setdefault(s.parent_id, []).append(s)
-    roots = children.get(None, [])
-    if not roots:
-        return []
-    head = max(roots, key=lambda s: (s.end or s.begin, -s.rank, -s.begin))
-    chain = [head]
-    while True:
-        kids = children.get(chain[-1].span_id, [])
-        if not kids:
-            return chain
-        chain.append(max(kids, key=lambda s: (_dur(s), -s.begin)))
+    return _descend(spans, [s for s in spans if s.parent_id is None])
 
 
 def recovery_path(spans: List[Span]) -> List[Span]:
-    """The recovery critical path: the latest-ending ``restore`` root and
+    """The recovery critical path: the latest-ending ``restore`` span and
     its longest-child descent — what actually bounded the time from
     restart to resumed compute (paper Fig. 10's recovery segment)."""
-    restores = [s for s in spans if s.name == "restore"]
-    if not restores:
-        return []
-    head = max(restores, key=lambda s: (s.end or s.begin, -s.rank, -s.begin))
-    children: Dict[Optional[str], List[Span]] = {}
-    for s in spans:
-        children.setdefault(s.parent_id, []).append(s)
-    chain = [head]
-    while True:
-        kids = children.get(chain[-1].span_id, [])
-        if not kids:
-            return chain
-        chain.append(max(kids, key=lambda s: (_dur(s), -s.begin)))
+    return _descend(spans, [s for s in spans if s.name == "restore"])
+
+
+def _chain_table(chain: List[Span], title: str) -> str:
+    rows = []
+    for depth, s in enumerate(chain):
+        flag = "" if s.status == STATUS_OK else f" [{s.status}]"
+        rows.append(
+            [
+                "  " * depth + s.name + flag,
+                s.rank,
+                f"{s.begin:.4g}",
+                f"{_dur(s):.4g}",
+            ]
+        )
+    return render_table(["span", "rank", "begin s", "dur s"], rows, title=title)
 
 
 def render_report(
@@ -165,44 +169,18 @@ def render_report(
                 )
             )
 
-        chain = critical_path(spans)
-        crit_rows = []
-        for depth, s in enumerate(chain):
-            flag = "" if s.status == STATUS_OK else f" [{s.status}]"
-            crit_rows.append(
-                [
-                    "  " * depth + s.name + flag,
-                    s.rank,
-                    f"{s.begin:.4g}",
-                    f"{_dur(s):.4g}",
-                ]
-            )
         parts.append(
-            render_table(
-                ["span", "rank", "begin s", "dur s"],
-                crit_rows,
-                title="critical path (slowest rank, longest-child descent)",
+            _chain_table(
+                critical_path(spans),
+                "critical path (slowest rank, longest-child descent)",
             )
         )
-
         rec_chain = recovery_path(spans)
         if rec_chain:
-            rec_rows = []
-            for depth, s in enumerate(rec_chain):
-                flag = "" if s.status == STATUS_OK else f" [{s.status}]"
-                rec_rows.append(
-                    [
-                        "  " * depth + s.name + flag,
-                        s.rank,
-                        f"{s.begin:.4g}",
-                        f"{_dur(s):.4g}",
-                    ]
-                )
             parts.append(
-                render_table(
-                    ["span", "rank", "begin s", "dur s"],
-                    rec_rows,
-                    title="recovery critical path (latest restore, longest-child descent)",
+                _chain_table(
+                    rec_chain,
+                    "recovery critical path (latest restore, longest-child descent)",
                 )
             )
 

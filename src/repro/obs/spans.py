@@ -152,20 +152,3 @@ class SpanTracer:
         with self._lock:
             return sum(len(v) for v in self._spans.values())
 
-
-class _NullSpanContext:
-    """No-op stand-in returned by ``ctx.span`` when no tracer is attached.
-
-    Stateless, hence safely reentrant and shareable across rank threads.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpanContext()

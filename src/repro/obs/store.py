@@ -6,7 +6,7 @@ artifacts (``BENCH_obs.json``, ``BENCH_chaos.json``, ``trace.json``) are
 snapshots of *one* run — this module gives them a durable home that
 queries across runs: a :class:`TraceStore` backed by a single SQLite file
 (stdlib :mod:`sqlite3`, no services, no daemons) holding runs, spans,
-metric samples, flat summary rollups and raw bench records.
+metric samples and flat summary rollups — every row keyed by its run.
 
 Identity is content-addressed, not autoincremented.  An attempt's
 ``run_id`` is the same :func:`~repro.par.cache.replay_fingerprint` the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pathlib
 import sqlite3
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -85,12 +86,6 @@ CREATE TABLE IF NOT EXISTS summaries (
     value  REAL NOT NULL,
     PRIMARY KEY (run_id, key)
 );
-CREATE TABLE IF NOT EXISTS bench_records (
-    record_id   TEXT PRIMARY KEY,
-    bench       TEXT NOT NULL,
-    seed        INTEGER NOT NULL,
-    record_json TEXT NOT NULL
-);
 """
 
 #: tables in canonical dump order, with their deterministic row ordering
@@ -100,7 +95,6 @@ _DUMP_ORDER: Tuple[Tuple[str, str], ...] = (
     ("spans", "run_id, span_id"),
     ("metrics", "run_id, name, kind, labels_json"),
     ("summaries", "run_id, key"),
-    ("bench_records", "record_id"),
 )
 
 
@@ -147,16 +141,46 @@ def attempt_run_id(scenario: Any, triggers: Iterable[Any], obs_mode: str) -> str
     )
 
 
+class NotATraceStore(ValueError):
+    """A read-only open found no file, or a file that is not a trace store."""
+
+
+def _connect_readonly(path: str) -> sqlite3.Connection:
+    """A ``mode=ro`` connection to an existing store: without it SQLite
+    creates a missing file, and the writer's ``CREATE TABLE IF NOT EXISTS``
+    would plant the store's tables in whatever SQLite file it was given."""
+    uri = pathlib.Path(path).absolute().as_uri() + "?mode=ro"
+    conn = None
+    try:
+        conn = sqlite3.connect(uri, uri=True)
+        if conn.execute(
+            "SELECT 1 FROM sqlite_master "
+            "WHERE type = 'table' AND name = 'store_meta'"
+        ).fetchone():
+            return conn
+        reason = "no store_meta table"
+    except sqlite3.Error as exc:  # no such file, or not SQLite at all
+        reason = str(exc)
+    if conn is not None:
+        conn.close()
+    raise NotATraceStore(f"not a trace store ({reason}): {path}")
+
+
 class TraceStore:
     """SQLite-backed store of campaign runs, spans, metrics and summaries.
 
     ``path`` may be ``":memory:"`` for tests.  All writers are idempotent
     (``INSERT OR REPLACE`` keyed by content addresses), so re-running an
-    ingestion is a no-op rather than a duplication.
+    ingestion is a no-op rather than a duplication.  ``readonly=True`` is
+    for commands that only read: the file must already be a trace store
+    (else :class:`NotATraceStore`) and is neither created nor altered.
     """
 
-    def __init__(self, path: str = ":memory:") -> None:
+    def __init__(self, path: str = ":memory:", *, readonly: bool = False) -> None:
         self.path = path
+        if readonly:
+            self._conn = _connect_readonly(path)
+            return
         self._conn = sqlite3.connect(path)
         self._conn.executescript(_SCHEMA)
         self._conn.execute(
@@ -282,22 +306,6 @@ class TraceStore:
                 for doc in metric_docs
             ],
         )
-
-    def ingest_bench_record(self, record: Dict[str, Any]) -> str:
-        """Store one raw ``BENCH_*.json`` record (obs, chaos or perf)."""
-        record_id = _sha(record)
-        self._conn.execute(
-            "INSERT OR REPLACE INTO bench_records (record_id, bench, seed, "
-            "record_json) VALUES (?,?,?,?)",
-            (
-                record_id,
-                str(record.get("bench", "?")),
-                int(record.get("seed", 0)),
-                _canon(record),
-            ),
-        )
-        self._conn.commit()
-        return record_id
 
     # -- reads ------------------------------------------------------------------
     def query(self, sql: str, params: Tuple[Any, ...] = ()) -> List[Tuple]:

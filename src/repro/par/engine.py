@@ -71,12 +71,11 @@ class ParallelEngine:
         *,
         registry: Any = None,
         progress: Any = None,
-        mp_context: Optional[str] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
         self.registry = registry
         self.progress = progress if progress is not None else NullProgress()
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context()
 
     def map(
         self,

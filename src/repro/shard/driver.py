@@ -132,7 +132,6 @@ def run_sharded_campaign(
     executors: Optional[int] = None,
     poll_s: float = 0.05,
     progress: Any = None,
-    mp_context: Optional[str] = None,
     respawn: int = 0,
     respawn_backoff_s: float = 0.25,
     attempts_cap: int = DEFAULT_ATTEMPTS_CAP,
@@ -180,7 +179,7 @@ def run_sharded_campaign(
     os.makedirs(out_dir, exist_ok=True)
     queue_path = queue_path_for(out_dir)
     salvaged = _prepare_queue_file(queue_path, plan, salvage)
-    ctx = multiprocessing.get_context(mp_context)
+    ctx = multiprocessing.get_context()
     supervisor: Optional[ExecutorSupervisor] = None
     with ShardQueue(queue_path) as queue:
         queue.populate(plan)  # fresh run or fingerprint-checked resume

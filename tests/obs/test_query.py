@@ -1,5 +1,6 @@
-"""Query-engine tests: filters, percentiles, byte-stable output, trend."""
+"""Query-engine tests: filters, percentiles, byte-stable output, CLI guards."""
 
+import hashlib
 import json
 import math
 
@@ -10,14 +11,11 @@ from repro.obs.query import (
     QueryFilter,
     aggregate_spans,
     nearest_rank,
-    perf_trend_rows,
     query_jsonl,
     query_report,
     run_rows,
     span_rows,
     summary_stats,
-    throughput_trend_rows,
-    trend_report,
 )
 from repro.obs.rollup import attempt_payload
 from repro.obs.spans import SpanTracer
@@ -35,8 +33,8 @@ def _tracer(offset=0.0):
     return tr
 
 
-def _store():
-    store = TraceStore(":memory:")
+def _store(path=":memory:"):
+    store = TraceStore(path)
     for i, (verdict, off) in enumerate(
         [("survived", 0.0), ("survived", 1.0), ("gave-up", 2.0)]
     ):
@@ -180,96 +178,6 @@ class TestByteStability:
         assert _fmt(1.0 / 3.0) == "0.333333"
 
 
-class TestTrend:
-    def _perf_record(self, speedup):
-        return {
-            "bench": "perf_kernels",
-            "gf_vec_mul": [{"size": 64, "speedup": speedup}],
-            "rs_encode": [],
-        }
-
-    def _baseline(self):
-        return {
-            "gf_vec_mul": [{"size": 64, "speedup": 6.0}],
-            "rs_encode": [],
-        }
-
-    def test_gate_passes_above_floor(self):
-        store = TraceStore(":memory:")
-        store.ingest_bench_record(self._perf_record(5.0))
-        rows, ok = perf_trend_rows(store, self._baseline())
-        assert ok and rows[0][-1] == "ok"
-
-    def test_gate_fails_below_floor(self):
-        store = TraceStore(":memory:")
-        store.ingest_bench_record(self._perf_record(1.0))  # floor is 2.0
-        rows, ok = perf_trend_rows(store, self._baseline())
-        assert not ok and rows[0][-1] == "REGRESSED"
-
-    def test_no_baseline_never_gates(self):
-        store = TraceStore(":memory:")
-        store.ingest_bench_record(self._perf_record(0.1))
-        rows, ok = perf_trend_rows(store, None)
-        assert ok and rows[0][-1] == "no-baseline"
-
-    def test_trend_report_covers_all_benches(self):
-        store = TraceStore(":memory:")
-        store.ingest_bench_record(self._perf_record(5.0))
-        store.ingest_bench_record(
-            {"bench": "obs", "scenario": "selfckpt", "seed": 1,
-             "completed": True, "n_restarts": 1, "makespan_s": 10.0,
-             "ckpt_count": 4.0, "traffic": {"bytes_stranded": 0.0}}
-        )
-        store.ingest_bench_record(
-            {"bench": "chaos", "seed": 0, "survived_all": True,
-             "matrices": [{"n_kill_points": 4,
-                           "verdicts": {"survived": 4}}]}
-        )
-        text, ok = trend_report(store, self._baseline())
-        assert ok
-        assert "perf speedup ratios" in text
-        assert "obs run trajectory" in text
-        assert "chaos campaign trajectory" in text
-
-    def test_empty_store_renders_placeholder(self):
-        text, ok = trend_report(TraceStore(":memory:"), None)
-        assert ok and "no bench records" in text
-
-    def test_matrix_encode_group_gates(self):
-        store = TraceStore(":memory:")
-        rec = self._perf_record(5.0)
-        rec["matrix_encode"] = [{"stripe_bytes": 1 << 20, "speedup": 1.0}]
-        store.ingest_bench_record(rec)
-        baseline = self._baseline()
-        baseline["matrix_encode"] = [
-            {"stripe_bytes": 1 << 20, "speedup": 4.0}
-        ]
-        rows, ok = perf_trend_rows(store, baseline)
-        assert not ok
-        matrix = [r for r in rows if r[1].startswith("matrix_encode")]
-        assert matrix and matrix[0][-1] == "REGRESSED"
-
-    def test_throughput_rows_render_host_metrics(self):
-        store = TraceStore(":memory:")
-        rec = self._perf_record(5.0)
-        rec["host_metrics"] = {
-            "ckpt.encode_bytes_per_s": 2.5e9,
-            "ckpt.decode_bytes_per_s": 0.5e9,
-        }
-        store.ingest_bench_record(rec)
-        rows = throughput_trend_rows(store)
-        by_name = {r[1]: r[2] for r in rows}
-        assert by_name["ckpt.encode_bytes_per_s"] == "2.5"
-        assert by_name["ckpt.decode_bytes_per_s"] == "0.5"
-        text, ok = trend_report(store, None)
-        assert ok and "kernel throughput" in text
-
-    def test_throughput_rows_absent_without_host_metrics(self):
-        store = TraceStore(":memory:")
-        store.ingest_bench_record(self._perf_record(5.0))
-        assert throughput_trend_rows(store) == []
-
-
 class TestCliStoreGuard:
     def test_query_refuses_missing_store(self, tmp_path):
         from repro.obs.cli import obs_main
@@ -281,11 +189,74 @@ class TestCliStoreGuard:
         # the guard exists so a typo'd path cannot conjure an empty store
         assert not missing.exists()
 
-    def test_trend_refuses_missing_store(self, tmp_path):
+    @pytest.mark.parametrize("sub", ["trend", "ingest"])
+    def test_removed_subcommands_are_usage_errors(self, sub, tmp_path, capsys):
+        """`trend` / `ingest` are gone: the word falls through to the run
+        parser, which rejects it, and no store is conjured."""
         from repro.obs.cli import obs_main
 
-        missing = tmp_path / "nope.sqlite"
+        db = tmp_path / "obs.sqlite"
         with pytest.raises(SystemExit) as exc:
-            obs_main(["trend", "--store", str(missing)])
+            obs_main([sub, "--store", str(db)])
         assert exc.value.code == 2
-        assert not missing.exists()
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not db.exists()
+
+    def _usage_error(self, capsys, argv):
+        from repro.obs.cli import obs_main
+
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["query", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("repro obs query: ")
+        return line
+
+    def test_non_integer_rank_is_one_line_usage_error(self, tmp_path, capsys):
+        db = tmp_path / "obs.sqlite"
+        _store(str(db)).close()
+        line = self._usage_error(capsys, ["--store", str(db), "--rank", "abc"])
+        assert "--rank" in line and "abc" in line
+
+    @pytest.mark.parametrize("section", ["bogus", "runs,sumary", ","])
+    def test_unknown_section_is_one_line_usage_error(
+        self, section, tmp_path, capsys
+    ):
+        db = tmp_path / "obs.sqlite"
+        _store(str(db)).close()
+        line = self._usage_error(
+            capsys, ["--store", str(db), "--section", section]
+        )
+        assert "--section" in line and repr(section) in line
+
+    def test_foreign_sqlite_file_is_refused_and_left_untouched(
+        self, tmp_path, capsys
+    ):
+        """A shard queue is SQLite but not a trace store: `query` must say
+        so instead of answering `runs (0)` — and must not plant the
+        store's tables in it."""
+        from repro.shard import ShardQueue
+
+        path = tmp_path / "shards.sqlite"
+        ShardQueue(str(path)).close()
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        line = self._usage_error(capsys, ["--store", str(path)])
+        assert "not a trace store" in line
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
+    def test_query_does_not_modify_the_store(self, tmp_path, capsys):
+        from repro.obs.cli import obs_main
+
+        db = tmp_path / "obs.sqlite"
+        _store(str(db)).close()
+        before = hashlib.sha256(db.read_bytes()).hexdigest()
+        assert obs_main(
+            ["query", "--store", str(db), "--section", "runs,summary",
+             "--keys", "job.restarts", "--rank", "0,1"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "runs (3)" in out and "job.restarts" in out
+        assert "span durations" not in out
+        assert hashlib.sha256(db.read_bytes()).hexdigest() == before

@@ -169,6 +169,7 @@ class TestBenchRecord:
         assert rec["traffic"]["bytes_stranded"] >= 0
         assert rec["recovery_path"] and rec["recovery_path"][0]["name"] == "restore"
         assert rec["failures_injected"] == 1
+        assert rec["n_interrupted_spans"] > 0
         json.dumps(rec)  # must be JSON-serializable as-is
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.obs.spans import (
     STATUS_INTERRUPTED,
     STATUS_OK,
-    NULL_SPAN,
     SpanTracer,
 )
 from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
@@ -61,10 +60,6 @@ class TestTracerUnit:
 
     def test_end_without_open_span_is_noop(self):
         assert SpanTracer().end(0, 1.0) is None
-
-    def test_null_span_context(self):
-        with NULL_SPAN:
-            pass  # reentrant no-op
 
 
 class TestRuntimeIntegration:

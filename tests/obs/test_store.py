@@ -96,7 +96,6 @@ class TestIngest:
             "spans": 0,
             "metrics": 0,
             "summaries": 0,
-            "bench_records": 0,
         }
         assert row == ("off",)
 
@@ -108,15 +107,19 @@ class TestIngest:
             d2 = store.digest()
         assert d1 == d2
 
-    def test_bench_record_content_addressed(self):
-        rec = {"bench": "obs", "seed": 7, "makespan_s": 1.5}
+    def test_every_row_is_keyed_by_its_run(self):
+        """One identity: no table but ``store_meta`` holds a row that is not
+        addressed by a run id first (ROADMAP item 4)."""
         with TraceStore(":memory:") as store:
-            a = store.ingest_bench_record(rec)
-            b = store.ingest_bench_record(dict(rec))  # same content
-            c = store.ingest_bench_record({**rec, "seed": 8})
-            n = store.counts()["bench_records"]
-        assert a == b != c
-        assert n == 2
+            tables = set(store.counts())
+            # PRAGMA table_info rows end in the column's 1-based position
+            # in the primary key (0 = not part of it)
+            first_pk = {
+                t: [r[1] for r in store.query(f"PRAGMA table_info({t})") if r[5] == 1]
+                for t in tables - {"store_meta"}
+            }
+        assert tables == {"store_meta", "runs", "spans", "metrics", "summaries"}
+        assert set(map(tuple, first_pk.values())) == {("run_id",)}, first_pk
 
 
 class TestDigest:
@@ -148,6 +151,29 @@ class TestDigest:
         with TraceStore(path) as store:
             d2 = store.digest()
         assert d1 == d2
+
+    def test_store_written_before_bench_records_went_still_opens(self, tmp_path):
+        """A file from before the side-table was dropped carries an empty
+        ``bench_records`` table: it opens, ingests and digests like a fresh
+        store (the table is not part of the logical content)."""
+        import sqlite3
+
+        old, fresh = str(tmp_path / "old.sqlite"), str(tmp_path / "new.sqlite")
+        conn = sqlite3.connect(old)
+        conn.execute(
+            "CREATE TABLE bench_records (record_id TEXT PRIMARY KEY, "
+            "bench TEXT NOT NULL, seed INTEGER NOT NULL, "
+            "record_json TEXT NOT NULL)"
+        )
+        conn.commit()
+        conn.close()
+        with TraceStore(old) as a, TraceStore(fresh) as b:
+            _ingest_sample(a)
+            _ingest_sample(b)
+            assert a.counts() == b.counts()
+            assert a.digest() == b.digest()
+        with TraceStore(old, readonly=True) as a:
+            assert a.counts()["runs"] == 1
 
 
 class TestRunIdentity:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import TARGETS, main
+from repro.analysis.report import CATALOGUE, build_report
+from repro.cli import main
 
 
 class TestCLI:
@@ -49,7 +50,11 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["check", "frobnicate"])
 
-    def test_targets_cover_every_table_and_figure(self):
+    def test_targets_cover_every_table_and_figure(self, capsys):
+        """`repro list` is the catalogue's targets plus `report` — nothing
+        hand-listed beside it."""
+        assert main(["list"]) == 0
+        listed = capsys.readouterr().out.split()
         expected = {
             "table1",
             "table2",
@@ -64,6 +69,42 @@ class TestCLI:
             "fig13",
             "ablations",
             "endurance",
+            "reliability",
             "report",
         }
-        assert expected <= set(TARGETS)
+        assert expected <= set(listed)
+        assert sorted(listed) == sorted({a.target for a in CATALOGUE} | {"report"})
+        assert len(listed) == len(set(listed))
+
+    def test_all_prints_every_target_once_and_no_report(self, capsys, monkeypatch):
+        """`all` used to iterate a table that contained `report`, printing
+        every artifact twice.  Rendering is stubbed: the live rows take
+        minutes and `test_report.py` already runs them."""
+        import repro.analysis.report as report
+
+        monkeypatch.setattr(report, "render_target", lambda name: f"<{name}>")
+        assert main(["all"]) == 0
+        out = capsys.readouterr().out
+        banners = [ln for ln in out.splitlines() if ln.startswith("== ")]
+        assert banners == [f"== {t} ==" for t in report.targets()]
+        assert "report" not in report.targets()
+        assert "# Reproduction report" not in out
+
+    def test_report_has_one_section_per_catalogue_row(self, monkeypatch):
+        import repro.analysis.report as report
+
+        stub = [
+            report.Artifact(a.target, a.heading, lambda: None, lambda _: "x", a.live)
+            for a in CATALOGUE
+        ]
+        monkeypatch.setattr(report, "CATALOGUE", stub)
+        md = build_report(include_slow=True)
+        headings = [ln[3:] for ln in md.splitlines() if ln.startswith("## ")]
+        assert sorted(headings) == sorted(a.heading for a in CATALOGUE)
+        assert len(set(headings)) == len(CATALOGUE)
+        # analytic rows first, then the live ones
+        live = {a.heading for a in CATALOGUE if a.live}
+        flags = [h in live for h in headings]
+        assert flags == sorted(flags)
+        fast = build_report(include_slow=False)
+        assert fast.count("## ") == len(CATALOGUE) - len(live)
