@@ -1,7 +1,7 @@
 """Ablations of the design choices DESIGN.md calls out.
 
 * group size: memory vs encode time vs reliability (paper §3.3's triangle);
-* checkpoint interval: Young/Daly optimum vs fixed periods;
+* checkpoint interval: Young optimum vs fixed periods;
 * XOR vs SUM encoding: cost and bit-exactness (paper §2.2);
 * stripe-rotating vs single-root encode: the contention argument of §2.1.
 """

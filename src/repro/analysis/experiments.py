@@ -23,7 +23,6 @@ from repro.ckpt import (
 )
 from repro.hpl import (
     HPLConfig,
-    JobDaemon,
     RestartPolicy,
     SKTConfig,
     hpl_main,
@@ -41,7 +40,7 @@ from repro.models import (
     problem_size_for_memory,
 )
 from repro.models.ckpt_cost import encode_time, flush_time, recovery_time
-from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
+from repro.sim import Cluster, Job, PhaseTrigger
 from repro.util import GiB, fmt_bytes, render_table
 
 # --------------------------------------------------------------------------
@@ -594,39 +593,39 @@ def fig10_restart_cycle(
     recovery spans are reported alongside — the same "recovery takes a
     little longer than a checkpoint" relation must hold there.
     """
-    from repro.sim.trace import Trace, phase_spans, span_stats
-
     ckpt = encode_time(machine, group_size)
     rec = recovery_time(machine, group_size)
     live_ckpt = live_rec = 0.0
     if live:
-        cfg = HPLConfig(n=64, nb=8, p=2, q=4)
-        scfg = SKTConfig(hpl=cfg, method="self", group_size=4, interval_panels=2)
-        cluster = Cluster(8, n_spares=1)
-        plan = FailurePlan([PhaseTrigger(node_id=2, phase="ckpt.done", occurrence=2)])
-        trace = Trace()
-        # the one supervised run not made through chaos.run_with_triggers:
-        # it needs the phase Trace (trace=), whose phase_spans mean differs
-        # from the span tracer's in the 4th digit
-        daemon = JobDaemon(
-            cluster,
-            skt_hpl_main,
-            8,
-            args=(scfg,),
-            procs_per_node=1,
-            failure_plan=plan,
+        from repro.chaos.campaign import run_with_triggers
+        from repro.chaos.scenarios import skt_scenario
+        from repro.obs.report import aggregate_by_name
+        from repro.obs.spans import SpanTracer
+
+        scenario = skt_scenario(
+            n=64,
+            nb=8,
+            p=2,
+            q=4,
+            group_size=4,
+            interval_panels=2,
+            n_spares=1,
             policy=policy,
-            trace=trace,
         )
-        report = daemon.run()
+        tracer = SpanTracer()
+        _, _, report = run_with_triggers(
+            scenario,
+            [PhaseTrigger(node_id=2, phase="ckpt.done", occurrence=2)],
+            tracer=tracer,
+        )
         if not (report.completed and report.n_restarts == 1):
             raise RuntimeError("live restart cycle failed")
-        live_ckpt = span_stats(phase_spans(trace, "ckpt.begin", "ckpt.done"))[
-            "mean"
-        ]
-        live_rec = span_stats(
-            phase_spans(trace, "restore.begin", "restore.done")
-        )["mean"]
+        # spans of any status: the kill lands on ckpt.done, when the
+        # doomed attempt's second checkpoint has already done its work
+        mean_s = {
+            name: mean for name, _, _, mean, _ in aggregate_by_name(tracer.spans())
+        }
+        live_ckpt, live_rec = mean_s["ckpt"], mean_s["restore"]
     return CycleTiming(
         checkpoint_s=ckpt,
         detect_s=policy.detect_s,
@@ -676,7 +675,10 @@ def fig11_skt_efficiency(
     follows the reduced-memory model from the machine's full-memory point.
     """
     group_sizes = group_sizes or {"Tianhe-1A": 16, "Tianhe-2": 8}
-    from repro.models.efficiency import efficiency_lower_bound
+    from repro.models.efficiency import (
+        efficiency_at_memory_fraction,
+        efficiency_lower_bound,
+    )
 
     rows = []
     for m in machines:
@@ -690,7 +692,7 @@ def fig11_skt_efficiency(
         )
         b = (1.0 - model_a * e1) * n1 / e1
         model = EfficiencyModel(a=model_a, b=b)
-        e2 = model.efficiency(math.sqrt(k) * n1)
+        e2 = efficiency_at_memory_fraction(model, n1, k)
         rows.append(
             {
                 "machine": m.name,

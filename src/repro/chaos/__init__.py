@@ -44,7 +44,6 @@ from repro.chaos.campaign import (
     enumerate_kill_points,
     point_trigger,
     probe_baseline,
-    replay_kill_points,
     run_kill_matrix,
     run_kill_point,
     run_with_triggers,
@@ -110,7 +109,6 @@ __all__ = [
     "point_trigger",
     "probe_baseline",
     "random_campaign",
-    "replay_kill_points",
     "render_campaign",
     "render_failures",
     "render_matrix",

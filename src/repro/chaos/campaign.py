@@ -5,7 +5,7 @@ The paper argues informally that a node loss is survivable *at any moment*
 turns that claim into a machine-checkable matrix:
 
 1. :func:`probe_baseline` runs the scenario once, fault-free, with a
-   :class:`~repro.sim.trace.Trace` attached, and counts every phase
+   :class:`~repro.obs.spans.SpanTracer` attached, and counts every phase
    announcement per node — the complete set of interruption points the
    protocol exposes.
 2. :func:`enumerate_kill_points` expands the counts into one
@@ -34,11 +34,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.scenarios import ChaosScenario, ScenarioInstance
 from repro.hpl.daemon import DaemonReport, JobDaemon
+from repro.obs.spans import SpanTracer
 from repro.par.replay import ReplayOutcome, ReplaySpec, run_units
 from repro.sim.errors import SimError
 from repro.sim.failures import AnyTrigger, FailurePlan, PhaseTrigger
 from repro.sim.runtime import Job
-from repro.sim.trace import Trace
 
 VERDICT_SURVIVED = "survived"
 VERDICT_WRONG_ANSWER = "wrong-answer"
@@ -166,14 +166,14 @@ def probe_baseline(scenario: ChaosScenario) -> BaselineProbe:
     report noise.
     """
     inst = scenario.make()
-    trace = Trace()
+    tracer = SpanTracer()
     job = Job(
         inst.cluster,
         inst.main,
         inst.n_ranks,
         args=inst.args,
         procs_per_node=inst.procs_per_node,
-        trace=trace,
+        tracer=tracer,
         name="chaos-baseline",
     )
     try:
@@ -199,10 +199,10 @@ def probe_baseline(scenario: ChaosScenario) -> BaselineProbe:
     ranklist = list(job.ranklist)
     announcements: Dict[Tuple[int, str], List[Tuple[float, int, int]]] = {}
     rank_local: Dict[Tuple[int, str], int] = {}
-    for e in trace.events:  # per-rank subsequences are in program order
-        key = (ranklist[e.rank], e.label)
+    for e in tracer.phases():  # rank by rank, each in program order
+        key = (ranklist[e.rank], e.name)
         counts[key] = counts.get(key, 0) + 1
-        lkey = (e.rank, e.label)
+        lkey = (e.rank, e.name)
         rank_local[lkey] = rank_local.get(lkey, 0) + 1
         announcements.setdefault(key, []).append(
             (e.clock, e.rank, rank_local[lkey])
@@ -412,40 +412,6 @@ def run_kill_point(
     spec = ReplaySpec(scenario.recipe, (point_trigger(point, probe),), obs=obs)
     (outcome,) = run_units([spec])
     return _kill_result(point, outcome)
-
-
-def replay_kill_points(
-    scenario: ChaosScenario,
-    points: Sequence[KillPoint],
-    *,
-    workers: int = 1,
-    cache: Any = None,
-    registry: Any = None,
-    progress: Any = None,
-    obs: str = "off",
-    probe: Optional[BaselineProbe] = None,
-) -> List[KillResult]:
-    """Replay exactly these kill points, in order: a one-matrix campaign
-    (:func:`repro.chaos.plan.run_campaign`, which documents ``workers`` /
-    ``cache`` / ``registry`` / ``progress``) whose points are given, not
-    enumerated.  ``obs`` ("off" | "summary" | "full") arms per-attempt
-    instrumentation whose payload rides back in :attr:`KillResult.obs`.
-    Triggers are pinned against ``probe`` (see :func:`point_trigger`);
-    without one the baseline is probed here.
-    """
-    from repro.chaos.plan import run_campaign  # plan imports this module
-
-    _, (report,), _ = run_campaign(
-        [scenario],
-        workers=workers,
-        cache=cache,
-        registry=registry,
-        progress=progress,
-        obs=obs,
-        probes=None if probe is None else [probe],
-        points=[points],
-    )
-    return report.results
 
 
 def run_kill_matrix(

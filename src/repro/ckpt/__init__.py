@@ -50,7 +50,6 @@ from repro.ckpt.multilevel import MultiLevelCheckpoint
 from repro.ckpt.manager import METHODS, CheckpointManager
 from repro.ckpt.interval import (
     expected_runtime,
-    optimal_interval_daly,
     optimal_interval_young,
 )
 
@@ -95,6 +94,5 @@ __all__ = [
     "CheckpointManager",
     "METHODS",
     "optimal_interval_young",
-    "optimal_interval_daly",
     "expected_runtime",
 ]

@@ -1,13 +1,11 @@
-"""Optimal checkpoint interval selection (Young / Daly).
+"""Optimal checkpoint interval selection (Young).
 
 The paper checkpoints SKT-HPL "at the end of a certain iteration" with a
 period chosen against the system MTBF (Table 3 uses one checkpoint per 10
-minutes).  These classic first- and second-order optima let the benchmarks
-ablate that choice:
+minutes).  The classic first-order optimum lets the benchmarks ablate that
+choice:
 
 * Young (1974):   T_opt = sqrt(2 * delta * MTBF)
-* Daly (2006):    T_opt = sqrt(2 * delta * MTBF) * [1 + ...] - delta,
-  a refinement accurate when delta / MTBF is not tiny.
 
 ``delta`` is the time to take one checkpoint.
 """
@@ -23,20 +21,6 @@ def optimal_interval_young(delta_s: float, mtbf_s: float) -> float:
     if delta_s <= 0 or mtbf_s <= 0:
         raise ValueError("delta and MTBF must be positive")
     return math.sqrt(2.0 * delta_s * mtbf_s)
-
-
-def optimal_interval_daly(delta_s: float, mtbf_s: float) -> float:
-    """Daly's higher-order optimum; falls back to MTBF when the checkpoint
-    cost exceeds what the formula supports (delta >= 2*MTBF)."""
-    if delta_s <= 0 or mtbf_s <= 0:
-        raise ValueError("delta and MTBF must be positive")
-    if delta_s >= 2.0 * mtbf_s:
-        return mtbf_s
-    x = math.sqrt(2.0 * delta_s * mtbf_s)
-    correction = 1.0 + (1.0 / 3.0) * math.sqrt(delta_s / (2.0 * mtbf_s)) + (
-        1.0 / 9.0
-    ) * (delta_s / (2.0 * mtbf_s))
-    return x * correction - delta_s
 
 
 def expected_runtime(

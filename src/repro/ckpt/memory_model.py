@@ -89,22 +89,3 @@ def memory_breakdown_self(workspace_bytes: int, group_size: int) -> MemoryBreakd
     return MemoryBreakdown(
         workspace=m, checkpoint=m, checksum_old=cs, checksum_new=cs
     )
-
-
-def workspace_for_budget(
-    mem_budget_bytes: int, group_size: int, method: str
-) -> int:
-    """Largest per-process workspace fitting in ``mem_budget_bytes`` under
-    each scheme's overhead — how Table 3's "Available Memory" column and the
-    HPL problem sizes are derived."""
-    _check_n(group_size)
-    frac = {
-        "single": available_fraction_single,
-        "double": available_fraction_double,
-        "self": available_fraction_self,
-        "none": lambda n: 1.0,
-        "disk": lambda n: 1.0,  # disk checkpoints keep no RAM copy
-    }.get(method)
-    if frac is None:
-        raise ValueError(f"unknown method {method!r}")
-    return int(mem_budget_bytes * frac(group_size))

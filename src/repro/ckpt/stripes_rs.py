@@ -31,11 +31,6 @@ def padded_size_rs(nbytes: int, group_size: int) -> int:
     return stripes.padded_size(nbytes, group_size, 2)
 
 
-def checksum_size_rs(nbytes_padded: int, group_size: int) -> int:
-    """Per-member parity bytes: one P + one Q stripe = 2m/(N-2)."""
-    return stripes.checksum_size(nbytes_padded, group_size, 2)
-
-
 def build_parity(buffers: Sequence[np.ndarray], group_size: int) -> np.ndarray:
     """The ``(N, 2, stripe)`` parity block: ``[j]`` is member ``j``'s
     ``(P, Q)`` pair (P of row ``j``, Q of row ``j-1 mod N``)."""

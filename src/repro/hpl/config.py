@@ -51,8 +51,3 @@ class HPLConfig:
         HPL divides by runtime to report GFLOPS)."""
         n = float(self.n)
         return (2.0 / 3.0) * n**3 + 1.5 * n**2
-
-    def memory_per_rank(self) -> int:
-        """Approximate per-rank workspace bytes (matrix + rhs)."""
-        per_rank_elems = (self.n * self.n) / self.n_ranks + self.n / self.p
-        return int(per_rank_elems * 8)

@@ -21,7 +21,6 @@ from repro.sim.cluster import Cluster
 from repro.sim.errors import SimError, UnrecoverableError
 from repro.sim.failures import FailurePlan, FiredTrigger
 from repro.sim.runtime import Job, JobResult
-from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.spans import SpanTracer
@@ -116,7 +115,6 @@ class JobDaemon:
         failure_plan: Optional[FailurePlan] = None,
         policy: RestartPolicy = RestartPolicy(),
         deadlock_timeout_s: float = 60.0,
-        trace: Optional["Trace"] = None,
         observer: Optional["SimObserver"] = None,
         tracer: Optional["SpanTracer"] = None,
         name: str = "daemon",
@@ -131,8 +129,6 @@ class JobDaemon:
         #: the plan is shared across incarnations: triggers that have not
         #: fired yet stay armed after a restart
         self.failure_plan = failure_plan or FailurePlan()
-        #: optional trace shared across incarnations (phase timelines)
-        self.trace = trace
         #: optional observer shared across incarnations — installed on every
         #: job so metrics accumulate over the whole supervised run
         self.observer = observer
@@ -167,7 +163,6 @@ class JobDaemon:
                 ranklist=self.ranklist,
                 failure_plan=self.failure_plan,
                 deadlock_timeout_s=self.deadlock_timeout_s,
-                trace=self.trace,
                 observer=self.observer,
                 tracer=self.tracer,
                 name=f"{self.name}#{attempt}",

@@ -9,7 +9,7 @@ between global indices and (owner, local index) pairs; a
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -55,12 +55,6 @@ class BlockCyclicMap:
         """Global indices owned by ``proc``, in local storage order."""
         return self._globals[proc]
 
-    def local_range_from(self, proc: int, g_start: int) -> np.ndarray:
-        """Local indices on ``proc`` whose global index >= ``g_start``
-        (the trailing-submatrix slice)."""
-        gl = self._globals[proc]
-        return np.nonzero(gl >= g_start)[0]
-
     def local_start(self, proc: int, g_start: int) -> int:
         """First local index on ``proc`` with global index >= ``g_start``.
 
@@ -69,9 +63,6 @@ class BlockCyclicMap:
         not a gather.
         """
         return int(np.searchsorted(self._globals[proc], g_start))
-
-    def block_owner(self, block: int) -> int:
-        return block % self.nprocs
 
     def n_blocks(self) -> int:
         return -(-self.n // self.nb)
@@ -103,9 +94,6 @@ class ProcessGrid:
     def rank_of(self, prow: int, pcol: int) -> int:
         """Communicator rank of grid position (prow, pcol)."""
         return prow * self.Q + pcol
-
-    def coords_of(self, rank: int) -> Tuple[int, int]:
-        return rank // self.Q, rank % self.Q
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ProcessGrid({self.P}x{self.Q}, me=({self.myrow},{self.mycol}))"

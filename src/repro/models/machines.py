@@ -30,9 +30,6 @@ class MachineSpec:
         """Peak of one node."""
         return self.node.flops
 
-    def cluster_peak(self, n_nodes: int) -> float:
-        return self.node.flops * n_nodes
-
     def nodes_for_ranks(self, n_ranks: int) -> int:
         return -(-n_ranks // self.node.cores)
 

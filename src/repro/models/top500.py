@@ -51,15 +51,3 @@ def average_gain_half_vs_third() -> float:
         for s in TOP10_NOV2016
     ]
     return 100.0 * sum(gains) / len(gains)
-
-
-def average_relative_gain_half_vs_third() -> float:
-    """The same comparison as a *relative* improvement in percent —
-    mean((e_half - e_third) / e_third); closer to how the paper phrases
-    "improve 11.96% of the efficiency on average"."""
-    gains = [
-        (s.projected_efficiency(0.5) - s.projected_efficiency(1.0 / 3.0))
-        / s.projected_efficiency(1.0 / 3.0)
-        for s in TOP10_NOV2016
-    ]
-    return 100.0 * sum(gains) / len(gains)

@@ -186,8 +186,7 @@ def aggregate_spans(spans: List[Dict[str, Any]]) -> List[SpanAggregate]:
     """Per-name rollup: counts, open (interrupted) spans, percentiles.
 
     Spans whose ``end`` never arrived (the phase a failure cut short)
-    count under ``open`` and stay out of the duration aggregates — the
-    same rule as :func:`repro.sim.trace.span_stats`.
+    count under ``open`` and stay out of the duration aggregates.
     """
     by_name: Dict[str, SpanAggregate] = {}
     for s in spans:

@@ -20,8 +20,8 @@ Only currently-blocked ranks appear in the graph, so a cycle is a true
 "everyone waits on everyone" witness.  On detection the detector records a
 :class:`~repro.sancheck.findings.Finding` carrying a **stuck-tag
 diagnosis** (a queued message whose tag differs from the one the receiver
-asked for — the classic mismatched-tag bug) and, when the job has a
-:class:`~repro.sim.trace.Trace`, the rendered timeline with the deadlocked
+asked for — the classic mismatched-tag bug) and, when the job's tracer
+recorded phase announcements, the rendered timeline with the deadlocked
 ranks marked.  It then aborts the job (configurable) so the run fails fast
 instead of burning the wall-clock timeout.
 """
@@ -207,11 +207,11 @@ class DeadlockDetector(SimObserver):
             if diag is not None:
                 diagnoses.append("  " + diag)
         detail = "\n".join(waits + diagnoses)
-        trace = getattr(self._job, "trace", None)
-        if trace is not None and len(trace):
-            from repro.sim.trace import render_timeline
+        tracer = getattr(self._job, "tracer", None)
+        if tracer is not None and tracer.phases():
+            from repro.obs.spans import render_timeline
 
-            detail += "\n" + render_timeline(trace, focus=cycle)
+            detail += "\n" + render_timeline(tracer, focus=cycle)
         self.findings.append(
             Finding(
                 tool="deadlock",

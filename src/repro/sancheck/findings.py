@@ -75,9 +75,6 @@ class Report:
         if analysis is not None and analysis not in self.analyses:
             self.analyses.append(analysis)
 
-    def by_tool(self, tool: str) -> List[Finding]:
-        return [f for f in self.findings if f.tool == tool]
-
     def finalize(self) -> "Report":
         """Sort findings by (file, line, tool, rule, message) and drop
         exact duplicates, so rendered reports, exports and the baseline

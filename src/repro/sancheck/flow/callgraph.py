@@ -30,7 +30,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.sancheck.simlint import module_name_for
+from repro.sancheck.simlint import (
+    ImportResolver,
+    iter_python_files,
+    module_name_for,
+)
 
 #: sentinel for calls on SHM segment stores (create/attach/unlink)
 SHM_METHODS = frozenset({"shm_create", "shm_attach", "shm_unlink"})
@@ -53,38 +57,6 @@ def rel_file(path: Path, root: Path) -> str:
         return "/".join((root.name,) + rel.parts)
     except ValueError:
         return "/".join(parts[-2:]) if len(parts) >= 2 else path.name
-
-
-class _Imports:
-    """Alias table mapping local names to canonical dotted paths."""
-
-    def __init__(self) -> None:
-        self.aliases: Dict[str, str] = {}
-
-    def scan(self, tree: ast.AST) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    self.aliases[a.asname or a.name.split(".")[0]] = (
-                        a.name if a.asname else a.name.split(".")[0]
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module is None or node.level:
-                    continue
-                for a in node.names:
-                    if a.name != "*":
-                        self.aliases[a.asname or a.name] = f"{node.module}.{a.name}"
-
-    def resolve(self, node: ast.expr) -> Optional[str]:
-        """Canonical dotted path of an attribute/name chain, or None."""
-        attrs: List[str] = []
-        while isinstance(node, ast.Attribute):
-            attrs.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        base = self.aliases.get(node.id, node.id)
-        return ".".join([base] + list(reversed(attrs)))
 
 
 @dataclass
@@ -200,16 +172,6 @@ class ProjectIndex:
         return cls.split(".")[-1] == base_name
 
 
-def iter_python_files(paths: Sequence[Path]) -> List[Path]:
-    out: List[Path] = []
-    for p in paths:
-        if p.is_dir():
-            out.extend(sorted(p.rglob("*.py")))
-        elif p.suffix == ".py":
-            out.append(p)
-    return out
-
-
 def _contains_shm_source(node: ast.AST) -> bool:
     """True when an expression subtree manufactures SHM-backed memory."""
     for sub in ast.walk(node):
@@ -258,7 +220,7 @@ class _FunctionScanner(ast.NodeVisitor):
     def __init__(
         self,
         index: "ProjectIndex",
-        imports: _Imports,
+        imports: ImportResolver,
         module: str,
         module_functions: Dict[str, str],
         module_classes: Dict[str, str],
@@ -534,7 +496,7 @@ def build_index(paths: Sequence[Path]) -> ProjectIndex:
     paths = [Path(p) for p in paths]
     root = paths[0] if paths and paths[0].is_dir() else Path(".")
     index = ProjectIndex()
-    parsed: List[Tuple[str, str, ast.Module, _Imports]] = []
+    parsed: List[Tuple[str, str, ast.Module, ImportResolver]] = []
 
     # pass 1: modules, classes, functions
     for path in iter_python_files(paths):
@@ -545,8 +507,8 @@ def build_index(paths: Sequence[Path]) -> ProjectIndex:
         module = module_name_for(path)
         file = rel_file(path, root)
         index.files.append(file)
-        imports = _Imports()
-        imports.scan(tree)
+        imports = ImportResolver()
+        imports.visit(tree)
         parsed.append((module, file, tree, imports))
 
         for stmt in tree.body:
@@ -742,7 +704,7 @@ def _harvest_class_attrs(
     cnode: ClassNode,
     fn: FunctionNode,
     index: ProjectIndex,
-    imports: _Imports,
+    imports: ImportResolver,
     shm_returning: Set[str],
 ) -> None:
     """Scan one method body for ``self.attr = ...`` bindings, recording
@@ -804,9 +766,9 @@ def _harvest_class_attrs(
 
 
 def _imports_for(
-    parsed: List[Tuple[str, str, ast.Module, _Imports]], module: str
-) -> _Imports:
+    parsed: List[Tuple[str, str, ast.Module, ImportResolver]], module: str
+) -> ImportResolver:
     for m, _f, _t, imports in parsed:
         if m == module:
             return imports
-    return _Imports()
+    return ImportResolver()

@@ -62,7 +62,6 @@ MPI_COLLECTIVE_METHODS = frozenset(
         "allgather",
         "scatter",
         "alltoall",
-        "reduce_obj",
         "allreduce_obj",
         "custom_collective",
     }

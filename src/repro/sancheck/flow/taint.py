@@ -86,13 +86,3 @@ def propagate(index: ProjectIndex, intrinsics: IntrinsicMap) -> SummaryMap:
                         )
                     changed = True
     return summaries
-
-
-def reaches(summaries: SummaryMap, qualname: str, effect: str) -> bool:
-    return effect in summaries.get(qualname, {})
-
-
-def witness_for(
-    summaries: SummaryMap, qualname: str, effect: str
-) -> Witness:
-    return summaries[qualname][effect]

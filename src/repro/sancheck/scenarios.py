@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.obs.spans import SpanTracer
 from repro.sancheck.deadlock import DeadlockDetector
 from repro.sancheck.races import RaceDetector
-from repro.sim import Cluster, Job, JobResult, Trace
+from repro.sim import Cluster, Job, JobResult
 
 
 def run_seeded_race(n_ranks: int = 2) -> Tuple[JobResult, RaceDetector]:
@@ -36,30 +37,6 @@ def run_seeded_race(n_ranks: int = 2) -> Tuple[JobResult, RaceDetector]:
         seg.write(float(ctx.rank))
         ctx.elapse(1e-6)
         return float(seg.read()[0])
-
-    cluster = Cluster(1)
-    detector = RaceDetector(n_ranks)
-    job = Job(cluster, app, n_ranks, ranklist=[0] * n_ranks)
-    detector.install(job)
-    result = job.run()
-    return result, detector
-
-
-def run_synchronized_shm(n_ranks: int = 2) -> Tuple[JobResult, RaceDetector]:
-    """The fixed version of :func:`run_seeded_race`: a message orders the
-    two writes, so the detector must stay silent."""
-
-    def app(ctx):
-        rank = ctx.world.rank
-        if rank == 0:
-            seg = ctx.shm_create("sync.target", 8)
-            seg.write(1.0)
-            ctx.world.send(None, dest=1, tag=7)  # hand the segment over
-        else:
-            ctx.world.recv(source=0, tag=7)  # happens-before edge
-            seg = ctx.shm_attach("sync.target")
-            seg.write(2.0)
-        return True
 
     cluster = Cluster(1)
     detector = RaceDetector(n_ranks)
@@ -91,9 +68,13 @@ def run_seeded_deadlock(
 
     cluster = Cluster(2)
     detector = DeadlockDetector()
-    trace = Trace()
     job = Job(
-        cluster, app, 2, procs_per_node=1, deadlock_timeout_s=timeout_s, trace=trace
+        cluster,
+        app,
+        2,
+        procs_per_node=1,
+        deadlock_timeout_s=timeout_s,
+        tracer=SpanTracer(),
     )
     detector.install(job)
     result = job.run()
@@ -117,9 +98,13 @@ def run_clean_selfckpt(
     cluster = Cluster(n_ranks)
     race = race or RaceDetector(n_ranks)
     deadlock = deadlock or DeadlockDetector()
-    trace = Trace()
     job = Job(
-        cluster, iterative_main, n_ranks, args=(cfg,), procs_per_node=1, trace=trace
+        cluster,
+        iterative_main,
+        n_ranks,
+        args=(cfg,),
+        procs_per_node=1,
+        tracer=SpanTracer(),
     )
     race.install(job)
     deadlock.install(job)

@@ -125,7 +125,6 @@ COMM_RESULT_METHODS = {
     "allgather",
     "scatter",
     "alltoall",
-    "reduce_obj",
     "allreduce_obj",
 }
 
@@ -242,7 +241,7 @@ def _anchor_decorator_pragmas(
                 _merge_pragma(pragmas, line, rules)
 
 
-class _ImportResolver(ast.NodeVisitor):
+class ImportResolver(ast.NodeVisitor):
     """Track import aliases so call sites resolve to canonical dotted paths."""
 
     def __init__(self) -> None:
@@ -281,7 +280,7 @@ class _Linter(ast.NodeVisitor):
         filename: str,
         config: LintConfig,
         pragmas: Dict[int, Optional[Set[str]]],
-        imports: _ImportResolver,
+        imports: ImportResolver,
     ):
         self.module = module
         self.filename = filename
@@ -539,7 +538,7 @@ def lint_source(
                 line=e.lineno or 0,
             )
         ]
-    imports = _ImportResolver()
+    imports = ImportResolver()
     imports.visit(tree)
     pragmas = _pragma_lines(source)
     _anchor_decorator_pragmas(tree, pragmas)

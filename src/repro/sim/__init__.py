@@ -31,14 +31,6 @@ from repro.sim.mpi import Communicator, ReduceOp
 from repro.sim.observer import BlockDesc, MultiObserver, SimObserver, install_observer
 from repro.sim.runtime import Job, JobResult, RankContext, RankExit
 from repro.sim.topology import Topology, fail_rack
-from repro.sim.trace import (
-    OPEN_SPAN_DURATION,
-    Trace,
-    TraceEvent,
-    phase_spans,
-    render_timeline,
-    span_stats,
-)
 
 __all__ = [
     "SimError",
@@ -71,10 +63,4 @@ __all__ = [
     "RankExit",
     "Topology",
     "fail_rack",
-    "Trace",
-    "TraceEvent",
-    "OPEN_SPAN_DURATION",
-    "phase_spans",
-    "span_stats",
-    "render_timeline",
 ]

@@ -128,9 +128,6 @@ class Cluster:
             )
         return [self._active_ids[r // ppn] for r in range(n_ranks)]
 
-    def nodes_of(self, ranklist: Sequence[int]) -> List[Node]:
-        return [self.node(i) for i in ranklist]
-
     def ranks_on_node(self, ranklist: Sequence[int], node_id: int) -> List[int]:
         return [r for r, nid in enumerate(ranklist) if nid == node_id]
 

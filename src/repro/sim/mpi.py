@@ -232,10 +232,6 @@ class Communicator:
         return self._members[rank]
 
     # -- observer plumbing -----------------------------------------------------
-    @property
-    def _observer(self):
-        return self._job.observer
-
     def _recv_desc(self, key: Tuple[int, int, int]) -> Optional[BlockDesc]:
         """Wait descriptor for a receive keyed ``(me, src, tag)``."""
         if self._job.observer is None:
@@ -550,24 +546,6 @@ class Communicator:
             array,
             compute=compute,
             cost=lambda data: self._net.allreduce_time(int(array.nbytes), self.size),
-        )
-
-    def reduce_obj(
-        self, value: Any, func: Callable[[Any, Any], Any], root: int = 0
-    ) -> Any:
-        """Generic-object reduce (e.g. max-loc pivot search): ``func`` folds
-        contributions in rank order; result only meaningful on ``root``."""
-
-        def compute(data: Dict[int, Any]) -> Dict[int, Any]:
-            acc = data[0] if 0 in data else data[sorted(data)[0]]
-            for r in sorted(data)[1:]:
-                acc = func(acc, data[r])
-            return {r: (acc if r == root else None) for r in data}
-
-        return self.custom_collective(
-            value,
-            compute=compute,
-            cost=lambda data: self._net.reduce_time(_SMALL_OBJ_BYTES, self.size),
         )
 
     def allreduce_obj(self, value: Any, func: Callable[[Any, Any], Any]) -> Any:

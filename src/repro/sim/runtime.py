@@ -43,7 +43,6 @@ from repro.sim.node import Node
 from repro.sim.observer import SimObserver
 from repro.sim.shm import ShmSegment
 from repro.sim.topology import Topology
-from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.spans import SpanTracer
@@ -72,9 +71,6 @@ class JobResult:
     def makespan(self) -> float:
         """Virtual end-to-end time (slowest rank)."""
         return max(self.rank_clocks.values()) if self.rank_clocks else 0.0
-
-    def result_of(self, rank: int) -> Any:
-        return self.rank_results.get(rank)
 
 
 class _SpanHandle:
@@ -116,7 +112,6 @@ class RankContext:
         self.node = node
         self.clock: float = 0.0
         self.world: Communicator = job.world
-        self._phase_log: List[str] = []
 
     # -- liveness / failure delivery ------------------------------------------
     def check(self) -> None:
@@ -194,9 +189,9 @@ class RankContext:
     def phase(self, name: str) -> None:
         """Announce a protocol phase (failure-injection hook)."""
         self.check()
-        self._phase_log.append(name)
-        if self.job.trace is not None:
-            self.job.trace.record(self.rank, self.clock, name)
+        tracer = self.job.tracer
+        if tracer is not None:
+            tracer.phase(self.rank, self.clock, name)
         plan = self.job.failure_plan
         trigger = plan.check_phase(
             self.node.node_id, self.rank, name, clock=self.clock
@@ -216,10 +211,6 @@ class RankContext:
                 self.job.fail_node(nid, when=when)
             raise NodeFailedError(self.node.node_id, self.clock)
         self.check()
-
-    @property
-    def phase_log(self) -> List[str]:
-        return list(self._phase_log)
 
     # -- observability -----------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> _SpanHandle:
@@ -288,8 +279,9 @@ class Job:
         :mod:`repro.sancheck` race/deadlock detectors install through.
     tracer:
         Optional :class:`~repro.obs.spans.SpanTracer`; when set,
-        ``ctx.span(...)`` records nested virtual-time spans, and spans a
-        failure leaves open are closed as interrupted.
+        ``ctx.span(...)`` records nested virtual-time spans, spans a
+        failure leaves open are closed as interrupted, and every
+        ``ctx.phase(...)`` announcement is recorded with its clock.
     """
 
     def __init__(
@@ -303,7 +295,6 @@ class Job:
         failure_plan: Optional[FailurePlan] = None,
         procs_per_node: Optional[int] = None,
         deadlock_timeout_s: float = 60.0,
-        trace: Optional["Trace"] = None,
         topology: Optional["Topology"] = None,
         observer: Optional["SimObserver"] = None,
         tracer: Optional["SpanTracer"] = None,
@@ -317,14 +308,13 @@ class Job:
         self.name = name
         self.deadlock_timeout_s = deadlock_timeout_s
         self.failure_plan = failure_plan or FailurePlan()
-        #: optional event trace shared across this job's ranks
-        self.trace = trace
         #: optional instrumentation observer; must be set before the world
         #: communicator is built so every operation is visible to it
         self.observer = observer
         #: optional :class:`~repro.obs.spans.SpanTracer` behind
-        #: :meth:`RankContext.span`; spans left open when a rank unwinds
-        #: are closed as interrupted in :meth:`_bootstrap`
+        #: :meth:`RankContext.span` and :meth:`RankContext.phase`; spans
+        #: left open when a rank unwinds are closed as interrupted in
+        #: :meth:`_bootstrap`
         self.tracer = tracer
         #: optional rack topology: point-to-point messages crossing racks
         #: pay the inter-rack bandwidth penalty

@@ -124,6 +124,16 @@ class TestFig10:
         assert t.recover_s > t.checkpoint_s  # recovery a little longer
         assert t.recover_s < 3 * t.checkpoint_s
 
+    def test_live_line_is_pinned(self):
+        """The live cycle's means are those of the closed ``ckpt`` /
+        ``restore`` spans of one supervised run (``run_with_triggers``)."""
+        from repro.analysis.experiments import render_fig10
+
+        assert render_fig10(fig10_restart_cycle()).splitlines()[-1] == (
+            "live small-scale cycle (traced, virtual time): checkpoint "
+            "0.031 ms, recovery 0.022 ms"
+        )
+
 
 class TestFig11:
     def test_skt_efficiency_above_94pct_of_original(self):

@@ -17,12 +17,12 @@ from repro.chaos import (
     enumerate_kill_points,
     probe_baseline,
     random_campaign,
-    replay_kill_points,
     run_kill_matrix,
     run_schedule,
     selfckpt_scenario,
 )
 from repro.chaos import bench as chaos_bench
+from repro.chaos.plan import run_campaign
 from repro.obs.metrics import MetricsRegistry
 from repro.par import MemoCache, ScenarioSpec, register_scenario
 
@@ -96,7 +96,10 @@ class TestWorkerCrash:
         sc = self._crashing_scenario()
         probe = probe_baseline(sc)  # probe uses the in-process factory
         points = enumerate_kill_points(probe, max_occurrences=1)
-        results = replay_kill_points(sc, points, workers=workers)
+        _, (report,), _ = run_campaign(
+            [sc], workers=workers, probes=[probe], points=[points]
+        )
+        results = report.results
         assert [r.point for r in results] == points  # nothing lost
         assert all(r.verdict == "gave-up" for r in results)
         assert all(

@@ -33,6 +33,18 @@ def ppn2_scenario(**kw):
     return selfckpt_scenario(**kw)
 
 
+class TestProbeDeterminism:
+    def test_same_seed_probes_are_identical(self):
+        """The probe reads the tracer's phase stream, which is kept per
+        rank in program order — so with two ranks per node the whole
+        :class:`BaselineProbe`, insertion order included, repeats."""
+        a = probe_baseline(ppn2_scenario())
+        b = probe_baseline(ppn2_scenario())
+        assert list(a.phase_counts.items()) == list(b.phase_counts.items())
+        assert list(a.announcements.items()) == list(b.announcements.items())
+        assert a == b
+
+
 class TestPointTriggerPinning:
     def test_unpinned_without_probe(self):
         t = point_trigger(KillPoint(phase="ckpt.begin", occurrence=1, node_id=0))

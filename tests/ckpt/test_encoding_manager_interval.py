@@ -10,7 +10,6 @@ from repro.ckpt import (
     CheckpointManager,
     GroupEncoder,
     expected_runtime,
-    optimal_interval_daly,
     optimal_interval_young,
 )
 from repro.sim import Cluster, Job
@@ -173,19 +172,9 @@ class TestInterval:
             (2 * 10 * 3600) ** 0.5
         )
 
-    def test_daly_close_to_young_for_small_delta(self):
-        y = optimal_interval_young(1.0, 1e6)
-        d = optimal_interval_daly(1.0, 1e6)
-        assert abs(d - y) / y < 0.01
-
-    def test_daly_fallback(self):
-        assert optimal_interval_daly(100.0, 10.0) == 10.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             optimal_interval_young(0, 100)
-        with pytest.raises(ValueError):
-            optimal_interval_daly(1, -5)
         with pytest.raises(ValueError):
             expected_runtime(0, 1, 1, 1, 1)
 

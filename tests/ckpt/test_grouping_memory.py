@@ -11,7 +11,6 @@ from repro.ckpt import (
     memory_breakdown_self,
     partition_groups,
 )
-from repro.ckpt.memory_model import workspace_for_budget
 from repro.util import GiB
 
 
@@ -153,19 +152,6 @@ class TestMemoryModel:
         assert bd.checksum_old == bd.checksum_new == 16 * GiB // 15
         assert bd.total == 2 * 16 * GiB * 16 // 15
         assert bd.available_fraction == pytest.approx(15 / 32)
-
-    def test_workspace_for_budget(self):
-        budget = 4 * GiB
-        w_self = workspace_for_budget(budget, 8, "self")
-        w_double = workspace_for_budget(budget, 8, "double")
-        w_none = workspace_for_budget(budget, 8, "none")
-        assert w_none == budget
-        assert w_self == int(budget * 7 / 16)
-        assert w_double < w_self < w_none
-
-    def test_workspace_for_budget_unknown_method(self):
-        with pytest.raises(ValueError):
-            workspace_for_budget(GiB, 8, "quantum")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -11,10 +11,9 @@ from repro.ckpt import (
     available_fraction_self,
     available_fraction_self_rs,
 )
-from repro.ckpt.stripes import layout_for
+from repro.ckpt.stripes import checksum_size, layout_for
 from repro.ckpt.stripes_rs import (
     build_parity,
-    checksum_size_rs,
     padded_size_rs,
     reconstruct_rs,
     verify_group_rs,
@@ -60,7 +59,7 @@ class TestLayout:
 
     def test_sizes(self):
         assert padded_size_rs(1, 4) == 16
-        assert checksum_size_rs(16, 4) == 16  # 2 stripes of 8
+        assert checksum_size(16, 4, 2) == 16  # 2 stripes of 8
         with pytest.raises(ValueError):
             padded_size_rs(10, 3)
 
@@ -224,11 +223,9 @@ class TestSelfCheckpointRS:
         app = make_app("self-rs", group_size=8, array_len=4096)
         cluster = Cluster(8)
         res = Job(cluster, app, 8, procs_per_node=1).run()
-        from repro.ckpt.stripes_rs import checksum_size_rs, padded_size_rs
-
         raw = 4096 * 8 + 8 + 4096
         padded = padded_size_rs(raw, 8)
-        cs = checksum_size_rs(padded, 8)
+        cs = checksum_size(padded, 8, 2)
         b2 = 8 + 4096
         ctrl = 8 * 4
         assert res.rank_results[0]["overhead"] == padded + 2 * cs + b2 + ctrl

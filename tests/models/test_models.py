@@ -165,14 +165,6 @@ class TestTop500:
         """Fig. 8: more memory -> more efficiency, a multi-point average."""
         assert 2.0 < average_gain_half_vs_third() < 15.0
 
-    def test_average_relative_gain_near_paper_figure(self):
-        """The paper reports ~11.96% average improvement; our Eq.8 lower
-        bound yields a value of the same order."""
-        from repro.models.top500 import average_relative_gain_half_vs_third
-
-        gain = average_relative_gain_half_vs_third()
-        assert 5.0 < gain < 16.0
-
 
 class TestCkptCost:
     def test_checkpoint_size_near_half_memory(self):

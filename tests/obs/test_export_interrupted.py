@@ -1,16 +1,9 @@
-"""Interrupted-span export behavior and the OPEN_SPAN_DURATION sentinel.
+"""Interrupted-span export behavior.
 
-Two layers report phases a failure cut short:
-
-* ``repro.obs`` spans carry ``status="interrupted"`` (stamped end) or a
-  genuinely open ``end=None``; the Chrome exporter must keep the status
-  visible through a full export -> parse cycle.
-* ``repro.sim.trace`` pairs phase announcements and reports an unmatched
-  ``begin`` with the :data:`OPEN_SPAN_DURATION` sentinel, which
-  :func:`span_stats` must keep out of the duration aggregates.
+``repro.obs`` spans a failure cut short carry ``status="interrupted"``
+(stamped end) or a genuinely open ``end=None``; the Chrome exporter must
+keep the status visible through a full export -> parse cycle.
 """
-
-import math
 
 from repro.obs.export import (
     chrome_trace_json,
@@ -18,12 +11,6 @@ from repro.obs.export import (
     span_tree,
 )
 from repro.obs.spans import STATUS_INTERRUPTED, STATUS_OK, SpanTracer
-from repro.sim.trace import (
-    OPEN_SPAN_DURATION,
-    Trace,
-    phase_spans,
-    span_stats,
-)
 
 
 def _interrupted_tracer():
@@ -88,50 +75,3 @@ class TestChromeRoundTrip:
         a = chrome_trace_json(_interrupted_tracer().spans())
         b = chrome_trace_json(_interrupted_tracer().spans())
         assert a == b
-
-
-class TestOpenSpanSentinel:
-    def _trace(self):
-        t = Trace()
-        t.record(0, 1.0, "ckpt.begin")
-        t.record(0, 2.0, "ckpt.done")
-        t.record(1, 1.0, "ckpt.begin")  # rank 1 dies mid-checkpoint
-        t.record(0, 3.0, "ckpt.begin")
-        t.record(0, 3.5, "ckpt.done")
-        return t
-
-    def test_unmatched_begin_reports_sentinel(self):
-        spans = phase_spans(self._trace(), "ckpt.begin", "ckpt.done")
-        assert len(spans) == 3
-        open_spans = [s for s in spans if s[2] == OPEN_SPAN_DURATION]
-        assert open_spans == [(1, 1.0, OPEN_SPAN_DURATION)]
-        assert math.isinf(OPEN_SPAN_DURATION)
-
-    def test_stats_exclude_sentinel_from_aggregates(self):
-        spans = phase_spans(self._trace(), "ckpt.begin", "ckpt.done")
-        stats = span_stats(spans)
-        assert stats["count"] == 2
-        assert stats["open"] == 1
-        assert stats["max"] == 1.0  # inf never leaks into the aggregates
-        assert stats["mean"] == 0.75
-
-    def test_all_open_is_empty_safe(self):
-        t = Trace()
-        t.record(0, 1.0, "ckpt.begin")
-        stats = span_stats(phase_spans(t, "ckpt.begin", "ckpt.done"))
-        assert stats == {
-            "count": 0,
-            "min": 0.0,
-            "mean": 0.0,
-            "max": 0.0,
-            "open": 1,
-        }
-
-    def test_rebegin_closes_prior_as_open(self):
-        t = Trace()
-        t.record(0, 1.0, "ckpt.begin")
-        t.record(0, 2.0, "ckpt.begin")  # restarted: prior never closed
-        t.record(0, 2.5, "ckpt.done")
-        spans = phase_spans(t, "ckpt.begin", "ckpt.done")
-        assert (0, 1.0, OPEN_SPAN_DURATION) in spans
-        assert (0, 2.0, 0.5) in spans

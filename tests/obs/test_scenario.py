@@ -119,8 +119,6 @@ class TestOneRunPath:
             fills += len(re.findall(r"(?<!def )\bfill_job_metrics\(", text))
         assert {rel: n for rel, n in daemons.items() if n} == {
             os.path.join("chaos", "campaign.py"): 1,
-            # fig10_restart_cycle: the phase-Trace'd cycle
-            os.path.join("analysis", "experiments.py"): 1,
         }
         assert instrumented == [os.path.join("par", "replay.py")]
         assert fills == 1

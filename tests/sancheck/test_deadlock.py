@@ -34,8 +34,11 @@ class TestSeededDeadlock:
 
     def test_timeline_rendered_when_traced(self):
         _, det = run_seeded_deadlock()
-        detail = det.findings[0].detail
-        assert "r0" in detail and "exchange" in detail
+        lines = det.findings[0].detail.splitlines()
+        # the detail ends in the timeline: both ranks of the cycle starred
+        # at the one phase they announced, then the axis and the legend
+        assert lines[-4].startswith("r0  *|a") and lines[-3].startswith("r1  *|a")
+        assert lines[-1].strip() == "a=exchange.begin"
 
     def test_collective_vs_recv_mismatch(self):
         """One rank skips a barrier and waits on a message nobody sends:

@@ -1,11 +1,7 @@
 """Tests for the vector-clock SHM race detector."""
 
 from repro.sancheck import RaceDetector, VectorClock, merge_all
-from repro.sancheck.scenarios import (
-    run_clean_selfckpt,
-    run_seeded_race,
-    run_synchronized_shm,
-)
+from repro.sancheck.scenarios import run_clean_selfckpt, run_seeded_race
 from repro.sim import Cluster, Job
 
 
@@ -46,7 +42,23 @@ class TestSeededRace:
 
     def test_message_creates_happens_before(self):
         """Same access pattern, but ordered by a send/recv: no race."""
-        result, det = run_synchronized_shm()
+
+        def app(ctx):
+            if ctx.world.rank == 0:
+                seg = ctx.shm_create("sync.target", 8)
+                seg.write(1.0)
+                ctx.world.send(None, dest=1, tag=7)  # hand the segment over
+            else:
+                ctx.world.recv(source=0, tag=7)  # happens-before edge
+                seg = ctx.shm_attach("sync.target")
+                seg.write(2.0)
+            return True
+
+        cluster = Cluster(1)
+        det = RaceDetector(2)
+        job = Job(cluster, app, 2, ranklist=[0, 0])
+        det.install(job)
+        result = job.run()
         assert result.completed
         assert det.findings == []
 

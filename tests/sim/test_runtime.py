@@ -166,11 +166,13 @@ class TestFailureDelivery:
 
 class TestPhaseLog:
     def test_phases_recorded(self):
+        from repro.obs.spans import SpanTracer
+
         def main(ctx):
             ctx.phase("a")
             ctx.phase("b")
-            return ctx.phase_log
 
         cl = Cluster(1)
-        res = Job(cl, main, 1, procs_per_node=1).run()
-        assert res.rank_results[0] == ["a", "b"]
+        tracer = SpanTracer()
+        assert Job(cl, main, 1, procs_per_node=1, tracer=tracer).run().completed
+        assert [(e.rank, e.name) for e in tracer.phases()] == [(0, "a"), (0, "b")]

@@ -1,24 +1,17 @@
-"""Tests for virtual-time event tracing."""
+"""Tests for the phase-announcement stream of the span tracer."""
 
 import pytest
 
-from repro.sim import (
-    OPEN_SPAN_DURATION,
-    Cluster,
-    Job,
-    Trace,
-    phase_spans,
-    render_timeline,
-    span_stats,
-)
+from repro.obs.spans import STATUS_INTERRUPTED, SpanTracer, render_timeline
+from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
 
 
 def traced_run(main, n_ranks=4):
-    trace = Trace()
+    tracer = SpanTracer()
     cluster = Cluster(n_ranks)
-    res = Job(cluster, main, n_ranks, procs_per_node=1, trace=trace).run()
+    res = Job(cluster, main, n_ranks, procs_per_node=1, tracer=tracer).run()
     assert res.completed, res.rank_errors
-    return trace
+    return tracer
 
 
 class TestTrace:
@@ -28,92 +21,84 @@ class TestTrace:
             ctx.elapse(1.0)
             ctx.phase("b")
 
-        trace = traced_run(main)
-        assert len(trace) == 8  # 2 phases x 4 ranks
+        tracer = traced_run(main)
+        events = tracer.phases()
+        assert len(events) == 8  # 2 phases x 4 ranks
+        # rank by rank, each rank's announcements in program order
+        assert [(e.rank, e.name) for e in events] == [
+            (r, name) for r in range(4) for name in ("a", "b")
+        ]
         for r in range(4):
-            events = trace.by_rank(r)
-            assert [e.label for e in events] == ["a", "b"]
-            assert events[1].clock - events[0].clock == pytest.approx(1.0)
+            first, second = [e for e in events if e.rank == r]
+            assert second.clock - first.clock == pytest.approx(1.0)
+        # phase events are their own stream: no span was opened
+        assert tracer.spans() == [] and len(tracer) == 0
 
     def test_no_trace_by_default(self):
         cluster = Cluster(2)
         res = Job(
             cluster, lambda ctx: ctx.phase("x"), 2, procs_per_node=1
         ).run()
-        assert res.completed  # phase without a trace must not crash
+        assert res.completed  # phase without a tracer must not crash
 
     def test_labels(self):
-        def main(ctx):
-            ctx.phase("zz")
-            ctx.phase("aa")
+        """Every distinct label gets its own glyph, dealt in sorted order,
+        and the legend lists each one — even labels sharing an initial."""
 
-        trace = traced_run(main, n_ranks=1)
-        assert trace.labels() == ["aa", "zz"]
+        def main(ctx):
+            for name in ("ckpt.flush", "ckpt.begin", "ckpt.done", "ckpt.encode"):
+                ctx.phase(name)
+                ctx.elapse(1.0)
+
+        out = render_timeline(traced_run(main, n_ranks=1))
+        assert out.splitlines()[-1].strip() == (
+            "a=ckpt.begin, b=ckpt.done, c=ckpt.encode, d=ckpt.flush"
+        )
+        row = out.splitlines()[0]
+        assert [ch for ch in row[row.index("|"):] if ch.isalpha()] == list("dabc")
+
+    def test_same_seed_runs_record_identical_sequences(self):
+        """Two ranks per node: the recorded order is per-rank program
+        order, never host thread interleaving."""
+        from repro.apps.iterative import IterativeConfig, iterative_main
+
+        def run():
+            tracer = SpanTracer()
+            cfg = IterativeConfig(iters=4, ckpt_every=2, group_size=2)
+            job = Job(
+                Cluster(2), iterative_main, 4, args=(cfg,), procs_per_node=2,
+                tracer=tracer,
+            )
+            assert job.run().completed
+            return tracer.phases()
+
+        first = run()
+        assert first and first == run()
 
 
 class TestSpans:
-    def _trace(self):
-        def main(ctx):
-            for i in range(3):
-                ctx.phase("work.begin")
-                ctx.elapse(0.5 + 0.25 * ctx.rank)
-                ctx.phase("work.done")
-
-        return traced_run(main, n_ranks=2)
-
-    def test_pairing(self):
-        spans = phase_spans(self._trace(), "work.begin", "work.done")
-        assert len(spans) == 6  # 3 spans x 2 ranks
-        for rank, start, duration in spans:
-            assert duration == pytest.approx(0.5 + 0.25 * rank)
-
-    def test_rank_filter(self):
-        spans = phase_spans(self._trace(), "work.begin", "work.done", rank=1)
-        assert len(spans) == 3
-        assert all(r == 1 for r, _, _ in spans)
-
-    def test_stats(self):
-        spans = phase_spans(self._trace(), "work.begin", "work.done")
-        stats = span_stats(spans)
-        assert stats["count"] == 6
-        assert stats["min"] == pytest.approx(0.5)
-        assert stats["max"] == pytest.approx(0.75)
-
-    def test_stats_empty(self):
-        assert span_stats([]) == {
-            "count": 0,
-            "min": 0.0,
-            "mean": 0.0,
-            "max": 0.0,
-            "open": 0,
-        }
-
     def test_unmatched_begin_reported_open(self):
+        """The checkpoint a power-off cuts short stays visible: its span is
+        closed as interrupted at the rank's clock of death, and the phase
+        stream ends on the announcement the kill landed on."""
+
         def main(ctx):
-            ctx.phase("x.begin")  # never closed (e.g. the rank died here)
+            with ctx.span("x"):
+                ctx.phase("x.begin")
+                ctx.elapse(1.0)
+                ctx.phase("x.mid")  # the node dies here
+                ctx.elapse(1.0)
+                ctx.phase("x.done")
 
-        trace = traced_run(main, n_ranks=1)
-        spans = phase_spans(trace, "x.begin", "x.done")
-        assert spans == [(0, 0.0, OPEN_SPAN_DURATION)]
-        stats = span_stats(spans)
-        assert stats["count"] == 0  # open spans never enter the aggregates
-        assert stats["open"] == 1
-
-    def test_rebegin_reports_prior_open(self):
-        def main(ctx):
-            ctx.phase("x.begin")  # interrupted: begun again without a done
-            ctx.elapse(1.0)
-            ctx.phase("x.begin")
-            ctx.elapse(0.5)
-            ctx.phase("x.done")
-
-        trace = traced_run(main, n_ranks=1)
-        spans = phase_spans(trace, "x.begin", "x.done")
-        assert (0, 0.0, OPEN_SPAN_DURATION) in spans
-        assert (0, 1.0, 0.5) in spans
-        stats = span_stats(spans)
-        assert stats["count"] == 1 and stats["open"] == 1
-        assert stats["mean"] == pytest.approx(0.5)
+        tracer = SpanTracer()
+        plan = FailurePlan([PhaseTrigger(node_id=0, phase="x.mid", occurrence=1)])
+        res = Job(
+            Cluster(1), main, 1, procs_per_node=1, failure_plan=plan, tracer=tracer
+        ).run()
+        assert not res.completed
+        (span,) = tracer.spans()
+        assert span.status == STATUS_INTERRUPTED and span.duration == 1.0
+        assert [e.name for e in tracer.phases()] == ["x.begin", "x.mid"]
 
 
 class TestTimeline:
@@ -123,20 +108,22 @@ class TestTimeline:
             ctx.elapse(1.0)
             ctx.phase("beta")
 
-        out = render_timeline(traced_run(main, n_ranks=3))
+        out = render_timeline(traced_run(main, n_ranks=3), focus=[1])
         lines = out.splitlines()
         assert lines[0].startswith("r0")
         assert sum(1 for l in lines if l.startswith("r")) == 3
         assert "a=alpha" in out and "b=beta" in out
+        assert [l[4] for l in lines[:3]] == [" ", "*", " "]
 
     def test_empty_trace(self):
-        assert render_timeline(Trace()) == "(empty trace)"
+        assert render_timeline(SpanTracer()) == "(empty trace)"
 
 
 class TestCheckpointTracing:
     def test_live_checkpoint_durations_measured(self):
-        """A traced SKT-style run yields measurable ckpt.begin->done spans
-        in virtual time (how Fig. 10 style breakdowns are obtained live)."""
+        """A traced SKT-style run yields measurable ``ckpt`` spans in
+        virtual time (how Fig. 10 style breakdowns are obtained live),
+        bracketing the ckpt.begin ... ckpt.done announcements."""
         from repro.ckpt import CheckpointManager
 
         def app(ctx):
@@ -151,11 +138,12 @@ class TestCheckpointTracing:
                 mgr.checkpoint()
             return True
 
-        trace = Trace()
+        tracer = SpanTracer()
         cluster = Cluster(4)
-        res = Job(cluster, app, 4, procs_per_node=1, trace=trace).run()
+        res = Job(cluster, app, 4, procs_per_node=1, tracer=tracer).run()
         assert res.completed
-        spans = phase_spans(trace, "ckpt.begin", "ckpt.done")
-        stats = span_stats(spans)
-        assert stats["count"] == 16  # 4 checkpoints x 4 ranks
-        assert stats["min"] > 0
+        spans = tracer.by_name("ckpt")
+        assert len(spans) == 16  # 4 checkpoints x 4 ranks
+        assert all(s.closed and s.duration > 0 for s in spans)
+        names = [e.name for e in tracer.phases()]
+        assert names.count("ckpt.begin") == names.count("ckpt.done") == 16
