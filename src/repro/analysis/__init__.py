@@ -1,7 +1,7 @@
 """Experiment drivers: one function per paper table/figure.
 
 Each driver returns plain data (lists of dataclasses/dicts) and offers a
-``render_*`` companion producing the ASCII table the benchmarks print.
+``render_*`` companion producing the ASCII table ``repro <target>`` prints.
 Live simulator runs supply correctness and recovery behaviour; the paper's
 own analytic models (section 4) supply paper-scale performance numbers, as
 documented in DESIGN.md's substitution table.
@@ -18,7 +18,9 @@ from repro.analysis.experiments import (
     table1_memory_breakdown,
     table3_method_comparison,
 )
+from repro.analysis.apps_overhead import apps_overhead
 from repro.analysis.ablations import (
+    ablation_double_parity,
     ablation_group_size,
     ablation_incremental,
     ablation_interval,
@@ -37,6 +39,8 @@ __all__ = [
     "fig13_encoding_cost",
     "table1_memory_breakdown",
     "table3_method_comparison",
+    "apps_overhead",
+    "ablation_double_parity",
     "ablation_group_size",
     "ablation_incremental",
     "ablation_interval",

@@ -3,7 +3,8 @@
 * group size: memory vs encode time vs reliability (paper §3.3's triangle);
 * checkpoint interval: Young optimum vs fixed periods;
 * XOR vs SUM encoding: cost and bit-exactness (paper §2.2);
-* stripe-rotating vs single-root encode: the contention argument of §2.1.
+* stripe-rotating vs single-root encode: the contention argument of §2.1;
+* double parity (the RAID-6 extension of §2.1): memory vs failure tolerance.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from repro.ckpt import (
     GroupEncoder,
     available_fraction_self,
+    available_fraction_self_rs,
     expected_runtime,
     group_reliability,
     optimal_interval_young,
@@ -381,4 +383,41 @@ def render_stripe_vs_single(rows: List[Dict[str, float]]) -> str:
             for r in rows
         ],
         title="Ablation — stripe-rotating vs single-root group encode",
+    )
+
+
+# --------------------------------------------------------------------------
+# double parity (RAID-6) vs single parity
+# --------------------------------------------------------------------------
+
+
+def ablation_double_parity(
+    group_sizes: Sequence[int] = (4, 8, 16, 32),
+) -> List[Dict[str, float]]:
+    """The RAID-6 extension (paper §2.1): the memory a second parity stripe
+    costs for tolerating any two losses per group instead of one."""
+    return [
+        {
+            "group_size": g,
+            "self_pct": 100 * available_fraction_self(g),
+            "self_rs_pct": 100 * available_fraction_self_rs(g),
+        }
+        for g in group_sizes
+    ]
+
+
+def render_double_parity(rows: List[Dict[str, float]]) -> str:
+    return render_table(
+        ["group", "self mem %", "self-rs mem %", "self tolerates", "self-rs tolerates"],
+        [
+            [
+                r["group_size"],
+                f"{r['self_pct']:.1f}",
+                f"{r['self_rs_pct']:.1f}",
+                f"1 per {r['group_size']}",
+                f"any 2 per {r['group_size']}",
+            ]
+            for r in rows
+        ],
+        title="Ablation — double-parity (RAID-6) self-checkpoint",
     )

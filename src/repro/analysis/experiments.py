@@ -332,7 +332,6 @@ def table3_method_comparison(
     ckpt_period_s: float = 600.0,
     machine: MachineSpec = LOCAL_CLUSTER,
     model_a: float = 1.15,
-    run_live_checks: bool = True,
 ) -> List[Table3Row]:
     """Reproduce Table 3's comparison.
 
@@ -371,16 +370,14 @@ def table3_method_comparison(
     # fractions above are relative to the 80%-fill baseline so that
     # problem sizes follow N_method = sqrt(frac) * N_full
 
-    live = {}
-    if run_live_checks:
-        live = {
-            "Original HPL": False,  # no checkpoint: a node loss kills the run
-            "ABFT": False,  # state dies with the processes (section 6.2)
-            "BLCR+HDD": _live_poweroff_check("disk-hdd"),
-            "BLCR+SSD": _live_poweroff_check("disk-ssd"),
-            "SCR+Memory": _live_poweroff_check("double"),
-            "SKT-HPL": _live_poweroff_check("self"),
-        }
+    live = {
+        "Original HPL": False,  # no checkpoint: a node loss kills the run
+        "ABFT": False,  # state dies with the processes (section 6.2)
+        "BLCR+HDD": _live_poweroff_check("disk-hdd"),
+        "BLCR+SSD": _live_poweroff_check("disk-ssd"),
+        "SCR+Memory": _live_poweroff_check("double"),
+        "SKT-HPL": _live_poweroff_check("self"),
+    }
 
     rows: List[Table3Row] = []
     for method, frac in mem_frac.items():
@@ -410,7 +407,7 @@ def table3_method_comparison(
                 gflops=gf,
                 available_mem_gb=workspace / GiB,
                 normalized_efficiency=0.0,  # filled below
-                survives_poweroff=live.get(method, False),
+                survives_poweroff=live[method],
             )
         )
     base_gf = rows[0].gflops

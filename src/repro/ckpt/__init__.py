@@ -39,6 +39,7 @@ from repro.ckpt.state import StateLayout
 from repro.ckpt.protocol import (
     CheckpointInfo,
     Checkpointer,
+    CheckpointProtocol,
     RestoreReport,
 )
 from repro.ckpt.double import DoubleCheckpoint, SingleCheckpoint
@@ -77,6 +78,7 @@ __all__ = [
     "StateLayout",
     "CheckpointInfo",
     "Checkpointer",
+    "CheckpointProtocol",
     "RestoreReport",
     "SingleCheckpoint",
     "DoubleCheckpoint",

@@ -22,8 +22,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.ckpt.protocol import CheckpointInfo, RestoreReport
-from repro.ckpt.state import StateLayout
+from repro.ckpt.protocol import CheckpointInfo, CheckpointProtocol, RestoreReport
 from repro.sim.runtime import RankContext
 
 
@@ -121,12 +120,13 @@ class StableImageStore:
         return best
 
 
-class DiskCheckpoint:
+class DiskCheckpoint(CheckpointProtocol):
     """Full-image checkpoint to a block device (BLCR-like).
 
-    Presents the same alloc/commit/checkpoint/try_restore surface as the
-    in-memory :class:`~repro.ckpt.protocol.Checkpointer` so applications
-    can swap methods, but needs no group communicator.
+    The same :class:`~repro.ckpt.protocol.CheckpointProtocol` contract as
+    the in-memory protocols, so applications can swap methods, but with no
+    encoding group: a checkpoint has no encode step, and its flush is the
+    device write.
     """
 
     METHOD = "disk"
@@ -140,35 +140,13 @@ class DiskCheckpoint:
         a2_capacity: int = 4096,
         ranks_sharing: Optional[int] = None,
     ):
-        self.ctx = ctx
+        super().__init__(ctx, prefix=prefix, a2_capacity=a2_capacity)
         self.device = device
-        self.prefix = prefix
-        self.layout = StateLayout(a2_capacity=a2_capacity)
-        self.local: Dict[str, Any] = {}
-        self._arrays: Dict[str, np.ndarray] = {}
-        self._committed = False
         self._epoch = 0
         self._images = StableImageStore(ctx, device, prefix, ranks_sharing)
-        self.n_checkpoints = 0
-        self.n_restores = 0
-        self.total_write_seconds = 0.0
 
-    # -- same registration surface as the in-memory protocols ---------------------
-    def alloc(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        if self._committed:
-            raise RuntimeError("cannot alloc after commit()")
-        self.layout.add(name, shape, dtype)
-        arr = np.zeros(shape, dtype=dtype)
-        self.ctx.malloc(arr.nbytes)
-        self._arrays[name] = arr
-        return arr
-
-    def array(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-    def commit(self) -> None:
-        self.layout.freeze()
-        self._committed = True
+    def _on_commit(self) -> None:
+        """Nothing to size or create: images go to the stable store."""
 
     @property
     def overhead_bytes(self) -> int:
@@ -179,10 +157,14 @@ class DiskCheckpoint:
     def protected_bytes(self) -> int:
         return self.layout.raw_size
 
+    @property
+    def checksum_bytes(self) -> int:
+        """The device itself is the redundancy."""
+        return 0
+
     # -- protocol -----------------------------------------------------------------
     def checkpoint(self) -> CheckpointInfo:
-        if not self._committed:
-            raise RuntimeError("call commit() first")
+        self._require_committed()
         ctx = self.ctx
         epoch = self._epoch + 1
         with ctx.span("ckpt", epoch=epoch, method=self.METHOD):
@@ -195,19 +177,10 @@ class DiskCheckpoint:
                 t, image_bytes = self._images.save(epoch, flat)
                 self._epoch = epoch
                 ctx.phase("ckpt.flush")
-        self.n_checkpoints += 1
-        self.total_write_seconds += t
-        return CheckpointInfo(
-            epoch=epoch,
-            protected_bytes=image_bytes,
-            checksum_bytes=0,
-            encode_seconds=0.0,
-            flush_seconds=t,
-        )
+        return self._checkpointed(epoch, 0.0, t, protected_bytes=image_bytes)
 
     def try_restore(self) -> Optional[RestoreReport]:
-        if not self._committed:
-            raise RuntimeError("call commit() first")
+        self._require_committed()
         # the restored epoch is the newest image EVERY rank holds — a
         # straggler that died mid-write simply pins the world one epoch back
         target = self.ctx.world.allreduce_obj(self._images.latest_epoch(), min)
@@ -220,10 +193,4 @@ class DiskCheckpoint:
                 flat = self._images.load(target)
                 self.local = self.layout.unpack_into(flat, self._arrays)
                 self._epoch = target
-        self.n_restores += 1
-        return RestoreReport(
-            epoch=target,
-            source="disk",
-            reconstructed=(),
-            local=dict(self.local),
-        )
+        return self._restored(target, "disk")

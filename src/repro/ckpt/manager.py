@@ -20,6 +20,7 @@ Typical use inside a rank main::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -30,35 +31,27 @@ from repro.ckpt.buddy import BuddyCheckpoint
 from repro.ckpt.grouping import GroupLayout, partition_groups
 from repro.ckpt.incremental import IncrementalCheckpoint
 from repro.ckpt.multilevel import MultiLevelCheckpoint
-from repro.ckpt.protocol import CheckpointInfo, RestoreReport
+from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport
 from repro.ckpt.self_ckpt import SelfCheckpoint, SelfCheckpointRS
 from repro.sim.mpi import Communicator
 from repro.sim.runtime import RankContext
 
-METHODS = (
-    "self",
-    "self-rs",
-    "single",
-    "double",
-    "buddy",
-    "incremental",
-    "disk-hdd",
-    "disk-ssd",
-    "multilevel",
-)
-
-#: the group-encoded methods' protocol classes
-_PROTOCOLS = {
-    "self": SelfCheckpoint,
-    "self-rs": SelfCheckpointRS,
-    "single": SingleCheckpoint,
-    "double": DoubleCheckpoint,
-    "buddy": BuddyCheckpoint,
-    "incremental": IncrementalCheckpoint,
-    "multilevel": MultiLevelCheckpoint,
+#: the one method table: name → (protocol class, default device, the
+#: manager options the class takes beyond the shared ones).  A class that
+#: is a :class:`Checkpointer` gets an encoding group; a bare
+#: :class:`~repro.ckpt.protocol.CheckpointProtocol` (disk) needs none.
+_METHODS = {
+    "self": (SelfCheckpoint, None, ()),
+    "self-rs": (SelfCheckpointRS, None, ()),
+    "single": (SingleCheckpoint, None, ()),
+    "double": (DoubleCheckpoint, None, ()),
+    "buddy": (BuddyCheckpoint, None, ()),
+    "incremental": (IncrementalCheckpoint, None, ("page_bytes", "undo_fraction")),
+    "disk-hdd": (DiskCheckpoint, HDD, ("device",)),
+    "disk-ssd": (DiskCheckpoint, SSD, ("device",)),
+    "multilevel": (MultiLevelCheckpoint, HDD, ("device", "flush_every")),
 }
-#: the disk methods' default devices (no encoding group needed)
-_DEVICES = {"disk-hdd": HDD, "disk-ssd": SSD}
+METHODS = tuple(_METHODS)
 
 
 class CheckpointManager:
@@ -88,12 +81,20 @@ class CheckpointManager:
         self.world = world
         self.method = method
 
-        if method.startswith("disk"):
+        # a method the table does not know comes with a protocol_factory,
+        # which is built like any group-encoded class
+        cls, default_device, takes = _METHODS.get(method, (Checkpointer, None, ()))
+        options = dict(
+            device=device or default_device,
+            flush_every=flush_every,
+            page_bytes=page_bytes,
+            undo_fraction=undo_fraction,
+        )
+        extra = {k: options[k] for k in takes}
+        if not issubclass(cls, Checkpointer):
             self.group_layout: Optional[GroupLayout] = None
             self.group: Optional[Communicator] = None
-            self._impl = DiskCheckpoint(
-                ctx, device or _DEVICES[method], prefix=prefix, a2_capacity=a2_capacity
-            )
+            self._impl = cls(ctx, prefix=prefix, a2_capacity=a2_capacity, **extra)
         else:
             self.group_layout = partition_groups(
                 world.size,
@@ -106,20 +107,13 @@ class CheckpointManager:
             gid = self.group_layout.group_of(me)
             grank = self.group_layout.group_rank_of(me)
             self.group = world.split(color=gid, key=grank)
-            kwargs = dict(op=op, prefix=f"{prefix}.g{gid}", a2_capacity=a2_capacity)
-            if protocol_factory is not None:
-                # escape hatch for harnesses (e.g. repro.chaos regression
-                # tests) that must run a custom — even deliberately broken —
-                # protocol variant through the standard grouping machinery
-                self._impl = protocol_factory(ctx, self.group, **kwargs)
-            else:
-                extra = {
-                    "incremental": dict(page_bytes=page_bytes, undo_fraction=undo_fraction),
-                    "multilevel": dict(device=device or HDD, flush_every=flush_every),
-                }
-                self._impl = _PROTOCOLS[method](
-                    ctx, self.group, **kwargs, **extra.get(method, {})
-                )
+            # protocol_factory: escape hatch for harnesses (e.g. repro.chaos
+            # regression tests) that must run a custom — even deliberately
+            # broken — protocol variant through the standard grouping machinery
+            build = protocol_factory or partial(cls, **extra)
+            self._impl = build(
+                ctx, self.group, op=op, prefix=f"{prefix}.g{gid}", a2_capacity=a2_capacity
+            )
 
     # -- delegated surface ---------------------------------------------------------
     def alloc(self, name: str, shape, dtype=np.float64) -> np.ndarray:

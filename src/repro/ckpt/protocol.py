@@ -1,6 +1,9 @@
-"""Common machinery of the in-memory checkpoint protocols.
+"""The checkpoint contract, and the common machinery of the in-memory
+protocols.
 
-A :class:`Checkpointer` is constructed identically on every rank of an
+:class:`CheckpointProtocol` declares what every method presents — group
+or no group; :class:`Checkpointer` builds the group-encoded protocols on
+it.  A :class:`Checkpointer` is constructed identically on every rank of an
 encoding group (and re-constructed identically after a restart):
 
 1. register workspace arrays with :meth:`alloc` — the protocol decides
@@ -75,33 +78,20 @@ class _Status:
     epochs: Tuple[int, ...]
 
 
-class Checkpointer(ABC):
-    """Base class — everything the protocols share, once: segment naming
-    and creation, layout agreement, control flags and their world-wide
-    exchange, the tolerance check, the group rebuild, statistics and the
-    checkpoint / restore reports (docs/PROTOCOLS.md, "What a new protocol
-    supplies")."""
+class CheckpointProtocol(ABC):
+    """The contract every checkpoint method presents, group-encoded or not:
+    workspace registration (:meth:`alloc` / :meth:`array` / :attr:`local`),
+    the :meth:`commit` guard, :meth:`checkpoint` / :meth:`try_restore`, and
+    the one way a completed checkpoint or restore is counted and described
+    (:meth:`_checkpointed` / :meth:`_restored`).  It knows nothing of
+    encoding groups — :class:`Checkpointer` adds those, and
+    :class:`~repro.ckpt.disk.DiskCheckpoint` does without."""
 
-    #: subclass-specific number of epoch counters in the control segment
-    N_FLAGS: int = 0
     #: human name used in reports
     METHOD: str = "abstract"
-    #: parity stripes per slot row of the group's stripe layout — the
-    #: number of simultaneous member losses one group's encoding survives
-    PARITY: int = 1
 
-    def __init__(
-        self,
-        ctx: RankContext,
-        group_comm: Communicator,
-        *,
-        op: str = "xor",
-        prefix: str = "ckpt",
-        a2_capacity: int = 4096,
-    ):
+    def __init__(self, ctx: RankContext, *, prefix: str, a2_capacity: int = 4096):
         self.ctx = ctx
-        self.group = group_comm
-        self.encoder = GroupEncoder(group_comm, op=op, parity=self.PARITY)
         self.prefix = prefix
         self.layout = StateLayout(a2_capacity=a2_capacity)
         #: the A2 dict — small per-rank scalars (iteration counters, pivot
@@ -109,23 +99,11 @@ class Checkpointer(ABC):
         self.local: Dict[str, Any] = {}
         self._arrays: Dict[str, np.ndarray] = {}
         self._committed = False
-        self._padded: int = 0
-        self._cs_size: int = 0
-        self._magic: int = 0
         #: cumulative stats
         self.n_checkpoints = 0
         self.n_restores = 0
         self.total_encode_seconds = 0.0
         self.total_flush_seconds = 0.0
-
-    # -- segments ---------------------------------------------------------------
-    def _seg(self, kind: str) -> str:
-        return f"{self.prefix}.r{self.ctx.rank}.{kind}"
-
-    def _shm(self, kind: str, shape, dtype=np.uint8) -> np.ndarray:
-        """Create (or re-attach after a restart) this rank's SHM segment
-        ``kind`` and return its array."""
-        return self.ctx.shm_create(self._seg(kind), shape, dtype, exist_ok=True).array
 
     # -- registration -----------------------------------------------------------
     def alloc(self, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -147,19 +125,123 @@ class Checkpointer(ABC):
     def array(self, name: str) -> np.ndarray:
         return self._arrays[name]
 
-    # -- commit -----------------------------------------------------------------
     def commit(self) -> None:
-        """Freeze the layout, agree on sizes group-wide, create segments."""
+        """Freeze the layout, then let the protocol size and create what
+        it keeps (:meth:`_on_commit`)."""
         if self._committed:
             raise RuntimeError("commit() called twice")
         self.layout.freeze()
+        self._on_commit()
+        self._committed = True
+
+    @abstractmethod
+    def _on_commit(self) -> None:
+        """Agree on sizes and create or re-attach the protocol's storage,
+        over the frozen layout."""
+
+    def _require_committed(self) -> None:
+        if not self._committed:
+            raise RuntimeError("call commit() before checkpoint()/try_restore()")
+
+    @property
+    @abstractmethod
+    def protected_bytes(self) -> int:
+        """Per-rank bytes one checkpoint protects."""
+
+    @property
+    @abstractmethod
+    def checksum_bytes(self) -> int:
+        """Per-rank bytes of redundancy one checkpoint adds."""
+
+    @property
+    @abstractmethod
+    def overhead_bytes(self) -> int:
+        """Per-rank memory the protocol consumes beyond the workspace."""
+
+    # -- the tails every checkpoint() / try_restore() ends with ---------------------
+    def _checkpointed(
+        self, epoch: int, encode_s: float, flush_s: float, protected_bytes: Optional[int] = None
+    ) -> CheckpointInfo:
+        """Count one completed checkpoint and describe it."""
+        self.n_checkpoints += 1
+        self.total_encode_seconds += encode_s
+        self.total_flush_seconds += flush_s
+        return CheckpointInfo(
+            epoch=epoch,
+            protected_bytes=self.protected_bytes if protected_bytes is None else protected_bytes,
+            checksum_bytes=self.checksum_bytes,
+            encode_seconds=encode_s,
+            flush_seconds=flush_s,
+        )
+
+    def _restored(self, epoch: int, source: str, missing: Sequence[int] = ()) -> RestoreReport:
+        """Count one completed restore and describe it."""
+        self.n_restores += 1
+        return RestoreReport(
+            epoch=epoch,
+            source=source,
+            reconstructed=tuple(missing),
+            local=dict(self.local),
+        )
+
+    # -- the protocol API --------------------------------------------------------------
+    @abstractmethod
+    def checkpoint(self) -> CheckpointInfo:
+        """Protect the current workspace + A2 state."""
+
+    @abstractmethod
+    def try_restore(self) -> Optional[RestoreReport]:
+        """After a restart: recover state, or return ``None`` if there is
+        no checkpoint (fresh start).  Raises ``UnrecoverableError`` when the
+        protected state is beyond repair."""
+
+
+class Checkpointer(CheckpointProtocol):
+    """Base of the group-encoded protocols — everything they share, once:
+    segment naming and creation, layout agreement, control flags and their
+    world-wide exchange, the tolerance check and the group rebuild
+    (docs/PROTOCOLS.md, "What a new protocol supplies")."""
+
+    #: subclass-specific number of epoch counters in the control segment
+    N_FLAGS: int = 0
+    #: parity stripes per slot row of the group's stripe layout — the
+    #: number of simultaneous member losses one group's encoding survives
+    PARITY: int = 1
+
+    def __init__(
+        self,
+        ctx: RankContext,
+        group_comm: Communicator,
+        *,
+        op: str = "xor",
+        prefix: str = "ckpt",
+        a2_capacity: int = 4096,
+    ):
+        super().__init__(ctx, prefix=prefix, a2_capacity=a2_capacity)
+        self.group = group_comm
+        self.encoder = GroupEncoder(group_comm, op=op, parity=self.PARITY)
+        self._padded: int = 0
+        self._cs_size: int = 0
+        self._magic: int = 0
+
+    # -- segments ---------------------------------------------------------------
+    def _seg(self, kind: str) -> str:
+        return f"{self.prefix}.r{self.ctx.rank}.{kind}"
+
+    def _shm(self, kind: str, shape, dtype=np.uint8) -> np.ndarray:
+        """Create (or re-attach after a restart) this rank's SHM segment
+        ``kind`` and return its array."""
+        return self.ctx.shm_create(self._seg(kind), shape, dtype, exist_ok=True).array
+
+    # -- commit -----------------------------------------------------------------
+    def _on_commit(self) -> None:
+        """Agree on sizes group-wide, create the control and data segments."""
         sizes = self.group.allgather(self.layout.raw_size)
         self._padded = self.encoder.padded_size(max(sizes))
         self._cs_size = self.encoder.checksum_size(self._padded)
         self._magic = self._compute_magic()
         self._ctrl = self._make_ctrl()
         self._create_segments()
-        self._committed = True
 
     def _compute_magic(self) -> int:
         h = hashlib.sha256()
@@ -193,10 +275,6 @@ class Checkpointer(ABC):
         return ctrl
 
     # -- shared helpers ------------------------------------------------------------
-    def _require_committed(self) -> None:
-        if not self._committed:
-            raise RuntimeError("call commit() before checkpoint()/try_restore()")
-
     def _pack_flat(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Serialize workspace + A2 into a stripe-aligned scratch buffer."""
         return self.layout.pack(self._arrays, self.local, out=out, total_size=self._padded)
@@ -306,45 +384,3 @@ class Checkpointer(ABC):
     def checksum_bytes(self) -> int:
         self._require_committed()
         return self._cs_size
-
-    @property
-    @abstractmethod
-    def overhead_bytes(self) -> int:
-        """Per-rank memory the protocol consumes beyond the workspace."""
-
-    # -- the tails every checkpoint() / try_restore() ends with ---------------------
-    def _checkpointed(
-        self, epoch: int, encode_s: float, flush_s: float, protected_bytes: Optional[int] = None
-    ) -> CheckpointInfo:
-        """Count one completed checkpoint and describe it."""
-        self.n_checkpoints += 1
-        self.total_encode_seconds += encode_s
-        self.total_flush_seconds += flush_s
-        return CheckpointInfo(
-            epoch=epoch,
-            protected_bytes=self._padded if protected_bytes is None else protected_bytes,
-            checksum_bytes=self._cs_size,
-            encode_seconds=encode_s,
-            flush_seconds=flush_s,
-        )
-
-    def _restored(self, epoch: int, source: str, missing: Sequence[int] = ()) -> RestoreReport:
-        """Count one completed restore and describe it."""
-        self.n_restores += 1
-        return RestoreReport(
-            epoch=epoch,
-            source=source,
-            reconstructed=tuple(missing),
-            local=dict(self.local),
-        )
-
-    # -- the protocol API --------------------------------------------------------------
-    @abstractmethod
-    def checkpoint(self) -> CheckpointInfo:
-        """Protect the current workspace + A2 state."""
-
-    @abstractmethod
-    def try_restore(self) -> Optional[RestoreReport]:
-        """After a restart: recover state, or return ``None`` if there is
-        no checkpoint (fresh start).  Raises ``UnrecoverableError`` when the
-        group's state is beyond repair."""

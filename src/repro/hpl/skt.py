@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.ckpt.disk import DiskCheckpoint
 from repro.ckpt.manager import CheckpointManager
 from repro.hpl import matgen
 from repro.hpl.config import HPLConfig
@@ -149,11 +148,6 @@ def skt_hpl_main(ctx: RankContext, scfg: SKTConfig) -> SKTResult:
     elapsed = ctx.clock - t_start
 
     impl = mgr.impl
-    if isinstance(impl, DiskCheckpoint):
-        # a full image has no encode step; its flush is the device write
-        encode_s, flush_s = 0.0, impl.total_write_seconds
-    else:
-        encode_s, flush_s = impl.total_encode_seconds, impl.total_flush_seconds
     return SKTResult(
         hpl=HPLResult(
             config=cfg,
@@ -168,7 +162,7 @@ def skt_hpl_main(ctx: RankContext, scfg: SKTConfig) -> SKTResult:
         restored_panel=start_panel,
         restore_source=report.source if report else None,
         n_checkpoints=impl.n_checkpoints,
-        ckpt_encode_s=encode_s,
-        ckpt_flush_s=flush_s,
+        ckpt_encode_s=impl.total_encode_seconds,
+        ckpt_flush_s=impl.total_flush_seconds,
         overhead_bytes=mgr.overhead_bytes,
     )

@@ -10,15 +10,11 @@ Usage::
     repro check --all                 # everything
     repro check --deep                # lint + flow (the static gauntlet)
 
-Baseline workflow (``--deep``/``flow``)::
-
-    repro check --deep                      # new findings only (committed
-                                            # baseline subtracts known debt)
-    repro check --deep --update-baseline    # accept the current findings
-    repro check --deep --no-baseline        # everything, baseline ignored
+Every finding is reported: an accepted lint finding is a ``# simlint:
+allow[rule]`` pragma at the site, anything else is fixed.
 
 Machine output: ``--sarif out.sarif`` / ``--jsonl out.jsonl`` write the
-full (pre-baseline) finding set in SARIF 2.1.0 / JSON-lines.
+finding set in SARIF 2.1.0 / JSON-lines.
 
 Exit codes: **0** — every requested analysis ran and produced zero
 findings at the ``--fail-on`` threshold (``error`` < ``warning`` <
@@ -68,47 +64,32 @@ def _selftest_failure(tool: str, what: str) -> Finding:
     )
 
 
-def _run_races(report: Report) -> None:
-    from repro.sancheck.scenarios import run_clean_selfckpt, run_seeded_race
+def _run_dynamic(report: Report, selected: List[str]) -> None:
+    """Each selected detector's seeded bug, then one clean self-checkpoint
+    run — it carries both detectors — read by every selected one."""
+    from repro.sancheck import scenarios
 
-    _, seeded = run_seeded_race()
-    if not seeded.findings:
-        report.add(
-            _selftest_failure("race", "the seeded unsynchronized SHM write was NOT flagged")
-        )
-    result, race, _ = run_clean_selfckpt()
-    if not result.completed:
-        report.add(_selftest_failure("race", "clean self-checkpoint run did not complete"))
-    report.extend(race.findings, analysis="race")
-
-
-def _run_deadlock(report: Report) -> None:
-    from repro.sancheck.scenarios import run_clean_selfckpt, run_seeded_deadlock
-
-    _, seeded = run_seeded_deadlock()
-    if not seeded.findings:
-        report.add(
-            _selftest_failure(
-                "deadlock", "the seeded mismatched-tag deadlock was NOT detected"
+    if "races" in selected:
+        _, seeded = scenarios.run_seeded_race()
+        if not seeded.findings:
+            report.add(
+                _selftest_failure("race", "the seeded unsynchronized SHM write was NOT flagged")
             )
-        )
-    result, _, deadlock = run_clean_selfckpt()
-    if not result.completed:
-        report.add(
-            _selftest_failure("deadlock", "clean self-checkpoint run did not complete")
-        )
-    report.extend(deadlock.findings, analysis="deadlock")
-
-
-def _resolve_baseline(args: argparse.Namespace) -> Optional[Path]:
-    """The baseline file to subtract, or None when disabled/absent."""
-    from repro.sancheck.flow.baseline import default_baseline_path
-
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Path(args.baseline)
-    return default_baseline_path()
+    if "deadlock" in selected:
+        _, seeded = scenarios.run_seeded_deadlock()
+        if not seeded.findings:
+            report.add(
+                _selftest_failure(
+                    "deadlock", "the seeded mismatched-tag deadlock was NOT detected"
+                )
+            )
+    result, race, deadlock = scenarios.run_clean_selfckpt()
+    for analysis, tool, detector in (("races", "race", race), ("deadlock", "deadlock", deadlock)):
+        if analysis not in selected:
+            continue
+        if not result.completed:
+            report.add(_selftest_failure(tool, "clean self-checkpoint run did not complete"))
+        report.extend(detector.findings, analysis=tool)
 
 
 def check_main(argv: Optional[List[str]] = None) -> int:
@@ -132,7 +113,7 @@ def check_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--deep",
         action="store_true",
-        help="run the static gauntlet (lint + flow) with the committed baseline",
+        help="run the static gauntlet (lint + flow)",
     )
     parser.add_argument(
         "--path",
@@ -148,33 +129,16 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         help="minimum severity that fails the run (default: any finding)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file of accepted findings "
-        "(default: benchmarks/sancheck_baseline.json when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file — report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current static findings and exit 0",
-    )
-    parser.add_argument(
         "--sarif",
         default=None,
         metavar="FILE",
-        help="write all findings (pre-baseline) as SARIF 2.1.0",
+        help="write all findings as SARIF 2.1.0",
     )
     parser.add_argument(
         "--jsonl",
         default=None,
         metavar="FILE",
-        help="write all findings (pre-baseline) as JSON lines",
+        help="write all findings as JSON lines",
     )
     args = parser.parse_args(argv)
 
@@ -192,8 +156,6 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         parser.error(
             "nothing to do: name at least one analysis or pass --all/--deep"
         )
-    if args.update_baseline and not ({"lint", "flow"} & set(selected)):
-        parser.error("--update-baseline requires a static analysis (lint/flow)")
     if args.path:
         missing = [p for p in args.path if not Path(p).exists()]
         if missing:
@@ -205,10 +167,8 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         runners.append(lambda: _run_lint(report, args.path))
     if "flow" in selected:
         runners.append(lambda: _run_flow(report, args.path))
-    if "races" in selected:
-        runners.append(lambda: _run_races(report))
-    if "deadlock" in selected:
-        runners.append(lambda: _run_deadlock(report))
+    if "races" in selected or "deadlock" in selected:
+        runners.append(lambda: _run_dynamic(report, selected))
     for run in runners:
         try:
             run()
@@ -223,7 +183,6 @@ def check_main(argv: Optional[List[str]] = None) -> int:
 
     report.finalize()
 
-    # machine exports carry the full finding set, before baselining
     if args.sarif:
         from repro.sancheck.flow.export import write_sarif
 
@@ -232,28 +191,6 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         from repro.sancheck.flow.export import write_jsonl
 
         write_jsonl(Path(args.jsonl), report.findings)
-
-    static = [f for f in report.findings if f.file]
-    if args.update_baseline:
-        from repro.sancheck.flow.baseline import write_baseline
-
-        path = (
-            Path(args.baseline)
-            if args.baseline is not None
-            else Path.cwd() / "benchmarks" / "sancheck_baseline.json"
-        )
-        write_baseline(path, static)
-        print(f"sancheck: baseline updated with {len(static)} finding(s): {path}")
-        return EXIT_CLEAN
-
-    baseline_path = _resolve_baseline(args)
-    if baseline_path is not None and baseline_path.is_file():
-        from repro.sancheck.flow.baseline import load_baseline, split_by_baseline
-
-        baseline = load_baseline(baseline_path)
-        new, known = split_by_baseline(report.findings, baseline)
-        report.findings = new
-        report.baselined = len(known)
 
     print(report.render())
     return report.exit_code(args.fail_on)

@@ -60,8 +60,6 @@ class Report:
     findings: List[Finding] = field(default_factory=list)
     #: analyses that actually ran (so "0 findings" is meaningful)
     analyses: List[str] = field(default_factory=list)
-    #: pre-existing findings suppressed by the committed baseline
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -77,8 +75,8 @@ class Report:
 
     def finalize(self) -> "Report":
         """Sort findings by (file, line, tool, rule, message) and drop
-        exact duplicates, so rendered reports, exports and the baseline
-        file are byte-stable across runs and worker counts."""
+        exact duplicates, so rendered reports and exports are byte-stable
+        across runs and worker counts."""
         seen = set()
         unique: List[Finding] = []
         for f in sorted(self.findings, key=Finding.sort_key):
@@ -108,9 +106,8 @@ class Report:
         """Human-readable summary: a table of findings plus any details."""
         self.finalize()
         ran = ", ".join(self.analyses) or "(none)"
-        suffix = f"; {self.baselined} baselined" if self.baselined else ""
         if self.ok:
-            return f"sancheck: 0 findings (analyses: {ran}{suffix})"
+            return f"sancheck: 0 findings (analyses: {ran})"
         rows = [
             [f.severity, f.tool, f.rule, f.location(), f.message]
             for f in self.findings
@@ -118,10 +115,7 @@ class Report:
         table = render_table(
             ["severity", "tool", "rule", "where", "finding"],
             rows,
-            title=(
-                f"sancheck — {len(self.findings)} finding(s), "
-                f"analyses: {ran}{suffix}"
-            ),
+            title=f"sancheck — {len(self.findings)} finding(s), analyses: {ran}",
         )
         details = [f.detail for f in self.findings if f.detail]
         return table if not details else table + "\n\n" + "\n\n".join(details)

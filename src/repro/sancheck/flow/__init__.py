@@ -21,19 +21,9 @@ the effect lattice:
   discipline the recovery-decision invariants assume.
 
 Entry point: :func:`analyze_paths` (exposed as ``repro check --deep``).
-Pre-existing findings are tracked in a committed baseline
-(:mod:`repro.sancheck.flow.baseline`); reports export to SARIF and JSONL
-(:mod:`repro.sancheck.flow.export`).
+Reports export to SARIF and JSONL (:mod:`repro.sancheck.flow.export`).
 """
 
-from repro.sancheck.flow.baseline import (
-    BASELINE_SCHEMA,
-    default_baseline_path,
-    fingerprint,
-    load_baseline,
-    split_by_baseline,
-    write_baseline,
-)
 from repro.sancheck.flow.callgraph import FunctionNode, ProjectIndex, build_index
 from repro.sancheck.flow.driver import FlowConfig, analyze_index, analyze_paths
 from repro.sancheck.flow.effects import (
@@ -68,12 +58,6 @@ __all__ = [
     "MPI_SEND",
     "MPI_RECV",
     "ALLOCATES",
-    "fingerprint",
-    "load_baseline",
-    "write_baseline",
-    "split_by_baseline",
-    "default_baseline_path",
-    "BASELINE_SCHEMA",
     "to_sarif",
     "to_jsonl",
     "write_sarif",

@@ -18,19 +18,19 @@ from repro.sancheck.flow.callgraph import ProjectIndex, build_index
 from repro.sancheck.flow.effects import build_intrinsics
 from repro.sancheck.flow.lifecycle import lifecycle_findings
 from repro.sancheck.flow.taint import SummaryMap, propagate
+from repro.sancheck.simlint import RNG_ALLOW, WALLCLOCK_ALLOW
 
 
 @dataclass(frozen=True)
 class FlowConfig:
     """Knobs of the whole-program analysis (defaults fit ``src/repro``)."""
 
-    #: modules whose wall-clock reads are sanctioned (the MPI deadlock
-    #: safety net and the progress reporter's throttle)
-    wallclock_allow: Tuple[str, ...] = ("repro.sim.mpi", "repro.par.progress")
-    #: modules that own RNG construction
-    rng_allow: Tuple[str, ...] = ("repro.util.rng",)
+    #: modules whose wall-clock reads are sanctioned, and modules that own
+    #: RNG construction — simlint's lists, so the two analyzers agree
+    wallclock_allow: Tuple[str, ...] = WALLCLOCK_ALLOW
+    rng_allow: Tuple[str, ...] = RNG_ALLOW
     #: bare class name every checkpoint protocol descends from
-    protocol_base: str = "Checkpointer"
+    protocol_base: str = "CheckpointProtocol"
     #: protocol entry points checked for nondeterministic effects
     lifecycle_entries: Tuple[str, ...] = ("checkpoint", "try_restore")
     #: the restore entry checked for premature SHM writes

@@ -23,11 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.sancheck.flow.callgraph import SHM_METHODS, FunctionNode
-from repro.sancheck.simlint import (
-    NUMPY_LEGACY_RANDOM,
-    WALLCLOCK_CALLS,
-    _module_allowed,
-)
+from repro.sancheck.simlint import classify_nondet_call
 
 RNG_UNSEEDED = "reads-rng-unseeded"
 RNG_SEEDED = "reads-rng-seeded"
@@ -101,31 +97,14 @@ class Intrinsic:
 IntrinsicMap = Dict[str, Dict[str, Intrinsic]]
 
 
-def _classify_external(
-    path: str, has_args: bool, module: str, wallclock_allow: Tuple[str, ...], rng_allow: Tuple[str, ...]
-) -> Dict[str, str]:
-    """Effects introduced by one unresolved external call path."""
-    out: Dict[str, str] = {}
-    if path in WALLCLOCK_CALLS and not _module_allowed(module, wallclock_allow):
-        out[WALLCLOCK] = f"{path}()"
-    if not _module_allowed(module, rng_allow):
-        if path == "random" or path.startswith("random."):
-            out[RNG_UNSEEDED] = f"{path}()"
-        elif (
-            path.startswith("numpy.random.")
-            and path.split(".")[-1] in NUMPY_LEGACY_RANDOM
-        ):
-            out[RNG_UNSEEDED] = f"legacy {path}()"
-        elif path == "numpy.random.default_rng":
-            if has_args:
-                out[RNG_SEEDED] = f"{path}(seed)"
-            else:
-                out[RNG_UNSEEDED] = f"unseeded {path}()"
-    elif path == "numpy.random.default_rng":
-        out[RNG_SEEDED] = f"{path}(...)"
-    if path in NUMPY_ALLOCATORS:
-        out[ALLOCATES] = f"{path}()"
-    return out
+#: effect and witness wording per ``classify_nondet_call`` kind
+_NONDET_EFFECTS = {
+    "wallclock": (WALLCLOCK, "{path}()"),
+    "rng-stdlib": (RNG_UNSEEDED, "{path}()"),
+    "rng-legacy": (RNG_UNSEEDED, "legacy {path}()"),
+    "rng-unseeded": (RNG_UNSEEDED, "unseeded {path}()"),
+    "rng-seeded": (RNG_SEEDED, "{path}(seed)"),
+}
 
 
 def intrinsic_effects(
@@ -142,12 +121,12 @@ def intrinsic_effects(
             out[effect] = Intrinsic(site=site, line=line)
 
     for path, line, has_args in sorted(fn.external):
-        for effect, site in sorted(
-            _classify_external(
-                path, has_args, fn.module, wallclock_allow, rng_allow
-            ).items()
-        ):
-            add(effect, site, line)
+        kind = classify_nondet_call(path, has_args, fn.module, wallclock_allow, rng_allow)
+        if kind is not None:
+            effect, site = _NONDET_EFFECTS[kind]
+            add(effect, site.format(path=path), line)
+        if path in NUMPY_ALLOCATORS:
+            add(ALLOCATES, f"{path}()", line)
 
     for name, line in sorted(fn.method_calls):
         if name in SHM_METHODS:

@@ -3,8 +3,8 @@
 Two machine formats ride next to the ASCII report:
 
 * **JSONL** — one JSON object per finding, fixed key order, sorted by
-  the canonical finding key; byte-stable across runs, trivially
-  diffable, and the same shape the baseline file stores.
+  the canonical finding key; byte-stable across runs and trivially
+  diffable.
 * **SARIF 2.1.0** — the static-analysis interchange format GitHub code
   scanning ingests; the ``check-deep`` CI job uploads it as an artifact.
 

@@ -67,11 +67,10 @@ _NONDET: Tuple[Tuple[str, str], ...] = (
 def protocol_classes(index: ProjectIndex, base: str) -> List[str]:
     """Every checkpoint-protocol class: descendants of the protocol base
     (transitively, or by raw base name for fixture trees — every shipped
-    in-memory protocol, ``MultiLevelCheckpoint`` included), plus
-    *structural* matches — classes defining both ``checkpoint`` and
-    ``try_restore`` themselves (the safety net: ``DiskCheckpoint`` is
-    duck-typed, and a duck-typed protocol is exactly the one nominal
-    detection would silently skip)."""
+    protocol, group-encoded or disk), plus *structural* matches — classes
+    defining both ``checkpoint`` and ``try_restore`` themselves (the safety
+    net: a duck-typed protocol is exactly the one nominal detection would
+    silently skip)."""
     out = []
     for q in sorted(index.classes):
         if q.split(".")[-1] == base:

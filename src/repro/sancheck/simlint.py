@@ -157,25 +157,83 @@ _PRAGMA_RE = re.compile(
 )
 
 
+#: modules that may read the host clock, and modules that own RNG
+#: construction — the one pair of allowlists simlint and the whole-program
+#: flow analysis both default to
+WALLCLOCK_ALLOW: Tuple[str, ...] = (
+    "repro.sim.mpi",
+    "repro.par.progress",
+    # lease expiry is real-world liveness (a dead executor's wall
+    # clock stops), so the shard queue must read the host clock
+    "repro.shard",
+)
+RNG_ALLOW: Tuple[str, ...] = ("repro.util.rng",)
+
+
 @dataclass(frozen=True)
 class LintConfig:
     """Per-rule module allowlists (prefix match on dotted module names)."""
 
-    wallclock_allow: Tuple[str, ...] = (
-        "repro.sim.mpi",
-        "repro.par.progress",
-        # lease expiry is real-world liveness (a dead executor's wall
-        # clock stops), so the shard queue must read the host clock
-        "repro.shard",
-    )
+    wallclock_allow: Tuple[str, ...] = WALLCLOCK_ALLOW
     threading_allow: Tuple[str, ...] = ("repro.sim",)
-    rng_allow: Tuple[str, ...] = ("repro.util.rng",)
+    rng_allow: Tuple[str, ...] = RNG_ALLOW
     parallel_allow: Tuple[str, ...] = ("repro.par", "repro.shard")
     rules: Tuple[str, ...] = ALL_RULES
 
 
 def _module_allowed(module: str, prefixes: Sequence[str]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in prefixes)
+
+
+def classify_nondet_call(
+    path: str,
+    has_args: bool,
+    module: str,
+    wallclock_allow: Sequence[str],
+    rng_allow: Sequence[str],
+) -> Optional[str]:
+    """The one answer to "is this call nondeterministic, and is it allowed
+    in ``module``" — simlint's ``wallclock`` / ``rng`` rules and the flow
+    analysis's effect extraction both ask it, and word their own messages.
+
+    ``"wallclock"``, ``"rng-stdlib"``, ``"rng-legacy"`` and
+    ``"rng-unseeded"`` are violations; ``"rng-seeded"`` is a
+    ``default_rng`` that stays deterministic (seeded, or inside an
+    RNG-owning module); ``None`` is every other call."""
+    if path in WALLCLOCK_CALLS:
+        return None if _module_allowed(module, wallclock_allow) else "wallclock"
+    if _module_allowed(module, rng_allow):
+        return "rng-seeded" if path == "numpy.random.default_rng" else None
+    if path == "random" or path.startswith("random."):
+        return "rng-stdlib"
+    if path.startswith("numpy.random.") and path.split(".")[-1] in NUMPY_LEGACY_RANDOM:
+        return "rng-legacy"
+    if path == "numpy.random.default_rng":
+        return "rng-seeded" if has_args else "rng-unseeded"
+    return None
+
+
+#: simlint's rule and wording per :func:`classify_nondet_call` violation
+_NONDET_FINDINGS = {
+    "wallclock": (
+        "wallclock",
+        "wall-clock call {path}() — simulator code must use virtual time "
+        "(ctx.elapse/ctx.clock)",
+    ),
+    "rng-stdlib": (
+        "rng",
+        "stdlib {path}() — derive streams from repro.util.rng.seeded_rng/block_rng",
+    ),
+    "rng-legacy": (
+        "rng",
+        "legacy global-state {path}() — use repro.util.rng.seeded_rng/block_rng",
+    ),
+    "rng-unseeded": (
+        "rng",
+        "unseeded {path}() — restarted ranks must be able to regenerate "
+        "identical streams",
+    ),
+}
 
 
 def module_name_for(path: Path) -> str:
@@ -377,15 +435,16 @@ class _Linter(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         path = self.imports.resolve(node.func)
         if path is not None:
-            if path in WALLCLOCK_CALLS and not _module_allowed(
-                self.module, self.config.wallclock_allow
-            ):
-                self._report(
-                    "wallclock",
-                    node,
-                    f"wall-clock call {path}() — simulator code must use "
-                    "virtual time (ctx.elapse/ctx.clock)",
-                )
+            kind = classify_nondet_call(
+                path,
+                bool(node.args or node.keywords),
+                self.module,
+                self.config.wallclock_allow,
+                self.config.rng_allow,
+            )
+            if kind in _NONDET_FINDINGS:
+                rule, message = _NONDET_FINDINGS[kind]
+                self._report(rule, node, message.format(path=path))
             if path in THREADING_CALLS and not _module_allowed(
                 self.module, self.config.threading_allow
             ):
@@ -395,33 +454,6 @@ class _Linter(ast.NodeVisitor):
                     f"raw {path}() construction — rank concurrency belongs "
                     "to the repro.sim runtime",
                 )
-            if not _module_allowed(self.module, self.config.rng_allow):
-                if path == "random" or path.startswith("random."):
-                    self._report(
-                        "rng",
-                        node,
-                        f"stdlib {path}() — derive streams from "
-                        "repro.util.rng.seeded_rng/block_rng",
-                    )
-                elif (
-                    path.startswith("numpy.random.")
-                    and path.split(".")[-1] in NUMPY_LEGACY_RANDOM
-                ):
-                    self._report(
-                        "rng",
-                        node,
-                        f"legacy global-state {path}() — use "
-                        "repro.util.rng.seeded_rng/block_rng",
-                    )
-                elif path == "numpy.random.default_rng" and not (
-                    node.args or node.keywords
-                ):
-                    self._report(
-                        "rng",
-                        node,
-                        "unseeded numpy.random.default_rng() — restarted "
-                        "ranks must be able to regenerate identical streams",
-                    )
         self._check_obs_label(node)
         self.generic_visit(node)
 

@@ -36,6 +36,12 @@ class TestFig12:
         for p in points:
             assert abs(p.model_norm_eff - p.measured_norm_eff) < 0.08
 
+    def test_self_memory_fraction_beats_double(self):
+        """§6.5: the 44% of memory self-checkpoint leaves beats the 30% a
+        double checkpoint leaves by more than 2 points of efficiency."""
+        at_double, at_self = fig12_memory_vs_efficiency(fractions=(0.3, 0.44))
+        assert at_self.measured_norm_eff > at_double.measured_norm_eff + 0.02
+
     def test_concave_shape(self, points):
         """Gains shrink as memory grows (sqrt(k) scaling): the marginal
         efficiency per memory fraction decreases."""

@@ -27,6 +27,8 @@ class TestReport:
             "## Figure 10",
             "## Figure 12",
             "## Ablation: incremental",
+            "## Ablation: double parity",
+            "## Library kernels: checkpoint overhead",
         ):
             assert heading in md
         # every section carries a rendered table

@@ -21,10 +21,7 @@ from repro.chaos import (
     run_schedule,
     selfckpt_scenario,
 )
-
-# module import: the repo's pytest config collects bench_* names as
-# benchmark functions, so bench_json/bench_record must not be module-level
-from repro.chaos import bench as chaos_bench
+from repro.chaos.bench import bench_json, bench_record
 from repro.ckpt.self_ckpt import SelfCheckpoint
 from repro.sim.failures import PhaseTrigger, TimeTrigger
 
@@ -191,14 +188,14 @@ class TestReportAndBench:
         )
         cfg = RandomCampaignConfig(n_schedules=2, seed=3)
         schedules = random_campaign(sc, cfg, probe=probe)
-        record = chaos_bench.bench_record([report], schedules, seed=3)
+        record = bench_record([report], schedules, seed=3)
         assert record["bench"] == "chaos"
         assert record["survived_all"] is True
         assert len(record["matrices"][0]["matrix"]) == 2
         assert len(record["random"]) == 2
         import json
 
-        parsed = json.loads(chaos_bench.bench_json(record))
+        parsed = json.loads(bench_json(record))
         assert parsed == record
 
     def test_render_campaign_verdict_line(self):

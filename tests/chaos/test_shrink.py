@@ -16,10 +16,7 @@ from repro.chaos import (
     shrink_failures,
     shrink_schedule,
 )
-
-# module import: the repo's pytest config collects bench_* names as
-# benchmark functions, so bench_json/bench_record must not be module-level
-from repro.chaos import bench as chaos_bench
+from repro.chaos.bench import bench_json, bench_record
 from repro.sim.failures import PhaseTrigger, TimeTrigger
 
 
@@ -75,9 +72,9 @@ class TestRandomCampaign:
         matrix = run_kill_matrix(
             sc, probe=probe, phases=["ckpt.done"], max_occurrences=1
         )
-        assert chaos_bench.bench_json(
-            chaos_bench.bench_record([matrix], a, seed=7)
-        ) == chaos_bench.bench_json(chaos_bench.bench_record([matrix], b, seed=7))
+        assert bench_json(bench_record([matrix], a, seed=7)) == bench_json(
+            bench_record([matrix], b, seed=7)
+        )
 
     def test_multi_failure_schedules_occur(self):
         # a short MTBF relative to the makespan must yield schedules with

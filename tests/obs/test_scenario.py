@@ -20,9 +20,7 @@ import pytest
 
 from repro.ckpt import METHODS
 
-# alias: bench_* names would otherwise be collected as benchmark functions
-from repro.obs.bench import BENCH_SCHEMA_VERSION
-from repro.obs.bench import bench_record as make_bench_record
+from repro.obs.bench import BENCH_SCHEMA_VERSION, bench_record
 from repro.obs.cli import obs_main
 from repro.obs.report import (
     aggregate_by_name,
@@ -158,7 +156,7 @@ class TestReport:
 class TestBenchRecord:
     def test_record_fields(self):
         run = run_scenario("skt-hpl", fail_at="panel:3", n=32)
-        rec = make_bench_record(run)
+        rec = bench_record(run)
         assert rec["schema"] == BENCH_SCHEMA_VERSION
         assert rec["bench"] == "obs"
         assert rec["completed"] is True

@@ -1,8 +1,10 @@
-"""Tests for the ``repro check`` exit-code/baseline/export contract."""
+"""Tests for the ``repro check`` exit-code/export contract."""
 
 import json
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 
@@ -33,14 +35,14 @@ def write_warn_only(tmp_path):
 
 class TestExitCodes:
     def test_flow_fixture_fails(self, capsys):
-        assert main(["check", "flow", "--path", FIXTURE, "--no-baseline"]) == 1
+        assert main(["check", "flow", "--path", FIXTURE]) == 1
         out = capsys.readouterr().out
         assert "flow-nondet" in out
         assert "lifecycle-premature-write" in out
 
     def test_fail_on_error_ignores_warnings(self, tmp_path, capsys):
         quiet = write_warn_only(tmp_path)
-        args = ["check", "flow", "--path", quiet, "--no-baseline"]
+        args = ["check", "flow", "--path", quiet]
         assert main(args + ["--fail-on", "error"]) == 0
         assert main(args + ["--fail-on", "warning"]) == 1
         assert main(args) == 1  # default: any finding fails
@@ -57,105 +59,30 @@ class TestExitCodes:
 
     def test_deep_clean_on_shipped_tree(self, capsys):
         """Acceptance: ``repro check --deep --fail-on error`` is clean on
-        main (modulo the committed baseline)."""
+        main."""
         assert main(["check", "--deep", "--fail-on", "error"]) == 0
         out = capsys.readouterr().out
         assert "simlint" in out and "flow" in out
 
     def test_deep_requires_an_analysis_list_or_flag(self):
-        import pytest
-
         with pytest.raises(SystemExit):
             main(["check"])
 
-
-class TestBaselineWorkflow:
-    def test_update_then_subtract(self, tmp_path, capsys):
-        bl = str(tmp_path / "bl.json")
-        assert (
-            main(
-                [
-                    "check",
-                    "flow",
-                    "--path",
-                    FIXTURE,
-                    "--update-baseline",
-                    "--baseline",
-                    bl,
-                ]
-            )
-            == 0
-        )
-        assert "baseline updated" in capsys.readouterr().out
-        doc = json.loads(Path(bl).read_text())
-        assert doc["schema"] == 1 and len(doc["findings"]) == 6
-
-        # with every finding accepted, the same analysis is green
-        assert (
-            main(["check", "flow", "--path", FIXTURE, "--baseline", bl]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "0 findings" in out and "6 baselined" in out
-
-    def test_no_baseline_overrides_the_file(self, tmp_path, capsys):
-        bl = str(tmp_path / "bl.json")
-        main(
-            [
-                "check",
-                "flow",
-                "--path",
-                FIXTURE,
-                "--update-baseline",
-                "--baseline",
-                bl,
-            ]
-        )
-        capsys.readouterr()
-        args = ["check", "flow", "--path", FIXTURE, "--baseline", bl]
-        assert main(args + ["--no-baseline"]) == 1
-
-    def test_update_baseline_requires_static_analysis(self):
-        import pytest
-
-        with pytest.raises(SystemExit):
-            main(["check", "races", "--update-baseline"])
+    def test_baseline_flags_are_gone(self):
+        """There is no findings file to subtract: the three flags that
+        managed one are argparse errors (exit 2), not silent no-ops."""
+        for flag in (["--baseline", "x"], ["--no-baseline"], ["--update-baseline"]):
+            with pytest.raises(SystemExit) as e:
+                main(["check", "--deep"] + flag)
+            assert e.value.code == 2, flag
 
 
 class TestExports:
-    def test_sarif_and_jsonl_carry_prebaseline_findings(self, tmp_path, capsys):
-        bl = str(tmp_path / "bl.json")
+    def test_sarif_and_jsonl_carry_every_finding(self, tmp_path, capsys):
         sarif = tmp_path / "out.sarif"
         jsonl = tmp_path / "out.jsonl"
-        main(
-            [
-                "check",
-                "flow",
-                "--path",
-                FIXTURE,
-                "--update-baseline",
-                "--baseline",
-                bl,
-            ]
-        )
-        capsys.readouterr()
-        # baselined to green — the machine exports still carry everything
-        assert (
-            main(
-                [
-                    "check",
-                    "flow",
-                    "--path",
-                    FIXTURE,
-                    "--baseline",
-                    bl,
-                    "--sarif",
-                    str(sarif),
-                    "--jsonl",
-                    str(jsonl),
-                ]
-            )
-            == 0
-        )
+        args = ["check", "flow", "--path", FIXTURE]
+        assert main(args + ["--sarif", str(sarif), "--jsonl", str(jsonl)]) == 1
         doc = json.loads(sarif.read_text())
         assert len(doc["runs"][0]["results"]) == 6
         assert len(jsonl.read_text().splitlines()) == 6

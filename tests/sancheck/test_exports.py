@@ -1,8 +1,7 @@
-"""Golden tests for the SARIF/JSONL exporters and the baseline file.
+"""Golden tests for the SARIF/JSONL exporters.
 
-These formats are contracts with CI and with future runs of the tool
-itself (the baseline must be byte-stable or every run churns it), so
-the tests pin shapes and round-trips, not just "it doesn't crash".
+These formats are contracts with CI, so the tests pin shapes and
+round-trips, not just "it doesn't crash".
 """
 
 import json
@@ -10,14 +9,6 @@ from pathlib import Path
 
 from repro.sancheck.findings import Finding, Report
 from repro.sancheck.flow import analyze_paths
-from repro.sancheck.flow.baseline import (
-    BASELINE_SCHEMA,
-    fingerprint,
-    load_baseline,
-    render_baseline,
-    split_by_baseline,
-    write_baseline,
-)
 from repro.sancheck.flow.export import (
     finding_to_dict,
     to_jsonl,
@@ -25,8 +16,6 @@ from repro.sancheck.flow.export import (
     write_jsonl,
     write_sarif,
 )
-
-import pytest
 
 FIXTURE = Path(__file__).parent / "fixtures" / "badckpt"
 
@@ -115,59 +104,6 @@ class TestSarif:
         write_sarif(out, analyze_paths([FIXTURE]))
         doc = json.loads(out.read_text())
         assert len(doc["runs"][0]["results"]) == 6
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        fs = sample_findings()
-        path = tmp_path / "baseline.json"
-        write_baseline(path, fs)
-        baseline = load_baseline(path)
-        new, known = split_by_baseline(fs, baseline)
-        # static findings baselined; the dynamic race finding never is
-        assert [f.rule for f in new] == ["shm-race"]
-        assert len(known) == 2
-
-    def test_fingerprint_survives_line_drift(self):
-        f = sample_findings()[0]
-        moved = Finding(
-            tool=f.tool,
-            rule=f.rule,
-            severity=f.severity,
-            message=f.message,
-            file=f.file,
-            line=f.line + 7,
-        )
-        assert fingerprint(f) == fingerprint(moved)
-
-    def test_fingerprint_changes_with_message(self):
-        f = sample_findings()[0]
-        other = Finding(
-            tool=f.tool,
-            rule=f.rule,
-            message=f.message + " (worse)",
-            file=f.file,
-            line=f.line,
-        )
-        assert fingerprint(f) != fingerprint(other)
-
-    def test_regeneration_is_a_byte_noop(self, tmp_path):
-        fs = analyze_paths([FIXTURE])
-        path = tmp_path / "baseline.json"
-        write_baseline(path, fs)
-        first = path.read_bytes()
-        write_baseline(path, analyze_paths([FIXTURE]))
-        assert path.read_bytes() == first
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_schema_constant_in_rendered_doc(self):
-        doc = json.loads(render_baseline(sample_findings()))
-        assert doc["schema"] == BASELINE_SCHEMA
 
 
 class TestReportFinalize:

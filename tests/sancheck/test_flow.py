@@ -24,6 +24,7 @@ from repro.sancheck.flow import (
 from repro.sancheck.flow.effects import build_intrinsics
 from repro.sancheck.flow.export import to_jsonl
 from repro.sancheck.flow.lifecycle import kernel_functions, protocol_classes
+from repro.sancheck.simlint import WALLCLOCK_ALLOW, lint_paths
 
 FIXTURE = Path(__file__).parent / "fixtures" / "badckpt"
 
@@ -206,6 +207,40 @@ class TestRealTree:
             assert (
                 attrs | {"_ctrl", "_arrays"} <= shipped_index.classes[cls].shm_attrs
             ), cls
+
+
+class TestOneNondeterminismAnswer:
+    """simlint and flow ask one classifier with one pair of allowlists: a
+    protocol whose ``checkpoint()`` reads the host clock is a finding of
+    both, or — in a module allowed to read it — of neither."""
+
+    SOURCE = (
+        "import time\n\n\n"
+        "class LeaseCheckpoint:\n"
+        "    def checkpoint(self):\n"
+        "        return time.time()\n\n"
+        "    def try_restore(self):\n"
+        "        return None\n"
+    )
+
+    def _rules(self, tmp_path, module):
+        path = tmp_path.joinpath(*module.split(".")).with_suffix(".py")
+        path.parent.mkdir(parents=True)
+        path.write_text(self.SOURCE)
+        return (
+            [f.rule for f in lint_paths([path])],
+            [f.rule for f in analyze_paths([tmp_path])],
+        )
+
+    @pytest.mark.parametrize("module", WALLCLOCK_ALLOW)
+    def test_lint_allowed_wallclock_is_flow_allowed(self, tmp_path, module):
+        assert self._rules(tmp_path, module) == ([], [])
+
+    def test_elsewhere_both_report_it(self, tmp_path):
+        assert self._rules(tmp_path, "repro.ckpt.lease") == (
+            ["wallclock"],
+            ["flow-nondet"],
+        )
 
 
 class TestKernelModuleList:

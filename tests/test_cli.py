@@ -68,6 +68,7 @@ class TestCLI:
             "fig12",
             "fig13",
             "ablations",
+            "apps",
             "endurance",
             "reliability",
             "report",

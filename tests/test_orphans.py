@@ -2,10 +2,10 @@
 
 An orphan is code only its own tests reach: it costs reading, review and
 tier-1 seconds and tells the reader nothing about what the system does.
-The walk is by name over the ASTs of ``src/``, ``benchmarks/`` and
-``examples/``: a definition counts as referenced when its name is loaded
-(``f(...)``, ``mod.f``, a base class, a decorator, an annotation) anywhere
-outside its own body.  Re-exports do not count — an ``import`` line or an
+The walk is by name over the ASTs of ``src/``, ``benchmarks/`` (the e2e
+benchmark package, nothing else) and ``examples/``: a definition counts as
+referenced when its name is loaded (``f(...)``, ``mod.f``, a base class, a
+decorator, an annotation) anywhere outside its own body.  Re-exports do not count — an ``import`` line or an
 ``__all__`` entry consumes nothing — and neither do tests.
 
 Matching by bare name is deliberately loose (a method call ``x.render()``
@@ -68,6 +68,11 @@ ALLOWED = {
         "documented one-call API of the randomized campaign (docs/CHAOS.md, "
         "signature frozen by PR 16); the CLI spells the same plan through "
         "run_campaign directly"
+    ),
+    "repro.models.top500.average_gain_half_vs_third": (
+        "Fig. 8's one-number takeaway (average gain from 1/3 to 1/2 of "
+        "memory), pinned by tests/models; only the deleted fig8 bench printed "
+        "it, and `repro fig8` stdout is frozen against the parent"
     ),
     "repro.util.units.parse_bytes": (
         "inverse of fmt_bytes at the configuration boundary; listed for "
@@ -141,3 +146,15 @@ def test_allowlist_is_minimal_and_reasoned(orphans):
     stale = sorted(q for q in ALLOWED if q not in orphans)
     assert not stale, f"allowlisted but referenced (or gone): {stale}"
     assert all(len(reason) > 20 for reason in ALLOWED.values())
+
+
+def test_benchmarks_is_the_e2e_package_only():
+    """``benchmarks/`` holds what ``BENCHMARK.json`` names and nothing else:
+    the paper's tables and figures are catalogue rows checked by
+    ``tests/analysis``, not a second pytest-collected harness."""
+    entries = set(os.listdir(os.path.join(ROOT, "benchmarks"))) - {"__pycache__"}
+    assert entries == {"__init__.py", "e2e"}
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as f:
+        pyproject = f.read()
+    assert "pytest-benchmark" not in pyproject
+    assert "bench_*" not in pyproject
