@@ -6,8 +6,9 @@ Packages
 --------
 ``repro.sim``
     Simulated cluster substrate: nodes with SHM and memory accounting, an
-    MPI-like runtime (thread per rank, virtual clocks, alpha-beta network
-    costing), failure injection, event tracing.
+    MPI-like runtime (one rank runs at a time, ready queue FIFO in wake
+    order; virtual clocks, alpha-beta network costing), failure injection,
+    event tracing.
 ``repro.ckpt``
     The checkpoint protocols: self-checkpoint (the contribution), single /
     double / buddy / incremental / disk / multi-level baselines, group

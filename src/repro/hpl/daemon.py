@@ -114,7 +114,6 @@ class JobDaemon:
         procs_per_node: Optional[int] = None,
         failure_plan: Optional[FailurePlan] = None,
         policy: RestartPolicy = RestartPolicy(),
-        deadlock_timeout_s: float = 60.0,
         observer: Optional["SimObserver"] = None,
         tracer: Optional["SpanTracer"] = None,
         name: str = "daemon",
@@ -125,7 +124,6 @@ class JobDaemon:
         self.args = tuple(args)
         self.policy = policy
         self.name = name
-        self.deadlock_timeout_s = deadlock_timeout_s
         #: the plan is shared across incarnations: triggers that have not
         #: fired yet stay armed after a restart
         self.failure_plan = failure_plan or FailurePlan()
@@ -162,7 +160,6 @@ class JobDaemon:
                 args=self.args,
                 ranklist=self.ranklist,
                 failure_plan=self.failure_plan,
-                deadlock_timeout_s=self.deadlock_timeout_s,
                 observer=self.observer,
                 tracer=self.tracer,
                 name=f"{self.name}#{attempt}",

@@ -1,7 +1,7 @@
 """Campaign progress/throughput reporting.
 
-The only wall-clock consumer outside ``repro.sim.mpi``: throughput of the
-*host* replay engine is a wall-clock quantity by definition, and none of
+A wall-clock consumer, with the shard queue's leases the only ones:
+throughput of the *host* replay engine is a wall-clock quantity by definition, and none of
 it ever feeds virtual time or a campaign artifact — progress lines go to
 stderr, deterministic counts go to the metrics registry from the engine
 itself.  (The simlint ``wallclock`` allowlist names this module for

@@ -1,8 +1,10 @@
 """Wait-for-graph deadlock detection over blocked MPI calls.
 
-The simulator already carries a wall-clock timeout as a last-resort safety
-net (``Job.deadlock_timeout_s``); this detector finds communication
-deadlocks *structurally* and immediately: it installs as a
+The runtime detects deadlock itself — a rank that parks when no other rank
+is ready to run raises :class:`~repro.sim.errors.SimError` naming every
+parked rank and its wait — but only once *every* live rank is parked, and
+without saying why.  This detector adds the diagnosis, and finds a cycle
+among a few ranks while the rest still run: it installs as a
 :class:`~repro.sim.observer.SimObserver`, tracks which ranks are blocked
 and on what (pt2pt receives with their ``(source, tag)``, collectives with
 their member sets), maintains send/recv counters mirroring the mailboxes,
@@ -22,8 +24,8 @@ Only currently-blocked ranks appear in the graph, so a cycle is a true
 diagnosis** (a queued message whose tag differs from the one the receiver
 asked for — the classic mismatched-tag bug) and, when the job's tracer
 recorded phase announcements, the rendered timeline with the deadlocked
-ranks marked.  It then aborts the job (configurable) so the run fails fast
-instead of burning the wall-clock timeout.
+ranks marked.  It then aborts the job (configurable), so every rank ends in
+``JobAbortedError`` rather than one of them in the runtime's deadlock error.
 """
 
 from __future__ import annotations
@@ -108,8 +110,7 @@ class DeadlockDetector(SimObserver):
             cycle = self._find_cycle()
             if cycle is not None:
                 self._report(cycle)
-        # abort only after releasing our lock: Job._wake_all acquires the
-        # communicator condition variables (observer lock-order contract)
+        # abort only after releasing our lock (observer lock-order contract)
         if cycle is not None and self.abort_on_deadlock and self._job is not None:
             self._job.abort()
 
@@ -125,11 +126,6 @@ class DeadlockDetector(SimObserver):
             if self._in_flight.get(key, 0) > 0:
                 return []  # satisfiable: the matching message is in flight
             return [desc.peer]
-        if desc.kind == "collective-join":
-            # waiting for the previous instance of this communicator to
-            # drain; the drainers hold their results and are by definition
-            # not blocked in this communicator — always satisfiable
-            return []
         entered = self._entered.get(desc.comm, set())
         return [m for m in desc.members if m != rank and m not in entered]
 

@@ -46,12 +46,10 @@ def run_seeded_race(n_ranks: int = 2) -> Tuple[JobResult, RaceDetector]:
     return result, detector
 
 
-def run_seeded_deadlock(
-    timeout_s: float = 20.0,
-) -> Tuple[JobResult, DeadlockDetector]:
+def run_seeded_deadlock() -> Tuple[JobResult, DeadlockDetector]:
     """Deliberately deadlocked: mismatched send/recv tags.  The detector
     must report the cycle (with a stuck-tag diagnosis) and abort the job
-    long before the wall-clock safety net fires."""
+    before the runtime's own every-rank-parked check would end it."""
 
     def app(ctx):
         comm = ctx.world
@@ -68,14 +66,7 @@ def run_seeded_deadlock(
 
     cluster = Cluster(2)
     detector = DeadlockDetector()
-    job = Job(
-        cluster,
-        app,
-        2,
-        procs_per_node=1,
-        deadlock_timeout_s=timeout_s,
-        tracer=SpanTracer(),
-    )
+    job = Job(cluster, app, 2, procs_per_node=1, tracer=SpanTracer())
     detector.install(job)
     result = job.run()
     return result, detector

@@ -10,9 +10,8 @@ tree:
 
 ``wallclock``
     No ``time.time``/``time.sleep``/``time.monotonic``/
-    ``datetime.now``-style calls outside the allowlist (only
-    ``repro.sim.mpi``, whose wall-clock deadline is the deadlock safety
-    net, may consult real time).
+    ``datetime.now``-style calls outside the allowlist (host-side progress
+    and lease code only; the simulator itself never consults real time).
 
 ``threading``
     No raw ``threading.Thread``/``Lock``/``Condition``/... construction
@@ -161,7 +160,6 @@ _PRAGMA_RE = re.compile(
 #: construction — the one pair of allowlists simlint and the whole-program
 #: flow analysis both default to
 WALLCLOCK_ALLOW: Tuple[str, ...] = (
-    "repro.sim.mpi",
     "repro.par.progress",
     # lease expiry is real-world liveness (a dead executor's wall
     # clock stops), so the shard queue must read the host clock

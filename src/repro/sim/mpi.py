@@ -1,4 +1,4 @@
-"""MPI-like communicator over rank threads with virtual-time accounting.
+"""MPI-like communicator with virtual-time accounting; one rank runs at a time.
 
 Semantics follow the subset of MPI the paper's systems need:
 
@@ -20,16 +20,21 @@ alpha-beta cost from :class:`~repro.sim.netmodel.NetworkModel`; collectives
 additionally synchronize clocks to the slowest participant, which is how
 real blocking collectives behave.
 
-Payloads are defensively copied (arrays via ``np.copy``, other objects via
-``copy.deepcopy``) so rank threads never alias each other's buffers —
-matching the value semantics of real message passing.
+Payloads are defensively copied (arrays via ``np.copy``, containers rebuilt
+element-wise, anything else via ``copy.deepcopy``) so ranks never alias each
+other's buffers — matching the value semantics of real message passing.
+
+Nothing here locks or reads the host clock: one rank runs at a time (see
+:mod:`repro.sim.runtime`), so mailboxes and the collective slot are plain
+dicts.  A rank that must wait *parks* on a channel — its own mailbox, or its
+communicator's collective slot — and hands the baton on; ``send`` wakes only
+the receiver, and the last arriver of a collective computes every member's
+result and wakes them all, one hand-off per member.
 """
 
 from __future__ import annotations
 
 import copy
-import threading
-import time as _walltime
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,10 +67,23 @@ def _payload_nbytes(obj: Any) -> int:
     return _SMALL_OBJ_BYTES
 
 
+_ATOMS = (int, float, complex, str, bytes, bool, type(None))
+
+
 def _copy_payload(obj: Any) -> Any:
+    """Value-semantics copy: a plain ``tuple`` / ``list`` / ``dict`` is
+    rebuilt element-wise, arrays are copied, atoms are immutable and shared,
+    and any other shape is ``copy.deepcopy``'s."""
+    cls = type(obj)
+    if cls is tuple:
+        return tuple([_copy_payload(x) for x in obj])
+    if cls is list:
+        return [_copy_payload(x) for x in obj]
+    if cls is dict:
+        return {k: _copy_payload(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
         return np.array(obj, copy=True)
-    if isinstance(obj, (int, float, complex, str, bytes, bool, type(None))):
+    if isinstance(obj, _ATOMS):
         return obj
     return copy.deepcopy(obj)
 
@@ -134,8 +152,7 @@ class Request:
             return True
         if self._kind == "send":
             return True  # eager: buffered at isend time
-        with self._comm._mail_cond:
-            return bool(self._comm._mail.get(self._key))
+        return bool(self._comm._mail.get(self._key))
 
     def wait(self) -> Any:
         """Complete the operation; returns the payload for receives."""
@@ -148,43 +165,23 @@ class Request:
             self._done = True
             return None
         assert self._key is not None
-        with self._comm._mail_cond:
-            self._comm._wait(
-                self._comm._mail_cond,
-                lambda: self._comm._mail.get(self._key),
-                desc=self._comm._recv_desc(self._key),
-                peers=(self._comm._members[self._key[1]],),
-            )
-            env = self._comm._mail[self._key].pop(0)
-            if not self._comm._mail[self._key]:
-                del self._comm._mail[self._key]
-        before = ctx.clock
-        ctx.clock = max(
-            ctx.clock + self._comm._net.params.latency_s, env.arrival_time
-        )
-        waited = max(
-            0.0, ctx.clock - before - self._comm._net.params.latency_s
-        )
+        self._value = self._comm._recv_key(self._key)
         self._done = True
-        self._value = env.payload
-        self._comm._notify_recv(self._key, env, waited)
         return self._value
 
 
 class _CollectiveSlot:
     """Rendezvous state for one communicator's ordered collective stream."""
 
-    def __init__(self, size: int):
-        self.size = size
-        self.cond = threading.Condition()
-        self.phase = "gathering"  # -> "draining" -> "gathering" ...
+    def __init__(self) -> None:
+        #: rank -> (contribution, entry clock) of the instance being gathered
         self.contrib: Dict[int, Tuple[Any, float]] = {}
-        self.results: Optional[Dict[int, Any]] = None
-        #: what ``compute``/``cost`` raised in the completing rank, if they
-        #: did — the outcome every member then re-raises
-        self.error: Optional[Exception] = None
-        self.finish_clock = 0.0
-        self.taken = 0
+        #: rank -> (result, finish clock, error) of a completed instance,
+        #: left by the completing rank until the member collects it
+        self.outbox: Dict[int, Tuple[Any, float, Optional[Exception]]] = {}
+        #: members that raised out of the wait: their contribution still
+        #: counts, but nobody will collect a result or report an exit
+        self.abandoned: set = set()
 
 
 class Communicator:
@@ -202,11 +199,8 @@ class Communicator:
         self.name = name
         self._net = NetworkModel(job.cluster.spec.net)
         self._mail: Dict[Tuple[int, int, int], List[_Envelope]] = {}
-        self._mail_cond = threading.Condition()
-        self._slot = _CollectiveSlot(len(members))
+        self._slot = _CollectiveSlot()
         self._split_counter = 0
-        job._register_cond(self._mail_cond)
-        job._register_cond(self._slot.cond)
 
     # -- identity -------------------------------------------------------------
     @property
@@ -244,13 +238,20 @@ class Communicator:
             tag=tag,
         )
 
-    def _collective_desc(self, kind: str) -> Optional[BlockDesc]:
-        """``collective-join`` = waiting for the previous instance to drain
-        (always satisfiable); ``collective-drain`` = contributed, waiting
-        for the remaining members to arrive."""
+    def _collective_desc(self) -> Optional[BlockDesc]:
+        """Wait descriptor for a member that contributed and waits for the
+        remaining members to arrive."""
         if self._job.observer is None:
             return None
-        return BlockDesc(kind=kind, comm=self.name, members=tuple(self._members))
+        return BlockDesc(
+            kind="collective", comm=self.name, members=tuple(self._members)
+        )
+
+    def _describe_wait(self, key: Optional[Tuple[int, int, int]]) -> str:
+        """What a rank parked by :meth:`_wait` waits for (deadlock report)."""
+        if key is None:
+            return f"collective on {self.name}"
+        return f"recv src={key[1]} tag={key[2]} on {self.name}"
 
     def _notify_send(self, dest: int, tag: int, nbytes: int) -> Any:
         """Report a send; returns the observer token to ride the envelope."""
@@ -273,33 +274,36 @@ class Communicator:
     # -- waiting with failure delivery -----------------------------------------
     def _wait(
         self,
-        cond: threading.Condition,
-        predicate: Callable[[], bool],
-        desc: Optional[BlockDesc] = None,
-        peers: Tuple[int, ...] = (),
+        key: Optional[Tuple[int, int, int]],
+        predicate: Callable[[], Any],
+        desc: Optional[BlockDesc],
+        peers: Sequence[int],
     ) -> None:
-        """Block on ``cond`` until ``predicate``; deliver aborts and watch
-        for wall-clock deadlocks.  Caller must hold ``cond``.
+        """Park until ``predicate`` holds, handing the baton on meanwhile;
+        deliver aborts.  ``key`` is the awaited mailbox key, ``None`` for
+        this communicator's collective slot.
 
         ``peers`` lists the world ranks whose progress could satisfy this
         wait.  When the job is aborting and one of them has terminated the
         wait raises :class:`JobAbortedError` — the deterministic failure
         delivery path: the predicate is always tried first, so messages
         posted before the failure are consumed, and the raise point depends
-        only on virtual program order.
+        only on virtual program order.  Parking when no rank is ready to
+        run is deadlock and raises :class:`SimError` at once.
 
-        When an observer is installed and ``desc`` describes the wait, the
-        observer sees ``on_block`` the first time the predicate fails and a
-        matching ``on_unblock`` when the wait resolves (or raises).
+        When an observer is installed, it sees ``on_block`` the first time
+        the predicate fails and a matching ``on_unblock`` when the wait
+        resolves or raises — from here for a receive, from the completing
+        rank for a collective (see :meth:`_complete`).
         """
         ctx = current_ctx()
-        obs = self._job.observer
-        deadline = _walltime.monotonic() + self._job.deadlock_timeout_s
+        job = self._job
+        obs = job.observer
         blocked = False
         try:
             while not predicate():
                 ctx.check()
-                if peers and self._job.wait_unsatisfiable(peers):
+                if job.wait_unsatisfiable(peers):
                     raise JobAbortedError(
                         f"rank {ctx.rank}: job aborting and a peer rank "
                         f"terminated; {self.name} wait cannot be satisfied"
@@ -307,16 +311,13 @@ class Communicator:
                 if not blocked and obs is not None and desc is not None:
                     blocked = True
                     obs.on_block(ctx.rank, desc)
-                cond.wait(timeout=0.05)
-                if _walltime.monotonic() > deadline:
-                    raise SimError(
-                        f"rank {ctx.rank} stuck >"
-                        f"{self._job.deadlock_timeout_s}s in {self.name} "
-                        "communicator wait (likely mismatched communication)"
-                    )
-        finally:
+                job._park(ctx.rank, self, key)
+        except BaseException:
             if blocked:
                 obs.on_unblock(ctx.rank)
+            raise
+        if blocked and key is not None:
+            obs.on_unblock(ctx.rank)
 
     def _p2p_scale(self, my_rank: int, peer_rank: int) -> float:
         """Bandwidth derating for a message between two communicator ranks:
@@ -355,29 +356,31 @@ class Communicator:
             arrival_time=ctx.clock,
             token=self._notify_send(dest, tag, nbytes),
         )
-        key = (dest, self.rank, tag)
-        with self._mail_cond:
-            self._mail.setdefault(key, []).append(env)
-            self._mail_cond.notify_all()
+        self._mail.setdefault((dest, self.rank, tag), []).append(env)
+        self._job._notify((self, dest))
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive from communicator rank ``source``."""
         ctx = current_ctx()
         ctx.check()
-        key = (self.rank, source, tag)
-        with self._mail_cond:
-            self._wait(
-                self._mail_cond,
-                lambda: self._mail.get(key),
-                desc=self._recv_desc(key),
-                peers=(self._members[source],),
-            )
-            env = self._mail[key].pop(0)
-            if not self._mail[key]:
-                del self._mail[key]
+        return self._recv_key((self.rank, source, tag))
+
+    def _recv_key(self, key: Tuple[int, int, int]) -> Any:
+        """Take the next message under ``key = (me, src, tag)``, parking
+        until it is posted."""
+        ctx = current_ctx()
+        self._wait(
+            key,
+            lambda: self._mail.get(key),
+            desc=self._recv_desc(key),
+            peers=(self._members[key[1]],),
+        )
+        env = self._mail[key].pop(0)
+        if not self._mail[key]:
+            del self._mail[key]
         # virtual time spent waiting on the sender: how far the arrival
         # outran our own clock-plus-latency (deterministic, unlike whether
-        # the thread physically parked)
+        # the rank physically parked)
         before = ctx.clock
         ctx.clock = max(ctx.clock + self._net.params.latency_s, env.arrival_time)
         waited = max(0.0, ctx.clock - before - self._net.params.latency_s)
@@ -410,10 +413,8 @@ class Communicator:
             arrival_time=ctx.clock + self._net.p2p_time(nbytes),
             token=self._notify_send(dest, tag, nbytes),
         )
-        key = (dest, self.rank, tag)
-        with self._mail_cond:
-            self._mail.setdefault(key, []).append(env)
-            self._mail_cond.notify_all()
+        self._mail.setdefault((dest, self.rank, tag), []).append(env)
+        self._job._notify((self, dest))
         return Request(self, kind="send", cost=self._net.p2p_time(nbytes))
 
     def irecv(self, source: int, tag: int = 0) -> "Request":
@@ -425,8 +426,7 @@ class Communicator:
     def probe(self, source: int, tag: int = 0) -> bool:
         """True when a matching message is already waiting."""
         current_ctx().check()
-        with self._mail_cond:
-            return bool(self._mail.get((self.rank, source, tag)))
+        return bool(self._mail.get((self.rank, source, tag)))
 
     # -- generic custom collective -------------------------------------------------
     def custom_collective(
@@ -444,59 +444,73 @@ class Communicator:
         checkpoint encoder uses for its fused stripe reduce.
 
         If ``compute`` or ``cost`` raises, that exception is the collective's
-        outcome: the slot drains as usual, every member raises it, and the
-        communicator stays usable.
+        outcome: every member raises it, and the communicator stays usable.
         """
         ctx = current_ctx()
         ctx.check()
         slot = self._slot
         me = self.rank
         obs = self._job.observer
-        others = tuple(w for w in self._members if w != ctx.rank)
-        with slot.cond:
-            self._wait(
-                slot.cond,
-                lambda: slot.phase == "gathering" and me not in slot.contrib,
-                desc=self._collective_desc("collective-join"),
-                peers=others,
-            )
-            slot.contrib[me] = (contribution, ctx.clock)
-            if obs is not None:
-                obs.on_collective_enter(self.name, self.size, ctx.rank, ctx.clock)
-            if len(slot.contrib) == slot.size:
-                data = {r: c for r, (c, _) in slot.contrib.items()}
-                t_start = max(t for _, t in slot.contrib.values())
-                try:
-                    slot.results = compute(data)
-                    slot.finish_clock = t_start + cost(data)
-                except Exception as exc:
-                    slot.error = exc
-                    slot.finish_clock = t_start
-                slot.phase = "draining"
-                slot.cond.notify_all()
-            else:
+        slot.contrib[me] = (contribution, ctx.clock)
+        if obs is not None:
+            obs.on_collective_enter(self.name, self.size, ctx.rank, ctx.clock)
+        if len(slot.contrib) == self.size:
+            self._complete(compute, cost)
+        else:
+            try:
                 self._wait(
-                    slot.cond,
-                    lambda: slot.phase == "draining",
-                    desc=self._collective_desc("collective-drain"),
-                    peers=others,
+                    None,
+                    lambda: me in slot.outbox,
+                    desc=self._collective_desc(),
+                    peers=self._members,  # self included: it cannot have terminated
                 )
-            error = slot.error
-            result = None if error is not None else slot.results[me]  # type: ignore[index]
-            ctx.clock = max(ctx.clock, slot.finish_clock)
-            if obs is not None:
-                obs.on_collective_exit(self.name, self.size, ctx.rank, ctx.clock)
-            slot.taken += 1
-            if slot.taken == slot.size:
-                slot.contrib = {}
-                slot.results = None
-                slot.error = None
-                slot.taken = 0
-                slot.phase = "gathering"
-                slot.cond.notify_all()
+            except BaseException:
+                slot.abandoned.add(me)
+                raise
+        # popping releases the slot's reference at delivery, so a result
+        # buffer lives no longer than its taker keeps it
+        result, finish, error = slot.outbox.pop(me)
+        ctx.clock = finish
         if error is not None:
             raise error
         return result
+
+    def _complete(
+        self,
+        compute: Callable[[Dict[int, Any]], Dict[int, Any]],
+        cost: Callable[[Dict[int, Any]], float],
+    ) -> None:
+        """Last arriver: evaluate the collective, reset the slot for the next
+        instance, leave every member's outcome in the outbox and wake them.
+
+        The observer hears the whole instance end here — ``on_unblock`` for
+        each waiting member, then ``on_collective_exit`` for all members in
+        rank order — because this rank may enter the next instance before
+        the others run again, and an exit reported after that entry would be
+        booked against the wrong instance.  Every member leaves at exactly
+        ``finish``: it is at least ``t_start``, the latest entry clock.
+        """
+        slot = self._slot
+        contrib, slot.contrib = slot.contrib, {}
+        data = {r: c for r, (c, _) in contrib.items()}
+        t_start = max(t for _, t in contrib.values())
+        try:
+            results = compute(data)
+            finish, error = t_start + cost(data), None
+        except Exception as exc:
+            results, finish, error = None, t_start, exc
+        takers = [r for r in range(self.size) if r not in slot.abandoned]
+        for r in takers:
+            slot.outbox[r] = (None if error is not None else results[r], finish, error)
+        self._job._notify((self, None))
+        obs = self._job.observer
+        if obs is not None:
+            me = current_ctx().rank
+            for r in takers:
+                if self._members[r] != me:
+                    obs.on_unblock(self._members[r])
+            for r in takers:
+                obs.on_collective_exit(self.name, self.size, self._members[r], finish)
 
     # -- standard collectives ---------------------------------------------------------
     def barrier(self) -> None:
@@ -635,10 +649,11 @@ class Communicator:
         ordered by ``(key, old rank)``."""
         me = self.rank
         sort_key = me if key is None else key
-        self._split_counter += 1
-        split_id = self._split_counter
 
         def compute(data: Dict[int, Any]) -> Dict[int, Any]:
+            # the completing rank alone numbers the split: split1, split2, ...
+            self._split_counter += 1
+            split_id = self._split_counter
             groups: Dict[int, List[Tuple[int, int]]] = {}
             for r, (c, k) in data.items():
                 groups.setdefault(c, []).append((k, r))

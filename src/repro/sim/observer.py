@@ -9,17 +9,20 @@ out to several via :class:`MultiObserver`.
 Design rules observers must follow (the detectors in ``repro.sancheck``
 do):
 
-* callbacks run on **rank threads**, concurrently — observers synchronize
-  internally;
-* callbacks may be invoked while the caller holds a communicator condition
-  variable, so an observer must never block on simulator state from inside
-  a callback (never call into a communicator, never wait on a job);
+* callbacks run on **rank threads**, one at a time (the rank holding the
+  baton); observers reachable from the driver thread too still guard their
+  state.  The ``rank`` argument, not the calling thread, says whom an event
+  is about: the rank completing a collective reports ``on_unblock`` and
+  ``on_collective_exit`` for every member, so that all exits of one
+  instance precede any entry of the next;
+* an observer must never block on simulator state from inside a callback
+  (never call into a communicator, never wait on a job);
 * job-level actions (``job.abort()``) must be issued only *after* the
-  observer has released its own internal lock, or lock-order inversions
-  with the communicator wakeup path become possible.
+  observer has released its own internal lock: the ranks the abort wakes
+  call back into the observer.
 
 All rank arguments are **world** ranks; ``clock`` arguments are virtual
-seconds on the calling rank's clock.
+seconds on that rank's clock.
 """
 
 from __future__ import annotations

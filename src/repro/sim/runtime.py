@@ -1,8 +1,16 @@
-"""Job runtime: thread-per-rank execution with virtual clocks and aborts.
+"""Job runtime: one rank runs at a time, with virtual clocks and aborts.
 
-A :class:`Job` launches one Python thread per MPI rank, binds each to a
-:class:`RankContext` (virtual clock, node handle, failure checks), and runs
-the user-provided ``main(ctx)`` to completion or abort.
+A :class:`Job` gives each MPI rank a Python thread bound to a
+:class:`RankContext` (virtual clock, node handle, failure checks) and runs
+the user-provided ``main(ctx)`` to completion or abort — but exactly one
+rank holds the *baton* at any moment.  Every rank thread sleeps on its own
+gate (a plain lock); a rank that must wait parks on a channel and opens the
+gate of the next rank in the ready queue, and a rank that returns hands the
+baton on the same way.  The queue is FIFO in wake order — seeded in rank
+order, a wake-up appends the woken ranks in rank order — so the schedule is
+a pure function of the program, never of the host scheduler.  Parking when
+the queue is empty means every live rank is parked: that *is* deadlock, and
+it raises :class:`~repro.sim.errors.SimError` at once.
 
 Failure semantics reproduce the environment the paper assumes:
 
@@ -29,8 +37,10 @@ job daemon needs to decide on a restart.
 from __future__ import annotations
 
 import threading
+import traceback
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -271,8 +281,6 @@ class Job:
         Node id per rank.  Defaults to the cluster's block placement.
     failure_plan:
         Triggers consulted on clock advances and phase announcements.
-    deadlock_timeout_s:
-        Wall-clock bound on any single blocking wait (test safety net).
     observer:
         Optional :class:`~repro.sim.observer.SimObserver` receiving
         communication and blocking events from every rank — the hook the
@@ -294,7 +302,6 @@ class Job:
         ranklist: Optional[Sequence[int]] = None,
         failure_plan: Optional[FailurePlan] = None,
         procs_per_node: Optional[int] = None,
-        deadlock_timeout_s: float = 60.0,
         topology: Optional["Topology"] = None,
         observer: Optional["SimObserver"] = None,
         tracer: Optional["SpanTracer"] = None,
@@ -306,7 +313,6 @@ class Job:
         self.main = main
         self.args = tuple(args)
         self.name = name
-        self.deadlock_timeout_s = deadlock_timeout_s
         self.failure_plan = failure_plan or FailurePlan()
         #: optional instrumentation observer; must be set before the world
         #: communicator is built so every operation is visible to it
@@ -334,7 +340,14 @@ class Job:
         self._abort_hard = False
         self._done_ranks: set = set()
         self._failed_nodes: List[int] = []
-        self._conds: List[threading.Condition] = []
+        #: the baton: rank threads sleep on their own gate; ``_ready`` is
+        #: the FIFO of ranks free to run, ``_parked`` maps a wait channel to
+        #: the ``(rank, mailbox key or None)`` pairs parked on it
+        self._gates = [threading.Lock() for _ in range(n_ranks)]
+        for gate in self._gates:
+            gate.acquire()
+        self._ready: Deque[int] = deque(range(n_ranks))
+        self._parked: Dict[Any, List[Tuple[int, Any]]] = {}
 
         # the world communicator; must exist before contexts are built
         self.world = Communicator(self, list(range(n_ranks)), name=f"{name}.world")
@@ -368,13 +381,43 @@ class Job:
         with self._abort_lock:
             return any(r in self._done_ranks for r in ranks)
 
-    def _register_cond(self, cond: threading.Condition) -> None:
-        self._conds.append(cond)
+    def _hand_on(self) -> None:
+        """Open the gate of the next ready rank, if there is one."""
+        if self._ready:
+            self._gates[self._ready.popleft()].release()
+
+    def _park(self, rank: int, comm: Communicator, key: Any) -> None:
+        """Park ``rank`` and hand the baton on; returns once a wake-up made
+        the rank ready and the baton came round to it.  The channel it parks
+        on is ``(comm, mailbox owner)`` when ``key`` is the mailbox key it
+        awaits, ``(comm, None)`` — the collective slot — when it is None."""
+        if not self._ready:
+            waits = [(rank, comm._describe_wait(key))] + [
+                (r, comm._describe_wait(k))
+                for (comm, _), entries in self._parked.items()
+                for r, k in entries
+            ]
+            raise SimError(
+                "deadlock: every live rank is parked — "
+                + "; ".join(f"rank {r} in {what}" for r, what in sorted(waits))
+            )
+        channel = (comm, None if key is None else key[0])
+        self._parked.setdefault(channel, []).append((rank, key))
+        self._hand_on()
+        self._gates[rank].acquire()
+
+    def _notify(self, channel: Any) -> None:
+        """Make the ranks parked on ``channel`` ready, in rank order."""
+        parked = self._parked.pop(channel, None)
+        if parked:
+            self._ready.extend(sorted(r for r, _ in parked))
 
     def _wake_all(self) -> None:
-        for cond in list(self._conds):
-            with cond:
-                cond.notify_all()
+        """Make every parked rank ready, in rank order, to re-evaluate."""
+        self._ready.extend(
+            sorted(r for entries in self._parked.values() for r, _ in entries)
+        )
+        self._parked.clear()
 
     def fail_node(self, node_id: int, when: float = 0.0) -> None:
         """Power off a node mid-run and abort the job."""
@@ -400,12 +443,17 @@ class Job:
         node = self.cluster.node(self.ranklist[rank])
         ctx = RankContext(self, rank, node)
         _tls.bind(ctx)
+        self._gates[rank].acquire()
         try:
             result = self.main(ctx, *self.args)
             self._results[rank] = result
         except RankExit as e:
             self._results[rank] = e.value
         except (NodeFailedError, JobAbortedError) as e:
+            # a dead rank's memory goes with it: the stored traceback would
+            # otherwise pin every frame's buffers in a Job <-> frame cycle
+            # until the cyclic collector happens by
+            traceback.clear_frames(e.__traceback__)
             self._errors[rank] = e
             with self._abort_lock:
                 self._aborting = True
@@ -418,14 +466,16 @@ class Job:
             if self.tracer is not None:
                 self.tracer.close_rank(rank, ctx.clock)
             _tls.unbind()
-            # mark this rank terminated and wake blocked peers so waits
+            # mark this rank terminated and wake parked peers so waits
             # that can no longer be satisfied re-evaluate and raise
             with self._abort_lock:
                 self._done_ranks.add(rank)
             self._wake_all()
+            self._hand_on()
 
     def run(self) -> JobResult:
-        """Execute all ranks; block until every rank thread finishes."""
+        """Execute all ranks, one at a time; block until every rank thread
+        finishes."""
         threads = [
             threading.Thread(
                 target=self._bootstrap,
@@ -437,6 +487,7 @@ class Job:
         ]
         for t in threads:
             t.start()
+        self._hand_on()
         for t in threads:
             t.join()
 

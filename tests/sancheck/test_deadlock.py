@@ -25,10 +25,10 @@ class TestSeededDeadlock:
         assert "mismatched send/recv tags" in detail
 
     def test_detection_beats_wallclock_timeout(self):
-        """Structural detection must fire orders of magnitude before the
-        wall-clock safety net (20s here) would."""
+        """Structural detection fires at the block event that closes the
+        cycle; no wall-clock safety net is left to wait out."""
         t0 = time.monotonic()
-        result, det = run_seeded_deadlock(timeout_s=20.0)
+        result, det = run_seeded_deadlock()
         assert time.monotonic() - t0 < 5.0
         assert det.findings
 
@@ -55,7 +55,7 @@ class TestSeededDeadlock:
 
         cluster = Cluster(2)
         det = DeadlockDetector()
-        job = Job(cluster, app, 2, procs_per_node=1, deadlock_timeout_s=20.0)
+        job = Job(cluster, app, 2, procs_per_node=1)
         det.install(job)
         result = job.run()
         assert result.aborted
@@ -74,7 +74,7 @@ class TestSeededDeadlock:
 
         cluster = Cluster(3)
         det = DeadlockDetector()
-        job = Job(cluster, app, 3, procs_per_node=1, deadlock_timeout_s=20.0)
+        job = Job(cluster, app, 3, procs_per_node=1)
         det.install(job)
         result = job.run()
         assert result.aborted
@@ -143,7 +143,7 @@ def run_seeded_deadlock_no_abort():
 
     cluster = Cluster(2)
     det = DeadlockDetector(abort_on_deadlock=False)
-    job = Job(cluster, app, 2, procs_per_node=1, deadlock_timeout_s=1.0)
+    job = Job(cluster, app, 2, procs_per_node=1)
     det.install(job)
     result = job.run()
     return result, det

@@ -35,8 +35,14 @@ class TestWallclock:
         assert rules(fs) == ["wallclock"]
 
     def test_allowlisted_module_clean(self):
-        fs = lint("import time\ntime.monotonic()\n", module="repro.sim.mpi")
+        fs = lint("import time\ntime.monotonic()\n", module="repro.par.progress")
         assert fs == []
+
+    def test_simulator_may_not_read_the_host_clock(self):
+        """``repro.sim.mpi`` left the allowlist with its polling deadline:
+        ``repro check lint`` fails if the simulator reads real time again."""
+        fs = lint("import time\ntime.monotonic()\n", module="repro.sim.mpi")
+        assert rules(fs) == ["wallclock"]
 
     def test_pragma_suppresses(self):
         fs = lint("import time\ntime.sleep(1)  # simlint: allow[wallclock]\n")

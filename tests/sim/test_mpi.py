@@ -267,6 +267,19 @@ class TestSplit:
 
         run(main)
 
+    def test_children_are_numbered_once_per_split(self):
+        """``split1``, ``split2``, ... — by the completing rank, not by how
+        many ranks had called ``split`` when each one read the counter."""
+
+        def main(ctx):
+            comm = ctx.world
+            return comm.split(color=comm.rank % 2).name, comm.split(color=0).name
+
+        res = run(main, n_ranks=8, n_nodes=4)
+        assert res.rank_results == {
+            r: (f"job.world/split1.{r % 2}", "job.world/split2.0") for r in range(8)
+        }
+
 
 class TestVirtualTime:
     def test_compute_charges_core_speed(self):
@@ -327,3 +340,34 @@ class TestPayloadNbytes:
 
         inner = np.zeros(4, dtype=np.float64)  # 32 bytes
         assert _payload_nbytes([{"a": inner}, {"b": inner}]) == 2 * (1 + 32)
+
+
+class TestCopyPayload:
+    """Value semantics without ``deepcopy``; ``deepcopy`` is the reference."""
+
+    def test_equals_deepcopy_and_never_aliases_mutables(self):
+        import copy
+        from collections import OrderedDict
+
+        from repro.sim.mpi import _copy_payload
+
+        arr = np.arange(6.0).reshape(2, 3)
+        payloads = [
+            (True, 7, (1, 2, 3)),  # the status tuple of Checkpointer._exchange_status
+            [arr, {"rows": (arr[0], [arr[1]])}, None, "s", b"b", 2.5],
+            {"k": [1, [2, [3]]], ("t", 1): arr},
+            OrderedDict(a=[arr]),  # not a plain dict: deepcopy's own
+            np.float64(1.5),
+        ]
+        for obj in payloads:
+            got, ref = _copy_payload(obj), copy.deepcopy(obj)
+            assert type(got) is type(ref)
+            assert repr(got) == repr(ref)
+
+        nested = [arr, {"rows": (arr, [arr])}]
+        got = _copy_payload(nested)
+        got[0][:] = -1
+        got[1]["rows"][1][0][:] = -2
+        got[1]["rows"][1].append("extra")
+        assert np.array_equal(arr, np.arange(6.0).reshape(2, 3))
+        assert len(nested[1]["rows"][1]) == 1

@@ -157,9 +157,7 @@ class TestFailureDelivery:
             return True
 
         cl = Cluster(2)
-        res = Job(
-            cl, main, 2, procs_per_node=1, deadlock_timeout_s=0.3
-        ).run()
+        res = Job(cl, main, 2, procs_per_node=1).run()
         assert not res.completed
         assert isinstance(res.rank_errors[0], SimError)
 

@@ -1,0 +1,277 @@
+"""The baton scheduler: one rank runs at a time, in a schedule that is a pure
+function of the program, and collectives complete in one hand-off."""
+
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.chaos.campaign import run_with_triggers
+from repro.chaos.scenarios import selfckpt_scenario
+from repro.sancheck.deadlock import DeadlockDetector
+from repro.sim import Cluster, Job, PhaseTrigger
+from repro.sim.errors import JobAbortedError, NodeFailedError, SimError
+from repro.sim.observer import SimObserver
+
+
+class EventLog(SimObserver):
+    """Every observer event of a run, in the one order it happened."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_send(self, src, dst, tag, nbytes, clock):
+        self.events.append(("send", src, dst, tag, nbytes, clock))
+
+    def on_recv(self, dst, src, tag, token, clock, waited_s=0.0):
+        self.events.append(("recv", dst, src, tag, clock, waited_s))
+
+    def on_collective_enter(self, comm, size, rank, clock):
+        self.events.append(("enter", comm, size, rank, clock))
+
+    def on_collective_exit(self, comm, size, rank, clock):
+        self.events.append(("exit", comm, size, rank, clock))
+
+    def on_block(self, rank, desc):
+        self.events.append(("block", rank, desc))
+
+    def on_unblock(self, rank):
+        self.events.append(("unblock", rank))
+
+    def on_shm(self, node_id, name, kind, nbytes=0):
+        self.events.append(("shm", node_id, name, kind, nbytes))
+
+
+class CountingJob(Job):
+    """Counts the ranks between park points: up when a rank starts or comes
+    back from a park, down when it parks or returns."""
+
+    def __init__(self, cluster, main, n_ranks, **kw):
+        self.count_lock = threading.Lock()
+        self.running = 0
+        self.peak = 0
+        self.stretches = 0
+
+        def counted(ctx, *args):
+            self.step(+1)
+            try:
+                return main(ctx, *args)
+            finally:
+                self.step(-1)
+
+        super().__init__(cluster, counted, n_ranks, **kw)
+
+    def step(self, delta):
+        with self.count_lock:
+            self.running += delta
+            self.peak = max(self.peak, self.running)
+            self.stretches += delta > 0
+
+    def _park(self, rank, comm, key):
+        self.step(-1)
+        try:
+            super()._park(rank, comm, key)
+        finally:
+            self.step(+1)
+
+
+def test_at_most_one_rank_runs_between_park_points():
+    seen = []
+
+    def main(ctx):
+        comm = ctx.world
+        right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+        for i in range(20):
+            seen.append(ctx.job.running)  # a stretch of rank code
+            comm.barrier()
+            got = comm.sendrecv(i, dest=right, source=left, sendtag=i, recvtag=i)
+            seen.append(ctx.job.running)
+            assert got == i
+            sub = comm.split(comm.rank % 2)
+            assert sub.allgather(comm.rank) == list(range(comm.rank % 2, 8, 2))
+        return True
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # invite pre-emption: there must be none to give
+    try:
+        job = CountingJob(Cluster(4), main, 8, procs_per_node=2)
+        result = job.run()
+    finally:
+        sys.setswitchinterval(old)
+    assert result.completed, result.rank_errors
+    assert job.peak == 1 and job.running == 0
+    assert set(seen) == {1}
+    assert job.stretches > 8 * 20  # the ranks really did park and resume
+
+
+def _two_kill_run():
+    scenario = selfckpt_scenario(
+        n_nodes=8, procs_per_node=2, group_size=4, iters=6, ckpt_every=2
+    )
+    log = EventLog()
+    triggers = [
+        PhaseTrigger(node_id=1, phase="ckpt.encode", occurrence=1),
+        PhaseTrigger(node_id=5, phase="ckpt.flush", occurrence=3),
+    ]
+    inst, plan, report = run_with_triggers(scenario, triggers, observer=log)
+    assert len(plan.fired) == 2 and report.completed and inst.check(report.result)
+    return log.events
+
+
+def test_total_event_order_repeats_across_runs():
+    """Not just each rank's own stream: the interleaving of all 16 ranks'
+    events, through two node losses and two restarts, is the same list."""
+    first, second = _two_kill_run(), _two_kill_run()
+    assert len(first) > 1000
+    assert first == second
+
+
+def test_collective_instances_do_not_overlap_and_blocks_are_matched():
+    def main(ctx):
+        row = ctx.world.split(ctx.rank // 4)
+        for i in range(6):
+            ctx.elapse(1e-3 * ((ctx.rank + i) % 5))  # vary who arrives last
+            ctx.world.barrier()
+            row.allgather(ctx.rank)
+            ctx.world.allreduce_obj(ctx.rank, max)
+        return True
+
+    log = EventLog()
+    result = Job(Cluster(8), main, 8, procs_per_node=1, observer=log).run()
+    assert result.completed, result.rank_errors
+
+    inside = {}  # comm -> ranks inside the current instance
+    exits = {}  # comm -> exits of the current instance seen so far
+    blocked = set()
+    for ev in log.events:
+        if ev[0] == "enter":
+            _, comm, size, rank, _ = ev
+            # no exit of this instance yet: every exit of instance k comes
+            # before any enter of k+1
+            assert exits.get(comm, 0) == 0, (comm, rank)
+            assert rank not in inside.setdefault(comm, set())
+            inside[comm].add(rank)
+        elif ev[0] == "exit":
+            _, comm, size, rank, _ = ev
+            assert len(inside[comm]) == size and rank in inside[comm]
+            exits[comm] = exits.get(comm, 0) + 1
+            if exits[comm] == size:
+                inside[comm], exits[comm] = set(), 0
+        elif ev[0] == "block":
+            assert ev[1] not in blocked
+            blocked.add(ev[1])
+        elif ev[0] == "unblock":
+            assert ev[1] in blocked
+            blocked.remove(ev[1])
+    assert blocked == set()
+    assert all(n == 0 for n in exits.values())
+
+
+def _mismatch(ctx):
+    comm = ctx.world
+    comm.barrier()
+    if comm.rank == 0:
+        comm.barrier()
+    else:
+        comm.recv(0, tag=7)  # BUG (on purpose): rank 0 is in a barrier
+    return True
+
+
+def test_true_deadlock_is_reported_at_once_and_exactly():
+    t0 = time.monotonic()
+    result = Job(Cluster(2), _mismatch, 2, procs_per_node=1, name="dl").run()
+    assert time.monotonic() - t0 < 1.0
+    assert not result.completed
+    errors = [e for e in result.rank_errors.values() if type(e) is SimError]
+    assert len(errors) == 1
+    message = str(errors[0])
+    assert "rank 0 in collective on dl.world" in message
+    assert "rank 1 in recv src=0 tag=7 on dl.world" in message
+
+
+def test_detector_still_names_the_cycle():
+    t0 = time.monotonic()
+    job = Job(Cluster(2), _mismatch, 2, procs_per_node=1)
+    detector = DeadlockDetector(abort_on_deadlock=False).install(job)
+    result = job.run()
+    assert time.monotonic() - t0 < 1.0
+    assert [f.message for f in detector.findings] == [
+        "wait-for cycle among ranks 1 -> 0 -> 1"
+    ]
+    # the detector only diagnosed; the runtime ended the run
+    assert any(type(e) is SimError for e in result.rank_errors.values())
+
+
+@pytest.mark.parametrize("broken", ["compute", "cost"])
+def test_exception_in_a_collective_reaches_every_member(broken):
+    def boom(data):
+        raise ValueError(f"bad {broken}")
+
+    def main(ctx):
+        comm = ctx.world
+        ok = lambda data: {r: sum(data.values()) for r in data}  # noqa: E731
+        try:
+            comm.custom_collective(
+                comm.rank,
+                compute=boom if broken == "compute" else ok,
+                cost=boom if broken == "cost" else (lambda data: 1.0),
+            )
+        except ValueError as e:
+            caught = str(e)
+        # the communicator is still usable, by everyone
+        return caught, comm.allgather(comm.rank)
+
+    result = Job(Cluster(4), main, 4, procs_per_node=1).run()
+    assert result.completed, result.rank_errors
+    assert result.rank_results == {
+        r: (f"bad {broken}", [0, 1, 2, 3]) for r in range(4)
+    }
+
+
+def test_peers_of_a_rank_that_skipped_the_collective_are_aborted_not_deadlocked():
+    def main(ctx):
+        if ctx.rank == 3:
+            ctx.job.fail_node(ctx.node.node_id, when=ctx.clock)
+            return "left early"  # never joins the barrier
+        ctx.world.barrier()
+        return True
+
+    result = Job(Cluster(4), main, 4, procs_per_node=1).run()
+    assert result.aborted and result.rank_results == {3: "left early"}
+    assert sorted(result.rank_errors) == [0, 1, 2]
+    for err in result.rank_errors.values():
+        assert isinstance(err, JobAbortedError)
+        assert "deadlock" not in str(err)
+
+
+def test_member_that_died_waiting_contributes_but_collects_nothing():
+    """Ranks 0 and 1 share node 0.  Rank 0 is parked in the barrier, ahead
+    of the power-off instant, when rank 1 fails the node; rank 0 dies in the
+    wait, yet its contribution lets the barrier complete for ranks 1 and 2 —
+    with no exit reported, and no result left behind, for the dead member."""
+
+    def main(ctx):
+        comm = ctx.world
+        if ctx.rank == 0:
+            ctx.elapse(10.0)
+        elif ctx.rank == 1:
+            comm.recv(2, tag=9)  # rank 2 is parked in its recv by now
+            ctx.job.fail_node(0, when=5.0)
+            comm.send(None, 2, tag=1)
+        else:
+            comm.send(None, 1, tag=9)
+            comm.recv(1, tag=1)
+        comm.barrier()
+        return True
+
+    log = EventLog()
+    job = Job(Cluster(2), main, 3, ranklist=[0, 0, 1], observer=log)
+    result = job.run()
+    assert result.aborted and result.rank_results == {1: True, 2: True}
+    assert isinstance(result.rank_errors[0], NodeFailedError)
+    assert [ev[3] for ev in log.events if ev[0] == "exit"] == [1, 2]
+    assert job.world._slot.outbox == {}
+    blocks = [ev[1] for ev in log.events if ev[0] == "block"]
+    unblocks = [ev[1] for ev in log.events if ev[0] == "unblock"]
+    assert sorted(blocks) == sorted(unblocks) and blocks.count(0) == 1
