@@ -68,15 +68,24 @@ def _payload_nbytes(obj: Any) -> int:
 
 
 _ATOMS = (int, float, complex, str, bytes, bool, type(None))
+_ATOM_TYPES = frozenset(_ATOMS)
+
+
+def _immutable(obj: Any) -> bool:
+    """An atom, or a tuple of immutables: nothing a receiver can mutate."""
+    cls = type(obj)
+    return cls in _ATOM_TYPES or (cls is tuple and all(map(_immutable, obj)))
 
 
 def _copy_payload(obj: Any) -> Any:
     """Value-semantics copy: a plain ``tuple`` / ``list`` / ``dict`` is
     rebuilt element-wise, arrays are copied, atoms are immutable and shared,
-    and any other shape is ``copy.deepcopy``'s."""
+    and any other shape is ``copy.deepcopy``'s.  A tuple of atoms and such
+    tuples is immutable all the way down and is shared too, as ``deepcopy``
+    shares it."""
     cls = type(obj)
     if cls is tuple:
-        return tuple([_copy_payload(x) for x in obj])
+        return obj if all(map(_immutable, obj)) else tuple([_copy_payload(x) for x in obj])
     if cls is list:
         return [_copy_payload(x) for x in obj]
     if cls is dict:

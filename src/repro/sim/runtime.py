@@ -1,12 +1,15 @@
 """Job runtime: one rank runs at a time, with virtual clocks and aborts.
 
-A :class:`Job` gives each MPI rank a Python thread bound to a
-:class:`RankContext` (virtual clock, node handle, failure checks) and runs
-the user-provided ``main(ctx)`` to completion or abort — but exactly one
-rank holds the *baton* at any moment.  Every rank thread sleeps on its own
-gate (a plain lock); a rank that must wait parks on a channel and opens the
-gate of the next rank in the ready queue, and a rank that returns hands the
-baton on the same way.  The queue is FIFO in wake order — seeded in rank
+A :class:`Job` runs each MPI rank's ``main(ctx)`` to completion or abort,
+bound to a :class:`RankContext` (virtual clock, node handle, failure
+checks), on a *carrier*: a daemon thread that outlives the job.  Carriers
+park on a process-wide idle list between jobs (a forked child starts with an
+empty one); ``Job.run`` takes one per rank, creating one only when the list
+is empty.  Exactly one rank holds the *baton* at any moment.  Every rank
+sleeps on its own gate (a plain lock); a rank that must wait parks on a
+channel and opens the gate of the next rank in the ready queue, and a rank
+that returns hands the baton on the same way — the last one releases
+``Job.run`` instead.  The queue is FIFO in wake order — seeded in rank
 order, a wake-up appends the woken ranks in rank order — so the schedule is
 a pure function of the program, never of the host scheduler.  Parking when
 the queue is empty means every live rank is parked: that *is* deadlock, and
@@ -36,6 +39,7 @@ job daemon needs to decide on a restart.
 
 from __future__ import annotations
 
+import os
 import threading
 import traceback
 from collections import deque
@@ -266,6 +270,41 @@ class RankContext:
         self.node.shm.unlink(name, missing_ok=missing_ok)
 
 
+#: carriers parked between jobs; a forked child's have no thread behind them
+_idle: List["_Carrier"] = []
+os.register_at_fork(after_in_child=_idle.clear)
+
+
+class _Carrier:
+    """A daemon thread that runs one rank of one job at a time, parked on its
+    own task lock in between — named ``repro-carrier`` there, and holding no
+    reference to the job it last ran."""
+
+    __slots__ = ("_lock", "_task")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._lock.acquire()
+        threading.Thread(target=self._loop, name="repro-carrier", daemon=True).start()
+
+    def start(self, job: "Job", rank: int) -> None:
+        self._task = (job, rank)
+        self._lock.release()
+
+    def _loop(self) -> None:
+        me = threading.current_thread()
+        while True:
+            self._lock.acquire()
+            job, rank = self._task
+            self._task = None
+            me.name = f"{job.name}-r{rank}"
+            handoff = job._bootstrap(rank)
+            del job
+            me.name = "repro-carrier"
+            _idle.append(self)
+            handoff.release()
+
+
 class Job:
     """One incarnation of an SPMD program on the simulated cluster.
 
@@ -348,6 +387,11 @@ class Job:
             gate.acquire()
         self._ready: Deque[int] = deque(range(n_ranks))
         self._parked: Dict[Any, List[Tuple[int, Any]]] = {}
+        #: ranks not yet returned; only the baton holder touches it, and the
+        #: last rank releases ``_finished``, on which :meth:`run` blocks
+        self._live = n_ranks
+        self._finished = threading.Lock()
+        self._finished.acquire()
 
         # the world communicator; must exist before contexts are built
         self.world = Communicator(self, list(range(n_ranks)), name=f"{name}.world")
@@ -439,7 +483,9 @@ class Job:
         self._wake_all()
 
     # -- execution ----------------------------------------------------------------------
-    def _bootstrap(self, rank: int) -> None:
+    def _bootstrap(self, rank: int) -> threading.Lock:
+        """Run ``rank``; return the lock whose release hands the baton on (the
+        next ready rank's gate, or ``_finished``) for the carrier to release."""
         node = self.cluster.node(self.ranklist[rank])
         ctx = RankContext(self, rank, node)
         _tls.bind(ctx)
@@ -463,33 +509,35 @@ class Job:
             self.abort()
         finally:
             self._clocks[rank] = ctx.clock
-            if self.tracer is not None:
-                self.tracer.close_rank(rank, ctx.clock)
             _tls.unbind()
             # mark this rank terminated and wake parked peers so waits
             # that can no longer be satisfied re-evaluate and raise
             with self._abort_lock:
                 self._done_ranks.add(rank)
-            self._wake_all()
-            self._hand_on()
+            try:
+                self._wake_all()
+                if self.tracer is not None:
+                    self.tracer.close_rank(rank, ctx.clock)
+            except BaseException as e:  # a crash of this rank, not a lost baton
+                self._errors[rank] = e
+                with self._abort_lock:
+                    self._aborting = self._abort_hard = True
+            finally:
+                # live ranks but none ready: the epilogue broke, end the run
+                self._live -= 1
+                if self._live and self._ready:
+                    handoff = self._gates[self._ready.popleft()]
+                else:
+                    handoff = self._finished
+        return handoff
 
     def run(self) -> JobResult:
-        """Execute all ranks, one at a time; block until every rank thread
-        finishes."""
-        threads = [
-            threading.Thread(
-                target=self._bootstrap,
-                args=(rank,),
-                name=f"{self.name}-r{rank}",
-                daemon=True,
-            )
-            for rank in range(self.n_ranks)
-        ]
-        for t in threads:
-            t.start()
+        """Execute all ranks, one at a time, each on a carrier; block until
+        the last rank returns."""
+        for rank in range(self.n_ranks):
+            (_idle.pop() if _idle else _Carrier()).start(self, rank)
         self._hand_on()
-        for t in threads:
-            t.join()
+        self._finished.acquire()
 
         unexpected = {
             r: e

@@ -371,3 +371,28 @@ class TestCopyPayload:
         got[1]["rows"][1].append("extra")
         assert np.array_equal(arr, np.arange(6.0).reshape(2, 3))
         assert len(nested[1]["rows"][1]) == 1
+
+    def test_immutable_tuples_are_shared_as_deepcopy_shares_them(self):
+        import copy
+
+        from repro.sim.mpi import _copy_payload
+
+        status = (True, 7, (1, 2, (None, "s", b"b", 2.5)))
+        assert _copy_payload(status) is status
+        assert copy.deepcopy(status) is status
+        statuses = [status, (False, 3, ())]
+        got = _copy_payload(statuses)
+        assert got is not statuses and got == statuses
+        assert all(a is b for a, b in zip(got, statuses))
+
+    def test_tuple_holding_a_list_or_an_array_is_still_copied(self):
+        from repro.sim.mpi import _copy_payload
+
+        arr = np.arange(3.0)
+        for obj in [(1, [2, 3]), (1, arr), (1, (2, [3]))]:
+            got = _copy_payload(obj)
+            assert got is not obj
+        got = _copy_payload((1, (2, [3]), arr))
+        got[1][1].append(4)
+        got[2][:] = -1
+        assert np.array_equal(arr, np.arange(3.0))

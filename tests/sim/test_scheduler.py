@@ -1,9 +1,12 @@
 """The baton scheduler: one rank runs at a time, in a schedule that is a pure
 function of the program, and collectives complete in one hand-off."""
 
+import gc
+import multiprocessing
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -11,8 +14,10 @@ from repro.chaos.campaign import run_with_triggers
 from repro.chaos.scenarios import selfckpt_scenario
 from repro.sancheck.deadlock import DeadlockDetector
 from repro.sim import Cluster, Job, PhaseTrigger
+from repro.sim._tls import current_ctx
 from repro.sim.errors import JobAbortedError, NodeFailedError, SimError
 from repro.sim.observer import SimObserver
+from repro.sim.runtime import RankExit, _idle
 
 
 class EventLog(SimObserver):
@@ -275,3 +280,142 @@ def test_member_that_died_waiting_contributes_but_collects_nothing():
     blocks = [ev[1] for ev in log.events if ev[0] == "block"]
     unblocks = [ev[1] for ev in log.events if ev[0] == "unblock"]
     assert sorted(blocks) == sorted(unblocks) and blocks.count(0) == 1
+
+
+# -- carriers: rank threads outlive their job --------------------------------------
+
+
+def _ring(ctx):
+    comm = ctx.world
+    ctx.elapse(1e-3 * (ctx.rank % 3))
+    got = comm.sendrecv(
+        ctx.rank, dest=(comm.rank + 1) % comm.size, source=(comm.rank - 1) % comm.size
+    )
+    return got, comm.allgather(threading.current_thread().name), ctx.clock
+
+
+def _ring_outcome(n_ranks=8):
+    result = Job(Cluster(4), _ring, n_ranks, name="ring").run()
+    assert result.completed, result.rank_errors
+    return result.rank_results, result.rank_clocks
+
+
+def test_carrier_pool_does_not_grow_across_jobs():
+    Job(Cluster(8), _ring, 16).run()  # warm-up: the pool now holds 16
+    before = threading.active_count()
+    for n in (16, 8, 16):
+        assert Job(Cluster(8), _ring, n).run().completed
+        assert threading.active_count() == before
+
+
+def test_carriers_are_named_after_the_rank_they_run():
+    results, _ = _ring_outcome()
+    assert results[0][1] == [f"ring-r{r}" for r in range(8)]
+    names = {t.name for t in threading.enumerate() if t is not threading.main_thread()}
+    assert "repro-carrier" in names and not any(n.startswith("ring-") for n in names)
+
+
+def _crash(ctx):
+    if ctx.rank == 1:
+        raise ValueError("user bug")
+    ctx.world.barrier()
+
+
+def _exit_early(ctx):
+    if ctx.rank == 2:
+        raise RankExit("early")
+    return ctx.rank
+
+
+def _lose_node(ctx):
+    if ctx.rank == 3:
+        ctx.job.fail_node(ctx.node.node_id, when=ctx.clock)
+        ctx.check()
+    ctx.world.barrier()
+
+
+def test_carriers_stay_reusable_after_every_way_a_rank_ends():
+    fresh = _in_fresh_process(_ring_outcome)
+    with pytest.raises(SimError, match="rank 1 crashed"):
+        Job(Cluster(4), _crash, 8).run()
+    assert _ring_outcome() == fresh
+    exited = Job(Cluster(4), _exit_early, 8).run()
+    assert exited.rank_results[2] == "early"
+    assert _ring_outcome() == fresh
+    lost = Job(Cluster(4), _lose_node, 8).run()
+    assert lost.aborted and isinstance(lost.rank_errors[3], NodeFailedError)
+    assert _ring_outcome() == fresh
+
+
+def test_finished_job_is_not_pinned_by_its_carriers():
+    class Payload:
+        pass
+
+    def main(ctx):
+        ctx.world.barrier()
+        return Payload()
+
+    job = Job(Cluster(4), main, 8)
+    result = job.run()
+    job_ref, payload_ref = weakref.ref(job), weakref.ref(result.rank_results[5])
+    del job, result
+    gc.collect()
+    assert job_ref() is None and payload_ref() is None
+
+
+def _in_fresh_process(fn):
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        return pool.apply_async(fn).get(timeout=60)
+
+
+def test_forked_child_runs_a_job_of_its_own():
+    parent = _ring_outcome()  # the parent's idle list is populated now
+    assert _in_fresh_process(_ring_outcome) == parent
+
+
+def test_no_context_is_bound_in_a_carrier_between_jobs():
+    _ring_outcome()
+    outcome = []
+
+    class Probe:
+        name = "probe"
+
+        def _bootstrap(self, rank):
+            try:
+                current_ctx()
+            except RuntimeError as e:
+                outcome.append(e)
+            done = threading.Lock()  # the carrier releases it when it parks
+            done.acquire()
+            self.done = done
+            return done
+
+    probe = Probe()
+    _idle.pop().start(probe, 0)  # a carrier that has run a rank
+    while not hasattr(probe, "done"):
+        time.sleep(1e-3)
+    assert probe.done.acquire(timeout=5)
+    assert len(outcome) == 1 and "no RankContext" in str(outcome[0])
+
+
+class _BrokenTracer:
+    """Closing rank 2's spans fails; every other tracer call is a no-op."""
+
+    def __getattr__(self, name):
+        return lambda *a, **kw: None
+
+    def close_rank(self, rank, clock):
+        if rank == 2:
+            raise OSError("trace sink gone")
+
+
+def test_an_epilogue_exception_surfaces_instead_of_hanging():
+    def main(ctx):
+        ctx.world.barrier()
+        return ctx.rank
+
+    t0 = time.monotonic()
+    with pytest.raises(SimError, match=r"rank 2 crashed: OSError"):
+        Job(Cluster(4), main, 8, tracer=_BrokenTracer()).run()
+    assert time.monotonic() - t0 < 1.0
+    assert _ring_outcome()[0][0][0] == 7  # and the carriers came back
