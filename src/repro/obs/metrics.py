@@ -7,10 +7,10 @@ values are driven by *virtual* quantities (bytes, virtual seconds), never
 wall time, so snapshots are bit-deterministic across runs with one seed.
 
 :class:`MetricsObserver` rides the :class:`~repro.sim.observer.SimObserver`
-hook layer exactly like the sancheck detectors do, which means it composes
-with them through :class:`~repro.sim.observer.MultiObserver` — a job can
-run with the race detector, the deadlock detector and the metrics observer
-all attached at once.
+hook layer exactly like the sancheck race detector does, which means it
+composes with it through :class:`~repro.sim.observer.MultiObserver` — a
+job can run with the race detector and the metrics observer attached at
+once.
 
 Accounting contract (also in :mod:`repro.obs.labels`):
 

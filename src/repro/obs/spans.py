@@ -196,8 +196,8 @@ def render_timeline(
 
     Each distinct phase name gets its own glyph (``a``, ``b``, ``c`` … in
     sorted-name order) and the legend lists every one.  ``focus`` marks the
-    given ranks with ``*`` — the sanitizer tooling uses it to point at the
-    ranks involved in a deadlock cycle or data race.
+    given ranks with ``*`` — the runtime's deadlock report ends in this
+    timeline with the parked ranks starred.
     """
     events = tracer.phases()
     if not events:

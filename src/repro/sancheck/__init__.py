@@ -1,6 +1,6 @@
 """Simulator sanitizer suite (``repro check ...``).
 
-Four analyses guard the invariants the checkpoint protocols' correctness
+Three analyses guard the invariants the checkpoint protocols' correctness
 arguments assume (see ``docs/SANCHECK.md``):
 
 * :mod:`repro.sancheck.simlint` — static AST lint over the source tree
@@ -11,16 +11,14 @@ arguments assume (see ``docs/SANCHECK.md``):
   nondeterminism reachable from ``checkpoint()``/``try_restore()``, no
   SHM write before the restore decision, kernels stay pure);
 * :mod:`repro.sancheck.races` — a dynamic vector-clock race detector over
-  SHM segment accesses;
-* :mod:`repro.sancheck.deadlock` — a dynamic wait-for-graph deadlock
-  detector over blocked MPI calls, with stuck-tag diagnosis.
+  SHM segment accesses.
 
-The dynamic detectors are :class:`~repro.sim.observer.SimObserver`\\ s:
-attach one (or several) to a :class:`~repro.sim.runtime.Job` and read its
-``findings`` after the run.
+The race detector is a :class:`~repro.sim.observer.SimObserver`: attach it
+to a :class:`~repro.sim.runtime.Job` and read its ``findings`` after the
+run.  Deadlock needs no analysis: the runtime raises it, diagnosed (see
+:mod:`repro.sim.runtime`).
 """
 
-from repro.sancheck.deadlock import DeadlockDetector
 from repro.sancheck.findings import Finding, Report
 from repro.sancheck.flow import FlowConfig, analyze_paths
 from repro.sancheck.races import RaceDetector, ShmAccess
@@ -47,5 +45,4 @@ __all__ = [
     "merge_all",
     "RaceDetector",
     "ShmAccess",
-    "DeadlockDetector",
 ]

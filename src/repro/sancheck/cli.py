@@ -6,7 +6,6 @@ Usage::
     repro check lint --path FILE.py   # ... or over explicit files/dirs
     repro check flow                  # whole-program effect/taint analysis
     repro check races                 # race-detector self-test + clean run
-    repro check deadlock              # deadlock-detector self-test + clean run
     repro check --all                 # everything
     repro check --deep                # lint + flow (the static gauntlet)
 
@@ -33,7 +32,7 @@ from typing import Callable, List, Optional
 
 from repro.sancheck.findings import Finding, Report
 
-ANALYSES = ("lint", "flow", "races", "deadlock")
+ANALYSES = ("lint", "flow", "races")
 FAIL_ON_CHOICES = ("error", "warning", "any")
 
 EXIT_CLEAN = 0
@@ -64,32 +63,19 @@ def _selftest_failure(tool: str, what: str) -> Finding:
     )
 
 
-def _run_dynamic(report: Report, selected: List[str]) -> None:
-    """Each selected detector's seeded bug, then one clean self-checkpoint
-    run — it carries both detectors — read by every selected one."""
+def _run_races(report: Report) -> None:
+    """The race detector's seeded bug, then one clean self-checkpoint run."""
     from repro.sancheck import scenarios
 
-    if "races" in selected:
-        _, seeded = scenarios.run_seeded_race()
-        if not seeded.findings:
-            report.add(
-                _selftest_failure("race", "the seeded unsynchronized SHM write was NOT flagged")
-            )
-    if "deadlock" in selected:
-        _, seeded = scenarios.run_seeded_deadlock()
-        if not seeded.findings:
-            report.add(
-                _selftest_failure(
-                    "deadlock", "the seeded mismatched-tag deadlock was NOT detected"
-                )
-            )
-    result, race, deadlock = scenarios.run_clean_selfckpt()
-    for analysis, tool, detector in (("races", "race", race), ("deadlock", "deadlock", deadlock)):
-        if analysis not in selected:
-            continue
-        if not result.completed:
-            report.add(_selftest_failure(tool, "clean self-checkpoint run did not complete"))
-        report.extend(detector.findings, analysis=tool)
+    _, seeded = scenarios.run_seeded_race()
+    if not seeded.findings:
+        report.add(
+            _selftest_failure("race", "the seeded unsynchronized SHM write was NOT flagged")
+        )
+    result, race = scenarios.run_clean_selfckpt()
+    if not result.completed:
+        report.add(_selftest_failure("race", "clean self-checkpoint run did not complete"))
+    report.extend(race.findings, analysis="race")
 
 
 def check_main(argv: Optional[List[str]] = None) -> int:
@@ -97,8 +83,7 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         prog="repro check",
         description=(
             "Simulator sanitizer suite: static invariant lint, whole-program "
-            "effect/taint analysis, SHM race detection, MPI deadlock "
-            "detection (see docs/SANCHECK.md)."
+            "effect/taint analysis, SHM race detection (see docs/SANCHECK.md)."
         ),
     )
     parser.add_argument(
@@ -167,8 +152,8 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         runners.append(lambda: _run_lint(report, args.path))
     if "flow" in selected:
         runners.append(lambda: _run_flow(report, args.path))
-    if "races" in selected or "deadlock" in selected:
-        runners.append(lambda: _run_dynamic(report, selected))
+    if "races" in selected:
+        runners.append(lambda: _run_races(report))
     for run in runners:
         try:
             run()

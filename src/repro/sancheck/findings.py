@@ -1,7 +1,7 @@
 """Common finding/report types shared by all three sanitizer analyses.
 
-Every analysis — the static linter, the SHM race detector and the MPI
-deadlock detector — reduces to a list of :class:`Finding`; a
+Every analysis — the static linter, the flow verifier and the SHM race
+detector — reduces to a list of :class:`Finding`; a
 :class:`Report` aggregates them, renders an ASCII summary and maps to a
 process exit code (the CLI contract: zero findings == exit 0).
 """
@@ -18,12 +18,13 @@ from repro.util import render_table
 class Finding:
     """One violation discovered by an analysis.
 
-    ``tool`` names the analysis (``simlint``, ``race``, ``deadlock``);
-    ``rule`` the specific invariant (e.g. ``wallclock``, ``shm-race``,
-    ``deadlock-cycle``).  Static findings carry ``file``/``line``; dynamic
+    ``tool`` names the analysis (``simlint``, ``flow``, ``race``);
+    ``rule`` the specific invariant (e.g. ``wallclock``, ``flow-nondet``,
+    ``shm-race``).  Static findings carry ``file``/``line``; dynamic
     findings carry the offending world ``ranks`` and the virtual ``clock``
-    at detection time.  ``detail`` holds a multi-line elaboration (stuck-tag
-    diagnosis, timeline rendering) kept out of the one-line summary.
+    at detection time.  ``detail`` holds a multi-line elaboration (both
+    sides of a race with their vector clocks) kept out of the one-line
+    summary.
     """
 
     tool: str

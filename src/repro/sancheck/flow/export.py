@@ -9,7 +9,7 @@ Two machine formats ride next to the ASCII report:
   scanning ingests; the ``check-deep`` CI job uploads it as an artifact.
 
 Both exporters accept findings from *any* sancheck tool (simlint, flow,
-race, deadlock) — the rule vocabulary is namespaced ``tool/rule``.
+race) — the rule vocabulary is namespaced ``tool/rule``.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from repro.sim.failures import (
     TimeTrigger,
 )
 from repro.sim.mpi import Communicator, ReduceOp
-from repro.sim.observer import BlockDesc, MultiObserver, SimObserver, install_observer
+from repro.sim.observer import MultiObserver, SimObserver, install_observer
 from repro.sim.runtime import Job, JobResult, RankContext, RankExit
 from repro.sim.topology import Topology, fail_rack
 
@@ -55,7 +55,6 @@ __all__ = [
     "ReduceOp",
     "SimObserver",
     "MultiObserver",
-    "BlockDesc",
     "install_observer",
     "Job",
     "JobResult",

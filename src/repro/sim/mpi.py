@@ -43,7 +43,6 @@ import numpy as np
 from repro.sim._tls import current_ctx
 from repro.sim.errors import JobAbortedError, SimError
 from repro.sim.netmodel import NetworkModel
-from repro.sim.observer import BlockDesc
 
 #: Charged size for payloads whose size we cannot see (python scalars etc.).
 _SMALL_OBJ_BYTES = 64
@@ -234,34 +233,28 @@ class Communicator:
     def world_rank(self, rank: int) -> int:
         return self._members[rank]
 
-    # -- observer plumbing -----------------------------------------------------
-    def _recv_desc(self, key: Tuple[int, int, int]) -> Optional[BlockDesc]:
-        """Wait descriptor for a receive keyed ``(me, src, tag)``."""
-        if self._job.observer is None:
-            return None
-        _, src, tag = key
-        return BlockDesc(
-            kind="recv",
-            comm=self.name,
-            peer=self._members[src],
-            tag=tag,
-        )
-
-    def _collective_desc(self) -> Optional[BlockDesc]:
-        """Wait descriptor for a member that contributed and waits for the
-        remaining members to arrive."""
-        if self._job.observer is None:
-            return None
-        return BlockDesc(
-            kind="collective", comm=self.name, members=tuple(self._members)
-        )
-
+    # -- deadlock report --------------------------------------------------------
     def _describe_wait(self, key: Optional[Tuple[int, int, int]]) -> str:
-        """What a rank parked by :meth:`_wait` waits for (deadlock report)."""
+        """What a rank parked by :meth:`_wait` waits for, in world ranks."""
         if key is None:
-            return f"collective on {self.name}"
-        return f"recv src={key[1]} tag={key[2]} on {self.name}"
+            missing = [w for r, w in enumerate(self._members) if r not in self._slot.contrib]
+            return f"collective on {self.name}, waiting for ranks {missing}"
+        return f"recv src={self._members[key[1]]} tag={key[2]} on {self.name}"
 
+    def _stuck_tags(self, key: Tuple[int, int, int]) -> List[str]:
+        """For a receive parked on ``key = (me, src, tag)``: the messages the
+        same sender queued for it under other tags — the signature of a
+        mismatched send/recv tag pair."""
+        me, src, tag = key
+        return [
+            f"rank {self._members[me]} waits for tag={tag} from rank "
+            f"{self._members[src]}, but {len(queued)} message(s) with tag={t} "
+            "are queued from that rank — mismatched send/recv tags"
+            for (dst, s, t), queued in sorted(self._mail.items())
+            if dst == me and s == src and t != tag
+        ]
+
+    # -- observer plumbing -----------------------------------------------------
     def _notify_send(self, dest: int, tag: int, nbytes: int) -> Any:
         """Report a send; returns the observer token to ride the envelope."""
         obs = self._job.observer
@@ -285,7 +278,6 @@ class Communicator:
         self,
         key: Optional[Tuple[int, int, int]],
         predicate: Callable[[], Any],
-        desc: Optional[BlockDesc],
         peers: Sequence[int],
     ) -> None:
         """Park until ``predicate`` holds, handing the baton on meanwhile;
@@ -299,34 +291,17 @@ class Communicator:
         posted before the failure are consumed, and the raise point depends
         only on virtual program order.  Parking when no rank is ready to
         run is deadlock and raises :class:`SimError` at once.
-
-        When an observer is installed, it sees ``on_block`` the first time
-        the predicate fails and a matching ``on_unblock`` when the wait
-        resolves or raises — from here for a receive, from the completing
-        rank for a collective (see :meth:`_complete`).
         """
         ctx = current_ctx()
         job = self._job
-        obs = job.observer
-        blocked = False
-        try:
-            while not predicate():
-                ctx.check()
-                if job.wait_unsatisfiable(peers):
-                    raise JobAbortedError(
-                        f"rank {ctx.rank}: job aborting and a peer rank "
-                        f"terminated; {self.name} wait cannot be satisfied"
-                    )
-                if not blocked and obs is not None and desc is not None:
-                    blocked = True
-                    obs.on_block(ctx.rank, desc)
-                job._park(ctx.rank, self, key)
-        except BaseException:
-            if blocked:
-                obs.on_unblock(ctx.rank)
-            raise
-        if blocked and key is not None:
-            obs.on_unblock(ctx.rank)
+        while not predicate():
+            ctx.check()
+            if job.wait_unsatisfiable(peers):
+                raise JobAbortedError(
+                    f"rank {ctx.rank}: job aborting and a peer rank "
+                    f"terminated; {self.name} wait cannot be satisfied"
+                )
+            job._park(ctx.rank, self, key)
 
     def _p2p_scale(self, my_rank: int, peer_rank: int) -> float:
         """Bandwidth derating for a message between two communicator ranks:
@@ -381,7 +356,6 @@ class Communicator:
         self._wait(
             key,
             lambda: self._mail.get(key),
-            desc=self._recv_desc(key),
             peers=(self._members[key[1]],),
         )
         env = self._mail[key].pop(0)
@@ -470,7 +444,6 @@ class Communicator:
                 self._wait(
                     None,
                     lambda: me in slot.outbox,
-                    desc=self._collective_desc(),
                     peers=self._members,  # self included: it cannot have terminated
                 )
             except BaseException:
@@ -492,12 +465,12 @@ class Communicator:
         """Last arriver: evaluate the collective, reset the slot for the next
         instance, leave every member's outcome in the outbox and wake them.
 
-        The observer hears the whole instance end here — ``on_unblock`` for
-        each waiting member, then ``on_collective_exit`` for all members in
-        rank order — because this rank may enter the next instance before
-        the others run again, and an exit reported after that entry would be
-        booked against the wrong instance.  Every member leaves at exactly
-        ``finish``: it is at least ``t_start``, the latest entry clock.
+        The observer hears the whole instance end here —
+        ``on_collective_exit`` for all members in rank order — because this
+        rank may enter the next instance before the others run again, and
+        an exit reported after that entry would be booked against the wrong
+        instance.  Every member leaves at exactly ``finish``: it is at least
+        ``t_start``, the latest entry clock.
         """
         slot = self._slot
         contrib, slot.contrib = slot.contrib, {}
@@ -514,10 +487,6 @@ class Communicator:
         self._job._notify((self, None))
         obs = self._job.observer
         if obs is not None:
-            me = current_ctx().rank
-            for r in takers:
-                if self._members[r] != me:
-                    obs.on_unblock(self._members[r])
             for r in takers:
                 obs.on_collective_exit(self.name, self.size, self._members[r], finish)
 

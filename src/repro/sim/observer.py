@@ -1,25 +1,21 @@
 """Observer hook points for simulator instrumentation.
 
 The runtime, communicator and SHM store expose a small set of callbacks so
-that tooling (the :mod:`repro.sancheck` race and deadlock detectors, custom
-profilers) can watch a job run without monkeypatching.  A job carries at
-most one :class:`SimObserver`; :func:`install_observer` transparently fans
-out to several via :class:`MultiObserver`.
+that tooling (the :mod:`repro.sancheck` race detector, the metrics
+observer, custom profilers) can watch a job run without monkeypatching.  A
+job carries at most one :class:`SimObserver`; :func:`install_observer`
+transparently fans out to several via :class:`MultiObserver`.
 
-Design rules observers must follow (the detectors in ``repro.sancheck``
-do):
+Design rules observers must follow (the race detector does):
 
 * callbacks run on **rank threads**, one at a time (the rank holding the
   baton); observers reachable from the driver thread too still guard their
   state.  The ``rank`` argument, not the calling thread, says whom an event
-  is about: the rank completing a collective reports ``on_unblock`` and
+  is about: the rank completing a collective reports
   ``on_collective_exit`` for every member, so that all exits of one
   instance precede any entry of the next;
 * an observer must never block on simulator state from inside a callback
-  (never call into a communicator, never wait on a job);
-* job-level actions (``job.abort()``) must be issued only *after* the
-  observer has released its own internal lock: the ranks the abort wakes
-  call back into the observer.
+  (never call into a communicator, never wait on a job).
 
 All rank arguments are **world** ranks; ``clock`` arguments are virtual
 seconds on that rank's clock.
@@ -27,23 +23,7 @@ seconds on that rank's clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class BlockDesc:
-    """What a rank is blocked on while inside a communicator wait.
-
-    ``kind`` is ``"recv"`` (pt2pt receive, ``peer``/``tag`` set) or
-    ``"collective"`` (``members`` lists the world ranks that must arrive).
-    """
-
-    kind: str
-    comm: str
-    peer: Optional[int] = None
-    tag: Optional[int] = None
-    members: Tuple[int, ...] = field(default_factory=tuple)
+from typing import Any, List
 
 
 class SimObserver:
@@ -71,7 +51,7 @@ class SimObserver:
         """Message delivery.  ``waited_s`` is the *virtual* time the
         receiver's clock jumped waiting for the sender's arrival (0 when
         the message was already there) — deterministic, unlike whether the
-        rank's thread physically parked in :meth:`on_block`."""
+        rank physically parked."""
         pass
 
     # -- collectives ----------------------------------------------------------
@@ -83,13 +63,6 @@ class SimObserver:
     def on_collective_exit(
         self, comm: str, size: int, rank: int, clock: float
     ) -> None:
-        pass
-
-    # -- blocking -------------------------------------------------------------
-    def on_block(self, rank: int, desc: BlockDesc) -> None:
-        pass
-
-    def on_unblock(self, rank: int) -> None:
         pass
 
     # -- shared memory --------------------------------------------------------
@@ -130,14 +103,6 @@ class MultiObserver(SimObserver):
     def on_collective_exit(self, comm: str, size: int, rank: int, clock: float) -> None:
         for o in self.observers:
             o.on_collective_exit(comm, size, rank, clock)
-
-    def on_block(self, rank: int, desc: BlockDesc) -> None:
-        for o in self.observers:
-            o.on_block(rank, desc)
-
-    def on_unblock(self, rank: int) -> None:
-        for o in self.observers:
-            o.on_unblock(rank)
 
     def on_shm(self, node_id: int, name: str, kind: str, nbytes: int = 0) -> None:
         for o in self.observers:

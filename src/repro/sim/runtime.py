@@ -13,7 +13,8 @@ that returns hands the baton on the same way — the last one releases
 order, a wake-up appends the woken ranks in rank order — so the schedule is
 a pure function of the program, never of the host scheduler.  Parking when
 the queue is empty means every live rank is parked: that *is* deadlock, and
-it raises :class:`~repro.sim.errors.SimError` at once.
+it raises :class:`~repro.sim.errors.SimError` at once — the simulator's only
+deadlock report, naming each wait, any mismatched tag and the phase timeline.
 
 Failure semantics reproduce the environment the paper assumes:
 
@@ -26,9 +27,9 @@ Failure semantics reproduce the environment the paper assumes:
   the abort cascades along the communication graph, so each rank dies at a
   point fixed by virtual program order, never by thread scheduling, and
   runs with one seed produce bit-identical traces even through failures;
-* :meth:`Job.abort` (MPI_Abort semantics — user bugs, the sancheck
-  deadlock detector) is the *hard* variant: it is delivered at every
-  rank's next runtime interaction, scheduling-dependent but immediate;
+* :meth:`Job.abort` (MPI_Abort semantics — a rank's user bug) is the
+  *hard* variant: it is delivered at every rank's next runtime
+  interaction, scheduling-dependent but immediate;
 * SHM on healthy nodes survives (see :mod:`repro.sim.shm`), which is what
   the restarted job recovers from.
 
@@ -322,8 +323,9 @@ class Job:
         Triggers consulted on clock advances and phase announcements.
     observer:
         Optional :class:`~repro.sim.observer.SimObserver` receiving
-        communication and blocking events from every rank — the hook the
-        :mod:`repro.sancheck` race/deadlock detectors install through.
+        communication and SHM events from every rank — the hook the
+        :mod:`repro.sancheck` race detector and the metrics observer
+        install through.
     tracer:
         Optional :class:`~repro.obs.spans.SpanTracer`; when set,
         ``ctx.span(...)`` records nested virtual-time spans, spans a
@@ -434,17 +436,30 @@ class Job:
         """Park ``rank`` and hand the baton on; returns once a wake-up made
         the rank ready and the baton came round to it.  The channel it parks
         on is ``(comm, mailbox owner)`` when ``key`` is the mailbox key it
-        awaits, ``(comm, None)`` — the collective slot — when it is None."""
+        awaits, ``(comm, None)`` — the collective slot — when it is None.
+
+        With no rank ready, every live rank is parked: the deadlock
+        :class:`SimError` names each wait in world ranks, adds a line per
+        receive whose sender queued it other tags, and ends in the phase
+        timeline, parked ranks starred, when the job's tracer has one."""
         if not self._ready:
-            waits = [(rank, comm._describe_wait(key))] + [
-                (r, comm._describe_wait(k))
-                for (comm, _), entries in self._parked.items()
-                for r, k in entries
-            ]
-            raise SimError(
-                "deadlock: every live rank is parked — "
-                + "; ".join(f"rank {r} in {what}" for r, what in sorted(waits))
+            waits = sorted(
+                [(rank, comm, key)]
+                + [(r, c, k) for (c, _), entries in self._parked.items() for r, k in entries],
+                key=lambda wait: wait[0],
             )
+            lines = [
+                "deadlock: every live rank is parked — "
+                + "; ".join(f"rank {r} in {c._describe_wait(k)}" for r, c, k in waits)
+            ]
+            lines += [
+                f"  {stuck}" for _, c, k in waits if k is not None for stuck in c._stuck_tags(k)
+            ]
+            if self.tracer is not None and self.tracer.phases():
+                from repro.obs.spans import render_timeline
+
+                lines.append(render_timeline(self.tracer, focus=[r for r, _, _ in waits]))
+            raise SimError("\n".join(lines))
         channel = (comm, None if key is None else key[0])
         self._parked.setdefault(channel, []).append((rank, key))
         self._hand_on()

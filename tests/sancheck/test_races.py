@@ -108,13 +108,12 @@ class TestSeededRace:
 class TestCleanRun:
     def test_self_checkpoint_run_has_zero_findings(self):
         """A correct self-checkpoint HPL-style run must certify clean."""
-        result, race, deadlock = run_clean_selfckpt()
+        result, race = run_clean_selfckpt()
         assert result.completed, result.rank_errors
         assert race.findings == []
-        assert deadlock.findings == []
 
     def test_segment_inventory_uses_snapshot(self):
-        result, race, _ = run_clean_selfckpt()
+        result, race = run_clean_selfckpt()
         inv = race.segment_inventory()
         assert inv, "self-checkpoint leaves its SHM segments resident"
         for node_id, segs in inv.items():
@@ -125,8 +124,10 @@ class TestCleanRun:
 class TestObserverComposition:
     def test_vc_tokens_survive_multi_observer(self):
         """With two observers installed, envelope tokens are routed back to
-        the right one (the MultiObserver tuple path)."""
-        from repro.sancheck import DeadlockDetector
+        the right one (the MultiObserver tuple path).  The metrics observer
+        goes first: its token is the message size, never None, so a wrong
+        split hands the race detector an int instead of a vector clock."""
+        from repro.obs.metrics import MetricsObserver
 
         def app(ctx):
             if ctx.world.rank == 0:
@@ -141,11 +142,12 @@ class TestObserverComposition:
 
         cluster = Cluster(1)
         race = RaceDetector(2)
-        deadlock = DeadlockDetector()
+        metrics = MetricsObserver()
         job = Job(cluster, app, 2, ranklist=[0, 0])
-        deadlock.install(job)  # install FIRST so race rides a MultiObserver
+        metrics.install(job)  # install FIRST so race rides a MultiObserver
         race.install(job)
         result = job.run()
         assert result.completed, result.rank_errors
         assert race.findings == []  # the happens-before edge must survive
-        assert deadlock.findings == []
+        # ... and so must the metrics observer's byte count of the message
+        assert metrics.registry.total("mpi.bytes_recv", rank=1) == 64

@@ -29,9 +29,7 @@ class TestCLI:
         """`repro check --all` runs every analysis and certifies clean."""
         assert main(["check", "--all"]) == 0
         out = capsys.readouterr().out
-        assert "0 findings" in out
-        for analysis in ("simlint", "race", "deadlock"):
-            assert analysis in out
+        assert "sancheck: 0 findings (analyses: simlint, flow, race)" in out
 
     def test_check_lint_clean_tree(self, capsys):
         assert main(["check", "lint"]) == 0
@@ -46,9 +44,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "wallclock" in out and "time.sleep" in out
 
-    def test_check_rejects_unknown_analysis(self):
+    def test_check_rejects_unknown_analysis(self, capsys):
         with pytest.raises(SystemExit):
             main(["check", "frobnicate"])
+        # deadlock is no analysis: the runtime raises it, diagnosed
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "deadlock"])
+        assert exit_info.value.code == 2
+        assert "choose from lint, flow, races" in capsys.readouterr().err
 
     def test_targets_cover_every_table_and_figure(self, capsys):
         """`repro list` is the catalogue's targets plus `report` — nothing
