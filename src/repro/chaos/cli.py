@@ -305,6 +305,8 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
                 f"{', '.join(METHODS)}"
             )
 
+    if args.ckpt_every < 1:
+        parser.error(f"--ckpt-every must be >= 1, got {args.ckpt_every}")
     if args.max_occurrences is not None and args.max_occurrences < 1:
         parser.error(f"--max-occurrences must be >= 1, got {args.max_occurrences}")
     if args.random < 0:
@@ -330,18 +332,26 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         if args.resume is not None:
             args.out = args.resume
 
+    try:
+        scenarios = [_build_scenario(args, m) for m in methods]
+        random_cfg = (
+            RandomCampaignConfig(
+                n_schedules=args.random, seed=args.seed, mtbf_scale=args.mtbf_scale
+            )
+            if args.random
+            else None
+        )
+    except ValueError as err:
+        # a shape no scenario can be built on: misuse, not a run that died
+        print(f"repro chaos: {err}", file=sys.stderr)
+        return 2
     cache = MemoCache(args.cache) if args.cache else MemoCache()
     progress = None if args.no_progress else ProgressReporter(label="chaos")
-    scenarios = [_build_scenario(args, m) for m in methods]
     campaign = dict(
         seed=args.seed,
         obs=args.obs,
         max_occurrences=args.max_occurrences,
-        random_cfg=RandomCampaignConfig(
-            n_schedules=args.random, seed=args.seed, mtbf_scale=args.mtbf_scale
-        )
-        if args.random
-        else None,
+        random_cfg=random_cfg,
         progress=progress,
         registry=registry,
     )

@@ -120,7 +120,15 @@ def selfckpt_scenario(
     deliberately broken) protocol through
     :class:`~repro.ckpt.manager.CheckpointManager` — the regression tests
     use it to prove the kill matrix catches protocol bugs.
+
+    Raises :class:`ValueError` for a shape with no node or no rank per
+    node — here, not in the first run's cluster or job constructor.
     """
+    if n_nodes < 1 or procs_per_node < 1:
+        raise ValueError(
+            "selfckpt needs n_nodes >= 1 and procs_per_node >= 1, got "
+            f"n_nodes={n_nodes}, procs_per_node={procs_per_node}"
+        )
     n_ranks = n_nodes * procs_per_node
     spares = n_spares if n_spares is not None else 4 * n_nodes + 4
     cfg = IterativeConfig(
@@ -197,9 +205,14 @@ def skt_scenario(
     A run that completes with a failed residual on any rank is classified
     ``wrong-answer`` — the "recovered into corrupt state" outcome the
     paper's Fig. 4 case analysis is meant to exclude.
+
+    Raises :class:`ValueError` for an invalid HPL shape (``HPLConfig``'s
+    checks) or ``procs_per_node < 1``.
     """
     from repro.hpl import HPLConfig, SKTConfig, skt_hpl_main
 
+    if procs_per_node < 1:
+        raise ValueError(f"skt-hpl needs procs_per_node >= 1, got {procs_per_node}")
     cfg = HPLConfig(n=n, nb=nb, p=p, q=q, seed=seed)
     scfg = SKTConfig(
         hpl=cfg,

@@ -82,11 +82,6 @@ class GF256:
         return int(self._exp[k % 255])
 
     # -- vector ops ---------------------------------------------------------------
-    def mul_table(self, c: int) -> np.ndarray:
-        """Read-only lookup row ``v -> c*v`` (a view into the cached
-        256x256 table; no allocation)."""
-        return self._mul_table[c]
-
     def vec_mul(
         self, c: int, v: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:

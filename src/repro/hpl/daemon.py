@@ -91,10 +91,6 @@ class DaemonReport:
     attempt_fired: List[List[FiredTrigger]] = field(default_factory=list)
 
     @property
-    def downtime_s(self) -> float:
-        return sum(c.detect_s + c.replace_s + c.restart_s for c in self.cycles)
-
-    @property
     def triggers_fired(self) -> List[FiredTrigger]:
         """All fired-trigger provenance records across every attempt."""
         return [rec for attempt in self.attempt_fired for rec in attempt]

@@ -51,11 +51,6 @@ class EfficiencyModel:
         work = (2.0 / 3.0) * n**3 + 1.5 * n**2
         return work / (peak_flops * self.efficiency(n))
 
-    @property
-    def asymptote(self) -> float:
-        """E(inf) = 1/a, the efficiency ceiling of the machine."""
-        return 1.0 / self.a
-
 
 def fit_efficiency_model(
     sizes: Sequence[float], efficiencies: Sequence[float]

@@ -15,8 +15,8 @@ thing spelled explicitly, plus ``--store`` to also persist the run into
 a :class:`~repro.obs.store.TraceStore`.  Exit status: 0 when the run's
 campaign verdict is ``survived``, 1 for any other verdict (``not-fired``
 included: a ``--fail-at`` that never fired is not a clean run), 2 for a
-usage error — a method that cannot be constructed on the requested shape
-included.
+usage error — a shape no scenario can be built on (``--n 0``) and a
+method that cannot be constructed on the requested shape included.
 
 ``query`` filters and aggregates the store (byte-stable tables or JSON
 lines) and never writes to it; a bad ``--store``, ``--section``, ``--rank``
@@ -119,7 +119,7 @@ def _run_main(argv: List[str]) -> int:
             method=args.method,
             ckpt_every=args.interval,
         )
-    except ChaosError as err:
+    except (ChaosError, ValueError) as err:
         print(f"repro obs: {err}", file=sys.stderr)
         return 2
 

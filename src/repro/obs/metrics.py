@@ -100,34 +100,20 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """Deterministic nearest-rank percentile from the fixed buckets.
-
-        Returns the *upper bound* of the bucket holding the q-th ranked
-        observation — a conservative estimate whose error is bounded by
-        the log-spaced bucket width and which never depends on arrival
-        order, so two same-seed runs report identical percentiles.
-        Observations that landed in the overflow bucket report ``inf``.
-        """
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"percentile q must be in (0, 1], got {q!r}")
-        if self.count == 0:
-            return 0.0
-        target = math.ceil(q * self.count)
-        cum = 0
-        for i, c in enumerate(self.counts):
-            cum += c
-            if cum >= target:
-                return self.buckets[i] if i < len(self.buckets) else math.inf
-        return math.inf  # pragma: no cover - counts always sum to count
-
 
 def percentile_from_buckets(
     buckets: Tuple[float, ...], counts: Sequence[int], q: float
 ) -> float:
-    """:meth:`Histogram.percentile` over exported bucket data — lets the
-    report and the trace store compute percentiles from flattened samples
-    (``MetricSample.extra``) without a live :class:`Histogram`."""
+    """Deterministic nearest-rank percentile from a histogram's exported
+    buckets (``MetricSample.extra``) — what the report and the trace store
+    compute from flattened samples.
+
+    Returns the *upper bound* of the bucket holding the q-th ranked
+    observation — a conservative estimate whose error is bounded by the
+    log-spaced bucket width and which never depends on arrival order, so
+    two same-seed runs report identical percentiles.  Observations that
+    landed in the overflow bucket report ``inf``.
+    """
     total = sum(counts)
     if not 0.0 < q <= 1.0:
         raise ValueError(f"percentile q must be in (0, 1], got {q!r}")
@@ -302,16 +288,3 @@ class MetricsObserver(SimObserver):
         self.registry.counter("shm.ops", node=node_id, kind=kind).inc()
         if kind in ("write", "create"):
             self.registry.counter("shm.bytes_written", node=node_id).inc(nbytes)
-
-    # -- consistency helpers -------------------------------------------------------
-    def message_balance(self) -> Tuple[float, float, float]:
-        """(delivered bytes_sent, bytes_recv, posted bytes) over all ranks.
-
-        The first two are equal by construction; the third exceeds them by
-        exactly the bytes a failure stranded in flight.
-        """
-        return (
-            self.registry.total("mpi.bytes_sent"),
-            self.registry.total("mpi.bytes_recv"),
-            self.registry.total("mpi.bytes_posted"),
-        )

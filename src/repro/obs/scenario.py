@@ -94,7 +94,8 @@ def run_scenario(
     ``selfckpt``), run through the campaigns' own
     :func:`~repro.par.replay.instrumented_run`.
 
-    Raises :class:`ValueError` for an unknown scenario and
+    Raises :class:`ValueError` for an unknown scenario or a shape its
+    recipe rejects (``n``, ``nb``, the grid), before anything runs, and
     :class:`~repro.chaos.campaign.ChaosError` for a configuration whose
     protocol cannot be constructed (a rank raises before anything was
     injected: unknown method, group too small for the method's parity).
@@ -119,7 +120,7 @@ def run_scenario(
             method=method,
             seed=seed,
             n_spares=2,
-            policy=RestartPolicy(detect_s=63.0, replace_s=10.0, restart_s=9.0),
+            policy=RestartPolicy.for_machine("Tianhe-2"),
         )
         params: Dict[str, Any] = {
             "n": n,
@@ -137,7 +138,7 @@ def run_scenario(
             ckpt_every=ckpt_every,
             method=method,
             n_spares=2,
-            policy=RestartPolicy(detect_s=30.0, replace_s=10.0, restart_s=9.0),
+            policy=RestartPolicy.for_machine("Tianhe-1A"),
         )
         params = {
             "n_ranks": n_ranks,

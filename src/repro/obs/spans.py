@@ -179,9 +179,6 @@ class SpanTracer:
     def children_of(self, span: Span) -> List[Span]:
         return [s for s in self.spans() if s.parent_id == span.span_id]
 
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans() if s.parent_id is None]
-
     def __len__(self) -> int:
         with self._lock:
             return sum(len(v) for v in self._spans.values())

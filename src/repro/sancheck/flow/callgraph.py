@@ -36,8 +36,8 @@ from repro.sancheck.simlint import (
     module_name_for,
 )
 
-#: sentinel for calls on SHM segment stores (create/attach/unlink)
-SHM_METHODS = frozenset({"shm_create", "shm_attach", "shm_unlink"})
+#: sentinel for calls on SHM segment stores (create/unlink)
+SHM_METHODS = frozenset({"shm_create", "shm_unlink"})
 
 
 def rel_file(path: Path, root: Path) -> str:
@@ -175,16 +175,16 @@ class ProjectIndex:
 def _contains_shm_source(node: ast.AST) -> bool:
     """True when an expression subtree manufactures SHM-backed memory."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr in ("shm_create", "shm_attach"):
+        if isinstance(sub, ast.Attribute) and sub.attr == "shm_create":
             return True
-        if isinstance(sub, ast.Name) and sub.id in ("shm_create", "shm_attach"):
+        if isinstance(sub, ast.Name) and sub.id == "shm_create":
             return True
     return False
 
 
 def _returns_shm(fn_node: ast.AST, is_source=_contains_shm_source) -> bool:
     """Does this function return SHM-backed memory?  Tracks locals bound
-    to ``shm_create``/``shm_attach`` results (``seg = ctx.shm_create(...);
+    to ``shm_create`` results (``seg = ctx.shm_create(...);
     return seg.array`` is the idiom everywhere).  ``is_source`` widens
     what counts as manufacturing SHM (see :func:`build_index`)."""
     shm_locals: Set[str] = set()
@@ -390,8 +390,8 @@ class _FunctionScanner(ast.NodeVisitor):
                 # the receiver chain is rooted in an imported module
                 # (e.g. ``numpy.bitwise_xor.reduce``): a known library
                 # call, not a method on an unresolved comm/shm object —
-                # classifying it by terminal name would misread ufunc
-                # ``.reduce`` as an MPI collective
+                # classifying it by terminal name would misread a library
+                # function that shares a communicator method's name
                 self.fn.external.append((dotted, lineno, has_args))
             else:
                 self.fn.method_calls.append((func.attr, lineno))

@@ -46,18 +46,15 @@ ALL_EFFECTS: Tuple[str, ...] = (
 )
 
 #: terminal attribute names that classify unresolved method calls
-MPI_SEND_METHODS = frozenset({"send", "isend", "sendrecv"})
-MPI_RECV_METHODS = frozenset({"recv", "irecv", "sendrecv", "probe"})
+MPI_SEND_METHODS = frozenset({"send", "sendrecv"})
+MPI_RECV_METHODS = frozenset({"recv", "sendrecv"})
 MPI_COLLECTIVE_METHODS = frozenset(
     {
         "barrier",
         "bcast",
-        "reduce",
         "allreduce",
         "gather",
         "allgather",
-        "scatter",
-        "alltoall",
         "allreduce_obj",
         "custom_collective",
     }

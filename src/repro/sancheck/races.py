@@ -79,7 +79,6 @@ class RaceDetector(SimObserver):
         self._reported: Set[Tuple[int, str, int, int]] = set()
         self._pending: Dict[str, _CollectiveState] = {}
         self.findings: List[Finding] = []
-        self._clusters: List[Any] = []
 
     # -- installation ----------------------------------------------------------
     def install(self, job: Any) -> "RaceDetector":
@@ -94,24 +93,12 @@ class RaceDetector(SimObserver):
         """Subscribe to SHM events on every node of ``cluster``."""
         from repro.sim.observer import install_observer
 
-        self._clusters.append(cluster)
         for node in cluster.nodes:
             store = node.shm
             if store.observer is None:
                 store.observer = self
             elif store.observer is not self:
                 install_observer(store, self)  # composes via MultiObserver
-
-    def segment_inventory(self) -> Dict[int, List[Tuple[str, int]]]:
-        """Current ``{node_id: [(segment, nbytes)]}`` across watched
-        clusters, via the stores' consistent :meth:`ShmStore.snapshot`."""
-        inventory: Dict[int, List[Tuple[str, int]]] = {}
-        for cluster in self._clusters:
-            for node in cluster.nodes:
-                segs = node.shm.snapshot()
-                if segs:
-                    inventory[node.node_id] = [(s.name, s.nbytes) for s in segs]
-        return inventory
 
     # -- happens-before edges from communication --------------------------------
     def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> Any:

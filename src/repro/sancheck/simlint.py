@@ -118,12 +118,9 @@ COMM_RESULT_METHODS = {
     "recv",
     "sendrecv",
     "bcast",
-    "reduce",
     "allreduce",
     "gather",
     "allgather",
-    "scatter",
-    "alltoall",
     "allreduce_obj",
 }
 

@@ -243,10 +243,6 @@ class FaultPlan:
                 )
         return cls(parse_faults(env.get(FAULTS_ENV)), worker_index, **kw)
 
-    @property
-    def armed(self) -> bool:
-        return bool(self.faults)
-
     def queue_hook(self, op: str) -> None:
         if self._busy_left > 0:
             self._busy_left -= 1

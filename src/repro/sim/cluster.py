@@ -9,7 +9,7 @@ out of the ranklist (section 5.2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.sim.errors import SimError
 from repro.sim.node import Node, NodeSpec
@@ -66,14 +66,6 @@ class Cluster:
         """Active (non-spare) nodes, in id order."""
         return [self._nodes[i] for i in self._active_ids]
 
-    @property
-    def active_ids(self) -> List[int]:
-        return list(self._active_ids)
-
-    @property
-    def spare_ids(self) -> List[int]:
-        return list(self._spare_ids)
-
     def all_nodes(self) -> List[Node]:
         return [self._nodes[i] for i in sorted(self._nodes)]
 
@@ -107,13 +99,6 @@ class Cluster:
                 return cand
         raise SimError("spare pool exhausted")
 
-    def add_spares(self, count: int) -> None:
-        """Grow the spare pool with fresh nodes."""
-        start = max(self._nodes) + 1
-        for i in range(start, start + count):
-            self._nodes[i] = Node(i, self.spec, enforce_memory=False)
-            self._spare_ids.append(i)
-
     # -- rank placement ---------------------------------------------------------
     def default_ranklist(self, n_ranks: int, *, procs_per_node: int | None = None) -> List[int]:
         """Map ranks onto active nodes block-wise, ``procs_per_node`` ranks
@@ -130,6 +115,3 @@ class Cluster:
 
     def ranks_on_node(self, ranklist: Sequence[int], node_id: int) -> List[int]:
         return [r for r, nid in enumerate(ranklist) if nid == node_id]
-
-    def healthy(self, node_ids: Iterable[int]) -> bool:
-        return all(self._nodes[i].alive for i in node_ids)

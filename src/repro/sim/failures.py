@@ -62,9 +62,7 @@ class PhaseTrigger:
     ``(node, phase, rank)``: ``occurrence=k`` means the k-th announcement
     *by that rank*, regardless of how many times other ranks on the same
     node announced the phase first — which is what makes
-    multi-rank-per-node tests deterministic.  (Earlier revisions counted
-    node-wide even when ``rank`` was set, so a rank-restricted trigger
-    could fire on the wrong announcement; see ``FailurePlan.check_phase``.)
+    multi-rank-per-node tests deterministic.
 
     ``extra_nodes`` die at the same instant as ``node_id``.
 
@@ -241,14 +239,6 @@ class FailurePlan:
         with self._lock:
             return [*self._time_triggers, *self._phase_triggers]
 
-    def phase_count(
-        self, node_id: int, phase: str, rank: Optional[int] = None
-    ) -> int:
-        """Announcements of ``phase`` seen so far on ``node_id`` (node-wide
-        with ``rank=None``, or by one specific rank)."""
-        with self._lock:
-            return self._phase_counts.get((node_id, phase, rank), 0)
-
     def rank_doomed(self, node_id: int, rank: int) -> bool:
         """True when a pinned trigger owns this rank's death point.
 
@@ -395,9 +385,7 @@ class MTBFFailureGenerator:
         Inter-failure gaps are drawn per node until the accumulated time
         leaves the horizon (a failed-and-replaced node slot can fail
         again), capped at ``max_failures_per_node`` draws so a tiny MTBF
-        cannot produce an unbounded schedule.  Earlier revisions kept only
-        the first draw per node, which under-counted late-run failures in
-        the endurance benchmarks.
+        cannot produce an unbounded schedule.
         """
         if max_failures_per_node < 1:
             raise ValueError("max_failures_per_node must be >= 1")

@@ -2,10 +2,11 @@
 
 Semantics follow the subset of MPI the paper's systems need:
 
-* blocking standard-mode ``send``/``recv`` with (source, tag) matching,
+* blocking standard-mode ``send``/``recv``/``sendrecv`` with (source, tag)
+  matching,
 * the collectives HPL and the checkpoint protocols use (``bcast``,
-  ``reduce``, ``allreduce``, ``gather``, ``allgather``, ``scatter``,
-  ``alltoall``, ``barrier``),
+  ``allreduce``, ``allreduce_obj``, ``gather``, ``allgather``,
+  ``barrier``), and ``custom_collective`` for the fused stripe encode,
 * ``split`` to build group/row/column communicators,
 * abort-on-failure: when any node dies, the abort cascades along the
   communication graph — a rank raises when it blocks on a wait that
@@ -41,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sim._tls import current_ctx
-from repro.sim.errors import JobAbortedError, SimError
+from repro.sim.errors import JobAbortedError
 from repro.sim.netmodel import NetworkModel
 
 #: Charged size for payloads whose size we cannot see (python scalars etc.).
@@ -137,47 +138,6 @@ class _Envelope:
     token: Any = None
 
 
-class Request:
-    """Handle for a non-blocking operation; complete with :meth:`wait`."""
-
-    def __init__(
-        self,
-        comm: "Communicator",
-        kind: str,
-        key: Optional[Tuple[int, int, int]] = None,
-        cost: float = 0.0,
-    ):
-        self._comm = comm
-        self._kind = kind
-        self._key = key
-        self._cost = cost
-        self._done = False
-        self._value: Any = None
-
-    def test(self) -> bool:
-        """Has the operation completed (non-blocking check)?"""
-        if self._done:
-            return True
-        if self._kind == "send":
-            return True  # eager: buffered at isend time
-        return bool(self._comm._mail.get(self._key))
-
-    def wait(self) -> Any:
-        """Complete the operation; returns the payload for receives."""
-        ctx = current_ctx()
-        if self._done:
-            return self._value
-        if self._kind == "send":
-            ctx.check()
-            ctx.clock += self._cost  # the deferred port time
-            self._done = True
-            return None
-        assert self._key is not None
-        self._value = self._comm._recv_key(self._key)
-        self._done = True
-        return self._value
-
-
 class _CollectiveSlot:
     """Rendezvous state for one communicator's ordered collective stream."""
 
@@ -229,9 +189,6 @@ class Communicator:
     def members(self) -> List[int]:
         """World ranks of the members, in communicator rank order."""
         return list(self._members)
-
-    def world_rank(self, rank: int) -> int:
-        return self._members[rank]
 
     # -- deadlock report --------------------------------------------------------
     def _describe_wait(self, key: Optional[Tuple[int, int, int]]) -> str:
@@ -344,19 +301,16 @@ class Communicator:
         self._job._notify((self, dest))
 
     def recv(self, source: int, tag: int = 0) -> Any:
-        """Blocking receive from communicator rank ``source``."""
+        """Blocking receive from communicator rank ``source``: takes the
+        next message under ``(me, source, tag)``, parking until it is
+        posted."""
         ctx = current_ctx()
         ctx.check()
-        return self._recv_key((self.rank, source, tag))
-
-    def _recv_key(self, key: Tuple[int, int, int]) -> Any:
-        """Take the next message under ``key = (me, src, tag)``, parking
-        until it is posted."""
-        ctx = current_ctx()
+        key = (self.rank, source, tag)
         self._wait(
             key,
             lambda: self._mail.get(key),
-            peers=(self._members[key[1]],),
+            peers=(self._members[source],),
         )
         env = self._mail[key].pop(0)
         if not self._mail[key]:
@@ -376,40 +330,6 @@ class Communicator:
         """Simultaneous send+receive (deadlock-free pairwise exchange)."""
         self.send(obj, dest, tag=sendtag)
         return self.recv(source, tag=recvtag)
-
-    # -- non-blocking point to point ----------------------------------------------
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> "Request":
-        """Non-blocking send.
-
-        The payload is captured immediately (eager copy), so the buffer may
-        be reused right away; the clock charge lands when the request is
-        waited on, modeling the overlap window.
-        """
-        ctx = current_ctx()
-        ctx.check()
-        if not 0 <= dest < self.size:
-            raise ValueError(f"bad dest {dest} for size {self.size}")
-        nbytes = _payload_nbytes(obj)
-        env = _Envelope(
-            payload=_copy_payload(obj),
-            nbytes=nbytes,
-            arrival_time=ctx.clock + self._net.p2p_time(nbytes),
-            token=self._notify_send(dest, tag, nbytes),
-        )
-        self._mail.setdefault((dest, self.rank, tag), []).append(env)
-        self._job._notify((self, dest))
-        return Request(self, kind="send", cost=self._net.p2p_time(nbytes))
-
-    def irecv(self, source: int, tag: int = 0) -> "Request":
-        """Non-blocking receive; complete it with :meth:`Request.wait`."""
-        ctx = current_ctx()
-        ctx.check()
-        return Request(self, kind="recv", key=(self.rank, source, tag))
-
-    def probe(self, source: int, tag: int = 0) -> bool:
-        """True when a matching message is already waiting."""
-        current_ctx().check()
-        return bool(self._mail.get((self.rank, source, tag)))
 
     # -- generic custom collective -------------------------------------------------
     def custom_collective(
@@ -511,22 +431,6 @@ class Communicator:
             cost=lambda data: self._net.bcast_time(_payload_nbytes(data[root]), self.size),
         )
 
-    def reduce(
-        self, array: np.ndarray, op: ReduceOp = ReduceOp.SUM, root: int = 0
-    ) -> Optional[np.ndarray]:
-        """Element-wise reduce of numpy arrays; result only on ``root``."""
-        array = np.asarray(array)
-
-        def compute(data: Dict[int, Any]) -> Dict[int, Any]:
-            combined = op.combine([data[r] for r in sorted(data)])
-            return {r: (combined if r == root else None) for r in data}
-
-        return self.custom_collective(
-            array,
-            compute=compute,
-            cost=lambda data: self._net.reduce_time(int(array.nbytes), self.size),
-        )
-
     def allreduce(self, array: np.ndarray, op: ReduceOp = ReduceOp.SUM) -> np.ndarray:
         array = np.asarray(array)
 
@@ -579,45 +483,6 @@ class Communicator:
             compute=compute,
             cost=lambda data: self._net.allgather_time(
                 max(_payload_nbytes(v) for v in data.values()), self.size
-            ),
-        )
-
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        """Scatter a length-``size`` sequence from ``root``."""
-
-        def compute(data: Dict[int, Any]) -> Dict[int, Any]:
-            seq = data[root]
-            if seq is None or len(seq) != self.size:
-                raise SimError(
-                    f"scatter root must supply exactly {self.size} items"
-                )
-            return {r: _copy_payload(seq[r]) for r in data}
-
-        return self.custom_collective(
-            objs if self.rank == root else None,
-            compute=compute,
-            cost=lambda data: self._net.scatter_time(
-                _payload_nbytes(data[root]) // max(1, self.size), self.size
-            ),
-        )
-
-    def alltoall(self, objs: Sequence[Any]) -> List[Any]:
-        """Each rank supplies ``size`` items; receives item ``[me]`` of each."""
-        if len(objs) != self.size:
-            raise SimError(f"alltoall needs exactly {self.size} items per rank")
-
-        def compute(data: Dict[int, Any]) -> Dict[int, Any]:
-            return {
-                r: [_copy_payload(data[src][r]) for src in range(self.size)]
-                for r in data
-            }
-
-        return self.custom_collective(
-            list(objs),
-            compute=compute,
-            cost=lambda data: self._net.alltoall_time(
-                max(_payload_nbytes(v) for v in data.values()) // max(1, self.size),
-                self.size,
             ),
         )
 

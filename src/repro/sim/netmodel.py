@@ -12,7 +12,7 @@ shares one port among 12, so per-process effective bandwidth on Tianhe-2 is
 in Fig. 13 is *longer* on Tianhe-2 despite smaller checkpoints.  We model it
 by dividing link bandwidth by the number of processes concurrently driving
 the port (``procs_per_port``) for operations where all ranks communicate at
-once (group encoding, all-to-all phases).
+once (group encoding, the buddy mirror exchange).
 """
 
 from __future__ import annotations
@@ -101,19 +101,11 @@ class NetworkModel:
             return 0.0
         return (nprocs - 1) * self.p2p_time(nbytes_per_rank)
 
-    def scatter_time(self, nbytes_per_rank: int, nprocs: int) -> float:
-        return self.gather_time(nbytes_per_rank, nprocs)
-
     def allgather_time(self, nbytes_per_rank: int, nprocs: int) -> float:
         """Ring allgather: (p-1) rounds of per-rank-size messages."""
         if nprocs <= 1:
             return 0.0
         return (nprocs - 1) * self.p2p_time(nbytes_per_rank)
-
-    def alltoall_time(self, nbytes_per_pair: int, nprocs: int) -> float:
-        if nprocs <= 1:
-            return 0.0
-        return (nprocs - 1) * self.p2p_time(nbytes_per_pair, contended=True)
 
     def barrier_time(self, nprocs: int) -> float:
         return 2 * self._rounds(nprocs) * self.params.latency_s

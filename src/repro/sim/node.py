@@ -77,7 +77,7 @@ class Node:
         self._mem_used = 0
         self._mem_lock = threading.Lock()
         self.shm = ShmStore(
-            charge=self._charge, release=self._release, node_id=node_id
+            charge=self.malloc, release=self.free, node_id=node_id
         )
 
     # -- liveness ------------------------------------------------------------
@@ -106,14 +106,10 @@ class Node:
         self._alive = False
         self.shm.clear()
 
-    def repair(self) -> None:
-        """Bring the node back empty (a repaired/fresh node re-entering the
-        pool; its memory content did not survive)."""
-        self._alive = True
-        self._failed_at = None
-
     # -- memory accounting ----------------------------------------------------
-    def _charge(self, nbytes: int) -> None:
+    def malloc(self, nbytes: int) -> None:
+        """Charge an allocation — private, or an SHM segment's — against
+        this node."""
         with self._mem_lock:
             if self.enforce_memory and self._mem_used + nbytes > self.spec.mem_bytes:
                 raise OutOfMemoryError(
@@ -122,26 +118,14 @@ class Node:
                 )
             self._mem_used += nbytes
 
-    def _release(self, nbytes: int) -> None:
+    def free(self, nbytes: int) -> None:
         with self._mem_lock:
             self._mem_used = max(0, self._mem_used - nbytes)
-
-    def malloc(self, nbytes: int) -> None:
-        """Charge a plain (non-SHM) allocation against this node."""
-        self._charge(nbytes)
-
-    def free(self, nbytes: int) -> None:
-        self._release(nbytes)
 
     @property
     def mem_used(self) -> int:
         with self._mem_lock:
             return self._mem_used
-
-    @property
-    def mem_free(self) -> int:
-        with self._mem_lock:
-            return self.spec.mem_bytes - self._mem_used
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self._alive else "DOWN"

@@ -138,10 +138,7 @@ class RankContext:
         the failure keeps executing its pre-death program segment instead
         of being cut down wherever host scheduling happened to put it —
         the death point depends on virtual program order, not thread
-        interleaving.  (Earlier revisions killed every rank of a failed
-        node at its next check regardless of clock, which made the doomed
-        incarnation's tail — span counts, encoded bytes, makespan epsilons
-        — host-scheduler noise on multi-rank nodes.)
+        interleaving.
 
         Ranks whose death point a *pinned* trigger owns (see
         :meth:`~repro.sim.failures.FailurePlan.rank_doomed`) are exempt
@@ -242,9 +239,6 @@ class RankContext:
         """Charge a private (non-SHM) allocation against this rank's node."""
         self.node.malloc(nbytes)
 
-    def free(self, nbytes: int) -> None:
-        self.node.free(nbytes)
-
     def shm_create(
         self,
         name: str,
@@ -257,10 +251,6 @@ class RankContext:
         rank's node.  Names are global per node; embed the rank if needed."""
         self._check_eager()
         return self.node.shm.create(name, shape, dtype, exist_ok=exist_ok)
-
-    def shm_attach(self, name: str) -> ShmSegment:
-        self._check_eager()
-        return self.node.shm.attach(name)
 
     def shm_exists(self, name: str) -> bool:
         return self.node.shm.exists(name)
@@ -403,10 +393,6 @@ class Job:
         self._clocks: Dict[int, float] = {}
 
     # -- abort machinery -------------------------------------------------------------
-    @property
-    def aborting(self) -> bool:
-        return self._aborting
-
     @property
     def abort_requested(self) -> bool:
         """A hard :meth:`abort` was issued (vs a node-failure abort)."""

@@ -130,15 +130,6 @@ class ShmStore:
         self._notify(name, kind, seg.nbytes)
         return seg
 
-    def attach(self, name: str) -> ShmSegment:
-        """Return an existing segment; raises :class:`ShmError` if absent."""
-        with self._lock:
-            seg = self._segments.get(name)
-            if seg is None:
-                raise ShmError(f"no SHM segment named {name!r}")
-        self._notify(name, "attach", seg.nbytes)
-        return seg
-
     def exists(self, name: str) -> bool:
         with self._lock:
             return name in self._segments
@@ -165,10 +156,6 @@ class ShmStore:
         with self._lock:
             return sorted(self._segments)
 
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(seg.nbytes for seg in self._segments.values())
-
     def snapshot(self) -> List[ShmSegment]:
         """A point-in-time view of all segments.
 
@@ -178,8 +165,8 @@ class ShmStore:
         other ranks keep creating/unlinking/mutating.  (The arrays stay
         live views — copying checkpoint-sized buffers here would be
         wrong for a diagnostics path.)  This is the only sanctioned way to
-        enumerate segments concurrently; the race-detector instrumentation
-        uses it for its segment inventory.
+        enumerate segments concurrently; iterating the store goes through
+        it.
         """
         with self._lock:
             return [

@@ -46,23 +46,6 @@ class Topology:
         lo = rack * self.nodes_per_rack
         return [i for i in range(lo, lo + self.nodes_per_rack) if i < n_nodes]
 
-    def n_racks(self, n_nodes: int) -> int:
-        return -(-n_nodes // self.nodes_per_rack)
-
-    def racks_of_group(
-        self, group_world_ranks: Sequence[int], ranklist: Sequence[int]
-    ) -> List[int]:
-        """Racks touched by a group, given the rank-to-node map."""
-        return sorted({self.rack_of(ranklist[r]) for r in group_world_ranks})
-
-    def group_rack_spread(
-        self, group_world_ranks: Sequence[int], ranklist: Sequence[int]
-    ) -> float:
-        """Fraction of distinct racks among the group's members: 1.0 means
-        fully spread (each member behind a different switch)."""
-        racks = self.racks_of_group(group_world_ranks, ranklist)
-        return len(racks) / len(group_world_ranks)
-
     def max_members_in_one_rack(
         self, group_world_ranks: Sequence[int], ranklist: Sequence[int]
     ) -> int:

@@ -14,6 +14,7 @@ byte-identical telemetry.
 
 from repro.chaos import (
     KillPoint,
+    chaos_main,
     probe_baseline,
     run_kill_matrix,
     selfckpt_scenario,
@@ -21,6 +22,12 @@ from repro.chaos import (
 from repro.chaos.campaign import point_trigger
 from repro.obs.store import TraceStore, ingest_kill_matrix
 from repro.sim.failures import FailurePlan, PhaseTrigger, TimeTrigger
+from tests.chaos.helpers import stripped_digest
+
+#: ``stripped_digest`` of ``repro chaos --smoke --obs summary``'s store
+SMOKE_SUMMARY_DIGEST = (
+    "07ea07a25138dd645c949463d77fbc12042a03e555b52a60c28cde884c1a2672"
+)
 
 
 def ppn2_scenario(**kw):
@@ -148,3 +155,18 @@ class TestRepeatedMatrixTelemetry:
                 )
                 digests.append(store.digest())
         assert digests[0] == digests[1]
+
+    def test_smoke_summary_store_reproduces_the_golden(self, tmp_path, capsys):
+        """The ``--smoke`` campaign runs two ranks per node, so its doomed
+        attempts' telemetry is what the pins hold fixed: with
+        ``point_trigger`` unpinned, ``BENCH_chaos.json`` and the report
+        stay byte-identical but this store does not.  The digest is id-
+        stripped, so it is comparable across commits."""
+        out = tmp_path / "out"
+        assert chaos_main(
+            ["--smoke", "--obs", "summary", "--no-progress", "--out", str(out)]
+        ) == 0
+        capsys.readouterr()
+        with TraceStore(str(out / "obs.sqlite")) as store:
+            assert store.counts()["runs"] == 176
+            assert stripped_digest(store) == SMOKE_SUMMARY_DIGEST

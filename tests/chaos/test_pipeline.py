@@ -180,7 +180,8 @@ class TestEmptyCampaign:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
-        "flag, value", [("--max-occurrences", "0"), ("--random", "-1")]
+        "flag, value",
+        [("--max-occurrences", "0"), ("--random", "-1"), ("--ckpt-every", "0")],
     )
     def test_cli_rejects_below_minimum_knobs(
         self, tmp_path, capsys, engine, flag, value
@@ -218,4 +219,33 @@ class TestUnconstructibleProtocol:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro chaos: baseline run of scenario 'selfckpt'")
         assert method in line and why in line
+        assert not out.exists()
+
+
+class TestConfigurationErrors:
+    """A shape no scenario can be built on is misuse — one ``repro chaos:``
+    line, exit 2, no output directory, on every engine — not a traceback
+    under exit 1, the code reserved for a run that did not survive."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "flags, why",
+        [
+            (["--nodes", "0"], "n_nodes >= 1"),
+            (["--ppn", "0"], "procs_per_node >= 1"),
+            (["--scenario", "skt-hpl", "--grid", "0x2"], "grid dims must be >= 1"),
+            (["--scenario", "skt-hpl", "--n", "0"], "n must be >= 1"),
+            (["--scenario", "skt-hpl", "--nb", "0"], "nb must be in [1, n]"),
+            (["--random", "2", "--mtbf-scale", "0"], "mtbf_scale must be > 0"),
+        ],
+        ids=["nodes", "ppn", "grid", "n", "nb", "mtbf-scale"],
+    )
+    def test_cli_exits_2_with_one_line(self, tmp_path, capsys, engine, flags, why):
+        out = tmp_path / "out"
+        rc = chaos_main(CLI_FLAGS + ENGINE_FLAGS[engine] + flags + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro chaos: ") and why in line
         assert not out.exists()

@@ -162,10 +162,10 @@ def raising_oracle_scenario():
 
     def factory():
         inst = base.make()
-        spares = len(inst.cluster.spare_ids)
+        active = [n.node_id for n in inst.cluster.nodes]
 
         def check(result):
-            if len(inst.cluster.spare_ids) < spares:
+            if [n.node_id for n in inst.cluster.nodes] != active:
                 raise RuntimeError("oracle exploded")
             return inst.check(result)
 

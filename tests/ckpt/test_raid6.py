@@ -179,7 +179,7 @@ class TestCachedKernel:
         assert got.dtype == np.uint8 and len(got) == 64
 
     def test_mul_table_row_is_a_readonly_view(self, gf):
-        row = gf.mul_table(7)
+        row = gf._mul_table[7]
         assert row.base is gf._mul_table  # a view, not a fresh array
         assert not row.flags.writeable
         with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ class TestCachedKernel:
 
     def test_mul_table_matches_scalar_mul(self, gf):
         for c in (0, 1, 2, 7, 255):
-            row = gf.mul_table(c)
+            row = gf._mul_table[c]
             for v in (0, 1, 3, 128, 255):
                 assert int(row[v]) == gf.mul(c, v)
 

@@ -33,8 +33,7 @@ class TestEfficiencyModel:
         assert effs == sorted(effs)
 
     def test_asymptote(self):
-        m = EfficiencyModel(a=1.25, b=100)
-        assert m.asymptote == pytest.approx(0.8)
+        m = EfficiencyModel(a=1.25, b=100)  # E(inf) = 1/a = 0.8
         assert m.efficiency(1e12) == pytest.approx(0.8, rel=1e-6)
 
     def test_validation(self):

@@ -63,7 +63,9 @@ class TestObserverAccounting:
         job = Job(cluster, main, 2, procs_per_node=1, observer=obs)
         obs.watch_cluster(cluster)
         assert job.run().completed
-        sent, recv, posted = obs.message_balance()
+        sent, recv, posted = (
+            obs.registry.total(f"mpi.bytes_{kind}") for kind in ("sent", "recv", "posted")
+        )
         assert sent == recv == posted == 128
 
     def test_failure_run_sent_equals_recv_and_no_double_count(self):

@@ -234,6 +234,25 @@ class TestArtifactsAndCli:
         assert "needs >= 4 members" in line
         assert not (tmp_path / "obs-out").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, why",
+        [
+            ("--n", "0", "n must be >= 1"),
+            ("--nb", "0", "nb must be in [1, n]"),
+            ("--grid", "0x2", "grid dims must be >= 1"),
+        ],
+    )
+    def test_cli_unbuildable_shape_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, flag, value, why
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = obs_main(["--scenario", "skt-hpl", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"repro obs: {why}"]
+        assert not (tmp_path / "obs-out").exists()
+
     def test_cli_trigger_that_never_fires_is_not_a_clean_run(self, capsys):
         rc = obs_main(
             ["--scenario", "selfckpt", "--fail-at", "nosuch:1", "--report-only"]

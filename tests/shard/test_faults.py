@@ -107,7 +107,7 @@ class TestLegacyEnv:
         return str(exc.value)
 
     def test_absent_means_no_fault(self):
-        assert not FaultPlan.from_env(0, {}).armed
+        assert not FaultPlan.from_env(0, {}).faults
 
     def test_valid_pair_folds_into_a_kill_fault(self):
         msg = self.rejected({DIE_AFTER_ENV: "2", DIE_WORKER_ENV: "1"})
@@ -152,7 +152,7 @@ def plan_for(spec, worker=0, environ=None):
 class TestFaultPlan:
     def test_unarmed_plan_is_inert(self):
         plan = plan_for(None)
-        assert not plan.armed
+        assert not plan.faults
         plan.queue_hook("claim")
         plan.check_poison(0)
         plan.check_kill(10**6)
@@ -161,7 +161,7 @@ class TestFaultPlan:
 
     def test_faults_for_other_workers_are_dropped(self):
         plan = plan_for("kill:after=1,worker=0", worker=1)
-        assert not plan.armed
+        assert not plan.faults
 
     def test_legacy_env_folds_in(self):
         # ... no longer: even next to a valid spec it is refused

@@ -1,11 +1,9 @@
 """Error-path and payload-variety tests for the communicator."""
 
-import time
-
 import numpy as np
 import pytest
 
-from repro.sim import Cluster, Job, ReduceOp, SimError
+from repro.sim import Cluster, Job, ReduceOp
 
 
 def run(main, n_ranks=4, **kw):
@@ -15,25 +13,6 @@ def run(main, n_ranks=4, **kw):
 
 
 class TestErrorPaths:
-    def test_scatter_wrong_length_raises(self):
-        """``compute`` raises in the completing rank: the error is the
-        collective's outcome, so every rank raises it at once (no peer
-        waits out the deadlock timeout) and the slot is reusable."""
-
-        def main(ctx):
-            comm = ctx.world
-            items = [1, 2] if comm.rank == 0 else None  # too short for 4
-            with pytest.raises(SimError, match="exactly 4 items"):
-                comm.scatter(items, root=0)
-            comm.barrier()
-            return "raised"
-
-        t0 = time.monotonic()
-        res = run(main)
-        assert time.monotonic() - t0 < 5.0  # was the 60 s deadlock timeout
-        assert res.completed, res.rank_errors
-        assert res.rank_results == {r: "raised" for r in range(4)}
-
     def test_cost_callback_error_reaches_every_rank(self):
         def main(ctx):
             comm = ctx.world
@@ -45,15 +24,6 @@ class TestErrorPaths:
                 )
             # the failed collective charged nothing and left the slot clean
             assert comm.allgather(comm.rank) == list(range(comm.size))
-            return True
-
-        assert run(main).completed
-
-    def test_alltoall_wrong_length_rejected_locally(self):
-        def main(ctx):
-            with pytest.raises(SimError):
-                ctx.world.alltoall([1, 2])  # needs size items
-            ctx.world.barrier()
             return True
 
         assert run(main).completed

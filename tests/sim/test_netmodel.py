@@ -53,7 +53,7 @@ class TestCollectives:
     def test_single_proc_collectives_free(self, model):
         assert model.bcast_time(1000, 1) == 0.0
         assert model.allgather_time(1000, 1) == 0.0
-        assert model.alltoall_time(1000, 1) == 0.0
+        assert model.gather_time(1000, 1) == 0.0
 
     def test_allreduce_is_reduce_plus_bcast(self, model):
         assert model.allreduce_time(1000, 8) == pytest.approx(

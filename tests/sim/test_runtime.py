@@ -143,7 +143,7 @@ class TestFailureDelivery:
             ctx.shm_create(f"d.{ctx.rank}", 4).array[:] = 7.0
 
         def reader(ctx):
-            return float(ctx.shm_attach(f"d.{ctx.rank}").array[0])
+            return float(ctx.shm_create(f"d.{ctx.rank}", 4, exist_ok=True).array[0])
 
         cl = Cluster(2)
         Job(cl, writer, 2, procs_per_node=1).run()

@@ -30,8 +30,8 @@ class TestShm:
     def test_create_and_attach(self, node):
         seg = node.shm.create("x", (4, 4))
         seg.array[:] = 7.0
-        again = node.shm.attach("x")
-        assert np.all(again.array == 7.0)
+        again = node.shm.create("x", (4, 4), exist_ok=True)
+        assert again is seg and np.all(again.array == 7.0)
 
     def test_create_duplicate_rejected(self, node):
         node.shm.create("x", 4)
@@ -48,10 +48,6 @@ class TestShm:
         node.shm.create("x", 8)
         with pytest.raises(ShmError):
             node.shm.create("x", 16, exist_ok=True)
-
-    def test_attach_missing(self, node):
-        with pytest.raises(ShmError):
-            node.shm.attach("ghost")
 
     def test_unlink_releases_memory(self, node):
         node.shm.create("x", 1024, np.uint8)
@@ -74,7 +70,7 @@ class TestShm:
     def test_total_bytes(self, node):
         node.shm.create("x", 100, np.uint8)
         node.shm.create("y", 28, np.uint8)
-        assert node.shm.total_bytes() == 128
+        assert node.mem_used == 128  # every segment's bytes are charged
 
 
 class TestNodeLifecycle:
@@ -91,11 +87,6 @@ class TestNodeLifecycle:
         node.fail(2.0)
         assert node.failed_at == 1.0
 
-    def test_repair(self, node):
-        node.fail()
-        node.repair()
-        assert node.alive and node.failed_at is None
-
 
 class TestMemoryAccounting:
     def test_malloc_free(self, node):
@@ -103,7 +94,6 @@ class TestMemoryAccounting:
         assert node.mem_used == 100
         node.free(40)
         assert node.mem_used == 60
-        assert node.mem_free == node.spec.mem_bytes - 60
 
     def test_enforcement(self):
         node = Node(0, NodeSpec(mem_bytes=1000), enforce_memory=True)

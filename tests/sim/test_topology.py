@@ -20,20 +20,11 @@ class TestTopology:
     def test_nodes_in_rack_clipped(self, topo):
         assert topo.nodes_in_rack(1, n_nodes=6) == [4, 5]
 
-    def test_n_racks(self, topo):
-        assert topo.n_racks(8) == 2
-        assert topo.n_racks(9) == 3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Topology(nodes_per_rack=0)
         with pytest.raises(ValueError):
             Topology(nodes_per_rack=4, inter_rack_bw_factor=0.0)
-
-    def test_group_rack_spread_metric(self, topo):
-        ranklist = list(range(8))  # rank r on node r
-        assert topo.group_rack_spread([0, 1, 2, 3], ranklist) == 0.25
-        assert topo.group_rack_spread([0, 4], ranklist) == 1.0
 
     def test_max_members_in_one_rack(self, topo):
         ranklist = list(range(8))
@@ -72,7 +63,7 @@ class TestRackSpreadMapping:
             8, 2, strategy="rack-spread", ranklist=ranklist, topology=topo
         )
         for group in layout.groups:
-            assert topo.group_rack_spread(group, ranklist) == 1.0
+            assert topo.max_members_in_one_rack(group, ranklist) == 1
 
     def test_needs_topology(self):
         with pytest.raises(ValueError, match="topology"):

@@ -1,12 +1,15 @@
-"""No public top-level function or class under ``src/repro`` is an orphan.
+"""No public top-level function or class under ``src/repro``, and no
+public member of such a class, is an orphan.
 
 An orphan is code only its own tests reach: it costs reading, review and
 tier-1 seconds and tells the reader nothing about what the system does.
 The walk is by name over the ASTs of ``src/``, ``benchmarks/`` (the e2e
 benchmark package, nothing else) and ``examples/``: a definition counts as
-referenced when its name is loaded (``f(...)``, ``mod.f``, a base class, a
-decorator, an annotation) anywhere outside its own body.  Re-exports do not count — an ``import`` line or an
-``__all__`` entry consumes nothing — and neither do tests.
+referenced when its name is loaded (``f(...)``, ``mod.f``, ``obj.method``,
+a base class, a decorator, an annotation) anywhere outside its own body.  Re-exports do not count — an ``import`` line or an
+``__all__`` entry consumes nothing — and neither do tests.  Members are
+methods, properties, classmethods and staticmethods; ``visit_*`` methods
+are exempt, since ``ast.NodeVisitor`` dispatches them by name.
 
 Matching by bare name is deliberately loose (a method call ``x.render()``
 keeps a function ``render`` alive); the check exists to catch the plain
@@ -74,6 +77,15 @@ ALLOWED = {
         "memory), pinned by tests/models; only the deleted fig8 bench printed "
         "it, and `repro fig8` stdout is frozen against the parent"
     ),
+    "repro.ckpt.raid6.GF256.mul": (
+        "scalar reference: the GF(2^8) field-law tests and the vec_mul / "
+        "vec_mul_xor kernel tests check against it"
+    ),
+    "repro.sim.node.Node.mem_used": (
+        "the one reader of the node memory ledger that ctx.malloc and SHM "
+        "segments charge and enforce_memory bounds; the accounting tests "
+        "assert through it"
+    ),
     "repro.util.units.parse_bytes": (
         "inverse of fmt_bytes at the configuration boundary; listed for "
         "removal by ISSUE 22 and kept only because ten floor tests pin it "
@@ -101,9 +113,31 @@ def _loads(tree):
     return out
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions(tree, module):
+    """``(qualified name, node)`` of the public top-level definitions and of
+    the public members of top-level classes — methods, properties,
+    classmethods and staticmethods.  ``visit_*`` methods are reached through
+    ``ast.NodeVisitor``'s dispatch by name, never by a load."""
+    for node in tree.body:
+        if not isinstance(node, _DEFS) or node.name.startswith("_"):
+            continue
+        yield f"{module}.{node.name}", node
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if member.name.startswith(("_", "visit_")):
+                continue
+            yield f"{module}.{node.name}.{member.name}", member
+
+
 def find_orphans(root=ROOT, package=PACKAGE):
     """``{qualified name: "file:line"}`` of unreferenced public top-level
-    definitions under ``package``."""
+    definitions and class members under ``package``."""
     consumed = Counter()
     for top in CONSUMER_DIRS:
         for path in _python_files(os.path.join(root, top)):
@@ -117,15 +151,9 @@ def find_orphans(root=ROOT, package=PACKAGE):
         module = rel[: -len(".py")].replace(os.sep, ".")
         if module.endswith(".__init__"):
             module = module[: -len(".__init__")]
-        for node in tree.body:
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if node.name.startswith("_"):
-                continue
+        for qualified, node in _public_definitions(tree, module):
             if consumed[node.name] - _loads(node)[node.name] <= 0:
-                orphans[f"{module}.{node.name}"] = f"{rel}:{node.lineno}"
+                orphans[qualified] = f"{rel}:{node.lineno}"
     return orphans
 
 
@@ -140,6 +168,32 @@ def test_every_public_definition_has_a_consumer(orphans):
         "referenced by nothing under src/, benchmarks/ or examples/ — wire "
         f"each to a consumer or delete it with its tests: {unexpected}"
     )
+
+
+def test_class_members_are_checked_by_the_same_rule(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        return self.side * self.side\n"
+        "    @property\n"
+        "    def side(self):\n"
+        "        return 2\n"
+        "    @staticmethod\n"
+        "    def unit():\n"
+        "        return Shape()\n"
+        "    def again(self):\n"
+        "        return self.again()\n"
+        "    def visit_Name(self, node):\n"
+        "        return node\n"
+        "    def _helper(self):\n"
+        "        return None\n"
+        "\n"
+        "print(Shape().area())\n"
+    )
+    found = find_orphans(root=str(tmp_path), package=str(pkg))
+    assert sorted(found) == ["pkg.mod.Shape.again", "pkg.mod.Shape.unit"]
 
 
 def test_allowlist_is_minimal_and_reasoned(orphans):
