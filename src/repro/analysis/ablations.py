@@ -21,7 +21,7 @@ from repro.ckpt import (
     group_reliability,
     optimal_interval_young,
 )
-from repro.models import TIANHE_2, MachineSpec
+from repro.models import TIANHE_2
 from repro.models.ckpt_cost import checkpoint_size_per_process, encode_time
 from repro.sim import Cluster, Job
 from repro.util import render_table
@@ -32,17 +32,14 @@ from repro.util import render_table
 # --------------------------------------------------------------------------
 
 
-def ablation_group_size(
-    group_sizes: Sequence[int] = (2, 4, 8, 16, 32),
-    machine: MachineSpec = TIANHE_2,
-    p_node_fail: float = 0.01,
-) -> List[Dict[str, float]]:
-    """The three-way trade-off that drives the paper's choice of 16."""
+def ablation_group_size() -> List[Dict[str, float]]:
+    """The three-way trade-off that drives the paper's choice of 16, on
+    Tianhe-2 at a 1 % per-interval node failure probability."""
     rows = []
-    for g in group_sizes:
+    for g in (2, 4, 8, 16, 32):
         mem = available_fraction_self(g)
-        t = encode_time(machine, g, checkpoint_size_per_process(machine, g))
-        rel = group_reliability(g, max(1, 1024 // g), p_node_fail)
+        t = encode_time(TIANHE_2, g, checkpoint_size_per_process(TIANHE_2, g))
+        rel = group_reliability(g, max(1, 1024 // g), 0.01)
         rows.append(
             {
                 "group_size": g,
@@ -75,18 +72,14 @@ def render_group_size(rows: List[Dict[str, float]]) -> str:
 # --------------------------------------------------------------------------
 
 
-def ablation_interval(
-    work_s: float = 8 * 3600.0,
-    delta_s: float = 16.0,
-    mtbf_s: float = 4 * 3600.0,
-    restart_s: float = 102.0,
-    candidates: Sequence[float] = (60, 300, 600, 1200, 3600, 7200),
-) -> List[Dict[str, float]]:
+def ablation_interval() -> List[Dict[str, float]]:
     """Expected completion time for candidate intervals vs the Young
-    optimum (Table 3 uses a fixed 10-minute period)."""
+    optimum (Table 3 uses a fixed 10-minute period): 8 h of work, 16 s
+    checkpoints, a 4 h system MTBF and 102 s restarts."""
+    work_s, delta_s, mtbf_s, restart_s = 8 * 3600.0, 16.0, 4 * 3600.0, 102.0
     rows = []
     t_young = optimal_interval_young(delta_s, mtbf_s)
-    for t in list(candidates) + [t_young]:
+    for t in [60, 300, 600, 1200, 3600, 7200, t_young]:
         rows.append(
             {
                 "interval_s": t,
@@ -186,13 +179,9 @@ def render_encoding_op(result: Dict[str, Dict[str, float]]) -> str:
 # --------------------------------------------------------------------------
 
 
-def ablation_rack_mapping(
-    n_nodes: int = 32,
-    nodes_per_rack: int = 8,
-    group_size: int = 4,
-    machine: MachineSpec = TIANHE_2,
-) -> List[Dict[str, object]]:
-    """Performance vs reliability of group-to-rack mappings.
+def ablation_rack_mapping() -> List[Dict[str, object]]:
+    """Performance vs reliability of group-to-rack mappings: 32 Tianhe-2
+    nodes in racks of 8, groups of 4.
 
     For each strategy: the group's effective encode bandwidth (intra-rack
     traffic is fast, cross-rack pays the switch penalty), the modeled
@@ -202,10 +191,11 @@ def ablation_rack_mapping(
     from repro.ckpt.grouping import partition_groups
     from repro.sim.topology import Topology
 
-    topo = Topology(nodes_per_rack=nodes_per_rack)
+    n_nodes, group_size = 32, 4
+    topo = Topology(nodes_per_rack=8)
     ranklist = list(range(n_nodes))  # one rank per node
     base_encode = encode_time(
-        machine, group_size, checkpoint_size_per_process(machine, group_size)
+        TIANHE_2, group_size, checkpoint_size_per_process(TIANHE_2, group_size)
     )
     rows = []
     for strategy in ("block", "stride", "rack-spread"):
@@ -265,11 +255,10 @@ def render_rack_mapping(rows: List[Dict[str, object]]) -> str:
 
 def ablation_incremental(
     dirty_strides: Sequence[int] = (1, 2, 8),
-    pages: int = 16,
-    iters: int = 4,
 ) -> List[Dict[str, float]]:
     """Checkpoint cost of the incremental baseline vs self-checkpoint as a
-    function of the application's dirty footprint.
+    function of the application's dirty footprint (16 pages, four
+    checkpoints).
 
     ``dirty_stride = s`` means 1/s of the pages change between checkpoints;
     ``s = 1`` is the HPL-like full-footprint case the paper uses to rule
@@ -277,6 +266,7 @@ def ablation_incremental(
     """
     from repro.ckpt import CheckpointManager
 
+    pages, iters = 16, 4
     page_floats = 512  # 4096-byte pages
 
     def run(method: str, stride: int) -> Dict[str, float]:
@@ -348,18 +338,15 @@ def render_incremental(rows: List[Dict[str, float]]) -> str:
 # --------------------------------------------------------------------------
 
 
-def ablation_stripe_vs_single_root(
-    group_sizes: Sequence[int] = (4, 8, 16),
-    machine: MachineSpec = TIANHE_2,
-) -> List[Dict[str, float]]:
+def ablation_stripe_vs_single_root() -> List[Dict[str, float]]:
     """Modeled encode time of the paper's stripe scheme vs the naive
-    rotating sequence of whole-buffer single-root reduces."""
+    rotating sequence of whole-buffer single-root reduces, on Tianhe-2."""
     from repro.sim.netmodel import NetworkModel
 
-    net = NetworkModel(machine.node.net)
+    net = NetworkModel(TIANHE_2.node.net)
     rows = []
-    for g in group_sizes:
-        size = checkpoint_size_per_process(machine, g)
+    for g in (4, 8, 16):
+        size = checkpoint_size_per_process(TIANHE_2, g)
         rows.append(
             {
                 "group_size": g,
@@ -391,9 +378,7 @@ def render_stripe_vs_single(rows: List[Dict[str, float]]) -> str:
 # --------------------------------------------------------------------------
 
 
-def ablation_double_parity(
-    group_sizes: Sequence[int] = (4, 8, 16, 32),
-) -> List[Dict[str, float]]:
+def ablation_double_parity() -> List[Dict[str, float]]:
     """The RAID-6 extension (paper §2.1): the memory a second parity stripe
     costs for tolerating any two losses per group instead of one."""
     return [
@@ -402,7 +387,7 @@ def ablation_double_parity(
             "self_pct": 100 * available_fraction_self(g),
             "self_rs_pct": 100 * available_fraction_self_rs(g),
         }
-        for g in group_sizes
+        for g in (4, 8, 16, 32)
     ]
 
 

@@ -13,7 +13,7 @@ small factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.apps.iterative import IterativeConfig, iterative_answer_ok, iterative_main
 from repro.ckpt import expected_runtime
@@ -37,17 +37,16 @@ class EnduranceReport:
 
 def endurance_run(
     *,
-    n_ranks: int = 8,
     iters: int = 40,
-    ckpt_every: int = 5,
     work_per_iter_s: float = 10.0,
     mtbf_node_s: float = 4000.0,
     seed: int = 0,
     max_restarts: int = 30,
-    policy: Optional[RestartPolicy] = None,
 ) -> EnduranceReport:
-    """Run the iterative app to completion under random node failures."""
-    policy = policy or RestartPolicy()
+    """Run the iterative app (8 ranks, a checkpoint every 5 iterations) to
+    completion under random node failures."""
+    n_ranks, ckpt_every = 8, 5
+    policy = RestartPolicy()
     gen = MTBFFailureGenerator(mtbf_node_s, seed=seed)
     cfg = IterativeConfig(
         iters=iters, ckpt_every=ckpt_every, group_size=4, work_s=work_per_iter_s

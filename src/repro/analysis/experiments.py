@@ -35,7 +35,6 @@ from repro.models import (
     TIANHE_2,
     TOP10_NOV2016,
     EfficiencyModel,
-    MachineSpec,
     fit_efficiency_model,
     problem_size_for_memory,
 )
@@ -87,10 +86,10 @@ class ModelFit:
     r_squared: float
 
 
-def _run_hpl_efficiency(
-    cfg: HPLConfig, machine: MachineSpec = LOCAL_CLUSTER
-) -> float:
-    """One live HPL run; returns achieved/peak efficiency in virtual time."""
+def _run_hpl_efficiency(cfg: HPLConfig) -> float:
+    """One live HPL run on the scaled testbed; returns achieved/peak
+    efficiency in virtual time."""
+    machine = SCALED_TESTBED
     cluster = Cluster(
         machine.nodes_for_ranks(cfg.n_ranks), machine.node
     )
@@ -107,21 +106,16 @@ def _run_hpl_efficiency(
     return cfg.flops / res.makespan / peak
 
 
-def fig7_model_fit(
-    sizes: Sequence[int] = (96, 128, 192, 256, 384),
-    nb: int = 16,
-    grid: Tuple[int, int] = (2, 4),
-    machine: MachineSpec = SCALED_TESTBED,
-) -> ModelFit:
-    """Measure HPL efficiency over problem sizes on the live simulator and
-    fit E(N) = N/(aN+b) — reproducing Fig. 7's fit-vs-data comparison
-    (memory-per-core on the x axis is N^2 scaled; the model is the same).
+def fig7_model_fit(sizes: Sequence[int] = (96, 128, 192, 256, 384)) -> ModelFit:
+    """Measure HPL efficiency over problem sizes on the live simulator (a
+    2x4 grid, nb 16, the scaled testbed) and fit E(N) = N/(aN+b) —
+    reproducing Fig. 7's fit-vs-data comparison (memory-per-core on the x
+    axis is N^2 scaled; the model is the same).
     """
-    p, q = grid
     measured = []
     for n in sizes:
-        cfg = HPLConfig(n=n, nb=nb, p=p, q=q)
-        measured.append(_run_hpl_efficiency(cfg, machine))
+        cfg = HPLConfig(n=n, nb=16, p=2, q=4)
+        measured.append(_run_hpl_efficiency(cfg))
     model = fit_efficiency_model(list(sizes), measured)
     from repro.models.efficiency import fit_quality
 
@@ -324,26 +318,20 @@ def _live_poweroff_check(method: str) -> bool:
     return bool(r0.hpl.passed and r0.restored)
 
 
-def table3_method_comparison(
-    *,
-    n_ranks: int = 128,
-    mem_per_rank: int = 4 * GiB,
-    group_size: int = 8,
-    ckpt_period_s: float = 600.0,
-    machine: MachineSpec = LOCAL_CLUSTER,
-    model_a: float = 1.15,
-) -> List[Table3Row]:
-    """Reproduce Table 3's comparison.
+def table3_method_comparison() -> List[Table3Row]:
+    """Reproduce Table 3's comparison: 128 ranks of 4 GiB on the local
+    cluster, groups of 8, a checkpoint every 10 minutes.
 
     Performance columns come from the efficiency model calibrated to the
     local cluster (full-memory efficiency pins ``b`` given ``a``); the
     "survives power-off" column is measured by live fail/restart runs.
     """
+    n_ranks, mem_per_rank, group_size = 128, 4 * GiB, 8
+    ckpt_period_s = 600.0
+    machine, model_a = LOCAL_CLUSTER, 1.15
     total_mem = n_ranks * mem_per_rank
     n_full = problem_size_for_memory(total_mem, 0.8)
     e1 = machine.full_memory_efficiency
-    if model_a * e1 >= 1.0:
-        raise ValueError("model_a inconsistent with full-memory efficiency")
     b = (1.0 - model_a * e1) * n_full / e1
     model = EfficiencyModel(a=model_a, b=b)
     peak = n_ranks * machine.node.flops_per_core
@@ -455,24 +443,17 @@ class LiveMethodRow:
     survives_poweroff: bool
 
 
-def table3_live_miniature(
-    *,
-    n: int = 96,
-    nb: int = 8,
-    grid: Tuple[int, int] = (2, 4),
-    group_size: int = 4,
-    interval_panels: int = 3,
-) -> List[LiveMethodRow]:
+def table3_live_miniature() -> List[LiveMethodRow]:
     """A fully *live* miniature of Table 3: every method actually runs the
-    distributed HPL end-to-end on the simulator (no analytic modeling),
-    reporting virtual elapsed time, checkpoint cost, memory overhead, and
-    measured power-off survival.
+    distributed HPL end-to-end on the simulator (no analytic modeling; N 96,
+    nb 8, a 2x4 grid, groups of 4, a checkpoint every 3 panels), reporting
+    virtual elapsed time, checkpoint cost, memory overhead, and measured
+    power-off survival.
 
     Complements :func:`table3_method_comparison`, whose performance columns
     are model-scale; here everything — including who wins — is measured.
     """
-    p, q = grid
-    cfg = HPLConfig(n=n, nb=nb, p=p, q=q)
+    cfg = HPLConfig(n=96, nb=8, p=2, q=4)
     methods = [
         ("Original HPL", None),
         ("SKT-HPL (self)", "self"),
@@ -504,12 +485,11 @@ def table3_live_miniature(
                 )
             )
             continue
-        gsize = 2 if method == "buddy" else group_size
         scfg = SKTConfig(
             hpl=cfg,
             method=method,
-            group_size=gsize,
-            interval_panels=interval_panels,
+            group_size=2 if method == "buddy" else 4,
+            interval_panels=3,
         )
         res = Job(
             cluster, skt_hpl_main, cfg.n_ranks, args=(scfg,), procs_per_node=1
@@ -571,66 +551,58 @@ class CycleTiming:
     restart_s: float
     recover_s: float
     #: live-measured virtual spans from the traced small-scale cycle
-    live_checkpoint_s: float = 0.0
-    live_recover_s: float = 0.0
+    live_checkpoint_s: float
+    live_recover_s: float
 
 
-def fig10_restart_cycle(
-    machine: MachineSpec = TIANHE_2,
-    group_size: int = 8,
-    policy: RestartPolicy = RestartPolicy(),
-    live: bool = True,
-) -> CycleTiming:
+def fig10_restart_cycle() -> CycleTiming:
     """Phase times of one failure cycle (Fig. 10).
 
     Detect/replace/restart are daemon policy values (the paper measures 63,
     10 and 9 s on Tianhe-2); checkpoint and recovery times come from the
-    cost model at paper scale.  With ``live``, a traced small-scale
-    fail/restart cycle runs too, and its *measured* virtual checkpoint and
-    recovery spans are reported alongside — the same "recovery takes a
-    little longer than a checkpoint" relation must hold there.
+    cost model at paper scale (Tianhe-2, groups of 8).  A traced
+    small-scale fail/restart cycle runs too, and its *measured* virtual
+    checkpoint and recovery spans are reported alongside — the same
+    "recovery takes a little longer than a checkpoint" relation must hold
+    there.
     """
-    ckpt = encode_time(machine, group_size)
-    rec = recovery_time(machine, group_size)
-    live_ckpt = live_rec = 0.0
-    if live:
-        from repro.chaos.campaign import run_with_triggers
-        from repro.chaos.scenarios import skt_scenario
-        from repro.obs.report import aggregate_by_name
-        from repro.obs.spans import SpanTracer
+    from repro.chaos.campaign import run_with_triggers
+    from repro.chaos.scenarios import skt_scenario
+    from repro.obs.report import aggregate_by_name
+    from repro.obs.spans import SpanTracer
 
-        scenario = skt_scenario(
-            n=64,
-            nb=8,
-            p=2,
-            q=4,
-            group_size=4,
-            interval_panels=2,
-            n_spares=1,
-            policy=policy,
-        )
-        tracer = SpanTracer()
-        _, _, report = run_with_triggers(
-            scenario,
-            [PhaseTrigger(node_id=2, phase="ckpt.done", occurrence=2)],
-            tracer=tracer,
-        )
-        if not (report.completed and report.n_restarts == 1):
-            raise RuntimeError("live restart cycle failed")
-        # spans of any status: the kill lands on ckpt.done, when the
-        # doomed attempt's second checkpoint has already done its work
-        mean_s = {
-            name: mean for name, _, _, mean, _ in aggregate_by_name(tracer.spans())
-        }
-        live_ckpt, live_rec = mean_s["ckpt"], mean_s["restore"]
+    policy = RestartPolicy()
+    scenario = skt_scenario(
+        n=64,
+        nb=8,
+        p=2,
+        q=4,
+        group_size=4,
+        interval_panels=2,
+        n_spares=1,
+        policy=policy,
+    )
+    tracer = SpanTracer()
+    _, _, report = run_with_triggers(
+        scenario,
+        [PhaseTrigger(node_id=2, phase="ckpt.done", occurrence=2)],
+        tracer=tracer,
+    )
+    if not (report.completed and report.n_restarts == 1):
+        raise RuntimeError("live restart cycle failed")
+    # spans of any status: the kill lands on ckpt.done, when the
+    # doomed attempt's second checkpoint has already done its work
+    mean_s = {
+        name: mean for name, _, _, mean, _ in aggregate_by_name(tracer.spans())
+    }
     return CycleTiming(
-        checkpoint_s=ckpt,
+        checkpoint_s=encode_time(TIANHE_2, 8),
         detect_s=policy.detect_s,
         replace_s=policy.replace_s,
         restart_s=policy.restart_s,
-        recover_s=rec,
-        live_checkpoint_s=live_ckpt,
-        live_recover_s=live_rec,
+        recover_s=recovery_time(TIANHE_2, 8),
+        live_checkpoint_s=mean_s["ckpt"],
+        live_recover_s=mean_s["restore"],
     )
 
 
@@ -646,13 +618,11 @@ def render_fig10(t: CycleTiming) -> str:
         ],
         title="Fig. 10 — work-fail-detect-restart cycle phases (Tianhe-2 scale)",
     )
-    if t.live_checkpoint_s:
-        table += (
-            f"\nlive small-scale cycle (traced, virtual time): checkpoint "
-            f"{t.live_checkpoint_s * 1e3:.3f} ms, recovery "
-            f"{t.live_recover_s * 1e3:.3f} ms"
-        )
-    return table
+    return table + (
+        f"\nlive small-scale cycle (traced, virtual time): checkpoint "
+        f"{t.live_checkpoint_s * 1e3:.3f} ms, recovery "
+        f"{t.live_recover_s * 1e3:.3f} ms"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -660,26 +630,21 @@ def render_fig10(t: CycleTiming) -> str:
 # --------------------------------------------------------------------------
 
 
-def fig11_skt_efficiency(
-    machines: Sequence[MachineSpec] = (TIANHE_1A, TIANHE_2),
-    group_sizes: Dict[str, int] | None = None,
-    model_a: float = 1.05,
-) -> List[Dict[str, float]]:
+def fig11_skt_efficiency() -> List[Dict[str, float]]:
     """Original-HPL vs SKT-HPL efficiency (Fig. 11).
 
     SKT-HPL runs at the self-checkpoint memory fraction (47% at group 16 on
     Tianhe-1A, 44% at group 8 on Tianhe-2 — section 6.4); its efficiency
     follows the reduced-memory model from the machine's full-memory point.
     """
-    group_sizes = group_sizes or {"Tianhe-1A": 16, "Tianhe-2": 8}
     from repro.models.efficiency import (
         efficiency_at_memory_fraction,
         efficiency_lower_bound,
     )
 
+    model_a = 1.05
     rows = []
-    for m in machines:
-        g = group_sizes.get(m.name, 16)
+    for m, g in ((TIANHE_1A, 16), (TIANHE_2, 8)):
         k = available_fraction_self(g)
         e1 = m.full_memory_efficiency
         # exact model value with a calibrated `a`; Eq. 8's bound guarantees
@@ -735,24 +700,21 @@ class MemorySweepPoint:
 
 def fig12_memory_vs_efficiency(
     fractions: Sequence[float] = (0.125, 0.2, 0.3, 0.44, 0.5),
-    n_full: int = 384,
-    nb: int = 16,
-    grid: Tuple[int, int] = (2, 4),
-    machine: MachineSpec = SCALED_TESTBED,
 ) -> List[MemorySweepPoint]:
-    """Live-simulator sweep of HPL efficiency vs memory fraction, compared
-    to the model's prediction normalized at the full-memory point."""
-    p, q = grid
-    e_full = _run_hpl_efficiency(HPLConfig(n=n_full, nb=nb, p=p, q=q), machine)
+    """Live-simulator sweep of HPL efficiency vs memory fraction (N 384 at
+    full memory, nb 16, a 2x4 grid, the scaled testbed), compared to the
+    model's prediction normalized at the full-memory point."""
+    n_full, nb, p, q = 384, 16, 2, 4
+    e_full = _run_hpl_efficiency(HPLConfig(n=n_full, nb=nb, p=p, q=q))
     # calibrate the model from two live points (full and half memory)
     n_half = int(math.sqrt(0.5) * n_full)
-    e_half = _run_hpl_efficiency(HPLConfig(n=n_half, nb=nb, p=p, q=q), machine)
+    e_half = _run_hpl_efficiency(HPLConfig(n=n_half, nb=nb, p=p, q=q))
     model = fit_efficiency_model([n_full, n_half], [e_full, e_half])
 
     points = []
     for k in fractions:
         n = max(nb, int(math.sqrt(k) * n_full))
-        e = _run_hpl_efficiency(HPLConfig(n=n, nb=nb, p=p, q=q), machine)
+        e = _run_hpl_efficiency(HPLConfig(n=n, nb=nb, p=p, q=q))
         points.append(
             MemorySweepPoint(
                 memory_fraction=k,
@@ -785,16 +747,14 @@ def render_fig12(points: List[MemorySweepPoint]) -> str:
 # --------------------------------------------------------------------------
 
 
-def fig13_encoding_cost(
-    group_sizes: Sequence[int] = (4, 8, 16),
-    machines: Sequence[MachineSpec] = (TIANHE_1A, TIANHE_2),
-) -> List[Dict[str, float]]:
-    """Checkpoint size and encode time per machine and group size."""
+def fig13_encoding_cost() -> List[Dict[str, float]]:
+    """Checkpoint size and encode time per machine (Tianhe-1A, Tianhe-2)
+    and group size (4, 8, 16)."""
     from repro.models.ckpt_cost import checkpoint_size_per_process
 
     rows = []
-    for m in machines:
-        for g in group_sizes:
+    for m in (TIANHE_1A, TIANHE_2):
+        for g in (4, 8, 16):
             size = checkpoint_size_per_process(m, g)
             rows.append(
                 {

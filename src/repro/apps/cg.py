@@ -22,6 +22,9 @@ from repro.sim.mpi import ReduceOp
 from repro.sim.runtime import RankContext
 from repro.util.rng import block_rng
 
+#: residual-norm convergence threshold
+TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CGConfig:
@@ -29,7 +32,6 @@ class CGConfig:
     ny_per_rank: int = 8  # grid rows per rank
     shift: float = 0.5  # diagonal shift (keeps A well-conditioned SPD)
     max_iters: int = 200
-    tol: float = 1e-10
     seed: int = 13
     method: str = "self"
     group_size: int = 4
@@ -116,7 +118,7 @@ def cg_main(ctx: RankContext, cfg: CGConfig) -> CGResult:
         rs_old = _dot(ctx, r, r)
 
     it = start
-    converged = rs_old**0.5 < cfg.tol
+    converged = rs_old**0.5 < TOL
     while it < cfg.max_iters and not converged:
         ap = _apply_operator(ctx, cfg, p)
         alpha = rs_old / _dot(ctx, p, ap)
@@ -124,7 +126,7 @@ def cg_main(ctx: RankContext, cfg: CGConfig) -> CGResult:
         r[:] = r - alpha * ap
         rs_new = _dot(ctx, r, r)
         it += 1
-        if rs_new**0.5 < cfg.tol:
+        if rs_new**0.5 < TOL:
             converged = True
             break
         p[:] = r + (rs_new / rs_old) * p

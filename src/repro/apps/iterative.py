@@ -33,6 +33,10 @@ class IterativeConfig:
     #: :class:`~repro.ckpt.manager.CheckpointManager`
     protocol_factory: Optional[Callable[..., Any]] = None
 
+    def __post_init__(self) -> None:
+        if self.ckpt_every < 1:
+            raise ValueError("ckpt_every must be >= 1")
+
 
 def iterative_main(ctx: RankContext, cfg: IterativeConfig) -> np.ndarray:
     mgr = CheckpointManager(

@@ -22,13 +22,15 @@ from repro.ckpt.manager import CheckpointManager
 from repro.sim.runtime import RankContext
 from repro.util.rng import block_rng
 
+#: gravitational softening length
+SOFTENING = 0.1
+
 
 @dataclass(frozen=True)
 class NBodyConfig:
     bodies_per_rank: int = 16
     steps: int = 40
     dt: float = 1e-3
-    softening: float = 0.1
     seed: int = 99
     method: str = "self"
     group_size: int = 4
@@ -37,8 +39,8 @@ class NBodyConfig:
     def __post_init__(self) -> None:
         if self.bodies_per_rank < 1:
             raise ValueError("need at least one body per rank")
-        if self.dt <= 0 or self.softening <= 0:
-            raise ValueError("dt and softening must be positive")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         if self.ckpt_every < 1:
             raise ValueError("ckpt_every must be >= 1")
 
@@ -59,20 +61,18 @@ def _initial_state(cfg: NBodyConfig, rank: int):
 
 
 def _accelerations(
-    ctx: RankContext, cfg: NBodyConfig, mine: np.ndarray, all_pos: np.ndarray
+    ctx: RankContext, mine: np.ndarray, all_pos: np.ndarray
 ) -> np.ndarray:
     """Softened all-pairs gravity on my bodies from every body."""
     diff = all_pos[None, :, :] - mine[:, None, :]
-    dist2 = (diff**2).sum(axis=2) + cfg.softening**2
+    dist2 = (diff**2).sum(axis=2) + SOFTENING**2
     inv_d3 = dist2 ** (-1.5)
     acc = (diff * inv_d3[:, :, None]).sum(axis=1)
     ctx.compute(20.0 * mine.shape[0] * all_pos.shape[0])
     return acc
 
 
-def _total_energy(
-    ctx: RankContext, cfg: NBodyConfig, pos: np.ndarray, vel: np.ndarray
-) -> float:
+def _total_energy(ctx: RankContext, pos: np.ndarray, vel: np.ndarray) -> float:
     """Global kinetic + potential energy (summed across ranks)."""
     from repro.sim.mpi import ReduceOp
 
@@ -80,10 +80,10 @@ def _total_energy(
     all_pos = np.concatenate(comm.allgather(pos))
     kinetic = 0.5 * float((vel**2).sum())
     diff = all_pos[None, :, :] - pos[:, None, :]
-    dist = np.sqrt((diff**2).sum(axis=2) + cfg.softening**2)
+    dist = np.sqrt((diff**2).sum(axis=2) + SOFTENING**2)
     # each pair counted twice over the world sum; self-pairs contribute the
     # constant 1/softening, subtracted here
-    pot_rows = -(1.0 / dist).sum() + pos.shape[0] / cfg.softening
+    pot_rows = -(1.0 / dist).sum() + pos.shape[0] / SOFTENING
     local = np.array([kinetic + 0.5 * float(pot_rows)])
     ctx.compute(10.0 * pos.shape[0] * all_pos.shape[0])
     return float(comm.allreduce(local, ReduceOp.SUM)[0])
@@ -107,19 +107,19 @@ def nbody_main(ctx: RankContext, cfg: NBodyConfig) -> NBodyResult:
 
     for step in range(start, cfg.steps):
         all_pos = np.concatenate(comm.allgather(np.array(pos, copy=True)))
-        acc = _accelerations(ctx, cfg, pos, all_pos)
+        acc = _accelerations(ctx, pos, all_pos)
         # kick-drift-kick leapfrog
         vel[:] = vel + 0.5 * cfg.dt * acc
         pos[:] = pos + cfg.dt * vel
         all_pos = np.concatenate(comm.allgather(np.array(pos, copy=True)))
-        acc = _accelerations(ctx, cfg, pos, all_pos)
+        acc = _accelerations(ctx, pos, all_pos)
         vel[:] = vel + 0.5 * cfg.dt * acc
 
         if (step + 1) % cfg.ckpt_every == 0 and step + 1 < cfg.steps:
             mgr.local["step"] = step + 1
             mgr.checkpoint()
 
-    energy = _total_energy(ctx, cfg, np.array(pos), np.array(vel))
+    energy = _total_energy(ctx, np.array(pos), np.array(vel))
     return NBodyResult(
         positions=np.array(pos, copy=True),
         velocities=np.array(vel, copy=True),

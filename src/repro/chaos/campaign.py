@@ -405,11 +405,10 @@ def run_kill_point(
     scenario: ChaosScenario,
     point: KillPoint,
     *,
-    obs: str = "off",
     probe: Optional[BaselineProbe] = None,
 ) -> KillResult:
     """Replay the scenario, killing the node at exactly this announcement."""
-    spec = ReplaySpec(scenario.recipe, (point_trigger(point, probe),), obs=obs)
+    spec = ReplaySpec(scenario.recipe, (point_trigger(point, probe),))
     (outcome,) = run_units([spec])
     return _kill_result(point, outcome)
 

@@ -83,14 +83,14 @@ def render_failures(report: CampaignReport) -> str:
     return "\n".join(lines)
 
 
-def render_schedules(results: List[ScheduleResult], title: str = "") -> str:
+def render_schedules(results: List[ScheduleResult]) -> str:
     """Randomized-campaign outcomes, one row per schedule."""
     headers = ["schedule", "triggers", "verdict", "restarts", "makespan_s"]
     rows = [
         [r.index, len(r.triggers), r.verdict, r.n_restarts, f"{r.makespan_s:.1f}"]
         for r in results
     ]
-    return render_table(headers, rows, title=title or "randomized campaign")
+    return render_table(headers, rows, title="randomized campaign")
 
 
 def render_shrink(shrink: ShrinkResult) -> str:

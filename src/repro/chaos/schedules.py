@@ -30,6 +30,12 @@ from repro.sim.failures import (
 )
 from repro.util.rng import seeded_rng
 
+#: probability a drawn failure takes a correlated second node with it
+P_EXTRA = 0.25
+#: probability a schedule adds a back-to-back kill inside the recovery
+#: window (fires at the first ``restore.begin`` announcement)
+P_RECOVERY_KILL = 0.25
+
 
 @dataclass(frozen=True)
 class RandomCampaignConfig:
@@ -40,11 +46,6 @@ class RandomCampaignConfig:
     #: per-node MTBF as a fraction of the fault-free makespan; below 1.0
     #: multiple failures per run are likely
     mtbf_scale: float = 0.6
-    #: probability a drawn failure takes a correlated second node with it
-    p_extra: float = 0.25
-    #: probability the schedule adds a back-to-back kill inside the
-    #: recovery window (fires at the first ``restore.begin`` announcement)
-    p_recovery_kill: float = 0.25
     max_failures_per_node: int = 2
 
     def __post_init__(self) -> None:
@@ -52,9 +53,6 @@ class RandomCampaignConfig:
             raise ValueError("n_schedules must be >= 1")
         if self.mtbf_scale <= 0:
             raise ValueError("mtbf_scale must be > 0")
-        for p in (self.p_extra, self.p_recovery_kill):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must be in [0, 1]")
 
 
 @dataclass
@@ -88,14 +86,14 @@ def generate_schedule(
     )
     triggers: List[AnyTrigger] = []
     for t in drawn:
-        if len(nodes) > 1 and rng.random() < cfg.p_extra:
+        if len(nodes) > 1 and rng.random() < P_EXTRA:
             others = [n for n in nodes if n != t.node_id]
             extra = int(others[int(rng.integers(len(others)))])
             t = TimeTrigger(
                 node_id=t.node_id, at_time=t.at_time, extra_nodes=(extra,)
             )
         triggers.append(t)
-    if triggers and rng.random() < cfg.p_recovery_kill:
+    if triggers and rng.random() < P_RECOVERY_KILL:
         victim = int(nodes[int(rng.integers(len(nodes)))])
         triggers.append(
             PhaseTrigger(node_id=victim, phase="restore.begin", occurrence=1)
@@ -124,7 +122,6 @@ def run_schedule(
     index: int = 0,
     *,
     cache: Any = None,
-    obs: str = "off",
 ) -> ScheduleResult:
     """Replay one schedule under the daemon and classify the outcome.
 
@@ -140,7 +137,7 @@ def run_schedule(
     delta-debug loop re-probes heavily overlapping trigger sets, and a
     deterministic replay is a pure function of its fingerprint.
     """
-    spec = ReplaySpec(scenario.recipe, tuple(triggers), obs=obs)
+    spec = ReplaySpec(scenario.recipe, tuple(triggers))
     (outcome,) = run_units([spec], cache=cache)
     return _schedule_result(index, triggers, outcome)
 

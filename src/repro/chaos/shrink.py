@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from repro.chaos.campaign import (
     ChaosScenario,
@@ -60,12 +60,12 @@ def shrink_schedule(
     scenario: ChaosScenario,
     triggers: List[AnyTrigger],
     *,
-    failing: Callable[[ScheduleResult], bool] = default_failure,
     max_runs: int = 64,
     registry: Any = None,
     cache: Any = None,
 ) -> ShrinkResult:
-    """Shrink ``triggers`` to a minimal schedule that still fails.
+    """Shrink ``triggers`` to a minimal schedule that still fails
+    (:func:`default_failure`).
 
     Raises :class:`~repro.chaos.campaign.ChaosError` if the schedule does
     not fail in the first place.  ``max_runs`` bounds the total number of
@@ -90,7 +90,7 @@ def shrink_schedule(
 
     current = list(triggers)
     base = attempt(current)
-    if not failing(base):
+    if not default_failure(base):
         raise ChaosError(
             f"schedule does not fail (verdict {base.verdict!r}); "
             "nothing to shrink"
@@ -104,7 +104,7 @@ def shrink_schedule(
         for i in range(len(current)):
             candidate = current[:i] + current[i + 1 :]
             result = attempt(candidate)
-            if failing(result):
+            if default_failure(result):
                 steps.append(f"dropped {current[i]!r}")
                 current = candidate
                 verdict = result.verdict
@@ -128,7 +128,7 @@ def shrink_schedule(
                     doom_points=(),
                 )
                 result = attempt(current[:i] + [lowered] + current[i + 1 :])
-                if not failing(result):
+                if not default_failure(result):
                     break
                 steps.append(
                     f"advanced {trig.phase}:{trig.occurrence} -> "
@@ -141,7 +141,7 @@ def shrink_schedule(
             while trig.at_time > 1.0 and runs < max_runs:
                 earlier = dataclasses.replace(trig, at_time=trig.at_time / 2.0)
                 result = attempt(current[:i] + [earlier] + current[i + 1 :])
-                if not failing(result):
+                if not default_failure(result):
                     break
                 steps.append(
                     f"advanced t={trig.at_time:.3f} -> {earlier.at_time:.3f} "
@@ -164,8 +164,6 @@ def shrink_failures(
     scenario: ChaosScenario,
     results: List[ScheduleResult],
     *,
-    failing: Callable[[ScheduleResult], bool] = default_failure,
-    max_runs: int = 64,
     registry: Any = None,
     cache: Any = None,
 ) -> List[Optional[ShrinkResult]]:
@@ -173,15 +171,10 @@ def shrink_failures(
     ones), preserving the campaign's ordering."""
     out: List[Optional[ShrinkResult]] = []
     for r in results:
-        if failing(r):
+        if default_failure(r):
             out.append(
                 shrink_schedule(
-                    scenario,
-                    r.triggers,
-                    failing=failing,
-                    max_runs=max_runs,
-                    registry=registry,
-                    cache=cache,
+                    scenario, r.triggers, registry=registry, cache=cache
                 )
             )
         else:

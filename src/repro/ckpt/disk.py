@@ -71,21 +71,17 @@ class StableImageStore:
         ctx: RankContext,
         device: BlockDevice,
         prefix: str,
-        ranks_sharing: Optional[int] = None,
     ):
         self.ctx = ctx
         self.device = device
         self._store: Dict[str, Any] = ctx.job.cluster.stable_store
         self._prefix = f"{prefix}.r{ctx.rank}"
-        self._ranks_sharing = ranks_sharing
 
     def _key(self, epoch: int) -> str:
         return f"{self._prefix}.e{epoch}"
 
     def _sharing(self) -> int:
         """Ranks the device's bandwidth is divided between: this node's."""
-        if self._ranks_sharing is not None:
-            return self._ranks_sharing
         job = self.ctx.job
         return len(job.cluster.ranks_on_node(job.ranklist, self.ctx.node.node_id))
 
@@ -138,12 +134,11 @@ class DiskCheckpoint(CheckpointProtocol):
         *,
         prefix: str = "blcr",
         a2_capacity: int = 4096,
-        ranks_sharing: Optional[int] = None,
     ):
         super().__init__(ctx, prefix=prefix, a2_capacity=a2_capacity)
         self.device = device
         self._epoch = 0
-        self._images = StableImageStore(ctx, device, prefix, ranks_sharing)
+        self._images = StableImageStore(ctx, device, prefix)
 
     def _on_commit(self) -> None:
         """Nothing to size or create: images go to the stable store."""

@@ -118,9 +118,7 @@ class CheckpointProtocol(ABC):
     def _alloc_array(self, name: str, shape, dtype) -> np.ndarray:
         """Place one workspace array: ordinary process memory, lost on a
         restart (self-checkpoint overrides this to keep it in SHM)."""
-        arr = np.zeros(shape, dtype=dtype)
-        self.ctx.malloc(arr.nbytes)
-        return arr
+        return np.zeros(shape, dtype=dtype)
 
     def array(self, name: str) -> np.ndarray:
         return self._arrays[name]

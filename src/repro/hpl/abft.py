@@ -194,7 +194,6 @@ def abft_hpl_main(
 
     a_loc = matgen.generate_local_matrix(cfg, rowmap, colmap, grid.myrow, grid.mycol)
     b_loc = matgen.generate_local_rhs(cfg, rowmap, grid.myrow)
-    ctx.malloc(a_loc.nbytes + b_loc.nbytes)
 
     checksums = _ChecksumState(ctx, cfg, grid, rowmap, colmap, a_loc)
 

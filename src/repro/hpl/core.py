@@ -370,7 +370,6 @@ def hpl_main(ctx: RankContext, cfg: HPLConfig) -> HPLResult:
     with ctx.span("hpl.generate", n=cfg.n):
         a_loc = matgen.generate_local_matrix(cfg, rowmap, colmap, grid.myrow, grid.mycol)
         b_loc = matgen.generate_local_rhs(cfg, rowmap, grid.myrow)
-        ctx.malloc(a_loc.nbytes + b_loc.nbytes)
 
     t_start = ctx.clock
     x, timers = hpl_solve(ctx, cfg, grid, rowmap, colmap, a_loc, b_loc)

@@ -106,7 +106,6 @@ class JobDaemon:
         n_ranks: int,
         *,
         args: Sequence[Any] = (),
-        ranklist: Optional[Sequence[int]] = None,
         procs_per_node: Optional[int] = None,
         failure_plan: Optional[FailurePlan] = None,
         policy: RestartPolicy = RestartPolicy(),
@@ -130,9 +129,9 @@ class JobDaemon:
         #: its incarnation index per attempt so restarted spans land on
         #: separate trace tracks
         self.tracer = tracer
-        if ranklist is None:
-            ranklist = cluster.default_ranklist(n_ranks, procs_per_node=procs_per_node)
-        self.ranklist: List[int] = list(ranklist)
+        self.ranklist: List[int] = cluster.default_ranklist(
+            n_ranks, procs_per_node=procs_per_node
+        )
 
     def run(self) -> DaemonReport:
         """Run until the application completes, recovery becomes impossible,

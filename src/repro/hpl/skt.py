@@ -44,9 +44,6 @@ class SKTConfig:
     method: str = "self"
     group_size: int = 8
     interval_panels: int = 4
-    op: str = "xor"
-    strategy: str = "stride"
-    a2_capacity: int = 4096
     auto_interval_mtbf_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -84,10 +81,7 @@ def skt_hpl_main(ctx: RankContext, scfg: SKTConfig) -> SKTResult:
         ctx.world,
         group_size=scfg.group_size,
         method=scfg.method,
-        strategy=scfg.strategy,
-        op=scfg.op,
         prefix="skt",
-        a2_capacity=scfg.a2_capacity,
     )
     a_loc = mgr.alloc("A", (lrows, lcols))
     b_loc = mgr.alloc("b", lrows)

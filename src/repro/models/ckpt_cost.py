@@ -19,18 +19,15 @@ from repro.models.machines import MachineSpec
 from repro.sim.netmodel import NetworkModel
 
 
-def checkpoint_size_per_process(
-    machine: MachineSpec, group_size: int, *, method: str = "self"
-) -> int:
-    """Bytes each process protects when HPL fills the available memory.
+def checkpoint_size_per_process(machine: MachineSpec, group_size: int) -> int:
+    """Bytes each self-checkpoint process protects when HPL fills the
+    available memory.
 
     The application sizes its workspace to the method's available fraction
-    of per-core memory; the checkpoint covers the full workspace.
+    of per-core memory; the checkpoint covers the full workspace.  Sizes
+    for the other methods live in :mod:`repro.ckpt.memory_model`.
     """
-    frac = available_fraction_self(group_size)
-    if method != "self":
-        raise ValueError("sizes for other methods live in repro.ckpt.memory_model")
-    return int(machine.node.mem_per_core * frac)
+    return int(machine.node.mem_per_core * available_fraction_self(group_size))
 
 
 def encode_time(machine: MachineSpec, group_size: int, data_bytes: int | None = None) -> float:
@@ -41,13 +38,10 @@ def encode_time(machine: MachineSpec, group_size: int, data_bytes: int | None = 
     return net.stripe_encode_time(data_bytes, group_size)
 
 
-def recovery_time(
-    machine: MachineSpec, group_size: int, data_bytes: int | None = None
-) -> float:
+def recovery_time(machine: MachineSpec, group_size: int) -> float:
     """Modeled recovery seconds: one encode plus delivering the rebuilt
     buffer to the replacement rank."""
-    if data_bytes is None:
-        data_bytes = checkpoint_size_per_process(machine, group_size)
+    data_bytes = checkpoint_size_per_process(machine, group_size)
     net = NetworkModel(machine.node.net)
     return net.stripe_encode_time(data_bytes, group_size) + net.p2p_time(
         data_bytes, contended=True

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.ckpt.grouping import group_reliability
 
@@ -58,14 +58,12 @@ class ScalePoint:
     p_interval_ok_grouped: float
 
 
-def scale_sweep(
-    run_s: float = 24 * 3600.0,
-    mtbf_node_s: float = 5 * 365 * 24 * 3600.0,  # a 5-year per-node MTBF
-    node_counts: Sequence[int] = (128, 1024, 8192, 65536),
-    group_size: int = 16,
-    interval_s: float = 600.0,
-) -> List[ScalePoint]:
-    """How a day-long run fares as the machine grows (the paper's §1)."""
+def scale_sweep() -> List[ScalePoint]:
+    """How a day-long run fares as the machine grows (the paper's §1): a
+    5-year per-node MTBF, groups of 16 and a 10-minute checkpoint
+    interval."""
+    run_s, mtbf_node_s = 24 * 3600.0, 5 * 365 * 24 * 3600.0
+    group_size, interval_s = 16, 600.0
     return [
         ScalePoint(
             n_nodes=n,
@@ -75,7 +73,7 @@ def scale_sweep(
                 interval_s, n, mtbf_node_s, group_size
             ),
         )
-        for n in node_counts
+        for n in (128, 1024, 8192, 65536)
     ]
 
 

@@ -80,8 +80,8 @@ class Histogram:
 
     __slots__ = ("buckets", "counts", "total", "count")
 
-    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS_S) -> None:
-        self.buckets = tuple(buckets)
+    def __init__(self) -> None:
+        self.buckets = DEFAULT_BUCKETS_S
         self.counts = [0] * (len(self.buckets) + 1)  # last = overflow
         self.total = 0.0
         self.count = 0
@@ -148,13 +148,12 @@ class MetricsRegistry:
     on one closed vocabulary.
     """
 
-    def __init__(self, *, strict_names: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()  # simlint: allow[threading] -- registry-internal state guard
         self._instruments: Dict[Tuple[str, str, LabelsKey], Any] = {}
-        self.strict_names = strict_names
 
     def _get(self, kind: str, factory, name: str, labels: Dict[str, Any]):
-        if self.strict_names and name not in METRIC_NAMES:
+        if name not in METRIC_NAMES:
             raise ValueError(
                 f"unregistered metric name {name!r}; add it to "
                 "repro.obs.labels.METRIC_NAMES"
@@ -215,8 +214,8 @@ class MetricsRegistry:
 class MetricsObserver(SimObserver):
     """Feeds a :class:`MetricsRegistry` from the simulator's hook layer."""
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry or MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self._lock = threading.Lock()  # simlint: allow[threading] -- observer-internal state guard
         #: rank -> clock at collective entry
         self._coll_entered_at: Dict[int, float] = {}

@@ -130,10 +130,9 @@ def render_report(
     spans: List[Span],
     registry: Optional[MetricsRegistry] = None,
     *,
-    top: int = 12,
     title: str = "obs run report",
 ) -> str:
-    """The full ASCII report (top spans, imbalance, critical path, traffic)."""
+    """The full ASCII report (top 12 spans, imbalance, critical path, traffic)."""
     parts: List[str] = [title, "=" * len(title)]
 
     if not spans:
@@ -141,7 +140,7 @@ def render_report(
     else:
         rows = [
             [name, count, f"{total:.4g}", f"{mean:.4g}", f"{mx:.4g}"]
-            for name, count, total, mean, mx in aggregate_by_name(spans)[:top]
+            for name, count, total, mean, mx in aggregate_by_name(spans)[:12]
         ]
         parts.append(
             render_table(

@@ -38,6 +38,8 @@ def parse_fail_at(spec: Optional[str]) -> Optional[Tuple[str, int]]:
     if spec is None:
         return None
     name, _, occ = spec.partition(":")
+    if not name:
+        raise ValueError(f"no phase named in --fail-at {spec!r}")
     phase = PHASE_ALIASES.get(name, name)
     occurrence = int(occ) if occ else 1
     if occurrence < 1:

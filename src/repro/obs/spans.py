@@ -44,6 +44,8 @@ STATUS_INTERRUPTED = "interrupted"
 
 #: :func:`render_timeline` glyphs, dealt to phase names in sorted order
 _GLYPHS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+#: :func:`render_timeline` columns per rank row
+_WIDTH = 72
 
 
 @dataclass
@@ -186,7 +188,7 @@ class SpanTracer:
 
 
 def render_timeline(
-    tracer: SpanTracer, width: int = 72, focus: Optional[Sequence[int]] = None
+    tracer: SpanTracer, focus: Optional[Sequence[int]] = None
 ) -> str:
     """A compact ASCII timeline of the phase announcements: one row per
     rank, one glyph per event, positioned by virtual time.
@@ -205,12 +207,12 @@ def render_timeline(
     marked = set(focus or ())
     rows: Dict[int, List[str]] = {}
     for e in events:
-        row = rows.setdefault(e.rank, [" "] * width)
-        row[min(width - 1, int(e.clock / t_max * (width - 1)))] = glyph[e.name]
+        row = rows.setdefault(e.rank, [" "] * _WIDTH)
+        row[min(_WIDTH - 1, int(e.clock / t_max * (_WIDTH - 1)))] = glyph[e.name]
     lines = [
         f"r{r:<3}{'*' if r in marked else ' '}|{''.join(rows[r])}|"
         for r in sorted(rows)
     ]
-    lines.append(f"     0 {'-' * (width - 10)} {fmt_seconds(t_max)}")
+    lines.append(f"     0 {'-' * (_WIDTH - 10)} {fmt_seconds(t_max)}")
     lines.append("     " + ", ".join(f"{glyph[n]}={n}" for n in names))
     return "\n".join(lines)

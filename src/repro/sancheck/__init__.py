@@ -20,27 +20,18 @@ run.  Deadlock needs no analysis: the runtime raises it, diagnosed (see
 """
 
 from repro.sancheck.findings import Finding, Report
-from repro.sancheck.flow import FlowConfig, analyze_paths
+from repro.sancheck.flow import analyze_paths
 from repro.sancheck.races import RaceDetector, ShmAccess
-from repro.sancheck.simlint import (
-    ALL_RULES,
-    LintConfig,
-    default_lint_root,
-    lint_paths,
-    lint_source,
-)
+from repro.sancheck.simlint import default_lint_root, lint_paths, lint_source
 from repro.sancheck.vectorclock import VectorClock, merge_all
 
 __all__ = [
     "Finding",
     "Report",
-    "LintConfig",
-    "ALL_RULES",
     "lint_source",
     "lint_paths",
     "default_lint_root",
     "analyze_paths",
-    "FlowConfig",
     "VectorClock",
     "merge_all",
     "RaceDetector",

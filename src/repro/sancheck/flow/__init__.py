@@ -25,7 +25,7 @@ Reports export to SARIF and JSONL (:mod:`repro.sancheck.flow.export`).
 """
 
 from repro.sancheck.flow.callgraph import FunctionNode, ProjectIndex, build_index
-from repro.sancheck.flow.driver import FlowConfig, analyze_index, analyze_paths
+from repro.sancheck.flow.driver import analyze_index, analyze_paths
 from repro.sancheck.flow.effects import (
     ALL_EFFECTS,
     ALLOCATES,
@@ -43,7 +43,6 @@ from repro.sancheck.flow.taint import Witness, propagate
 __all__ = [
     "analyze_paths",
     "analyze_index",
-    "FlowConfig",
     "build_index",
     "ProjectIndex",
     "FunctionNode",

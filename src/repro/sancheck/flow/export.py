@@ -26,6 +26,7 @@ SARIF_SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 TOOL_NAME = "repro-sancheck"
+TOOL_VERSION = "1.0.0"
 
 _SARIF_LEVEL = {"error": "error", "warning": "warning", "note": "note"}
 
@@ -57,7 +58,7 @@ def to_jsonl(findings: Sequence[Finding]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def to_sarif(findings: Sequence[Finding], tool_version: str = "1.0.0") -> dict:
+def to_sarif(findings: Sequence[Finding]) -> dict:
     ordered = sorted(findings, key=Finding.sort_key)
     rule_ids: List[str] = []
     for f in ordered:
@@ -89,7 +90,7 @@ def to_sarif(findings: Sequence[Finding], tool_version: str = "1.0.0") -> dict:
                 "tool": {
                     "driver": {
                         "name": TOOL_NAME,
-                        "version": tool_version,
+                        "version": TOOL_VERSION,
                         "informationUri": "https://example.invalid/repro",
                         "rules": [{"id": rid} for rid in rule_ids],
                     }
@@ -105,11 +106,9 @@ def write_jsonl(path: Path, findings: Sequence[Finding]) -> None:
     Path(path).write_text(to_jsonl(findings), encoding="utf-8")
 
 
-def write_sarif(
-    path: Path, findings: Sequence[Finding], tool_version: str = "1.0.0"
-) -> None:
+def write_sarif(path: Path, findings: Sequence[Finding]) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(
-        json.dumps(to_sarif(findings, tool_version), indent=2) + "\n",
+        json.dumps(to_sarif(findings), indent=2) + "\n",
         encoding="utf-8",
     )

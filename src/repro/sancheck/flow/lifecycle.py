@@ -37,7 +37,7 @@ discipline that are *statically* decidable on the call graph:
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.sancheck.findings import Finding
 from repro.sancheck.flow.callgraph import FunctionNode, ProjectIndex
@@ -53,10 +53,18 @@ from repro.sancheck.flow.effects import (
 )
 from repro.sancheck.flow.taint import SummaryMap, Witness
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sancheck.flow.driver import FlowConfig
-
 TOOL = "flow"
+
+#: bare class name every checkpoint protocol descends from
+PROTOCOL_BASE = "CheckpointProtocol"
+#: protocol entry points checked for nondeterministic effects
+LIFECYCLE_ENTRIES = ("checkpoint", "try_restore")
+#: the restore entry checked for premature SHM writes
+RESTORE_ENTRY = "try_restore"
+#: methods whose call closure constitutes the sanctioned lifecycle
+LIFECYCLE_ROOTS = ("__init__", "alloc", "commit", "checkpoint", "try_restore")
+#: last path components of the pure encode/reconstruct kernel modules
+KERNEL_MODULES = ("stripes", "stripes_rs", "raid6", "kernels")
 
 _NONDET: Tuple[Tuple[str, str], ...] = (
     (RNG_UNSEEDED, "unseeded RNG"),
@@ -91,13 +99,11 @@ def kernel_functions(index: ProjectIndex, kernel_modules: Tuple[str, ...]) -> Li
     )
 
 
-def _entry_findings(
-    index: ProjectIndex, summaries: SummaryMap, config: "FlowConfig"
-) -> List[Finding]:
+def _entry_findings(index: ProjectIndex, summaries: SummaryMap) -> List[Finding]:
     out: List[Finding] = []
-    for cqual in protocol_classes(index, config.protocol_base):
+    for cqual in protocol_classes(index, PROTOCOL_BASE):
         cls = index.classes[cqual]
-        for entry in config.lifecycle_entries:
+        for entry in LIFECYCLE_ENTRIES:
             mqual = index.lookup_method(cqual, entry)
             if mqual is None:
                 continue
@@ -122,11 +128,9 @@ def _entry_findings(
     return out
 
 
-def _kernel_findings(
-    index: ProjectIndex, summaries: SummaryMap, config: "FlowConfig"
-) -> List[Finding]:
+def _kernel_findings(index: ProjectIndex, summaries: SummaryMap) -> List[Finding]:
     out: List[Finding] = []
-    for q in kernel_functions(index, config.kernel_modules):
+    for q in kernel_functions(index, KERNEL_MODULES):
         fn = index.functions[q]
         summary = summaries.get(q, {})
         for effect, label in _NONDET:
@@ -182,13 +186,13 @@ def _calls_in_range(
 
 
 def _premature_write_findings(
-    index: ProjectIndex, summaries: SummaryMap, config: "FlowConfig"
+    index: ProjectIndex, summaries: SummaryMap
 ) -> List[Finding]:
     out: List[Finding] = []
     checked: Set[str] = set()
     recv_names = MPI_RECV_METHODS | MPI_COLLECTIVE_METHODS
-    for cqual in protocol_classes(index, config.protocol_base):
-        mqual = index.lookup_method(cqual, config.restore_entry)
+    for cqual in protocol_classes(index, PROTOCOL_BASE):
+        mqual = index.lookup_method(cqual, RESTORE_ENTRY)
         if mqual is None or mqual in checked:
             continue
         checked.add(mqual)
@@ -224,7 +228,7 @@ def _premature_write_findings(
                         rule="lifecycle-premature-write",
                         severity="error",
                         message=(
-                            f"{config.restore_entry}() writes SHM before "
+                            f"{RESTORE_ENTRY}() writes SHM before "
                             "the group status exchange — survivor "
                             "segments are the only recovery source at "
                             "this point"
@@ -242,7 +246,7 @@ def _premature_write_findings(
                             rule="lifecycle-premature-write",
                             severity="error",
                             message=(
-                                f"{config.restore_entry}() reaches an SHM "
+                                f"{RESTORE_ENTRY}() reaches an SHM "
                                 "write before the group status exchange: "
                                 f"{w.describe()}"
                             ),
@@ -253,15 +257,13 @@ def _premature_write_findings(
     return out
 
 
-def _phase_escape_findings(
-    index: ProjectIndex, summaries: SummaryMap, config: "FlowConfig"
-) -> List[Finding]:
+def _phase_escape_findings(index: ProjectIndex, summaries: SummaryMap) -> List[Finding]:
     out: List[Finding] = []
-    for cqual in protocol_classes(index, config.protocol_base):
+    for cqual in protocol_classes(index, PROTOCOL_BASE):
         cls = index.classes[cqual]
         reachable: Set[str] = set()
         frontier: List[str] = []
-        for root in config.lifecycle_roots:
+        for root in LIFECYCLE_ROOTS:
             frontier.extend(index.dispatch_targets(cqual, root))
         while frontier:
             q = frontier.pop()
@@ -273,7 +275,7 @@ def _phase_escape_findings(
                 frontier.extend(c for c, _line in fn.calls)
         for mname in sorted(cls.methods):
             mqual = cls.methods[mname]
-            if mqual in reachable or mname in config.lifecycle_roots:
+            if mqual in reachable or mname in LIFECYCLE_ROOTS:
                 continue
             w: Optional[Witness] = summaries.get(mqual, {}).get(MUTATES_SHM)
             if w is None:
@@ -287,7 +289,7 @@ def _phase_escape_findings(
                     message=(
                         f"{cls.name}.{mname}() mutates SHM but is not "
                         "reachable from the protocol lifecycle "
-                        f"({'/'.join(config.lifecycle_roots)}) — phase "
+                        f"({'/'.join(LIFECYCLE_ROOTS)}) — phase "
                         f"discipline cannot be guaranteed: {w.describe()}"
                     ),
                     file=fn.file,
@@ -297,14 +299,12 @@ def _phase_escape_findings(
     return out
 
 
-def lifecycle_findings(
-    index: ProjectIndex, summaries: SummaryMap, config: "FlowConfig"
-) -> List[Finding]:
+def lifecycle_findings(index: ProjectIndex, summaries: SummaryMap) -> List[Finding]:
     out: List[Finding] = []
-    out.extend(_entry_findings(index, summaries, config))
-    out.extend(_kernel_findings(index, summaries, config))
-    out.extend(_premature_write_findings(index, summaries, config))
-    out.extend(_phase_escape_findings(index, summaries, config))
+    out.extend(_entry_findings(index, summaries))
+    out.extend(_kernel_findings(index, summaries))
+    out.extend(_premature_write_findings(index, summaries))
+    out.extend(_phase_escape_findings(index, summaries))
     return out
 
 

@@ -33,12 +33,9 @@ class Witness:
     file: str
     line: int
 
-    def describe(self, strip_prefix: str = "repro.") -> str:
-        names = [
-            c[len(strip_prefix):] if c.startswith(strip_prefix) else c
-            for c in self.chain
-        ]
-        hops = " -> ".join(names)
+    def describe(self) -> str:
+        """The chain with the ``repro.`` package prefix dropped."""
+        hops = " -> ".join(c.removeprefix("repro.") for c in self.chain)
         return f"{hops} -> {self.site} ({self.file}:{self.line})"
 
 

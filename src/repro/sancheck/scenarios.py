@@ -15,15 +15,15 @@ with zero findings, or the detector itself is broken.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.obs.spans import SpanTracer
 from repro.sancheck.races import RaceDetector
 from repro.sim import Cluster, Job, JobResult
 
 
-def run_seeded_race(n_ranks: int = 2) -> Tuple[JobResult, RaceDetector]:
-    """Deliberately racy: all ranks on one node write one SHM segment with
+def run_seeded_race() -> Tuple[JobResult, RaceDetector]:
+    """Deliberately racy: two ranks on one node write one SHM segment with
     no happens-before edge.  The detector must flag it."""
 
     def app(ctx):
@@ -35,32 +35,27 @@ def run_seeded_race(n_ranks: int = 2) -> Tuple[JobResult, RaceDetector]:
         return float(seg.read()[0])
 
     cluster = Cluster(1)
-    detector = RaceDetector(n_ranks)
-    job = Job(cluster, app, n_ranks, ranklist=[0] * n_ranks)
+    detector = RaceDetector(2)
+    job = Job(cluster, app, 2, ranklist=[0, 0])
     detector.install(job)
     result = job.run()
     return result, detector
 
 
-def run_clean_selfckpt(
-    n_ranks: int = 4,
-    group_size: int = 4,
-    iters: int = 4,
-    ckpt_every: int = 2,
-    race: Optional[RaceDetector] = None,
-) -> Tuple[JobResult, RaceDetector]:
-    """A correct self-checkpoint run (the paper's protocol, §3) under the
-    race detector; any finding here is a detector false positive — or a
-    real simulator regression, which is exactly what CI wants to catch."""
+def run_clean_selfckpt() -> Tuple[JobResult, RaceDetector]:
+    """A correct self-checkpoint run (the paper's protocol, §3; four ranks,
+    one group, four iterations, a checkpoint every two) under the race
+    detector; any finding here is a detector false positive — or a real
+    simulator regression, which is exactly what CI wants to catch."""
     from repro.apps.iterative import IterativeConfig, iterative_main
 
-    cfg = IterativeConfig(iters=iters, ckpt_every=ckpt_every, group_size=group_size)
-    cluster = Cluster(n_ranks)
-    race = race or RaceDetector(n_ranks)
+    cfg = IterativeConfig(iters=4, ckpt_every=2, group_size=4)
+    cluster = Cluster(4)
+    race = RaceDetector(4)
     job = Job(
         cluster,
         iterative_main,
-        n_ranks,
+        4,
         args=(cfg,),
         procs_per_node=1,
         tracer=SpanTracer(),

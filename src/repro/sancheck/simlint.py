@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -139,15 +138,6 @@ METRIC_METHODS = {"counter", "gauge", "histogram"}
 #: modules whose import marks host-process parallelism (``parallel`` rule)
 PARALLEL_MODULES = ("multiprocessing", "concurrent.futures")
 
-ALL_RULES = (
-    "wallclock",
-    "threading",
-    "rng",
-    "recv-mutate",
-    "obs-label",
-    "parallel",
-)
-
 _PRAGMA_RE = re.compile(
     r"#\s*simlint:\s*(?:allow|disable)(?:\[([\w\-,\s]*)\]|=([\w\-,\s]+))?"
 )
@@ -155,7 +145,8 @@ _PRAGMA_RE = re.compile(
 
 #: modules that may read the host clock, and modules that own RNG
 #: construction — the one pair of allowlists simlint and the whole-program
-#: flow analysis both default to
+#: flow analysis both use (every allowlist prefix-matches dotted module
+#: names)
 WALLCLOCK_ALLOW: Tuple[str, ...] = (
     "repro.par.progress",
     # lease expiry is real-world liveness (a dead executor's wall
@@ -163,17 +154,9 @@ WALLCLOCK_ALLOW: Tuple[str, ...] = (
     "repro.shard",
 )
 RNG_ALLOW: Tuple[str, ...] = ("repro.util.rng",)
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Per-rule module allowlists (prefix match on dotted module names)."""
-
-    wallclock_allow: Tuple[str, ...] = WALLCLOCK_ALLOW
-    threading_allow: Tuple[str, ...] = ("repro.sim",)
-    rng_allow: Tuple[str, ...] = RNG_ALLOW
-    parallel_allow: Tuple[str, ...] = ("repro.par", "repro.shard")
-    rules: Tuple[str, ...] = ALL_RULES
+#: modules that may construct threads, and import host-process parallelism
+THREADING_ALLOW: Tuple[str, ...] = ("repro.sim",)
+PARALLEL_ALLOW: Tuple[str, ...] = ("repro.par", "repro.shard")
 
 
 def _module_allowed(module: str, prefixes: Sequence[str]) -> bool:
@@ -331,13 +314,11 @@ class _Linter(ast.NodeVisitor):
         self,
         module: str,
         filename: str,
-        config: LintConfig,
         pragmas: Dict[int, Optional[Set[str]]],
         imports: ImportResolver,
     ):
         self.module = module
         self.filename = filename
-        self.config = config
         self.pragmas = pragmas
         self.imports = imports
         self.findings: List[Finding] = []
@@ -353,7 +334,7 @@ class _Linter(ast.NodeVisitor):
 
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
         lineno = getattr(node, "lineno", 0)
-        if rule not in self.config.rules or self._suppressed(rule, lineno):
+        if self._suppressed(rule, lineno):
             return
         self.findings.append(
             Finding(
@@ -378,9 +359,7 @@ class _Linter(ast.NodeVisitor):
 
     def _check_parallel_import(self, node: ast.AST, module: str) -> None:
         hit = self._parallel_module(module)
-        if hit is not None and not _module_allowed(
-            self.module, self.config.parallel_allow
-        ):
+        if hit is not None and not _module_allowed(self.module, PARALLEL_ALLOW):
             self._report(
                 "parallel",
                 node,
@@ -434,14 +413,14 @@ class _Linter(ast.NodeVisitor):
                 path,
                 bool(node.args or node.keywords),
                 self.module,
-                self.config.wallclock_allow,
-                self.config.rng_allow,
+                WALLCLOCK_ALLOW,
+                RNG_ALLOW,
             )
             if kind in _NONDET_FINDINGS:
                 rule, message = _NONDET_FINDINGS[kind]
                 self._report(rule, node, message.format(path=path))
             if path in THREADING_CALLS and not _module_allowed(
-                self.module, self.config.threading_allow
+                self.module, THREADING_ALLOW
             ):
                 self._report(
                     "threading",
@@ -548,10 +527,8 @@ def lint_source(
     source: str,
     filename: str,
     module: Optional[str] = None,
-    config: Optional[LintConfig] = None,
 ) -> List[Finding]:
     """Lint one source string; returns findings (possibly a syntax error)."""
-    config = config or LintConfig()
     module = module or module_name_for(Path(filename))
     try:
         tree = ast.parse(source, filename=filename)
@@ -569,7 +546,7 @@ def lint_source(
     imports.visit(tree)
     pragmas = _pragma_lines(source)
     _anchor_decorator_pragmas(tree, pragmas)
-    linter = _Linter(module, filename, config, pragmas, imports)
+    linter = _Linter(module, filename, pragmas, imports)
     linter.visit(tree)
     return sorted(linter.findings, key=lambda f: (f.file, f.line, f.rule, f.message))
 
@@ -584,17 +561,11 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
     return out
 
 
-def lint_paths(
-    paths: Sequence[Path], config: Optional[LintConfig] = None
-) -> List[Finding]:
+def lint_paths(paths: Sequence[Path]) -> List[Finding]:
     """Lint every ``*.py`` under ``paths`` (files or directories)."""
     findings: List[Finding] = []
     for path in iter_python_files([Path(p) for p in paths]):
-        findings.extend(
-            lint_source(
-                path.read_text(encoding="utf-8"), str(path), config=config
-            )
-        )
+        findings.extend(lint_source(path.read_text(encoding="utf-8"), str(path)))
     return findings
 
 

@@ -67,26 +67,22 @@ def run_executor(
     lease_s: float = 60.0,
     cache_dir: Optional[str] = None,
     poll_s: float = 0.05,
-    owner: Optional[str] = None,
     attempts_cap: int = DEFAULT_ATTEMPTS_CAP,
-    heartbeat: bool = True,
 ) -> int:
     """Drain the queue at ``queue_path``; returns units this worker ran.
 
     Spawned by the driver as an independent process, but also callable
     inline (the tests drive single executors through crash/resume
-    scenarios this way).  ``owner`` defaults to a per-process identity
-    so lease rows name their claimant.  ``attempts_cap`` bounds how
-    often a barren shard is re-issued before its first unjournaled unit
-    is quarantined; ``heartbeat=False`` disables the renewal thread
-    (inline tests that want deterministic lease expiry).  ``lease_s``
-    must be positive: a lease that expires at grant is stolen before its
-    first journal write, and healthy units end up quarantined.
+    scenarios this way).  Lease rows name their claimant by a
+    per-process identity.  ``attempts_cap`` bounds how often a barren
+    shard is re-issued before its first unjournaled unit is quarantined.
+    ``lease_s`` must be positive: a lease that expires at grant is
+    stolen before its first journal write, and healthy units end up
+    quarantined.
     """
     if lease_s <= 0:
         raise ValueError(f"lease_s must be > 0 seconds, got {lease_s}")
-    if owner is None:
-        owner = f"exec{worker_index}.pid{os.getpid()}"
+    owner = f"exec{worker_index}.pid{os.getpid()}"
     faults = FaultPlan.from_env(worker_index)
     if faults.clock_offset_s:
         offset = faults.clock_offset_s
@@ -112,7 +108,7 @@ def run_executor(
             executed += _drain_shard(
                 queue, queue_path, lease, lease_s,
                 cache=cache, faults=faults, attempts_cap=attempts_cap,
-                heartbeat=heartbeat, executed_before=executed, owner=owner,
+                executed_before=executed, owner=owner,
             )
     return executed
 
@@ -126,7 +122,6 @@ def _drain_shard(
     cache: Optional[MemoCache],
     faults: FaultPlan,
     attempts_cap: int,
-    heartbeat: bool,
     executed_before: int,
     owner: str,
 ) -> int:
@@ -137,11 +132,9 @@ def _drain_shard(
         return retry_transient(fn, seed=owner)
 
     ran = 0
-    hb = (
-        LeaseHeartbeat(queue_path, lease, lease_s, clock=queue.clock).start()
-        if heartbeat
-        else None
-    )
+    hb: Optional[LeaseHeartbeat] = LeaseHeartbeat(
+        queue_path, lease, lease_s, clock=queue.clock
+    ).start()
     try:
         if attempts_cap > 0 and lease.attempts >= attempts_cap:
             victim = _q(lambda: queue.first_unjournaled(lease.shard_id))

@@ -11,7 +11,6 @@ matching the failure semantics the paper depends on (section 2.3, 5.2).
 from repro.sim.errors import (
     JobAbortedError,
     NodeFailedError,
-    OutOfMemoryError,
     ShmError,
     SimError,
     UnrecoverableError,
@@ -36,7 +35,6 @@ __all__ = [
     "SimError",
     "NodeFailedError",
     "JobAbortedError",
-    "OutOfMemoryError",
     "ShmError",
     "UnrecoverableError",
     "NetworkParams",

@@ -27,8 +27,6 @@ class Cluster:
         both Tianhe partitions are).
     n_spares:
         Extra healthy nodes available to replace failures.
-    enforce_memory:
-        Propagated to each node's memory accounting.
     """
 
     def __init__(
@@ -37,7 +35,6 @@ class Cluster:
         spec: NodeSpec | None = None,
         *,
         n_spares: int = 0,
-        enforce_memory: bool = False,
     ):
         if n_nodes < 1:
             raise ValueError("cluster needs at least one node")
@@ -46,7 +43,7 @@ class Cluster:
         self.spec = spec or NodeSpec()
         self._nodes: Dict[int, Node] = {}
         for i in range(n_nodes + n_spares):
-            self._nodes[i] = Node(i, self.spec, enforce_memory=enforce_memory)
+            self._nodes[i] = Node(i, self.spec)
         self._active_ids: List[int] = list(range(n_nodes))
         self._spare_ids: List[int] = list(range(n_nodes, n_nodes + n_spares))
         #: Non-volatile key/value storage (local disks / parallel FS).

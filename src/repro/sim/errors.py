@@ -30,10 +30,6 @@ class JobAbortedError(SimError):
     """The job is aborting (some other rank's node failed)."""
 
 
-class OutOfMemoryError(SimError):
-    """A node-level memory allocation exceeded capacity."""
-
-
 class ShmError(SimError):
     """Invalid shared-memory operation (missing segment, name clash, ...)."""
 

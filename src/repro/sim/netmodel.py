@@ -86,10 +86,10 @@ class NetworkModel:
         r = self._rounds(nprocs)
         return r * self.p2p_time(nbytes)
 
-    def reduce_time(self, nbytes: int, nprocs: int, *, contended: bool = False) -> float:
+    def reduce_time(self, nbytes: int, nprocs: int) -> float:
         """Binomial-tree reduce of an ``nbytes`` buffer."""
         r = self._rounds(nprocs)
-        return r * self.p2p_time(nbytes, contended=contended)
+        return r * self.p2p_time(nbytes)
 
     def allreduce_time(self, nbytes: int, nprocs: int) -> float:
         """Reduce + broadcast (the simple, pessimistic composition)."""

@@ -1,10 +1,10 @@
-"""Simulated compute node: cores, flops rating, memory accounting, SHM.
+"""Simulated compute node: cores, flops rating, SHM.
 
 A :class:`Node` is pure state — threads belonging to ranks mapped onto the
-node consult it for compute speed, charge allocations against its memory,
-and keep SHM segments in its :class:`~repro.sim.shm.ShmStore`.  Powering a
-node off (``fail``) marks it dead and destroys its SHM, which is precisely
-the event the checkpoint protocols must survive.
+node consult it for compute speed and keep SHM segments in its
+:class:`~repro.sim.shm.ShmStore`.  Powering a node off (``fail``) marks it
+dead and destroys its SHM, which is precisely the event the checkpoint
+protocols must survive.
 
 ``NodeSpec`` captures the paper's Table 2 rows; the two Tianhe machines are
 predefined in :mod:`repro.models.machines`.
@@ -12,10 +12,8 @@ predefined in :mod:`repro.models.machines`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
-from repro.sim.errors import OutOfMemoryError
 from repro.sim.netmodel import NetworkParams
 from repro.sim.shm import ShmStore
 
@@ -65,20 +63,12 @@ class NodeSpec:
 class Node:
     """One node of the simulated cluster."""
 
-    def __init__(self, node_id: int, spec: NodeSpec, *, enforce_memory: bool = False):
+    def __init__(self, node_id: int, spec: NodeSpec):
         self.node_id = node_id
         self.spec = spec
-        #: When True, allocations beyond ``spec.mem_bytes`` raise
-        #: :class:`OutOfMemoryError`.  Off by default because most tests run
-        #: shrunken problem sizes against full-size node specs.
-        self.enforce_memory = enforce_memory
         self._alive = True
         self._failed_at: float | None = None
-        self._mem_used = 0
-        self._mem_lock = threading.Lock()
-        self.shm = ShmStore(
-            charge=self.malloc, release=self.free, node_id=node_id
-        )
+        self.shm = ShmStore(node_id=node_id)
 
     # -- liveness ------------------------------------------------------------
     @property
@@ -106,27 +96,6 @@ class Node:
         self._alive = False
         self.shm.clear()
 
-    # -- memory accounting ----------------------------------------------------
-    def malloc(self, nbytes: int) -> None:
-        """Charge an allocation — private, or an SHM segment's — against
-        this node."""
-        with self._mem_lock:
-            if self.enforce_memory and self._mem_used + nbytes > self.spec.mem_bytes:
-                raise OutOfMemoryError(
-                    f"node {self.node_id}: allocation of {nbytes}B exceeds "
-                    f"capacity ({self._mem_used}/{self.spec.mem_bytes}B used)"
-                )
-            self._mem_used += nbytes
-
-    def free(self, nbytes: int) -> None:
-        with self._mem_lock:
-            self._mem_used = max(0, self._mem_used - nbytes)
-
-    @property
-    def mem_used(self) -> int:
-        with self._mem_lock:
-            return self._mem_used
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self._alive else "DOWN"
-        return f"Node({self.node_id}, {state}, mem_used={self._mem_used})"
+        return f"Node({self.node_id}, {state})"

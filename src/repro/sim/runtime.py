@@ -235,10 +235,6 @@ class RankContext:
         return _SpanHandle(self, name, attrs)
 
     # -- memory ----------------------------------------------------------------------
-    def malloc(self, nbytes: int) -> None:
-        """Charge a private (non-SHM) allocation against this rank's node."""
-        self.node.malloc(nbytes)
-
     def shm_create(
         self,
         name: str,
@@ -255,10 +251,10 @@ class RankContext:
     def shm_exists(self, name: str) -> bool:
         return self.node.shm.exists(name)
 
-    def shm_unlink(self, name: str, *, missing_ok: bool = False) -> None:
+    def shm_unlink(self, name: str) -> None:
         if not self.node.alive:
             raise NodeFailedError(self.node.node_id, self.clock)
-        self.node.shm.unlink(name, missing_ok=missing_ok)
+        self.node.shm.unlink(name)
 
 
 #: carriers parked between jobs; a forked child's have no thread behind them

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,21 +68,12 @@ class ShmStore:
     """All SHM segments of one node.
 
     Thread-safe: multiple ranks co-resident on a node may create/attach
-    concurrently.  Memory charged against the node is delegated through the
-    ``charge``/``release`` callables supplied by the owning :class:`Node`.
+    concurrently.
     """
 
-    def __init__(
-        self,
-        charge: Callable[[int], None],
-        release: Callable[[int], None],
-        *,
-        node_id: int = -1,
-    ):
+    def __init__(self, node_id: int):
         self._segments: Dict[str, ShmSegment] = {}
         self._lock = threading.Lock()  # simlint: allow[threading] -- node-internal store lock
-        self._charge = charge
-        self._release = release
         self.node_id = node_id
         #: optional :class:`~repro.sim.observer.SimObserver` receiving
         #: ``on_shm`` events for every segment operation on this node
@@ -123,7 +114,6 @@ class ShmStore:
                 kind = "attach"
             else:
                 arr = np.zeros(shape, dtype=dtype)
-                self._charge(arr.nbytes)
                 seg = ShmSegment(name=name, array=arr, _store=self)
                 self._segments[name] = seg
                 kind = "create"
@@ -135,22 +125,19 @@ class ShmStore:
             return name in self._segments
 
     def unlink(self, name: str, *, missing_ok: bool = False) -> None:
-        """Free a segment and release its memory accounting."""
+        """Free a segment."""
         with self._lock:
             seg = self._segments.pop(name, None)
             if seg is None:
                 if missing_ok:
                     return
                 raise ShmError(f"no SHM segment named {name!r}")
-            self._release(seg.nbytes)
         self._notify(name, "unlink", seg.nbytes)
 
     def clear(self) -> None:
         """Destroy everything (node power-off)."""
         with self._lock:
-            total = sum(seg.nbytes for seg in self._segments.values())
             self._segments.clear()
-            self._release(total)
 
     def names(self) -> List[str]:
         with self._lock:

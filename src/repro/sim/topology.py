@@ -81,7 +81,7 @@ class Topology:
         return 1.0 - frac_cross * (1.0 - self.inter_rack_bw_factor)
 
 
-def fail_rack(cluster, topology: Topology, rack: int, when: float = 0.0) -> List[int]:
+def fail_rack(cluster, topology: Topology, rack: int) -> List[int]:
     """Power off every active node in ``rack`` (switch loss).
 
     Returns the failed node ids.  Spares in the rack die too — they are
@@ -96,5 +96,5 @@ def fail_rack(cluster, topology: Topology, rack: int, when: float = 0.0) -> List
     if not victims:
         raise SimError(f"rack {rack} has no live nodes")
     for nid in victims:
-        cluster.fail_node(nid, when)
+        cluster.fail_node(nid)
     return victims

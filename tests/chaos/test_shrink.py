@@ -46,8 +46,6 @@ class TestRandomCampaign:
             RandomCampaignConfig(n_schedules=0)
         with pytest.raises(ValueError):
             RandomCampaignConfig(mtbf_scale=0)
-        with pytest.raises(ValueError):
-            RandomCampaignConfig(p_extra=1.5)
 
     def test_generate_is_seed_deterministic(self):
         probe = probe_baseline(scenario())

@@ -253,6 +253,20 @@ class TestArtifactsAndCli:
         assert captured.err.splitlines() == [f"repro obs: {why}"]
         assert not (tmp_path / "obs-out").exists()
 
+    def test_cli_fail_at_without_a_phase_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["--scenario", "selfckpt", "--fail-at", ":2", "--report-only"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("repro obs: error: --fail-at: no phase")
+
+    def test_cli_zero_interval_exits_2_with_one_line(self, capsys):
+        rc = obs_main(["--scenario", "selfckpt", "--interval", "0", "--report-only"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["repro obs: ckpt_every must be >= 1"]
+
     def test_cli_trigger_that_never_fires_is_not_a_clean_run(self, capsys):
         rc = obs_main(
             ["--scenario", "selfckpt", "--fail-at", "nosuch:1", "--report-only"]

@@ -13,7 +13,6 @@ import pytest
 
 from repro.sancheck import default_lint_root
 from repro.sancheck.flow import (
-    FlowConfig,
     RNG_UNSEEDED,
     WALLCLOCK,
     analyze_index,
@@ -23,8 +22,12 @@ from repro.sancheck.flow import (
 )
 from repro.sancheck.flow.effects import build_intrinsics
 from repro.sancheck.flow.export import to_jsonl
-from repro.sancheck.flow.lifecycle import kernel_functions, protocol_classes
-from repro.sancheck.simlint import WALLCLOCK_ALLOW, lint_paths
+from repro.sancheck.flow.lifecycle import (
+    KERNEL_MODULES,
+    kernel_functions,
+    protocol_classes,
+)
+from repro.sancheck.simlint import RNG_ALLOW, WALLCLOCK_ALLOW, lint_paths
 
 FIXTURE = Path(__file__).parent / "fixtures" / "badckpt"
 
@@ -79,25 +82,17 @@ class TestPropagation:
     def test_unseeded_default_argument_is_its_own_source(self):
         """Violation 3 of the fixture: ``gen_block``'s default argument
         alone makes it an RNG source, independent of ``jitter``."""
-        config = FlowConfig()
         index = build_index([FIXTURE])
         summaries = propagate(
-            index,
-            build_intrinsics(
-                index.functions, config.wallclock_allow, config.rng_allow
-            ),
+            index, build_intrinsics(index.functions, WALLCLOCK_ALLOW, RNG_ALLOW)
         )
         w = summaries["proto.EvilCheckpoint.gen_block"][RNG_UNSEEDED]
         assert "default_rng" in w.site
 
     def test_wallclock_taints_through_helper_module(self):
-        config = FlowConfig()
         index = build_index([FIXTURE])
         summaries = propagate(
-            index,
-            build_intrinsics(
-                index.functions, config.wallclock_allow, config.rng_allow
-            ),
+            index, build_intrinsics(index.functions, WALLCLOCK_ALLOW, RNG_ALLOW)
         )
         w = summaries["proto.EvilCheckpoint.try_restore"][WALLCLOCK]
         assert w.chain[-1] == "helpers.stamp"
@@ -171,7 +166,7 @@ class TestRealTree:
     def test_shipped_package_has_no_errors(self, shipped_index):
         """The shipped protocols must satisfy their own lifecycle
         discipline (warnings may exist; errors may not)."""
-        fs = analyze_index(shipped_index, FlowConfig())
+        fs = analyze_index(shipped_index)
         assert [f for f in fs if f.severity == "error"] == []
 
     def test_all_shipped_protocols_are_seen(self, shipped_index):
@@ -259,11 +254,11 @@ class TestKernelModuleList:
         assert f.rule == "flow-kernel-nondet" and f.severity == "error"
         assert "gpow_fold" in f.message and "unseeded RNG" in f.message
         # the hole this closes: the pre-kernels module list saw nothing
-        old = FlowConfig(kernel_modules=("stripes", "stripes_rs", "raid6"))
-        assert analyze_paths([pkg], old) == []
+        old = ("stripes", "stripes_rs", "raid6")
+        assert kernel_functions(build_index([pkg]), old) == []
 
     def test_shipped_folds_are_kernel_functions(self, shipped_index):
-        quals = kernel_functions(shipped_index, FlowConfig().kernel_modules)
+        quals = kernel_functions(shipped_index, KERNEL_MODULES)
         for name in (
             "kernels.NumpyKernels.gpow_fold",
             "kernels.use_backend",

@@ -1,9 +1,9 @@
-"""Tests for SHM segments, node memory accounting, and node failure."""
+"""Tests for SHM segments and node failure."""
 
 import numpy as np
 import pytest
 
-from repro.sim import Node, NodeSpec, OutOfMemoryError, ShmError
+from repro.sim import Node, NodeSpec, ShmError
 from repro.util import GiB
 
 
@@ -51,10 +51,9 @@ class TestShm:
 
     def test_unlink_releases_memory(self, node):
         node.shm.create("x", 1024, np.uint8)
-        used = node.mem_used
         node.shm.unlink("x")
-        assert node.mem_used == used - 1024
         assert not node.shm.exists("x")
+        assert node.shm.snapshot() == []
 
     def test_unlink_missing_ok(self, node):
         node.shm.unlink("ghost", missing_ok=True)
@@ -70,7 +69,7 @@ class TestShm:
     def test_total_bytes(self, node):
         node.shm.create("x", 100, np.uint8)
         node.shm.create("y", 28, np.uint8)
-        assert node.mem_used == 128  # every segment's bytes are charged
+        assert sum(seg.nbytes for seg in node.shm) == 128
 
 
 class TestNodeLifecycle:
@@ -80,33 +79,11 @@ class TestNodeLifecycle:
         assert not node.alive
         assert node.failed_at == 12.5
         assert len(node.shm) == 0
-        assert node.mem_used == 0
 
     def test_fail_idempotent(self, node):
         node.fail(1.0)
         node.fail(2.0)
         assert node.failed_at == 1.0
-
-
-class TestMemoryAccounting:
-    def test_malloc_free(self, node):
-        node.malloc(100)
-        assert node.mem_used == 100
-        node.free(40)
-        assert node.mem_used == 60
-
-    def test_enforcement(self):
-        node = Node(0, NodeSpec(mem_bytes=1000), enforce_memory=True)
-        node.malloc(900)
-        with pytest.raises(OutOfMemoryError):
-            node.malloc(200)
-
-    def test_no_enforcement_by_default(self, node):
-        node.malloc(node.spec.mem_bytes * 2)  # allowed: accounting only
-
-    def test_free_floors_at_zero(self, node):
-        node.free(10**9)
-        assert node.mem_used == 0
 
 
 class TestSnapshot:

@@ -1,5 +1,5 @@
-"""No public top-level function or class under ``src/repro``, and no
-public member of such a class, is an orphan.
+"""No public top-level function or class under ``src/repro``, no public
+member of such a class, and no defaulted parameter of either is an orphan.
 
 An orphan is code only its own tests reach: it costs reading, review and
 tier-1 seconds and tells the reader nothing about what the system does.
@@ -16,6 +16,12 @@ keeps a function ``render`` alive); the check exists to catch the plain
 case, a helper nobody calls.  What it cannot see — a reader half whose
 writer half is the consumer, an oracle the tests are *for* — is listed in
 ``ALLOWED`` with the reason it stays.
+
+An orphan parameter is an option nothing sets: every run takes its
+default, so it is a constant with a knob on it.  Its check
+(:func:`find_orphan_parameters`) counts tests as callers, since a
+parameter a test sets is a seam; exceptions are listed in
+``ALLOWED_PARAMS``.
 """
 
 import ast
@@ -81,11 +87,6 @@ ALLOWED = {
         "scalar reference: the GF(2^8) field-law tests and the vec_mul / "
         "vec_mul_xor kernel tests check against it"
     ),
-    "repro.sim.node.Node.mem_used": (
-        "the one reader of the node memory ledger that ctx.malloc and SHM "
-        "segments charge and enforce_memory bounds; the accounting tests "
-        "assert through it"
-    ),
     "repro.util.units.parse_bytes": (
         "inverse of fmt_bytes at the configuration boundary; listed for "
         "removal by ISSUE 22 and kept only because ten floor tests pin it "
@@ -135,15 +136,15 @@ def _public_definitions(tree, module):
             yield f"{module}.{node.name}.{member.name}", member
 
 
-def find_orphans(root=ROOT, package=PACKAGE):
-    """``{qualified name: "file:line"}`` of unreferenced public top-level
-    definitions and class members under ``package``."""
-    consumed = Counter()
-    for top in CONSUMER_DIRS:
+def _trees(root, dirs):
+    for top in dirs:
         for path in _python_files(os.path.join(root, top)):
             with open(path, encoding="utf-8") as f:
-                consumed.update(_loads(ast.parse(f.read(), path)))
-    orphans = {}
+                yield ast.parse(f.read(), path)
+
+
+def _modules(package):
+    """``(path relative to the package's parent, dotted module, tree)``."""
     for path in _python_files(package):
         with open(path, encoding="utf-8") as f:
             tree = ast.parse(f.read(), path)
@@ -151,6 +152,17 @@ def find_orphans(root=ROOT, package=PACKAGE):
         module = rel[: -len(".py")].replace(os.sep, ".")
         if module.endswith(".__init__"):
             module = module[: -len(".__init__")]
+        yield rel, module, tree
+
+
+def find_orphans(root=ROOT, package=PACKAGE):
+    """``{qualified name: "file:line"}`` of unreferenced public top-level
+    definitions and class members under ``package``."""
+    consumed = Counter()
+    for tree in _trees(root, CONSUMER_DIRS):
+        consumed.update(_loads(tree))
+    orphans = {}
+    for rel, module, tree in _modules(package):
         for qualified, node in _public_definitions(tree, module):
             if consumed[node.name] - _loads(node)[node.name] <= 0:
                 orphans[qualified] = f"{rel}:{node.lineno}"
@@ -196,10 +208,212 @@ def test_class_members_are_checked_by_the_same_rule(tmp_path):
     assert sorted(found) == ["pkg.mod.Shape.again", "pkg.mod.Shape.unit"]
 
 
-def test_allowlist_is_minimal_and_reasoned(orphans):
-    stale = sorted(q for q in ALLOWED if q not in orphans)
-    assert not stale, f"allowlisted but referenced (or gone): {stale}"
-    assert all(len(reason) > 20 for reason in ALLOWED.values())
+#: consumers of a parameter: unlike definitions, a parameter a test sets is
+#: a seam (a fake clock, a small size), so tests count as callers here
+PARAM_CONSUMER_DIRS = CONSUMER_DIRS + ("tests",)
+
+#: qualified parameter (``module.function.parameter``, ``module.Class.field``
+#: for a ``*Config`` field) -> why a parameter no call sets stays
+ALLOWED_PARAMS = {
+    "repro.chaos.schedules.random_campaign.cache": (
+        "documented one-call API of the randomized campaign (docs/CHAOS.md): "
+        "its signature mirrors run_kill_matrix's executor options"
+    ),
+    "repro.shard.faults.FaultPlan.__init__.sleep": (
+        "test seam: the fault tests pass a fake sleep through "
+        "FaultPlan.from_env(**kw), which forwards to cls(...) — a call the "
+        "bare-name walk cannot tie to FaultPlan"
+    ),
+    "repro.shard.faults.FaultPlan.__init__.hard_exit": (
+        "test seam: a fake os._exit, passed the same way as sleep"
+    ),
+}
+
+
+def _is_dataclass(node):
+    return any(
+        _callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _defaulted(args, offset):
+    """``[(parameter node, positional index or None)]`` of the defaulted
+    parameters of a signature; ``offset`` is the count of leading
+    parameters a call never passes (``self``, ``cls``)."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a, i - offset) for i, a in enumerate(positional) if i >= first]
+    out += [
+        (a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    return out
+
+
+def _signature_params(tree, module):
+    """``(callee name, qualified parameter, parameter, positional index,
+    line)`` of every defaulted parameter in scope: public top-level
+    functions, public methods and ``__init__`` of public top-level classes,
+    and ``*Config`` dataclass fields (positional in field order).  A call
+    reaches an ``__init__`` or a field through the class name."""
+    for node in tree.body:
+        if not isinstance(node, _DEFS) or node.name.startswith("_"):
+            continue
+        if not isinstance(node, ast.ClassDef):
+            for a, index in _defaulted(node.args, 0):
+                yield (node.name, f"{module}.{node.name}.{a.arg}", a.arg,
+                       index, a.lineno)
+            continue
+        if node.name.endswith("Config") and _is_dataclass(node):
+            fields = [
+                f for f in node.body
+                if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+            ]
+            for index, f in enumerate(fields):
+                if f.value is not None:
+                    name = f.target.id
+                    yield (node.name, f"{module}.{node.name}.{name}", name,
+                           index, f.lineno)
+        for member in node.body:
+            if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if member.name.startswith("_") and member.name != "__init__":
+                continue
+            static = "staticmethod" in map(_callee, member.decorator_list)
+            callee = node.name if member.name == "__init__" else member.name
+            for a, index in _defaulted(member.args, 0 if static else 1):
+                yield (callee, f"{module}.{node.name}.{member.name}.{a.arg}",
+                       a.arg, index, a.lineno)
+
+
+def _callee(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _calls(tree):
+    """``(callee name, positional args, keywords)`` of every call, with
+    ``functools.partial(f, ...)`` read as a call of ``f`` and
+    ``Process(target=f, args=(...), kwargs={...})`` as one too."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee, args = _callee(node.func), node.args
+        if callee == "partial" and args:
+            callee, args = _callee(args[0]), args[1:]
+        yield callee, args, node.keywords
+        spawn = {kw.arg: kw.value for kw in node.keywords if kw.arg}
+        if "target" in spawn:
+            targs, tkws = spawn.get("args"), spawn.get("kwargs")
+            yield (
+                _callee(spawn["target"]),
+                targs.elts if isinstance(targs, ast.Tuple) else [],
+                [
+                    ast.keyword(arg=k.value, value=v)
+                    for k, v in zip(tkws.keys, tkws.values)
+                    if isinstance(k, ast.Constant)
+                ] if isinstance(tkws, ast.Dict) else [],
+            )
+
+
+def find_orphan_parameters(root=ROOT, package=PACKAGE):
+    """``{qualified parameter: "file:line"}`` of the defaulted parameters in
+    scope that no call under ``src/``, ``benchmarks/``, ``examples/`` or
+    ``tests/`` sets by keyword, reaches by position or forwards ``**`` to.
+    Calls match by bare callee name; a keyword passed to a callee defined
+    nowhere under ``package`` (``cls(...)``, ``build(...)``) is dispatch
+    the walk cannot resolve, and consumes that keyword everywhere."""
+    params, defined = [], set()
+    for rel, module, tree in _modules(package):
+        defined.update(n.name for n in ast.walk(tree) if isinstance(n, _DEFS))
+        params += [(rel, *p) for p in _signature_params(tree, module)]
+    keywords, reach, splat, anywhere = set(), {}, set(), set()
+    for tree in _trees(root, PARAM_CONSUMER_DIRS):
+        for callee, args, kws in _calls(tree):
+            starred = any(isinstance(a, ast.Starred) for a in args)
+            reach[callee] = max(
+                reach.get(callee, 0), float("inf") if starred else len(args)
+            )
+            for kw in kws:
+                if kw.arg is None:
+                    splat.add(callee)
+                elif callee in defined:
+                    keywords.add((callee, kw.arg))
+                else:
+                    anywhere.add(kw.arg)
+    return {
+        qualified: f"{rel}:{line}"
+        for rel, callee, qualified, name, index, line in params
+        if (callee, name) not in keywords
+        and callee not in splat
+        and name not in anywhere
+        and (index is None or index >= reach.get(callee, 0))
+    }
+
+
+@pytest.fixture(scope="module")
+def orphan_parameters():
+    return find_orphan_parameters()
+
+
+def test_every_parameter_has_a_caller(orphan_parameters):
+    unexpected = {
+        q: at for q, at in orphan_parameters.items() if q not in ALLOWED_PARAMS
+    }
+    assert not unexpected, (
+        "set by no call under src/, benchmarks/, examples/ or tests/ — make "
+        f"each default a constant and drop the parameter: {unexpected}"
+    )
+
+
+def test_parameters_are_consumed_by_keyword_position_splat_or_partial(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "import functools\n"
+        "from dataclasses import dataclass\n"
+        "\n"
+        "def by_keyword(a, flag=False): pass\n"
+        "def by_position(a, flag=False): pass\n"
+        "def by_splat(a, flag=False): pass\n"
+        "def by_partial(a, flag=False): pass\n"
+        "def unset(a, flag=False): pass\n"
+        "\n"
+        "class Widget:\n"
+        "    def __init__(self, size=1, color=None): pass\n"
+        "    def resize(self, factor=2): pass\n"
+        "\n"
+        "@dataclass\n"
+        "class WidgetConfig:\n"
+        "    width: int\n"
+        "    height: int = 2\n"
+        "    depth: int = 3\n"
+        "\n"
+        "by_keyword(1, flag=True)\n"
+        "by_splat(1, **{'flag': True})\n"
+        "functools.partial(by_partial, 1, True)\n"
+        "Widget(3).resize()\n"
+        "WidgetConfig(1, 2)\n"
+        "make(color='red')  # defined nowhere: consumes color everywhere\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text("by_position(1, True)\n")
+    found = find_orphan_parameters(root=str(tmp_path), package=str(pkg))
+    assert sorted(found) == [
+        "pkg.mod.Widget.resize.factor",
+        "pkg.mod.WidgetConfig.depth",
+        "pkg.mod.unset.flag",
+    ]
+
+
+def test_allowlist_is_minimal_and_reasoned(orphans, orphan_parameters):
+    for allowed, found in ((ALLOWED, orphans), (ALLOWED_PARAMS, orphan_parameters)):
+        stale = sorted(q for q in allowed if q not in found)
+        assert not stale, f"allowlisted but consumed (or gone): {stale}"
+        assert all(len(reason) > 20 for reason in allowed.values())
 
 
 def test_benchmarks_is_the_e2e_package_only():
