@@ -408,7 +408,7 @@ def run_kill_point(
     probe: Optional[BaselineProbe] = None,
 ) -> KillResult:
     """Replay the scenario, killing the node at exactly this announcement."""
-    spec = ReplaySpec(scenario.recipe, (point_trigger(point, probe),))
+    spec = ReplaySpec(scenario, (point_trigger(point, probe),))
     (outcome,) = run_units([spec])
     return _kill_result(point, outcome)
 

@@ -33,6 +33,7 @@ artifacts byte-identical to an uninterrupted serial run.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
@@ -94,7 +95,10 @@ def _finish_campaign(
             ingest_schedules,
         )
 
-        cid = campaign_id_for(args.seed, args.scenario, methods)
+        # the campaign's shape names it too: two --nodes must not share an id
+        shape = plan.matrices[0].scenario.params
+        del shape["method"]
+        cid = campaign_id_for(args.seed, json.dumps(shape, sort_keys=True), methods)
         with TraceStore(store_path) as store:
             ord_ = 0
             for m, rep in zip(plan.matrices, matrices):

@@ -48,7 +48,6 @@ from repro.chaos.schedules import (
     generate_schedule,
 )
 from repro.par.cache import replay_fingerprint
-from repro.par.engine import resolve_workers
 from repro.par.replay import ReplayOutcome, ReplaySpec, run_units
 
 KIND_KILL = "kill"
@@ -115,7 +114,6 @@ def plan_campaign(
     random_cfg: Optional[RandomCampaignConfig] = None,
     probes: Optional[Sequence[BaselineProbe]] = None,
     points: Optional[Sequence[Sequence[KillPoint]]] = None,
-    portable: bool = False,
 ) -> CampaignPlan:
     """Freeze one campaign into its ordered replay units.
 
@@ -126,18 +124,9 @@ def plan_campaign(
     scenario.  Everything is deterministic, so re-planning from the same
     arguments lands on the identical plan.
 
-    ``portable`` demands units that can cross a process boundary (the
-    pool, a shard executor): a scenario without a pickleable spec raises
-    :class:`ChaosError` before anything runs.  So does a plan with no
-    units — a campaign that checks nothing must not look like one that
-    passed.
+    A plan with no units raises :class:`ChaosError` — a campaign that
+    checks nothing must not look like one that passed.
     """
-    for scenario in scenarios:
-        if portable and scenario.spec is None:
-            raise ChaosError(
-                f"scenario {scenario.name!r} has no pickleable spec "
-                "(custom factory/protocol closure); run it with workers=1"
-            )
     matrices: List[MatrixPlan] = []
     for idx, scenario in enumerate(scenarios):
         probe = probes[idx] if probes is not None else probe_baseline(scenario)
@@ -158,16 +147,14 @@ def plan_campaign(
     units: List[PlannedUnit] = []
     for idx, m in enumerate(matrices):
         for point in m.points:
-            spec = ReplaySpec(
-                m.scenario.recipe, (point_trigger(point, m.probe),), obs=obs
-            )
+            spec = ReplaySpec(m.scenario, (point_trigger(point, m.probe),), obs=obs)
             units.append(
                 PlannedUnit(
                     ord=len(units), kind=KIND_KILL, matrix=idx, spec=spec, point=point
                 )
             )
     for i, triggers in enumerate(schedules):
-        spec = ReplaySpec(matrices[0].scenario.recipe, tuple(triggers), obs=obs)
+        spec = ReplaySpec(matrices[0].scenario, tuple(triggers), obs=obs)
         units.append(
             PlannedUnit(
                 ord=len(units), kind=KIND_RANDOM, matrix=0, spec=spec, schedule_index=i
@@ -229,7 +216,7 @@ def run_campaign(
     """plan -> execute in-process -> merge; ``plan_kw`` is the campaign,
     as :func:`plan_campaign` takes it.  ``workers`` changes wall-clock
     time and nothing else: verdicts, ordering and artifacts are identical."""
-    plan = plan_campaign(scenarios, portable=resolve_workers(workers) > 1, **plan_kw)
+    plan = plan_campaign(scenarios, **plan_kw)
     outcomes = run_units(
         [u.spec for u in plan.units],
         workers=workers,

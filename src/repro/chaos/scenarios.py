@@ -1,9 +1,11 @@
 """Chaos scenarios: small supervised applications with a known right answer.
 
-A :class:`ChaosScenario` is a *recipe*: every :meth:`ChaosScenario.make`
-call builds a fresh cluster and rank main, because campaign runs mutate
-cluster state (dead nodes, consumed spares) and each kill point must start
-from the same initial conditions.  The instance also carries a ``check``
+A :class:`ChaosScenario` is a *recipe*: a frozen ``(kind, kwargs)`` value,
+pickleable and fingerprintable, that every campaign engine ships as is.
+Every :meth:`ChaosScenario.make` call builds a fresh cluster and rank
+main, because campaign runs mutate cluster state (dead nodes, consumed
+spares) and each kill point must start from the same initial conditions.
+The instance also carries a ``check``
 predicate over the final :class:`~repro.sim.runtime.JobResult` — the
 wrong-answer oracle: a run that *completes* but fails its check is the
 worst possible verdict, silent corruption.
@@ -20,12 +22,12 @@ Two built-ins cover the protocol-only and full-application paths:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import astuple, dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.apps.iterative import IterativeConfig, iterative_answer_ok, iterative_main
 from repro.hpl.daemon import RestartPolicy
-from repro.par.spec import ScenarioSpec, register_scenario
 from repro.sim.cluster import Cluster
 from repro.sim.runtime import JobResult
 
@@ -48,53 +50,62 @@ class ScenarioInstance:
     check: Callable[[JobResult], bool]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChaosScenario:
-    """A named scenario recipe; ``make()`` builds a fresh instance.
+    """A scenario recipe: the pickleable ``(kind, kwargs)`` value every
+    campaign engine ships; ``make()`` builds a fresh instance.
 
-    ``spec`` is the pickleable :class:`~repro.par.spec.ScenarioSpec` a
-    worker process rebuilds the scenario from; it is ``None`` when the
-    recipe closes over something that cannot cross a process boundary
-    (a ``protocol_factory`` closure), in which case the scenario is its
-    own :attr:`recipe` and campaigns over it run in-process only.
+    ``kwargs`` are sorted ``(key, value)`` pairs — hashable and
+    order-canonical — of JSON scalars and tuples, plus selfckpt's
+    ``protocol_factory``: a module-level class or function, pickled (and
+    fingerprinted) by reference.  The value is what a worker process or a
+    shard executor unpickles and what :func:`~repro.par.cache.
+    replay_fingerprint` hashes, so every scenario runs on every engine.
     """
 
-    name: str
-    params: Dict[str, Any]
-    factory: Callable[[], ScenarioInstance] = field(repr=False)
-    spec: Optional[ScenarioSpec] = None
-
-    def make(self) -> ScenarioInstance:
-        return self.factory()
+    kind: str
+    kwargs: Tuple[Tuple[str, Any], ...]
 
     @property
-    def recipe(self) -> Any:
-        """What a replay unit carries: the pickleable spec, else the
-        scenario itself — in-process only and, fingerprint-less, uncached."""
-        return self if self.spec is None else self.spec
+    def name(self) -> str:
+        return self.kind
 
-    def build(self) -> "ChaosScenario":
-        """Mirror of ``ScenarioSpec.build``: a scenario builds to itself."""
+    @property
+    def params(self) -> Dict[str, Any]:
+        """The display dict reports and ``BENCH_chaos.json`` show."""
+        kw = dict(self.kwargs)
+        if self.kind == "skt-hpl":
+            kw["grid"] = f"{kw['p']}x{kw['q']}"
+        return {key: kw[key] for key in _PARAMS[self.kind]}
+
+    @property
+    def spec(self) -> "ChaosScenario":
+        """The scenario itself: it is its own wire form."""
         return self
 
-
-def _policy_fields(policy: RestartPolicy) -> Tuple[float, float, float, int]:
-    return (
-        policy.detect_s,
-        policy.replace_s,
-        policy.restart_s,
-        policy.max_restarts,
-    )
+    def make(self) -> ScenarioInstance:
+        kw = dict(self.kwargs)
+        kw["policy"] = RestartPolicy(*kw["policy"])
+        return _BUILDERS[self.kind](**kw)
 
 
-def _policy_from_fields(fields: Any) -> RestartPolicy:
-    detect_s, replace_s, restart_s, max_restarts = fields
-    return RestartPolicy(
-        detect_s=float(detect_s),
-        replace_s=float(replace_s),
-        restart_s=float(restart_s),
-        max_restarts=int(max_restarts),
-    )
+def _scenario(kind: str, **kwargs: Any) -> ChaosScenario:
+    return ChaosScenario(kind=kind, kwargs=tuple(sorted(kwargs.items())))
+
+
+def _check_by_reference(protocol_factory: Any) -> None:
+    """Raise unless ``protocol_factory`` is reachable as ``module.qualname``
+    — the lookup pickle does — so the scenario can cross a process."""
+    obj = sys.modules.get(getattr(protocol_factory, "__module__", None))
+    for part in getattr(protocol_factory, "__qualname__", "<none>").split("."):
+        obj = getattr(obj, part, None)
+    if obj is not protocol_factory:
+        raise ValueError(
+            "protocol_factory must be a module-level class or function (a "
+            "scenario pickles it by reference); got "
+            f"{protocol_factory!r}, which is a lambda, a local definition "
+            "or a partial"
+        )
 
 
 def selfckpt_scenario(
@@ -122,16 +133,18 @@ def selfckpt_scenario(
     use it to prove the kill matrix catches protocol bugs.
 
     Raises :class:`ValueError` for a shape with no node or no rank per
-    node — here, not in the first run's cluster or job constructor.
+    node — here, not in the first run's cluster or job constructor — and
+    for a ``protocol_factory`` that is not a module-level class or
+    function.
     """
     if n_nodes < 1 or procs_per_node < 1:
         raise ValueError(
             "selfckpt needs n_nodes >= 1 and procs_per_node >= 1, got "
             f"n_nodes={n_nodes}, procs_per_node={procs_per_node}"
         )
-    n_ranks = n_nodes * procs_per_node
-    spares = n_spares if n_spares is not None else 4 * n_nodes + 4
-    cfg = IterativeConfig(
+    if protocol_factory is not None:
+        _check_by_reference(protocol_factory)
+    app = dict(
         iters=iters,
         ckpt_every=ckpt_every,
         method=method,
@@ -139,50 +152,39 @@ def selfckpt_scenario(
         op=op,
         protocol_factory=protocol_factory,
     )
+    IterativeConfig(**app)  # its checks fail here, not in a replay
+    return _scenario(
+        "selfckpt",
+        n_nodes=n_nodes,
+        procs_per_node=procs_per_node,
+        n_spares=n_spares if n_spares is not None else 4 * n_nodes + 4,
+        policy=astuple(policy or FAST_POLICY),
+        **app,
+    )
+
+
+def _selfckpt_instance(
+    *,
+    n_nodes: int,
+    procs_per_node: int,
+    n_spares: int,
+    policy: RestartPolicy,
+    **app: Any,
+) -> ScenarioInstance:
+    n_ranks = n_nodes * procs_per_node
+    cfg = IterativeConfig(**app)
 
     def check(result: JobResult) -> bool:
         return iterative_answer_ok(cfg, result.rank_results, n_ranks)
 
-    def factory() -> ScenarioInstance:
-        return ScenarioInstance(
-            cluster=Cluster(n_nodes, n_spares=spares),
-            main=iterative_main,
-            n_ranks=n_ranks,
-            args=(cfg,),
-            procs_per_node=procs_per_node,
-            policy=policy or FAST_POLICY,
-            check=check,
-        )
-
-    spec = None
-    if protocol_factory is None:
-        # everything else round-trips through a pickleable spec; a custom
-        # protocol closure cannot, so such scenarios stay serial-only
-        spec = ScenarioSpec.create(
-            "selfckpt",
-            n_nodes=n_nodes,
-            procs_per_node=procs_per_node,
-            group_size=group_size,
-            iters=iters,
-            ckpt_every=ckpt_every,
-            method=method,
-            op=op,
-            n_spares=spares,
-            policy=_policy_fields(policy or FAST_POLICY),
-        )
-    return ChaosScenario(
-        name="selfckpt",
-        params={
-            "n_nodes": n_nodes,
-            "procs_per_node": procs_per_node,
-            "group_size": group_size,
-            "iters": iters,
-            "ckpt_every": ckpt_every,
-            "method": method,
-            "op": op,
-        },
-        factory=factory,
-        spec=spec,
+    return ScenarioInstance(
+        cluster=Cluster(n_nodes, n_spares=n_spares),
+        main=iterative_main,
+        n_ranks=n_ranks,
+        args=(cfg,),
+        procs_per_node=procs_per_node,
+        policy=policy,
+        check=check,
     )
 
 
@@ -209,40 +211,18 @@ def skt_scenario(
     Raises :class:`ValueError` for an invalid HPL shape (``HPLConfig``'s
     checks) or ``procs_per_node < 1``.
     """
-    from repro.hpl import HPLConfig, SKTConfig, skt_hpl_main
+    from repro.hpl import HPLConfig, SKTConfig
 
     if procs_per_node < 1:
         raise ValueError(f"skt-hpl needs procs_per_node >= 1, got {procs_per_node}")
-    cfg = HPLConfig(n=n, nb=nb, p=p, q=q, seed=seed)
-    scfg = SKTConfig(
-        hpl=cfg,
+    cfg = SKTConfig(
+        hpl=HPLConfig(n=n, nb=nb, p=p, q=q, seed=seed),
         method=method,
         group_size=group_size,
         interval_panels=interval_panels,
-    )
-    n_ranks = cfg.n_ranks
-    n_nodes = math.ceil(n_ranks / procs_per_node)
-    spares = n_spares if n_spares is not None else 4 * n_nodes + 4
-
-    def check(result: JobResult) -> bool:
-        for r in range(n_ranks):
-            res = result.rank_results.get(r)
-            if res is None or not res.hpl.passed:
-                return False
-        return True
-
-    def factory() -> ScenarioInstance:
-        return ScenarioInstance(
-            cluster=Cluster(n_nodes, n_spares=spares),
-            main=skt_hpl_main,
-            n_ranks=n_ranks,
-            args=(scfg,),
-            procs_per_node=procs_per_node,
-            policy=policy or FAST_POLICY,
-            check=check,
-        )
-
-    spec = ScenarioSpec.create(
+    )  # their checks fail here, not in a replay
+    n_nodes = math.ceil(cfg.hpl.n_ranks / procs_per_node)
+    return _scenario(
         "skt-hpl",
         n=n,
         nb=nb,
@@ -253,38 +233,59 @@ def skt_scenario(
         method=method,
         seed=seed,
         procs_per_node=procs_per_node,
-        n_spares=spares,
-        policy=_policy_fields(policy or FAST_POLICY),
-    )
-    return ChaosScenario(
-        name="skt-hpl",
-        params={
-            "n": n,
-            "nb": nb,
-            "grid": f"{p}x{q}",
-            "group_size": group_size,
-            "interval_panels": interval_panels,
-            "method": method,
-            "seed": seed,
-            "procs_per_node": procs_per_node,
-        },
-        factory=factory,
-        spec=spec,
+        n_spares=n_spares if n_spares is not None else 4 * n_nodes + 4,
+        policy=astuple(policy or FAST_POLICY),
     )
 
 
-# -- spec builders: how worker processes rebuild these scenarios --------------
-def _selfckpt_from_spec(**kwargs: Any) -> ChaosScenario:
-    kwargs = dict(kwargs)
-    kwargs["policy"] = _policy_from_fields(kwargs["policy"])
-    return selfckpt_scenario(**kwargs)
+def _skt_instance(
+    *,
+    n: int,
+    nb: int,
+    p: int,
+    q: int,
+    seed: int,
+    procs_per_node: int,
+    n_spares: int,
+    policy: RestartPolicy,
+    **skt: Any,
+) -> ScenarioInstance:
+    from repro.hpl import HPLConfig, SKTConfig, skt_hpl_main
+
+    cfg = HPLConfig(n=n, nb=nb, p=p, q=q, seed=seed)
+    n_ranks = cfg.n_ranks
+
+    def check(result: JobResult) -> bool:
+        for r in range(n_ranks):
+            res = result.rank_results.get(r)
+            if res is None or not res.hpl.passed:
+                return False
+        return True
+
+    return ScenarioInstance(
+        cluster=Cluster(math.ceil(n_ranks / procs_per_node), n_spares=n_spares),
+        main=skt_hpl_main,
+        n_ranks=n_ranks,
+        args=(SKTConfig(hpl=cfg, **skt),),
+        procs_per_node=procs_per_node,
+        policy=policy,
+        check=check,
+    )
 
 
-def _skt_from_spec(**kwargs: Any) -> ChaosScenario:
-    kwargs = dict(kwargs)
-    kwargs["policy"] = _policy_from_fields(kwargs["policy"])
-    return skt_scenario(**kwargs)
+#: kind -> instance builder(**kwargs with the policy rebuilt)
+_BUILDERS: Dict[str, Callable[..., ScenarioInstance]] = {
+    "selfckpt": _selfckpt_instance,
+    "skt-hpl": _skt_instance,
+}
 
-
-register_scenario("selfckpt", _selfckpt_from_spec)
-register_scenario("skt-hpl", _skt_from_spec)
+#: kind -> the display keys of :attr:`ChaosScenario.params`, in order
+_PARAMS: Dict[str, Tuple[str, ...]] = {
+    "selfckpt": (
+        "n_nodes", "procs_per_node", "group_size", "iters", "ckpt_every", "method", "op",
+    ),
+    "skt-hpl": (
+        "n", "nb", "grid", "group_size", "interval_panels", "method", "seed",
+        "procs_per_node",
+    ),
+}

@@ -137,7 +137,7 @@ def run_schedule(
     delta-debug loop re-probes heavily overlapping trigger sets, and a
     deterministic replay is a pure function of its fingerprint.
     """
-    spec = ReplaySpec(scenario.recipe, tuple(triggers))
+    spec = ReplaySpec(scenario, tuple(triggers))
     (outcome,) = run_units([spec], cache=cache)
     return _schedule_result(index, triggers, outcome)
 

@@ -38,7 +38,7 @@ class RestartPolicy:
     max_restarts: int = 8
 
     def __post_init__(self) -> None:
-        # policies round-trip through pickleable scenario specs and the
+        # policies round-trip through pickleable scenario values and the
         # replay memo cache (repro.par), so malformed field values must
         # fail here rather than deep inside a worker's daemon loop
         for name in ("detect_s", "replace_s", "restart_s"):

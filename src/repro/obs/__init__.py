@@ -1,4 +1,4 @@
-"""Observability for simulated jobs: spans, metrics, exportable profiles.
+"""Observability for simulated jobs: spans, metrics, profiles to export.
 
 ``repro.obs`` is the cross-cutting instrumentation layer.  The checkpoint
 protocols and the HPL driver open nested :class:`~repro.obs.spans.Span`\\ s

@@ -10,14 +10,12 @@ metric samples and flat summary rollups — every row keyed by its run.
 
 Identity is content-addressed, not autoincremented.  An attempt's
 ``run_id`` is the same :func:`~repro.par.cache.replay_fingerprint` the
-memo cache uses — scenario spec + triggers + obs mode + code fingerprint
+memo cache uses — scenario + triggers + obs mode + code fingerprint
 — so re-ingesting the same campaign is idempotent (``INSERT OR
 REPLACE``), a serial and a ``--workers N`` sweep land byte-identically,
 and two *different* code versions never collide on one id.  A ``repro
 obs`` profile run is stored under the same fingerprint (``kind="obs"``):
-it is a chaos recipe plus at most one trigger at obs mode ``full``.  Runs
-without a pickleable spec (custom factories) hash their describable
-surface instead.
+it is a chaos recipe plus at most one trigger at obs mode ``full``.
 
 Determinism contract: every stored value derives from virtual clocks and
 seeds.  :meth:`TraceStore.digest` hashes the *logical* content (canonical
@@ -108,37 +106,13 @@ def _sha(doc: Any) -> str:
 
 
 def attempt_run_id(scenario: Any, triggers: Iterable[Any], obs_mode: str) -> str:
-    """Content address of one campaign attempt.
-
-    Scenarios with a pickleable spec reuse the memo cache's
+    """Content address of one campaign attempt: the memo cache's
     :func:`~repro.par.cache.replay_fingerprint` verbatim — store identity
-    and cache identity are the same fact.  Spec-less scenarios (closure
-    factories) hash their describable surface plus the trigger fields.
-    """
-    triggers = tuple(triggers)
-    if getattr(scenario, "spec", None) is not None:
-        from repro.par.cache import replay_fingerprint
-        from repro.par.replay import ReplaySpec
+    and cache identity are the same fact."""
+    from repro.par.cache import replay_fingerprint
+    from repro.par.replay import ReplaySpec
 
-        return replay_fingerprint(
-            ReplaySpec(scenario.spec, triggers, obs=obs_mode)
-        )
-    import dataclasses
-
-    from repro.par.cache import code_fingerprint
-
-    return _sha(
-        {
-            "code": code_fingerprint(),
-            "scenario": getattr(scenario, "name", str(scenario)),
-            "params": dict(getattr(scenario, "params", {})),
-            "triggers": [
-                dict(dataclasses.asdict(t), kind=type(t).__name__)
-                for t in triggers
-            ],
-            "obs": obs_mode,
-        }
-    )
+    return replay_fingerprint(ReplaySpec(scenario, tuple(triggers), obs=obs_mode))
 
 
 class NotATraceStore(ValueError):
@@ -409,20 +383,21 @@ def ingest_schedules(
 ) -> int:
     """Ingest the randomized-campaign attempts; returns the next ordinal."""
     ord_ = ord_base
+    params = scenario.params
     for r in schedules:
         store.ingest_attempt(
             run_id=attempt_run_id(scenario, r.triggers, obs_mode),
             campaign_id=campaign_id,
             ord=ord_,
             kind="random",
-            scenario=getattr(scenario, "name", "?"),
-            method=str(getattr(scenario, "params", {}).get("method", "?")),
+            scenario=scenario.name,
+            method=params["method"],
             seed=seed,
             label=f"random:{r.index}",
             verdict=r.verdict,
             n_restarts=r.n_restarts,
             makespan_s=r.makespan_s,
-            params=dict(getattr(scenario, "params", {})),
+            params=params,
             obs=r.obs,
         )
         ord_ += 1

@@ -8,10 +8,9 @@ ones.  Pieces:
 
 * :mod:`repro.par.engine` — :class:`ParallelEngine`, the order-preserving
   parallel map with error folding and metric accounting;
-* :mod:`repro.par.spec` — :class:`ScenarioSpec`, the pickleable scenario
-  recipe workers rebuild through a builder registry;
 * :mod:`repro.par.replay` — :class:`ReplaySpec`/:class:`ReplayOutcome`,
-  the work unit and its scalar result, and :func:`run_units`, the one
+  the work unit (a :class:`~repro.chaos.scenarios.ChaosScenario`, itself
+  pickleable, plus triggers) and its scalar result, and :func:`run_units`, the one
   unit runner (cache → replay → crash fold) every campaign engine uses —
   this package is the in-process executor of :mod:`repro.chaos.plan`,
   :mod:`repro.shard` the durable one;
@@ -46,7 +45,6 @@ from repro.par.replay import (
     replay,
     run_units,
 )
-from repro.par.spec import ScenarioSpec, register_scenario, registered_kinds
 
 __all__ = [
     "AUTO_WORKERS_CAP",
@@ -58,12 +56,9 @@ __all__ = [
     "ProgressReporter",
     "ReplayOutcome",
     "ReplaySpec",
-    "ScenarioSpec",
     "code_fingerprint",
     "crash_outcome",
     "default_workers",
-    "register_scenario",
-    "registered_kinds",
     "replay",
     "replay_fingerprint",
     "resolve_workers",

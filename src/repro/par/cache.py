@@ -9,7 +9,8 @@ the smoke matrix) can skip points that were already classified.
 
 The fingerprint covers everything the verdict depends on:
 
-* the scenario spec (kind + canonical kwargs),
+* the scenario (kind + canonical kwargs; a protocol factory by its
+  ``module.qualname``),
 * the trigger set, field by field, in order,
 * a **code fingerprint** — a digest over every ``*.py`` source file of the
   installed ``repro`` package — plus :data:`CACHE_SCHEMA_VERSION`.
@@ -69,6 +70,15 @@ def _trigger_doc(trigger: Any) -> Dict[str, Any]:
     return doc
 
 
+def _by_reference(obj: Any) -> Any:
+    """JSON for what the encoder cannot spell: a protocol factory as its
+    ``module.qualname`` (scenarios only hold module-level ones), anything
+    else iterable as a list."""
+    if callable(obj):
+        return f"{obj.__module__}.{obj.__qualname__}"
+    return list(obj)
+
+
 def replay_fingerprint(spec: ReplaySpec) -> str:
     """The content address of one replay job.
 
@@ -79,11 +89,11 @@ def replay_fingerprint(spec: ReplaySpec) -> str:
     doc = {
         "schema": CACHE_SCHEMA_VERSION,
         "code": code_fingerprint(),
-        "scenario": {"kind": spec.scenario.kind, "kwargs": spec.scenario.as_dict()},
+        "scenario": {"kind": spec.scenario.kind, "kwargs": dict(spec.scenario.kwargs)},
         "triggers": [_trigger_doc(t) for t in spec.triggers],
         "obs": getattr(spec, "obs", "off"),
     }
-    blob = json.dumps(doc, sort_keys=True, default=list)
+    blob = json.dumps(doc, sort_keys=True, default=_by_reference)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

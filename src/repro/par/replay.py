@@ -1,10 +1,9 @@
 """The replay work unit: one scenario + one trigger set -> one outcome.
 
 :class:`ReplaySpec` is the job description every campaign engine ships
-to whoever runs it; :func:`replay` is the worker entry point — it builds
-the scenario from its recipe (a :class:`~repro.par.spec.ScenarioSpec`,
-or the scenario itself when it has no pickleable spec), runs it under
-the :class:`~repro.hpl.daemon.JobDaemon` with the triggers armed
+to whoever runs it; :func:`replay` is the worker entry point — it runs
+the scenario (a pickleable :class:`~repro.chaos.scenarios.ChaosScenario`)
+under the :class:`~repro.hpl.daemon.JobDaemon` with the triggers armed
 (:func:`instrumented_run`, which ``repro obs`` profile runs share), and
 classifies the result into a :class:`ReplayOutcome`.  :func:`run_units`
 is the one unit runner around it: cache lookup, replay, crash fold,
@@ -87,8 +86,7 @@ class ReplayOutcome:
 class ReplaySpec:
     """One replay job: scenario recipe + armed triggers."""
 
-    #: a ScenarioSpec, or the ChaosScenario itself (then in-process only)
-    scenario: Any
+    scenario: Any  # a ChaosScenario
     triggers: Tuple[Any, ...]  # AnyTrigger instances (plain dataclasses)
     #: obs sampling mode the worker arms ("off" | "summary" | "full")
     obs: str = OBS_OFF
@@ -138,11 +136,11 @@ def instrumented_run(
 
 
 def replay(spec: ReplaySpec) -> ReplayOutcome:
-    """Worker entry point: build the scenario from its recipe, replay it."""
+    """Worker entry point: replay the scenario with the triggers armed."""
     from repro.chaos.campaign import classify
 
     inst, plan, report, tracer, registry = instrumented_run(
-        spec.scenario.build(), spec.triggers, spec.obs
+        spec.scenario, spec.triggers, spec.obs
     )
     payload = None
     if tracer is not None:
@@ -188,16 +186,12 @@ def run_units(
     the shrinker — so a replay that raises is the same ``gave-up``
     :func:`crash_outcome` verdict everywhere, and is never cached.
     ``cache`` is a :class:`~repro.par.cache.MemoCache`; the engine asks
-    for fingerprints only when there is one, and a recipe without a
-    pickleable spec has none, so it is never cached.
+    for fingerprints only when there is one.
     """
     from repro.par.cache import replay_fingerprint
     from repro.par.engine import ParallelEngine
-    from repro.par.spec import ScenarioSpec
-
-    def key(spec: ReplaySpec) -> Optional[str]:
-        recipe = spec.scenario
-        return replay_fingerprint(spec) if isinstance(recipe, ScenarioSpec) else None
 
     engine = ParallelEngine(workers, registry=registry, progress=progress)
-    return engine.map(replay, specs, cache=cache, key=key, on_error=crash_outcome)
+    return engine.map(
+        replay, specs, cache=cache, key=replay_fingerprint, on_error=crash_outcome
+    )

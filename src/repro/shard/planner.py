@@ -4,8 +4,7 @@ Planning itself — probe each method's baseline, enumerate the kill
 matrix, draw the randomized schedules from the campaign seed, freeze the
 ordered :class:`~repro.chaos.plan.PlannedUnit` list — is
 :func:`repro.chaos.plan.plan_campaign`, shared with the in-process
-engines.  What is shard-specific lives here: every unit must be
-pickleable (an executor is another process), the units are striped over
+engines.  What is shard-specific lives here: the units are striped over
 ``n_shards`` :class:`ShardPlan` partitions, and the plan gets an identity
 a queue can be bound to.
 
@@ -99,12 +98,10 @@ def plan_campaign(
     hence the same units, as on every other engine), then the partition
     and the identities.
 
-    Raises :class:`~repro.chaos.campaign.ChaosError` for scenarios
-    without a pickleable spec — a closure-factory scenario cannot cross
-    an executor process boundary, same rule as ``--workers N`` — and for
-    a campaign with no units.
+    Raises :class:`~repro.chaos.campaign.ChaosError` for a campaign with
+    no units.
     """
-    plan = chaos_plan.plan_campaign(scenarios, portable=True, **plan_kw)
+    plan = chaos_plan.plan_campaign(scenarios, **plan_kw)
     plan.shards = [
         ShardPlan(
             shard_id=_shard_id([plan.units[o].fingerprint for o in ords]),

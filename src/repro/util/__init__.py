@@ -6,7 +6,6 @@ from repro.util.units import (
     MiB,
     fmt_bytes,
     fmt_seconds,
-    parse_bytes,
 )
 from repro.util.rng import block_rng, seeded_rng
 from repro.util.tables import render_table
@@ -17,7 +16,6 @@ __all__ = [
     "GiB",
     "fmt_bytes",
     "fmt_seconds",
-    "parse_bytes",
     "seeded_rng",
     "block_rng",
     "render_table",

@@ -1,4 +1,4 @@
-"""Byte/time unit constants, formatting, and parsing.
+"""Byte/time unit constants and formatting.
 
 All sizes in this codebase are plain ``int`` byte counts and all durations
 are ``float`` seconds; these helpers exist only at the presentation and
@@ -7,25 +7,9 @@ configuration boundaries.
 
 from __future__ import annotations
 
-import re
-
 KiB: int = 1024
 MiB: int = 1024 * KiB
 GiB: int = 1024 * MiB
-
-_SUFFIXES = [
-    ("TiB", 1024**4),
-    ("GiB", GiB),
-    ("MiB", MiB),
-    ("KiB", KiB),
-    ("TB", 10**12),
-    ("GB", 10**9),
-    ("MB", 10**6),
-    ("KB", 10**3),
-    ("B", 1),
-]
-
-_PARSE_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+)\s*([A-Za-z]*)\s*$")
 
 
 def fmt_bytes(n: float) -> str:
@@ -38,23 +22,6 @@ def fmt_bytes(n: float) -> str:
         if n >= factor:
             return f"{sign}{n / factor:.2f}{suffix}"
     return f"{sign}{n:.0f}B"
-
-
-def parse_bytes(text: str) -> int:
-    """Parse a human size string (``'4GiB'``, ``'512 MB'``, ``'100'``) to bytes.
-
-    Bare numbers are taken as bytes. Raises :class:`ValueError` on garbage.
-    """
-    m = _PARSE_RE.match(text)
-    if m is None:
-        raise ValueError(f"unparseable size: {text!r}")
-    value, unit = float(m.group(1)), m.group(2)
-    if not unit:
-        return int(value)
-    for suffix, factor in _SUFFIXES:
-        if unit.lower() == suffix.lower():
-            return int(value * factor)
-    raise ValueError(f"unknown size unit {unit!r} in {text!r}")
 
 
 def fmt_seconds(t: float) -> str:

@@ -1,7 +1,11 @@
-"""Helpers shared by the chaos golden tests."""
+"""Helpers shared by the chaos tests."""
 
 import hashlib
 import json
+
+import numpy as np
+
+from repro.ckpt.self_ckpt import SelfCheckpoint
 
 
 def stripped_digest(store, tables=("runs", "summaries", "spans", "metrics"), keep=None):
@@ -23,3 +27,19 @@ def stripped_digest(store, tables=("runs", "summaries", "spans", "metrics"), kee
                 rows.append(json.dumps({"table": table, **doc}, sort_keys=True))
         lines.extend(sorted(rows))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class SilentCorruptRecover(SelfCheckpoint):
+    """Deliberately broken variant: the rebuilt member's payload is
+    corrupted, so recovery "succeeds" but the restored data is wrong —
+    exactly the silent-corruption failure the wrong-answer oracle exists
+    to catch."""
+
+    def _do_recover(self, flat, checksum, missing):
+        out = super()._do_recover(flat, checksum, missing)
+        if out is not None:
+            rebuilt, cs = out
+            bad = np.array(rebuilt, copy=True)
+            bad[:8] ^= 0x01  # flip bytes inside the first data array
+            out = (bad, cs)
+        return out

@@ -1,9 +1,9 @@
 """Tests for the kill-matrix campaign engine (repro.chaos)."""
 
-import numpy as np
 import pytest
 
 from repro.chaos import (
+    ChaosScenario,
     KillPoint,
     RandomCampaignConfig,
     VERDICT_NOT_FIRED,
@@ -22,8 +22,8 @@ from repro.chaos import (
     selfckpt_scenario,
 )
 from repro.chaos.bench import bench_json, bench_record
-from repro.ckpt.self_ckpt import SelfCheckpoint
 from repro.sim.failures import PhaseTrigger, TimeTrigger
+from tests.chaos.helpers import SilentCorruptRecover
 
 
 def small_scenario(**kw):
@@ -36,20 +36,13 @@ def small_scenario(**kw):
     return selfckpt_scenario(**kw)
 
 
-class SilentCorruptRecover(SelfCheckpoint):
-    """Deliberately broken variant: the rebuilt member's payload is
-    corrupted, so recovery "succeeds" but the restored data is wrong —
-    exactly the silent-corruption failure the wrong-answer oracle exists
-    to catch."""
+class OracleNeverPasses(ChaosScenario):
+    """The recipe with an answer oracle no run can pass."""
 
-    def _do_recover(self, flat, checksum, missing):
-        out = super()._do_recover(flat, checksum, missing)
-        if out is not None:
-            rebuilt, cs = out
-            bad = np.array(rebuilt, copy=True)
-            bad[:8] ^= 0x01  # flip bytes inside the first data array
-            out = (bad, cs)
-        return out
+    def make(self):
+        inst = super().make()
+        inst.check = lambda result: False
+        return inst
 
 
 class TestProbe:
@@ -65,15 +58,8 @@ class TestProbe:
 
     def test_broken_baseline_raises(self):
         # an oracle that can never pass must abort the campaign up front
-        sc = small_scenario()
-        inner = sc.factory
-
-        def bad_factory():
-            inst = inner()
-            inst.check = lambda result: False
-            return inst
-
-        sc.factory = bad_factory
+        base = small_scenario()
+        sc = OracleNeverPasses(base.kind, base.kwargs)
         with pytest.raises(ChaosError, match="oracle"):
             probe_baseline(sc)
 

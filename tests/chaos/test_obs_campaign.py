@@ -10,6 +10,7 @@ import pytest
 
 from repro.chaos import (
     RandomCampaignConfig,
+    chaos_main,
     probe_baseline,
     random_campaign,
     run_kill_matrix,
@@ -165,3 +166,31 @@ class TestCacheIsolation:
         assert _store_digest(sc, first, OBS_SUMMARY) == _store_digest(
             sc, again, OBS_SUMMARY
         )
+
+
+class TestCampaignIdentity:
+    """``repro chaos --store`` names a campaign by its shape as well as its
+    seed and methods, so two shapes never interleave under one id."""
+
+    FLAGS = [
+        "--methods", "self", "--ppn", "1", "--group-size", "2", "--iters", "4",
+        "--max-occurrences", "1", "--obs", "summary", "--no-progress",
+        "--report-only",
+    ]
+
+    def _ids_and_rows(self, store_path):
+        with TraceStore(store_path) as store:
+            ids = {cid for (cid,) in store.query("SELECT DISTINCT campaign_id FROM runs")}
+            return ids, store.counts()["runs"]
+
+    def test_shapes_get_their_own_ids(self, tmp_path, capsys):
+        path = str(tmp_path / "obs.sqlite")
+        for nodes in ("2", "4", "2"):
+            assert chaos_main(self.FLAGS + ["--nodes", nodes, "--store", path]) == 0
+            if nodes == "4":
+                two_shapes = self._ids_and_rows(path)
+        capsys.readouterr()
+        ids, rows = two_shapes
+        assert len(ids) == 2
+        # re-ingesting the first campaign replaces its rows under its one id
+        assert self._ids_and_rows(path) == (ids, rows)

@@ -11,7 +11,6 @@ its own slot, never abort or reorder the sweep.
 import pytest
 
 from repro.chaos import (
-    ChaosError,
     ChaosScenario,
     RandomCampaignConfig,
     enumerate_kill_points,
@@ -24,7 +23,7 @@ from repro.chaos import (
 from repro.chaos import bench as chaos_bench
 from repro.chaos.plan import run_campaign
 from repro.obs.metrics import MetricsRegistry
-from repro.par import MemoCache, ScenarioSpec, register_scenario
+from repro.par import MemoCache
 
 
 def small_scenario(**kw):
@@ -43,8 +42,13 @@ def _bench_bytes(matrices, schedules=None):
     )
 
 
-def _broken_builder(**kwargs):
-    raise RuntimeError("scenario cannot be rebuilt")
+class UnbuildableScenario(ChaosScenario):
+    """A recipe whose ``make()`` raises: every replay of it crashes,
+    inline or inside a pool worker, and the parent must fold that into
+    a verdict."""
+
+    def make(self):
+        raise RuntimeError("scenario cannot be built")
 
 
 class TestGoldenEquivalence:
@@ -79,22 +83,11 @@ class TestGoldenEquivalence:
 
 
 class TestWorkerCrash:
-    def _crashing_scenario(self):
-        """A scenario whose spec rebuilds into an exception: the pool
-        worker crashes, the parent must fold it into a verdict."""
-        register_scenario("boom", _broken_builder)
-        sc = small_scenario()
-        return ChaosScenario(
-            name=sc.name,
-            params=sc.params,
-            factory=sc.factory,
-            spec=ScenarioSpec.create("boom"),
-        )
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_crashed_replay_is_a_verdict_not_a_loss(self, workers):
-        sc = self._crashing_scenario()
-        probe = probe_baseline(sc)  # probe uses the in-process factory
+        base = small_scenario()
+        sc = UnbuildableScenario(base.kind, base.kwargs)
+        probe = probe_baseline(base)  # the plan comes from the buildable twin
         points = enumerate_kill_points(probe, max_occurrences=1)
         _, (report,), _ = run_campaign(
             [sc], workers=workers, probes=[probe], points=[points]
@@ -109,32 +102,16 @@ class TestWorkerCrash:
 
 
 class TestSerialOnlyFallback:
-    def _speclass_scenario(self):
-        # protocol_factory closures cannot cross a process boundary
-        from repro.ckpt.self_ckpt import SelfCheckpoint
-
-        return small_scenario(protocol_factory=SelfCheckpoint)
+    """A scenario with a custom protocol class still runs inline: the
+    workers=1 path needs nothing the pool path adds."""
 
     def test_unpicklable_scenario_runs_serially(self):
-        sc = self._speclass_scenario()
-        assert sc.spec is None
-        report = run_kill_matrix(sc, phases=["ckpt.done"], max_occurrences=1)
-        assert report.survived_all
+        from repro.ckpt.self_ckpt import SelfCheckpoint
 
-    def test_unpicklable_scenario_with_workers_raises(self):
-        sc = self._speclass_scenario()
-        with pytest.raises(ChaosError, match="workers=1"):
-            run_kill_matrix(
-                sc, phases=["ckpt.done"], max_occurrences=1, workers=2
-            )
-        probe = probe_baseline(sc)
-        with pytest.raises(ChaosError, match="workers=1"):
-            random_campaign(
-                sc,
-                RandomCampaignConfig(n_schedules=2),
-                probe=probe,
-                workers=2,
-            )
+        sc = small_scenario(protocol_factory=SelfCheckpoint)
+        report = run_kill_matrix(sc, phases=["ckpt.done"], max_occurrences=1)
+        assert report.results
+        assert report.survived_all
 
 
 class TestCacheSemantics:

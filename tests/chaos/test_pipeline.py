@@ -32,9 +32,9 @@ from repro.obs.store import (
     ingest_kill_matrix,
     ingest_schedules,
 )
-from repro.shard import plan_campaign, run_sharded_campaign
+from repro.shard import run_sharded_campaign
 from repro.shard.queue import queue_path_for
-from tests.chaos.helpers import stripped_digest
+from tests.chaos.helpers import SilentCorruptRecover, stripped_digest
 
 SEED = 7
 CFG = dict(n_nodes=2, procs_per_node=1, group_size=2, iters=4, ckpt_every=2)
@@ -50,18 +50,13 @@ def scenarios():
     return [selfckpt_scenario(method=m, **CFG) for m in METHODS]
 
 
-def specless_scenario(protocol_factory):
-    return selfckpt_scenario(protocol_factory=protocol_factory, **CFG)
-
-
-def run_engine(engine, out_dir, **campaign):
+def run_engine(engine, out_dir, scs=None, **campaign):
     """(plan, matrices, schedules) of one campaign on the named engine."""
+    scs = scenarios() if scs is None else scs
     knob, n = engine.split("=")
     if knob == "workers":
-        return run_campaign(scenarios(), workers=int(n), **campaign)
-    return run_sharded_campaign(
-        scenarios(), n_shards=int(n), out_dir=str(out_dir), **campaign
-    )[:3]
+        return run_campaign(scs, workers=int(n), **campaign)
+    return run_sharded_campaign(scs, n_shards=int(n), out_dir=str(out_dir), **campaign)[:3]
 
 
 @pytest.fixture(scope="module")
@@ -114,25 +109,35 @@ class TestThreeEngineIdentity:
 
 
 class TestSpeclessScenario:
+    """A custom-protocol scenario is its own wire form: run in process,
+    every planned unit replays the very scenario that was passed in."""
+
     def test_runs_in_process(self):
         from repro.ckpt.self_ckpt import SelfCheckpoint
 
-        sc = specless_scenario(SelfCheckpoint)
-        assert sc.spec is None and sc.recipe is sc
+        sc = selfckpt_scenario(protocol_factory=SelfCheckpoint, **CFG)
         plan, (report,), _ = run_campaign(
             [sc], phases=["ckpt.done"], max_occurrences=1
         )
         assert report.survived_all
         assert [u.spec.scenario for u in plan.units] == [sc] * plan.n_units
 
-    def test_pool_and_shard_planner_raise_the_same_error(self):
-        # the factory would crash the baseline probe: the check comes first
-        sc = specless_scenario(lambda *a, **k: None)
-        with pytest.raises(ChaosError, match="workers=1") as pool:
-            run_campaign([sc], workers=2)
-        with pytest.raises(ChaosError, match="workers=1") as shard:
-            plan_campaign([sc], n_shards=2)
-        assert str(pool.value) == str(shard.value)
+
+class TestCustomProtocolOnEveryEngine:
+    """A scenario with a custom protocol is a value like any other: the
+    broken-protocol matrix that proves the oracle bites runs, and is
+    fingerprinted, on all three engines."""
+
+    def test_mutant_matrix_is_engine_invariant(self, tmp_path):
+        sc = selfckpt_scenario(protocol_factory=SilentCorruptRecover, **CFG)
+        results = {}
+        for engine in ENGINES:
+            _, (report,), _ = run_engine(engine, tmp_path / engine, scs=[sc])
+            results[engine] = report.results
+        first = results[ENGINES[0]]
+        assert all(r == first for r in results.values())
+        verdicts = [r.verdict for r in first]
+        assert "wrong-answer" in verdicts and "survived" in verdicts
 
 
 class TestMatrixFilters:

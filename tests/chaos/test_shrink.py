@@ -1,8 +1,11 @@
 """Tests for randomized campaigns and the schedule shrinker."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos import (
+    ChaosScenario,
     RandomCampaignConfig,
     VERDICT_SURVIVED,
     VERDICT_UNRECOVERABLE,
@@ -149,17 +152,12 @@ class TestShrink:
         ]
 
 
-def raising_oracle_scenario():
+class RaisingOracleScenario(ChaosScenario):
     """The selfckpt app, except that its answer oracle *raises* on any
     run that consumed a spare node (i.e. any run a kill actually hit)."""
-    import dataclasses
 
-    from repro.chaos import ChaosScenario
-
-    base = scenario()
-
-    def factory():
-        inst = base.make()
+    def make(self):
+        inst = super().make()
         active = [n.node_id for n in inst.cluster.nodes]
 
         def check(result):
@@ -169,7 +167,10 @@ def raising_oracle_scenario():
 
         return dataclasses.replace(inst, check=check)
 
-    return ChaosScenario(name=base.name, params=base.params, factory=factory)
+
+def raising_oracle_scenario():
+    base = scenario()
+    return RaisingOracleScenario(base.kind, base.kwargs)
 
 
 class TestCrashFoldingIsDoorIndependent:

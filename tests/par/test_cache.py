@@ -1,50 +1,58 @@
-"""Tests for scenario specs, fingerprints and the memo cache (repro.par)."""
+"""Tests for scenario values, fingerprints and the memo cache (repro.par)."""
+
+import functools
+import pickle
 
 import pytest
 
+from repro.chaos.scenarios import selfckpt_scenario
+from repro.ckpt.self_ckpt import SelfCheckpoint
 from repro.par import (
     MemoCache,
     ReplayOutcome,
     ReplaySpec,
-    ScenarioSpec,
     code_fingerprint,
-    registered_kinds,
     replay_fingerprint,
 )
 from repro.sim.failures import PhaseTrigger, TimeTrigger
+from tests.chaos.helpers import SilentCorruptRecover
 
 
 def _spec(**overrides):
-    from repro.chaos.scenarios import selfckpt_scenario
+    return selfckpt_scenario(**overrides)
 
-    return selfckpt_scenario(**overrides).spec
+
+def _local_class():
+    class Local(SelfCheckpoint):
+        pass
+
+    return Local
 
 
 class TestScenarioSpec:
     def test_kwargs_are_order_canonical(self):
-        a = ScenarioSpec.create("k", x=1, y=2)
-        b = ScenarioSpec.create("k", y=2, x=1)
+        a = selfckpt_scenario(n_nodes=2, iters=4)
+        b = selfckpt_scenario(iters=4, n_nodes=2)
         assert a == b and hash(a) == hash(b)
 
-    def test_builtin_kinds_registered_on_import(self):
-        _spec()  # importing repro.chaos.scenarios registers the builders
-        assert {"selfckpt", "skt-hpl"} <= set(registered_kinds())
-
     def test_build_round_trips_the_spec(self):
-        spec = _spec(n_nodes=2, iters=4)
-        rebuilt = spec.build()
-        assert rebuilt.spec == spec
+        sc = selfckpt_scenario(n_nodes=2, iters=4, protocol_factory=SilentCorruptRecover)
+        rebuilt = pickle.loads(pickle.dumps(sc))
+        assert rebuilt == sc and hash(rebuilt) == hash(sc)
         assert rebuilt.params["n_nodes"] == 2
 
-    def test_unknown_kind_raises(self):
-        with pytest.raises(KeyError, match="no scenario builder"):
-            ScenarioSpec.create("no-such-kind").build()
-
-    def test_custom_protocol_scenario_has_no_spec(self):
-        from repro.chaos.scenarios import selfckpt_scenario
-
-        sc = selfckpt_scenario(protocol_factory=lambda *a, **k: None)
-        assert sc.spec is None
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda *a, **k: None,
+            _local_class(),
+            functools.partial(SelfCheckpoint),
+        ],
+        ids=["lambda", "local-class", "partial"],
+    )
+    def test_factory_must_be_module_level(self, factory):
+        with pytest.raises(ValueError, match="module-level class or function"):
+            selfckpt_scenario(protocol_factory=factory)
 
 
 class TestFingerprint:
@@ -69,6 +77,13 @@ class TestFingerprint:
             ),
         )
         assert replay_fingerprint(a) != replay_fingerprint(b)
+
+    def test_protocol_factory_is_fingerprinted_by_reference(self):
+        def fp(factory):
+            return replay_fingerprint(ReplaySpec(_spec(protocol_factory=factory), ()))
+
+        assert fp(SilentCorruptRecover) == fp(SilentCorruptRecover)
+        assert len({fp(None), fp(SelfCheckpoint), fp(SilentCorruptRecover)}) == 3
 
     def test_sensitive_to_schema_version(self, monkeypatch):
         import repro.par.cache as cache_mod

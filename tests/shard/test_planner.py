@@ -3,7 +3,6 @@
 import pytest
 
 from repro.chaos import (
-    ChaosError,
     RandomCampaignConfig,
     enumerate_kill_points,
     probe_baseline,
@@ -77,9 +76,7 @@ class TestPlan:
         points = enumerate_kill_points(probe)
         assert [u.point for u in plan.units] == points
         for unit, point in zip(plan.units, points):
-            spec = ReplaySpec(
-                scenario.spec, (point_trigger(point, probe),), obs="off"
-            )
+            spec = ReplaySpec(scenario, (point_trigger(point, probe),), obs="off")
             assert unit.fingerprint == replay_fingerprint(spec)
 
     def test_random_units_ride_behind_the_matrices(self, scenario, probe):
@@ -99,9 +96,3 @@ class TestPlan:
         plan = plan_campaign([scenario], n_shards=3, probes=[probe])
         ords = sorted(o for s in plan.shards for o in s.unit_ords)
         assert ords == [u.ord for u in plan.units]
-
-    def test_specless_scenario_rejected(self):
-        sc = small_scenario(protocol_factory=lambda *a, **k: None)
-        assert sc.spec is None
-        with pytest.raises(ChaosError, match="pickleable spec"):
-            plan_campaign([sc], n_shards=2)

@@ -87,11 +87,6 @@ ALLOWED = {
         "scalar reference: the GF(2^8) field-law tests and the vec_mul / "
         "vec_mul_xor kernel tests check against it"
     ),
-    "repro.util.units.parse_bytes": (
-        "inverse of fmt_bytes at the configuration boundary; listed for "
-        "removal by ISSUE 22 and kept only because ten floor tests pin it "
-        "(CHANGES.md, one-recorder entry) — delete it with them"
-    ),
 }
 
 

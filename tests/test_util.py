@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.util import (
     GiB,
@@ -11,7 +10,6 @@ from repro.util import (
     block_rng,
     fmt_bytes,
     fmt_seconds,
-    parse_bytes,
     render_table,
     seeded_rng,
 )
@@ -38,30 +36,6 @@ class TestUnits:
 
     def test_fmt_bytes_negative(self):
         assert fmt_bytes(-KiB) == "-1.00KiB"
-
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("4GiB", 4 * GiB),
-            ("512 MB", 512 * 10**6),
-            ("100", 100),
-            ("1.5KiB", int(1.5 * KiB)),
-            ("2kb", 2000),
-        ],
-    )
-    def test_parse_bytes(self, text, expected):
-        assert parse_bytes(text) == expected
-
-    @pytest.mark.parametrize("bad", ["", "GiB", "4 parsecs", "-3GiB"])
-    def test_parse_bytes_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
-            parse_bytes(bad)
-
-    @given(st.integers(min_value=0, max_value=2**50))
-    def test_fmt_parse_roundtrip_order_of_magnitude(self, n):
-        # formatting then parsing must land within 1% (2-decimal mantissa)
-        back = parse_bytes(fmt_bytes(n))
-        assert abs(back - n) <= max(16, 0.01 * n)
 
     @pytest.mark.parametrize(
         "t,expected",
