@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport
+from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport, WorldStatus
 from repro.sim.errors import UnrecoverableError
 
 
@@ -113,45 +113,45 @@ class SlottedCheckpoint(Checkpointer):
         return self._checkpointed(e, encode_s, flush_s)
 
     # -- restore ------------------------------------------------------------------
-    def valid_slots(self, statuses) -> Dict[int, int]:
+    def valid_slots(self, status: WorldStatus) -> Dict[int, int]:
         """Slots on which every surviving rank agrees on one clean epoch."""
         valid: Dict[int, int] = {}
         for slot in range(self.N_SLOTS):
-            cs = {s.epochs[2 * slot] for s in statuses if s.has_state}
-            bs = {s.epochs[2 * slot + 1] for s in statuses if s.has_state}
+            cs = {e[2 * slot] for e in status.epochs}
+            bs = {e[2 * slot + 1] for e in status.epochs}
             if cs == bs and len(cs) == 1:
                 valid[slot] = cs.pop()
         return valid
 
-    def restore_feasible(self, statuses) -> bool:
+    def restore_feasible(self, status: WorldStatus) -> bool:
         """Can this group recover from the in-memory slots (or start fresh)
-        without raising?  Pure function of the exchanged statuses, so every
+        without raising?  Pure function of the exchanged status, so every
         rank of the world computes the same value for its own group."""
-        if not any(s.has_state for s in statuses):
+        if not status.epochs:
             return True  # fresh start is fine
-        if len(self._group_missing(statuses)) > self.PARITY:
+        if len(self._group_missing(status)) > self.PARITY:
             return False
-        return bool(self.valid_slots(statuses))
+        return bool(self.valid_slots(status))
 
-    def try_restore(self, statuses=None) -> Optional[RestoreReport]:
-        """``statuses``: an already exchanged world status (the multi-level
+    def try_restore(self, status: Optional[WorldStatus] = None) -> Optional[RestoreReport]:
+        """``status``: an already exchanged world status (the multi-level
         tier pre-checks feasibility on it); exchanged here when absent."""
         self._require_committed()
-        if statuses is None:
-            statuses = self._exchange_status()
+        if status is None:
+            status = self._exchange_status()
 
-        if not any(s.has_state for s in statuses):
+        if not status.epochs:
             return None
-        missing = self._group_missing(statuses)
+        missing = self._group_missing(status)
         self._check_tolerance(missing)
 
-        valid = self.valid_slots(statuses)
+        valid = self.valid_slots(status)
         if not valid:
             raise UnrecoverableError(
                 f"no {self.METHOD}-checkpoint slot is consistent across the "
                 "survivors (failure during checkpoint update, with no "
                 "untouched slot left): flags="
-                f"{sorted({s.epochs for s in statuses if s.has_state})}"
+                f"{list(status.epochs)}"
             )
         slot, epoch = max(valid.items(), key=lambda kv: kv[1])
         if epoch == 0:

@@ -30,21 +30,28 @@ Strategies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 STRATEGIES = ("stride", "block", "topology", "rack-spread")
 
 
 @dataclass(frozen=True)
 class GroupLayout:
-    """A partition of world ranks into encoding groups.
+    """A partition of world ranks into encoding groups; immutable, so every
+    rank of a job can share one.
 
     ``groups[g]`` lists world ranks in group-rank order; ``group_of`` and
     ``group_rank_of`` are per-world-rank lookups.
     """
 
-    groups: List[List[int]]
+    groups: Tuple[Tuple[int, ...], ...]
+    #: world rank -> (group, group rank)
+    _where: Dict[int, Tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        where = {r: (g, i) for g, members in enumerate(self.groups) for i, r in enumerate(members)}
+        object.__setattr__(self, "_where", where)
 
     @property
     def n_groups(self) -> int:
@@ -55,13 +62,10 @@ class GroupLayout:
         return len(self.groups[0]) if self.groups else 0
 
     def group_of(self, rank: int) -> int:
-        for g, members in enumerate(self.groups):
-            if rank in members:
-                return g
-        raise KeyError(f"rank {rank} not in any group")
+        return self._where[rank][0]
 
     def group_rank_of(self, rank: int) -> int:
-        return self.groups[self.group_of(rank)].index(rank)
+        return self._where[rank][1]
 
     def validate_node_distinct(self, ranklist: Sequence[int]) -> None:
         """Raise if any group places two ranks on one node — such a group
@@ -156,7 +160,7 @@ def partition_groups(
     else:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
-    layout = GroupLayout(groups=groups)
+    layout = GroupLayout(groups=tuple(map(tuple, groups)))
     if ranklist is not None and strategy != "block":
         layout.validate_node_distinct(ranklist)
     return layout

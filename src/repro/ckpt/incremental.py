@@ -186,14 +186,13 @@ class IncrementalCheckpoint(Checkpointer):
 
     def try_restore(self) -> Optional[RestoreReport]:
         self._require_committed()
-        statuses = self._exchange_status()
-        if not any(s.has_state for s in statuses):
+        status = self._exchange_status()
+        if not status.epochs:
             return None
-        missing = self._group_missing(statuses)
+        missing = self._group_missing(status)
         self._check_tolerance(missing)
 
-        e_u = self._world_max(statuses, 0)
-        e_r = self._world_max(statuses, 2)
+        e_u, e_r = status.latest(0), status.latest(2)
 
         ctx = self.ctx
         ctx.phase("restore.begin")
@@ -206,7 +205,7 @@ class IncrementalCheckpoint(Checkpointer):
                 self._ctrl[_B] = e_u - 1
             epoch = e_u - 1
         else:
-            epoch = self._world_max(statuses, 1)
+            epoch = status.latest(1)
         if epoch == 0:
             self._reset_flags()
             return None

@@ -20,6 +20,7 @@ Typical use inside a rank main::
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from typing import Any, Dict, Optional
 
@@ -52,6 +53,12 @@ _METHODS = {
     "multilevel": (MultiLevelCheckpoint, HDD, ("device", "flush_every")),
 }
 METHODS = tuple(_METHODS)
+
+#: each live world communicator's group layouts, by (group size, strategy,
+#: topology)
+_layouts: "weakref.WeakKeyDictionary[Communicator, Dict[tuple, GroupLayout]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 class CheckpointManager:
@@ -96,13 +103,18 @@ class CheckpointManager:
             self.group: Optional[Communicator] = None
             self._impl = cls(ctx, prefix=prefix, a2_capacity=a2_capacity, **extra)
         else:
-            self.group_layout = partition_groups(
-                world.size,
-                group_size,
-                strategy=strategy,
-                ranklist=ctx.job.ranklist,
-                topology=topology,
-            )
+            # one partition per job: every rank asks for the same one
+            layouts = _layouts.setdefault(world, {})
+            key = (group_size, strategy, topology)
+            if key not in layouts:
+                layouts[key] = partition_groups(
+                    world.size,
+                    group_size,
+                    strategy=strategy,
+                    ranklist=ctx.job.ranklist,
+                    topology=topology,
+                )
+            self.group_layout = layouts[key]
             me = world.rank
             gid = self.group_layout.group_of(me)
             grank = self.group_layout.group_rank_of(me)

@@ -75,11 +75,11 @@ class MultiLevelCheckpoint(DoubleCheckpoint):
         """
         self._require_committed()
         world = self.ctx.world
-        statuses = self._exchange_status()
-        mem_ok = self.restore_feasible(statuses)
+        status = self._exchange_status()
+        mem_ok = self.restore_feasible(status)
         all_mem_ok = world.allreduce_obj(mem_ok, lambda a, b: a and b)
         if all_mem_ok:
-            return super().try_restore(statuses)
+            return super().try_restore(status)
         # level-2 target: the newest image every rank holds (0 = none)
         target = world.allreduce_obj(self._images.latest_epoch(), min)
         if target == 0:
@@ -88,7 +88,7 @@ class MultiLevelCheckpoint(DoubleCheckpoint):
             self._reset_flags()
             return None
 
-        n_missing = len(self._group_missing(statuses))
+        n_missing = len(self._group_missing(status))
         with self.ctx.span("restore", epoch=target, source="disk", missing=n_missing):
             with self.ctx.span("restore.commit"):
                 self.local = self.layout.unpack_into(self._images.load(target), self._arrays)

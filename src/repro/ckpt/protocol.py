@@ -28,14 +28,15 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ckpt.encoding import GroupEncoder
 from repro.ckpt.state import StateLayout
 from repro.sim.errors import ShmError, UnrecoverableError
-from repro.sim.mpi import Communicator
+from repro.sim.mpi import Communicator, _payload_nbytes
 from repro.sim.runtime import RankContext
 
 
@@ -69,13 +70,30 @@ class RestoreReport:
     local: Dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class _Status:
-    """Per-rank state advertisement exchanged at restore time."""
+@dataclass(frozen=True)
+class WorldStatus:
+    """The world's restore-time status, summarized once by the status
+    exchange and shared by every rank: what the restore decision reads."""
 
-    has_state: bool
-    magic: int
-    epochs: Tuple[int, ...]
+    #: world ranks with no committed state
+    lost: FrozenSet[int]
+    #: the distinct epoch-flag tuples of the ranks with state, sorted
+    epochs: Tuple[Tuple[int, ...], ...]
+
+    def latest(self, flag: int) -> int:
+        """World-wide maximum of epoch flag ``flag`` (0 when no rank has
+        state)."""
+        return max((e[flag] for e in self.epochs), default=0)
+
+
+@lru_cache(maxsize=None)
+def _magic(*parts: str) -> int:
+    """The layout magic of a control segment: sha256 over ``parts``, once
+    per distinct layout rather than once per rank."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode())
+    return int.from_bytes(h.digest()[:7], "big")  # fits in int64
 
 
 class CheckpointProtocol(ABC):
@@ -242,15 +260,11 @@ class Checkpointer(CheckpointProtocol):
         self._create_segments()
 
     def _compute_magic(self) -> int:
-        h = hashlib.sha256()
-        h.update(self.prefix.encode())
-        h.update(str(self._padded).encode())
-        h.update(str(self.group.size).encode())
-        h.update(self.METHOD.encode())
+        parts = [self.prefix, str(self._padded), str(self.group.size), self.METHOD]
         for name in self.layout.names:
             shape, dtype = self.layout.spec_of(name)
-            h.update(f"{name}:{shape}:{dtype}".encode())
-        return int.from_bytes(h.digest()[:7], "big")  # fits in int64
+            parts.append(f"{name}:{shape}:{dtype}")
+        return _magic(*parts)
 
     @abstractmethod
     def _create_segments(self) -> None:
@@ -290,8 +304,10 @@ class Checkpointer(CheckpointProtocol):
             return (0,) * self.N_FLAGS
         return tuple(int(f) for f in self._ctrl[1:])
 
-    def _exchange_status(self) -> List[_Status]:
-        """World-wide status exchange (indexed by **world** rank).
+    def _exchange_status(self) -> WorldStatus:
+        """World-wide status exchange, priced as the allgather of every
+        rank's ``(has_state, magic, epochs)``; the last arriver summarizes
+        it once and every rank receives that same :class:`WorldStatus`.
 
         The restore decision must be identical across *all* groups: groups
         checkpoint concurrently, and a failure caught while group 0 was
@@ -308,18 +324,26 @@ class Checkpointer(CheckpointProtocol):
         """
         epochs = self._flags()
         has_state = any(e != 0 for e in epochs)
-        raw = self.ctx.world.allgather(
-            (has_state, self._magic if has_state else 0, epochs)
-        )
-        return [_Status(has_state=h, magic=m, epochs=e) for h, m, e in raw]
+        world = self.ctx.world
 
-    def _group_missing(self, statuses: List[_Status]) -> List[int]:
-        """Group ranks of members that lost their state, from world statuses."""
-        return [
-            g
-            for g, w in enumerate(self.group.members)
-            if not statuses[w].has_state
-        ]
+        def summarize(data: Dict[int, Any]) -> Dict[int, WorldStatus]:
+            status = WorldStatus(
+                lost=frozenset(r for r, (h, _, _) in data.items() if not h),
+                epochs=tuple(sorted({e for h, _, e in data.values() if h})),
+            )
+            return dict.fromkeys(data, status)
+
+        return world.custom_collective(
+            (has_state, self._magic if has_state else 0, epochs),
+            compute=summarize,
+            cost=lambda data: world.net.allgather_time(
+                max(_payload_nbytes(v) for v in data.values()), world.size
+            ),
+        )
+
+    def _group_missing(self, status: WorldStatus) -> List[int]:
+        """Group ranks of members that lost their state."""
+        return [g for g, w in enumerate(self.group.members) if w in status.lost]
 
     def _check_tolerance(self, missing: List[int]) -> None:
         """More lost members than the group's encoding has parities cannot
@@ -350,12 +374,6 @@ class Checkpointer(CheckpointProtocol):
             self._do_recover(
                 np.array(data, copy=True), np.array(checksum, copy=True), missing
             )
-
-    @staticmethod
-    def _world_max(statuses: List[_Status], flag: int) -> int:
-        return max(
-            (s.epochs[flag] for s in statuses if s.has_state), default=0
-        )
 
     def _reset_flags(self) -> None:
         """Zero the epoch flags (fresh-start path).

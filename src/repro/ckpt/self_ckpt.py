@@ -141,22 +141,20 @@ class SelfCheckpoint(Checkpointer):
     # -- restore -------------------------------------------------------------------------
     def try_restore(self) -> Optional[RestoreReport]:
         self._require_committed()
-        statuses = self._exchange_status()
+        status = self._exchange_status()
 
-        if not any(s.has_state for s in statuses):
+        if not status.epochs:
             # brand-new system OR a failure before the first checkpoint
             # ever committed: surviving nodes may still hold the stale
             # pre-failure workspace in SHM — blank it so every rank
             # initializes identically
             self._fresh_reset()
             return None
-        missing = self._group_missing(statuses)
+        missing = self._group_missing(status)
         self._check_tolerance(missing)
 
         # world-wide flag maxima: every group takes the same branch
-        e_f = self._world_max(statuses, 0)
-        e_b = self._world_max(statuses, 1)
-        e_r = self._world_max(statuses, 2)
+        e_f, e_b, e_r = status.latest(0), status.latest(1), status.latest(2)
 
         if e_f > e_r:
             return self._restore(e_f, "workspace", missing)

@@ -24,6 +24,7 @@ real blocking collectives behave.
 Payloads are defensively copied (arrays via ``np.copy``, containers rebuilt
 element-wise, anything else via ``copy.deepcopy``) so ranks never alias each
 other's buffers — matching the value semantics of real message passing.
+Deeply immutable payloads are shared instead: no receiver can change them.
 
 Nothing here locks or reads the host clock: one rank runs at a time (see
 :mod:`repro.sim.runtime`), so mailboxes and the collective slot are plain
@@ -474,17 +475,25 @@ class Communicator:
         )
 
     def allgather(self, obj: Any) -> List[Any]:
+        """Every member's ``obj``, in rank order, as a list of its own.  When
+        every payload is deeply immutable the members share one tuple and
+        each list is made from it on return; otherwise each member gets its
+        own copies."""
+
         def compute(data: Dict[int, Any]) -> Dict[int, Any]:
-            ordered = [data[r] for r in range(self.size)]
+            ordered = tuple(data[r] for r in range(self.size))
+            if all(map(_immutable, ordered)):
+                return dict.fromkeys(data, ordered)
             return {r: [_copy_payload(v) for v in ordered] for r in data}
 
-        return self.custom_collective(
+        gathered = self.custom_collective(
             obj,
             compute=compute,
             cost=lambda data: self._net.allgather_time(
                 max(_payload_nbytes(v) for v in data.values()), self.size
             ),
         )
+        return list(gathered) if type(gathered) is tuple else gathered
 
     # -- communicator construction ---------------------------------------------------
     def split(self, color: int, key: int | None = None) -> "Communicator":

@@ -6,12 +6,15 @@ checks), on a *carrier*: a daemon thread that outlives the job.  Carriers
 park on a process-wide idle list between jobs (a forked child starts with an
 empty one); ``Job.run`` takes one per rank, creating one only when the list
 is empty.  Exactly one rank holds the *baton* at any moment.  Every rank
-sleeps on its own gate (a plain lock); a rank that must wait parks on a
-channel and opens the gate of the next rank in the ready queue, and a rank
-that returns hands the baton on the same way — the last one releases
-``Job.run`` instead.  The queue is FIFO in wake order — seeded in rank
-order, a wake-up appends the woken ranks in rank order — so the schedule is
-a pure function of the program, never of the host scheduler.  Parking when
+sleeps on its own gate, which is its carrier's lock, so the first hand-off
+to a rank starts it; a rank that must wait parks on a channel and opens the
+gate of the next rank in the ready queue, and a rank that returns hands the
+baton on the same way — the last one releases ``Job.run`` instead.  Carriers
+run under ``SCHED_BATCH`` where the host allows it, so the rank a hand-off
+wakes does not preempt the one about to park: a hand-off costs one context
+switch.  The queue is FIFO in wake order — seeded in rank order, a wake-up
+appends the woken ranks in rank order — so the schedule is a pure function
+of the program, never of the host scheduler.  Parking when
 the queue is empty means every live rank is parked: that *is* deadlock, and
 it raises :class:`~repro.sim.errors.SimError` at once — the simulator's only
 deadlock report, naming each wait, any mismatched tag and the phase timeline.
@@ -264,8 +267,10 @@ os.register_at_fork(after_in_child=_idle.clear)
 
 class _Carrier:
     """A daemon thread that runs one rank of one job at a time, parked on its
-    own task lock in between — named ``repro-carrier`` there, and holding no
-    reference to the job it last ran."""
+    own lock in between — named ``repro-carrier`` there, and holding no
+    reference to the job it last ran.  The lock is the gate of the rank it is
+    given: ``Job.run`` sets ``_task`` and the job's first hand-off to that
+    rank releases it."""
 
     __slots__ = ("_lock", "_task")
 
@@ -274,11 +279,11 @@ class _Carrier:
         self._lock.acquire()
         threading.Thread(target=self._loop, name="repro-carrier", daemon=True).start()
 
-    def start(self, job: "Job", rank: int) -> None:
-        self._task = (job, rank)
-        self._lock.release()
-
     def _loop(self) -> None:
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except (AttributeError, OSError):
+            pass  # no SCHED_BATCH here, or refused: hand-offs only cost more
         me = threading.current_thread()
         while True:
             self._lock.acquire()
@@ -367,12 +372,11 @@ class Job:
         self._abort_hard = False
         self._done_ranks: set = set()
         self._failed_nodes: List[int] = []
-        #: the baton: rank threads sleep on their own gate; ``_ready`` is
-        #: the FIFO of ranks free to run, ``_parked`` maps a wait channel to
-        #: the ``(rank, mailbox key or None)`` pairs parked on it
-        self._gates = [threading.Lock() for _ in range(n_ranks)]
-        for gate in self._gates:
-            gate.acquire()
+        #: the baton: rank threads sleep on their own gate (their carrier's
+        #: lock, filled in by :meth:`run`); ``_ready`` is the FIFO of ranks
+        #: free to run, ``_parked`` maps a wait channel to the
+        #: ``(rank, mailbox key or None)`` pairs parked on it
+        self._gates: List[threading.Lock] = []
         self._ready: Deque[int] = deque(range(n_ranks))
         self._parked: Dict[Any, List[Tuple[int, Any]]] = {}
         #: ranks not yet returned; only the baton holder touches it, and the
@@ -481,12 +485,12 @@ class Job:
 
     # -- execution ----------------------------------------------------------------------
     def _bootstrap(self, rank: int) -> threading.Lock:
-        """Run ``rank``; return the lock whose release hands the baton on (the
-        next ready rank's gate, or ``_finished``) for the carrier to release."""
+        """Run ``rank``, which holds the baton; return the lock whose release
+        hands it on (the next ready rank's gate, or ``_finished``) for the
+        carrier to release."""
         node = self.cluster.node(self.ranklist[rank])
         ctx = RankContext(self, rank, node)
         _tls.bind(ctx)
-        self._gates[rank].acquire()
         try:
             result = self.main(ctx, *self.args)
             self._results[rank] = result
@@ -532,7 +536,9 @@ class Job:
         """Execute all ranks, one at a time, each on a carrier; block until
         the last rank returns."""
         for rank in range(self.n_ranks):
-            (_idle.pop() if _idle else _Carrier()).start(self, rank)
+            carrier = _idle.pop() if _idle else _Carrier()
+            carrier._task = (self, rank)
+            self._gates.append(carrier._lock)
         self._hand_on()
         self._finished.acquire()
 

@@ -149,7 +149,7 @@ class TestManager:
             mgr = CheckpointManager(
                 ctx, ctx.world, group_size=2, method="self", strategy="stride"
             )
-            assert mgr.group_layout.groups == [[0, 2], [1, 3]]
+            assert mgr.group_layout.groups == ((0, 2), (1, 3))
             assert mgr.group.size == 2
             mgr.alloc("x", 4)
             mgr.commit()
@@ -164,6 +164,54 @@ class TestManager:
             return True
 
         run(main, n_ranks=2)
+
+
+class TestWorldScale:
+    """Per-rank host work is O(group): the world is partitioned and its
+    restore-time status summarized once, not once per rank."""
+
+    def test_a_job_partitions_its_world_once(self, monkeypatch):
+        from repro.apps.iterative import IterativeConfig, iterative_answer_ok, iterative_main
+        from repro.ckpt import manager
+
+        calls = []
+        real = manager.partition_groups
+        monkeypatch.setattr(
+            manager, "partition_groups", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        cfg = IterativeConfig(iters=2, ckpt_every=2, group_size=4)
+        res = Job(Cluster(16), iterative_main, 64, args=(cfg,), procs_per_node=4).run()
+        assert res.completed and iterative_answer_ok(cfg, res.rank_results, 64)
+        assert calls == [(64, 4)]
+
+    def test_every_rank_reads_one_world_status_after_a_node_loss(self):
+        from repro.hpl.daemon import JobDaemon
+        from repro.sim import FailurePlan, PhaseTrigger
+
+        def main(ctx):
+            mgr = CheckpointManager(ctx, ctx.world, group_size=4, method="self")
+            a = mgr.alloc("data", 8)
+            mgr.commit()
+            status = mgr.impl._exchange_status()
+            report = mgr.try_restore()
+            for it in range(report.local["it"] if report else 0, 4):
+                a += 1
+                ctx.elapse(1.0)
+                if (it + 1) % 2 == 0:
+                    mgr.local["it"] = it + 1
+                    mgr.checkpoint()
+            return status
+
+        # node 1 holds ranks 2 and 3; it dies as rank 2 begins epoch 2
+        plan = FailurePlan([PhaseTrigger(node_id=1, phase="ckpt.begin", occurrence=2, rank=2)])
+        rep = JobDaemon(
+            Cluster(4, n_spares=1), main, 8, procs_per_node=2, failure_plan=plan
+        ).run()
+        assert rep.completed and rep.n_restarts == 1
+        statuses = list(rep.result.rank_results.values())
+        assert all(s is statuses[0] for s in statuses)
+        assert statuses[0].lost == {2, 3}
+        assert statuses[0].epochs == ((1, 1, 1),)
 
 
 class TestInterval:

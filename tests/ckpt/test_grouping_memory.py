@@ -17,12 +17,12 @@ from repro.util import GiB
 class TestPartitioning:
     def test_stride_groups(self):
         layout = partition_groups(8, 4, strategy="stride")
-        assert layout.groups == [[0, 2, 4, 6], [1, 3, 5, 7]]
+        assert layout.groups == ((0, 2, 4, 6), (1, 3, 5, 7))
         assert layout.n_groups == 2 and layout.group_size == 4
 
     def test_block_groups(self):
         layout = partition_groups(8, 4, strategy="block")
-        assert layout.groups == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert layout.groups == ((0, 1, 2, 3), (4, 5, 6, 7))
 
     def test_lookups(self):
         layout = partition_groups(8, 4, strategy="stride")

@@ -199,6 +199,45 @@ class TestCollectives:
         run(main)
 
 
+class TestAllgatherSharing:
+    """Immutable payloads are shared, mutable ones copied per member."""
+
+    def test_immutable_payloads_are_shared_and_each_list_is_its_own(self, monkeypatch):
+        from repro.sim import mpi
+
+        copied = []
+        real = mpi._copy_payload
+        monkeypatch.setattr(mpi, "_copy_payload", lambda obj: copied.append(obj) or real(obj))
+
+        def main(ctx):
+            got = ctx.world.allgather(10 * ctx.rank)
+            if ctx.rank == 0:
+                got[1] = -1
+                got.append("mine")
+            ctx.world.barrier()
+            return got
+
+        res = run(main)
+        assert copied == []
+        assert res.rank_results[0] == [0, -1, 20, 30, "mine"]
+        assert all(res.rank_results[r] == [0, 10, 20, 30] for r in (1, 2, 3))
+
+    def test_array_payloads_arrive_as_one_copy_per_member(self):
+        def main(ctx):
+            mine = np.full(3, ctx.rank)
+            got = ctx.world.allgather(mine)
+            got[0][:] = -1
+            ctx.world.barrier()
+            return mine, got
+
+        res = run(main)
+        assert np.array_equal(res.rank_results[0][0], [0, 0, 0])
+        firsts = [res.rank_results[r][1][0] for r in range(4)]
+        assert len({id(a) for a in firsts}) == 4
+        assert all(np.array_equal(a, [-1, -1, -1]) for a in firsts)
+        assert np.array_equal(res.rank_results[1][1][1], [1, 1, 1])
+
+
 class TestSplit:
     def test_split_by_parity(self):
         def main(ctx):

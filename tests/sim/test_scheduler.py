@@ -3,6 +3,7 @@ function of the program, and collectives complete in one hand-off."""
 
 import gc
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -360,11 +361,50 @@ def test_no_context_is_bound_in_a_carrier_between_jobs():
             return done
 
     probe = Probe()
-    _idle.pop().start(probe, 0)  # a carrier that has run a rank
+    carrier = _idle.pop()  # a carrier that has run a rank
+    carrier._task = (probe, 0)
+    carrier._lock.release()  # its lock is the rank's gate: the first hand-off
     while not hasattr(probe, "done"):
         time.sleep(1e-3)
     assert probe.done.acquire(timeout=5)
     assert len(outcome) == 1 and "no RankContext" in str(outcome[0])
+
+
+def _carrier_policies():
+    return {
+        os.sched_getscheduler(t.native_id)
+        for t in threading.enumerate()
+        if t.name == "repro-carrier"
+    }
+
+
+@pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"), reason="no SCHED_BATCH here")
+def test_carriers_run_under_sched_batch_and_the_caller_keeps_its_policy():
+    before = os.sched_getscheduler(0)
+    _ring_outcome()
+    assert os.sched_getscheduler(0) == before
+    assert _carrier_policies() == {os.SCHED_BATCH}
+
+
+def _ring_outcome_with_the_policy_refused():
+    refused = []
+
+    def refuse(*args):
+        refused.append(args)
+        raise PermissionError("sched_setscheduler: operation not permitted")
+
+    os.sched_setscheduler = refuse  # this forked child's own os module
+    return _ring_outcome(), len(refused), _carrier_policies(), os.sched_getscheduler(0)
+
+
+@pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"), reason="no SCHED_BATCH here")
+def test_a_refused_policy_costs_speed_not_the_job():
+    outcome, n_refused, carriers, caller = _in_fresh_process(
+        _ring_outcome_with_the_policy_refused
+    )
+    assert outcome == _ring_outcome()
+    assert n_refused == 8  # every carrier asked, none died of the answer
+    assert carriers == {caller}
 
 
 class _BrokenTracer:
