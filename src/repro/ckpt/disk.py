@@ -144,11 +144,6 @@ class DiskCheckpoint(CheckpointProtocol):
         """Nothing to size or create: images go to the stable store."""
 
     @property
-    def overhead_bytes(self) -> int:
-        """Disk checkpointing keeps nothing in RAM."""
-        return 0
-
-    @property
     def protected_bytes(self) -> int:
         return self.layout.raw_size
 

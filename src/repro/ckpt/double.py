@@ -27,7 +27,7 @@ mirror in place of the checksum.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class SlottedCheckpoint(Checkpointer):
         copy, redundancy = self.KINDS
         self._b = [self._shm(f"{copy}{s}", self._padded) for s in slots]
         self._c = [self._shm(f"{redundancy}{s}", self._cs_size) for s in slots]
-
-    @property
-    def overhead_bytes(self) -> int:
-        return sum(seg.nbytes for seg in (*self._b, *self._c)) + self._ctrl.nbytes
 
     # -- protect: the step of the update that moves bytes between members
     # (its restore counterpart is ``Checkpointer._rebuild``) ---------------------
@@ -133,18 +129,7 @@ class SlottedCheckpoint(Checkpointer):
             return False
         return bool(self.valid_slots(status))
 
-    def try_restore(self, status: Optional[WorldStatus] = None) -> Optional[RestoreReport]:
-        """``status``: an already exchanged world status (the multi-level
-        tier pre-checks feasibility on it); exchanged here when absent."""
-        self._require_committed()
-        if status is None:
-            status = self._exchange_status()
-
-        if not status.epochs:
-            return None
-        missing = self._group_missing(status)
-        self._check_tolerance(missing)
-
+    def _restore_from(self, status: WorldStatus, missing: List[int]) -> Optional[RestoreReport]:
         valid = self.valid_slots(status)
         if not valid:
             raise UnrecoverableError(
@@ -155,7 +140,6 @@ class SlottedCheckpoint(Checkpointer):
             )
         slot, epoch = max(valid.items(), key=lambda kv: kv[1])
         if epoch == 0:
-            self._reset_flags()
             return None
 
         ctx = self.ctx

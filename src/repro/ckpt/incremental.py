@@ -31,7 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport
+from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport, WorldStatus
 from repro.sim.errors import UnrecoverableError
 
 _U, _B, _R = 1, 2, 3  # control flags: undo-ready, update-done, resumed
@@ -75,17 +75,6 @@ class IncrementalCheckpoint(Checkpointer):
         self._undo_pages = self._shm("U", (self._undo_capacity, self.page_bytes))
         # [count, page indices...]
         self._undo_index = self._shm("Ui", self._undo_capacity + 1, np.int64)
-
-    @property
-    def overhead_bytes(self) -> int:
-        return (
-            self._b.nbytes
-            + self._c.nbytes
-            + self._c_undo.nbytes
-            + self._undo_pages.nbytes
-            + self._undo_index.nbytes
-            + self._ctrl.nbytes
-        )
 
     # -- dirty detection -----------------------------------------------------------
     def _dirty_pages(self, flat: np.ndarray) -> np.ndarray:
@@ -184,14 +173,7 @@ class IncrementalCheckpoint(Checkpointer):
             self._b[lo:hi] = self._undo_pages[i, : hi - lo]
         self._c[:] = self._c_undo
 
-    def try_restore(self) -> Optional[RestoreReport]:
-        self._require_committed()
-        status = self._exchange_status()
-        if not status.epochs:
-            return None
-        missing = self._group_missing(status)
-        self._check_tolerance(missing)
-
+    def _restore_from(self, status: WorldStatus, missing: List[int]) -> Optional[RestoreReport]:
         e_u, e_r = status.latest(0), status.latest(2)
 
         ctx = self.ctx
@@ -207,7 +189,6 @@ class IncrementalCheckpoint(Checkpointer):
         else:
             epoch = status.latest(1)
         if epoch == 0:
-            self._reset_flags()
             return None
 
         with ctx.span(

@@ -53,16 +53,12 @@ class MultiLevelCheckpoint(DoubleCheckpoint):
         self.device = device
         self.flush_every = flush_every
         self._images = StableImageStore(ctx, device, f"{prefix}.L2")
-        self.n_level2 = 0
-        self.total_level2_seconds = 0.0
 
     def checkpoint(self) -> CheckpointInfo:
         info = super().checkpoint()
         if self.n_checkpoints % self.flush_every == 0:
-            t, _ = self._images.save(info.epoch, self._pack_flat())
+            self._images.save(info.epoch, self._pack_flat())
             self.ctx.phase("ckpt.level2")
-            self.n_level2 += 1
-            self.total_level2_seconds += t
         return info
 
     def try_restore(self) -> Optional[RestoreReport]:

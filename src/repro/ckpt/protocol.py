@@ -99,10 +99,11 @@ def _magic(*parts: str) -> int:
 class CheckpointProtocol(ABC):
     """The contract every checkpoint method presents, group-encoded or not:
     workspace registration (:meth:`alloc` / :meth:`array` / :attr:`local`),
-    the :meth:`commit` guard, :meth:`checkpoint` / :meth:`try_restore`, and
-    the one way a completed checkpoint or restore is counted and described
-    (:meth:`_checkpointed` / :meth:`_restored`).  It knows nothing of
-    encoding groups — :class:`Checkpointer` adds those, and
+    the :meth:`commit` guard, :meth:`checkpoint` / :meth:`try_restore`, the
+    memory it holds (:attr:`overhead_bytes`), and the one way a completed
+    checkpoint or restore is described (:meth:`_checkpointed` /
+    :meth:`_restored`).  It knows nothing of encoding groups —
+    :class:`Checkpointer` adds those, and
     :class:`~repro.ckpt.disk.DiskCheckpoint` does without."""
 
     #: human name used in reports
@@ -116,10 +117,11 @@ class CheckpointProtocol(ABC):
         #: bookkeeping) checkpointed alongside the arrays
         self.local: Dict[str, Any] = {}
         self._arrays: Dict[str, np.ndarray] = {}
+        #: the SHM segments this rank created or re-attached, by kind
+        self._segments: Dict[str, np.ndarray] = {}
         self._committed = False
         #: cumulative stats
         self.n_checkpoints = 0
-        self.n_restores = 0
         self.total_encode_seconds = 0.0
         self.total_flush_seconds = 0.0
 
@@ -170,9 +172,12 @@ class CheckpointProtocol(ABC):
         """Per-rank bytes of redundancy one checkpoint adds."""
 
     @property
-    @abstractmethod
     def overhead_bytes(self) -> int:
-        """Per-rank memory the protocol consumes beyond the workspace."""
+        """Per-rank memory the protocol consumes beyond the workspace: the
+        segments it allocated, less the workspace (``A1.*``) itself."""
+        return sum(
+            seg.nbytes for kind, seg in self._segments.items() if not kind.startswith("A1.")
+        )
 
     # -- the tails every checkpoint() / try_restore() ends with ---------------------
     def _checkpointed(
@@ -191,8 +196,7 @@ class CheckpointProtocol(ABC):
         )
 
     def _restored(self, epoch: int, source: str, missing: Sequence[int] = ()) -> RestoreReport:
-        """Count one completed restore and describe it."""
-        self.n_restores += 1
+        """Describe one completed restore."""
         return RestoreReport(
             epoch=epoch,
             source=source,
@@ -247,7 +251,9 @@ class Checkpointer(CheckpointProtocol):
     def _shm(self, kind: str, shape, dtype=np.uint8) -> np.ndarray:
         """Create (or re-attach after a restart) this rank's SHM segment
         ``kind`` and return its array."""
-        return self.ctx.shm_create(self._seg(kind), shape, dtype, exist_ok=True).array
+        seg = self.ctx.shm_create(self._seg(kind), shape, dtype, exist_ok=True).array
+        self._segments[kind] = seg
+        return seg
 
     # -- commit -----------------------------------------------------------------
     def _on_commit(self) -> None:
@@ -376,14 +382,43 @@ class Checkpointer(CheckpointProtocol):
             )
 
     def _reset_flags(self) -> None:
-        """Zero the epoch flags (fresh-start path).
+        """Zero the epoch flags.
 
         When no checkpoint ever committed, survivors may still carry flags
         from the interrupted first attempt; left in place they would make
-        ranks disagree on the next epoch/slot.  Every protocol's
-        ``try_restore`` fresh path must call this.
+        ranks disagree on the next epoch/slot.
         """
         self._ctrl[1:] = 0
+
+    def _fresh_reset(self) -> None:
+        """Prepare a fresh start (:meth:`try_restore` found nothing to
+        restore): by default, zero the epoch flags."""
+        self._reset_flags()
+
+    # -- restore ---------------------------------------------------------------
+    def try_restore(self, status: Optional[WorldStatus] = None) -> Optional[RestoreReport]:
+        """The restore every group protocol runs: exchange the world status
+        (unless ``status`` was exchanged already), refuse a group beyond its
+        tolerance, let the protocol decide and rebuild
+        (:meth:`_restore_from`), and reset for a fresh start when nothing
+        was restored."""
+        self._require_committed()
+        if status is None:
+            status = self._exchange_status()
+        report = None
+        if status.epochs:
+            missing = self._group_missing(status)
+            self._check_tolerance(missing)
+            report = self._restore_from(status, missing)
+        if report is None:
+            self._fresh_reset()
+        return report
+
+    @abstractmethod
+    def _restore_from(self, status: WorldStatus, missing: List[int]) -> Optional[RestoreReport]:
+        """Decide from the exchanged ``status`` which state to restore and
+        rebuild the ``missing`` group members; ``None`` when no epoch ever
+        committed (a fresh start)."""
 
     def ckpt_world_entry_barrier(self) -> None:
         """Synchronize every rank in the system at checkpoint entry, so all

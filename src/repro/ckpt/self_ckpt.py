@@ -51,12 +51,12 @@ two small checksums instead of the double-checkpoint's two full copies.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.ckpt import stripes
-from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport
+from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport, WorldStatus
 
 _F, _B, _R = 1, 2, 3  # control-segment flag indices (0 is the magic)
 
@@ -82,14 +82,6 @@ class SelfCheckpoint(Checkpointer):
         self._b2 = self._shm("B2", 8 + self.layout.a2_capacity)
         self._c = self._shm("C", self._cs_size)
         self._d = self._shm("D", self._cs_size)
-
-    @property
-    def overhead_bytes(self) -> int:
-        """B + C + D + B2 (+ control); the workspace itself is not overhead
-        — that is the whole point (Table 1)."""
-        return (
-            self._b.nbytes + self._c.nbytes + self._d.nbytes + self._b2.nbytes + self._ctrl.nbytes
-        )
 
     # -- checkpoint ---------------------------------------------------------------------
     def checkpoint(self) -> CheckpointInfo:
@@ -139,20 +131,7 @@ class SelfCheckpoint(Checkpointer):
         return self._checkpointed(e, encode_s, flush_s)
 
     # -- restore -------------------------------------------------------------------------
-    def try_restore(self) -> Optional[RestoreReport]:
-        self._require_committed()
-        status = self._exchange_status()
-
-        if not status.epochs:
-            # brand-new system OR a failure before the first checkpoint
-            # ever committed: surviving nodes may still hold the stale
-            # pre-failure workspace in SHM — blank it so every rank
-            # initializes identically
-            self._fresh_reset()
-            return None
-        missing = self._group_missing(status)
-        self._check_tolerance(missing)
-
+    def _restore_from(self, status: WorldStatus, missing: List[int]) -> Optional[RestoreReport]:
         # world-wide flag maxima: every group takes the same branch
         e_f, e_b, e_r = status.latest(0), status.latest(1), status.latest(2)
 
@@ -160,13 +139,13 @@ class SelfCheckpoint(Checkpointer):
             return self._restore(e_f, "workspace", missing)
         if e_b >= 1:
             return self._restore(e_b, "checkpoint", missing)
-        self._fresh_reset()
         return None
 
     def _fresh_reset(self) -> None:
-        """Blank the SHM workspace and flags for a fresh start (no epoch
-        ever committed anywhere, possibly with stale pre-failure data on
-        surviving nodes)."""
+        """Blank the SHM workspace and flags for a fresh start: no epoch
+        ever committed anywhere, but surviving nodes may still hold their
+        stale pre-failure workspace in SHM, and every rank must initialize
+        identically."""
         if self._had_state:
             for arr in self._arrays.values():
                 arr[...] = 0

@@ -28,7 +28,6 @@ class BlockCyclicMap:
             raise ValueError("n, nb, nprocs must be >= 1")
         self.n = n
         self.nb = nb
-        self.nprocs = nprocs
         g = np.arange(n)
         blocks = g // nb
         self._owner = (blocks % nprocs).astype(np.int32)

@@ -100,19 +100,17 @@ def replay_fingerprint(spec: ReplaySpec) -> str:
 class MemoCache:
     """In-memory (and optionally on-disk) store of classified outcomes.
 
-    Lookup accounting rides on the cache itself (:attr:`hits`,
-    :attr:`misses`, :attr:`corrupt`): the parallel engine surfaces the
-    counts as ``par.cache_hits`` / ``par.cache_misses`` /
-    ``par.cache_corrupt`` metrics, so a disk entry that existed but
-    failed to parse is a *visible* event in campaign telemetry rather
-    than a silent re-run.
+    The parallel engine counts hits and misses itself
+    (``par.cache_hits`` / ``par.cache_misses``); the one count only the
+    cache can see rides on it, :attr:`corrupt`, which the engine surfaces
+    as ``par.cache_corrupt``, so a disk entry that existed but failed to
+    parse is a *visible* event in campaign telemetry rather than a silent
+    re-run.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
         self._mem: Dict[str, ReplayOutcome] = {}
-        self.hits = 0
-        self.misses = 0
         #: disk entries that existed but could not be read/parsed
         #: (counted as misses too; the entry is rewritten on put)
         self.corrupt = 0
@@ -128,20 +126,16 @@ class MemoCache:
     def get(self, key: str) -> Optional[ReplayOutcome]:
         hit = self._mem.get(key)
         if hit is not None:
-            self.hits += 1
             return hit
         file = self._file_for(key)
         if file is None or not os.path.exists(file):
-            self.misses += 1
             return None
         try:
             with open(file, "r", encoding="utf-8") as f:
                 outcome = ReplayOutcome.from_json(json.load(f))
         except (OSError, ValueError, KeyError):
             self.corrupt += 1
-            self.misses += 1
             return None  # corrupt entry == miss; it will be rewritten
-        self.hits += 1
         self._mem[key] = outcome
         return outcome
 

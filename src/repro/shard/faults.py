@@ -217,7 +217,6 @@ class FaultPlan:
         sleep: Callable[[float], None] = time.sleep,
         hard_exit: Callable[[int], None] = os._exit,  # type: ignore[assignment]
     ) -> None:
-        self.worker_index = worker_index
         self.faults = [f for f in faults if f.targets(worker_index)]
         self._sleep = sleep
         self._hard_exit = hard_exit

@@ -23,7 +23,6 @@ class NodeFailedError(SimError):
     def __init__(self, node_id: int, when: float):
         super().__init__(f"node {node_id} failed at t={when:.6f}s")
         self.node_id = node_id
-        self.when = when
 
 
 class JobAbortedError(SimError):

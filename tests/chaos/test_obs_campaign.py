@@ -17,6 +17,7 @@ from repro.chaos import (
     selfckpt_scenario,
 )
 from repro.chaos import bench as chaos_bench
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import OBS_FULL, OBS_OFF, OBS_SUMMARY
 from repro.obs.store import (
     TraceStore,
@@ -144,23 +145,25 @@ class TestCacheIsolation:
         sc = small_scenario()
         probe = probe_baseline(sc)
         cache = MemoCache(str(tmp_path / "memo"))
-        run_kill_matrix(sc, probe=probe, cache=cache, obs=OBS_OFF)
-        misses_after_off = cache.misses
-        assert misses_after_off > 0 and cache.hits == 0
+        reg = MetricsRegistry()
+        run_kill_matrix(sc, probe=probe, cache=cache, obs=OBS_OFF, registry=reg)
+        misses_after_off = reg.total("par.cache_misses")
+        assert misses_after_off > 0 and reg.total("par.cache_hits") == 0
         # same sweep with obs=summary: every fingerprint differs, so the
         # cache must miss again rather than serve payload-less outcomes
-        run_kill_matrix(sc, probe=probe, cache=cache, obs=OBS_SUMMARY)
-        assert cache.hits == 0
-        assert cache.misses == 2 * misses_after_off
+        run_kill_matrix(sc, probe=probe, cache=cache, obs=OBS_SUMMARY, registry=reg)
+        assert reg.total("par.cache_hits") == 0
+        assert reg.total("par.cache_misses") == 2 * misses_after_off
 
     def test_cache_hit_replays_obs_payload(self, tmp_path):
         sc = small_scenario()
         probe = probe_baseline(sc)
         cache = MemoCache(str(tmp_path / "memo"))
-        first = run_kill_matrix(sc, probe=probe, cache=cache, obs=OBS_SUMMARY)
-        assert cache.hits == 0
-        again = run_kill_matrix(sc, probe=probe, cache=cache, obs=OBS_SUMMARY)
-        assert cache.hits > 0
+        reg = MetricsRegistry()
+        first = run_kill_matrix(sc, probe=probe, cache=cache, obs=OBS_SUMMARY, registry=reg)
+        assert reg.total("par.cache_hits") == 0
+        again = run_kill_matrix(sc, probe=probe, cache=cache, obs=OBS_SUMMARY, registry=reg)
+        assert reg.total("par.cache_hits") > 0
         for a, b in zip(first.results, again.results):
             assert a.obs == b.obs
         assert _store_digest(sc, first, OBS_SUMMARY) == _store_digest(

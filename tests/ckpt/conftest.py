@@ -42,9 +42,9 @@ def make_app(
                 mgr.local["it"] = it + 1
                 mgr.checkpoint()
         impl = mgr.impl
-        ckpt_seconds = getattr(impl, "total_write_seconds", 0.0) + getattr(
-            impl, "total_encode_seconds", 0.0
-        ) + getattr(impl, "total_flush_seconds", 0.0)
+        ckpt_seconds = getattr(impl, "total_encode_seconds", 0.0) + getattr(
+            impl, "total_flush_seconds", 0.0
+        )
         return {
             "data": a.copy(),
             "restore": report,

@@ -88,8 +88,8 @@ class TestMultiLevel:
         assert res.rank_results[0]["restore"].source == "disk"
 
     def test_level2_restore_is_counted_and_traced(self):
-        """The disk fallback is a restore like any other: it counts in
-        ``n_restores`` and opens the ``restore`` span."""
+        """The disk fallback is a restore like any other: it returns a
+        ``RestoreReport`` and opens the ``restore`` span."""
         from repro.ckpt import CheckpointManager
         from repro.obs.spans import SpanTracer
 
@@ -99,10 +99,12 @@ class TestMultiLevel:
             )
             a = mgr.alloc("data", 16)
             mgr.commit()
-            if mgr.try_restore() is None:
+            report = mgr.try_restore()
+            if report is None:
                 a[:] = ctx.world.rank
                 mgr.checkpoint()
-            return mgr.impl.n_restores
+                return None
+            return report.source
 
         cluster = Cluster(N, n_spares=4)
         job = Job(cluster, app, N, procs_per_node=1)
@@ -114,7 +116,7 @@ class TestMultiLevel:
         res = Job(
             cluster, app, N, ranklist=[repl.get(n, n) for n in job.ranklist], tracer=tracer
         ).run()
-        assert res.completed and set(res.rank_results.values()) == {1}
+        assert res.completed and set(res.rank_results.values()) == {"disk"}
         restores = tracer.by_name("restore")
         assert len(restores) == N
         assert {s.attrs["source"] for s in restores} == {"disk"}

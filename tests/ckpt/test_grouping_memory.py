@@ -1,16 +1,22 @@
-"""Tests for group partitioning (§3.3) and the memory model (Table 1, Eqs 2-4)."""
+"""Tests for group partitioning (§3.3) and the memory model (Table 1, Eqs 2-4),
+and of the protocols' live allocation against that model."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ckpt import (
+    CheckpointManager,
     available_fraction_double,
     available_fraction_self,
+    available_fraction_self_rs,
     available_fraction_single,
     group_reliability,
     memory_breakdown_self,
     partition_groups,
 )
+from repro.sim import Cluster, Job
 from repro.util import GiB
 
 
@@ -158,3 +164,87 @@ class TestMemoryModel:
             available_fraction_self(1)
         with pytest.raises(ValueError):
             memory_breakdown_self(0, 8)
+
+
+def live_memory(method: str, group_size: int, array_len: int):
+    """Commit ``array_len`` float64s under ``method`` on one group of
+    ``group_size`` ranks; every rank's protocol object, in rank order."""
+
+    def app(ctx):
+        mgr = CheckpointManager(ctx, ctx.world, group_size=group_size, method=method)
+        mgr.alloc("data", array_len)
+        mgr.commit()
+        return mgr.impl
+
+    res = Job(Cluster(group_size), app, group_size, procs_per_node=1).run()
+    assert res.completed
+    return [res.rank_results[r] for r in range(group_size)]
+
+
+#: the available-memory fraction each method's layout implements; buddy is
+#: double at N = 2 and multilevel's memory level is double
+FRACTION = {
+    "self": available_fraction_self,
+    "self-rs": available_fraction_self_rs,
+    "single": available_fraction_single,
+    "double": available_fraction_double,
+    "buddy": available_fraction_double,
+    "multilevel": available_fraction_double,
+}
+
+GROUP_SIZES = {
+    "self": range(2, 17),
+    "self-rs": range(4, 17),
+    "single": range(2, 17),
+    "double": range(2, 17),
+    "multilevel": range(2, 17),
+    "buddy": (2,),
+}
+
+ARRAY_LENS = (512, 4096, 4099)
+
+
+class TestLiveMemory:
+    """What the protocols allocate is what Eqs. 2-4 say, to the byte.
+
+    With M = ``protected_bytes`` (the padded workspace ‖ A2 the encoding
+    covers) and f the method's available fraction, a method keeps
+    M (1/f - 1) bytes of copies and checksums beside the workspace; on top
+    come the self methods' SHM shadow of A2 (B2: an 8-byte length header
+    plus the A2 capacity) and the control segment (the magic and
+    ``N_FLAGS`` epoch flags, 8 bytes each)."""
+
+    @pytest.mark.parametrize(
+        "method,n,array_len",
+        [
+            (method, n, array_len)
+            for method, sizes in GROUP_SIZES.items()
+            for n in sizes
+            for array_len in ARRAY_LENS
+        ],
+    )
+    def test_overhead_is_the_paper_equation(self, method, n, array_len):
+        for impl in live_memory(method, n, array_len):
+            m = impl.protected_bytes
+            f = FRACTION[method](Fraction(n))
+            b2 = 8 + impl.layout.a2_capacity if method.startswith("self") else 0
+            ctrl = 8 * (1 + impl.N_FLAGS)
+            assert impl.overhead_bytes == m * (1 / f - 1) + b2 + ctrl
+
+    @pytest.mark.parametrize("method", ["disk-hdd", "disk-ssd"])
+    def test_disk_holds_nothing_in_ram(self, method):
+        for impl in live_memory(method, 4, 4096):
+            assert impl.overhead_bytes == 0
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    @pytest.mark.parametrize("array_len", ARRAY_LENS)
+    def test_incremental_is_its_docstring_formula(self, n, array_len):
+        """B (M) + C and C_undo (M/(N-1) each) + the undo buffer
+        (``undo_fraction`` of M, whole pages) + its page index + control."""
+        for impl in live_memory("incremental", n, array_len):
+            m = impl.protected_bytes
+            pages = int(-(-m // impl.page_bytes) * impl.undo_fraction)
+            undo = pages * impl.page_bytes
+            undo_index = 8 * (1 + pages)
+            ctrl = 8 * (1 + impl.N_FLAGS)
+            assert impl.overhead_bytes == m + 2 * Fraction(m, n - 1) + undo + undo_index + ctrl

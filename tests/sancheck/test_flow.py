@@ -185,6 +185,25 @@ class TestRealTree:
             "DiskCheckpoint",
         } <= names
 
+    def test_restore_preamble_is_checked_in_one_place(self, shipped_index):
+        """Every group protocol restores through ``Checkpointer.try_restore``,
+        so ``lifecycle-premature-write`` checks the status exchange once;
+        only the disk and multi-level tiers have a restore entry of their
+        own (the manager is a structural match that only delegates) — and
+        none of them writes SHM before the exchange."""
+        entries = {
+            shipped_index.lookup_method(q, "try_restore")
+            for q in protocol_classes(shipped_index, "CheckpointProtocol")
+            if shipped_index.is_descendant_of(q, "CheckpointProtocol")
+        }
+        assert entries == {
+            "repro.ckpt.protocol.Checkpointer.try_restore",
+            "repro.ckpt.disk.DiskCheckpoint.try_restore",
+            "repro.ckpt.multilevel.MultiLevelCheckpoint.try_restore",
+        }
+        fs = by_rule(analyze_index(shipped_index))
+        assert fs.get("lifecycle-premature-write", []) == []
+
     def test_segments_made_by_the_shared_helper_are_tracked(self, shipped_index):
         """Every protocol creates its segments through
         ``Checkpointer._shm``; the control flags and the (possibly SHM)

@@ -1,5 +1,6 @@
 """No public top-level function or class under ``src/repro``, no public
-member of such a class, and no defaulted parameter of either is an orphan.
+member of such a class, no defaulted parameter of either, and no instance
+attribute is an orphan.
 
 An orphan is code only its own tests reach: it costs reading, review and
 tier-1 seconds and tells the reader nothing about what the system does.
@@ -22,6 +23,13 @@ default, so it is a constant with a knob on it.  Its check
 (:func:`find_orphan_parameters`) counts tests as callers, since a
 parameter a test sets is a seam; exceptions are listed in
 ``ALLOWED_PARAMS``.
+
+An orphan attribute is state nothing reads: a ``self.x = ...`` in a class
+under ``src/repro`` whose name no code under ``src/``, ``benchmarks/`` or
+``examples/`` loads as ``.x`` (or names in ``getattr``/``hasattr``).
+Stores do not count — ``self.x += 1`` only writes — and neither do
+tests, which would otherwise keep a counter alive just by asserting on it
+(:func:`find_orphan_attributes`; exceptions in ``ALLOWED``).
 """
 
 import ast
@@ -404,8 +412,105 @@ def test_parameters_are_consumed_by_keyword_position_splat_or_partial(tmp_path):
     ]
 
 
-def test_allowlist_is_minimal_and_reasoned(orphans, orphan_parameters):
-    for allowed, found in ((ALLOWED, orphans), (ALLOWED_PARAMS, orphan_parameters)):
+def _attribute_reads(tree):
+    """Attribute names a tree reads: ``.x`` loads, and the string literal
+    of ``getattr(obj, "x", ...)`` / ``hasattr(obj, "x")``."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif (
+            isinstance(node, ast.Call)
+            and _callee(node.func) in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            out[node.args[1].value] += 1
+    return out
+
+
+def _instance_attributes(tree, module):
+    """``(module.Class.attr, line)`` of every ``self.attr = ...`` (plain,
+    annotated or tuple-unpacking) in a method of a class of ``tree``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or not fn.args.args:
+                continue
+            self_name = fn.args.args[0].arg
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                        if (
+                            isinstance(t, ast.Attribute)
+                            and isinstance(t.value, ast.Name)
+                            and t.value.id == self_name
+                        ):
+                            yield f"{module}.{cls.name}.{t.attr}", t.attr, t.lineno
+
+
+def find_orphan_attributes(root=ROOT, package=PACKAGE):
+    """``{module.Class.attr: "file:line"}`` of the instance attributes under
+    ``package`` that nothing under ``src/``, ``benchmarks/`` or
+    ``examples/`` reads."""
+    reads = Counter()
+    for tree in _trees(root, CONSUMER_DIRS):
+        reads.update(_attribute_reads(tree))
+    return {
+        qualified: f"{rel}:{line}"
+        for rel, module, tree in _modules(package)
+        for qualified, name, line in _instance_attributes(tree, module)
+        if not reads[name]
+    }
+
+
+@pytest.fixture(scope="module")
+def orphan_attributes():
+    return find_orphan_attributes()
+
+
+def test_every_instance_attribute_is_read(orphan_attributes):
+    unexpected = {q: at for q, at in orphan_attributes.items() if q not in ALLOWED}
+    assert not unexpected, (
+        "assigned but read by nothing under src/, benchmarks/ or examples/ — "
+        f"delete each or wire it to a reader: {unexpected}"
+    )
+
+
+def test_instance_attributes_count_loads_and_getattr_only(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "class Counter:\n"
+        "    def __init__(self):\n"
+        "        self.read = 0\n"
+        "        self.probed = 0\n"
+        "        self.bumped = 0\n"
+        "        self.left, self.right = 1, 2\n"
+        "    def bump(self):\n"
+        "        self.bumped += 1\n"
+        "        return self.read + self.left\n"
+        "\n"
+        "print(getattr(Counter(), 'probed', 0))\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text("assert Counter().right == 2\n")
+    found = find_orphan_attributes(root=str(tmp_path), package=str(pkg))
+    assert sorted(found) == ["pkg.mod.Counter.bumped", "pkg.mod.Counter.right"]
+
+
+def test_allowlist_is_minimal_and_reasoned(orphans, orphan_attributes, orphan_parameters):
+    for allowed, found in (
+        (ALLOWED, {**orphans, **orphan_attributes}),
+        (ALLOWED_PARAMS, orphan_parameters),
+    ):
         stale = sorted(q for q in allowed if q not in found)
         assert not stale, f"allowlisted but consumed (or gone): {stale}"
         assert all(len(reason) > 20 for reason in allowed.values())
