@@ -17,6 +17,7 @@ failing schedule can be handed to the shrinker as-is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
@@ -51,8 +52,12 @@ class RandomCampaignConfig:
     def __post_init__(self) -> None:
         if self.n_schedules < 1:
             raise ValueError("n_schedules must be >= 1")
-        if self.mtbf_scale <= 0:
-            raise ValueError("mtbf_scale must be > 0")
+        if not (math.isfinite(self.mtbf_scale) and self.mtbf_scale > 0):
+            raise ValueError(
+                f"mtbf_scale must be > 0 and finite; got {self.mtbf_scale}"
+            )
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

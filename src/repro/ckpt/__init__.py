@@ -24,8 +24,7 @@ from repro.ckpt.stripes import (
     stripe_in_slot,
 )
 from repro.ckpt.encoding import EncodeResult, GroupEncoder
-from repro.ckpt.raid6 import GF256, RSCodec
-from repro.ckpt.kernels import available_backends, get_kernels, use_backend
+from repro.ckpt.kernels import GF256, RSCodec
 from repro.ckpt.grouping import GroupLayout, partition_groups, group_reliability
 from repro.ckpt.memory_model import (
     available_fraction_double,
@@ -64,9 +63,6 @@ __all__ = [
     "GroupEncoder",
     "GF256",
     "RSCodec",
-    "available_backends",
-    "get_kernels",
-    "use_backend",
     "GroupLayout",
     "partition_groups",
     "group_reliability",

@@ -27,7 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.ckpt import stripes
-from repro.ckpt.raid6 import codec_for
+from repro.ckpt.kernels import codec_for
 from repro.sim.mpi import Communicator
 
 Contribution = Optional[Tuple[np.ndarray, np.ndarray]]

@@ -26,7 +26,7 @@ each row — data and/or parity — which the row codec decodes.
 
 The combinatorics depend only on ``(N, m)`` and are computed once
 (:func:`layout_for`).  The arithmetic of one row — how many parities, in
-which field — is the *row codec* (:func:`repro.ckpt.raid6.codec_for`);
+which field — is the *row codec* (:func:`repro.ckpt.kernels.codec_for`);
 nothing in this module depends on the parity count beyond array shapes.
 
 Hot paths are zero-copy: each member buffer is reshaped once into an
@@ -49,7 +49,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.ckpt.raid6 import codec_for
+from repro.ckpt.kernels import codec_for
 
 #: what one member hosts: its ``m`` parity stripes, indexable ``[j]``
 #: (a ``(m, stripe)`` array, or any sequence of stripes)

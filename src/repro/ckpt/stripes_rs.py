@@ -6,7 +6,7 @@ In slot row ``r`` the **P parity** (plain XOR) lives on member ``r`` and
 the **Q parity** (GF(2^8) Reed-Solomon) on member ``(r+1) mod N``; every
 member hosts one P stripe, one Q stripe and ``N-2`` data stripes, and any
 **two** members may be lost.  Layout, loops and codec all live in
-:mod:`repro.ckpt.stripes` / :mod:`repro.ckpt.raid6`; nothing here but the
+:mod:`repro.ckpt.stripes` / :mod:`repro.ckpt.kernels`; nothing here but the
 parity count.
 
 Space: parity storage per member is ``2m/(N-2)``, so the self-checkpoint

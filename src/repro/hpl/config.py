@@ -35,6 +35,8 @@ class HPLConfig:
             raise ValueError("nb must be in [1, n]")
         if self.p < 1 or self.q < 1:
             raise ValueError("grid dims must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def n_ranks(self) -> int:

@@ -64,7 +64,7 @@ RESTORE_ENTRY = "try_restore"
 #: methods whose call closure constitutes the sanctioned lifecycle
 LIFECYCLE_ROOTS = ("__init__", "alloc", "commit", "checkpoint", "try_restore")
 #: last path components of the pure encode/reconstruct kernel modules
-KERNEL_MODULES = ("stripes", "stripes_rs", "raid6", "kernels")
+KERNEL_MODULES = ("stripes", "stripes_rs", "kernels")
 
 _NONDET: Tuple[Tuple[str, str], ...] = (
     (RNG_UNSEEDED, "unseeded RNG"),

@@ -21,6 +21,7 @@ caused it.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -41,8 +42,8 @@ class TimeTrigger:
     extra_nodes: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.at_time < 0:
-            raise ValueError("at_time must be >= 0")
+        if not (math.isfinite(self.at_time) and self.at_time >= 0):
+            raise ValueError(f"at_time must be finite and >= 0; got {self.at_time}")
 
     @property
     def all_nodes(self) -> Tuple[int, ...]:
@@ -364,8 +365,8 @@ class MTBFFailureGenerator:
     """
 
     def __init__(self, mtbf_node_s: float, seed: int = 0):
-        if mtbf_node_s <= 0:
-            raise ValueError("mtbf must be > 0")
+        if not (math.isfinite(mtbf_node_s) and mtbf_node_s > 0):
+            raise ValueError(f"mtbf must be finite and > 0; got {mtbf_node_s}")
         self.mtbf_node_s = mtbf_node_s
         self._rng = seeded_rng(seed)
 

@@ -242,8 +242,14 @@ class TestConfigurationErrors:
             (["--scenario", "skt-hpl", "--n", "0"], "n must be >= 1"),
             (["--scenario", "skt-hpl", "--nb", "0"], "nb must be in [1, n]"),
             (["--random", "2", "--mtbf-scale", "0"], "mtbf_scale must be > 0"),
+            (["--random", "2", "--mtbf-scale", "nan"], "mtbf_scale must be > 0"),
+            (["--random", "2", "--seed", "-1"], "seed must be >= 0"),
+            (["--scenario", "skt-hpl", "--seed", "-1"], "seed must be >= 0"),
         ],
-        ids=["nodes", "ppn", "grid", "n", "nb", "mtbf-scale"],
+        ids=[
+            "nodes", "ppn", "grid", "n", "nb", "mtbf-scale", "mtbf-scale-nan",
+            "random-seed", "hpl-seed",
+        ],
     )
     def test_cli_exits_2_with_one_line(self, tmp_path, capsys, engine, flags, why):
         out = tmp_path / "out"

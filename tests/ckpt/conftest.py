@@ -57,12 +57,13 @@ def make_app(
 
 @pytest.fixture
 def install(monkeypatch):
-    """``install(backend)`` makes a kernel-backend *instance* the active
-    one for the rest of the test (the forced-bitsliced variant has no name
-    to select it by)."""
+    """``install(min_bytes)`` sets, for the rest of the test, the stripe
+    size from which the GF(2^8) folds leave the table gather for the
+    bitsliced lanes: ``0`` puts every stripe on the lanes, ``1 << 62``
+    every stripe on the table."""
 
-    def _install(backend):
-        monkeypatch.setattr(kernels, "get_kernels", lambda: backend)
+    def _install(min_bytes):
+        monkeypatch.setattr(kernels, "BITSLICE_MIN_BYTES", min_bytes)
 
     return _install
 

@@ -4,7 +4,7 @@ the zero-copy contract of the (P, Q) paths."""
 import numpy as np
 import pytest
 
-from repro.ckpt.raid6 import RSCodec, codec_for
+from repro.ckpt.kernels import RSCodec, codec_for
 from repro.ckpt.stripes import _stripe_matrix, layout_for
 from repro.ckpt.stripes_rs import (
     build_parity,

@@ -96,6 +96,10 @@ class TestTriggers:
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeTrigger(node_id=0, at_time=-1)
+        # a deadline no clock ever reaches is a trigger that never fires
+        for never in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                TimeTrigger(node_id=0, at_time=never)
         with pytest.raises(ValueError):
             PhaseTrigger(node_id=0, phase="p", occurrence=0)
 
@@ -192,6 +196,9 @@ class TestMTBF:
     def test_validation(self):
         with pytest.raises(ValueError):
             MTBFFailureGenerator(0)
+        for never in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                MTBFFailureGenerator(never)
 
     def test_repeated_failures_per_node(self):
         """A horizon spanning many MTBFs draws *several* failures per node

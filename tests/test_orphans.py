@@ -74,13 +74,6 @@ ALLOWED = {
     "repro.ckpt.stripes.stripe_in_slot": (
         "inverse of slot_of_stripe, same closed-form oracle role"
     ),
-    "repro.ckpt.kernels.use_backend": (
-        "test seam: the kernel equivalence sweep switches the process-wide "
-        "GF(256) backend through it; production selects by environment"
-    ),
-    "repro.ckpt.kernels.available_backends": (
-        "enumerates the backends for that sweep, default first"
-    ),
     "repro.chaos.schedules.random_campaign": (
         "documented one-call API of the randomized campaign (docs/CHAOS.md, "
         "signature frozen by PR 16); the CLI spells the same plan through "
@@ -91,7 +84,7 @@ ALLOWED = {
         "memory), pinned by tests/models; only the deleted fig8 bench printed "
         "it, and `repro fig8` stdout is frozen against the parent"
     ),
-    "repro.ckpt.raid6.GF256.mul": (
+    "repro.ckpt.kernels.GF256.mul": (
         "scalar reference: the GF(2^8) field-law tests and the vec_mul / "
         "vec_mul_xor kernel tests check against it"
     ),
