@@ -34,6 +34,8 @@ class IterativeConfig:
     protocol_factory: Optional[Callable[..., Any]] = None
 
     def __post_init__(self) -> None:
+        if self.iters < 0:
+            raise ValueError(f"iters must be >= 0, got {self.iters}")
         if self.ckpt_every < 1:
             raise ValueError("ckpt_every must be >= 1")
 

@@ -5,7 +5,7 @@ Usage::
     repro chaos --smoke                         # CI-sized matrix, self+double
     repro chaos --smoke --workers 4             # same artifact, 4 processes
     repro chaos --methods self --nodes 2 --group-size 2
-    repro chaos --scenario skt-hpl --methods self
+    repro chaos --scenario skt-hpl --methods self --ppn 1
     repro chaos --methods self --random 8 --shrink
     repro chaos --smoke --workers auto --cache .chaos-cache
 

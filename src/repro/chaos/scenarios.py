@@ -27,6 +27,8 @@ from dataclasses import astuple, dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.apps.iterative import IterativeConfig, iterative_answer_ok, iterative_main
+from repro.ckpt.grouping import partition_groups
+from repro.ckpt.manager import uses_groups
 from repro.hpl.daemon import RestartPolicy
 from repro.sim.cluster import Cluster
 from repro.sim.runtime import JobResult
@@ -108,6 +110,18 @@ def _check_by_reference(protocol_factory: Any) -> None:
         )
 
 
+def _check_groups(
+    n_nodes: int, n_ranks: int, procs_per_node: int, group_size: int, method: str
+) -> None:
+    """Raise here the :class:`ValueError` every rank's checkpoint manager
+    would raise when it partitions the job's default rank placement: a
+    group size that does not divide the world, or a group with two ranks
+    on one node."""
+    if uses_groups(method):
+        ranklist = Cluster(n_nodes).default_ranklist(n_ranks, procs_per_node=procs_per_node)
+        partition_groups(n_ranks, group_size, ranklist=ranklist)
+
+
 def selfckpt_scenario(
     *,
     n_nodes: int = 2,
@@ -133,7 +147,8 @@ def selfckpt_scenario(
     use it to prove the kill matrix catches protocol bugs.
 
     Raises :class:`ValueError` for a shape with no node or no rank per
-    node — here, not in the first run's cluster or job constructor — and
+    node, for groups that do not divide the ranks or co-locate two of
+    them — here, not in the first run's cluster, job or protocol — and
     for a ``protocol_factory`` that is not a module-level class or
     function.
     """
@@ -153,6 +168,7 @@ def selfckpt_scenario(
         protocol_factory=protocol_factory,
     )
     IterativeConfig(**app)  # its checks fail here, not in a replay
+    _check_groups(n_nodes, n_nodes * procs_per_node, procs_per_node, group_size, method)
     return _scenario(
         "selfckpt",
         n_nodes=n_nodes,
@@ -209,7 +225,8 @@ def skt_scenario(
     paper's Fig. 4 case analysis is meant to exclude.
 
     Raises :class:`ValueError` for an invalid HPL shape (``HPLConfig``'s
-    checks) or ``procs_per_node < 1``.
+    checks), ``procs_per_node < 1``, or groups that do not divide the
+    ranks or co-locate two of them.
     """
     from repro.hpl import HPLConfig, SKTConfig
 
@@ -222,6 +239,7 @@ def skt_scenario(
         interval_panels=interval_panels,
     )  # their checks fail here, not in a replay
     n_nodes = math.ceil(cfg.hpl.n_ranks / procs_per_node)
+    _check_groups(n_nodes, cfg.hpl.n_ranks, procs_per_node, group_size, method)
     return _scenario(
         "skt-hpl",
         n=n,

@@ -74,8 +74,5 @@ class BuddyCheckpoint(SlottedCheckpoint):
             # and its own data (so my mirror of IT is rebuilt too)
             mine[:], mirror[:] = self.group.recv(self.buddy, tag=999)
         else:
-            self.group.send(
-                (np.array(mirror, copy=True), np.array(mine, copy=True)),
-                dest=self.buddy,
-                tag=999,
-            )
+            # send copies its payload: no copies of our own
+            self.group.send((mirror, mine), dest=self.buddy, tag=999)

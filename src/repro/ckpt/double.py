@@ -71,9 +71,7 @@ class SlottedCheckpoint(Checkpointer):
         """Fill the slot's redundancy for ``flat``.  Returns the modelled
         seconds (already charged) and the bytes it copied locally, which
         the flush charges."""
-        enc = self.encoder.encode(flat)
-        redundancy[:] = enc.checksum
-        return enc.seconds, 0
+        return self.encoder.encode(flat, out=redundancy).seconds, 0
 
     # -- checkpoint ---------------------------------------------------------------
     def checkpoint(self) -> CheckpointInfo:
@@ -90,7 +88,9 @@ class SlottedCheckpoint(Checkpointer):
             ctx.phase("ckpt.update")
 
             with self._protect_span():
-                flat = self._pack_flat()
+                # the dirty slot's copy is the packing buffer: the flush
+                # below then moves no bytes, but is still charged the copy
+                flat = self._pack_flat(out=self._b[slot])
                 encode_s, copied = self._protect(flat, e, self._c[slot])
                 ctx.phase("ckpt.update.mid")
 
@@ -99,7 +99,6 @@ class SlottedCheckpoint(Checkpointer):
             # mid-update
             with ctx.span("ckpt.commit", nbytes=int(flat.nbytes)):
                 self.ctx.world.barrier()
-                self._b[slot][:] = flat
                 flush_s = self._charge_copy(flat.nbytes + copied)
                 self._ctrl[b_flag] = e
                 ctx.phase("ckpt.flush")

@@ -88,32 +88,46 @@ class GroupEncoder:
 
     # -- encode -----------------------------------------------------------------
     def encode(
-        self, flat: np.ndarray, *, effective_bytes: int | None = None
+        self,
+        flat: np.ndarray,
+        *,
+        effective_bytes: int | None = None,
+        out: np.ndarray | None = None,
     ) -> EncodeResult:
         """Stripe-encode the group's buffers; returns this rank's checksum
-        segment — a zero-copy view of the group's parity block.
+        segment.
 
         ``flat`` must be the padded uint8 buffer, the same length on every
-        member (enforced).  ``effective_bytes`` overrides the byte count
-        used for cost accounting — the incremental protocol encodes a
-        mostly-zero delta buffer but only moves its dirty pages.
+        member (enforced).  ``out`` is this rank's checksum segment: the
+        collective writes its parity straight into it and returns it.
+        Without ``out`` the segment is a view of one ``(N, m, stripe)``
+        parity block the collective allocates.  ``effective_bytes``
+        overrides the byte count used for cost accounting — the
+        incremental protocol encodes a mostly-zero delta buffer but only
+        moves its dirty pages.
         """
         self._check_flat(flat)
         n = self.group_size
+        m = self.parity
         cost_bytes = int(flat.nbytes) if effective_bytes is None else effective_bytes
         t = self._encode_cost(cost_bytes)
 
-        def compute(data: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-            sizes = {r: len(b) for r, b in data.items()}
+        def compute(
+            data: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]
+        ) -> Dict[int, np.ndarray]:
+            sizes = {r: len(b) for r, (b, _) in data.items()}
             if len(set(sizes.values())) != 1:
                 raise ValueError(f"group members disagree on flat size: {sizes}")
-            block = stripes.build_parity(
-                [data[r] for r in range(n)], self.parity, self.op
-            )
-            return {r: block[r].reshape(-1) for r in range(n)}
+            flats, outs = zip(*(data[r] for r in range(n)))
+            if any(o is None for o in outs):
+                c = self.checksum_size(len(flats[0]))
+                block = np.empty((n, m, c // m), dtype=np.uint8)
+                outs = [block[r].reshape(-1) if o is None else o for r, o in enumerate(outs)]
+            stripes.build_parity(flats, m, self.op, out=[o.reshape(m, -1) for o in outs])
+            return dict(enumerate(outs))
 
         checksum = self.comm.custom_collective(
-            flat, compute=compute, cost=lambda data: t
+            (flat, out), compute=compute, cost=lambda data: t
         )
         return EncodeResult(
             checksum=checksum,

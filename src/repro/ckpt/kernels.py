@@ -211,9 +211,13 @@ class _Lanes:
 
 
 def xor_fold(rows: Sequence[np.ndarray], out: np.ndarray) -> None:
-    """``out = rows[0] ^ rows[1] ^ ...`` (P parity)."""
-    np.copyto(out, rows[0])
-    for r in rows[1:]:
+    """``out = rows[0] ^ rows[1] ^ ...`` (P parity): one pass over ``out``
+    per row after the first, no copy pass."""
+    if len(rows) == 1:
+        np.copyto(out, rows[0])
+        return
+    np.bitwise_xor(rows[0], rows[1], out=out)
+    for r in rows[2:]:
         np.bitwise_xor(out, r, out=out)
 
 

@@ -54,6 +54,13 @@ _METHODS = {
 }
 METHODS = tuple(_METHODS)
 
+
+def uses_groups(method: str) -> bool:
+    """Does ``method`` encode over a group?  A method the table does not
+    know comes with a ``protocol_factory``, which does."""
+    return issubclass(_METHODS.get(method, (Checkpointer,))[0], Checkpointer)
+
+
 #: each live world communicator's group layouts, by (group size, strategy,
 #: topology)
 _layouts: "weakref.WeakKeyDictionary[Communicator, Dict[tuple, GroupLayout]]" = (
@@ -98,7 +105,7 @@ class CheckpointManager:
             undo_fraction=undo_fraction,
         )
         extra = {k: options[k] for k in takes}
-        if not issubclass(cls, Checkpointer):
+        if not uses_groups(method):
             self.group_layout: Optional[GroupLayout] = None
             self.group: Optional[Communicator] = None
             self._impl = cls(ctx, prefix=prefix, a2_capacity=a2_capacity, **extra)

@@ -57,7 +57,8 @@ class MultiLevelCheckpoint(DoubleCheckpoint):
     def checkpoint(self) -> CheckpointInfo:
         info = super().checkpoint()
         if self.n_checkpoints % self.flush_every == 0:
-            self._images.save(info.epoch, self._pack_flat())
+            # the slot this epoch just committed holds the packed image
+            self._images.save(info.epoch, self._b[info.epoch % self.N_SLOTS])
             self.ctx.phase("ckpt.level2")
         return info
 

@@ -363,13 +363,16 @@ class Checkpointer(CheckpointProtocol):
     def _do_recover(self, flat, checksum, missing: list):
         """Group-reconstruct the missing members — the single call through
         which every restore rebuilds.  Survivors pass their buffer and
-        checksum segment; missing members pass None and receive their
+        checksum segment — their live segments, so an override reads them
+        and never writes them; missing members pass None and receive their
         rebuilt ``(flat, checksum)``; survivors receive None."""
         return self.encoder.recover(flat, checksum, missing)
 
     def _rebuild(self, data: np.ndarray, checksum: np.ndarray, missing: List[int]) -> None:
         """Make the group's ``(data, checksum)`` pair whole again, in
-        place: lost members receive theirs, survivors contribute copies."""
+        place: lost members receive theirs, survivors contribute their
+        buffers where they are — the collective only reads them, and every
+        member waits in it until it has."""
         if not missing:
             return
         if self.group.rank in missing:
@@ -377,9 +380,7 @@ class Checkpointer(CheckpointProtocol):
             assert rebuilt is not None
             data[:], checksum[:] = rebuilt
         else:
-            self._do_recover(
-                np.array(data, copy=True), np.array(checksum, copy=True), missing
-            )
+            self._do_recover(data, checksum, missing)
 
     def _reset_flags(self) -> None:
         """Zero the epoch flags.

@@ -91,17 +91,16 @@ class SelfCheckpoint(Checkpointer):
 
         with ctx.span("ckpt", epoch=e, **self._span_attrs()):
             ctx.phase("ckpt.begin")
-            # step 1: copy A2 into its SHM shadow B2
+            # step 1: copy A2 into its SHM shadow B2, from the one packing
+            # of the live workspace (A1 ‖ A2) that steps 2 and 3 also use
             with ctx.span("ckpt.copy_a2", nbytes=int(self._b2.nbytes)):
-                self._b2[:] = self.layout.pack_a2(self.local)
+                flat = self._pack_flat()
+                self._b2[:] = flat[self.layout.a2_region]
                 ctx.phase("ckpt.copy_a2")
 
-            # step 2: encode the live workspace (A1 ‖ B2) into D
+            # step 2: encode the live workspace (A1 ‖ B2) straight into D
             with ctx.span("ckpt.encode", nbytes=int(self._padded)):
-                flat = self._pack_flat()
-                enc = self.encoder.encode(flat)
-                self._d[:] = enc.checksum
-                encode_s = enc.seconds
+                encode_s = self.encoder.encode(flat, out=self._d).seconds
                 ctx.phase("ckpt.encode")
 
             # flush license: a *world* barrier, so that "any rank flushing"
@@ -223,9 +222,9 @@ class SelfCheckpoint(Checkpointer):
             )
             return {r: ok for r in data}
 
-        contribution = (np.array(self._b, copy=True), np.array(self._c, copy=True))
+        # the collective only reads the pair, and every member waits in it
         ok = self.group.custom_collective(
-            contribution,
+            (self._b, self._c),
             compute=compute,
             cost=lambda d: self.group.net.stripe_encode_time(self._padded, n),
         )

@@ -92,20 +92,23 @@ class StateLayout:
         if not self._frozen:
             raise RuntimeError("freeze() the layout first")
 
-    def pack_a2(self, local: Dict[str, Any]) -> np.ndarray:
+    def pack_a2(self, local: Dict[str, Any], out: np.ndarray | None = None) -> np.ndarray:
         """Serialize the A2 dict into a ``uint8`` blob of fixed size
-        ``8 + a2_capacity`` (length header + padded pickle)."""
+        ``8 + a2_capacity`` (length header + padded pickle), written into
+        ``out`` when given."""
         blob = pickle.dumps(dict(local), protocol=pickle.HIGHEST_PROTOCOL)
         if len(blob) > self.a2_capacity:
             raise ValueError(
                 f"A2 state is {len(blob)}B, exceeds a2_capacity="
                 f"{self.a2_capacity}B; raise a2_capacity or shrink local state"
             )
-        out = np.zeros(8 + self.a2_capacity, dtype=np.uint8)
+        if out is None:
+            out = np.empty(8 + self.a2_capacity, dtype=np.uint8)
         # explicit little-endian length header: checkpoint images (and every
         # fingerprint derived from them) must be byte-stable across platforms
         out[:8] = np.frombuffer(np.uint64(len(blob)).astype("<u8").tobytes(), dtype=np.uint8)
         out[8 : 8 + len(blob)] = np.frombuffer(blob, dtype=np.uint8)
+        out[8 + len(blob) :] = 0
         return out
 
     def unpack_a2(self, blob: np.ndarray) -> Dict[str, Any]:
@@ -131,11 +134,11 @@ class StateLayout:
         if size < self.raw_size:
             raise ValueError(f"total_size {size} < raw_size {self.raw_size}")
         if out is None:
-            out = np.zeros(size, dtype=np.uint8)
+            out = np.empty(size, dtype=np.uint8)
         elif len(out) != size or out.dtype != np.uint8:
             raise ValueError("out buffer has wrong size/dtype")
-        else:
-            out[self.raw_size :] = 0
+        # every byte below raw_size is written below: zero only the pad
+        out[self.raw_size :] = 0
         for s in self._slots:
             a = arrays[s.name]
             if a.shape != s.shape or a.dtype != s.dtype:
@@ -146,7 +149,7 @@ class StateLayout:
             out[s.offset : s.offset + s.nbytes] = np.ascontiguousarray(a).view(
                 np.uint8
             ).reshape(-1)
-        out[self.a2_region] = self.pack_a2(local)
+        self.pack_a2(local, out=out[self.a2_region])
         return out
 
     def unpack_into(

@@ -31,10 +31,10 @@ nothing in this module depends on the parity count beyond array shapes.
 
 Hot paths are zero-copy: each member buffer is reshaped once into an
 ``(N - m, stripe)`` view, encode writes every row's parity straight into
-one ``(N, m, stripe)`` block — ``block[i]`` is everything member ``i``
-hosts, contiguous, so a protocol stores ``block[i].reshape(-1)`` as its
-checksum segment without packing — and reconstruction decodes straight
-through stripe views of the rebuilt members.
+each member's ``(m, stripe)`` view of its checksum segment — everything
+member ``i`` hosts, contiguous, so nothing is packed or copied after the
+encode — and reconstruction decodes straight through stripe views of the
+rebuilt members.
 
 All functions are pure numpy; the communication side lives in
 :mod:`repro.ckpt.encoding`.  Buffers must be ``uint8`` arrays whose length
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, overload
 
 import numpy as np
 
@@ -141,9 +141,20 @@ def _stripe_matrix(buf: np.ndarray, n_stripes: int) -> np.ndarray:
     return buf.reshape(n_stripes, len(buf) // n_stripes)
 
 
+@overload
 def build_parity(
-    buffers: Sequence[np.ndarray], parity: int = 1, op: str = "xor"
-) -> np.ndarray:
+    buffers: Sequence[np.ndarray], parity: int = ..., op: str = ..., out: None = ...
+) -> np.ndarray: ...
+@overload
+def build_parity(
+    buffers: Sequence[np.ndarray], parity: int = ..., op: str = ..., *, out: Sequence[np.ndarray]
+) -> Sequence[np.ndarray]: ...
+def build_parity(
+    buffers: Sequence[np.ndarray],
+    parity: int = 1,
+    op: str = "xor",
+    out: Sequence[np.ndarray] | None = None,
+) -> np.ndarray | Sequence[np.ndarray]:
     """Compute every parity stripe of a group.
 
     Parameters
@@ -154,12 +165,15 @@ def build_parity(
         Parity stripes per row (``m``).
     op:
         ``"xor"`` (bit-exact) or ``"sum"`` (numeric doubles, ``m = 1``).
+    out:
+        One ``(m, stripe)`` uint8 array per member to write its parity
+        into (e.g. a view of its checksum segment); allocated when omitted.
 
     Returns
     -------
-    An ``(N, m, stripe)`` uint8 block — the only allocation made here —
-    whose ``[i][j]`` is parity ``j`` hosted by member ``i`` (of slot row
-    ``i - j``).
+    ``out``, or the ``(N, m, stripe)`` uint8 block allocated in its place
+    — the only allocation made here — whose ``[i][j]`` is parity ``j``
+    hosted by member ``i`` (of slot row ``i - j``).
     """
     n = len(buffers)
     layout = layout_for(n, parity)
@@ -168,13 +182,17 @@ def build_parity(
         raise ValueError("group buffers must share one padded size")
     codec = codec_for(layout.n_stripes, parity, op)
     mats = [_stripe_matrix(b, layout.n_stripes) for b in buffers]
-    block = np.empty((n, parity, size // layout.n_stripes), dtype=np.uint8)
+    shape = (parity, size // layout.n_stripes)
+    if out is None:
+        out = np.empty((n, *shape), dtype=np.uint8)
+    elif len(out) != n or any(o.shape != shape or o.dtype != np.uint8 for o in out):
+        raise ValueError(f"out must hold {n} uint8 arrays of shape {shape}")
     for holders, cells in layout.rows:
         codec.encode(
             [mats[j][s] for j, s in cells],
-            *[block[h, i] for i, h in enumerate(holders)],
+            *[out[h][i] for i, h in enumerate(holders)],
         )
-    return block
+    return out
 
 
 def reconstruct_members(

@@ -245,10 +245,18 @@ class TestConfigurationErrors:
             (["--random", "2", "--mtbf-scale", "nan"], "mtbf_scale must be > 0"),
             (["--random", "2", "--seed", "-1"], "seed must be >= 0"),
             (["--scenario", "skt-hpl", "--seed", "-1"], "seed must be >= 0"),
+            (["--iters", "-1"], "iters must be >= 0"),
+            (["--group-size", "3"], "not divisible"),
+            (["--nodes", "1", "--ppn", "2"], "co-located"),
+            (
+                ["--scenario", "skt-hpl", "--ppn", "2", "--group-size", "4"],
+                "co-located",
+            ),
         ],
         ids=[
             "nodes", "ppn", "grid", "n", "nb", "mtbf-scale", "mtbf-scale-nan",
-            "random-seed", "hpl-seed",
+            "random-seed", "hpl-seed", "iters", "group-size", "co-located",
+            "hpl-co-located",
         ],
     )
     def test_cli_exits_2_with_one_line(self, tmp_path, capsys, engine, flags, why):
@@ -259,4 +267,5 @@ class TestConfigurationErrors:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("repro chaos: ") and why in line
+        assert "crashed" not in line and "oracle" not in line
         assert not out.exists()

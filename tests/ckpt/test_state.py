@@ -67,10 +67,17 @@ class TestRoundtrip:
         assert np.all(flat[layout.raw_size :] == 0)
 
     def test_pack_into_existing_buffer(self, layout):
+        """Packing into a dirty buffer leaves no stale byte behind: the A2
+        tail and the pad are zeroed, everything else is overwritten."""
         arrays = {"m": np.ones((4, 4)), "v": np.ones(8, np.int32)}
-        buf = np.full(layout.raw_size, 0xEE, dtype=np.uint8)
-        out = layout.pack(arrays, {}, out=buf)
-        assert out is buf
+        for size in (layout.raw_size, layout.raw_size + 40):
+            buf = np.full(size, 0xEE, dtype=np.uint8)
+            out = layout.pack(arrays, {"it": 3}, out=buf, total_size=size)
+            assert out is buf
+            fresh = layout.pack(arrays, {"it": 3}, total_size=size)
+            np.testing.assert_array_equal(out, fresh)
+            assert np.all(fresh[layout.a2_region][40:] == 0)
+            assert np.all(fresh[layout.raw_size :] == 0)
 
     def test_pack_undersized_total_rejected(self, layout):
         arrays = {"m": np.ones((4, 4)), "v": np.ones(8, np.int32)}
