@@ -100,9 +100,7 @@ def cg_main(ctx: RankContext, cfg: CGConfig) -> CGResult:
     mgr = CheckpointManager(
         ctx, comm, group_size=cfg.group_size, method=cfg.method, prefix="cg"
     )
-    x = mgr.alloc("x", n_local)
-    r = mgr.alloc("r", n_local)
-    p = mgr.alloc("p", n_local)
+    x, r, p = mgr.alloc("xrp", (3, n_local))  # x ‖ r ‖ p
     mgr.commit()
 
     report = mgr.try_restore()

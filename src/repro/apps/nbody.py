@@ -94,8 +94,8 @@ def nbody_main(ctx: RankContext, cfg: NBodyConfig) -> NBodyResult:
     mgr = CheckpointManager(
         ctx, comm, group_size=cfg.group_size, method=cfg.method, prefix="nbody"
     )
-    pos = mgr.alloc("pos", (cfg.bodies_per_rank, 3))
-    vel = mgr.alloc("vel", (cfg.bodies_per_rank, 3))
+    state = mgr.alloc("state", (2, cfg.bodies_per_rank, 3))  # pos ‖ vel
+    pos, vel = state
     mgr.commit()
 
     report = mgr.try_restore()

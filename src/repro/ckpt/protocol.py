@@ -6,11 +6,12 @@ or no group; :class:`Checkpointer` builds the group-encoded protocols on
 it.  A :class:`Checkpointer` is constructed identically on every rank of an
 encoding group (and re-constructed identically after a restart):
 
-1. register workspace arrays with :meth:`alloc` — the protocol decides
-   whether they live in SHM (self-checkpoint: the workspace *is* the
-   checkpoint) or in ordinary process memory (single/double);
-2. call :meth:`commit` — the group agrees on the padded flat size and the
-   protocol creates (or re-attaches) its SHM segments;
+1. allocate the one workspace array with :meth:`alloc` — the group agrees
+   on the padded flat size, then the protocol places the array in SHM
+   (self-checkpoint: the workspace *is* the checkpoint) or in ordinary
+   process memory (single/double);
+2. call :meth:`commit` — the protocol creates (or re-attaches) its SHM
+   segments;
 3. on a fresh start, compute and call :meth:`checkpoint` periodically;
 4. after a restart, call :meth:`try_restore` first — it returns ``None``
    when no checkpoint exists (fresh start), a :class:`RestoreReport` when
@@ -127,16 +128,22 @@ class CheckpointProtocol(ABC):
 
     # -- registration -----------------------------------------------------------
     def alloc(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """Register and allocate one workspace array (the paper's A1)."""
+        """Register and allocate the workspace (the paper's A1).  It is one
+        array: a second call raises, and an application with several
+        arrays allocates one and takes contiguous views of it."""
         if self._committed:
             raise RuntimeError("cannot alloc after commit()")
         self.layout.add(name, shape, dtype)
-        arr = self._alloc_array(name, shape, dtype)
+        self._on_alloc()
+        arr = self._alloc_array(*self.layout.spec_of(name))
         self._arrays[name] = arr
         return arr
 
-    def _alloc_array(self, name: str, shape, dtype) -> np.ndarray:
-        """Place one workspace array: ordinary process memory, lost on a
+    def _on_alloc(self) -> None:
+        """Size the workspace before it is placed (a group agrees on it)."""
+
+    def _alloc_array(self, shape, dtype) -> np.ndarray:
+        """Place the workspace: ordinary process memory, lost on a
         restart (self-checkpoint overrides this to keep it in SHM)."""
         return np.zeros(shape, dtype=dtype)
 
@@ -148,6 +155,8 @@ class CheckpointProtocol(ABC):
         it keeps (:meth:`_on_commit`)."""
         if self._committed:
             raise RuntimeError("commit() called twice")
+        if not self._arrays:
+            raise RuntimeError("alloc() the workspace before commit()")
         self.layout.freeze()
         self._on_commit()
         self._committed = True
@@ -174,9 +183,11 @@ class CheckpointProtocol(ABC):
     @property
     def overhead_bytes(self) -> int:
         """Per-rank memory the protocol consumes beyond the workspace: the
-        segments it allocated, less the workspace (``A1.*``) itself."""
+        segments it allocated, where of the workspace's own segment
+        (``A1``) only its A2 shadow counts — the B2 header and area."""
         return sum(
-            seg.nbytes for kind, seg in self._segments.items() if not kind.startswith("A1.")
+            8 + self.layout.a2_capacity if kind == "A1" else seg.nbytes
+            for kind, seg in self._segments.items()
         )
 
     # -- the tails every checkpoint() / try_restore() ends with ---------------------
@@ -255,22 +266,26 @@ class Checkpointer(CheckpointProtocol):
         self._segments[kind] = seg
         return seg
 
-    # -- commit -----------------------------------------------------------------
-    def _on_commit(self) -> None:
-        """Agree on sizes group-wide, create the control and data segments."""
+    # -- alloc / commit ----------------------------------------------------------
+    def _on_alloc(self) -> None:
+        """Agree on the padded flat size group-wide, so the workspace is
+        placed knowing it."""
         sizes = self.group.allgather(self.layout.raw_size)
         self._padded = self.encoder.padded_size(max(sizes))
         self._cs_size = self.encoder.checksum_size(self._padded)
+
+    def _on_commit(self) -> None:
+        """Create the control and data segments."""
         self._magic = self._compute_magic()
         self._ctrl = self._make_ctrl()
         self._create_segments()
 
     def _compute_magic(self) -> int:
-        parts = [self.prefix, str(self._padded), str(self.group.size), self.METHOD]
-        for name in self.layout.names:
-            shape, dtype = self.layout.spec_of(name)
-            parts.append(f"{name}:{shape}:{dtype}")
-        return _magic(*parts)
+        name, shape, dtype = self.layout.spec
+        return _magic(
+            self.prefix, str(self._padded), str(self.group.size), self.METHOD,
+            f"{name}:{shape}:{dtype}",
+        )
 
     @abstractmethod
     def _create_segments(self) -> None:

@@ -5,20 +5,23 @@ Memory layout per rank (all in SHM, names per Fig. 5):
 ===========  =====================================================  =========
 segment      contents                                               size
 ===========  =====================================================  =========
-``A1.*``     the workspace arrays themselves (allocated in SHM)     M
-``B2``       copy of the small local/static state A2                ~KBs
-``B``        the committed checkpoint (flat A1 ‖ A2)                M
+``A1``       the workspace array ‖ B2 (copy of the small local      M
+             state A2) ‖ zero pad: the flat buffer itself
+``B``        the committed checkpoint (A1 as of the last flush)     M
 ``C``        checksum consistent with B                             mM/(N-m)
-``D``        checksum of the *live* workspace (A1 ‖ B2)             mM/(N-m)
+``D``        checksum of the *live* workspace A1                    mM/(N-m)
 ``CTRL``     [magic, epoch_F, epoch_B, epoch_R]                     32 B
 ===========  =====================================================  =========
 
+The application's array is a view of ``A1``'s head, so nothing is packed:
+the encode reads ``A1`` in place and the flush is the one M-sized copy.
+
 Checkpoint workflow (Fig. 5)::
 
-    1. copy A2 -> B2
-    2. D <- group-checksum(A1 ‖ B2)          (stripe encode collective)
+    1. copy A2 -> B2                         (the A2 region of A1)
+    2. D <- group-checksum(A1)               (stripe encode collective)
        BARRIER; epoch_F = e                  # flush license
-    3. B <- (A1 ‖ B2);  C <- D;  epoch_B = e
+    3. B <- A1;  C <- D;  epoch_B = e
        BARRIER; epoch_R = e                  # resume license
 
 The two barriers establish the invariants the recovery decision needs:
@@ -31,7 +34,7 @@ The two barriers establish the invariants the recovery decision needs:
 Recovery decision from the survivors' flags (max over survivors)::
 
     if max(epoch_F) > max(epoch_R):   failure hit the flush
-        -> CASE 2: recover from workspace A1/B2 + checksum D
+        -> CASE 2: recover from workspace A1 + checksum D
     elif max(epoch_B) >= 1:           failure hit compute or encode
         -> CASE 1: recover from checkpoint B + checksum C
     else:                             no checkpoint was ever completed
@@ -74,12 +77,15 @@ class SelfCheckpoint(Checkpointer):
         return {"method": self.METHOD, "group": self.group.size}
 
     # -- placement: the workspace lives in SHM ------------------------------------
-    def _alloc_array(self, name: str, shape, dtype) -> np.ndarray:
-        return self._shm(f"A1.{name}", shape, dtype)
+    def _alloc_array(self, shape, dtype) -> np.ndarray:
+        """Create (or re-attach) the ``A1`` segment, array ‖ B2 ‖ pad, and
+        hand out its head as the workspace array."""
+        self._a1 = self._shm("A1", self._padded)
+        self._b2 = self._a1[self.layout.a2_region]
+        return self._a1[: self.layout.array_size].view(dtype).reshape(shape)
 
     def _create_segments(self) -> None:
         self._b = self._shm("B", self._padded)
-        self._b2 = self._shm("B2", 8 + self.layout.a2_capacity)
         self._c = self._shm("C", self._cs_size)
         self._d = self._shm("D", self._cs_size)
 
@@ -91,16 +97,14 @@ class SelfCheckpoint(Checkpointer):
 
         with ctx.span("ckpt", epoch=e, **self._span_attrs()):
             ctx.phase("ckpt.begin")
-            # step 1: copy A2 into its SHM shadow B2, from the one packing
-            # of the live workspace (A1 ‖ A2) that steps 2 and 3 also use
+            # step 1: copy A2 into its SHM shadow B2, behind the array in A1
             with ctx.span("ckpt.copy_a2", nbytes=int(self._b2.nbytes)):
-                flat = self._pack_flat()
-                self._b2[:] = flat[self.layout.a2_region]
+                self.layout.pack_a2(self.local, out=self._b2)
                 ctx.phase("ckpt.copy_a2")
 
-            # step 2: encode the live workspace (A1 ‖ B2) straight into D
+            # step 2: encode the live workspace A1 in place, straight into D
             with ctx.span("ckpt.encode", nbytes=int(self._padded)):
-                encode_s = self.encoder.encode(flat, out=self._d).seconds
+                encode_s = self.encoder.encode(self._a1, out=self._d).seconds
                 ctx.phase("ckpt.encode")
 
             # flush license: a *world* barrier, so that "any rank flushing"
@@ -115,10 +119,10 @@ class SelfCheckpoint(Checkpointer):
 
             # step 3: flush workspace into the committed checkpoint, then
             # take the resume license — together the commit point
-            with ctx.span("ckpt.commit", nbytes=int(flat.nbytes + self._d.nbytes)):
-                self._b[:] = flat
+            with ctx.span("ckpt.commit", nbytes=int(self._a1.nbytes + self._d.nbytes)):
+                self._b[:] = self._a1
                 self._c[:] = self._d
-                flush_s = self._charge_copy(flat.nbytes + self._d.nbytes)
+                flush_s = self._charge_copy(self._a1.nbytes + self._d.nbytes)
                 self._ctrl[_B] = e
                 ctx.phase("ckpt.flush")
 
@@ -146,9 +150,7 @@ class SelfCheckpoint(Checkpointer):
         stale pre-failure workspace in SHM, and every rank must initialize
         identically."""
         if self._had_state:
-            for arr in self._arrays.values():
-                arr[...] = 0
-            self._b2[:] = 0
+            self._a1[:] = 0
             self._reset_flags()
 
     def _restore(self, epoch: int, source: str, missing: list) -> RestoreReport:
@@ -156,43 +158,35 @@ class SelfCheckpoint(Checkpointer):
         bring the other pair in line with it (Fig. 4).
 
         ``source="workspace"`` — CASE 2, the flush was interrupted: the
-        live workspace A1 ‖ B2 plus the new checksum D are consistent;
-        afterwards complete the flush into (B, C).
+        live workspace A1 plus the new checksum D are consistent, and the
+        lost members are rebuilt straight into A1; afterwards complete the
+        flush into (B, C).
         ``source="checkpoint"`` — CASE 1, compute or encode was
         interrupted: the committed (B, C) is consistent; afterwards roll
         the workspace and D back to it.
         """
         ctx = self.ctx
         from_workspace = source == "workspace"
-        a2 = self.layout.a2_region
         with ctx.span(
             "restore", epoch=epoch, source=source, missing=len(missing), **self._span_attrs()
         ):
             ctx.phase("restore.begin")
 
             with ctx.span("restore.rebuild"):
-                if from_workspace:
-                    data, checksum = self._flat_from_workspace(), self._d
-                else:
-                    data, checksum = self._b, self._c
+                data, checksum = (self._a1, self._d) if from_workspace else (self._b, self._c)
                 self._rebuild(data, checksum, missing)
-                if from_workspace:
-                    if self.group.rank in missing:
-                        self.layout.unpack_into(data, self._arrays)
-                        self._b2[:] = data[a2]
-                    self.local = self.layout.unpack_a2(self._b2)
                 ctx.phase("restore.reconstruct")
 
             with ctx.span("restore.commit"):
                 if from_workspace:
-                    self._b[:] = data
+                    self._b[:] = self._a1
                     self._c[:] = self._d
-                    self._charge_copy(data.nbytes + self._d.nbytes)
+                    self._charge_copy(self._a1.nbytes + self._d.nbytes)
                 else:
-                    self.local = self.layout.unpack_into(self._b, self._arrays)
-                    self._b2[:] = self._b[a2]
+                    self._a1[:] = self._b
                     self._d[:] = self._c
                     self._charge_copy(self._b.nbytes)
+                self.local = self.layout.unpack_a2(self._b2)
                 self._ctrl[_F] = epoch
                 self._ctrl[_B] = epoch
                 self.ctx.world.barrier()
@@ -236,13 +230,6 @@ class SelfCheckpoint(Checkpointer):
                 int(self._ctrl[_R]),
             ),
         }
-
-    def _flat_from_workspace(self) -> np.ndarray:
-        """Flat view of the live workspace with A2 taken from B2 (the
-        process's in-memory A2 did not survive the restart)."""
-        flat = self._pack_flat()
-        flat[self.layout.a2_region] = self._b2
-        return flat
 
 
 class SelfCheckpointRS(SelfCheckpoint):

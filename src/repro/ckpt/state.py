@@ -1,14 +1,16 @@
-"""Flat serialization of protected state (A1 arrays + A2 local variables).
+"""Flat serialization of protected state (the A1 array + A2 local variables).
 
 Every checkpoint protocol reasons about one *flat buffer* per rank: the
-concatenated bytes of the registered workspace arrays (the paper's A1)
-followed by a fixed-capacity area holding the pickled local-variable dict
-(the paper's A2 — "loop iterators or other scalar variables", §3.1), then
-zero padding up to the group's agreed stripe-aligned size.
+bytes of the one registered workspace array (the paper's A1) followed by
+a fixed-capacity area holding the pickled local-variable dict (the
+paper's A2 — "loop iterators or other scalar variables", §3.1), then zero
+padding up to the group's agreed stripe-aligned size.  An application
+with several arrays allocates one and takes contiguous views of it, so
+its workspace already is the head of this buffer.
 
 Layout::
 
-    [array 0 bytes][array 1 bytes]...[u64 a2_len][a2 pickle][zeros.....]
+    [array bytes][u64 a2_len][a2 pickle][zeros.....]
 
 The fixed A2 capacity mirrors the paper's "small second-buffer (B2)
 allocated for simplicity"; overflowing it raises, pointing the user at the
@@ -17,26 +19,18 @@ allocated for simplicity"; overflowing it raises, pointing the user at the
 
 from __future__ import annotations
 
+import operator
 import pickle
-from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 
-@dataclass
-class _Slot:
-    name: str
-    shape: Tuple[int, ...]
-    dtype: np.dtype
-    offset: int
-    nbytes: int
-
-
 class StateLayout:
-    """Describes how named arrays and the A2 dict map into a flat buffer.
+    """Describes how the named workspace array and the A2 dict map into a
+    flat buffer.
 
-    Register arrays with :meth:`add`, then :meth:`freeze`; afterwards
+    Register the array with :meth:`add`, then :meth:`freeze`; afterwards
     :meth:`pack`/:meth:`unpack_into` convert between live arrays and flat
     ``uint8`` buffers of length :attr:`raw_size` (or longer — padding is
     ignored on unpack).
@@ -46,46 +40,43 @@ class StateLayout:
         if a2_capacity < 64:
             raise ValueError("a2_capacity must be >= 64")
         self.a2_capacity = a2_capacity
-        self._slots: List[_Slot] = []
+        #: the workspace array's ``(name, shape, dtype)``, once added
+        self.spec: Optional[Tuple[str, Tuple[int, ...], np.dtype]] = None
+        #: its bytes: where the A2 blob starts
+        self.array_size = 0
         self._frozen = False
-        self._arrays_size = 0
 
     def add(self, name: str, shape, dtype) -> None:
-        """Register one workspace array before freezing."""
+        """Register the workspace array before freezing; a layout holds
+        one, and its shape is any integer or iterable of integers."""
         if self._frozen:
             raise RuntimeError("layout already frozen")
-        if any(s.name == name for s in self._slots):
-            raise ValueError(f"duplicate array name {name!r}")
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dt.itemsize
-        self._slots.append(
-            _Slot(name=name, shape=shape, dtype=dt, offset=self._arrays_size, nbytes=nbytes)
-        )
-        self._arrays_size += nbytes
+        if self.spec is not None:
+            raise ValueError(
+                f"the workspace is one array, {self.spec[0]!r}: allocate it "
+                f"once and take contiguous views of it instead of adding {name!r}"
+            )
+        shape = tuple(map(operator.index, np.atleast_1d(shape)))
+        self.spec = (name, shape, np.dtype(dtype))
+        self.array_size = int(np.prod(shape)) * self.spec[2].itemsize
 
     def freeze(self) -> None:
         self._frozen = True
 
     @property
-    def names(self) -> List[str]:
-        return [s.name for s in self._slots]
-
-    @property
     def raw_size(self) -> int:
-        """Bytes needed before stripe padding: arrays + A2 header + A2 area."""
-        return self._arrays_size + 8 + self.a2_capacity
+        """Bytes needed before stripe padding: array + A2 header + A2 area."""
+        return self.array_size + 8 + self.a2_capacity
 
     @property
     def a2_region(self) -> slice:
         """Where the packed A2 blob (header + area) sits in a flat buffer."""
-        return slice(self._arrays_size, self.raw_size)
+        return slice(self.array_size, self.raw_size)
 
     def spec_of(self, name: str) -> Tuple[Tuple[int, ...], np.dtype]:
-        for s in self._slots:
-            if s.name == name:
-                return s.shape, s.dtype
-        raise KeyError(name)
+        if self.spec is None or self.spec[0] != name:
+            raise KeyError(name)
+        return self.spec[1:]
 
     # -- pack / unpack -----------------------------------------------------------
     def _require_frozen(self) -> None:
@@ -124,7 +115,7 @@ class StateLayout:
         out: np.ndarray | None = None,
         total_size: int | None = None,
     ) -> np.ndarray:
-        """Serialize arrays + local dict into a flat ``uint8`` buffer.
+        """Serialize the array + local dict into a flat ``uint8`` buffer.
 
         ``total_size`` (>= :attr:`raw_size`) adds zero padding, used to meet
         the group's stripe-aligned size.
@@ -139,35 +130,31 @@ class StateLayout:
             raise ValueError("out buffer has wrong size/dtype")
         # every byte below raw_size is written below: zero only the pad
         out[self.raw_size :] = 0
-        for s in self._slots:
-            a = arrays[s.name]
-            if a.shape != s.shape or a.dtype != s.dtype:
+        if self.spec is not None:
+            name, shape, dtype = self.spec
+            a = arrays[name]
+            if a.shape != shape or a.dtype != dtype:
                 raise ValueError(
-                    f"array {s.name!r} is {a.shape}/{a.dtype}, "
-                    f"layout expects {s.shape}/{s.dtype}"
+                    f"array {name!r} is {a.shape}/{a.dtype}, layout expects {shape}/{dtype}"
                 )
-            out[s.offset : s.offset + s.nbytes] = np.ascontiguousarray(a).view(
-                np.uint8
-            ).reshape(-1)
+            out[: self.array_size] = np.ascontiguousarray(a).view(np.uint8).reshape(-1)
         self.pack_a2(local, out=out[self.a2_region])
         return out
 
     def unpack_into(
         self, flat: np.ndarray, arrays: Dict[str, np.ndarray]
     ) -> Dict[str, Any]:
-        """Write array contents from ``flat`` into the given live arrays
+        """Write the array contents from ``flat`` into the given live array
         (in place) and return the A2 dict."""
         self._require_frozen()
         if len(flat) < self.raw_size:
             raise ValueError(f"flat buffer too small: {len(flat)} < {self.raw_size}")
-        for s in self._slots:
-            dst = arrays[s.name]
-            if dst.shape != s.shape or dst.dtype != s.dtype:
-                raise ValueError(f"array {s.name!r} mismatch on unpack")
+        if self.spec is not None:
+            name, shape, dtype = self.spec
+            dst = arrays[name]
+            if dst.shape != shape or dst.dtype != dtype:
+                raise ValueError(f"array {name!r} mismatch on unpack")
             if not dst.flags.c_contiguous:
-                raise ValueError(
-                    f"array {s.name!r} must be C-contiguous for in-place restore"
-                )
-            raw = flat[s.offset : s.offset + s.nbytes]
-            dst.reshape(-1).view(np.uint8)[:] = raw
+                raise ValueError(f"array {name!r} must be C-contiguous for in-place restore")
+            dst.reshape(-1).view(np.uint8)[:] = flat[: self.array_size]
         return self.unpack_a2(flat[self.a2_region])

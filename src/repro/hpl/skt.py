@@ -83,8 +83,10 @@ def skt_hpl_main(ctx: RankContext, scfg: SKTConfig) -> SKTResult:
         method=scfg.method,
         prefix="skt",
     )
-    a_loc = mgr.alloc("A", (lrows, lcols))
-    b_loc = mgr.alloc("b", lrows)
+    # one workspace, HPL's augmented system: the local A, then the local b
+    ab = mgr.alloc("Ab", lrows * lcols + lrows)
+    a_loc = ab[: lrows * lcols].reshape(lrows, lcols)
+    b_loc = ab[lrows * lcols :]
     mgr.commit()
 
     report = mgr.try_restore()

@@ -5,8 +5,9 @@ created by a rank persists after the rank (and the whole job) exits, and is
 only lost when the node itself is powered off or the segment is explicitly
 unlinked.  Checkpoint buffers and the self-checkpoint workspace live here.
 
-Each segment carries a small metadata dict alongside its numpy buffer; the
-checkpoint protocols use it for epoch/phase flags that must survive restart.
+A segment is its numpy buffer and nothing else: the checkpoint protocols
+keep the epoch flags that must survive a restart in a small control
+segment of their own.
 
 Instrumentation: a store may carry an
 :class:`~repro.sim.observer.SimObserver`; every ``create``/``attach``/
@@ -18,6 +19,7 @@ events.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -41,7 +43,6 @@ class ShmSegment:
 
     name: str
     array: np.ndarray
-    meta: Dict[str, Any] = field(default_factory=dict)
     _store: Optional["ShmStore"] = field(default=None, repr=False, compare=False)
 
     @property
@@ -103,7 +104,7 @@ class ShmStore:
             if existing is not None:
                 if not exist_ok:
                     raise ShmError(f"SHM segment {name!r} already exists")
-                want_shape = (shape,) if isinstance(shape, int) else tuple(shape)
+                want_shape = tuple(map(operator.index, np.atleast_1d(shape)))
                 if existing.array.shape != want_shape or existing.array.dtype != np.dtype(dtype):
                     raise ShmError(
                         f"SHM segment {name!r} exists with shape "
@@ -146,10 +147,9 @@ class ShmStore:
     def snapshot(self) -> List[ShmSegment]:
         """A point-in-time view of all segments.
 
-        Returns fresh :class:`ShmSegment` objects sharing the live arrays
-        but carrying **copies** of the ``meta`` dicts, so callers iterating
-        the result see a consistent set of segments and metadata even while
-        other ranks keep creating/unlinking/mutating.  (The arrays stay
+        Returns fresh :class:`ShmSegment` objects sharing the live arrays,
+        so callers iterating the result see a consistent set of segments
+        even while other ranks keep creating/unlinking.  (The arrays stay
         live views — copying checkpoint-sized buffers here would be
         wrong for a diagnostics path.)  This is the only sanctioned way to
         enumerate segments concurrently; iterating the store goes through
@@ -157,7 +157,7 @@ class ShmStore:
         """
         with self._lock:
             return [
-                ShmSegment(name=s.name, array=s.array, meta=dict(s.meta))
+                ShmSegment(name=s.name, array=s.array)
                 for s in self._segments.values()
             ]
 

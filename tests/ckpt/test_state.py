@@ -1,4 +1,4 @@
-"""Tests for the flat state layout (A1 arrays + A2 dict serialization)."""
+"""Tests for the flat state layout (the A1 array + A2 dict serialization)."""
 
 import numpy as np
 import pytest
@@ -11,20 +11,32 @@ from repro.ckpt import StateLayout
 def layout():
     lay = StateLayout(a2_capacity=256)
     lay.add("m", (4, 4), np.float64)
-    lay.add("v", 8, np.int32)
     lay.freeze()
     return lay
 
 
 class TestRegistration:
     def test_raw_size(self, layout):
-        assert layout.raw_size == 16 * 8 + 8 * 4 + 8 + 256
+        assert layout.raw_size == 16 * 8 + 8 + 256
 
     def test_duplicate_name_rejected(self):
         lay = StateLayout()
         lay.add("x", 4, np.float64)
         with pytest.raises(ValueError):
             lay.add("x", 4, np.float64)
+
+    def test_second_array_rejected(self):
+        """A layout holds one array; the error names the idiom that
+        replaces a second one."""
+        lay = StateLayout()
+        lay.add("x", 4, np.float64)
+        with pytest.raises(ValueError, match="take contiguous views"):
+            lay.add("y", 4, np.float64)
+
+    def test_numpy_integer_shape_accepted(self):
+        lay = StateLayout()
+        lay.add("x", np.int64(5), np.float64)
+        assert lay.spec_of("x") == ((5,), np.dtype(np.float64))
 
     def test_add_after_freeze_rejected(self, layout):
         with pytest.raises(RuntimeError):
@@ -48,20 +60,17 @@ class TestRegistration:
 
 class TestRoundtrip:
     def test_pack_unpack(self, layout):
-        arrays = {
-            "m": np.arange(16, dtype=np.float64).reshape(4, 4),
-            "v": np.arange(8, dtype=np.int32),
-        }
+        arrays = {"m": np.arange(16, dtype=np.float64).reshape(4, 4)}
         local = {"it": 7, "pivots": [1, 2, 3]}
         flat = layout.pack(arrays, local)
-        dst = {"m": np.zeros((4, 4)), "v": np.zeros(8, np.int32)}
+        assert np.array_equal(flat[: 16 * 8], arrays["m"].view(np.uint8).reshape(-1))
+        dst = {"m": np.zeros((4, 4))}
         out_local = layout.unpack_into(flat, dst)
         np.testing.assert_array_equal(dst["m"], arrays["m"])
-        np.testing.assert_array_equal(dst["v"], arrays["v"])
         assert out_local == local
 
     def test_pack_with_padding(self, layout):
-        arrays = {"m": np.ones((4, 4)), "v": np.ones(8, np.int32)}
+        arrays = {"m": np.ones((4, 4))}
         flat = layout.pack(arrays, {}, total_size=layout.raw_size + 40)
         assert len(flat) == layout.raw_size + 40
         assert np.all(flat[layout.raw_size :] == 0)
@@ -69,7 +78,7 @@ class TestRoundtrip:
     def test_pack_into_existing_buffer(self, layout):
         """Packing into a dirty buffer leaves no stale byte behind: the A2
         tail and the pad are zeroed, everything else is overwritten."""
-        arrays = {"m": np.ones((4, 4)), "v": np.ones(8, np.int32)}
+        arrays = {"m": np.ones((4, 4))}
         for size in (layout.raw_size, layout.raw_size + 40):
             buf = np.full(size, 0xEE, dtype=np.uint8)
             out = layout.pack(arrays, {"it": 3}, out=buf, total_size=size)
@@ -80,32 +89,28 @@ class TestRoundtrip:
             assert np.all(fresh[layout.raw_size :] == 0)
 
     def test_pack_undersized_total_rejected(self, layout):
-        arrays = {"m": np.ones((4, 4)), "v": np.ones(8, np.int32)}
+        arrays = {"m": np.ones((4, 4))}
         with pytest.raises(ValueError):
             layout.pack(arrays, {}, total_size=8)
 
     def test_shape_mismatch_rejected(self, layout):
         with pytest.raises(ValueError):
-            layout.pack({"m": np.zeros((2, 2)), "v": np.zeros(8, np.int32)}, {})
+            layout.pack({"m": np.zeros((2, 2))}, {})
 
     def test_unpack_wrong_shape_rejected(self, layout):
-        flat = layout.pack(
-            {"m": np.zeros((4, 4)), "v": np.zeros(8, np.int32)}, {}
-        )
+        flat = layout.pack({"m": np.zeros((4, 4))}, {})
         with pytest.raises(ValueError):
-            layout.unpack_into(flat, {"m": np.zeros((4, 4)), "v": np.zeros(4, np.int32)})
+            layout.unpack_into(flat, {"m": np.zeros((2, 8))})
 
     def test_unpack_noncontiguous_rejected(self, layout):
-        flat = layout.pack(
-            {"m": np.zeros((4, 4)), "v": np.zeros(8, np.int32)}, {}
-        )
+        flat = layout.pack({"m": np.zeros((4, 4))}, {})
         big = np.zeros((4, 8))
         view = big[:, ::2]  # non-contiguous 4x4
         with pytest.raises(ValueError, match="contiguous"):
-            layout.unpack_into(flat, {"m": view, "v": np.zeros(8, np.int32)})
+            layout.unpack_into(flat, {"m": view})
 
     def test_a2_overflow_rejected(self, layout):
-        arrays = {"m": np.zeros((4, 4)), "v": np.zeros(8, np.int32)}
+        arrays = {"m": np.zeros((4, 4))}
         with pytest.raises(ValueError, match="a2_capacity"):
             layout.pack(arrays, {"blob": b"x" * 1000})
 

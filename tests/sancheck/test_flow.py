@@ -216,7 +216,7 @@ class TestRealTree:
             "repro.ckpt.buddy.BuddyCheckpoint": {"_b", "_c"},
             "repro.ckpt.multilevel.MultiLevelCheckpoint": {"_b", "_c"},
             "repro.ckpt.incremental.IncrementalCheckpoint": {"_b", "_c", "_undo_pages"},
-            "repro.ckpt.self_ckpt.SelfCheckpointRS": {"_b", "_b2", "_c", "_d"},
+            "repro.ckpt.self_ckpt.SelfCheckpointRS": {"_a1", "_b", "_b2", "_c", "_d"},
         }.items():
             assert (
                 attrs | {"_ctrl", "_arrays"} <= shipped_index.classes[cls].shm_attrs
