@@ -214,7 +214,7 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         "serial — artifacts are byte-identical either way)",
     )
     parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
+        "--shards", type=int, default=None, metavar="N",
         help="run on the crash-tolerant sharded engine with N shards "
         "(one executor process per shard; journal in <out>/shards.sqlite)",
     )
@@ -302,12 +302,14 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         parser.error("--methods must name at least one checkpoint method")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             parser.error(
                 f"unknown checkpoint method {m!r}; choose from "
                 f"{', '.join(METHODS)}"
             )
+        if m in methods[:i]:
+            parser.error(f"--methods names {m!r} twice")
 
     if args.ckpt_every < 1:
         parser.error(f"--ckpt-every must be >= 1, got {args.ckpt_every}")
@@ -315,13 +317,14 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--max-occurrences must be >= 1, got {args.max_occurrences}")
     if args.random < 0:
         parser.error(f"--random must be >= 0, got {args.random}")
+    # None is "off": an explicit 0 is misuse, not the serial engine
+    if args.shards is not None and args.shards < 1:
+        parser.error(f"--shards must be >= 1, got {args.shards}")
     if args.resume is not None and not args.shards:
         parser.error("--resume requires --shards N (the original shard count)")
     if args.salvage and args.resume is None:
         parser.error("--salvage requires --resume DIR (the corrupt queue)")
     if args.shards:
-        if args.shards < 1:
-            parser.error(f"--shards must be >= 1, got {args.shards}")
         if args.lease <= 0:
             parser.error(f"--lease must be > 0 seconds, got {args.lease}")
         if args.respawn < 0:

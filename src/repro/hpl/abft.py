@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.hpl import matgen
 from repro.hpl.config import HPLConfig
@@ -88,6 +87,8 @@ class _ChecksumState:
         """Mirror panel ``k``'s row swaps / L11 solve / L21 update on c1,
         c2 — ``hpl_solve``'s ``on_panel_factors`` hook (ABFT's extra work,
         charged above the plain HPL cost)."""
+        import scipy.linalg as sla  # loaded on first solve: no other process pays for it
+
         grid, rowmap, ctx = self.grid, self.rowmap, self.ctx
         k0 = k * self.cfg.nb
         nbk = panel.shape[1]

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.hpl.config import HPLConfig
 from repro.hpl.grid import BlockCyclicMap, ProcessGrid
@@ -132,6 +131,8 @@ def hpl_solve(
 
     Returns the replicated solution vector and this rank's phase timers.
     """
+    import scipy.linalg as sla  # loaded on first solve: no other process pays for it
+
     comm = grid.comm
     n, nb = cfg.n, cfg.nb
     nbl = cfg.n_blocks
@@ -283,6 +284,8 @@ def _back_substitute(
     b_loc: np.ndarray,
 ) -> np.ndarray:
     """Solve Ux = y bottom-up; returns x replicated on every rank."""
+    import scipy.linalg as sla  # loaded on first solve: no other process pays for it
+
     n, nb = cfg.n, cfg.nb
     x = np.zeros(n)
     for i in range(cfg.n_blocks - 1, -1, -1):

@@ -20,7 +20,7 @@ from repro.hpl.config import HPLConfig
 from repro.hpl.grid import BlockCyclicMap
 from repro.util.rng import block_rng
 
-#: added to diagonal entries, scaled by n, to keep test matrices
+#: constant added to every diagonal entry to keep test matrices
 #: well-conditioned without changing the algorithm exercised
 _DIAG_BOOST = 2.0
 

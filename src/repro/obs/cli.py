@@ -97,6 +97,8 @@ def _run_main(argv: List[str]) -> int:
         p, q = (int(v) for v in args.grid.lower().split("x"))
     except ValueError:
         parser.error(f"--grid must look like PxQ, got {args.grid!r}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     try:
         parse_fail_at(args.fail_at)

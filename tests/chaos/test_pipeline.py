@@ -227,6 +227,30 @@ class TestUnconstructibleProtocol:
         assert not out.exists()
 
 
+class TestMisusedFlags:
+    """A flag value no engine should run — ``--shards 0``, a method named
+    twice — is an argparse error: exit 2, nothing written, never a
+    silently different campaign."""
+
+    @pytest.mark.parametrize(
+        "flags, why",
+        [
+            (["--smoke", "--shards", "0"], "--shards must be >= 1, got 0"),
+            (["--methods", "self,double,self"], "--methods names 'self' twice"),
+        ],
+        ids=["shards-0", "repeated-method"],
+    )
+    def test_cli_exits_2(self, tmp_path, capsys, flags, why):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            chaos_main(flags + ["--no-progress", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"repro chaos: error: {why}"
+        assert not out.exists()
+
+
 class TestConfigurationErrors:
     """A shape no scenario can be built on is misuse — one ``repro chaos:``
     line, exit 2, no output directory, on every engine — not a traceback

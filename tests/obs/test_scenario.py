@@ -253,6 +253,17 @@ class TestArtifactsAndCli:
         assert captured.err.splitlines() == [f"repro obs: {why}"]
         assert not (tmp_path / "obs-out").exists()
 
+    @pytest.mark.parametrize("scenario", ["selfckpt", "skt-hpl"])
+    def test_cli_negative_seed_is_a_usage_error(self, tmp_path, capsys, scenario):
+        """Every scenario rejects it at the parser, before anything runs."""
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["--scenario", scenario, "--seed", "-3", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "repro obs: error: --seed must be >= 0, got -3"
+        assert not (tmp_path / "o").exists()
+
     def test_cli_fail_at_without_a_phase_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             obs_main(["--scenario", "selfckpt", "--fail-at", ":2", "--report-only"])

@@ -1,7 +1,13 @@
 """CLI smoke tests."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.analysis.report import CATALOGUE, build_report
 from repro.cli import main
 
@@ -112,3 +118,36 @@ class TestCLI:
         assert flags == sorted(flags)
         fast = build_report(include_slow=False)
         assert fast.count("## ") == len(CATALOGUE) - len(live)
+
+
+class TestStartup:
+    def test_no_package_or_entry_point_loads_scipy(self):
+        """SciPy's only caller is HPL's triangular solve, which imports it
+        on first use: importing any package and running ``repro list`` or
+        ``repro chaos --help`` must leave it unloaded.  One fresh
+        interpreter, since this process has long since loaded it."""
+        code = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            import repro.analysis.report, repro.chaos, repro.ckpt, repro.hpl
+            import repro.obs, repro.par, repro.shard, repro.sim
+            from repro.chaos import chaos_main
+            from repro.cli import main
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["list"]) == 0
+                try:
+                    chaos_main(["--help"])
+                except SystemExit as exc:
+                    assert exc.code == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.splitlines() == ["[]"]
