@@ -88,11 +88,19 @@ class WorldStatus:
 
 
 @lru_cache(maxsize=None)
-def _magic(*parts: str) -> int:
-    """The layout magic of a control segment: sha256 over ``parts``, once
-    per distinct layout rather than once per rank."""
+def _magic(
+    prefix: str,
+    padded: int,
+    group_size: int,
+    method: str,
+    spec: Tuple[str, Tuple[int, ...], np.dtype],
+) -> int:
+    """The layout magic of a control segment: sha256 over the layout's
+    parts, spelled as text, once per distinct layout rather than once per
+    rank — formatting the dtype alone costs a rank set-up microseconds."""
+    name, shape, dtype = spec
     h = hashlib.sha256()
-    for part in parts:
+    for part in (prefix, str(padded), str(group_size), method, f"{name}:{shape}:{dtype}"):
         h.update(part.encode())
     return int.from_bytes(h.digest()[:7], "big")  # fits in int64
 
@@ -276,16 +284,11 @@ class Checkpointer(CheckpointProtocol):
 
     def _on_commit(self) -> None:
         """Create the control and data segments."""
-        self._magic = self._compute_magic()
+        self._magic = _magic(
+            self.prefix, self._padded, self.group.size, self.METHOD, self.layout.spec
+        )
         self._ctrl = self._make_ctrl()
         self._create_segments()
-
-    def _compute_magic(self) -> int:
-        name, shape, dtype = self.layout.spec
-        return _magic(
-            self.prefix, str(self._padded), str(self.group.size), self.METHOD,
-            f"{name}:{shape}:{dtype}",
-        )
 
     @abstractmethod
     def _create_segments(self) -> None:
@@ -323,7 +326,7 @@ class Checkpointer(CheckpointProtocol):
         whose control segment did not survive."""
         if not self._had_state:
             return (0,) * self.N_FLAGS
-        return tuple(int(f) for f in self._ctrl[1:])
+        return tuple(self._ctrl[1:].tolist())
 
     def _exchange_status(self) -> WorldStatus:
         """World-wide status exchange, priced as the allgather of every

@@ -19,11 +19,13 @@ allocated for simplicity"; overflowing it raises, pointing the user at the
 
 from __future__ import annotations
 
-import operator
+import math
 import pickle
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
+
+from repro.sim.shm import shape_tuple
 
 
 class StateLayout:
@@ -56,9 +58,9 @@ class StateLayout:
                 f"the workspace is one array, {self.spec[0]!r}: allocate it "
                 f"once and take contiguous views of it instead of adding {name!r}"
             )
-        shape = tuple(map(operator.index, np.atleast_1d(shape)))
+        shape = shape_tuple(shape)
         self.spec = (name, shape, np.dtype(dtype))
-        self.array_size = int(np.prod(shape)) * self.spec[2].itemsize
+        self.array_size = math.prod(shape) * self.spec[2].itemsize
 
     def freeze(self) -> None:
         self._frozen = True
@@ -97,7 +99,7 @@ class StateLayout:
             out = np.empty(8 + self.a2_capacity, dtype=np.uint8)
         # explicit little-endian length header: checkpoint images (and every
         # fingerprint derived from them) must be byte-stable across platforms
-        out[:8] = np.frombuffer(np.uint64(len(blob)).astype("<u8").tobytes(), dtype=np.uint8)
+        out[:8] = np.frombuffer(len(blob).to_bytes(8, "little"), dtype=np.uint8)
         out[8 : 8 + len(blob)] = np.frombuffer(blob, dtype=np.uint8)
         out[8 + len(blob) :] = 0
         return out

@@ -32,6 +32,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.observer import SimObserver
 
 
+def shape_tuple(shape: Any) -> Tuple[int, ...]:
+    """``shape`` — an integer or an iterable of integers — as the tuple of
+    ints numpy would read it as.  Anything ``operator.index`` refuses
+    (floats, bools, strings) raises ``TypeError``; the sign of a dimension
+    is the caller's to check."""
+    # a plain int or tuple of ints is already what the numpy path returns
+    if type(shape) is int:
+        return (shape,)
+    if type(shape) is tuple and all(type(d) is int for d in shape):
+        return shape
+    return tuple(map(operator.index, np.atleast_1d(shape)))
+
+
 @dataclass
 class ShmSegment:
     """A named, node-resident array that outlives its creating process.
@@ -104,7 +117,7 @@ class ShmStore:
             if existing is not None:
                 if not exist_ok:
                     raise ShmError(f"SHM segment {name!r} already exists")
-                want_shape = tuple(map(operator.index, np.atleast_1d(shape)))
+                want_shape = shape_tuple(shape)
                 if existing.array.shape != want_shape or existing.array.dtype != np.dtype(dtype):
                     raise ShmError(
                         f"SHM segment {name!r} exists with shape "

@@ -1,7 +1,11 @@
 """Tests for the MPI-like communicator: pt2pt, collectives, split, clocks."""
 
+import enum
+from collections import namedtuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Cluster, Job, ReduceOp
 
@@ -100,8 +104,41 @@ class TestPointToPoint:
 
         run(main, n_ranks=2)
 
+    def test_bad_source_rejected(self):
+        """A source outside the communicator is a usage error, like a bad
+        dest — not an IndexError, nor a wrap-around to the last rank."""
+
+        def main(ctx):
+            comm = ctx.world
+            if comm.rank == 1:
+                comm.send("queued", dest=0)
+                return True
+            for source in (5, 2, -1):
+                with pytest.raises(ValueError, match=f"bad source {source}"):
+                    comm.recv(source)
+            assert comm.recv(1) == "queued"
+            return True
+
+        run(main, n_ranks=2)
+
 
 class TestCollectives:
+    def test_bad_root_rejected(self):
+        """Every member raises at entry, so the communicator stays usable."""
+
+        def main(ctx):
+            comm = ctx.world
+            for root in (-1, 4, 7):
+                with pytest.raises(ValueError, match=f"bad root {root}"):
+                    comm.bcast("x", root=root)
+                with pytest.raises(ValueError, match=f"bad root {root}"):
+                    comm.gather(comm.rank, root=root)
+            got = comm.gather(comm.rank, root=3)
+            assert got == ([0, 1, 2, 3] if comm.rank == 3 else None)
+            return True
+
+        run(main, n_ranks=4)
+
     def test_bcast(self):
         def main(ctx):
             comm = ctx.world
@@ -314,6 +351,79 @@ class TestVirtualTime:
 
         run(main, n_ranks=1, procs_per_node=1, n_nodes=1)
 
+    def test_non_finite_time_rejected(self):
+        """A NaN or infinite charge would finish the job on a clock that
+        is not a time."""
+
+        def main(ctx):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="non-finite"):
+                    ctx.elapse(bad)
+                with pytest.raises(ValueError, match="finite"):
+                    ctx.compute(bad)
+            assert ctx.clock == 0.0
+            return True
+
+        res = run(main, n_ranks=1, procs_per_node=1, n_nodes=1)
+        assert res.makespan == 0.0
+
+
+def _reference_nbytes(obj):
+    """The isinstance chain that prices every payload, without the
+    exact-type fast path in front of it: the fast path's reference."""
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes)
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, (list, tuple)):
+        return sum(_reference_nbytes(x) for x in obj) or 64
+    if isinstance(obj, dict):
+        total = sum(_reference_nbytes(k) + _reference_nbytes(v) for k, v in obj.items())
+        return total or 64
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8", errors="replace"))
+    return 64
+
+
+_Pair = namedtuple("_Pair", "a b")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+_ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.complex_numbers(),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+    st.binary(max_size=6).map(bytearray),
+    st.binary(max_size=6).map(memoryview),
+    st.just(_Level.LOW),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    st.integers(0, 5).map(lambda n: np.zeros(n, dtype=np.float64)),
+    st.integers(0, 5).map(lambda n: np.arange(n, dtype=np.uint8)),
+)
+_KEYS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.tuples(st.integers(), st.text(max_size=2)),
+)
+_PAYLOADS = st.recursive(
+    _ATOMS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, kids, max_size=3),
+        st.tuples(kids, kids).map(lambda t: _Pair(*t)),
+    ),
+    max_leaves=12,
+)
+
 
 class TestPayloadNbytes:
     """Wire-size accounting, incl. the dict-key undercount fix."""
@@ -348,6 +458,13 @@ class TestPayloadNbytes:
 
         inner = np.zeros(4, dtype=np.float64)  # 32 bytes
         assert _payload_nbytes([{"a": inner}, {"b": inner}]) == 2 * (1 + 32)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_fast_path_matches_the_isinstance_chain(self, obj):
+        from repro.sim.mpi import _payload_nbytes
+
+        assert _payload_nbytes(obj) == _reference_nbytes(obj)
 
 
 class TestCopyPayload:

@@ -26,6 +26,30 @@ class TestNodeSpec:
             NodeSpec(**kwargs)
 
 
+class TestShapeTuple:
+    """``shape_tuple`` reads a shape as the numpy spelling it replaces on
+    the attach path does, and refuses what that spelling refuses."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [5, 0, -5, (2, 3), (2, -3), (), [4], np.int64(3), (np.int64(2), 3), (True, 2),
+         5.0, True, (2.0, 3), "3"],
+    )
+    def test_matches_the_numpy_spelling(self, shape):
+        import operator
+
+        from repro.sim.shm import shape_tuple
+
+        try:
+            want = tuple(map(operator.index, np.atleast_1d(shape)))
+        except TypeError:
+            with pytest.raises(TypeError):
+                shape_tuple(shape)
+        else:
+            got = shape_tuple(shape)
+            assert got == want and all(type(d) is int for d in got)
+
+
 class TestShm:
     def test_create_and_attach(self, node):
         seg = node.shm.create("x", (4, 4))
