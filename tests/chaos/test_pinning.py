@@ -127,7 +127,7 @@ class TestKilledNodeSuppression:
             ]
         )
         assert plan.check_time(0, 1.0) is not None
-        assert plan.check_phase(0, 0, "ckpt.begin", clock=1.5) is None
+        assert plan.announce(0, 0, "ckpt.begin", 1.5)[0] is None
         assert len(plan.fired) == 1
 
 

@@ -84,14 +84,14 @@ class TestTriggers:
 
     def test_phase_trigger_occurrence(self):
         plan = FailurePlan([PhaseTrigger(node_id=0, phase="ckpt", occurrence=3)])
-        assert not plan.check_phase(0, 0, "ckpt")
-        assert not plan.check_phase(0, 0, "ckpt")
-        assert plan.check_phase(0, 0, "ckpt")
+        assert not plan.announce(0, 0, "ckpt", 0.0)[0]
+        assert not plan.announce(0, 0, "ckpt", 0.0)[0]
+        assert plan.announce(0, 0, "ckpt", 0.0)[0]
 
     def test_phase_trigger_rank_filter(self):
         plan = FailurePlan([PhaseTrigger(node_id=0, phase="p", rank=2)])
-        assert not plan.check_phase(0, 1, "p")
-        assert plan.check_phase(0, 2, "p")
+        assert not plan.announce(0, 1, "p", 0.0)[0]
+        assert plan.announce(0, 2, "p", 0.0)[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -118,30 +118,30 @@ class TestRankScopedTriggers:
         plan = FailurePlan(
             [PhaseTrigger(node_id=0, phase="p", rank=1, occurrence=2)]
         )
-        assert not plan.check_phase(0, 0, "p")  # rank 0 announces first
-        assert not plan.check_phase(0, 1, "p")  # rank 1's 1st
-        assert not plan.check_phase(0, 0, "p")  # rank 0 again
-        assert plan.check_phase(0, 1, "p")  # rank 1's 2nd -> fires
+        assert not plan.announce(0, 0, "p", 0.0)[0]  # rank 0 announces first
+        assert not plan.announce(0, 1, "p", 0.0)[0]  # rank 1's 1st
+        assert not plan.announce(0, 0, "p", 0.0)[0]  # rank 0 again
+        assert plan.announce(0, 1, "p", 0.0)[0]  # rank 1's 2nd -> fires
 
     def test_rank_scoped_ignores_high_node_wide_count(self):
         # node-wide count far past the occurrence before the target rank
         # ever announces: the trigger must wait for the rank's own 1st
         plan = FailurePlan([PhaseTrigger(node_id=0, phase="p", rank=2)])
         for _ in range(5):
-            assert not plan.check_phase(0, 0, "p")
-        assert plan.check_phase(0, 2, "p")
+            assert not plan.announce(0, 0, "p", 0.0)[0]
+        assert plan.announce(0, 2, "p", 0.0)[0]
         assert plan.fired_records[0].rank == 2
         assert plan.fired_records[0].count == 1
 
     def test_node_wide_trigger_counts_all_ranks(self):
         plan = FailurePlan([PhaseTrigger(node_id=0, phase="p", occurrence=3)])
-        assert not plan.check_phase(0, 0, "p")
-        assert not plan.check_phase(0, 1, "p")
-        assert plan.check_phase(0, 2, "p")  # 3rd announcement on the node
+        assert not plan.announce(0, 0, "p", 0.0)[0]
+        assert not plan.announce(0, 1, "p", 0.0)[0]
+        assert plan.announce(0, 2, "p", 0.0)[0]  # 3rd announcement on the node
 
     def test_fired_record_provenance(self):
         plan = FailurePlan([PhaseTrigger(node_id=3, phase="ckpt.flush")])
-        plan.check_phase(3, 1, "ckpt.flush", clock=7.5)
+        plan.announce(3, 1, "ckpt.flush", 7.5)
         (rec,) = plan.fired_records
         assert rec.node_id == 3
         assert rec.phase == "ckpt.flush"
