@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -325,8 +326,8 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     if args.salvage and args.resume is None:
         parser.error("--salvage requires --resume DIR (the corrupt queue)")
     if args.shards:
-        if args.lease <= 0:
-            parser.error(f"--lease must be > 0 seconds, got {args.lease}")
+        if not 0 < args.lease < math.inf:
+            parser.error(f"--lease must be finite and > 0 seconds, got {args.lease}")
         if args.respawn < 0:
             parser.error(f"--respawn must be >= 0, got {args.respawn}")
         if args.attempts_cap < 1:

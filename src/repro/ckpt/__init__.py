@@ -45,7 +45,7 @@ from repro.ckpt.double import DoubleCheckpoint, SingleCheckpoint
 from repro.ckpt.self_ckpt import SelfCheckpoint, SelfCheckpointRS
 from repro.ckpt.incremental import IncrementalCheckpoint
 from repro.ckpt.buddy import BuddyCheckpoint
-from repro.ckpt.disk import BlockDevice, DiskCheckpoint, HDD, PFS, SSD
+from repro.ckpt.disk import BlockDevice, DiskCheckpoint, DiskCheckpointSSD, HDD, PFS, SSD
 from repro.ckpt.multilevel import MultiLevelCheckpoint
 from repro.ckpt.manager import METHODS, CheckpointManager
 from repro.ckpt.interval import (
@@ -85,6 +85,7 @@ __all__ = [
     "available_fraction_self_rs",
     "BlockDevice",
     "DiskCheckpoint",
+    "DiskCheckpointSSD",
     "HDD",
     "PFS",
     "SSD",

@@ -6,7 +6,8 @@ shared by all processes of a node; the checkpoint time of one rank is::
 
     latency + image_bytes / (bandwidth / ranks_sharing)
 
-Two devices reproduce Table 3's BLCR+HDD and BLCR+SSD rows.  Contents go
+Two devices reproduce Table 3's BLCR+HDD and BLCR+SSD rows
+(:class:`DiskCheckpoint` and :class:`DiskCheckpointSSD`).  Contents go
 into the cluster's non-volatile ``stable_store``, so recovery after a node
 power-off is possible (the paper marks both BLCR rows "YES") — at the cost
 of the long write stalls the table shows.
@@ -126,19 +127,13 @@ class DiskCheckpoint(CheckpointProtocol):
     """
 
     METHOD = "disk"
+    #: the device the images go to
+    DEVICE: BlockDevice = HDD
 
-    def __init__(
-        self,
-        ctx: RankContext,
-        device: BlockDevice = HDD,
-        *,
-        prefix: str = "blcr",
-        a2_capacity: int = 4096,
-    ):
-        super().__init__(ctx, prefix=prefix, a2_capacity=a2_capacity)
-        self.device = device
+    def __init__(self, ctx: RankContext, *, prefix: str = "blcr"):
+        super().__init__(ctx, prefix=prefix)
         self._epoch = 0
-        self._images = StableImageStore(ctx, device, prefix)
+        self._images = StableImageStore(ctx, self.DEVICE, prefix)
 
     def _on_commit(self) -> None:
         """Nothing to size or create: images go to the stable store."""
@@ -184,3 +179,9 @@ class DiskCheckpoint(CheckpointProtocol):
                 self.local = self.layout.unpack_into(flat, self._arrays)
                 self._epoch = target
         return self._restored(target, "disk")
+
+
+class DiskCheckpointSSD(DiskCheckpoint):
+    """The same full-image checkpoint on an SSD (Table 3's BLCR+SSD row)."""
+
+    DEVICE = SSD

@@ -20,9 +20,9 @@ checkpoint itself, and the scheme degenerates to a double-checkpoint with
 extra bookkeeping.  ``repro.analysis.ablations.ablation_incremental``
 demonstrates exactly that crossover.
 
-Memory per rank: B (M) + C + C_undo (M/(N-1) each) + undo buffer
-(``undo_fraction * M``) — for full-footprint applications this exceeds the
-self-checkpoint's 2M + 2M/(N-1).
+Memory per rank: B (M) + C + C_undo (M/(N-1) each) + an undo buffer that
+covers every page (M, in whole pages) — more than the self-checkpoint's
+2M + 2M/(N-1).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.ckpt.protocol import Checkpointer, CheckpointInfo, RestoreReport, WorldStatus
-from repro.sim.errors import UnrecoverableError
 
 _U, _B, _R = 1, 2, 3  # control flags: undo-ready, update-done, resumed
 
@@ -42,26 +41,16 @@ class IncrementalCheckpoint(Checkpointer):
 
     N_FLAGS = 3
     METHOD = "incremental"
+    #: the dirty-tracking granularity
+    PAGE_BYTES = 4096
 
-    def __init__(
-        self,
-        *args,
-        page_bytes: int = 4096,
-        undo_fraction: float = 1.0,
-        **kwargs,
-    ):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if self.encoder.op != "xor":
             raise ValueError(
                 "incremental checkpointing relies on XOR's linearity for "
                 "delta checksum folding; op='sum' is not supported"
             )
-        if page_bytes < 8 or page_bytes % 8:
-            raise ValueError("page_bytes must be a positive multiple of 8")
-        if not 0 < undo_fraction <= 1.0:
-            raise ValueError("undo_fraction must be in (0, 1]")
-        self.page_bytes = page_bytes
-        self.undo_fraction = undo_fraction
         #: dirty-byte history, one entry per checkpoint (for the ablation)
         self.dirty_bytes_history: List[int] = []
 
@@ -70,11 +59,11 @@ class IncrementalCheckpoint(Checkpointer):
         self._b = self._shm("B", self._padded)
         self._c = self._shm("C", self._cs_size)
         self._c_undo = self._shm("Cu", self._cs_size)
-        n_pages = -(-self._padded // self.page_bytes)
-        self._undo_capacity = max(1, int(n_pages * self.undo_fraction))
-        self._undo_pages = self._shm("U", (self._undo_capacity, self.page_bytes))
+        # the undo log covers every page, so any dirty set fits in it
+        n_pages = -(-self._padded // self.PAGE_BYTES)
+        self._undo_pages = self._shm("U", (n_pages, self.PAGE_BYTES))
         # [count, page indices...]
-        self._undo_index = self._shm("Ui", self._undo_capacity + 1, np.int64)
+        self._undo_index = self._shm("Ui", n_pages + 1, np.int64)
 
     # -- dirty detection -----------------------------------------------------------
     def _dirty_pages(self, flat: np.ndarray) -> np.ndarray:
@@ -84,7 +73,7 @@ class IncrementalCheckpoint(Checkpointer):
         views; only a non-aligned tail page (if any) is compared as a
         ragged slice — no padded copies of either buffer are made.
         """
-        pb = self.page_bytes
+        pb = self.PAGE_BYTES
         ref = self._b
         n_full = len(flat) // pb
         aligned = n_full * pb
@@ -107,7 +96,7 @@ class IncrementalCheckpoint(Checkpointer):
         self._require_committed()
         ctx = self.ctx
         e = int(self._ctrl[_U]) + 1
-        pb = self.page_bytes
+        pb = self.PAGE_BYTES
 
         with ctx.span("ckpt", epoch=e, method=self.METHOD):
             ctx.phase("ckpt.begin")
@@ -117,13 +106,6 @@ class IncrementalCheckpoint(Checkpointer):
             dirty = self._dirty_pages(flat)
             dirty_bytes = int(len(dirty) * pb)
             self.dirty_bytes_history.append(dirty_bytes)
-            if len(dirty) > self._undo_capacity:
-                raise UnrecoverableError(
-                    f"rank {ctx.rank}: {len(dirty)} dirty pages exceed the undo "
-                    f"capacity of {self._undo_capacity}; this application's "
-                    "footprint defeats incremental checkpointing (raise "
-                    "undo_fraction, or use the self/double protocols)"
-                )
 
             with ctx.span("ckpt.encode", nbytes=dirty_bytes):
                 # delta buffer: new ^ old, zero outside dirty pages (XOR linearity)
@@ -165,7 +147,7 @@ class IncrementalCheckpoint(Checkpointer):
     def _rollback(self) -> None:
         """Undo a (possibly partial) in-place update: B pages and C revert
         to the previous epoch.  Idempotent."""
-        pb = self.page_bytes
+        pb = self.PAGE_BYTES
         count = int(self._undo_index[0])
         for i in range(count):
             p = int(self._undo_index[1 + i])

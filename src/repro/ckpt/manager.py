@@ -21,12 +21,11 @@ Typical use inside a rank main::
 from __future__ import annotations
 
 import weakref
-from functools import partial
 from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.ckpt.disk import BlockDevice, DiskCheckpoint, HDD, SSD
+from repro.ckpt.disk import DiskCheckpoint, DiskCheckpointSSD
 from repro.ckpt.double import DoubleCheckpoint, SingleCheckpoint
 from repro.ckpt.buddy import BuddyCheckpoint
 from repro.ckpt.grouping import GroupLayout, partition_groups
@@ -37,20 +36,20 @@ from repro.ckpt.self_ckpt import SelfCheckpoint, SelfCheckpointRS
 from repro.sim.mpi import Communicator
 from repro.sim.runtime import RankContext
 
-#: the one method table: name → (protocol class, default device, the
-#: manager options the class takes beyond the shared ones).  A class that
-#: is a :class:`Checkpointer` gets an encoding group; a bare
+#: the one method table: name → protocol class.  Every setting of a
+#: method is a class constant, so every class is built the same way.  A
+#: class that is a :class:`Checkpointer` gets an encoding group; a bare
 #: :class:`~repro.ckpt.protocol.CheckpointProtocol` (disk) needs none.
 _METHODS = {
-    "self": (SelfCheckpoint, None, ()),
-    "self-rs": (SelfCheckpointRS, None, ()),
-    "single": (SingleCheckpoint, None, ()),
-    "double": (DoubleCheckpoint, None, ()),
-    "buddy": (BuddyCheckpoint, None, ()),
-    "incremental": (IncrementalCheckpoint, None, ("page_bytes", "undo_fraction")),
-    "disk-hdd": (DiskCheckpoint, HDD, ("device",)),
-    "disk-ssd": (DiskCheckpoint, SSD, ("device",)),
-    "multilevel": (MultiLevelCheckpoint, HDD, ("device", "flush_every")),
+    "self": SelfCheckpoint,
+    "self-rs": SelfCheckpointRS,
+    "single": SingleCheckpoint,
+    "double": DoubleCheckpoint,
+    "buddy": BuddyCheckpoint,
+    "incremental": IncrementalCheckpoint,
+    "disk-hdd": DiskCheckpoint,
+    "disk-ssd": DiskCheckpointSSD,
+    "multilevel": MultiLevelCheckpoint,
 }
 METHODS = tuple(_METHODS)
 
@@ -58,7 +57,7 @@ METHODS = tuple(_METHODS)
 def uses_groups(method: str) -> bool:
     """Does ``method`` encode over a group?  A method the table does not
     know comes with a ``protocol_factory``, which does."""
-    return issubclass(_METHODS.get(method, (Checkpointer,))[0], Checkpointer)
+    return issubclass(_METHODS.get(method, Checkpointer), Checkpointer)
 
 
 #: each live world communicator's group layouts, by (group size, strategy,
@@ -81,11 +80,6 @@ class CheckpointManager:
         strategy: str = "stride",
         op: str = "xor",
         prefix: str = "ckpt",
-        a2_capacity: int = 4096,
-        device: Optional[BlockDevice] = None,
-        flush_every: int = 10,
-        page_bytes: int = 4096,
-        undo_fraction: float = 1.0,
         topology=None,
         protocol_factory=None,
     ):
@@ -95,20 +89,12 @@ class CheckpointManager:
         self.world = world
         self.method = method
 
-        # a method the table does not know comes with a protocol_factory,
-        # which is built like any group-encoded class
-        cls, default_device, takes = _METHODS.get(method, (Checkpointer, None, ()))
-        options = dict(
-            device=device or default_device,
-            flush_every=flush_every,
-            page_bytes=page_bytes,
-            undo_fraction=undo_fraction,
-        )
-        extra = {k: options[k] for k in takes}
+        # a method the table does not know comes with a protocol_factory
+        cls = _METHODS.get(method)
         if not uses_groups(method):
             self.group_layout: Optional[GroupLayout] = None
             self.group: Optional[Communicator] = None
-            self._impl = cls(ctx, prefix=prefix, a2_capacity=a2_capacity, **extra)
+            self._impl = cls(ctx, prefix=prefix)
         else:
             # one partition per job: every rank asks for the same one
             layouts = _layouts.setdefault(world, {})
@@ -129,9 +115,8 @@ class CheckpointManager:
             # protocol_factory: escape hatch for harnesses (e.g. repro.chaos
             # regression tests) that must run a custom — even deliberately
             # broken — protocol variant through the standard grouping machinery
-            build = protocol_factory or partial(cls, **extra)
-            self._impl = build(
-                ctx, self.group, op=op, prefix=f"{prefix}.g{gid}", a2_capacity=a2_capacity
+            self._impl = (protocol_factory or cls)(
+                ctx, self.group, op=op, prefix=f"{prefix}.g{gid}"
             )
 
     # -- delegated surface ---------------------------------------------------------

@@ -26,37 +26,28 @@ class MultiLevelCheckpoint(DoubleCheckpoint):
     Level 1 *is* the double scheme — its segments, flags, spans (stamped
     ``method="double"``) and layout magic, under the ``<prefix>.L1`` name
     space; this class adds the level-2 image beneath it.
-
-    Parameters
-    ----------
-    flush_every:
-        Every ``flush_every``-th checkpoint is also written to the device
-        (SCR's "checkpoint frequency by level" knob).
     """
+
+    #: every ``FLUSH_EVERY``-th checkpoint is also written to the device
+    #: (SCR's "checkpoint frequency by level" knob)
+    FLUSH_EVERY = 10
+    #: the level-2 device
+    DEVICE: BlockDevice = HDD
 
     def __init__(
         self,
         ctx: RankContext,
         group_comm: Communicator,
         *,
-        device: BlockDevice = HDD,
-        flush_every: int = 10,
         op: str = "xor",
         prefix: str = "scr",
-        a2_capacity: int = 4096,
     ):
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
-        super().__init__(
-            ctx, group_comm, op=op, prefix=f"{prefix}.L1", a2_capacity=a2_capacity
-        )
-        self.device = device
-        self.flush_every = flush_every
-        self._images = StableImageStore(ctx, device, f"{prefix}.L2")
+        super().__init__(ctx, group_comm, op=op, prefix=f"{prefix}.L1")
+        self._images = StableImageStore(ctx, self.DEVICE, f"{prefix}.L2")
 
     def checkpoint(self) -> CheckpointInfo:
         info = super().checkpoint()
-        if self.n_checkpoints % self.flush_every == 0:
+        if self.n_checkpoints % self.FLUSH_EVERY == 0:
             # the slot this epoch just committed holds the packed image
             self._images.save(info.epoch, self._b[info.epoch % self.N_SLOTS])
             self.ctx.phase("ckpt.level2")

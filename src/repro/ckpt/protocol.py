@@ -118,10 +118,10 @@ class CheckpointProtocol(ABC):
     #: human name used in reports
     METHOD: str = "abstract"
 
-    def __init__(self, ctx: RankContext, *, prefix: str, a2_capacity: int = 4096):
+    def __init__(self, ctx: RankContext, *, prefix: str):
         self.ctx = ctx
         self.prefix = prefix
-        self.layout = StateLayout(a2_capacity=a2_capacity)
+        self.layout = StateLayout()
         #: the A2 dict — small per-rank scalars (iteration counters, pivot
         #: bookkeeping) checkpointed alongside the arrays
         self.local: Dict[str, Any] = {}
@@ -254,9 +254,8 @@ class Checkpointer(CheckpointProtocol):
         *,
         op: str = "xor",
         prefix: str = "ckpt",
-        a2_capacity: int = 4096,
     ):
-        super().__init__(ctx, prefix=prefix, a2_capacity=a2_capacity)
+        super().__init__(ctx, prefix=prefix)
         self.group = group_comm
         self.encoder = GroupEncoder(group_comm, op=op, parity=self.PARITY)
         self._padded: int = 0

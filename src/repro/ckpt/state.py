@@ -13,8 +13,7 @@ Layout::
     [array bytes][u64 a2_len][a2 pickle][zeros.....]
 
 The fixed A2 capacity mirrors the paper's "small second-buffer (B2)
-allocated for simplicity"; overflowing it raises, pointing the user at the
-``a2_capacity`` knob.
+allocated for simplicity"; overflowing it raises.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ class StateLayout:
         if len(blob) > self.a2_capacity:
             raise ValueError(
                 f"A2 state is {len(blob)}B, exceeds a2_capacity="
-                f"{self.a2_capacity}B; raise a2_capacity or shrink local state"
+                f"{self.a2_capacity}B; shrink local state"
             )
         if out is None:
             out = np.empty(8 + self.a2_capacity, dtype=np.uint8)

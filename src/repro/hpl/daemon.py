@@ -14,6 +14,7 @@ the ranks' virtual clocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
@@ -42,8 +43,9 @@ class RestartPolicy:
         # replay memo cache (repro.par), so malformed field values must
         # fail here rather than deep inside a worker's daemon loop
         for name in ("detect_s", "replace_s", "restart_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            # NaN passes a plain `< 0` check and poisons every total
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
 

@@ -37,6 +37,7 @@ verdicts with a ``quarantined:`` provenance reason.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -45,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.campaign import CampaignReport
 from repro.chaos.schedules import ScheduleResult
 
-from repro.shard.executor import run_executor
+from repro.shard.executor import POLL_S, run_executor
 from repro.shard.faults import FaultPlan
 from repro.shard.health import DEFAULT_ATTEMPTS_CAP, ExecutorSupervisor
 from repro.shard.planner import CampaignPlan, merge_campaign, plan_campaign
@@ -74,7 +75,6 @@ def _executor_spawner(
     *,
     lease_s: float,
     cache_dir: Optional[str],
-    poll_s: float,
     attempts_cap: int,
 ):
     def spawn(index: int) -> Any:
@@ -84,7 +84,6 @@ def _executor_spawner(
             kwargs={
                 "lease_s": lease_s,
                 "cache_dir": cache_dir,
-                "poll_s": poll_s,
                 "attempts_cap": attempts_cap,
             },
             daemon=False,  # executors must outlive nothing, but be killable
@@ -129,8 +128,6 @@ def run_sharded_campaign(
     out_dir: str,
     lease_s: float = 60.0,
     cache_dir: Optional[str] = None,
-    executors: Optional[int] = None,
-    poll_s: float = 0.05,
     progress: Any = None,
     respawn: int = 0,
     respawn_backoff_s: float = 0.25,
@@ -152,12 +149,12 @@ def run_sharded_campaign(
     — what the in-process engines are given too.  The queue lives at
     ``queue_path_for(out_dir)``; when it already exists it is resumed
     (after an integrity check and the plan-fingerprint check) and only
-    unjournaled units run.  ``executors`` defaults to one process per
-    shard, capped at ``n_shards``.  ``respawn`` is the total budget of
-    crash respawns the supervisor may spend; ``attempts_cap`` bounds
-    barren re-issues before a poison unit is quarantined; ``salvage``
-    rebuilds a corrupt queue from its parseable journal rows;
-    ``lease_s`` must be positive (``ValueError`` otherwise).
+    unjournaled units run, by one executor process per shard.
+    ``respawn`` is the total budget of crash respawns the supervisor may
+    spend; ``attempts_cap`` bounds barren re-issues before a poison unit
+    is quarantined; ``salvage`` rebuilds a corrupt queue from its
+    parseable journal rows;
+    ``lease_s`` must be finite and positive (``ValueError`` otherwise).
     ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
     receives the ``shard.*`` health counters.  Returns ``(plan,
     matrices, schedules, stats)`` with ``matrices``/``schedules``
@@ -169,8 +166,8 @@ def run_sharded_campaign(
     the respawn budget spent) with shards still unfinished — the queue
     keeps the journal, so rerunning with ``--resume`` continues.
     """
-    if lease_s <= 0:
-        raise ValueError(f"lease_s must be > 0 seconds, got {lease_s}")
+    if not 0 < lease_s < math.inf:
+        raise ValueError(f"lease_s must be finite and > 0 seconds, got {lease_s}")
     # validate any armed fault spec *here*, where the error is readable —
     # otherwise every spawned executor would crash on it at startup and
     # the campaign would misreport an infra failure as "all workers died"
@@ -185,8 +182,7 @@ def run_sharded_campaign(
         queue.populate(plan)  # fresh run or fingerprint-checked resume
         if salvaged:
             queue.restore_results(salvaged)
-        n_exec = executors if executors is not None else len(plan.shards)
-        n_exec = max(1, min(n_exec, len(plan.shards)))
+        n_exec = max(1, len(plan.shards))
         if progress is not None:
             progress.start(plan.n_units, n_exec)
         if not queue.all_done():
@@ -196,7 +192,6 @@ def run_sharded_campaign(
                     queue_path,
                     lease_s=lease_s,
                     cache_dir=cache_dir,
-                    poll_s=poll_s,
                     attempts_cap=attempts_cap,
                 ),
                 n_exec,
@@ -214,7 +209,7 @@ def run_sharded_campaign(
                     progress is not None
                     and now - last_query >= PROGRESS_QUERY_EVERY_S
                 ):
-                    # liveness polls every poll_s; the queue query is
+                    # liveness polls every POLL_S; the queue query is
                     # throttled independently so a tight poll loop does
                     # not hammer the contended SQLite file
                     last_query = now
@@ -222,7 +217,7 @@ def run_sharded_campaign(
                     progress.update(
                         stats["done_units"], stats["total_units"], 0, alive
                     )
-                time.sleep(poll_s)
+                time.sleep(POLL_S)
             supervisor.join()
         stats = queue.progress()
         stats.update(queue.stats())

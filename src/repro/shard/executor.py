@@ -43,6 +43,7 @@ left dangling, WAL mid-flight.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from typing import Optional
@@ -59,6 +60,10 @@ from repro.shard.health import (
 )
 from repro.shard.queue import Lease, ShardQueue
 
+#: seconds an executor with nothing to claim (and the driver's liveness
+#: loop) sleeps between polls
+POLL_S = 0.05
+
 
 def run_executor(
     queue_path: str,
@@ -66,7 +71,6 @@ def run_executor(
     *,
     lease_s: float = 60.0,
     cache_dir: Optional[str] = None,
-    poll_s: float = 0.05,
     attempts_cap: int = DEFAULT_ATTEMPTS_CAP,
 ) -> int:
     """Drain the queue at ``queue_path``; returns units this worker ran.
@@ -76,12 +80,13 @@ def run_executor(
     scenarios this way).  Lease rows name their claimant by a
     per-process identity.  ``attempts_cap`` bounds how often a barren
     shard is re-issued before its first unjournaled unit is quarantined.
-    ``lease_s`` must be positive: a lease that expires at grant is
-    stolen before its first journal write, and healthy units end up
-    quarantined.
+    ``lease_s`` must be finite and positive: a lease that expires at
+    grant is stolen before its first journal write, and healthy units
+    end up quarantined; a NaN lease fences out healthy writes, and an
+    infinite one never re-issues a crashed executor's shard.
     """
-    if lease_s <= 0:
-        raise ValueError(f"lease_s must be > 0 seconds, got {lease_s}")
+    if not 0 < lease_s < math.inf:
+        raise ValueError(f"lease_s must be finite and > 0 seconds, got {lease_s}")
     owner = f"exec{worker_index}.pid{os.getpid()}"
     faults = FaultPlan.from_env(worker_index)
     if faults.clock_offset_s:
@@ -103,7 +108,7 @@ def run_executor(
             if lease is None:
                 # every remaining shard is live-leased elsewhere; linger
                 # in case one of those leases expires
-                time.sleep(poll_s)
+                time.sleep(POLL_S)
                 continue
             executed += _drain_shard(
                 queue, queue_path, lease, lease_s,

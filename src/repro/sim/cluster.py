@@ -101,7 +101,9 @@ class Cluster:
         """Map ranks onto active nodes block-wise, ``procs_per_node`` ranks
         per node (defaults to the node core count), the layout ``mpirun``
         would produce from a machine file."""
-        ppn = procs_per_node or self.spec.cores
+        if procs_per_node is not None and procs_per_node < 1:
+            raise ValueError(f"procs_per_node must be >= 1, got {procs_per_node}")
+        ppn = self.spec.cores if procs_per_node is None else procs_per_node
         need = -(-n_ranks // ppn)  # ceil
         if need > len(self._active_ids):
             raise SimError(

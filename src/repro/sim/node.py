@@ -12,6 +12,7 @@ predefined in :mod:`repro.models.machines`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.sim.netmodel import NetworkParams
@@ -50,6 +51,9 @@ class NodeSpec:
             raise ValueError("flops must be > 0")
         if self.mem_bytes <= 0:
             raise ValueError("mem_bytes must be > 0")
+        # every flush divides by it
+        if not 0 < self.mem_bw_Bps < math.inf:
+            raise ValueError("mem_bw_Bps must be finite and > 0")
 
     @property
     def flops_per_core(self) -> float:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt import CheckpointManager, kernels
+from repro.ckpt import CheckpointManager, MultiLevelCheckpoint, kernels
 from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
 
 
@@ -53,6 +53,12 @@ def make_app(
         }
 
     return app
+
+
+class MultiLevelFlushEach(MultiLevelCheckpoint):
+    """The multi-level scheme with every checkpoint also written to level 2."""
+
+    FLUSH_EVERY = 1
 
 
 @pytest.fixture

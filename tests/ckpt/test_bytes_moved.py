@@ -24,7 +24,7 @@ from repro.ckpt import CheckpointManager, GroupEncoder, kernels
 from repro.ckpt.self_ckpt import SelfCheckpoint, SelfCheckpointRS
 from repro.ckpt.stripes import build_parity
 from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
-from tests.ckpt.conftest import assert_final_state, make_app
+from tests.ckpt.conftest import MultiLevelFlushEach, assert_final_state, make_app
 
 #: stripe sizes on both sides of the lanes / table crossover
 STRIPES = (kernels.BITSLICE_MIN_BYTES // 4, 2 * kernels.BITSLICE_MIN_BYTES)
@@ -212,7 +212,7 @@ class TestMultiLevelImage:
         """Two losses in one group as epoch 3 starts its update, after
         every rank saved epoch 2: the disk image of epoch 2 — saved from
         the committed slot 0 — restores iteration 4."""
-        app = make_app("multilevel", flush_every=1)
+        app = make_app("multilevel", protocol_factory=MultiLevelFlushEach)
         cluster = Cluster(8, n_spares=4)
         plan = FailurePlan(
             [PhaseTrigger(node_id=0, phase="ckpt.update", occurrence=3, extra_nodes=(2,))]

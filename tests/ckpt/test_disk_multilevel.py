@@ -8,7 +8,7 @@ from repro.ckpt import (
     BlockDevice,
 )
 from repro.sim import Cluster, Job
-from tests.ckpt.conftest import assert_final_state, make_app
+from tests.ckpt.conftest import MultiLevelFlushEach, assert_final_state, make_app
 
 N = 8
 
@@ -66,7 +66,7 @@ class TestDiskCheckpoint:
 
 class TestMultiLevel:
     def test_memory_level_restores_fast_path(self, cycle):
-        app = make_app("multilevel", flush_every=100)  # no level-2 writes
+        app = make_app("multilevel")  # 3 checkpoints, FLUSH_EVERY 10: no level 2
         _, second = cycle(app, n_ranks=N, phase="ckpt.done")
         assert_final_state(second, N)
         assert second.rank_results[0]["restore"].source == "checkpoint"
@@ -74,7 +74,7 @@ class TestMultiLevel:
     def test_level2_covers_double_group_loss(self):
         """Two losses in one group defeat the in-memory level; the level-2
         image still recovers — the whole point of multi-level CR."""
-        app = make_app("multilevel", flush_every=1)  # flush every checkpoint
+        app = make_app("multilevel", protocol_factory=MultiLevelFlushEach)
         cluster = Cluster(N, n_spares=4)
         job = Job(cluster, app, N, procs_per_node=1)
         assert job.run().completed
@@ -95,7 +95,11 @@ class TestMultiLevel:
 
         def app(ctx):
             mgr = CheckpointManager(
-                ctx, ctx.world, group_size=4, method="multilevel", flush_every=1
+                ctx,
+                ctx.world,
+                group_size=4,
+                method="multilevel",
+                protocol_factory=MultiLevelFlushEach,
             )
             a = mgr.alloc("data", 16)
             mgr.commit()
@@ -121,9 +125,3 @@ class TestMultiLevel:
         assert len(restores) == N
         assert {s.attrs["source"] for s in restores} == {"disk"}
         assert {s.attrs["missing"] for s in restores} == {0, 2}  # group 1 lost nobody
-
-    def test_flush_every_validation(self):
-        from repro.ckpt import MultiLevelCheckpoint
-
-        with pytest.raises(ValueError):
-            MultiLevelCheckpoint(None, None, flush_every=0)

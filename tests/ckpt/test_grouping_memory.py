@@ -240,11 +240,11 @@ class TestLiveMemory:
     @pytest.mark.parametrize("array_len", ARRAY_LENS)
     def test_incremental_is_its_docstring_formula(self, n, array_len):
         """B (M) + C and C_undo (M/(N-1) each) + the undo buffer
-        (``undo_fraction`` of M, whole pages) + its page index + control."""
+        (all of M, whole pages) + its page index + control."""
         for impl in live_memory("incremental", n, array_len):
             m = impl.protected_bytes
-            pages = int(-(-m // impl.page_bytes) * impl.undo_fraction)
-            undo = pages * impl.page_bytes
+            pages = -(-m // impl.PAGE_BYTES)
+            undo = pages * impl.PAGE_BYTES
             undo_index = 8 * (1 + pages)
             ctrl = 8 * (1 + impl.N_FLAGS)
             assert impl.overhead_bytes == m + 2 * Fraction(m, n - 1) + undo + undo_index + ctrl

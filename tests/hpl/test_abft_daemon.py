@@ -208,8 +208,21 @@ class TestRestartPolicy:
         with pytest.raises(ValueError):
             RestartPolicy.for_machine("Summit")
 
+    @pytest.mark.parametrize("field", ["detect_s", "replace_s", "restart_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, field, value):
+        """A NaN passes a plain ``< 0`` check and would make every
+        ``total_virtual_s`` NaN."""
+        with pytest.raises(ValueError, match=field):
+            RestartPolicy(**{field: value})
+
 
 class TestDaemonEdgeCases:
+    @pytest.mark.parametrize("ppn", [0, -1])
+    def test_procs_per_node_below_one_rejected(self, ppn):
+        with pytest.raises(ValueError, match="procs_per_node"):
+            JobDaemon(Cluster(4), lambda ctx: None, 4, procs_per_node=ppn)
+
     def test_completes_without_failures(self):
         cl = Cluster(4)
         report = JobDaemon(

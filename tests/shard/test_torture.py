@@ -9,6 +9,7 @@ quarantine is the one *documented* degradation (a synthesized
 attempts cap instead of crash-looping.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -313,9 +314,11 @@ class TestLeaseValidation:
     """``--lease 0`` used to run: leases expired at grant, executors
     stole shards from each other, barren re-issues hit the attempts cap
     and healthy units were journaled as ``quarantined:`` gave-up rows.
-    A non-positive lease is refused at every door instead."""
+    A non-positive lease is refused at every door instead, and so is a
+    non-finite one: a NaN lease fenced out healthy executors' writes, and
+    an infinite one never re-issued a crashed executor's shard."""
 
-    @pytest.mark.parametrize("lease", ["0", "-1.5"])
+    @pytest.mark.parametrize("lease", ["0", "-1.5", "nan", "inf"])
     def test_cli_rejects_nonpositive_lease(self, tmp_path, lease):
         out = tmp_path / "out"
         res = cli("--shards", "2", "--lease", lease, "--out", str(out))
@@ -323,13 +326,13 @@ class TestLeaseValidation:
         assert "--lease" in res.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("lease_s", [0, -1.0])
+    @pytest.mark.parametrize("lease_s", [0, -1.0, math.nan, math.inf])
     def test_driver_rejects_nonpositive_lease(self, tmp_path, lease_s):
         with pytest.raises(ValueError, match="lease_s"):
             run_sharded(tmp_path / "out", lease_s=lease_s)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("lease_s", [0, -1.0])
+    @pytest.mark.parametrize("lease_s", [0, -1.0, math.nan, math.inf])
     def test_executor_rejects_nonpositive_lease(self, tmp_path, the_plan, lease_s):
         from repro.shard import run_executor
 

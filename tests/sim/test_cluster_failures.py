@@ -30,6 +30,16 @@ class TestCluster:
         assert cl.default_ranklist(6) == [0, 0, 1, 1, 2, 2]
         assert cl.default_ranklist(3, procs_per_node=1) == [0, 1, 2]
 
+    @pytest.mark.parametrize("ppn", [0, -1])
+    def test_procs_per_node_below_one_rejected(self, ppn):
+        """``0`` would fall back to the core count (``0 or cores``) and
+        ``-1`` would place ranks through negative indexing."""
+        cl = Cluster(4, NodeSpec(cores=2))
+        with pytest.raises(ValueError, match="procs_per_node"):
+            cl.default_ranklist(4, procs_per_node=ppn)
+        with pytest.raises(ValueError, match="procs_per_node"):
+            Job(cl, lambda ctx: None, 4, procs_per_node=ppn)
+
     def test_ranklist_overflow(self):
         cl = Cluster(2, NodeSpec(cores=2))
         with pytest.raises(SimError):

@@ -19,7 +19,16 @@ class TestNodeSpec:
         assert spec.mem_per_core == 64 * GiB // 24
 
     @pytest.mark.parametrize(
-        "kwargs", [{"cores": 0}, {"flops": 0}, {"mem_bytes": 0}]
+        "kwargs",
+        [
+            {"cores": 0},
+            {"flops": 0},
+            {"mem_bytes": 0},
+            # every flush divides by the copy bandwidth
+            {"mem_bw_Bps": 0},
+            {"mem_bw_Bps": float("nan")},
+            {"mem_bw_Bps": float("inf")},
+        ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -21,8 +21,10 @@ writer half is the consumer, an oracle the tests are *for* — is listed in
 An orphan parameter is an option nothing sets: every run takes its
 default, so it is a constant with a knob on it.  Its check
 (:func:`find_orphan_parameters`) counts tests as callers, since a
-parameter a test sets is a seam; exceptions are listed in
-``ALLOWED_PARAMS``.
+parameter a test sets is a seam, and sees through forwarding — a
+``**kw`` passes on only what its function's callers pass, and
+``name=name`` sets ``name`` only if the enclosing parameter is set;
+exceptions are listed in ``ALLOWED_PARAMS``.
 
 An orphan attribute is state nothing reads: a ``self.x = ...`` in a class
 under ``src/repro`` whose name no code under ``src/``, ``benchmarks/`` or
@@ -132,11 +134,17 @@ def _public_definitions(tree, module):
             yield f"{module}.{node.name}.{member.name}", member
 
 
-def _trees(root, dirs):
+def _sources(root, dirs):
+    """``(normalized path, tree)`` of every Python file under ``dirs``."""
     for top in dirs:
         for path in _python_files(os.path.join(root, top)):
             with open(path, encoding="utf-8") as f:
-                yield ast.parse(f.read(), path)
+                yield os.path.normpath(path), ast.parse(f.read(), path)
+
+
+def _trees(root, dirs):
+    for _, tree in _sources(root, dirs):
+        yield tree
 
 
 def _modules(package):
@@ -215,14 +223,6 @@ ALLOWED_PARAMS = {
         "documented one-call API of the randomized campaign (docs/CHAOS.md): "
         "its signature mirrors run_kill_matrix's executor options"
     ),
-    "repro.shard.faults.FaultPlan.__init__.sleep": (
-        "test seam: the fault tests pass a fake sleep through "
-        "FaultPlan.from_env(**kw), which forwards to cls(...) — a call the "
-        "bare-name walk cannot tie to FaultPlan"
-    ),
-    "repro.shard.faults.FaultPlan.__init__.hard_exit": (
-        "test seam: a fake os._exit, passed the same way as sleep"
-    ),
 }
 
 
@@ -248,7 +248,7 @@ def _defaulted(args, offset):
 
 def _signature_params(tree, module):
     """``(callee name, qualified parameter, parameter, positional index,
-    line)`` of every defaulted parameter in scope: public top-level
+    node)`` of every defaulted parameter in scope: public top-level
     functions, public methods and ``__init__`` of public top-level classes,
     and ``*Config`` dataclass fields (positional in field order).  A call
     reaches an ``__init__`` or a field through the class name."""
@@ -258,7 +258,7 @@ def _signature_params(tree, module):
         if not isinstance(node, ast.ClassDef):
             for a, index in _defaulted(node.args, 0):
                 yield (node.name, f"{module}.{node.name}.{a.arg}", a.arg,
-                       index, a.lineno)
+                       index, a)
             continue
         if node.name.endswith("Config") and _is_dataclass(node):
             fields = [
@@ -269,7 +269,7 @@ def _signature_params(tree, module):
                 if f.value is not None:
                     name = f.target.id
                     yield (node.name, f"{module}.{node.name}.{name}", name,
-                           index, f.lineno)
+                           index, f)
         for member in node.body:
             if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -279,7 +279,7 @@ def _signature_params(tree, module):
             callee = node.name if member.name == "__init__" else member.name
             for a, index in _defaulted(member.args, 0 if static else 1):
                 yield (callee, f"{module}.{node.name}.{member.name}.{a.arg}",
-                       a.arg, index, a.lineno)
+                       a.arg, index, a)
 
 
 def _callee(func):
@@ -290,17 +290,31 @@ def _callee(func):
     return None
 
 
-def _calls(tree):
-    """``(callee name, positional args, keywords)`` of every call, with
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _calls(tree, loads):
+    """``(callee name, positional args, keywords, scopes)`` of every call,
+    ``scopes`` being the functions it sits in, innermost first, with
     ``functools.partial(f, ...)`` read as a call of ``f`` and
-    ``Process(target=f, args=(...), kwargs={...})`` as one too."""
-    for node in ast.walk(tree):
+    ``Process(target=f, args=(...), kwargs={...})`` as one too.  Counts
+    the tree's loads (as :func:`_loads` does) into ``loads`` on the way."""
+    todo = [(tree, ())]
+    while todo:
+        node, scopes = todo.pop()
+        if isinstance(node, _FUNCS):
+            scopes = (node, *scopes)
+        elif isinstance(node, ast.Name):
+            loads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            loads[node.attr] += 1
+        todo += [(child, scopes) for child in ast.iter_child_nodes(node)]
         if not isinstance(node, ast.Call):
             continue
         callee, args = _callee(node.func), node.args
         if callee == "partial" and args:
             callee, args = _callee(args[0]), args[1:]
-        yield callee, args, node.keywords
+        yield callee, args, node.keywords, scopes
         spawn = {kw.arg: kw.value for kw in node.keywords if kw.arg}
         if "target" in spawn:
             targs, tkws = spawn.get("args"), spawn.get("kwargs")
@@ -312,7 +326,27 @@ def _calls(tree):
                     for k, v in zip(tkws.keys, tkws.values)
                     if isinstance(k, ast.Constant)
                 ] if isinstance(tkws, ast.Dict) else [],
+                scopes,
             )
+
+
+def _parameters(fn):
+    """Every parameter node of a function, ``*args`` and ``**kw`` too."""
+    a = fn.args
+    return a.posonlyargs + a.args + a.kwonlyargs + [
+        p for p in (a.vararg, a.kwarg) if p
+    ]
+
+
+def _binder(scopes, value):
+    """``(function, parameter node)`` when ``value`` names a parameter of
+    a function the call sits in (the innermost that has one), else None."""
+    if isinstance(value, ast.Name):
+        for fn in scopes:
+            for p in _parameters(fn):
+                if p.arg == value.id:
+                    return fn, p
+    return None
 
 
 def find_orphan_parameters(root=ROOT, package=PACKAGE):
@@ -321,33 +355,106 @@ def find_orphan_parameters(root=ROOT, package=PACKAGE):
     ``tests/`` sets by keyword, reaches by position or forwards ``**`` to.
     Calls match by bare callee name; a keyword passed to a callee defined
     nowhere under ``package`` (``cls(...)``, ``build(...)``) is dispatch
-    the walk cannot resolve, and consumes that keyword everywhere."""
-    params, defined = [], set()
+    the walk cannot resolve, and consumes that keyword everywhere.
+
+    Forwarding is seen through.  ``f(**kw)``, where ``kw`` is the ``**``
+    parameter of a function the call sits in, passes the keywords that
+    function's callers pass beyond its named parameters (every keyword,
+    when a caller's own ``**`` cannot be resolved or the function is used
+    as a value).  ``f(name=x)``, where ``x`` is a parameter of a function
+    the call sits in and one this walk checks, sets ``name`` only once
+    ``x`` is itself set."""
+    params, defined, at = [], set(), {}
     for rel, module, tree in _modules(package):
         defined.update(n.name for n in ast.walk(tree) if isinstance(n, _DEFS))
-        params += [(rel, *p) for p in _signature_params(tree, module)]
-    keywords, reach, splat, anywhere = set(), {}, set(), set()
-    for tree in _trees(root, PARAM_CONSUMER_DIRS):
-        for callee, args, kws in _calls(tree):
-            starred = any(isinstance(a, ast.Starred) for a in args)
-            reach[callee] = max(
-                reach.get(callee, 0), float("inf") if starred else len(args)
-            )
+        path = os.path.normpath(os.path.join(os.path.dirname(package), rel))
+        for callee, qualified, name, index, node in _signature_params(tree, module):
+            params.append((rel, callee, qualified, name, index, node.lineno))
+            at[path, node.lineno, node.col_offset] = qualified
+    records, loads, called = [], Counter(), Counter()
+    for path, tree in _sources(root, PARAM_CONSUMER_DIRS):
+        for callee, args, kws, scopes in _calls(tree, loads):
+            records.append((path, callee, args, kws, scopes))
+            called[callee] += 1
+
+    def forwarded(fn, seen):
+        """The keywords ``fn``'s callers pass into its ``**`` parameter,
+        or None when they cannot be told."""
+        if fn in seen:  # a ring of forwards adds nothing
+            return set()
+        # a lambda, a class's __init__ and a function used as a value are
+        # called through values the walk cannot follow
+        name = getattr(fn, "name", None)
+        if name in (None, "__init__") or loads[name] > called[name]:
+            return None
+        named = {p.arg for p in fn.args.args + fn.args.kwonlyargs}
+        out = set()
+        for _, callee, _, kws, scopes in records:
+            if callee != name:
+                continue
             for kw in kws:
-                if kw.arg is None:
+                passed = splatted(kw, scopes, seen | {fn}) if kw.arg is None else {kw.arg}
+                if passed is None:
+                    return None
+                out |= passed - named
+        return out
+
+    def splatted(kw, scopes, seen=frozenset()):
+        """The keywords a ``**`` argument carries, or None when unknown."""
+        bound = _binder(scopes, kw.value)
+        if bound is None or bound[1] is not bound[0].args.kwarg:
+            return None
+        return forwarded(bound[0], seen)
+
+    keywords, reach, splat, anywhere, pending = set(), {}, set(), set(), []
+
+    def consume(callee, name):
+        if callee in defined:
+            keywords.add((callee, name))
+        else:
+            anywhere.add(name)
+
+    for path, callee, args, kws, scopes in records:
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        reach[callee] = max(
+            reach.get(callee, 0), float("inf") if starred else len(args)
+        )
+        for kw in kws:
+            if kw.arg is None:
+                passed = splatted(kw, scopes)
+                if passed is None:
                     splat.add(callee)
-                elif callee in defined:
-                    keywords.add((callee, kw.arg))
-                else:
-                    anywhere.add(kw.arg)
-    return {
-        qualified: f"{rel}:{line}"
-        for rel, callee, qualified, name, index, line in params
-        if (callee, name) not in keywords
-        and callee not in splat
-        and name not in anywhere
-        and (index is None or index >= reach.get(callee, 0))
-    }
+                for name in passed or ():
+                    consume(callee, name)
+                continue
+            bound = _binder(scopes, kw.value)
+            source = bound and at.get((path, bound[1].lineno, bound[1].col_offset))
+            if source:
+                pending.append((callee, kw.arg, source))
+            else:
+                consume(callee, kw.arg)
+
+    def unset():
+        return {
+            qualified: f"{rel}:{line}"
+            for rel, callee, qualified, name, index, line in params
+            if (callee, name) not in keywords
+            and callee not in splat
+            and name not in anywhere
+            and (index is None or index >= reach.get(callee, 0))
+        }
+
+    # a pass-through sets its keyword once its source is set: iterate to
+    # the least fixed point, so a ring of pass-throughs sets nothing
+    orphans = unset()
+    while True:
+        ready = [p for p in pending if p[2] not in orphans]
+        if not ready:
+            return orphans
+        pending = [p for p in pending if p[2] in orphans]
+        for callee, name, _ in ready:
+            consume(callee, name)
+        orphans = unset()
 
 
 @pytest.fixture(scope="module")
@@ -394,13 +501,45 @@ def test_parameters_are_consumed_by_keyword_position_splat_or_partial(tmp_path):
         "Widget(3).resize()\n"
         "WidgetConfig(1, 2)\n"
         "make(color='red')  # defined nowhere: consumes color everywhere\n"
+        "\n"
+        "def by_forward(a, flag=False, other=None): pass\n"
+        "def by_closure(a, flag=False, other=None): pass\n"
+        "def relayed(a, flag=False): pass\n"
+        "def relay(a, flag=False): relayed(a, flag=flag)\n"
+        "def kept(a, flag=False): pass\n"
+        "def keep(a, flag=False): kept(a, flag=flag)\n"
+        "def ring(a, flag=False): ring(a, flag=flag)\n"
+        "def forward(a, **kw): by_forward(a, **kw)\n"
+        "\n"
+        "def make_app(size=1, **kw):\n"
+        "    def app():\n"
+        "        return by_closure(size, **kw)\n"
+        "    return app\n"
+        "\n"
+        "class Plan:\n"
+        "    def __init__(self, sleep=None, clock=None): pass\n"
+        "    @classmethod\n"
+        "    def build(cls, **kw): return cls(**kw)\n"
+        "\n"
+        "Plan.build(sleep=print)\n"
+        "keep(1, flag=True)\n"
     )
     (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "test_mod.py").write_text("by_position(1, True)\n")
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "by_position(1, True)\n"
+        "forward(1, flag=True)\n"
+        "make_app(size=2, flag=True)\n"
+    )
     found = find_orphan_parameters(root=str(tmp_path), package=str(pkg))
     assert sorted(found) == [
+        "pkg.mod.Plan.__init__.clock",
         "pkg.mod.Widget.resize.factor",
         "pkg.mod.WidgetConfig.depth",
+        "pkg.mod.by_closure.other",
+        "pkg.mod.by_forward.other",
+        "pkg.mod.relay.flag",
+        "pkg.mod.relayed.flag",
+        "pkg.mod.ring.flag",
         "pkg.mod.unset.flag",
     ]
 
