@@ -46,8 +46,9 @@ class RestartPolicy:
             # NaN passes a plain `< 0` check and poisons every total
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
+        # the daemon loop ranges over it
+        if type(self.max_restarts) is not int or self.max_restarts < 0:  # bool excluded
+            raise ValueError("max_restarts must be an integer >= 0")
 
     @classmethod
     def for_machine(cls, machine_name: str, **overrides) -> "RestartPolicy":

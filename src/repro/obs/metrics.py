@@ -219,7 +219,6 @@ class MetricsObserver(SimObserver):
         self._lock = threading.Lock()  # simlint: allow[threading] -- observer-internal state guard
         #: rank -> clock at collective entry
         self._coll_entered_at: Dict[int, float] = {}
-        self._clusters: List[Any] = []
 
     # -- installation (same shape as the sancheck detectors) --------------------
     def install(self, job: Any) -> "MetricsObserver":
@@ -231,17 +230,10 @@ class MetricsObserver(SimObserver):
     def watch_cluster(self, cluster: Any) -> None:
         """Subscribe to SHM events on every node of ``cluster`` —
         spares included, so replacement nodes report from the moment
-        they are swapped in."""
-        if cluster in self._clusters:
-            return
-        self._clusters.append(cluster)
+        they are swapped in.  Watching a cluster twice is a no-op."""
         nodes = cluster.all_nodes() if hasattr(cluster, "all_nodes") else cluster.nodes
         for node in nodes:
-            store = node.shm
-            if store.observer is None:
-                store.observer = self
-            elif store.observer is not self:
-                install_observer(store, self)
+            install_observer(node.shm, self)
 
     # -- point to point ----------------------------------------------------------
     def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> Any:

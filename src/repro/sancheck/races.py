@@ -94,11 +94,7 @@ class RaceDetector(SimObserver):
         from repro.sim.observer import install_observer
 
         for node in cluster.nodes:
-            store = node.shm
-            if store.observer is None:
-                store.observer = self
-            elif store.observer is not self:
-                install_observer(store, self)  # composes via MultiObserver
+            install_observer(node.shm, self)  # composes via MultiObserver
 
     # -- happens-before edges from communication --------------------------------
     def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> Any:

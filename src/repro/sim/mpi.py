@@ -47,7 +47,7 @@ from repro.sim.errors import JobAbortedError
 from repro.sim.netmodel import NetworkModel
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.runtime import RankContext
+    from repro.sim.runtime import Job, RankContext
 
 #: Charged size for payloads whose size we cannot see (python scalars etc.).
 _SMALL_OBJ_BYTES = 64
@@ -168,12 +168,13 @@ class Communicator:
     """A group of ranks that can exchange messages and run collectives.
 
     Created by :class:`~repro.sim.runtime.Job` (the world communicator) or
-    by :meth:`split`.  All methods infer the calling rank from the thread's
-    bound :class:`RankContext`, so the API reads like mpi4py.
+    by :meth:`split`.  All methods infer the calling rank, and through it
+    the Job, from the thread's bound :class:`RankContext`, so the API reads
+    like mpi4py; the communicator keeps no reference to the Job that owns
+    it.
     """
 
-    def __init__(self, job: "Job", members: List[int], name: str = "world"):  # noqa: F821
-        self._job = job
+    def __init__(self, job: "Job", members: List[int], name: str = "world"):
         self._members = list(members)
         self._index: Dict[int, int] = {w: i for i, w in enumerate(members)}
         self.name = name
@@ -230,7 +231,7 @@ class Communicator:
     # -- observer plumbing -----------------------------------------------------
     def _notify_send(self, ctx: "RankContext", dest: int, tag: int, nbytes: int) -> Any:
         """Report a send; returns the observer token to ride the envelope."""
-        obs = self._job.observer
+        obs = ctx.job.observer
         if obs is None:
             return None
         return obs.on_send(ctx.rank, self._members[dest], tag, nbytes, ctx.clock)
@@ -242,7 +243,7 @@ class Communicator:
         env: _Envelope,
         waited_s: float,
     ) -> None:
-        obs = self._job.observer
+        obs = ctx.job.observer
         if obs is None:
             return
         _, src, tag = key
@@ -268,7 +269,7 @@ class Communicator:
         only on virtual program order.  Parking when no rank is ready to
         run is deadlock and raises :class:`SimError` at once.
         """
-        job = self._job
+        job = ctx.job
         while not predicate():
             ctx.check()
             if job.wait_unsatisfiable(peers):
@@ -278,21 +279,21 @@ class Communicator:
                 )
             job._park(ctx.rank, self, key)
 
-    def _p2p_scale(self, my_rank: int, peer_rank: int) -> float:
+    def _p2p_scale(self, job: "Job", my_rank: int, peer_rank: int) -> float:
         """Bandwidth derating for a message between two communicator ranks:
         1.0 within a rack, the topology's inter-rack factor across racks."""
-        topo = self._job.topology
+        topo = job.topology
         if topo is None:
             return 1.0
-        ranklist = self._job.ranklist
+        ranklist = job.ranklist
         a = ranklist[self._members[my_rank]]
         b = ranklist[self._members[peer_rank]]
         if topo.rack_of(a) == topo.rack_of(b):
             return 1.0
         return topo.inter_rack_bw_factor
 
-    def _p2p_time_to(self, my_rank: int, peer_rank: int, nbytes: int) -> float:
-        scale = self._p2p_scale(my_rank, peer_rank)
+    def _p2p_time_to(self, job: "Job", my_rank: int, peer_rank: int, nbytes: int) -> float:
+        scale = self._p2p_scale(job, my_rank, peer_rank)
         base = self._net.p2p_time(nbytes)
         if scale >= 1.0:
             return base
@@ -308,7 +309,7 @@ class Communicator:
         self._check_rank("dest", dest)
         me = self._index[ctx.rank]
         nbytes = _payload_nbytes(obj)
-        ctx.clock += self._p2p_time_to(me, dest, nbytes)
+        ctx.clock += self._p2p_time_to(ctx.job, me, dest, nbytes)
         env = _Envelope(
             payload=_copy_payload(obj),
             nbytes=nbytes,
@@ -316,7 +317,7 @@ class Communicator:
             token=self._notify_send(ctx, dest, tag, nbytes),
         )
         self._mail.setdefault((dest, me, tag), []).append(env)
-        self._job._notify((self, dest))
+        ctx.job._notify((self, dest))
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive from communicator rank ``source``: takes the
@@ -374,12 +375,13 @@ class Communicator:
         slot = self._slot
         me = self._index[ctx.rank]
         size = len(self._members)
-        obs = self._job.observer
+        job = ctx.job
+        obs = job.observer
         slot.contrib[me] = (contribution, ctx.clock)
         if obs is not None:
             obs.on_collective_enter(self.name, size, ctx.rank, ctx.clock)
         if len(slot.contrib) == size:
-            self._complete(compute, cost)
+            self._complete(job, compute, cost)
         else:
             try:
                 self._wait(
@@ -401,6 +403,7 @@ class Communicator:
 
     def _complete(
         self,
+        job: "Job",
         compute: Callable[[Dict[int, Any]], Dict[int, Any]],
         cost: Callable[[Dict[int, Any]], float],
     ) -> None:
@@ -426,8 +429,8 @@ class Communicator:
         takers = [r for r in range(self.size) if r not in slot.abandoned]
         for r in takers:
             slot.outbox[r] = (None if error is not None else results[r], finish, error)
-        self._job._notify((self, None))
-        obs = self._job.observer
+        job._notify((self, None))
+        obs = job.observer
         if obs is not None:
             for r in takers:
                 obs.on_collective_exit(self.name, self.size, self._members[r], finish)
@@ -520,6 +523,7 @@ class Communicator:
         ordered by ``(key, old rank)``."""
         me = self.rank
         sort_key = me if key is None else key
+        job = current_ctx().job
 
         def compute(data: Dict[int, Any]) -> Dict[int, Any]:
             # the completing rank alone numbers the split: split1, split2, ...
@@ -532,9 +536,7 @@ class Communicator:
             for c, pairs in groups.items():
                 pairs.sort()
                 members = [self._members[r] for _, r in pairs]
-                comms[c] = Communicator(
-                    self._job, members, name=f"{self.name}/split{split_id}.{c}"
-                )
+                comms[c] = Communicator(job, members, name=f"{self.name}/split{split_id}.{c}")
             return {r: comms[c] for r, (c, _) in data.items()}
 
         return self.custom_collective(

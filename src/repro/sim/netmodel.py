@@ -46,14 +46,16 @@ class NetworkParams:
     stripe_round_overhead: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.latency_s < 0:
-            raise ValueError("latency must be >= 0")
-        if self.bandwidth_Bps <= 0:
-            raise ValueError("bandwidth must be > 0")
-        if self.procs_per_port < 1:
-            raise ValueError("procs_per_port must be >= 1")
-        if self.stripe_round_overhead < 0:
-            raise ValueError("stripe_round_overhead must be >= 0")
+        # NaN passes a plain `< 0` check, and message and collective clocks
+        # are set from these terms directly, never through a finite check
+        if not 0 <= self.latency_s < math.inf:
+            raise ValueError("latency must be finite and >= 0")
+        if not 0 < self.bandwidth_Bps < math.inf:
+            raise ValueError("bandwidth must be finite and > 0")
+        if type(self.procs_per_port) is not int or self.procs_per_port < 1:  # bool excluded
+            raise ValueError("procs_per_port must be an integer >= 1")
+        if not 0 <= self.stripe_round_overhead < math.inf:
+            raise ValueError("stripe_round_overhead must be finite and >= 0")
 
     @property
     def per_process_bandwidth_Bps(self) -> float:

@@ -45,12 +45,13 @@ class NodeSpec:
     mem_bw_Bps: float = 10e9
 
     def __post_init__(self) -> None:
-        if self.cores < 1:
-            raise ValueError("cores must be >= 1")
-        if self.flops <= 0:
-            raise ValueError("flops must be > 0")
-        if self.mem_bytes <= 0:
-            raise ValueError("mem_bytes must be > 0")
+        if type(self.cores) is not int or self.cores < 1:  # bool excluded
+            raise ValueError("cores must be an integer >= 1")
+        # every compute charge divides by it, and NaN passes a plain `<= 0`
+        if not 0 < self.flops < math.inf:
+            raise ValueError("flops must be finite and > 0")
+        if not 0 < self.mem_bytes < math.inf:
+            raise ValueError("mem_bytes must be finite and > 0")
         # every flush divides by it
         if not 0 < self.mem_bw_Bps < math.inf:
             raise ValueError("mem_bw_Bps must be finite and > 0")

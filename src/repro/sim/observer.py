@@ -110,11 +110,13 @@ class MultiObserver(SimObserver):
 
 
 def install_observer(job: Any, observer: SimObserver) -> None:
-    """Attach ``observer`` to ``job``, composing with any already installed."""
+    """Attach ``observer`` to ``job`` (or to an SHM store), composing with
+    any already installed; attaching it again is a no-op."""
     current = getattr(job, "observer", None)
     if current is None:
         job.observer = observer
     elif isinstance(current, MultiObserver):
-        current.observers.append(observer)
-    else:
+        if observer not in current.observers:
+            current.observers.append(observer)
+    elif current is not observer:
         job.observer = MultiObserver([current, observer])

@@ -47,7 +47,6 @@ import contextlib
 import math
 import os
 import threading
-import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -95,6 +94,7 @@ class JobResult:
     aborted: bool
     failed_nodes: List[int]
     rank_results: Dict[int, Any]
+    #: each rank's simulated error, without its traceback
     rank_errors: Dict[int, BaseException]
     rank_clocks: Dict[int, float]
 
@@ -102,6 +102,21 @@ class JobResult:
     def makespan(self) -> float:
         """Virtual end-to-end time (slowest rank)."""
         return max(self.rank_clocks.values()) if self.rank_clocks else 0.0
+
+
+def _outcome(err: BaseException) -> BaseException:
+    """``err`` as a rank keeps it: a :class:`SimError` loses the tracebacks
+    of its whole chain, which would pin the rank's frames, and through them
+    the Job, in a reference cycle; any other error is re-raised by
+    :meth:`Job.run` and keeps them."""
+    todo, seen = [err] if isinstance(err, SimError) else [], set()
+    while todo:
+        e = todo.pop()
+        if e is not None and id(e) not in seen:
+            seen.add(id(e))
+            e.__traceback__ = None
+            todo += (e.__cause__, e.__context__)
+    return err
 
 
 class _SpanHandle:
@@ -515,16 +530,12 @@ class Job:
         except RankExit as e:
             self._results[rank] = e.value
         except (NodeFailedError, JobAbortedError) as e:
-            # a dead rank's memory goes with it: the stored traceback would
-            # otherwise pin every frame's buffers in a Job <-> frame cycle
-            # until the cyclic collector happens by
-            traceback.clear_frames(e.__traceback__)
-            self._errors[rank] = e
+            self._errors[rank] = _outcome(e)
             with self._abort_lock:
                 self._aborting = True
             self._wake_all()
         except BaseException as e:  # user bug: abort the world, re-raise later
-            self._errors[rank] = e
+            self._errors[rank] = _outcome(e)
             self.abort()
         finally:
             self._clocks[rank] = ctx.clock
@@ -538,7 +549,7 @@ class Job:
                 if self.tracer is not None:
                     self.tracer.close_rank(rank, ctx.clock)
             except BaseException as e:  # a crash of this rank, not a lost baton
-                self._errors[rank] = e
+                self._errors[rank] = _outcome(e)
                 with self._abort_lock:
                     self._aborting = self._abort_hard = True
             finally:
@@ -560,11 +571,7 @@ class Job:
         self._hand_on()
         self._finished.acquire()
 
-        unexpected = {
-            r: e
-            for r, e in self._errors.items()
-            if not isinstance(e, (NodeFailedError, JobAbortedError, SimError))
-        }
+        unexpected = {r: e for r, e in self._errors.items() if not isinstance(e, SimError)}
         if unexpected:
             rank, err = sorted(unexpected.items())[0]
             raise SimError(f"rank {rank} crashed: {err!r}") from err

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -56,15 +57,17 @@ class ShmSegment:
 
     name: str
     array: np.ndarray
-    _store: Optional["ShmStore"] = field(default=None, repr=False, compare=False)
+    #: the owning store, held weakly: the store owns its segments
+    _store: Optional["weakref.ref[ShmStore]"] = field(default=None, repr=False, compare=False)
 
     @property
     def nbytes(self) -> int:
         return int(self.array.nbytes)
 
     def _notify(self, kind: str) -> None:
-        if self._store is not None:
-            self._store._notify(self.name, kind, self.nbytes)
+        store = self._store() if self._store is not None else None
+        if store is not None:
+            store._notify(self.name, kind, self.nbytes)
 
     def read(self) -> np.ndarray:
         """Instrumented read: report the access, return the live array."""
@@ -128,7 +131,7 @@ class ShmStore:
                 kind = "attach"
             else:
                 arr = np.zeros(shape, dtype=dtype)
-                seg = ShmSegment(name=name, array=arr, _store=self)
+                seg = ShmSegment(name=name, array=arr, _store=weakref.ref(self))
                 self._segments[name] = seg
                 kind = "create"
         self._notify(name, kind, seg.nbytes)

@@ -216,6 +216,13 @@ class TestRestartPolicy:
         with pytest.raises(ValueError, match=field):
             RestartPolicy(**{field: value})
 
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_non_integer_max_restarts_rejected(self, value):
+        """The daemon loop ranges over it: 1.5 would pass construction
+        and die in ``JobDaemon.run`` with a TypeError."""
+        with pytest.raises(ValueError, match="max_restarts"):
+            RestartPolicy(max_restarts=value)
+
 
 class TestDaemonEdgeCases:
     @pytest.mark.parametrize("ppn", [0, -1])

@@ -21,6 +21,15 @@ class TestParams:
             {"latency_s": -1e-6},
             {"bandwidth_Bps": 0},
             {"procs_per_port": 0},
+            # NaN passes a plain `< 0` check, and message and collective
+            # clocks are set from these terms without a finite check: a
+            # barrier job would complete with makespan NaN
+            {"latency_s": float("nan")},
+            {"latency_s": float("inf")},
+            {"bandwidth_Bps": float("nan")},
+            {"stripe_round_overhead": float("nan")},
+            {"procs_per_port": float("nan")},
+            {"procs_per_port": 1.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

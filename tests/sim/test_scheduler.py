@@ -13,9 +13,12 @@ import pytest
 
 from repro.chaos.campaign import run_with_triggers
 from repro.chaos.scenarios import selfckpt_scenario
-from repro.sim import Cluster, Job, PhaseTrigger
+from repro.hpl import JobDaemon
+from repro.obs.metrics import MetricsObserver
+from repro.obs.spans import SpanTracer
+from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
 from repro.sim._tls import current_ctx
-from repro.sim.errors import JobAbortedError, NodeFailedError, SimError
+from repro.sim.errors import JobAbortedError, NodeFailedError, SimError, UnrecoverableError
 from repro.sim.observer import SimObserver
 from repro.sim.runtime import RankExit, _idle
 
@@ -331,6 +334,108 @@ def test_finished_job_is_not_pinned_by_its_carriers():
     del job, result
     gc.collect()
     assert job_ref() is None and payload_ref() is None
+
+
+# -- ownership: a finished job is freed by reference counting ------------------------
+#
+# Owners hold strong references, back-references are weak or absent, and a
+# rank's error keeps no traceback, so dropping a finished job's last
+# reference frees the Job, its Cluster and its SHM arrays at once: with the
+# cyclic collector off, nothing else would.
+
+
+@pytest.fixture
+def jobs_run(monkeypatch):
+    """Weak references to every Job run by the test, which runs with the
+    cyclic collector off."""
+    refs = []
+    run = Job.run
+
+    def recording(job):
+        refs.append(weakref.ref(job))
+        return run(job)
+
+    monkeypatch.setattr(Job, "run", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        gc.enable()
+
+
+def _watch(cluster):
+    """Weak references to ``cluster`` and to every SHM array left on it."""
+    arrays = [seg.array for node in cluster.all_nodes() for seg in node.shm]
+    assert arrays
+    return [weakref.ref(cluster)] + [weakref.ref(a) for a in arrays]
+
+
+def _shm_rank(ctx):
+    ctx.shm_create(f"buf{ctx.rank}", 1024, exist_ok=True)
+    ctx.phase("work")
+    ctx.world.barrier()
+
+
+def _shm_rank_losing_node(ctx):
+    ctx.shm_create(f"buf{ctx.rank}", 1024)
+    _lose_node(ctx)
+
+
+def _fault_free():
+    cluster = Cluster(4)
+    assert Job(cluster, _shm_rank, 8, procs_per_node=2).run().completed
+    return _watch(cluster)
+
+
+def _node_lost():
+    cluster = Cluster(4)
+    result = Job(cluster, _shm_rank_losing_node, 8, procs_per_node=2).run()
+    assert result.aborted and isinstance(result.rank_errors[3], NodeFailedError)
+    return _watch(cluster)
+
+
+def _daemon_restart():
+    cluster = Cluster(4, n_spares=1)
+    plan = FailurePlan([PhaseTrigger(node_id=1, phase="work", occurrence=1)])
+    report = JobDaemon(cluster, _shm_rank, 8, procs_per_node=2, failure_plan=plan).run()
+    assert report.completed and report.n_restarts == 1
+    return _watch(cluster)
+
+
+def _single_gives_up():
+    kill = PhaseTrigger(node_id=1, phase="ckpt.update", occurrence=1)
+    inst, _, report = run_with_triggers(selfckpt_scenario(method="single"), [kill])
+    errors = report.result.rank_errors.values()
+    assert errors and all(isinstance(e, UnrecoverableError) for e in errors)
+    return _watch(inst.cluster)
+
+
+def _obs_replay():
+    kill = PhaseTrigger(node_id=1, phase="ckpt.encode", occurrence=2)
+    inst, _, report = run_with_triggers(
+        selfckpt_scenario(), [kill], tracer=SpanTracer(), observer=MetricsObserver()
+    )
+    assert report.completed and report.n_restarts == 1
+    return _watch(inst.cluster)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_fault_free, _node_lost, _daemon_restart, _single_gives_up, _obs_replay],
+    ids=lambda case: case.__name__.strip("_"),
+)
+def test_finished_job_is_freed_by_reference_counting(case, jobs_run):
+    refs = case() + jobs_run
+    assert jobs_run and [r for r in refs if r() is not None] == []
+
+
+def test_rank_errors_carry_no_traceback():
+    kill = PhaseTrigger(node_id=1, phase="ckpt.update", occurrence=1)
+    _, _, report = run_with_triggers(selfckpt_scenario(method="single"), [kill])
+    for err in report.result.rank_errors.values():
+        assert err.__traceback__ is None
+        assert err.__context__ is None or err.__context__.__traceback__ is None
 
 
 def _in_fresh_process(fn):

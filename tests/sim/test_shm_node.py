@@ -28,6 +28,13 @@ class TestNodeSpec:
             {"mem_bw_Bps": 0},
             {"mem_bw_Bps": float("nan")},
             {"mem_bw_Bps": float("inf")},
+            # NaN passes a plain `<= 0` check and surfaced only as a rank
+            # crash at the first compute charge
+            {"flops": float("nan")},
+            {"flops": float("inf")},
+            {"cores": 1.5},
+            {"cores": True},
+            {"mem_bytes": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
