@@ -329,15 +329,18 @@ def point_trigger(
 
     With a ``probe``, the node-wide occurrence is resolved against the
     fault-free announcement schedule and the trigger is *pinned*
-    (``via_rank``/``via_occurrence``) to the concrete announcement it
-    indexes in virtual-clock order.  The killed run's fault-free prefix is
-    identical to the probe, so the pin lands on the same announcement —
-    but now deterministically, where an unpinned trigger on a
+    (``via_rank``/``via_occurrence``, and the probe clock as
+    ``fire_clock``) to the concrete announcement it indexes in
+    virtual-clock order.  The killed run's fault-free prefix is identical
+    to the probe, so the pin lands on the same announcement — but now
+    deterministically, where an unpinned trigger on a
     several-ranks-per-node node counts announcements in host-scheduler
-    order and its fire clock jitters by the inter-rank skew.  Artifacts
-    are unaffected either way (the provenance reports the node-wide
-    count); the pin is what makes the doomed attempt's *telemetry* — span
-    tails, encoded bytes, makespan epsilons — byte-stable.
+    order and its fire clock jitters by the inter-rank skew.  The pin also
+    names where each sibling rank of the node dies (see
+    :class:`~repro.sim.failures.PhaseTrigger`).  Artifacts are unaffected
+    either way (the provenance reports the node-wide count); the pin is
+    what makes the doomed attempt's *telemetry* — span tails, encoded
+    bytes, makespan epsilons — byte-stable.
     """
     if probe is not None:
         ann = probe.announcements.get((point.node_id, point.phase))
@@ -350,43 +353,10 @@ def point_trigger(
                 via_rank=rank,
                 via_occurrence=local,
                 fire_clock=clock,
-                doom_points=_doom_points(probe, point.node_id, clock, rank),
             )
     return PhaseTrigger(
         node_id=point.node_id, phase=point.phase, occurrence=point.occurrence
     )
-
-
-def _doom_points(
-    probe: BaselineProbe, node_id: int, fire_clock: float, via_rank: int
-) -> Tuple[Tuple[int, str, int], ...]:
-    """Each sibling rank's first announcement at-or-after the kill.
-
-    Merges the node's announcement streams across phases into one
-    virtual-clock order (rank id breaks same-instant ties) and, for every
-    rank of the node other than ``via_rank``, picks its first announcement
-    strictly after the pinned one — the deterministic point where that
-    rank observes the power-off.  A rank with no later announcement (or
-    none at all) gets a ``phase=""`` wait-only entry: it can only die
-    inside a communicator wait, but stays exempt from the clock fallback.
-    """
-    merged: List[Tuple[float, int, int, str]] = []
-    for (nid, phase), anns in probe.announcements.items():
-        if nid != node_id:
-            continue
-        for clock, rank, local in anns:
-            merged.append((clock, rank, local, phase))
-    merged.sort()
-    dooms: Dict[int, Tuple[int, str, int]] = {}
-    for clock, rank, local, phase in merged:
-        if rank == via_rank or rank in dooms:
-            continue
-        if (clock, rank) > (fire_clock, via_rank):
-            dooms[rank] = (rank, phase, local)
-    for rank, nid in enumerate(probe.ranklist):
-        if nid == node_id and rank != via_rank and rank not in dooms:
-            dooms[rank] = (rank, "", 0)
-    return tuple(dooms[r] for r in sorted(dooms))
 
 
 def _kill_result(point: KillPoint, outcome: ReplayOutcome) -> KillResult:

@@ -125,7 +125,6 @@ def shrink_schedule(
                     via_rank=None,
                     via_occurrence=None,
                     fire_clock=None,
-                    doom_points=(),
                 )
                 result = attempt(current[:i] + [lowered] + current[i + 1 :])
                 if not default_failure(result):

@@ -162,12 +162,12 @@ class JobDaemon:
                 tracer=self.tracer,
                 name=f"{self.name}#{attempt}",
             )
-            fired_before = len(self.failure_plan.fired_records)
+            fired_before = len(self.failure_plan.fired)
             result = job.run()
             # record order: rank threads appending concurrently at the same
             # virtual time would otherwise leak scheduler order into reports
             attempt_fired = sorted(
-                self.failure_plan.fired_records[fired_before:],
+                self.failure_plan.fired[fired_before:],
                 key=lambda r: (
                     r.clock,
                     r.node_id,

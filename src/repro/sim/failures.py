@@ -69,30 +69,24 @@ class PhaseTrigger:
 
     ``via_rank``/``via_occurrence`` pin a *node-wide* trigger to one
     concrete announcement — "the node-wide ``occurrence``-th announcement
-    is rank ``via_rank``'s ``via_occurrence``-th".  With several ranks per
-    node the node-wide count is incremented in host-scheduler order, so
-    which same-instant announcement lands on the count is otherwise a
-    thread race; campaigns that know the announcement schedule in advance
-    (the kill matrix resolves it from the fault-free probe's virtual-clock
-    order, see :func:`repro.chaos.campaign.point_trigger`) pin the trigger
-    so the fire clock — and hence the doomed node's death time — is a
-    pure function of the scenario.  The fired provenance still reports the
-    advertised node-wide ``occurrence``, keeping reports and artifacts
-    identical to the unpinned trigger's.
+    is rank ``via_rank``'s ``via_occurrence``-th" — and ``fire_clock`` is
+    that announcement's virtual clock.  With several ranks per node the
+    node-wide count is incremented in host-scheduler order, so which
+    same-instant announcement lands on the count is otherwise a matter of
+    schedule; campaigns that know the announcement schedule in advance
+    (the kill matrix resolves it from the fault-free probe, see
+    :func:`repro.chaos.campaign.point_trigger`) pin the trigger so the
+    node's death is a pure function of the scenario.  The fired
+    provenance still reports the advertised node-wide ``occurrence``,
+    keeping reports and artifacts identical to the unpinned trigger's.
 
-    ``doom_points`` extends the pin to the node's *other* ranks: each
-    ``(rank, phase, local_occurrence)`` entry names the announcement at
-    which that sibling rank dies — its first announcement at-or-after the
-    pinned one in virtual-clock order, again resolved from the probe.  A
-    sibling that blocks on a dead peer before reaching its doom point dies
-    inside the communicator wait instead; ``phase=""`` marks a rank with
-    no post-kill announcement (wait-delivery only).  Doom-pinned ranks are
-    exempt from the runtime's clock-based death fallback, so every rank of
-    the killed node dies at a point that is a pure function of its own
-    program — never of where host scheduling happened to put it.
-    ``fire_clock`` carries the pinned announcement's probe clock so a
-    sibling that reaches its doom point *before* the announcing rank (in
-    host time) can still stamp the node's power-off instant correctly.
+    A pin also fixes where the node's *other* ranks die: each dies at its
+    first announcement whose ``(clock, rank)`` is past ``(fire_clock,
+    via_rank)``, or inside a communicator wait a dead peer can no longer
+    satisfy, whichever its program reaches first (see
+    :meth:`FailurePlan.announce`).  Ranks of a pinned node are exempt from
+    the runtime's clock-based death fallback, so none of them dies at a
+    point that depends on where host scheduling put it.
     """
 
     node_id: int
@@ -103,7 +97,6 @@ class PhaseTrigger:
     via_rank: Optional[int] = None
     via_occurrence: Optional[int] = None
     fire_clock: Optional[float] = None
-    doom_points: Tuple[Tuple[int, str, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.occurrence < 1:
@@ -112,10 +105,10 @@ class PhaseTrigger:
             raise ValueError("via_rank and via_occurrence come as a pair")
         if self.via_rank is not None and self.rank is not None:
             raise ValueError("via_rank pins a node-wide trigger; rank= is set")
+        if self.via_rank is not None and self.fire_clock is None:
+            raise ValueError("a via_rank pin needs its fire_clock")
         if self.via_occurrence is not None and self.via_occurrence < 1:
             raise ValueError("via_occurrence must be >= 1")
-        if self.doom_points and self.via_rank is None:
-            raise ValueError("doom_points require a via_rank pin")
 
     @property
     def all_nodes(self) -> Tuple[int, ...]:
@@ -177,9 +170,9 @@ class FailurePlan:
 
     The plan is shared across job incarnations (the daemon re-arms
     nothing): phase counts keep accumulating over restarts, and triggers
-    that have not fired stay armed.  :attr:`fired` lists the fired
-    triggers in firing order; :attr:`fired_records` carries the matching
-    :class:`FiredTrigger` provenance.
+    that have not fired stay armed.  :attr:`fired` lists the
+    :class:`FiredTrigger` provenance of the fired triggers in firing
+    order.
     """
 
     def __init__(
@@ -193,10 +186,10 @@ class FailurePlan:
         #: the ``None`` slot is the node-wide count, the rank slots are
         #: what rank-restricted triggers consult
         self._phase_counts: Dict[Tuple[int, str, Optional[int]], int] = {}
-        #: per-rank doom points of pinned triggers, keyed ``(node, rank)``
-        #: -> ``(phase, local_occurrence, trigger)`` — see
-        #: :attr:`PhaseTrigger.doom_points`
-        self._rank_dooms: Dict[Tuple[int, int], Tuple[str, int, PhaseTrigger]] = {}
+        #: the pinned trigger of each node that has one (see
+        #: :attr:`PhaseTrigger.via_rank`); it stays after firing, since it
+        #: also says where the node's other ranks die
+        self._pins: Dict[int, PhaseTrigger] = {}
         #: nodes some fired trigger already killed.  A node dies once —
         #: replacements get fresh ids — so a later trigger whose *primary*
         #: target is already dead is suppressed (its ranks could only reach
@@ -206,8 +199,7 @@ class FailurePlan:
         #: primary still dies, the dead extra is a no-op.  The
         #: check-and-mark is atomic under the plan lock.
         self._killed_nodes: set = set()
-        self.fired: List[AnyTrigger] = []
-        self.fired_records: List[FiredTrigger] = []
+        self.fired: List[FiredTrigger] = []
         for t in triggers or []:
             self.add(t)
 
@@ -217,39 +209,33 @@ class FailurePlan:
                 self._time_triggers.append(trigger)
             elif isinstance(trigger, PhaseTrigger):
                 self._phase_triggers.append(trigger)
-                for rank, phase, local in trigger.doom_points:
-                    self._rank_dooms[(trigger.node_id, rank)] = (
-                        phase, local, trigger,
-                    )
                 if trigger.via_rank is not None:
-                    # the announcing rank's own doom is the pinned
-                    # announcement itself
-                    self._rank_dooms[(trigger.node_id, trigger.via_rank)] = (
-                        trigger.phase, trigger.via_occurrence, trigger,
-                    )
+                    self._pins[trigger.node_id] = trigger
             else:
                 raise TypeError(f"not a trigger: {trigger!r}")
 
-    @property
-    def empty(self) -> bool:
-        with self._lock:
-            return not self._time_triggers and not self._phase_triggers
+    def rank_doomed(self, node_id: int) -> bool:
+        """True when a pinned trigger owns the death points of this node's
+        ranks.
 
-    def pending(self) -> List[AnyTrigger]:
-        """Triggers that have not fired yet (time first, then phase)."""
-        with self._lock:
-            return [*self._time_triggers, *self._phase_triggers]
-
-    def rank_doomed(self, node_id: int, rank: int) -> bool:
-        """True when a pinned trigger owns this rank's death point.
-
-        Such a rank is exempt from the runtime's clock-based node-death
-        fallback: it dies exactly at its doom announcement (see
-        :meth:`announce`) or inside a communicator wait a dead peer can
-        no longer satisfy — both pure functions of virtual program order.
+        Such ranks are exempt from the runtime's clock-based node-death
+        fallback: each dies at the announcement :meth:`announce` names or
+        inside a communicator wait a dead peer can no longer satisfy —
+        both pure functions of virtual program order.
         """
         with self._lock:
-            return (node_id, rank) in self._rank_dooms
+            return node_id in self._pins
+
+    def _fire(self, pending: list, record: FiredTrigger) -> bool:
+        """Fire ``record.trigger`` unless its primary node already died;
+        call with the lock held."""
+        trigger = record.trigger
+        if trigger.node_id in self._killed_nodes:
+            return False
+        pending.remove(trigger)
+        self._killed_nodes.update(trigger.all_nodes)
+        self.fired.append(record)
+        return True
 
     def check_time(
         self, node_id: int, now: float, rank: Optional[int] = None
@@ -263,25 +249,18 @@ class FailurePlan:
         with self._lock:
             for t in self._time_triggers:
                 if t.node_id == node_id and now >= t.at_time:
-                    if t.node_id in self._killed_nodes:
-                        continue
-                    self._time_triggers.remove(t)
-                    self._killed_nodes.update(t.all_nodes)
-                    self.fired.append(t)
-                    self.fired_records.append(
-                        FiredTrigger(
-                            trigger=t, node_id=node_id, clock=now, rank=rank
-                        )
-                    )
-                    return t
+                    record = FiredTrigger(t, node_id, now, rank=rank)
+                    if self._fire(self._time_triggers, record):
+                        return t
             return None
 
     def announce(
         self, node_id: int, rank: int, phase: str, clock: float
     ) -> Tuple[Optional[PhaseTrigger], Optional[PhaseTrigger]]:
-        """Record a phase announcement, fire what it trips and resolve the
-        doom point, under one hold of the lock.  Returns ``(tripped
-        trigger, doom trigger)``, each None when there is none.
+        """Record a phase announcement, fire what it trips and decide
+        whether the announcing rank dies here, under one hold of the lock.
+        Returns ``(tripped trigger, doom trigger)``, each None when there
+        is none.
 
         Counting is exact (``count == occurrence``), not a threshold: a
         trigger armed *after* its target count has already passed stays
@@ -292,12 +271,15 @@ class FailurePlan:
         the k-th announcement by that rank even when other ranks on the
         node announce the same phase first.
 
-        The doom trigger is the pinned trigger whose doom point this
-        announcement is: the announcing rank is doomed and its own
-        ``(node, phase, rank)`` count has just reached the resolved local
-        occurrence.  It is returned so the caller can stamp the node's
-        power-off instant with :attr:`PhaseTrigger.fire_clock` even when
-        this rank outran the announcing one.
+        The doom trigger is the node's pin when this announcement is
+        where the rank dies: the pinned announcement itself for
+        ``via_rank``, and for every other rank of the node the first
+        announcement whose ``(clock, rank)`` is past ``(fire_clock,
+        via_rank)`` — a rank's clock never runs backwards, so that is its
+        first such announcement in program order.  It is returned so the
+        caller can stamp the node's power-off instant with
+        :attr:`PhaseTrigger.fire_clock` even when this rank outran the
+        announcing one.
         """
         with self._lock:
             counts = self._phase_counts
@@ -322,30 +304,18 @@ class FailurePlan:
                 else:
                     continue
                 if count == t.occurrence:
-                    if t.node_id in self._killed_nodes:
-                        continue
-                    self._phase_triggers.remove(t)
-                    self._killed_nodes.update(t.all_nodes)
-                    self.fired.append(t)
-                    self.fired_records.append(
-                        FiredTrigger(
-                            trigger=t,
-                            node_id=node_id,
-                            clock=clock,
-                            rank=rank,
-                            phase=phase,
-                            count=count,
-                        )
-                    )
-                    fired = t
-                    break
-            spec = self._rank_dooms.get((node_id, rank))
-            if spec is None:
+                    record = FiredTrigger(t, node_id, clock, rank, phase, count)
+                    if self._fire(self._phase_triggers, record):
+                        fired = t
+                        break
+            pin = self._pins.get(node_id)
+            if pin is None:
                 return fired, None
-            doom_phase, local, trigger = spec
-            if doom_phase != phase or rank_count != local:
-                return fired, None
-            return fired, trigger
+            if rank == pin.via_rank:
+                doomed = phase == pin.phase and rank_count == pin.via_occurrence
+            else:
+                doomed = (clock, rank) > (pin.fire_clock, pin.via_rank)
+            return fired, pin if doomed else None
 
 
 class MTBFFailureGenerator:

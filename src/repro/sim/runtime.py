@@ -174,11 +174,11 @@ class RankContext:
         the death point depends on virtual program order, not thread
         interleaving.
 
-        Ranks whose death point a *pinned* trigger owns (see
+        Ranks of a node a *pinned* trigger targets (see
         :meth:`~repro.sim.failures.FailurePlan.rank_doomed`) are exempt
-        from the clock fallback entirely: they die at their resolved doom
-        announcement in :meth:`phase`, or inside a communicator wait a
-        dead peer can no longer satisfy — so their death point does not
+        from the clock fallback entirely: each dies at the announcement
+        the pin names in :meth:`phase`, or inside a communicator wait a
+        dead peer can no longer satisfy — so its death point does not
         even depend on *when* (in host time) the failure flag was set.
 
         A *failure* abort is still not delivered to healthy ranks here:
@@ -189,7 +189,7 @@ class RankContext:
         # every simulated event
         failed_at = self.node._failed_at
         if failed_at is not None and self.clock >= failed_at:
-            if not self.job.failure_plan.rank_doomed(self.node.node_id, self.rank):
+            if not self.job.failure_plan.rank_doomed(self.node.node_id):
                 raise NodeFailedError(self.node.node_id, self.clock)
         if self.job._abort_hard:
             raise JobAbortedError(f"rank {self.rank}: job aborting")
@@ -253,11 +253,8 @@ class RankContext:
             # this rank's pinned death point: mark the node failed even if
             # the announcing rank has not tripped the trigger yet (this
             # rank may have outrun it in host time) and die here
-            when = (
-                doomed.fire_clock if doomed.fire_clock is not None else self.clock
-            )
             for nid in doomed.all_nodes:
-                job.fail_node(nid, when=when)
+                job.fail_node(nid, when=doomed.fire_clock)
             raise NodeFailedError(self.node.node_id, self.clock)
         self.check()
 
@@ -446,10 +443,16 @@ class Job:
         with self._abort_lock:
             return any(r in self._done_ranks for r in ranks)
 
+    def _next_ready(self) -> int:
+        """Take the rank that runs next off the non-empty ready queue: the
+        one schedule decision, FIFO.  Any other pick is as legal an MPI
+        execution, and virtual clocks and verdicts must not depend on it."""
+        return self._ready.popleft()
+
     def _hand_on(self) -> None:
         """Open the gate of the next ready rank, if there is one."""
         if self._ready:
-            self._gates[self._ready.popleft()].release()
+            self._gates[self._next_ready()].release()
 
     def _park(self, rank: int, comm: Communicator, key: Any) -> None:
         """Park ``rank`` and hand the baton on; returns once a wake-up made
@@ -556,7 +559,7 @@ class Job:
                 # live ranks but none ready: the epilogue broke, end the run
                 self._live -= 1
                 if self._live and self._ready:
-                    handoff = self._gates[self._ready.popleft()]
+                    handoff = self._gates[self._next_ready()]
                 else:
                     handoff = self._finished
         return handoff

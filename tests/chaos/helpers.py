@@ -1,11 +1,17 @@
 """Helpers shared by the chaos tests."""
 
+import contextlib
 import hashlib
 import json
+import random
+from unittest import mock
 
 import numpy as np
 
+from repro.chaos.plan import KIND_KILL
 from repro.ckpt.self_ckpt import SelfCheckpoint
+from repro.par.replay import run_units
+from repro.sim.runtime import Job
 
 
 def stripped_digest(store, tables=("runs", "summaries", "spans", "metrics"), keep=None):
@@ -43,3 +49,46 @@ class SilentCorruptRecover(SelfCheckpoint):
             bad[:8] ^= 0x01  # flip bytes inside the first data array
             out = (bad, cs)
         return out
+
+
+@contextlib.contextmanager
+def seeded_schedule(seed):
+    """Inside the block every job takes the next rank to run from its
+    ready queue at random, seeded, instead of first in first out.  Each
+    pick is as legal an MPI execution as FIFO's, so no virtual clock,
+    answer or verdict may change."""
+    rng = random.Random(seed)
+
+    def next_ready(job):
+        ready = job._ready
+        i = rng.randrange(len(ready))
+        rank = ready[i]
+        del ready[i]
+        return rank
+
+    with mock.patch.object(Job, "_next_ready", next_ready):
+        yield
+
+
+def schedule_divergence(plan, seeds):
+    """Replay every unit of ``plan`` (a :class:`~repro.chaos.plan.
+    CampaignPlan`) serially under FIFO, then once per seed under
+    :func:`seeded_schedule`; returns ``{seed: [divergent unit ordinals]}``.
+
+    A kill unit must match FIFO's whole outcome: verdict, restarts,
+    makespan, fired lines and obs payload.  A random schedule must match
+    its verdict only: its time triggers and unpinned ``restore.begin``
+    kill fire on whichever rank gets there first, which moves the
+    makespan by microseconds under another order."""
+    specs = [u.spec for u in plan.units]
+    fifo = run_units(specs)
+    divergent = {}
+    for seed in seeds:
+        with seeded_schedule(seed):
+            outcomes = run_units(specs)
+        divergent[seed] = [
+            u.ord
+            for u, a, b in zip(plan.units, fifo, outcomes)
+            if (a != b if u.kind == KIND_KILL else a.verdict != b.verdict)
+        ]
+    return divergent

@@ -112,10 +112,9 @@ class TestTriggers:
                 TimeTrigger(node_id=0, at_time=never)
         with pytest.raises(ValueError):
             PhaseTrigger(node_id=0, phase="p", occurrence=0)
-
-    def test_empty(self):
-        assert FailurePlan().empty
-        assert not FailurePlan([TimeTrigger(0, 1.0)]).empty
+        # a pin dooms the node's other ranks relative to its clock
+        with pytest.raises(ValueError, match="fire_clock"):
+            PhaseTrigger(node_id=0, phase="p", via_rank=1, via_occurrence=1)
 
 
 class TestRankScopedTriggers:
@@ -140,8 +139,8 @@ class TestRankScopedTriggers:
         for _ in range(5):
             assert not plan.announce(0, 0, "p", 0.0)[0]
         assert plan.announce(0, 2, "p", 0.0)[0]
-        assert plan.fired_records[0].rank == 2
-        assert plan.fired_records[0].count == 1
+        assert plan.fired[0].rank == 2
+        assert plan.fired[0].count == 1
 
     def test_node_wide_trigger_counts_all_ranks(self):
         plan = FailurePlan([PhaseTrigger(node_id=0, phase="p", occurrence=3)])
@@ -152,7 +151,7 @@ class TestRankScopedTriggers:
     def test_fired_record_provenance(self):
         plan = FailurePlan([PhaseTrigger(node_id=3, phase="ckpt.flush")])
         plan.announce(3, 1, "ckpt.flush", 7.5)
-        (rec,) = plan.fired_records
+        (rec,) = plan.fired
         assert rec.node_id == 3
         assert rec.phase == "ckpt.flush"
         assert rec.rank == 1
@@ -177,7 +176,7 @@ class TestRankScopedTriggers:
         result = Job(cl, main, 4, failure_plan=plan, procs_per_node=2).run()
         assert not result.completed
         assert result.failed_nodes == [0]
-        (rec,) = plan.fired_records
+        (rec,) = plan.fired
         assert rec.rank == 1
         assert rec.clock == pytest.approx(0.5)
 
