@@ -33,7 +33,7 @@ import numpy as np
 from repro.hpl import matgen
 from repro.hpl.config import HPLConfig
 from repro.hpl.core import GEMM_EFFICIENCY, HPLResult, hpl_solve, verify
-from repro.hpl.grid import BlockCyclicMap, ProcessGrid
+from repro.hpl.grid import BlockCyclicMap, ProcessGrid, pivot_plan
 from repro.sim.runtime import RankContext
 
 #: mismatch below this (relative to row magnitude) is rounding, not an error
@@ -94,29 +94,16 @@ class _ChecksumState:
         nbk = panel.shape[1]
         pr = k % grid.P
         # row swaps (checksums are replicated across process columns, like b)
-        for j, r2 in enumerate(piv):
-            r1 = k0 + j
-            r2 = int(r2)
-            if r1 == r2:
-                continue
-            o1, o2 = rowmap.owner(r1), rowmap.owner(r2)
-            tag = 5000 + k0 + j
-            if o1 == o2:
-                if grid.myrow == o1:
-                    l1, l2 = rowmap.local_index(r1), rowmap.local_index(r2)
-                    for c in (self.c1, self.c2):
-                        c[[l1, l2]] = c[[l2, l1]]
-            elif grid.myrow == o1:
-                l1 = rowmap.local_index(r1)
-                mine = (float(self.c1[l1]), float(self.c2[l1]))
-                self.c1[l1], self.c2[l1] = grid.col_comm.sendrecv(
-                    mine, dest=o2, source=o2, sendtag=tag, recvtag=tag
-                )
-            elif grid.myrow == o2:
-                l2 = rowmap.local_index(r2)
-                mine = (float(self.c1[l2]), float(self.c2[l2]))
-                self.c1[l2], self.c2[l2] = grid.col_comm.sendrecv(
-                    mine, dest=o1, source=o1, sendtag=tag, recvtag=tag
+        c1, c2 = self.c1, self.c2
+        for j, l1, partner, l2 in pivot_plan(rowmap, piv, k0, grid.myrow):
+            if partner is None:
+                c1[l1], c1[l2] = c1[l2], c1[l1]
+                c2[l1], c2[l2] = c2[l2], c2[l1]
+            else:
+                tag = 5000 + k0 + j
+                c1[l1], c2[l1] = grid.col_comm.sendrecv(
+                    (float(c1[l1]), float(c2[l1])),
+                    dest=partner, source=partner, sendtag=tag, recvtag=tag,
                 )
         # L11 solve on the pivot block rows, then the L21 update below
         l11 = panel[:nbk, :nbk]

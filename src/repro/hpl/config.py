@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+
+
+def check_int(name: str, value: object) -> None:
+    """Refuse a field that is not an integer (a ``bool`` included), naming
+    the field: a float or a flag would otherwise fail deep inside a rank."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,13 +37,15 @@ class HPLConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in ("n", "nb", "p", "q", "seed"):
+            check_int(name, getattr(self, name))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 1 <= self.nb <= self.n:
             raise ValueError("nb must be in [1, n]")
         if self.p < 1 or self.q < 1:
             raise ValueError("grid dims must be >= 1")
-        if self.seed < 0:
+        if self.seed < 0:  # the block streams seed from its 32-bit words
             raise ValueError("seed must be >= 0")
 
     @property

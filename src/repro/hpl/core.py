@@ -34,7 +34,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.hpl.config import HPLConfig
-from repro.hpl.grid import BlockCyclicMap, ProcessGrid
+from repro.hpl.grid import BlockCyclicMap, ProcessGrid, pivot_plan
 from repro.hpl import matgen
 from repro.sim.runtime import RankContext
 
@@ -84,22 +84,35 @@ def _factor_panel(
 
     Returns the pivot list: entry ``j`` is the *global* row swapped with
     global row ``k0 + j``.
+
+    The elimination runs on a transposed copy, so a panel column is a
+    contiguous row: every entry still sees the same multiply and subtract,
+    in the same order, as ``panel[j+1:, j+1:] -= np.outer(l, u)`` gives it.
     """
     m, nbk = panel.shape
     piv = np.zeros(nbk, dtype=np.int64)
+    cols = np.ascontiguousarray(panel.T)  # cols[j] is panel column j
+    mag = np.empty(m)
+    prod = np.empty(nbk * m)
     for j in range(nbk):
-        rel = int(np.argmax(np.abs(panel[j:, j]))) + j
+        rel = int(np.abs(cols[j, j:], out=mag[: m - j]).argmax()) + j
         piv[j] = k0 + rel
-        if rel != j:
-            panel[[j, rel], :] = panel[[rel, j], :]
-        pivot = panel[j, j]
+        if rel != j:  # swap panel rows j and rel through one temporary
+            row = cols[:, j].copy()
+            cols[:, j] = cols[:, rel]
+            cols[:, rel] = row
+        pivot = cols[j, j]
         if pivot == 0.0:
             raise SingularMatrixError(f"zero pivot in column {k0 + j}")
-        panel[j + 1 :, j] /= pivot
+        l_col = cols[j, j + 1 :]
+        l_col /= pivot
         if j + 1 < nbk:
-            panel[j + 1 :, j + 1 :] -= np.outer(
-                panel[j + 1 :, j], panel[j, j + 1 :]
-            )
+            # the rank-1 update; u_c * l_i is np.outer's l_i * u_c exactly
+            rest = cols[j + 1 :, j + 1 :]
+            outer = prod[: rest.size].reshape(rest.shape)
+            np.multiply(cols[j + 1 :, j, None], l_col[None, :], out=outer)
+            rest -= outer
+    panel[:] = cols.T
     ctx.compute(2.0 * m * nbk * nbk / 2.0, efficiency=PANEL_EFFICIENCY)
     return piv
 
@@ -245,33 +258,19 @@ def _apply_row_swaps(
 ) -> None:
     """Exchange pivoted rows of the trailing columns (and rhs) between the
     owning process rows, within each process column."""
-    myrow = grid.myrow
-    for j, r2 in enumerate(piv):
-        r1 = k0 + j
-        r2 = int(r2)
-        if r1 == r2:
-            continue
-        o1, o2 = rowmap.owner(r1), rowmap.owner(r2)
-        tag = tag_base * len(piv) + j + 1000
-        if o1 == o2:
-            if myrow == o1:
-                l1, l2 = rowmap.local_index(r1), rowmap.local_index(r2)
-                a_loc[[l1, l2], lc_trail:] = a_loc[[l2, l1], lc_trail:]
-                b_loc[[l1, l2]] = b_loc[[l2, l1]]
-        elif myrow == o1:
-            l1 = rowmap.local_index(r1)
-            mine = (a_loc[l1, lc_trail:].copy(), float(b_loc[l1]))
-            theirs = grid.col_comm.sendrecv(
-                mine, dest=o2, source=o2, sendtag=tag, recvtag=tag
+    for j, l1, partner, l2 in pivot_plan(rowmap, piv, k0, grid.myrow):
+        if partner is None:
+            row = a_loc[l1, lc_trail:].copy()
+            a_loc[l1, lc_trail:] = a_loc[l2, lc_trail:]
+            a_loc[l2, lc_trail:] = row
+            b_loc[l1], b_loc[l2] = b_loc[l2], b_loc[l1]
+        else:
+            tag = tag_base * len(piv) + j + 1000
+            # send copies its payload: the view is not overwritten under it
+            a_loc[l1, lc_trail:], b_loc[l1] = grid.col_comm.sendrecv(
+                (a_loc[l1, lc_trail:], float(b_loc[l1])),
+                dest=partner, source=partner, sendtag=tag, recvtag=tag,
             )
-            a_loc[l1, lc_trail:], b_loc[l1] = theirs
-        elif myrow == o2:
-            l2 = rowmap.local_index(r2)
-            mine = (a_loc[l2, lc_trail:].copy(), float(b_loc[l2]))
-            theirs = grid.col_comm.sendrecv(
-                mine, dest=o1, source=o1, sendtag=tag, recvtag=tag
-            )
-            a_loc[l2, lc_trail:], b_loc[l2] = theirs
 
 
 def _back_substitute(

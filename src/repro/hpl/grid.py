@@ -9,7 +9,7 @@ between global indices and (owner, local index) pairs; a
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +47,10 @@ class BlockCyclicMap:
         """Local position of global index ``i`` on its owner."""
         return int(self._local[i])
 
+    def locate(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Owners and local indices of the global indices ``idx``."""
+        return self._owner[idx], self._local[idx]
+
     def local_count(self, proc: int) -> int:
         return len(self._globals[proc])
 
@@ -65,6 +69,47 @@ class BlockCyclicMap:
 
     def n_blocks(self) -> int:
         return -(-self.n // self.nb)
+
+
+class RowSwap(NamedTuple):
+    """One step of a panel's row interchanges, as one process row sees it.
+
+    ``row`` is the local index of this process row's side of the swap and
+    ``other`` the local index of the other side on its owner.  With
+    ``partner is None`` both rows are here: swap them in place.  Otherwise
+    exchange ``row`` with process row ``partner``.  ``j`` is the pivot's
+    index in the panel — the message tag follows it.
+    """
+
+    j: int
+    row: int
+    partner: Optional[int]
+    other: int
+
+
+def pivot_plan(
+    rowmap: BlockCyclicMap, piv: np.ndarray, k0: int, myrow: int
+) -> List[RowSwap]:
+    """Process row ``myrow``'s share of the interchanges ``piv`` encodes, in
+    pivot order: global row ``k0 + j`` is swapped with global row
+    ``piv[j]``.  Pivots that stay put, and swaps between two other process
+    rows, need nothing from ``myrow`` and are left out."""
+    r1 = np.arange(k0, k0 + len(piv))
+    o1, l1 = rowmap.locate(r1)
+    o2, l2 = rowmap.locate(piv)
+    act = (r1 != piv) & ((o1 == myrow) | (o2 == myrow))
+    plan = []
+    for j, own1, own2, loc1, loc2 in zip(
+        np.flatnonzero(act).tolist(),
+        o1[act].tolist(), o2[act].tolist(), l1[act].tolist(), l2[act].tolist(),
+    ):
+        if own1 == own2:
+            plan.append(RowSwap(j, loc1, None, loc2))
+        elif own1 == myrow:
+            plan.append(RowSwap(j, loc1, own2, loc2))
+        else:
+            plan.append(RowSwap(j, loc2, own1, loc1))
+    return plan
 
 
 class ProcessGrid:

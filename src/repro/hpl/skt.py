@@ -18,12 +18,14 @@ comparison benchmark drives all rows through identical code.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.ckpt.manager import CheckpointManager
+from repro.ckpt.manager import METHODS, CheckpointManager
 from repro.hpl import matgen
-from repro.hpl.config import HPLConfig
+from repro.hpl.config import HPLConfig, check_int
 from repro.hpl.core import HPLResult, hpl_solve, verify
 from repro.hpl.grid import BlockCyclicMap, ProcessGrid
 from repro.sim.runtime import RankContext
@@ -47,10 +49,23 @@ class SKTConfig:
     auto_interval_mtbf_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # every rank builds its CheckpointManager from these: a bad value
+        # would crash all of them at once, far from the mistake
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        check_int("group_size", self.group_size)
+        if self.group_size < 1:
+            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
+        check_int("interval_panels", self.interval_panels)
         if self.interval_panels < 1:
-            raise ValueError("interval_panels must be >= 1")
-        if self.auto_interval_mtbf_s is not None and self.auto_interval_mtbf_s <= 0:
-            raise ValueError("auto_interval_mtbf_s must be positive")
+            raise ValueError(f"interval_panels must be >= 1, got {self.interval_panels}")
+        mtbf = self.auto_interval_mtbf_s
+        if mtbf is not None:
+            if isinstance(mtbf, bool) or not isinstance(mtbf, numbers.Real):
+                raise TypeError(f"auto_interval_mtbf_s must be a number, got {mtbf!r}")
+            # NaN and inf pass a plain `<= 0` check and poison Young's formula
+            if not 0 < mtbf < math.inf:
+                raise ValueError(f"auto_interval_mtbf_s must be finite and > 0, got {mtbf!r}")
 
 
 @dataclass

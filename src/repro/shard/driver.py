@@ -209,15 +209,15 @@ def run_sharded_campaign(
                     progress is not None
                     and now - last_query >= PROGRESS_QUERY_EVERY_S
                 ):
-                    # liveness polls every POLL_S; the queue query is
-                    # throttled independently so a tight poll loop does
-                    # not hammer the contended SQLite file
+                    # liveness polls at least every POLL_S; the queue
+                    # query is throttled independently so a tight poll
+                    # loop does not hammer the contended SQLite file
                     last_query = now
                     stats = queue.progress()
                     progress.update(
                         stats["done_units"], stats["total_units"], 0, alive
                     )
-                time.sleep(POLL_S)
+                supervisor.wait(POLL_S)  # wakes early when an executor exits
             supervisor.join()
         stats = queue.progress()
         stats.update(queue.stats())

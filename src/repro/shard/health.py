@@ -32,6 +32,7 @@ pieces, composed by :mod:`repro.shard.driver` and
 from __future__ import annotations
 
 import hashlib
+import select
 import sqlite3
 import threading
 import time
@@ -212,7 +213,8 @@ class ExecutorSupervisor:
     """Keep up to ``n_slots`` executors running against the queue.
 
     ``spawn(index)`` must return a process-like object (``is_alive()``,
-    ``exitcode``, ``join()``) — the driver passes a closure over
+    ``exitcode``, ``join()``, and ``sentinel`` for :meth:`wait`) — the
+    driver passes a closure over
     ``multiprocessing.Process``; the tests pass fakes.  ``respawn`` is
     the *total* budget of crash respawns across all slots (0 preserves
     the pre-supervision behaviour: a dead executor stays dead).  Each
@@ -291,6 +293,22 @@ class ExecutorSupervisor:
                 slot.proc = self._spawn(slot.index)
                 alive += 1
         return alive
+
+    def wait(self, timeout: float) -> None:
+        """Block until a live executor exits or ``timeout`` seconds pass,
+        so the caller's next :meth:`poll` sees an exit at once instead of
+        on its next tick.  With no executor running (every slot backing
+        off or retired) it just sleeps ``timeout``."""
+        # select.poll, not multiprocessing.connection.wait: that module
+        # would add ~2.8 MiB of imports to every process that loads this one
+        sentinels = [s.proc.sentinel for s in self._slots if s.proc is not None]
+        if not sentinels:
+            time.sleep(timeout)
+            return
+        poller = select.poll()
+        for fd in sentinels:
+            poller.register(fd, select.POLLIN)
+        poller.poll(timeout * 1000.0)
 
     def pending_respawns(self) -> bool:
         """True while any slot is waiting out its backoff delay."""

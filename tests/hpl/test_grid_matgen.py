@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hpl import BlockCyclicMap, HPLConfig, ProcessGrid
+from repro.hpl.grid import RowSwap, pivot_plan
 from repro.hpl.matgen import (
     dense_matrix,
     dense_rhs,
-    generate_block,
     generate_local_matrix,
     generate_local_rhs,
 )
 from repro.sim import Cluster, Job
+from repro.util.rng import block_rng
+
+#: one-word, word-boundary, two-word and three-word seeds
+SEEDS = [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 1]
 
 
 class TestConfig:
@@ -32,6 +36,17 @@ class TestConfig:
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
+            HPLConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 64.0), ("seed", 1.5), ("seed", float("nan")), ("p", True)],
+        ids=["float-n", "float-seed", "nan-seed", "bool-p"],
+    )
+    def test_non_int_fields_are_refused_by_name(self, field, value):
+        kwargs = dict(n=64, nb=8, p=2, q=2, seed=0)
+        kwargs[field] = value
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
             HPLConfig(**kwargs)
 
 
@@ -107,6 +122,12 @@ class TestProcessGrid:
         assert Job(cl, main, 4, procs_per_node=1).run().completed
 
 
+def generate_block(cfg, bi, bj):
+    """Block (bi, bj) of A, cut from the whole matrix (edge blocks cropped)."""
+    nb = cfg.nb
+    return dense_matrix(cfg)[bi * nb : (bi + 1) * nb, bj * nb : (bj + 1) * nb]
+
+
 class TestMatgen:
     def test_block_determinism(self):
         cfg = HPLConfig(n=32, nb=8, p=2, q=2)
@@ -160,3 +181,98 @@ class TestMatgen:
             generate_local_matrix(cfg, rowmap, colmap, 0, 0, out=np.zeros((1, 1)))
         with pytest.raises(ValueError):
             generate_local_rhs(cfg, rowmap, 0, out=np.zeros(3))
+
+
+def _literal_block(cfg, bi, bj):
+    """Block (bi, bj) of A spelled out with one numpy generator per block."""
+    nb = cfg.nb
+    h, w = min(nb, cfg.n - bi * nb), min(nb, cfg.n - bj * nb)
+    block = block_rng(cfg.seed, bi, bj).uniform(-0.5, 0.5, size=(h, w))
+    if bi == bj:
+        np.fill_diagonal(block, block.diagonal() + 2.0)
+    return block
+
+
+def _literal_rhs(cfg):
+    nb = cfg.nb
+    return np.concatenate(
+        [
+            block_rng(cfg.seed, bi, cfg.n_blocks + 1).uniform(
+                -0.5, 0.5, size=min(nb, cfg.n - bi * nb)
+            )
+            for bi in range(cfg.n_blocks)
+        ]
+    )
+
+
+class TestBatchedGeneratorIsTheLiteralOne:
+    """Every generator entry point, bit for bit against the per-block
+    numpy spelling, with an edge block (n % nb != 0)."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_dense(self, seed):
+        cfg = HPLConfig(n=45, nb=8, p=2, q=3, seed=seed)
+        nbl = cfg.n_blocks
+        want = np.block(
+            [[_literal_block(cfg, bi, bj) for bj in range(nbl)] for bi in range(nbl)]
+        )
+        assert dense_matrix(cfg).tobytes() == want.tobytes()
+        assert dense_rhs(cfg).tobytes() == _literal_rhs(cfg).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_local(self, seed):
+        cfg = HPLConfig(n=45, nb=8, p=2, q=3, seed=seed)
+        rowmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.p)
+        colmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.q)
+        nbl = cfg.n_blocks
+        dense = np.block(
+            [[_literal_block(cfg, bi, bj) for bj in range(nbl)] for bi in range(nbl)]
+        )
+        rhs = _literal_rhs(cfg)
+        for pr in range(cfg.p):
+            rows = rowmap.globals_of(pr)
+            got = generate_local_rhs(cfg, rowmap, pr)
+            assert got.tobytes() == rhs[rows].tobytes()
+            for pc in range(cfg.q):
+                want = dense[np.ix_(rows, colmap.globals_of(pc))]
+                got = generate_local_matrix(cfg, rowmap, colmap, pr, pc)
+                assert got.tobytes() == want.tobytes()
+
+
+def _reference_plan(rowmap, piv, k0, myrow):
+    """The per-pivot loop ``pivot_plan`` replaced, recording its actions."""
+    plan = []
+    for j, r2 in enumerate(piv):
+        r1 = k0 + j
+        r2 = int(r2)
+        if r1 == r2:
+            continue
+        o1, o2 = rowmap.owner(r1), rowmap.owner(r2)
+        l1, l2 = rowmap.local_index(r1), rowmap.local_index(r2)
+        if o1 == o2:
+            if myrow == o1:
+                plan.append(RowSwap(j, l1, None, l2))
+        elif myrow == o1:
+            plan.append(RowSwap(j, l1, o2, l2))
+        elif myrow == o2:
+            plan.append(RowSwap(j, l2, o1, l1))
+    return plan
+
+
+class TestPivotPlan:
+    @pytest.mark.parametrize("nprocs", [1, 2, 3])
+    def test_plan_is_the_per_pivot_loop(self, nprocs):
+        n, nb = 70, 8
+        rowmap = BlockCyclicMap(n, nb, nprocs)
+        rng = np.random.default_rng(nprocs)
+        for k in range(-(-n // nb)):
+            k0 = k * nb
+            nbk = min(nb, n - k0)
+            for _ in range(5):
+                # partial pivoting swaps row k0 + j with a row at or below it
+                piv = np.array([rng.integers(k0 + j, n) for j in range(nbk)])
+                stay = rng.random(nbk) < 0.3  # some pivots are already in place
+                piv[stay] = k0 + np.flatnonzero(stay)
+                for myrow in range(nprocs):
+                    got = pivot_plan(rowmap, piv, k0, myrow)
+                    assert got == _reference_plan(rowmap, piv, k0, myrow)

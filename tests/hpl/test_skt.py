@@ -85,6 +85,22 @@ class TestFaultFree:
         with pytest.raises(ValueError):
             SKTConfig(hpl=CFG, auto_interval_mtbf_s=0.0)
 
+    def test_fractional_interval_is_refused(self):
+        """2.5 once meant "every 3 panels", silently."""
+        with pytest.raises(TypeError, match="^interval_panels must be an int"):
+            SKTConfig(hpl=CFG, interval_panels=2.5)
+        with pytest.raises(TypeError, match="^group_size must be an int"):
+            SKTConfig(hpl=CFG, group_size=4.0)
+
+    @pytest.mark.parametrize("mtbf", [float("nan"), float("inf")])
+    def test_non_finite_mtbf_is_refused(self, mtbf):
+        with pytest.raises(ValueError, match="^auto_interval_mtbf_s must be finite"):
+            SKTConfig(hpl=CFG, auto_interval_mtbf_s=mtbf)
+
+    def test_unknown_method_is_refused_before_any_rank_runs(self):
+        with pytest.raises(ValueError, match="^method must be one of"):
+            SKTConfig(hpl=CFG, method="bogus")
+
     def test_auto_interval_adapts_to_mtbf(self):
         """Young-driven pacing: a hostile MTBF forces frequent checkpoints,
         a benign one backs off to almost none."""

@@ -1,5 +1,6 @@
 """Tests for the self-healing machinery (repro.shard.health)."""
 
+import multiprocessing
 import sqlite3
 import time
 
@@ -298,6 +299,30 @@ class TestExecutorSupervisor:
         assert h.sup.poll() == 0
         assert not h.sup.pending_respawns()
         assert h.sup.exhausted()
+
+    def test_wait_wakes_when_an_executor_exits(self):
+        """The driver's liveness loop waits on the executors' sentinels: a
+        campaign returns when its last executor exits, not a tick later."""
+        ctx = multiprocessing.get_context()
+
+        def spawn(index):
+            proc = ctx.Process(target=time.sleep, args=(0.05,))
+            proc.start()
+            return proc
+
+        sup = ExecutorSupervisor(spawn, 1)
+        sup.start()
+        t0 = time.monotonic()
+        # the sentinel fires as the child closes its files, a moment
+        # before it can be reaped: the driver's loop just waits again
+        while sup.poll():
+            assert time.monotonic() - t0 < 10.0
+            sup.wait(60.0)
+        assert time.monotonic() - t0 < 10.0  # the exit, not the timeout
+        t0 = time.monotonic()
+        sup.wait(0.05)  # nothing running: a plain sleep keeps respawn cadence
+        assert time.monotonic() - t0 >= 0.04
+        sup.join()
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError, match="n_slots"):

@@ -13,6 +13,10 @@ from repro.util import (
     render_table,
     seeded_rng,
 )
+from repro.util.rng import block_streams, spawn_states
+
+#: one-word, word-boundary, two-word, three-word and five-word seeds
+SEEDS = [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 1, 2**130 + 7]
 
 
 class TestUnits:
@@ -75,6 +79,43 @@ class TestRng:
         a = block_rng(1, 0, 0).standard_normal(4)
         b = block_rng(2, 0, 0).standard_normal(4)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_spawn_states_are_seed_sequence_words(self, seed, d):
+        keys = np.random.default_rng(d).integers(0, 2**32, size=(9, d))
+        keys[0] = 0
+        keys[1] = 2**32 - 1
+        want = [
+            np.random.SeedSequence(seed, spawn_key=tuple(map(int, k))).generate_state(
+                4, np.uint64
+            )
+            for k in keys
+        ]
+        np.testing.assert_array_equal(spawn_states(seed, keys), want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_streams_are_block_rng_streams(self, seed):
+        keys = [(0, 0), (3, 5), (5, 3), (7, 9)]
+        for rng, key in zip(block_streams(seed, np.array(keys)), keys):
+            want = block_rng(seed, *key).uniform(-0.5, 0.5, 33)
+            got = rng.random(33) - 0.5
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, keys",
+        [
+            (-1, [[0, 0]]),
+            (1.5, [[0, 0]]),
+            (1, [[-1, 0]]),
+            (1, [[2**32, 0]]),
+            (1, [0, 0]),  # not (m, d)
+            (1, np.zeros((2, 0), dtype=int)),  # no spawn key
+        ],
+    )
+    def test_spawn_states_refuse_what_they_cannot_mirror(self, seed, keys):
+        with pytest.raises((TypeError, ValueError)):
+            spawn_states(seed, np.array(keys))
 
 
 class TestTables:
