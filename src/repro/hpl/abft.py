@@ -33,7 +33,7 @@ import numpy as np
 from repro.hpl import matgen
 from repro.hpl.config import HPLConfig
 from repro.hpl.core import GEMM_EFFICIENCY, HPLResult, hpl_solve, verify
-from repro.hpl.grid import BlockCyclicMap, ProcessGrid, pivot_plan
+from repro.hpl.grid import BlockCyclicMap, ProcessGrid, pivot_plan, swap_participants
 from repro.sim.runtime import RankContext
 
 #: mismatch below this (relative to row magnitude) is rounding, not an error
@@ -94,17 +94,12 @@ class _ChecksumState:
         nbk = panel.shape[1]
         pr = k % grid.P
         # row swaps (checksums are replicated across process columns, like b)
-        c1, c2 = self.c1, self.c2
-        for j, l1, partner, l2 in pivot_plan(rowmap, piv, k0, grid.myrow):
-            if partner is None:
-                c1[l1], c1[l2] = c1[l2], c1[l1]
-                c2[l1], c2[l2] = c2[l2], c2[l1]
-            else:
-                tag = 5000 + k0 + j
-                c1[l1], c2[l1] = grid.col_comm.sendrecv(
-                    (float(c1[l1]), float(c2[l1])),
-                    dest=partner, source=partner, sendtag=tag, recvtag=tag,
-                )
+        grid.col_comm.swap_rows(
+            (self.c1, self.c2),
+            pivot_plan(rowmap, piv, k0, grid.myrow),
+            swap_participants(rowmap, piv, k0),
+            tag=5000 + k0,
+        )
         # L11 solve on the pivot block rows, then the L21 update below
         l11 = panel[:nbk, :nbk]
         y = None

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.hpl.config import HPLConfig
-from repro.hpl.grid import BlockCyclicMap, ProcessGrid, pivot_plan
+from repro.hpl.grid import BlockCyclicMap, ProcessGrid, pivot_plan, swap_participants
 from repro.hpl import matgen
 from repro.sim.runtime import RankContext
 
@@ -170,7 +170,7 @@ def hpl_solve(
             if mycol == pc:
                 lr = rowmap.local_start(myrow, k0)
                 lc0 = colmap.local_index(k0)
-                contrib = (my_grows[lr:], a_loc[lr:, lc0 : lc0 + nbk].copy())
+                contrib = (my_grows[lr:], a_loc[lr:, lc0 : lc0 + nbk])
                 parts = grid.col_comm.gather(contrib, root=pr)
                 if myrow == pr:
                     m_panel = n - k0
@@ -187,9 +187,7 @@ def hpl_solve(
 
             # ---- 3. apply row swaps to trailing columns and rhs ----
             lc_trail = colmap.local_start(mycol, k0 + nbk)
-            _apply_row_swaps(
-                ctx, grid, rowmap, a_loc, b_loc, piv, k0, lc_trail, tag_base=k
-            )
+            _apply_row_swaps(grid, rowmap, a_loc, b_loc, piv, k0, lc_trail, tag_base=k)
 
             # panel-column writeback for the owning process column
             if mycol == pc:
@@ -246,7 +244,6 @@ def hpl_solve(
 
 
 def _apply_row_swaps(
-    ctx: RankContext,
     grid: ProcessGrid,
     rowmap: BlockCyclicMap,
     a_loc: np.ndarray,
@@ -257,20 +254,15 @@ def _apply_row_swaps(
     tag_base: int,
 ) -> None:
     """Exchange pivoted rows of the trailing columns (and rhs) between the
-    owning process rows, within each process column."""
-    for j, l1, partner, l2 in pivot_plan(rowmap, piv, k0, grid.myrow):
-        if partner is None:
-            row = a_loc[l1, lc_trail:].copy()
-            a_loc[l1, lc_trail:] = a_loc[l2, lc_trail:]
-            a_loc[l2, lc_trail:] = row
-            b_loc[l1], b_loc[l2] = b_loc[l2], b_loc[l1]
-        else:
-            tag = tag_base * len(piv) + j + 1000
-            # send copies its payload: the view is not overwritten under it
-            a_loc[l1, lc_trail:], b_loc[l1] = grid.col_comm.sendrecv(
-                (a_loc[l1, lc_trail:], float(b_loc[l1])),
-                dest=partner, source=partner, sendtag=tag, recvtag=tag,
-            )
+    owning process rows, within each process column: one
+    :meth:`~repro.sim.mpi.Communicator.swap_rows` rendezvous per panel,
+    priced as one message per pivot."""
+    grid.col_comm.swap_rows(
+        (a_loc[:, lc_trail:], b_loc),
+        pivot_plan(rowmap, piv, k0, grid.myrow),
+        swap_participants(rowmap, piv, k0),
+        tag=tag_base * len(piv) + 1000,
+    )
 
 
 def _back_substitute(

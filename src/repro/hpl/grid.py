@@ -112,6 +112,16 @@ def pivot_plan(
     return plan
 
 
+def swap_participants(rowmap: BlockCyclicMap, piv: np.ndarray, k0: int) -> List[int]:
+    """The process rows with an exchange among the interchanges ``piv``
+    encodes — the participants of the panel's
+    :meth:`~repro.sim.mpi.Communicator.swap_rows` — in ascending order."""
+    o1, _ = rowmap.locate(np.arange(k0, k0 + len(piv)))
+    o2, _ = rowmap.locate(piv)
+    remote = o1 != o2
+    return sorted(set(o1[remote].tolist()).union(o2[remote].tolist()))
+
+
 class ProcessGrid:
     """P x Q grid over a communicator, with row/column sub-communicators.
 

@@ -46,8 +46,8 @@ ALL_EFFECTS: Tuple[str, ...] = (
 )
 
 #: terminal attribute names that classify unresolved method calls
-MPI_SEND_METHODS = frozenset({"send", "sendrecv"})
-MPI_RECV_METHODS = frozenset({"recv", "sendrecv"})
+MPI_SEND_METHODS = frozenset({"send", "sendrecv", "swap_rows"})
+MPI_RECV_METHODS = frozenset({"recv", "sendrecv", "swap_rows"})
 MPI_COLLECTIVE_METHODS = frozenset(
     {
         "barrier",

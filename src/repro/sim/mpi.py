@@ -7,6 +7,9 @@ Semantics follow the subset of MPI the paper's systems need:
 * the collectives HPL and the checkpoint protocols use (``bcast``,
   ``allreduce``, ``allreduce_obj``, ``gather``, ``allgather``,
   ``barrier``), and ``custom_collective`` for the fused stripe encode,
+* ``swap_rows`` for one HPL panel's pairwise row interchanges: one
+  rendezvous of the ranks they touch, priced and observed as the
+  ``sendrecv`` per pivot it stands for,
 * ``split`` to build group/row/column communicators,
 * abort-on-failure: when any node dies, the abort cascades along the
   communication graph — a rank raises when it blocks on a wait that
@@ -43,7 +46,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 import numpy as np
 
 from repro.sim._tls import current_ctx
-from repro.sim.errors import JobAbortedError
+from repro.sim.errors import JobAbortedError, SimError
 from repro.sim.netmodel import NetworkModel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,6 +112,37 @@ def _copy_payload(obj: Any) -> Any:
     return copy.deepcopy(obj)
 
 
+def _number_rows(steps: Sequence[Any], rows: Dict[int, int], source: List[int]) -> None:
+    """Number the rows ``steps`` name (both rows of a local swap, this
+    rank's row of an exchange) that ``rows`` has not numbered yet, from
+    ``len(source)`` on; ``source`` starts each one off holding itself."""
+    for _, row, partner, other in steps:
+        for r in (row,) if partner is not None else (row, other):
+            if r not in rows:
+                rows[r] = len(source)
+                source.append(len(source))
+
+
+def _move_rows(
+    arrays: Sequence[Sequence[np.ndarray]], rows: Sequence[List[int]], source: List[int]
+) -> None:
+    """Apply one composed row permutation across ranks.  The rows that
+    ``rows[i]`` names on rank ``i`` are numbered in one sequence, rank by
+    rank, and row number ``s`` of each array takes the entry content of row
+    number ``source[s]`` of the array at the same position on its rank.
+    Every row is gathered before any is written."""
+    if source == list(range(len(source))):
+        return
+    take = np.array(source)
+    held = [(a, np.array(r)) for a, r in zip(arrays, rows) if r]
+    for k in range(len(arrays[0])):
+        moved = np.concatenate([a[k][r] for a, r in held])[take]
+        lo = 0
+        for a, r in held:
+            a[k][r] = moved[lo : lo + len(r)]
+            lo += len(r)
+
+
 class ReduceOp:
     """Element-wise reduction operators over numpy arrays.
 
@@ -164,6 +198,25 @@ class _CollectiveSlot:
         self.abandoned: set = set()
 
 
+#: the wait key of a rank parked in :meth:`Communicator.swap_rows`; its
+#: channel, ``(comm, "swap_rows")``, is apart from every mailbox and from
+#: the collective slot
+_SWAP_KEY = ("swap_rows",)
+
+
+class _SwapSlot:
+    """Rendezvous state for one communicator's ordered ``swap_rows`` stream."""
+
+    def __init__(self) -> None:
+        #: rank -> (context, arrays, steps, tag) of the instance being gathered
+        self.arrived: Dict[int, Tuple["RankContext", Sequence[np.ndarray], Sequence[Any], int]] = {}
+        #: the instance's participants, as its first arriver named them
+        self.participants: Tuple[int, ...] = ()
+        #: rank -> (finish clock, error, blocked receive) of a completed
+        #: instance, left by the rank that ran it until the member collects it
+        self.outbox: Dict[int, Tuple[float, Optional[Exception], Any]] = {}
+
+
 class Communicator:
     """A group of ranks that can exchange messages and run collectives.
 
@@ -185,6 +238,7 @@ class Communicator:
         self._barrier_cost: Callable[[Dict[int, Any]], float] = lambda _data: barrier_s
         self._mail: Dict[Tuple[int, int, int], List[_Envelope]] = {}
         self._slot = _CollectiveSlot()
+        self._swap = _SwapSlot()
         self._split_counter = 0
 
     # -- identity -------------------------------------------------------------
@@ -213,12 +267,18 @@ class Communicator:
         if key is None:
             missing = [w for r, w in enumerate(self._members) if r not in self._slot.contrib]
             return f"collective on {self.name}, waiting for ranks {missing}"
+        if key is _SWAP_KEY:
+            swap = self._swap
+            missing = [self._members[r] for r in swap.participants if r not in swap.arrived]
+            return f"swap_rows on {self.name}, waiting for ranks {missing}"
         return f"recv src={self._members[key[1]]} tag={key[2]} on {self.name}"
 
     def _stuck_tags(self, key: Tuple[int, int, int]) -> List[str]:
         """For a receive parked on ``key = (me, src, tag)``: the messages the
         same sender queued for it under other tags — the signature of a
         mismatched send/recv tag pair."""
+        if key is _SWAP_KEY:
+            return []
         me, src, tag = key
         return [
             f"rank {self._members[me]} waits for tag={tag} from rank "
@@ -352,6 +412,184 @@ class Communicator:
         self.send(obj, dest, tag=sendtag)
         return self.recv(source, tag=recvtag)
 
+    # -- row interchanges ------------------------------------------------------------
+    def swap_rows(
+        self,
+        arrays: Sequence[np.ndarray],
+        steps: Sequence[Any],
+        participants: Sequence[int],
+        tag: int = 0,
+    ) -> None:
+        """One HPL panel's pairwise row interchanges (``pdlaswp``), run as a
+        single rendezvous of the ranks they touch.
+
+        ``arrays`` are the calling rank's arrays whose axis-0 rows move
+        together.  ``steps`` are its share of the interchanges in pivot
+        order, ``(j, row, partner, other)`` tuples like
+        :class:`repro.hpl.grid.RowSwap`: with ``partner`` None, rows ``row``
+        and ``other`` swap in place; otherwise row ``row`` is exchanged with
+        communicator rank ``partner`` under tag ``tag + j``.
+        ``participants`` names every communicator rank with an exchange in
+        this instance, the same list on each of them.
+
+        A rank with no exchange swaps its rows in place and returns: it
+        neither waits nor moves its clock.  The others park until the last
+        of them arrives, or the first of them finds every other one arrived
+        or terminated; that rank runs every participant's steps in pivot
+        order, each priced and observed as :meth:`sendrecv` of the row
+        tuple would be: the participant's :meth:`RankContext.check` at that
+        step's clock, the send priced by :meth:`_p2p_time_to` over
+        ``_payload_nbytes`` of the row tuple, the receive completing at
+        ``max(clock + latency, arrival)``, and ``on_send`` / ``on_recv``
+        with the same arguments.  The rows then move as one composed
+        permutation: per array, every participant's rows are gathered in one
+        go before each participant's are written in one go.  Every
+        participant resumes with its own clock.
+        One whose check failed raises that error; one whose partner never
+        sent a step then waits for that message as :meth:`recv` does, and
+        so raises :class:`JobAbortedError` where the receive would.  No
+        message enters a mailbox and no collective is reported.
+        """
+        ctx = current_ctx()
+        me = self._index[ctx.rank]
+        if all(s[2] is None for s in steps):
+            if me in participants:
+                raise ValueError(f"swap_rows: rank {me} is a participant with no exchange")
+            rows: Dict[int, int] = {}
+            source: List[int] = []
+            _number_rows(steps, rows, source)
+            for _, row, _, other in steps:
+                a, b = rows[row], rows[other]
+                source[a], source[b] = source[b], source[a]
+            _move_rows([arrays], [list(rows)], source)
+            return
+        if me not in participants:
+            raise ValueError(f"swap_rows: rank {me} has an exchange but is not a participant")
+        swap = self._swap
+        if not swap.arrived:
+            swap.participants = tuple(participants)
+        swap.arrived[me] = (ctx, arrays, steps, tag)
+        job = ctx.job
+        done = job._done_ranks
+        try:
+            while me not in swap.outbox:
+                if all(p in swap.arrived or self._members[p] in done for p in swap.participants):
+                    self._run_swaps(job)
+                else:
+                    job._park(ctx.rank, self, _SWAP_KEY)
+        except BaseException:
+            swap.arrived.pop(me, None)
+            raise
+        ctx.clock, error, blocked = swap.outbox.pop(me)
+        if error is not None:
+            raise error
+        if blocked is not None:
+            key, peer = blocked
+            self._wait(ctx, key, lambda: False, peers=(peer,))
+
+    def _run_swaps(self, job: "Job") -> None:
+        """Run one ``swap_rows`` instance for every participant that arrived,
+        leave each one's outcome in the outbox and wake them.
+
+        Steps run in pivot order.  Within a pivot both sides send before
+        either receives, as their two ``sendrecv`` calls would.  A check
+        can only fail where the participant's node has a failure instant
+        or the job a hard abort, and nothing in this loop sets either, so
+        every other participant skips it.  Each row's content is tracked as
+        the number of the row that held it at entry, and rows are written
+        once, at the end.
+        """
+        swap = self._swap
+        arrived, swap.arrived = swap.arrived, {}
+        members = self._members
+        lat = self._net.params.latency_s
+        obs = job.observer
+        clock = {p: entry[0].clock for p, entry in arrived.items()}
+        risky = {
+            p for p, entry in arrived.items()
+            if entry[0].node._failed_at is not None or job._abort_hard
+        }
+        live = set(arrived)
+        outcome: Dict[int, Tuple[float, Optional[Exception], Any]] = {}
+        by_pivot: List[List[Tuple[int, Any]]] = [
+            [] for _ in range(1 + max(entry[2][-1][0] for entry in arrived.values()))
+        ]
+        #: every row a step names, numbered participant by participant;
+        #: ``source[s]`` is the number of the row whose entry content row
+        #: ``s`` holds at this point of the chain
+        numbered: Dict[int, Dict[int, int]] = {}
+        source: List[int] = []
+        for p, entry in arrived.items():
+            _number_rows(entry[2], numbered.setdefault(p, {}), source)
+            for s in entry[2]:
+                by_pivot[s[0]].append((p, s))
+        #: (sender, partner) -> (send cost, payload bytes)
+        priced: Dict[Tuple[int, int], Tuple[float, int]] = {}
+
+        def failed(p: int) -> bool:
+            """Run ``p``'s check at its clock in the chain; a raise ends it."""
+            ctx = arrived[p][0]
+            ctx.clock = clock[p]
+            try:
+                ctx.check()
+            except SimError as exc:
+                outcome[p] = (clock[p], exc, None)
+                live.discard(p)
+                return True
+            return False
+
+        for j, entries in enumerate(by_pivot):
+            #: sender -> (partner, tag, source row, arrival clock, observer token)
+            sent: Dict[int, Tuple[int, int, int, float, Any]] = {}
+            for p, (_, row, partner, other) in entries:
+                if p not in live:
+                    continue
+                rows = numbered[p]
+                if partner is None:
+                    a, b = rows[row], rows[other]
+                    source[a], source[b] = source[b], source[a]
+                    continue
+                if p in risky and failed(p):
+                    continue
+                ctx, arrays, _, tag = arrived[p]
+                price = priced.get((p, partner))
+                if price is None:
+                    nbytes = _payload_nbytes(tuple(a[row] for a in arrays))
+                    price = priced[p, partner] = (
+                        self._p2p_time_to(job, p, partner, nbytes), nbytes
+                    )
+                c = clock[p] = clock[p] + price[0]
+                token = None
+                if obs is not None:
+                    token = obs.on_send(ctx.rank, members[partner], tag + j, price[1], c)
+                sent[p] = (partner, tag, source[rows[row]], c, token)
+            for p, (_, row, partner, _) in entries:
+                if partner is None or p not in live:
+                    continue
+                if p in risky and failed(p):
+                    continue
+                ctx, _, _, tag = arrived[p]
+                msg = sent.get(partner)
+                if msg is None or msg[:2] != (p, tag):  # the partner never sent it
+                    outcome[p] = (clock[p], None, ((p, partner, tag + j), members[partner]))
+                    live.discard(p)
+                    continue
+                _, _, ref, arrival, token = msg
+                before = clock[p]
+                c = clock[p] = max(before + lat, arrival)
+                if obs is not None:
+                    obs.on_recv(
+                        ctx.rank, members[partner], tag + j, token, c, max(0.0, c - before - lat)
+                    )
+                source[numbered[p][row]] = ref
+        for p in live:
+            outcome[p] = (clock[p], None, None)
+        _move_rows(
+            [entry[1] for entry in arrived.values()], [list(rows) for rows in numbered.values()], source
+        )
+        swap.outbox.update(outcome)
+        job._notify((self, _SWAP_KEY[0]))
+
     # -- generic custom collective -------------------------------------------------
     def custom_collective(
         self,
@@ -481,11 +719,12 @@ class Communicator:
         )
 
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        """Gather one object per rank into a rank-ordered list on ``root``."""
+        """Gather one object per rank into a rank-ordered list on ``root``:
+        the root's own object, and a copy of every other member's."""
         self._check_rank("root", root)
 
         def compute(data: Dict[int, Any]) -> Dict[int, Any]:
-            ordered = [data[r] for r in range(self.size)]
+            ordered = [data[r] if r == root else _copy_payload(data[r]) for r in range(self.size)]
             return {r: (ordered if r == root else None) for r in data}
 
         return self.custom_collective(
@@ -546,6 +785,10 @@ class Communicator:
         )
 
     def _check_rank(self, kind: str, r: int) -> None:
+        # a float or a bool would pass the range check and post to, or wait
+        # on, a mailbox no rank reads
+        if type(r) is not int and (type(r) is bool or not isinstance(r, np.integer)):
+            raise TypeError(f"{kind} must be an integer rank, got {r!r}")
         if not 0 <= r < len(self._members):
             raise ValueError(f"bad {kind} {r} for size {self.size}")
 

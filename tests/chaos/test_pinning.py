@@ -20,6 +20,7 @@ from repro.chaos import (
     probe_baseline,
     run_kill_matrix,
     selfckpt_scenario,
+    skt_scenario,
 )
 from repro.chaos.campaign import point_trigger
 from repro.chaos.plan import plan_campaign
@@ -262,3 +263,12 @@ class TestScheduleIndependence:
         assert schedule_divergence(plan, seeds=range(4)) == {
             seed: [] for seed in range(4)
         }
+
+    def test_skt_hpl_kill_matrix_matches_fifo_under_seeded_schedules(self):
+        """SKT-HPL runs each panel's row swaps as one rendezvous of the
+        process rows they touch, and its two ranks per node share a node
+        across process columns: every kill unit must still keep FIFO's
+        whole outcome when the ready queue is popped at random."""
+        plan = plan_campaign([skt_scenario(procs_per_node=2)], obs="summary")
+        assert plan.n_units == 40
+        assert schedule_divergence(plan, seeds=range(2)) == {0: [], 1: []}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hpl import BlockCyclicMap, HPLConfig, ProcessGrid
-from repro.hpl.grid import RowSwap, pivot_plan
+from repro.hpl.grid import RowSwap, pivot_plan, swap_participants
 from repro.hpl.matgen import (
     dense_matrix,
     dense_rhs,
@@ -276,3 +276,9 @@ class TestPivotPlan:
                 for myrow in range(nprocs):
                     got = pivot_plan(rowmap, piv, k0, myrow)
                     assert got == _reference_plan(rowmap, piv, k0, myrow)
+                # the swap_rows participants: the rows with an exchange
+                assert swap_participants(rowmap, piv, k0) == [
+                    myrow
+                    for myrow in range(nprocs)
+                    if any(s.partner is not None for s in _reference_plan(rowmap, piv, k0, myrow))
+                ]

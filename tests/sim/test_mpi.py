@@ -122,7 +122,46 @@ class TestPointToPoint:
         run(main, n_ranks=2)
 
 
+    @pytest.mark.parametrize("bad", [1.5, True, float("nan")], ids=["float", "bool", "nan"])
+    def test_non_integral_ranks_refused_by_name(self, bad):
+        """A float rank used to post to a mailbox nobody reads (the job then
+        ended in a deadlock) and ``True`` was taken as rank 1."""
+
+        def main(ctx):
+            comm = ctx.world
+            if comm.rank == 0:
+                with pytest.raises(TypeError, match="dest must be an integer rank"):
+                    comm.send("x", dest=bad)
+                with pytest.raises(TypeError, match="source must be an integer rank"):
+                    comm.recv(source=bad)
+                with pytest.raises(TypeError, match="dest must be an integer rank"):
+                    comm.sendrecv("x", dest=bad, source=1)
+            for collective in (comm.bcast, comm.gather):
+                with pytest.raises(TypeError, match="root must be an integer rank"):
+                    collective("x", root=bad)
+            comm.send(comm.rank, dest=np.int64(1 - comm.rank))  # numpy integers are ranks
+            return comm.recv(source=np.int32(1 - comm.rank))
+
+        assert run(main, n_ranks=2).rank_results == {0: 1, 1: 0}
+
+
 class TestCollectives:
+    def test_gather_gives_the_root_copies(self):
+        """Like every other collective, ``gather`` hands the root copies of
+        the other members' payloads, never the objects themselves."""
+
+        def main(ctx):
+            comm = ctx.world
+            mine = np.full(2, float(comm.rank))
+            got = comm.gather(mine, root=0)
+            if comm.rank == 0:
+                assert got[0] is mine  # the root's own object stays its own
+                got[1][:] = 99.0
+            comm.barrier()
+            return mine.tolist()
+
+        assert run(main, n_ranks=2).rank_results == {0: [0.0, 0.0], 1: [1.0, 1.0]}
+
     def test_bad_root_rejected(self):
         """Every member raises at entry, so the communicator stays usable."""
 
