@@ -14,7 +14,7 @@ A from-scratch right-looking LU factorization with partial pivoting on a
 
 from repro.hpl.config import HPLConfig
 from repro.hpl.grid import BlockCyclicMap, ProcessGrid
-from repro.hpl.matgen import generate_local_matrix, generate_local_rhs
+from repro.hpl.matgen import generate_local_system
 from repro.hpl.core import HPLResult, hpl_solve, hpl_main
 from repro.hpl.skt import SKTConfig, SKTResult, skt_hpl_main
 from repro.hpl.abft import ABFTResult, abft_hpl_main
@@ -24,8 +24,7 @@ __all__ = [
     "HPLConfig",
     "ProcessGrid",
     "BlockCyclicMap",
-    "generate_local_matrix",
-    "generate_local_rhs",
+    "generate_local_system",
     "HPLResult",
     "hpl_solve",
     "hpl_main",

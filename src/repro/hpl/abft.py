@@ -32,8 +32,8 @@ import numpy as np
 
 from repro.hpl import matgen
 from repro.hpl.config import HPLConfig
-from repro.hpl.core import GEMM_EFFICIENCY, HPLResult, hpl_solve, verify
-from repro.hpl.grid import BlockCyclicMap, ProcessGrid, pivot_plan, swap_participants
+from repro.hpl.core import GEMM_EFFICIENCY, HPLResult, hpl_solve, solve_triangular, verify
+from repro.hpl.grid import BlockCyclicMap, ProcessGrid, swap_plan
 from repro.sim.runtime import RankContext
 
 #: mismatch below this (relative to row magnitude) is rounding, not an error
@@ -87,8 +87,6 @@ class _ChecksumState:
         """Mirror panel ``k``'s row swaps / L11 solve / L21 update on c1,
         c2 — ``hpl_solve``'s ``on_panel_factors`` hook (ABFT's extra work,
         charged above the plain HPL cost)."""
-        import scipy.linalg as sla  # loaded on first solve: no other process pays for it
-
         grid, rowmap, ctx = self.grid, self.rowmap, self.ctx
         k0 = k * self.cfg.nb
         nbk = panel.shape[1]
@@ -96,8 +94,7 @@ class _ChecksumState:
         # row swaps (checksums are replicated across process columns, like b)
         grid.col_comm.swap_rows(
             (self.c1, self.c2),
-            pivot_plan(rowmap, piv, k0, grid.myrow),
-            swap_participants(rowmap, piv, k0),
+            *swap_plan(rowmap, piv, k0, grid.myrow),
             tag=5000 + k0,
         )
         # L11 solve on the pivot block rows, then the L21 update below
@@ -105,10 +102,10 @@ class _ChecksumState:
         y = None
         if grid.myrow == pr:
             lr0 = rowmap.local_index(k0)
-            y1 = sla.solve_triangular(
+            y1 = solve_triangular(
                 l11, self.c1[lr0 : lr0 + nbk], lower=True, unit_diagonal=True
             )
-            y2 = sla.solve_triangular(
+            y2 = solve_triangular(
                 l11, self.c2[lr0 : lr0 + nbk], lower=True, unit_diagonal=True
             )
             self.c1[lr0 : lr0 + nbk] = y1
@@ -175,8 +172,7 @@ def abft_hpl_main(
     rowmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.p)
     colmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.q)
 
-    a_loc = matgen.generate_local_matrix(cfg, rowmap, colmap, grid.myrow, grid.mycol)
-    b_loc = matgen.generate_local_rhs(cfg, rowmap, grid.myrow)
+    a_loc, b_loc = matgen.generate_local_system(cfg, rowmap, colmap, grid.myrow, grid.mycol)
 
     checksums = _ChecksumState(ctx, cfg, grid, rowmap, colmap, a_loc)
 

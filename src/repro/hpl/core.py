@@ -34,7 +34,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.hpl.config import HPLConfig
-from repro.hpl.grid import BlockCyclicMap, ProcessGrid, pivot_plan, swap_participants
+from repro.hpl.grid import BlockCyclicMap, ProcessGrid, swap_plan
 from repro.hpl import matgen
 from repro.sim.runtime import RankContext
 
@@ -75,6 +75,38 @@ class HPLResult:
 
 class SingularMatrixError(RuntimeError):
     """A zero pivot was encountered (never for the generated matrices)."""
+
+
+def solve_triangular(
+    a: np.ndarray, b: np.ndarray, *, lower: bool, unit_diagonal: bool = False
+) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(a, b, lower=lower,
+    unit_diagonal=unit_diagonal)`` for float64 ``a`` and ``b``, bit for
+    bit, without the wrapping it pays per call.
+
+    LAPACK ``dtrtrs`` gets scipy's arguments: an ``a`` that is not
+    F-contiguous goes in as ``a.T`` with ``lower`` flipped and the
+    transposed system asked for, and ``b`` is copied, never overwritten.
+    Like scipy, a non-finite entry in ``a`` or ``b`` raises ``ValueError``
+    and a zero on the diagonal raises ``numpy.linalg.LinAlgError``.
+    """
+    from scipy.linalg.lapack import dtrtrs  # loaded on first solve: no other process pays for it
+
+    np.asarray_chkfinite(a)
+    np.asarray_chkfinite(b)
+    if b.size == 0:
+        return np.empty_like(b)
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, lower=lower, unitdiag=unit_diagonal)
+    else:
+        x, info = dtrtrs(a.T, b, lower=not lower, trans=1, unitdiag=unit_diagonal)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def _factor_panel(
@@ -144,8 +176,6 @@ def hpl_solve(
 
     Returns the replicated solution vector and this rank's phase timers.
     """
-    import scipy.linalg as sla  # loaded on first solve: no other process pays for it
-
     comm = grid.comm
     n, nb = cfg.n, cfg.nb
     nbl = cfg.n_blocks
@@ -203,10 +233,8 @@ def hpl_solve(
             if myrow == pr:
                 lr0 = rowmap.local_index(k0)
                 a12 = a_loc[lr0 : lr0 + nbk, lc_trail:]
-                u12 = sla.solve_triangular(
-                    l11, a12, lower=True, unit_diagonal=True
-                )
-                yk = sla.solve_triangular(
+                u12 = solve_triangular(l11, a12, lower=True, unit_diagonal=True)
+                yk = solve_triangular(
                     l11, b_loc[lr0 : lr0 + nbk], lower=True, unit_diagonal=True
                 )
                 a_loc[lr0 : lr0 + nbk, lc_trail:] = u12
@@ -259,8 +287,7 @@ def _apply_row_swaps(
     priced as one message per pivot."""
     grid.col_comm.swap_rows(
         (a_loc[:, lc_trail:], b_loc),
-        pivot_plan(rowmap, piv, k0, grid.myrow),
-        swap_participants(rowmap, piv, k0),
+        *swap_plan(rowmap, piv, k0, grid.myrow),
         tag=tag_base * len(piv) + 1000,
     )
 
@@ -275,8 +302,6 @@ def _back_substitute(
     b_loc: np.ndarray,
 ) -> np.ndarray:
     """Solve Ux = y bottom-up; returns x replicated on every rank."""
-    import scipy.linalg as sla  # loaded on first solve: no other process pays for it
-
     n, nb = cfg.n, cfg.nb
     x = np.zeros(n)
     for i in range(cfg.n_blocks - 1, -1, -1):
@@ -291,7 +316,7 @@ def _back_substitute(
             lr0 = rowmap.local_index(i0)
             lc0 = colmap.local_index(i0)
             uii = a_loc[lr0 : lr0 + nbi, lc0 : lc0 + nbi]
-            xi = sla.solve_triangular(uii, b_loc[lr0 : lr0 + nbi], lower=False)
+            xi = solve_triangular(uii, b_loc[lr0 : lr0 + nbi], lower=False)
             ctx.compute(float(nbi) * nbi, efficiency=PANEL_EFFICIENCY)
         xi = grid.comm.bcast(xi, root=owner)
         x[i0 : i0 + nbi] = xi
@@ -328,8 +353,7 @@ def verify(
         ||r||_inf / (eps * (||A||_inf ||x||_inf + ||b||_inf) * n) < 16
     """
     with ctx.span("hpl.verify", n=cfg.n):
-        a0 = matgen.generate_local_matrix(cfg, rowmap, colmap, grid.myrow, grid.mycol)
-        b0 = matgen.generate_local_rhs(cfg, rowmap, grid.myrow)
+        a0, b0 = matgen.generate_local_system(cfg, rowmap, colmap, grid.myrow, grid.mycol)
         my_gcols = colmap.globals_of(grid.mycol)
 
         # r = b - A x, assembled across process rows
@@ -362,8 +386,9 @@ def hpl_main(ctx: RankContext, cfg: HPLConfig) -> HPLResult:
     colmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.q)
 
     with ctx.span("hpl.generate", n=cfg.n):
-        a_loc = matgen.generate_local_matrix(cfg, rowmap, colmap, grid.myrow, grid.mycol)
-        b_loc = matgen.generate_local_rhs(cfg, rowmap, grid.myrow)
+        a_loc, b_loc = matgen.generate_local_system(
+            cfg, rowmap, colmap, grid.myrow, grid.mycol
+        )
 
     t_start = ctx.clock
     x, timers = hpl_solve(ctx, cfg, grid, rowmap, colmap, a_loc, b_loc)

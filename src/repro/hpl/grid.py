@@ -9,47 +9,49 @@ between global indices and (owner, local index) pairs; a
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.hpl.config import check_int
 from repro.sim.mpi import Communicator
 
 
 class BlockCyclicMap:
     """Block-cyclic distribution of ``n`` indices over ``nprocs`` processes.
 
-    Precomputes dense lookup arrays — fine for the laptop-scale problem
-    sizes the simulator runs (n up to a few thousand).
+    Precomputes dense lookup tables — fine for the laptop-scale problem
+    sizes the simulator runs (n up to a few thousand).  ``owners[i]`` and
+    ``local_indices[i]`` are plain lists, so a per-index walk reads them
+    without a numpy scalar per lookup.
     """
 
     def __init__(self, n: int, nb: int, nprocs: int):
+        for name, value in (("n", n), ("nb", nb), ("nprocs", nprocs)):
+            check_int(name, value)
         if n < 1 or nb < 1 or nprocs < 1:
             raise ValueError("n, nb, nprocs must be >= 1")
         self.n = n
         self.nb = nb
         g = np.arange(n)
         blocks = g // nb
-        self._owner = (blocks % nprocs).astype(np.int32)
+        owner = blocks % nprocs
         # local index: full local blocks before mine, plus offset in block
-        self._local = (blocks // nprocs) * nb + (g % nb)
-        self._local = self._local.astype(np.int64)
+        local = (blocks // nprocs) * nb + (g % nb)
+        #: owning process of each global index
+        self.owners: List[int] = owner.tolist()
+        #: local position of each global index on its owner
+        self.local_indices: List[int] = local.tolist()
         # per-process: global indices in local order
-        self._globals: List[np.ndarray] = [
-            g[self._owner == p] for p in range(nprocs)
-        ]
+        self._globals: List[np.ndarray] = [g[owner == p] for p in range(nprocs)]
 
     def owner(self, i: int) -> int:
         """Process owning global index ``i``."""
-        return int(self._owner[i])
+        return self.owners[i]
 
     def local_index(self, i: int) -> int:
         """Local position of global index ``i`` on its owner."""
-        return int(self._local[i])
-
-    def locate(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Owners and local indices of the global indices ``idx``."""
-        return self._owner[idx], self._local[idx]
+        return self.local_indices[i]
 
     def local_count(self, proc: int) -> int:
         return len(self._globals[proc])
@@ -71,55 +73,47 @@ class BlockCyclicMap:
         return -(-self.n // self.nb)
 
 
-class RowSwap(NamedTuple):
-    """One step of a panel's row interchanges, as one process row sees it.
-
-    ``row`` is the local index of this process row's side of the swap and
-    ``other`` the local index of the other side on its owner.  With
-    ``partner is None`` both rows are here: swap them in place.  Otherwise
-    exchange ``row`` with process row ``partner``.  ``j`` is the pivot's
-    index in the panel — the message tag follows it.
-    """
-
-    j: int
-    row: int
-    partner: Optional[int]
-    other: int
+#: one step of a panel's row interchanges as one process row sees it:
+#: ``(j, row, partner, other)``.  ``row`` is the local index of this
+#: process row's side of the swap and ``other`` the local index of the
+#: other side on its owner.  With ``partner`` None both rows are here:
+#: swap them in place.  Otherwise exchange ``row`` with process row
+#: ``partner``.  ``j`` is the pivot's index in the panel — the message tag
+#: follows it.
+SwapStep = Tuple[int, int, Optional[int], int]
 
 
-def pivot_plan(
+def swap_plan(
     rowmap: BlockCyclicMap, piv: np.ndarray, k0: int, myrow: int
-) -> List[RowSwap]:
-    """Process row ``myrow``'s share of the interchanges ``piv`` encodes, in
-    pivot order: global row ``k0 + j`` is swapped with global row
-    ``piv[j]``.  Pivots that stay put, and swaps between two other process
-    rows, need nothing from ``myrow`` and are left out."""
-    r1 = np.arange(k0, k0 + len(piv))
-    o1, l1 = rowmap.locate(r1)
-    o2, l2 = rowmap.locate(piv)
-    act = (r1 != piv) & ((o1 == myrow) | (o2 == myrow))
-    plan = []
-    for j, own1, own2, loc1, loc2 in zip(
-        np.flatnonzero(act).tolist(),
-        o1[act].tolist(), o2[act].tolist(), l1[act].tolist(), l2[act].tolist(),
-    ):
-        if own1 == own2:
-            plan.append(RowSwap(j, loc1, None, loc2))
-        elif own1 == myrow:
-            plan.append(RowSwap(j, loc1, own2, loc2))
-        else:
-            plan.append(RowSwap(j, loc2, own1, loc1))
-    return plan
+) -> Tuple[List[SwapStep], List[int]]:
+    """Process row ``myrow``'s share of the interchanges ``piv`` encodes, and
+    the panel's participants, in one pass over the pivots.
 
-
-def swap_participants(rowmap: BlockCyclicMap, piv: np.ndarray, k0: int) -> List[int]:
-    """The process rows with an exchange among the interchanges ``piv``
-    encodes — the participants of the panel's
-    :meth:`~repro.sim.mpi.Communicator.swap_rows` — in ascending order."""
-    o1, _ = rowmap.locate(np.arange(k0, k0 + len(piv)))
-    o2, _ = rowmap.locate(piv)
-    remote = o1 != o2
-    return sorted(set(o1[remote].tolist()).union(o2[remote].tolist()))
+    Global row ``k0 + j`` is swapped with global row ``piv[j]``.  The steps
+    are in pivot order; pivots that stay put, and swaps between two other
+    process rows, need nothing from ``myrow`` and are left out.  The
+    participants are the process rows with an exchange — those of the
+    panel's :meth:`~repro.sim.mpi.Communicator.swap_rows` — ascending.
+    """
+    owners, local = rowmap.owners, rowmap.local_indices
+    steps: List[SwapStep] = []
+    remote = set()
+    for j, r2 in enumerate(piv.tolist()):
+        r1 = k0 + j
+        if r1 == r2:
+            continue
+        o1, o2 = owners[r1], owners[r2]
+        if o1 == o2:
+            if o1 == myrow:
+                steps.append((j, local[r1], None, local[r2]))
+            continue
+        remote.add(o1)
+        remote.add(o2)
+        if o1 == myrow:
+            steps.append((j, local[r1], o2, local[r2]))
+        elif o2 == myrow:
+            steps.append((j, local[r2], o1, local[r1]))
+    return steps, sorted(remote)
 
 
 class ProcessGrid:
@@ -130,6 +124,8 @@ class ProcessGrid:
     """
 
     def __init__(self, comm: Communicator, p: int, q: int):
+        check_int("p", p)
+        check_int("q", q)
         if comm.size != p * q:
             raise ValueError(
                 f"grid {p}x{q} needs {p * q} ranks, communicator has {comm.size}"

@@ -10,7 +10,8 @@ owned, and the verification step rebuilding the original A.  Entry for
 entry, block (I, J) is ``block_rng(seed, I, J).uniform(-0.5, 0.5, shape)``
 and block row I of b is ``block_rng(seed, I, n_blocks + 1).uniform(-0.5,
 0.5, rows)``; one call seeds all the streams it needs at once
-(:func:`repro.util.rng.block_streams`) and draws each with
+(:func:`repro.util.rng.block_streams`) — a rank's blocks of A and its rows
+of b together — and draws each with
 ``Generator.random`` minus 0.5, the same bits as numpy's ``uniform``
 (``-0.5 + 1.0 * u``).
 
@@ -20,7 +21,7 @@ residual checks are meaningful at small n.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -49,37 +50,34 @@ def _draw(seed: int, keys: List[Tuple[int, int]], dsts: List[np.ndarray]) -> Non
         np.subtract(u, 0.5, out=dst)
 
 
-def _fill_matrix(
+def _fill(
     cfg: HPLConfig,
-    out: np.ndarray,
     rows: List[Tuple[int, int]],
     cols: List[Tuple[int, int]],
+    a: Optional[np.ndarray],
+    b: Optional[np.ndarray],
 ) -> None:
-    """Write block (bi, bj) of A at ``out[r0:, c0:]`` for every ``(bi, r0)``
-    in ``rows`` and ``(bj, c0)`` in ``cols``."""
+    """For every ``(bi, r0)`` in ``rows``: write block (bi, bj) of A at
+    ``a[r0:, c0:]`` for every ``(bj, c0)`` in ``cols``, and block row ``bi``
+    of b at ``b[r0:]`` — its stream's column index lies past A's.  All of
+    them are drawn in one pass; an output that is None is skipped."""
     keys, dsts, diagonal = [], [], []
     for bi, r0 in rows:
         h = _extent(cfg, bi)
-        for bj, c0 in cols:
-            dst = out[r0 : r0 + h, c0 : c0 + _extent(cfg, bj)]
-            keys.append((bi, bj))
-            dsts.append(dst)
-            if bi == bj:
-                diagonal.append(dst)
+        if a is not None:
+            for bj, c0 in cols:
+                dst = a[r0 : r0 + h, c0 : c0 + _extent(cfg, bj)]
+                keys.append((bi, bj))
+                dsts.append(dst)
+                if bi == bj:
+                    diagonal.append(dst)
+        if b is not None:
+            keys.append((bi, cfg.n_blocks + 1))
+            dsts.append(b[r0 : r0 + h])
     _draw(cfg.seed, keys, dsts)
     for dst in diagonal:
         i = np.arange(len(dst))
         dst[i, i] += _DIAG_BOOST
-
-
-def _fill_rhs(cfg: HPLConfig, out: np.ndarray, rows: List[Tuple[int, int]]) -> None:
-    """Write block row ``bi`` of b at ``out[r0:]`` for every ``(bi, r0)`` in
-    ``rows``; its stream's column index lies past A's."""
-    _draw(
-        cfg.seed,
-        [(bi, cfg.n_blocks + 1) for bi, _ in rows],
-        [out[r0 : r0 + _extent(cfg, bi)] for bi, r0 in rows],
-    )
 
 
 def _local_blocks(cfg: HPLConfig, rowmap: BlockCyclicMap, proc: int) -> List[Tuple[int, int]]:
@@ -89,40 +87,27 @@ def _local_blocks(cfg: HPLConfig, rowmap: BlockCyclicMap, proc: int) -> List[Tup
     return [(b, rowmap.local_index(b * nb)) for b in blocks]
 
 
-def generate_local_matrix(
+def generate_local_system(
     cfg: HPLConfig,
     rowmap: BlockCyclicMap,
     colmap: BlockCyclicMap,
     myrow: int,
     mycol: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fill this rank's local block-cyclic storage with its blocks of A."""
+    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """This rank's block-cyclic share of the system: its blocks of A and
+    its rows of b (replicated across process columns), drawn in one pass.
+    ``out`` is an ``(a, b)`` pair to fill instead of allocating one."""
     lrows = rowmap.local_count(myrow)
-    lcols = colmap.local_count(mycol)
+    shapes = ((lrows, colmap.local_count(mycol)), (lrows,))
     if out is None:
-        out = np.empty((lrows, lcols))
-    elif out.shape != (lrows, lcols):
-        raise ValueError(f"out has shape {out.shape}, expected {(lrows, lcols)}")
-    _fill_matrix(
-        cfg, out, _local_blocks(cfg, rowmap, myrow), _local_blocks(cfg, colmap, mycol)
+        out = (np.empty(shapes[0]), np.empty(shapes[1]))
+    for name, arr, shape in zip("ab", out, shapes):
+        if arr.shape != shape:
+            raise ValueError(f"out {name} has shape {arr.shape}, expected {shape}")
+    _fill(
+        cfg, _local_blocks(cfg, rowmap, myrow), _local_blocks(cfg, colmap, mycol), *out
     )
-    return out
-
-
-def generate_local_rhs(
-    cfg: HPLConfig,
-    rowmap: BlockCyclicMap,
-    myrow: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """This rank's rows of b (replicated across process columns)."""
-    lrows = rowmap.local_count(myrow)
-    if out is None:
-        out = np.empty(lrows)
-    elif out.shape != (lrows,):
-        raise ValueError(f"out has shape {out.shape}, expected {(lrows,)}")
-    _fill_rhs(cfg, out, _local_blocks(cfg, rowmap, myrow))
     return out
 
 
@@ -130,11 +115,11 @@ def dense_matrix(cfg: HPLConfig) -> np.ndarray:
     """The full A, assembled serially — for verification at small n."""
     a = np.empty((cfg.n, cfg.n))
     spans = [(b, b * cfg.nb) for b in range(cfg.n_blocks)]
-    _fill_matrix(cfg, a, spans, spans)
+    _fill(cfg, spans, spans, a, None)
     return a
 
 
 def dense_rhs(cfg: HPLConfig) -> np.ndarray:
     b = np.empty(cfg.n)
-    _fill_rhs(cfg, b, [(bi, bi * cfg.nb) for bi in range(cfg.n_blocks)])
+    _fill(cfg, [(bi, bi * cfg.nb) for bi in range(cfg.n_blocks)], [], None, b)
     return b

@@ -38,8 +38,9 @@ class SKTConfig:
     With ``auto_interval_mtbf_s`` set, the checkpoint period re-tunes
     itself after every checkpoint from Young's formula,
     ``T_opt = sqrt(2 * delta * MTBF)``, using the *measured* checkpoint
-    cost ``delta`` and the observed per-panel time — the paper fixes a
-    10-minute period (Table 3); this knob derives it instead.
+    cost ``delta`` and the observed per-panel time, checkpoints left out;
+    every rank takes the shortest interval any rank derives.  The paper
+    fixes a 10-minute period (Table 3); this knob derives it instead.
     """
 
     hpl: HPLConfig
@@ -110,22 +111,23 @@ def skt_hpl_main(ctx: RankContext, scfg: SKTConfig) -> SKTResult:
     else:
         start_panel = 0
         with ctx.span("hpl.generate", n=cfg.n, nbytes=int(a_loc.nbytes + b_loc.nbytes)):
-            matgen.generate_local_matrix(
-                cfg, rowmap, colmap, grid.myrow, grid.mycol, out=a_loc
+            matgen.generate_local_system(
+                cfg, rowmap, colmap, grid.myrow, grid.mycol, out=(a_loc, b_loc)
             )
-            matgen.generate_local_rhs(cfg, rowmap, grid.myrow, out=b_loc)
 
     nbl = cfg.n_blocks
+    # Young's T_opt is compute time between checkpoints, so the panel time
+    # counts the loop's seconds from its start, less every checkpoint's own
     pace = {
         "interval": scfg.interval_panels,
         "last_ckpt_panel": start_panel,
-        "loop_start_clock": None,
+        "mark": ctx.clock,
+        "work_s": 0.0,
         "panels_done": 0,
     }
 
     def on_panel_end(k: int) -> None:
-        if pace["loop_start_clock"] is None:
-            pace["loop_start_clock"] = ctx.clock
+        pace["work_s"] += ctx.clock - pace["mark"]
         pace["panels_done"] += 1
         # checkpoint at the end of the iteration (Fig. 9); skip the last
         # panel — back substitution follows immediately and is cheap
@@ -136,12 +138,16 @@ def skt_hpl_main(ctx: RankContext, scfg: SKTConfig) -> SKTResult:
             if scfg.auto_interval_mtbf_s is not None:
                 from repro.ckpt.interval import optimal_interval_young
 
-                elapsed = max(1e-12, ctx.clock - pace["loop_start_clock"])
-                panel_s = elapsed / pace["panels_done"]
+                panel_s = max(1e-12, pace["work_s"]) / pace["panels_done"]
                 t_opt = optimal_interval_young(
                     max(info.total_seconds, 1e-9), scfg.auto_interval_mtbf_s
                 )
-                pace["interval"] = max(1, int(round(t_opt / panel_s)))
+                # ranks time their own panels, but a checkpoint is
+                # collective: all of them take the shortest interval
+                pace["interval"] = ctx.world.allreduce_obj(
+                    max(1, int(round(t_opt / panel_s))), min
+                )
+        pace["mark"] = ctx.clock
 
     t_start = ctx.clock
     x, timers = hpl_solve(

@@ -112,15 +112,12 @@ def _copy_payload(obj: Any) -> Any:
     return copy.deepcopy(obj)
 
 
-def _number_rows(steps: Sequence[Any], rows: Dict[int, int], source: List[int]) -> None:
+def _number_rows(steps: Sequence[Any], base: int) -> Dict[int, int]:
     """Number the rows ``steps`` name (both rows of a local swap, this
-    rank's row of an exchange) that ``rows`` has not numbered yet, from
-    ``len(source)`` on; ``source`` starts each one off holding itself."""
-    for _, row, partner, other in steps:
-        for r in (row,) if partner is not None else (row, other):
-            if r not in rows:
-                rows[r] = len(source)
-                source.append(len(source))
+    rank's row of an exchange) from ``base`` on, each row once."""
+    names = [s[1] for s in steps]
+    names += [s[3] for s in steps if s[2] is None]
+    return {r: i for i, r in enumerate(dict.fromkeys(names), base)}
 
 
 def _move_rows(
@@ -425,10 +422,10 @@ class Communicator:
 
         ``arrays`` are the calling rank's arrays whose axis-0 rows move
         together.  ``steps`` are its share of the interchanges in pivot
-        order, ``(j, row, partner, other)`` tuples like
-        :class:`repro.hpl.grid.RowSwap`: with ``partner`` None, rows ``row``
-        and ``other`` swap in place; otherwise row ``row`` is exchanged with
-        communicator rank ``partner`` under tag ``tag + j``.
+        order, ``(j, row, partner, other)`` tuples as
+        :func:`repro.hpl.grid.swap_plan` makes them: with ``partner`` None,
+        rows ``row`` and ``other`` swap in place; otherwise row ``row`` is
+        exchanged with communicator rank ``partner`` under tag ``tag + j``.
         ``participants`` names every communicator rank with an exchange in
         this instance, the same list on each of them.
 
@@ -455,9 +452,8 @@ class Communicator:
         if all(s[2] is None for s in steps):
             if me in participants:
                 raise ValueError(f"swap_rows: rank {me} is a participant with no exchange")
-            rows: Dict[int, int] = {}
-            source: List[int] = []
-            _number_rows(steps, rows, source)
+            rows = _number_rows(steps, 0)
+            source = list(range(len(rows)))
             for _, row, _, other in steps:
                 a, b = rows[row], rows[other]
                 source[a], source[b] = source[b], source[a]
@@ -497,7 +493,7 @@ class Communicator:
         or the job a hard abort, and nothing in this loop sets either, so
         every other participant skips it.  Each row's content is tracked as
         the number of the row that held it at entry, and rows are written
-        once, at the end.
+        once, at the end; a step carries its rows' numbers from the start.
         """
         swap = self._swap
         arrived, swap.arrived = swap.arrived, {}
@@ -511,18 +507,24 @@ class Communicator:
         }
         live = set(arrived)
         outcome: Dict[int, Tuple[float, Optional[Exception], Any]] = {}
-        by_pivot: List[List[Tuple[int, Any]]] = [
+        #: per pivot, ``(participant, row, partner, row number, other's
+        #: number)`` of each step; the other's number only for a local swap
+        by_pivot: List[List[Tuple[int, int, Optional[int], int, int]]] = [
             [] for _ in range(1 + max(entry[2][-1][0] for entry in arrived.values()))
         ]
         #: every row a step names, numbered participant by participant;
         #: ``source[s]`` is the number of the row whose entry content row
         #: ``s`` holds at this point of the chain
-        numbered: Dict[int, Dict[int, int]] = {}
+        held: List[List[int]] = []
         source: List[int] = []
         for p, entry in arrived.items():
-            _number_rows(entry[2], numbered.setdefault(p, {}), source)
-            for s in entry[2]:
-                by_pivot[s[0]].append((p, s))
+            rows = _number_rows(entry[2], len(source))
+            held.append(list(rows))
+            source.extend(rows.values())
+            for j, row, partner, other in entry[2]:
+                by_pivot[j].append(
+                    (p, row, partner, rows[row], -1 if partner is not None else rows[other])
+                )
         #: (sender, partner) -> (send cost, payload bytes)
         priced: Dict[Tuple[int, int], Tuple[float, int]] = {}
 
@@ -541,13 +543,11 @@ class Communicator:
         for j, entries in enumerate(by_pivot):
             #: sender -> (partner, tag, source row, arrival clock, observer token)
             sent: Dict[int, Tuple[int, int, int, float, Any]] = {}
-            for p, (_, row, partner, other) in entries:
+            for p, row, partner, num, other_num in entries:
                 if p not in live:
                     continue
-                rows = numbered[p]
                 if partner is None:
-                    a, b = rows[row], rows[other]
-                    source[a], source[b] = source[b], source[a]
+                    source[num], source[other_num] = source[other_num], source[num]
                     continue
                 if p in risky and failed(p):
                     continue
@@ -562,8 +562,8 @@ class Communicator:
                 token = None
                 if obs is not None:
                     token = obs.on_send(ctx.rank, members[partner], tag + j, price[1], c)
-                sent[p] = (partner, tag, source[rows[row]], c, token)
-            for p, (_, row, partner, _) in entries:
+                sent[p] = (partner, tag, source[num], c, token)
+            for p, _, partner, num, _ in entries:
                 if partner is None or p not in live:
                     continue
                 if p in risky and failed(p):
@@ -581,12 +581,10 @@ class Communicator:
                     obs.on_recv(
                         ctx.rank, members[partner], tag + j, token, c, max(0.0, c - before - lat)
                     )
-                source[numbered[p][row]] = ref
+                source[num] = ref
         for p in live:
             outcome[p] = (clock[p], None, None)
-        _move_rows(
-            [entry[1] for entry in arrived.values()], [list(rows) for rows in numbered.values()], source
-        )
+        _move_rows([entry[1] for entry in arrived.values()], held, source)
         swap.outbox.update(outcome)
         job._notify((self, _SWAP_KEY[0]))
 

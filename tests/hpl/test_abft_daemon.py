@@ -121,8 +121,7 @@ class TestABFT:
             grid = ProcessGrid(ctx.world, CFG.p, CFG.q)
             rowmap = BlockCyclicMap(CFG.n, CFG.nb, CFG.p)
             colmap = BlockCyclicMap(CFG.n, CFG.nb, CFG.q)
-            a = matgen.generate_local_matrix(CFG, rowmap, colmap, grid.myrow, grid.mycol)
-            b = matgen.generate_local_rhs(CFG, rowmap, grid.myrow)
+            a, b = matgen.generate_local_system(CFG, rowmap, colmap, grid.myrow, grid.mycol)
             hook_state = {"done": False}
 
             def hook(k):

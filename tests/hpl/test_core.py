@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.hpl import HPLConfig, hpl_main
-from repro.hpl.core import RESIDUAL_THRESHOLD, SingularMatrixError, _factor_panel
+from repro.hpl.core import (
+    RESIDUAL_THRESHOLD,
+    SingularMatrixError,
+    _factor_panel,
+    solve_triangular,
+)
 from repro.hpl.matgen import dense_matrix, dense_rhs
 from repro.sim import Cluster, Job
 
@@ -139,3 +144,68 @@ def test_deterministic_across_runs():
     x1 = run_hpl(cfg).rank_results[0].x
     x2 = run_hpl(cfg).rank_results[0].x
     np.testing.assert_array_equal(x1, x2)
+
+
+def _triangular(m, lower, rng):
+    a = rng.standard_normal((m, m)) + m * np.eye(m)
+    return np.tril(a) if lower else np.triu(a)
+
+
+def _layouts(a):
+    """``a`` as a C-contiguous, an F-contiguous and a strided array."""
+    m = len(a)
+    wide = np.zeros((m, 2 * m))
+    wide[:, ::2] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "strided": wide[:, ::2]}
+
+
+class TestSolveTriangular:
+    """The direct LAPACK call, bit for bit against scipy's wrapper."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("rhs", ["vector", "matrix", "strided", "empty"])
+    @pytest.mark.parametrize("lower, unit", [(True, True), (False, False)])
+    def test_is_scipy_bit_for_bit(self, layout, rhs, lower, unit):
+        import scipy.linalg as sla
+
+        rng = np.random.default_rng(7)
+        m = 9
+        a = _layouts(_triangular(m, lower, rng))[layout]
+        b = {
+            "vector": rng.standard_normal(m),
+            "matrix": rng.standard_normal((m, 4)),
+            "strided": rng.standard_normal((m, 8))[:, 1::2],
+            "empty": np.empty((m, 0)),
+        }[rhs]
+        kept = b.copy()
+        got = solve_triangular(a, b, lower=lower, unit_diagonal=unit)
+        want = sla.solve_triangular(a, b, lower=lower, unit_diagonal=unit)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert b.tobytes() == kept.tobytes()  # b is never overwritten
+
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_nan_input_raises_like_scipy(self, where):
+        import scipy.linalg as sla
+
+        a, b = _triangular(4, True, np.random.default_rng(1)), np.ones(4)
+        (a if where == "a" else b)[2, ...] = np.nan
+        with pytest.raises(ValueError) as want:
+            sla.solve_triangular(a, b, lower=True)
+        with pytest.raises(ValueError) as got:
+            solve_triangular(a, b, lower=True)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_singular_matrix_raises_like_scipy(self, layout):
+        import scipy.linalg as sla
+
+        a = _triangular(5, False, np.random.default_rng(2))
+        a[3, 3] = 0.0
+        a = _layouts(a)[layout]
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            sla.solve_triangular(a, np.ones(5), lower=False)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            solve_triangular(a, np.ones(5), lower=False)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "singular matrix: resolution failed at diagonal 3"

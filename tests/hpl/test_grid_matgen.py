@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hpl import BlockCyclicMap, HPLConfig, ProcessGrid
-from repro.hpl.grid import RowSwap, pivot_plan, swap_participants
-from repro.hpl.matgen import (
-    dense_matrix,
-    dense_rhs,
-    generate_local_matrix,
-    generate_local_rhs,
-)
+from repro.hpl.grid import swap_plan
+from repro.hpl.matgen import dense_matrix, dense_rhs, generate_local_system
 from repro.sim import Cluster, Job
 from repro.util.rng import block_rng
 
@@ -94,6 +89,20 @@ class TestBlockCyclicMap:
                 seen.add(int(g))
         assert seen == set(range(n))
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((10, 2.5, 2), "nb"),
+            ((10.0, 2, 2), "n"),
+            ((10, 2, True), "nprocs"),
+            ((10, 2, 2.0), "nprocs"),
+        ],
+        ids=["float-nb", "float-n", "bool-nprocs", "float-nprocs"],
+    )
+    def test_non_int_arguments_are_refused_by_name(self, args, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            BlockCyclicMap(*args)
+
 
 class TestProcessGrid:
     def test_coords_and_subcomms(self):
@@ -111,6 +120,19 @@ class TestProcessGrid:
         cl = Cluster(6)
         res = Job(cl, main, 6, procs_per_node=1).run()
         assert res.completed, res.rank_errors
+
+    @pytest.mark.parametrize(
+        "p, q, name",
+        [(2.0, 2, "p"), (2, True, "q"), (1, 4.0, "q")],
+        ids=["float-p", "bool-q", "float-q"],
+    )
+    def test_non_int_dims_are_refused_by_name(self, p, q, name):
+        def main(ctx):
+            with pytest.raises(TypeError, match=f"^{name} must be an int"):
+                ProcessGrid(ctx.world, p, q)
+            return True
+
+        assert Job(Cluster(4), main, 4, procs_per_node=1).run().completed
 
     def test_size_mismatch(self):
         def main(ctx):
@@ -156,16 +178,17 @@ class TestMatgen:
         dense = dense_matrix(cfg)
         for pr in range(cfg.p):
             for pc in range(cfg.q):
-                loc = generate_local_matrix(cfg, rowmap, colmap, pr, pc)
+                loc, _ = generate_local_system(cfg, rowmap, colmap, pr, pc)
                 ref = dense[np.ix_(rowmap.globals_of(pr), colmap.globals_of(pc))]
                 np.testing.assert_array_equal(loc, ref)
 
     def test_local_rhs_tiles_dense_rhs(self):
         cfg = HPLConfig(n=23, nb=4, p=3, q=1)
         rowmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.p)
+        colmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.q)
         dense = dense_rhs(cfg)
         for pr in range(cfg.p):
-            loc = generate_local_rhs(cfg, rowmap, pr)
+            _, loc = generate_local_system(cfg, rowmap, colmap, pr, 0)
             np.testing.assert_array_equal(loc, dense[rowmap.globals_of(pr)])
 
     def test_matrix_is_well_conditioned(self):
@@ -177,10 +200,12 @@ class TestMatgen:
         cfg = HPLConfig(n=16, nb=4, p=2, q=2)
         rowmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.p)
         colmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.q)
-        with pytest.raises(ValueError):
-            generate_local_matrix(cfg, rowmap, colmap, 0, 0, out=np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            generate_local_rhs(cfg, rowmap, 0, out=np.zeros(3))
+        for out, name in (
+            ((np.zeros((1, 1)), np.zeros(8)), "a"),
+            ((np.zeros((8, 8)), np.zeros(3)), "b"),
+        ):
+            with pytest.raises(ValueError, match=f"^out {name} has shape"):
+                generate_local_system(cfg, rowmap, colmap, 0, 0, out=out)
 
 
 def _literal_block(cfg, bi, bj):
@@ -231,16 +256,15 @@ class TestBatchedGeneratorIsTheLiteralOne:
         rhs = _literal_rhs(cfg)
         for pr in range(cfg.p):
             rows = rowmap.globals_of(pr)
-            got = generate_local_rhs(cfg, rowmap, pr)
-            assert got.tobytes() == rhs[rows].tobytes()
             for pc in range(cfg.q):
                 want = dense[np.ix_(rows, colmap.globals_of(pc))]
-                got = generate_local_matrix(cfg, rowmap, colmap, pr, pc)
-                assert got.tobytes() == want.tobytes()
+                got_a, got_b = generate_local_system(cfg, rowmap, colmap, pr, pc)
+                assert got_a.tobytes() == want.tobytes()
+                assert got_b.tobytes() == rhs[rows].tobytes()
 
 
 def _reference_plan(rowmap, piv, k0, myrow):
-    """The per-pivot loop ``pivot_plan`` replaced, recording its actions."""
+    """The per-pivot loop ``swap_plan`` replaced, recording its actions."""
     plan = []
     for j, r2 in enumerate(piv):
         r1 = k0 + j
@@ -251,12 +275,21 @@ def _reference_plan(rowmap, piv, k0, myrow):
         l1, l2 = rowmap.local_index(r1), rowmap.local_index(r2)
         if o1 == o2:
             if myrow == o1:
-                plan.append(RowSwap(j, l1, None, l2))
+                plan.append((j, l1, None, l2))
         elif myrow == o1:
-            plan.append(RowSwap(j, l1, o2, l2))
+            plan.append((j, l1, o2, l2))
         elif myrow == o2:
-            plan.append(RowSwap(j, l2, o1, l1))
+            plan.append((j, l2, o1, l1))
     return plan
+
+
+def _reference_participants(rowmap, piv, k0, nprocs):
+    """The process rows with an exchange, by the reference loop."""
+    return [
+        myrow
+        for myrow in range(nprocs)
+        if any(partner is not None for _, _, partner, _ in _reference_plan(rowmap, piv, k0, myrow))
+    ]
 
 
 class TestPivotPlan:
@@ -273,12 +306,28 @@ class TestPivotPlan:
                 piv = np.array([rng.integers(k0 + j, n) for j in range(nbk)])
                 stay = rng.random(nbk) < 0.3  # some pivots are already in place
                 piv[stay] = k0 + np.flatnonzero(stay)
+                participants = _reference_participants(rowmap, piv, k0, nprocs)
                 for myrow in range(nprocs):
-                    got = pivot_plan(rowmap, piv, k0, myrow)
-                    assert got == _reference_plan(rowmap, piv, k0, myrow)
-                # the swap_rows participants: the rows with an exchange
-                assert swap_participants(rowmap, piv, k0) == [
-                    myrow
-                    for myrow in range(nprocs)
-                    if any(s.partner is not None for s in _reference_plan(rowmap, piv, k0, myrow))
-                ]
+                    got = swap_plan(rowmap, piv, k0, myrow)
+                    assert got == (_reference_plan(rowmap, piv, k0, myrow), participants)
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_any_panel_is_the_per_pivot_loop(self, data):
+        nprocs = data.draw(st.integers(1, 5), label="P")
+        nb = data.draw(st.integers(1, 6), label="nb")
+        n = data.draw(st.integers(1, 4 * nb * nprocs + 5), label="n")  # edge blocks too
+        k = data.draw(st.integers(0, -(-n // nb) - 1), label="k")
+        k0 = k * nb
+        piv = np.array(
+            [data.draw(st.integers(k0 + j, n - 1)) for j in range(min(nb, n - k0))],
+            dtype=np.int64,
+        )
+        rowmap = BlockCyclicMap(n, nb, nprocs)
+        participants = _reference_participants(rowmap, piv, k0, nprocs)
+        for myrow in range(nprocs):
+            steps, got = swap_plan(rowmap, piv, k0, myrow)
+            assert steps == _reference_plan(rowmap, piv, k0, myrow)
+            assert all(type(step) is tuple for step in steps)
+            assert got == participants
+

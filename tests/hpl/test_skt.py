@@ -13,6 +13,7 @@ from repro.hpl import (
 )
 from repro.hpl.matgen import dense_matrix, dense_rhs
 from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
+from repro.sim._tls import current_ctx
 
 CFG = HPLConfig(n=96, nb=8, p=2, q=4)  # 8 ranks, 12 panels
 
@@ -122,6 +123,60 @@ class TestFaultFree:
 
         # virtual panels take ~10 us here, so the crossover MTBF is tiny
         assert run(1e-9) > run(1e3) >= 1
+
+    def test_auto_interval_paces_on_panel_work_alone(self, monkeypatch):
+        """Young's T_opt is compute time between checkpoints, so the panel
+        time it is divided by counts every panel from the loop's start and
+        none of a checkpoint's own seconds.  The stand-in for Young returns
+        10.2 of the rank's exact mean panel work: only an exact estimate
+        rounds to an interval of 10 on every rank."""
+        from repro.ckpt import interval
+        from repro.ckpt.manager import CheckpointManager
+        from repro.hpl import skt
+
+        start, ckpt_s, ckpt_panels = {}, {}, {}
+        solve, checkpoint = skt.hpl_solve, CheckpointManager.checkpoint
+
+        def timed_solve(ctx, *args, **kwargs):
+            start[ctx.rank] = ctx.clock
+            return solve(ctx, *args, **kwargs)
+
+        def timed_checkpoint(mgr):
+            ctx = current_ctx()
+            before = ctx.clock
+            info = checkpoint(mgr)
+            ckpt_s[ctx.rank] = ckpt_s.get(ctx.rank, 0.0) + ctx.clock - before
+            ckpt_panels.setdefault(ctx.rank, []).append(mgr.local["panel"])
+            return info
+
+        def young(delta_s, mtbf_s):
+            ctx = current_ctx()
+            work_s = ctx.clock - start[ctx.rank] - ckpt_s[ctx.rank]
+            return 10.2 * work_s / ckpt_panels[ctx.rank][-1]
+
+        monkeypatch.setattr(skt, "hpl_solve", timed_solve)
+        monkeypatch.setattr(CheckpointManager, "checkpoint", timed_checkpoint)
+        monkeypatch.setattr(interval, "optimal_interval_young", young)
+        cfg = HPLConfig(n=256, nb=8, p=2, q=4)  # 32 panels
+        scfg = SKTConfig(
+            hpl=cfg, method="self", group_size=4, interval_panels=4, auto_interval_mtbf_s=1e-3
+        )
+        res = Job(Cluster(8), skt_hpl_main, 8, args=(scfg,), procs_per_node=1).run()
+        assert res.completed, res.rank_errors
+        assert ckpt_panels == {r: [4, 14, 24] for r in range(8)}
+
+    @pytest.mark.parametrize("n, mtbf", [(256, 1e-3), (192, 1e-4), (192, 1e-3), (192, 3e-3)])
+    def test_auto_interval_is_one_interval_for_every_rank(self, n, mtbf):
+        """Each rank times its own panels, so their Young intervals differ;
+        a rank checkpointing at another panel than its group deadlocks."""
+        cfg = HPLConfig(n=n, nb=8, p=2, q=4)
+        scfg = SKTConfig(
+            hpl=cfg, method="self", group_size=4, interval_panels=2, auto_interval_mtbf_s=mtbf
+        )
+        res = Job(Cluster(8), skt_hpl_main, 8, args=(scfg,), procs_per_node=1).run()
+        assert res.completed, res.rank_errors
+        assert len({r.n_checkpoints for r in res.rank_results.values()}) == 1
+        assert all(r.hpl.passed for r in res.rank_results.values())
 
     def test_auto_interval_recovery_still_works(self):
         scfg = SKTConfig(

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hpl.grid import BlockCyclicMap, RowSwap, pivot_plan, swap_participants
+from repro.hpl.grid import BlockCyclicMap, swap_plan
 from repro.obs.metrics import MetricsObserver
 from repro.sancheck.races import RaceDetector
 from repro.sim import Cluster, Job, Topology
@@ -67,15 +67,19 @@ class Case:
             for p in range(P)
         }
 
-    def steps(self, prow):
-        return [
-            RowSwap(j, row, None if partner is None else partner + 1, other)
-            for j, row, partner, other in pivot_plan(self.rowmap, self.piv, self.k0, prow)
-        ]
+    def plan(self, prow):
+        """Process row ``prow``'s steps and the participants, in world ranks."""
+        steps, participants = swap_plan(self.rowmap, self.piv, self.k0, prow)
+        return (
+            [
+                (j, row, None if partner is None else partner + 1, other)
+                for j, row, partner, other in steps
+            ],
+            [p + 1 for p in participants],
+        )
 
     def run(self, primitive):
         """Run the case; returns what the job leaves behind."""
-        participants = [p + 1 for p in swap_participants(self.rowmap, self.piv, self.k0)]
         held = {}
 
         def main(ctx):
@@ -90,7 +94,7 @@ class Case:
                 ctx.clock += self.skew[ctx.rank]  # a check would raise before the swap
             else:
                 ctx.elapse(self.skew[ctx.rank])
-            steps = self.steps(ctx.rank - 1)
+            steps, participants = self.plan(ctx.rank - 1)
             if primitive:
                 ctx.world.swap_rows(arrays, steps, participants, tag=TAG)
             else:
