@@ -217,7 +217,9 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="run on the crash-tolerant sharded engine with N shards "
-        "(one executor process per shard; journal in <out>/shards.sqlite)",
+        "(one executor slot per shard, at most one executor process per "
+        "usable CPU at once, the other slots replacing crashed executors; "
+        "journal in <out>/shards.sqlite)",
     )
     parser.add_argument(
         "--resume", default=None, metavar="DIR",
@@ -234,7 +236,8 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         "--respawn", type=int, default=0, metavar="N",
         help="total budget of crashed executors the driver supervisor "
         "may respawn (exponential backoff; default 0 = never — a dead "
-        "executor's shards are only re-issued to survivors)",
+        "executor's shards are only re-issued to survivors and to "
+        "reserve slots)",
     )
     parser.add_argument(
         "--attempts-cap", type=int, default=3, metavar="K",

@@ -41,13 +41,20 @@ from repro.par.progress import NullProgress
 AUTO_WORKERS_CAP = 8
 
 
-def default_workers() -> int:
-    """``min(cpu_count, cap)`` — the ``--workers auto`` resolution."""
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, so ``taskset``
+    and container CPU limits count; at least 1.  The one CPU reading of
+    both parallel engines (``--workers auto`` and the shard executor cap)."""
     try:
-        n = len(os.sched_getaffinity(0))  # respects container CPU limits
+        n = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         n = multiprocessing.cpu_count()
-    return max(1, min(n, AUTO_WORKERS_CAP))
+    return max(1, n)
+
+
+def default_workers() -> int:
+    """``min(usable_cpus(), cap)`` — the ``--workers auto`` resolution."""
+    return min(usable_cpus(), AUTO_WORKERS_CAP)
 
 
 def resolve_workers(workers: Any) -> int:

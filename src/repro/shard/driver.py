@@ -3,17 +3,19 @@
 ``repro chaos --shards N`` lands here: the durable one of the campaign
 pipeline's two executors (:mod:`repro.chaos.plan`).  The driver freezes
 the campaign into the plan every engine shares, binds (or resumes) the
-SQLite queue under the ``--out`` directory, launches N executor
-processes against it under an
-:class:`~repro.shard.health.ExecutorSupervisor`, and hands the journal
-to the one merger when every shard is done.
+SQLite queue under the ``--out`` directory, runs executor processes
+against it under an :class:`~repro.shard.health.ExecutorSupervisor` —
+one slot per shard, at most one live executor per usable CPU, the
+slots above that held in reserve — and hands the journal to the one
+merger when every shard is done.
 
 Failure modes, one answer each:
 
 * **an executor dies** — its lease expires and a surviving executor
-  re-claims the shard, skipping the journaled units; with ``--respawn
-  N`` the supervisor also respawns the dead slot under exponential
-  backoff, so the campaign keeps its full width.  The budget spent, the
+  re-claims the shard, skipping the journaled units; a reserve slot, if
+  one is left, starts in its place at once; with ``--respawn N`` the
+  supervisor also respawns the dead slot under exponential backoff, so
+  the campaign keeps its full width.  The budget spent, the
   driver degrades to fewer workers; with *nothing* left alive it exits
   3 with a resume hint.
 * **a unit kills every executor that runs it** — the poison-unit
@@ -45,6 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.campaign import CampaignReport
 from repro.chaos.schedules import ScheduleResult
+from repro.par.engine import usable_cpus
 
 from repro.shard.executor import POLL_S, run_executor
 from repro.shard.faults import FaultPlan
@@ -149,7 +152,10 @@ def run_sharded_campaign(
     — what the in-process engines are given too.  The queue lives at
     ``queue_path_for(out_dir)``; when it already exists it is resumed
     (after an integrity check and the plan-fingerprint check) and only
-    unjournaled units run, by one executor process per shard.
+    unjournaled units run.  There is one executor slot per shard, and at
+    most ``usable_cpus()`` executors run at once: each executor that
+    crashes starts a reserve slot, so up to ``n_shards - 1`` crashes are
+    absorbed with no respawn budget, as when every slot ran at once.
     ``respawn`` is the total budget of crash respawns the supervisor may
     spend; ``attempts_cap`` bounds barren re-issues before a poison unit
     is quarantined; ``salvage`` rebuilds a corrupt queue from its
@@ -182,7 +188,10 @@ def run_sharded_campaign(
         queue.populate(plan)  # fresh run or fingerprint-checked resume
         if salvaged:
             queue.restore_results(salvaged)
-        n_exec = max(1, len(plan.shards))
+        n_slots = max(1, len(plan.shards))
+        # more executors than CPUs only time-slice them: the slots above
+        # the CPU count are the supervisor's crash reserves
+        n_exec = min(n_slots, usable_cpus())
         if progress is not None:
             progress.start(plan.n_units, n_exec)
         if not queue.all_done():
@@ -194,7 +203,8 @@ def run_sharded_campaign(
                     cache_dir=cache_dir,
                     attempts_cap=attempts_cap,
                 ),
-                n_exec,
+                n_slots,
+                max_alive=n_exec,
                 respawn=respawn,
                 backoff_s=respawn_backoff_s,
             )

@@ -6,12 +6,14 @@ tolerance; this module gives it to the campaign engine itself.  Four
 pieces, composed by :mod:`repro.shard.driver` and
 :mod:`repro.shard.executor`:
 
-* :class:`ExecutorSupervisor` — the driver-side nanny.  Detects dead
-  executor processes, respawns them under an exponential-backoff retry
-  budget, degrades gracefully to fewer workers when a slot's budget is
-  gone, and reports when nothing is left alive (the exit-3 resume
-  path).  A clean exit (code 0 — the queue drained) retires the slot
-  instead of burning budget.
+* :class:`ExecutorSupervisor` — the driver-side nanny.  Runs at most
+  ``max_alive`` executors at once and holds the other slots in reserve,
+  detects dead executor processes, starts a reserve for each, respawns
+  them under an exponential-backoff retry budget, degrades gracefully
+  to fewer workers when a slot's budget is gone, and reports when
+  nothing is left alive (the exit-3 resume path).  A clean exit (code
+  0 — the queue drained) retires the slot and the reserves instead of
+  burning budget.
 * :class:`LeaseHeartbeat` — the executor-side keepalive.  A daemon
   thread renews the shard lease on its own queue connection every
   quarter-lease, so a unit that runs longer than ``lease_s`` is not
@@ -197,30 +199,41 @@ class LeaseHeartbeat:
 
 # -- driver-side executor supervision --------------------------------------------
 class _Slot:
-    """One executor position: a live process, a pending respawn, or retired."""
+    """One executor position: a live process, a pending respawn, a
+    reserve not yet started, or (none of these) retired."""
 
-    __slots__ = ("index", "proc", "deaths", "respawn_at", "retired")
+    __slots__ = ("index", "proc", "deaths", "respawn_at", "reserve")
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, reserve: bool) -> None:
         self.index = index
         self.proc: Optional[Any] = None
         self.deaths = 0
         self.respawn_at: Optional[float] = None
-        self.retired = False
+        self.reserve = reserve
 
 
 class ExecutorSupervisor:
-    """Keep up to ``n_slots`` executors running against the queue.
+    """Keep up to ``max_alive`` of ``n_slots`` executors running against
+    the queue.
 
     ``spawn(index)`` must return a process-like object (``is_alive()``,
     ``exitcode``, ``join()``, and ``sentinel`` for :meth:`wait`) — the
     driver passes a closure over
-    ``multiprocessing.Process``; the tests pass fakes.  ``respawn`` is
-    the *total* budget of crash respawns across all slots (0 preserves
-    the pre-supervision behaviour: a dead executor stays dead).  Each
-    slot backs off exponentially — ``backoff_s * 2**(deaths-1)``, capped
-    — so a hard crash loop cannot hammer the host; the poison-unit
-    quarantine is what actually breaks such loops.
+    ``multiprocessing.Process``; the tests pass fakes.
+
+    Slots ``0 .. max_alive-1`` start at once (``max_alive`` defaults to
+    ``n_slots``: every slot); the rest are *reserves*.  Each executor
+    that exits non-zero starts the next reserve, under its own slot
+    index and free of charge, so a campaign absorbs ``n_slots - 1``
+    deaths however few of them run at a time.  A clean exit (code 0 —
+    the queue drained) retires the slot and every reserve instead.
+
+    ``respawn`` is the *total* budget of crash respawns across all slots
+    (0 preserves the pre-supervision behaviour: a dead executor stays
+    dead).  Each slot backs off exponentially — ``backoff_s *
+    2**(deaths-1)``, capped — so a hard crash loop cannot hammer the
+    host; the poison-unit quarantine is what actually breaks such loops.
+    A due respawn waits while ``max_alive`` executors run.
     """
 
     def __init__(
@@ -228,6 +241,7 @@ class ExecutorSupervisor:
         spawn: Callable[[int], Any],
         n_slots: int,
         *,
+        max_alive: Optional[int] = None,
         respawn: int = 0,
         backoff_s: float = 0.25,
         backoff_cap_s: float = 5.0,
@@ -235,58 +249,72 @@ class ExecutorSupervisor:
     ) -> None:
         if n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+        if max_alive is not None and max_alive < 1:
+            raise ValueError(f"max_alive must be >= 1, got {max_alive}")
         if respawn < 0:
             raise ValueError(f"respawn budget must be >= 0, got {respawn}")
         self._spawn = spawn
         self._clock = clock
+        self.max_alive = min(n_slots, max_alive or n_slots)
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self.budget = respawn
         self.respawns = 0
         self.crashes = 0
-        self._slots: List[_Slot] = [_Slot(i) for i in range(n_slots)]
+        self._slots: List[_Slot] = [
+            _Slot(i, reserve=i >= self.max_alive) for i in range(n_slots)
+        ]
 
     def start(self) -> None:
         for slot in self._slots:
-            slot.proc = self._spawn(slot.index)
+            if not slot.reserve:
+                slot.proc = self._spawn(slot.index)
 
     def backoff_for(self, deaths: int) -> float:
         """Respawn delay after a slot's ``deaths``-th crash."""
         return min(self.backoff_cap_s, self.backoff_s * (2.0 ** (deaths - 1)))
 
     def poll(self) -> int:
-        """Reap deaths, fire due respawns; returns live executor count."""
+        """Reap exits, then start owed reserves and due respawns while
+        fewer than ``max_alive`` executors run; returns the live count."""
         now = self._clock()
-        alive = 0
+        reaped: List[_Slot] = []
+        crashed = 0
+        drained = False
         for slot in self._slots:
-            if slot.retired:
+            if slot.proc is None or slot.proc.is_alive():
                 continue
-            if slot.proc is not None:
-                if slot.proc.is_alive():
-                    alive += 1
-                    continue
-                exitcode = slot.proc.exitcode
-                slot.proc.join()
-                slot.proc = None
-                if exitcode == 0:
-                    # drained the queue and left cleanly — not a crash
-                    slot.retired = True
-                    continue
-                self.crashes += 1
-                slot.deaths += 1
-                if self.budget > 0:
-                    slot.respawn_at = now + self.backoff_for(slot.deaths)
-                else:
-                    slot.retired = True  # degraded: fewer workers from here on
+            exitcode = slot.proc.exitcode
+            slot.proc.join()
+            slot.proc = None
+            reaped.append(slot)
+            if exitcode == 0:
+                drained = True  # drained the queue and left cleanly — not a crash
                 continue
-            # pending respawn
-            if slot.respawn_at is None:
-                slot.retired = True
+            self.crashes += 1
+            crashed += 1
+            slot.deaths += 1
+            if self.budget > 0:
+                slot.respawn_at = now + self.backoff_for(slot.deaths)
+            # else retired: degraded to fewer workers from here on
+        alive = sum(slot.proc is not None for slot in self._slots)
+        for slot in self._slots:
+            if not slot.reserve:
                 continue
-            if now >= slot.respawn_at:
-                if self.budget <= 0:
-                    slot.retired = True
-                    continue
+            if drained:
+                slot.reserve = False  # nothing left for it to absorb
+            elif crashed and alive < self.max_alive:
+                crashed -= 1
+                slot.reserve = False
+                slot.proc = self._spawn(slot.index)
+                alive += 1
+        for slot in self._slots:
+            # a slot reaped by this poll respawns on a later one at the earliest
+            if slot.respawn_at is None or now < slot.respawn_at or slot in reaped:
+                continue
+            if self.budget <= 0:
+                slot.respawn_at = None  # another slot spent the budget
+            elif alive < self.max_alive:
                 self.budget -= 1
                 self.respawns += 1
                 slot.respawn_at = None
@@ -311,11 +339,9 @@ class ExecutorSupervisor:
         poller.poll(timeout * 1000.0)
 
     def pending_respawns(self) -> bool:
-        """True while any slot is waiting out its backoff delay."""
-        return any(
-            not s.retired and s.proc is None and s.respawn_at is not None
-            for s in self._slots
-        )
+        """True while any slot is waiting out its backoff delay (or, past
+        it, for a free place under ``max_alive``)."""
+        return any(s.respawn_at is not None for s in self._slots)
 
     def exhausted(self) -> bool:
         """True when crashes happened and no respawn budget remains."""

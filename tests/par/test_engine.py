@@ -37,6 +37,18 @@ class TestResolveWorkers:
         assert 1 <= n <= AUTO_WORKERS_CAP
         assert n == default_workers()
 
+    def test_auto_reads_the_one_cpu_helper(self, monkeypatch):
+        """``--workers auto`` and the shard executor cap read the CPU
+        count in one place: the affinity mask, so ``taskset`` counts."""
+        import os
+
+        from repro.par import engine
+
+        assert engine.usable_cpus() == len(os.sched_getaffinity(0))
+        for cpus, want in ((1, 1), (3, 3), (64, AUTO_WORKERS_CAP)):
+            monkeypatch.setattr(engine, "usable_cpus", lambda c=cpus: c)
+            assert default_workers() == want
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(0)

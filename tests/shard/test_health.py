@@ -5,6 +5,8 @@ import sqlite3
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import probe_baseline, selfckpt_scenario
 from repro.shard import plan_campaign
@@ -327,5 +329,189 @@ class TestExecutorSupervisor:
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError, match="n_slots"):
             ExecutorSupervisor(lambda i: FakeProc(i), 0)
+        with pytest.raises(ValueError, match="max_alive"):
+            ExecutorSupervisor(lambda i: FakeProc(i), 2, max_alive=0)
         with pytest.raises(ValueError, match="respawn"):
             ExecutorSupervisor(lambda i: FakeProc(i), 1, respawn=-1)
+
+
+def live(h):
+    return [p for p in h.procs if p.is_alive()]
+
+
+class TestReserveSlots:
+    """``max_alive`` below ``n_slots``: the slots above it are reserves,
+    started one per crash, never charged to the respawn budget, retired
+    by a clean exit."""
+
+    def test_start_spawns_only_the_capped_slots(self):
+        h = Harness(n_slots=4, max_alive=2)
+        h.sup.start()
+        assert [p.index for p in h.procs] == [0, 1]
+        assert h.sup.poll() == 2
+        assert not h.sup.pending_respawns()
+
+    def test_a_crash_starts_the_next_reserve_free_of_charge(self):
+        h = Harness(n_slots=3, max_alive=1, respawn=0)
+        h.sup.start()
+        h.procs[0].die(9)
+        assert h.sup.poll() == 1  # reserve slot 1, under its own index
+        assert [p.index for p in h.procs] == [0, 1]
+        assert h.sup.respawns == 0 and h.sup.budget == 0
+        h.procs[1].die(9)
+        assert h.sup.poll() == 1
+        assert [p.index for p in h.procs] == [0, 1, 2]
+        # n_slots - 1 deaths absorbed with no budget; the third is final
+        h.procs[2].die(9)
+        assert h.sup.poll() == 0
+        assert not h.sup.pending_respawns()
+        assert h.sup.crashes == 3 and h.sup.exhausted()
+
+    def test_reserve_comes_before_a_budgeted_respawn(self):
+        h = Harness(n_slots=2, max_alive=1, respawn=3, backoff_s=0.25)
+        h.sup.start()
+        h.procs[0].die(9)
+        assert h.sup.poll() == 1
+        assert [p.index for p in h.procs] == [0, 1]
+        assert h.sup.budget == 3 and h.sup.respawns == 0
+        # slot 0's backoff is served, but slot 1 holds the one CPU
+        assert h.sup.pending_respawns()
+        h.clock.now += 10.0
+        assert h.sup.poll() == 1
+        assert len(h.procs) == 2
+        h.procs[1].die(9)  # no reserve left: slot 0's respawn takes the CPU
+        assert h.sup.poll() == 1
+        assert [p.index for p in h.procs] == [0, 1, 0]
+        assert h.sup.respawns == 1 and h.sup.budget == 2
+        h.clock.now += 10.0
+        assert h.sup.poll() == 1  # slot 1's respawn waits its turn
+        assert h.sup.pending_respawns()
+
+    def test_clean_exit_retires_the_reserves(self):
+        h = Harness(n_slots=4, max_alive=2, respawn=0)
+        h.sup.start()
+        h.procs[0].die(0)  # queue drained
+        assert h.sup.poll() == 1
+        h.procs[1].die(9)  # a later crash finds no reserve left
+        assert h.sup.poll() == 0
+        assert [p.index for p in h.procs] == [0, 1]
+        assert not h.sup.pending_respawns()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_slots=st.integers(1, 5),
+        max_alive=st.integers(1, 6),
+        respawn=st.integers(0, 3),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("die"), st.integers(0, 5), st.sampled_from([0, 1, 9])),
+                st.tuples(st.just("tick"), st.sampled_from([0.0, 0.1, 0.3, 2.0]), st.just(0)),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_never_more_alive_than_the_cap(
+        self, n_slots, max_alive, respawn, steps
+    ):
+        h = Harness(
+            n_slots=n_slots, max_alive=max_alive, respawn=respawn,
+            backoff_s=0.25,
+        )
+        cap = min(n_slots, max_alive)
+        h.sup.start()
+        drained = False
+        for kind, arg, code in steps:
+            if kind == "tick":
+                h.clock.now += arg
+            elif live(h):
+                proc = live(h)[arg % len(live(h))]
+                proc.die(code)
+                drained = drained or code == 0
+            alive = h.sup.poll()
+            assert alive == len(live(h)) <= cap
+            assert h.sup.respawns <= respawn
+            if not drained:
+                # every crash so far started a reserve while one was left
+                reserves = len(h.procs) - h.sup.respawns - cap
+                assert reserves == min(h.sup.crashes, n_slots - cap)
+        # reserves start in slot order, each under its own index
+        seen = list(dict.fromkeys(p.index for p in h.procs))
+        assert seen == list(range(len(seen)))
+
+
+#: ``_scripted_run`` through the supervisor as it was before reserve
+#: slots existed (every slot live at once): (alive, spawned indices,
+#: respawns, crashes, budget, pending_respawns, exhausted) after each poll
+PARENT_LOGS = {
+    0.25: [
+        (3, [0, 1, 2], 0, 0, 2, False, False),
+        (2, [0, 1, 2], 0, 1, 2, True, False),
+        (2, [0, 1, 2], 0, 1, 2, True, False),
+        (3, [0, 1, 2, 0], 1, 1, 1, False, False),
+        (2, [0, 1, 2, 0], 1, 1, 1, False, False),
+        (0, [0, 1, 2, 0], 1, 3, 1, True, False),
+        (1, [0, 1, 2, 0, 2], 2, 3, 0, True, True),
+        (1, [0, 1, 2, 0, 2], 2, 3, 0, False, True),
+        (0, [0, 1, 2, 0, 2], 2, 3, 0, False, True),
+        (0, [0, 1, 2, 0, 2], 2, 3, 0, False, True),
+    ],
+    0.0: [
+        (3, [0, 1, 2], 0, 0, 2, False, False),
+        (2, [0, 1, 2], 0, 1, 2, True, False),
+        (3, [0, 1, 2, 0], 1, 1, 1, False, False),
+        (3, [0, 1, 2, 0], 1, 1, 1, False, False),
+        (2, [0, 1, 2, 0], 1, 1, 1, False, False),
+        (0, [0, 1, 2, 0], 1, 3, 1, True, False),
+        (1, [0, 1, 2, 0, 0], 2, 3, 0, False, True),
+        (1, [0, 1, 2, 0, 0], 2, 3, 0, False, True),
+        (0, [0, 1, 2, 0, 0], 2, 3, 0, False, True),
+        (0, [0, 1, 2, 0, 0], 2, 3, 0, False, True),
+    ],
+}
+
+
+def _scripted_run(backoff_s, **cap):
+    h = Harness(n_slots=3, respawn=2, backoff_s=backoff_s, **cap)
+    log = []
+
+    def poll():
+        alive = h.sup.poll()
+        log.append((
+            alive, [p.index for p in h.procs], h.sup.respawns,
+            h.sup.crashes, h.sup.budget, h.sup.pending_respawns(),
+            h.sup.exhausted(),
+        ))
+
+    h.sup.start()
+    poll()
+    h.procs[0].die(9)
+    poll()
+    h.clock.now += 0.1
+    poll()
+    h.clock.now += 0.2
+    poll()
+    h.procs[1].die(0)
+    poll()
+    h.procs[2].die(9)
+    h.procs[-1].die(9)
+    poll()
+    h.clock.now += 0.3
+    poll()
+    h.clock.now += 1.0
+    poll()
+    for p in live(h):
+        p.die(0)
+    poll()
+    h.clock.now += 10.0
+    poll()
+    return log
+
+
+@pytest.mark.parametrize("max_alive", [None, 3, 4, 64])
+@pytest.mark.parametrize("backoff_s", sorted(PARENT_LOGS))
+def test_cap_at_or_above_the_slots_changes_nothing(max_alive, backoff_s):
+    """With as many CPUs as slots there are no reserves, and crash,
+    clean-exit, backoff and shared-budget handling are what they were
+    before the cap, poll for poll."""
+    cap = {} if max_alive is None else {"max_alive": max_alive}
+    assert _scripted_run(backoff_s, **cap) == PARENT_LOGS[backoff_s]

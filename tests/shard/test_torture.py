@@ -23,6 +23,7 @@ from repro.chaos import (
 )
 from repro.chaos import bench as chaos_bench
 from repro.chaos.report import render_campaign
+from repro.shard import driver as shard_driver
 from repro.shard import (
     QueueCorruptError,
     ShardCampaignError,
@@ -83,12 +84,43 @@ def assert_matches_serial(serial, matrices):
     assert render_campaign(matrices, None) == render_campaign(serial, None)
 
 
+def pin_cpus(monkeypatch, n):
+    """The driver's CPU count, so a test's meaning does not depend on the
+    cores of the host it runs on."""
+    monkeypatch.setattr(shard_driver, "usable_cpus", lambda: n)
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Slot index of every executor the driver starts, in order; each
+    start asserts that fewer than ``usable_cpus()`` earlier executors
+    are still alive."""
+    log = []
+    make = shard_driver._executor_spawner
+
+    def spawner(*args, **kw):
+        spawn = make(*args, **kw)
+
+        def counted(index):
+            running = sum(p.is_alive() for _, p in log)
+            assert running < shard_driver.usable_cpus(), (index, log)
+            proc = spawn(index)
+            log.append((index, proc))
+            return proc
+
+        return counted
+
+    monkeypatch.setattr(shard_driver, "_executor_spawner", spawner)
+    return log
+
+
 class TestKillFaults:
     def test_kill_heals_by_reissue_to_survivors(
         self, serial, tmp_path, monkeypatch
     ):
         """Executor 0 SIGKILLs itself after one unit; with no respawn
         budget the survivors absorb its shards via lease expiry."""
+        pin_cpus(monkeypatch, 2)
         monkeypatch.setenv(FAULTS_ENV, "kill:after=1,worker=0")
         plan, matrices, _, stats = run_sharded(tmp_path / "out")
         assert stats["done_units"] == plan.n_units
@@ -128,6 +160,42 @@ class TestKillFaults:
         assert_matches_serial(serial, matrices)
 
 
+class TestExecutorCap:
+    """At most ``usable_cpus()`` executors run at once; the other slots
+    are reserves that replace crashed executors."""
+
+    def test_one_cpu_runs_one_executor_byte_identical(
+        self, serial, tmp_path, monkeypatch, spawned
+    ):
+        pin_cpus(monkeypatch, 1)
+        plan, matrices, _, stats = run_sharded(tmp_path / "out")
+        assert stats["done_units"] == plan.n_units
+        assert [i for i, _ in spawned] == [0]  # drained both shards alone
+        assert_matches_serial(serial, matrices)
+
+    def test_one_cpu_absorbs_a_kill_through_the_reserve(
+        self, serial, tmp_path, monkeypatch, spawned
+    ):
+        """``--respawn 0``: executor 0 dies after one unit and reserve
+        slot 1 (not targeted by ``worker=0``) finishes the campaign,
+        re-claiming the dead executor's shard when its lease expires."""
+        pin_cpus(monkeypatch, 1)
+        monkeypatch.setenv(FAULTS_ENV, "kill:after=1,worker=0")
+        plan, matrices, _, stats = run_sharded(tmp_path / "out", respawn=0)
+        assert stats["done_units"] == plan.n_units
+        assert [i for i, _ in spawned] == [0, 1]
+        assert stats["executor_crashes"] == 1 and stats["respawns"] == 0
+        assert_matches_serial(serial, matrices)
+
+    def test_enough_cpus_start_every_slot(
+        self, serial, tmp_path, monkeypatch, spawned
+    ):
+        pin_cpus(monkeypatch, 4)
+        _, matrices, _, _ = run_sharded(tmp_path / "out")
+        assert [i for i, _ in spawned] == [0, 1]
+        assert_matches_serial(serial, matrices)
+
+
 class TestZombieFault:
     def test_zombie_writes_fenced_artifacts_identical(
         self, serial, tmp_path, monkeypatch
@@ -136,6 +204,7 @@ class TestZombieFault:
         SIGSTOP), the shard is re-issued, the zombie revives and keeps
         writing — every write is rejected and the artifacts stay
         byte-identical."""
+        pin_cpus(monkeypatch, 2)
         monkeypatch.setenv(FAULTS_ENV, "zombie:after=1,worker=0,stall=2.5")
         plan, matrices, _, stats = run_sharded(tmp_path / "out")
         assert stats["done_units"] == plan.n_units
@@ -213,6 +282,7 @@ class TestSkewFault:
     ):
         """Executor 0's queue clock runs 30s behind; lease arithmetic
         under the wrong clock must not lose or duplicate work."""
+        pin_cpus(monkeypatch, 2)
         monkeypatch.setenv(FAULTS_ENV, "skew:delta=-30,worker=0")
         plan, matrices, _, stats = run_sharded(
             tmp_path / "out", lease_s=60.0
