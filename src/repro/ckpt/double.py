@@ -58,8 +58,10 @@ class SlottedCheckpoint(Checkpointer):
         # a lone slot keeps the paper's bare names B / C
         slots = range(self.N_SLOTS) if self.N_SLOTS > 1 else ("",)
         copy, redundancy = self.KINDS
-        self._b = [self._shm(f"{copy}{s}", self._padded) for s in slots]
-        self._c = [self._shm(f"{redundancy}{s}", self._cs_size) for s in slots]
+        # an update packs the whole copy and fills the whole redundancy, and
+        # a slot is read only once its flags say it committed (or rebuilt)
+        self._b = [self._shm(f"{copy}{s}", self._padded, zeroed=False) for s in slots]
+        self._c = [self._shm(f"{redundancy}{s}", self._cs_size, zeroed=False) for s in slots]
 
     # -- protect: the step of the update that moves bytes between members
     # (its restore counterpart is ``Checkpointer._rebuild``) ---------------------

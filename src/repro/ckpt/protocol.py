@@ -266,10 +266,14 @@ class Checkpointer(CheckpointProtocol):
     def _seg(self, kind: str) -> str:
         return f"{self.prefix}.r{self.ctx.rank}.{kind}"
 
-    def _shm(self, kind: str, shape, dtype=np.uint8) -> np.ndarray:
+    def _shm(self, kind: str, shape, dtype=np.uint8, *, zeroed: bool = True) -> np.ndarray:
         """Create (or re-attach after a restart) this rank's SHM segment
-        ``kind`` and return its array."""
-        seg = self.ctx.shm_create(self._seg(kind), shape, dtype, exist_ok=True).array
+        ``kind`` and return its array.  ``zeroed=False`` skips the
+        zero-fill of a fresh segment, for one the protocol always writes
+        in full before it reads it (docs/PROTOCOLS.md)."""
+        seg = self.ctx.shm_create(
+            self._seg(kind), shape, dtype, exist_ok=True, zeroed=zeroed
+        ).array
         self._segments[kind] = seg
         return seg
 

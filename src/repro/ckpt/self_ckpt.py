@@ -85,9 +85,12 @@ class SelfCheckpoint(Checkpointer):
         return self._a1[: self.layout.array_size].view(dtype).reshape(shape)
 
     def _create_segments(self) -> None:
-        self._b = self._shm("B", self._padded)
-        self._c = self._shm("C", self._cs_size)
-        self._d = self._shm("D", self._cs_size)
+        # every checkpoint rewrites all three in full (D <- encode(A1), then
+        # B <- A1, C <- D) and a restore reads only a committed pair or
+        # rebuilds a lost member's: no fresh byte is ever read
+        self._b = self._shm("B", self._padded, zeroed=False)
+        self._c = self._shm("C", self._cs_size, zeroed=False)
+        self._d = self._shm("D", self._cs_size, zeroed=False)
 
     # -- checkpoint ---------------------------------------------------------------------
     def checkpoint(self) -> CheckpointInfo:

@@ -279,11 +279,14 @@ class RankContext:
         dtype=np.float64,
         *,
         exist_ok: bool = False,
+        zeroed: bool = True,
     ) -> ShmSegment:
         """Create (or re-attach, with ``exist_ok``) an SHM segment on this
-        rank's node.  Names are global per node; embed the rank if needed."""
+        rank's node.  Names are global per node; embed the rank if needed.
+        A fresh segment is zero-filled unless ``zeroed=False``, which
+        leaves its contents unspecified (``ShmStore.create``)."""
         self._check_eager()
-        return self.node.shm.create(name, shape, dtype, exist_ok=exist_ok)
+        return self.node.shm.create(name, shape, dtype, exist_ok=exist_ok, zeroed=zeroed)
 
     def shm_exists(self, name: str) -> bool:
         return self.node.shm.exists(name)

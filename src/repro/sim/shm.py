@@ -32,6 +32,11 @@ from repro.sim.errors import ShmError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.observer import SimObserver
 
+#: allocator of a ``zeroed=False`` segment, whose contents are unspecified
+#: (the poison-fill net in ``tests/ckpt/test_poison_net.py`` swaps it for
+#: one that fills fresh segments with a byte pattern)
+_alloc_unzeroed = np.empty
+
 
 def shape_tuple(shape: Any) -> Tuple[int, ...]:
     """``shape`` — an integer or an iterable of integers — as the tuple of
@@ -108,12 +113,15 @@ class ShmStore:
         dtype: Union[np.dtype, str] = np.float64,
         *,
         exist_ok: bool = False,
+        zeroed: bool = True,
     ) -> ShmSegment:
-        """Allocate a zero-filled segment.
+        """Allocate a zero-filled segment — or, with ``zeroed=False``, one
+        of unspecified contents, for a caller that writes it in full
+        before it reads it (a checkpoint copy or checksum slot).
 
         With ``exist_ok`` an existing segment of the same name, shape and
         dtype is returned instead (the attach-or-create idiom a restarted
-        rank uses).
+        rank uses); its contents are kept, whatever ``zeroed`` says.
         """
         with self._lock:
             existing = self._segments.get(name)
@@ -130,7 +138,8 @@ class ShmStore:
                 seg = existing
                 kind = "attach"
             else:
-                arr = np.zeros(shape, dtype=dtype)
+                alloc = np.zeros if zeroed else _alloc_unzeroed
+                arr = alloc(shape, dtype=dtype)
                 seg = ShmSegment(name=name, array=arr, _store=weakref.ref(self))
                 self._segments[name] = seg
                 kind = "create"

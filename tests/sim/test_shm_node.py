@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sim import Node, NodeSpec, ShmError
+from repro.sim import shm as shm_module
+from repro.sim.shm import shape_tuple
 from repro.util import GiB
 
 
@@ -115,6 +117,46 @@ class TestShm:
         node.shm.create("x", 100, np.uint8)
         node.shm.create("y", 28, np.uint8)
         assert sum(seg.nbytes for seg in node.shm) == 128
+
+
+class TestZeroedKeyword:
+    """``zeroed=False`` hands out a fresh segment of unspecified contents;
+    everything else about create / attach is the default's.  The unzeroed
+    allocator is patched to fill 0xA5, so "unspecified" is visible."""
+
+    @pytest.fixture(autouse=True)
+    def poisoned(self, monkeypatch):
+        def alloc(shape, dtype=np.float64):
+            arr = np.empty(shape, dtype=dtype)
+            arr.reshape(-1).view(np.uint8)[:] = 0xA5
+            return arr
+
+        monkeypatch.setattr(shm_module, "_alloc_unzeroed", alloc)
+
+    def test_default_create_reads_all_zeros(self, node):
+        assert not node.shm.create("x", (64, 3), np.int32).array.any()
+        assert not node.shm.create("y", 256, np.uint8, zeroed=True).array.any()
+
+    @pytest.mark.parametrize("shape, dtype", [(7, np.uint8), ((3, 5), np.float64), (0, np.int64)])
+    def test_unzeroed_has_the_requested_shape_and_dtype(self, node, shape, dtype):
+        arr = node.shm.create("x", shape, dtype, zeroed=False).array
+        assert arr.shape == shape_tuple(shape) and arr.dtype == np.dtype(dtype)
+        assert (arr.reshape(-1).view(np.uint8) == 0xA5).all()
+
+    @pytest.mark.parametrize("first, again", [(True, False), (False, True), (False, False)])
+    def test_exist_ok_attach_ignores_the_keyword(self, node, first, again):
+        seg = node.shm.create("x", 8, zeroed=first)
+        seg.array[:] = 3.0
+        seg2 = node.shm.create("x", 8, exist_ok=True, zeroed=again)
+        assert seg2 is seg and np.all(seg2.array == 3.0)
+
+    @pytest.mark.parametrize("shape, dtype", [(16, np.float64), (8, np.int32)])
+    def test_attach_mismatch_still_raises(self, node, shape, dtype):
+        node.shm.create("x", 8, zeroed=False)
+        with pytest.raises(ShmError):
+            node.shm.create("x", shape, dtype, exist_ok=True, zeroed=False)
+        with pytest.raises(ShmError):
+            node.shm.create("x", 8, zeroed=False)  # a second create without exist_ok
 
 
 class TestNodeLifecycle:
