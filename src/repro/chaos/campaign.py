@@ -336,8 +336,8 @@ def point_trigger(
     deterministically, where an unpinned trigger on a
     several-ranks-per-node node counts announcements in host-scheduler
     order and its fire clock jitters by the inter-rank skew.  The pin also
-    names where each sibling rank of the node dies (see
-    :class:`~repro.sim.failures.PhaseTrigger`).  Artifacts are unaffected
+    fixes the node's death key, and with it where each sibling rank of
+    the node dies (see :class:`~repro.sim.failures.PhaseTrigger`).  Artifacts are unaffected
     either way (the provenance reports the node-wide count); the pin is
     what makes the doomed attempt's *telemetry* — span tails, encoded
     bytes, makespan epsilons — byte-stable.

@@ -80,13 +80,15 @@ class PhaseTrigger:
     provenance still reports the advertised node-wide ``occurrence``,
     keeping reports and artifacts identical to the unpinned trigger's.
 
-    A pin also fixes where the node's *other* ranks die: each dies at its
-    first announcement whose ``(clock, rank)`` is past ``(fire_clock,
-    via_rank)``, or inside a communicator wait a dead peer can no longer
-    satisfy, whichever its program reaches first (see
-    :meth:`FailurePlan.announce`).  Ranks of a pinned node are exempt from
-    the runtime's clock-based death fallback, so none of them dies at a
-    point that depends on where host scheduling put it.
+    A pin also fixes the node's death key, ``(fire_clock, via_rank)``:
+    every rank of the node dies at its first runtime check whose
+    ``(clock, rank)`` is past it (see :meth:`RankContext.check
+    <repro.sim.runtime.RankContext.check>`), or inside a communicator wait
+    a dead peer can no longer satisfy, whichever its program reaches
+    first.  The key is known before the node fails and no later power-off
+    replaces it, so no rank of the node dies at a point that depends on
+    where host scheduling put it.  A pin keys one node: it takes no
+    ``extra_nodes``, and a node takes at most one pin.
     """
 
     node_id: int
@@ -107,6 +109,8 @@ class PhaseTrigger:
             raise ValueError("via_rank pins a node-wide trigger; rank= is set")
         if self.via_rank is not None and self.fire_clock is None:
             raise ValueError("a via_rank pin needs its fire_clock")
+        if self.via_rank is not None and self.extra_nodes:
+            raise ValueError("a via_rank pin keys one node's death; extra_nodes is set")
         if self.via_occurrence is not None and self.via_occurrence < 1:
             raise ValueError("via_occurrence must be >= 1")
 
@@ -188,7 +192,7 @@ class FailurePlan:
         self._phase_counts: Dict[Tuple[int, str, Optional[int]], int] = {}
         #: the pinned trigger of each node that has one (see
         #: :attr:`PhaseTrigger.via_rank`); it stays after firing, since it
-        #: also says where the node's other ranks die
+        #: holds the node's death key
         self._pins: Dict[int, PhaseTrigger] = {}
         #: nodes some fired trigger already killed.  A node dies once —
         #: replacements get fresh ids — so a later trigger whose *primary*
@@ -210,21 +214,20 @@ class FailurePlan:
             elif isinstance(trigger, PhaseTrigger):
                 self._phase_triggers.append(trigger)
                 if trigger.via_rank is not None:
+                    if trigger.node_id in self._pins:
+                        raise ValueError(
+                            f"node {trigger.node_id} is already pinned; "
+                            "a node has one death key"
+                        )
                     self._pins[trigger.node_id] = trigger
             else:
                 raise TypeError(f"not a trigger: {trigger!r}")
 
-    def rank_doomed(self, node_id: int) -> bool:
-        """True when a pinned trigger owns the death points of this node's
-        ranks.
-
-        Such ranks are exempt from the runtime's clock-based node-death
-        fallback: each dies at the announcement :meth:`announce` names or
-        inside a communicator wait a dead peer can no longer satisfy —
-        both pure functions of virtual program order.
-        """
+    def pin(self, node_id: int) -> Optional[PhaseTrigger]:
+        """The pinned trigger of ``node_id``, whose ``(fire_clock,
+        via_rank)`` is the node's death key, or None."""
         with self._lock:
-            return node_id in self._pins
+            return self._pins.get(node_id)
 
     def _fire(self, pending: list, record: FiredTrigger) -> bool:
         """Fire ``record.trigger`` unless its primary node already died;
@@ -256,11 +259,9 @@ class FailurePlan:
 
     def announce(
         self, node_id: int, rank: int, phase: str, clock: float
-    ) -> Tuple[Optional[PhaseTrigger], Optional[PhaseTrigger]]:
-        """Record a phase announcement, fire what it trips and decide
-        whether the announcing rank dies here, under one hold of the lock.
-        Returns ``(tripped trigger, doom trigger)``, each None when there
-        is none.
+    ) -> Optional[PhaseTrigger]:
+        """Record a phase announcement and return the trigger it trips,
+        None when there is none.
 
         Counting is exact (``count == occurrence``), not a threshold: a
         trigger armed *after* its target count has already passed stays
@@ -269,17 +270,10 @@ class FailurePlan:
         rank-restricted triggers consult the announcing rank's own
         ``(node, phase, rank)`` count, so ``occurrence=k`` always means
         the k-th announcement by that rank even when other ranks on the
-        node announce the same phase first.
-
-        The doom trigger is the node's pin when this announcement is
-        where the rank dies: the pinned announcement itself for
-        ``via_rank``, and for every other rank of the node the first
-        announcement whose ``(clock, rank)`` is past ``(fire_clock,
-        via_rank)`` — a rank's clock never runs backwards, so that is its
-        first such announcement in program order.  It is returned so the
-        caller can stamp the node's power-off instant with
-        :attr:`PhaseTrigger.fire_clock` even when this rank outran the
-        announcing one.
+        node announce the same phase first.  A pinned trigger fires on its
+        ``via_rank``'s ``via_occurrence``-th announcement.  Where the
+        node's other ranks die is no business of this method: the death
+        key decides it (see :class:`PhaseTrigger`).
         """
         with self._lock:
             counts = self._phase_counts
@@ -287,7 +281,6 @@ class FailurePlan:
             rank_key = (node_id, phase, rank)
             node_count = counts[node_key] = counts.get(node_key, 0) + 1
             rank_count = counts[rank_key] = counts.get(rank_key, 0) + 1
-            fired = None
             for t in self._phase_triggers:
                 if t.node_id != node_id or t.phase != phase:
                     continue
@@ -306,16 +299,8 @@ class FailurePlan:
                 if count == t.occurrence:
                     record = FiredTrigger(t, node_id, clock, rank, phase, count)
                     if self._fire(self._phase_triggers, record):
-                        fired = t
-                        break
-            pin = self._pins.get(node_id)
-            if pin is None:
-                return fired, None
-            if rank == pin.via_rank:
-                doomed = phase == pin.phase and rank_count == pin.via_occurrence
-            else:
-                doomed = (clock, rank) > (pin.fire_clock, pin.via_rank)
-            return fired, pin if doomed else None
+                        return t
+            return None
 
 
 class MTBFFailureGenerator:

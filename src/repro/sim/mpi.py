@@ -489,8 +489,9 @@ class Communicator:
 
         Steps run in pivot order.  Within a pivot both sides send before
         either receives, as their two ``sendrecv`` calls would.  A check
-        can only fail where the participant's node has a failure instant
-        or the job a hard abort, and nothing in this loop sets either, so
+        can only fail where the participant's node has a death key (a pin
+        or a failure instant, see :meth:`RankContext.check`) or the job a
+        hard abort, and in this loop only a pinned node can gain one, so
         every other participant skips it.  Each row's content is tracked as
         the number of the row that held it at entry, and rows are written
         once, at the end; a step carries its rows' numbers from the start.
@@ -503,7 +504,8 @@ class Communicator:
         clock = {p: entry[0].clock for p, entry in arrived.items()}
         risky = {
             p for p, entry in arrived.items()
-            if entry[0].node._failed_at is not None or job._abort_hard
+            if entry[0]._pin is not None or entry[0].node._failed_at is not None
+            or job._abort_hard
         }
         live = set(arrived)
         outcome: Dict[int, Tuple[float, Optional[Exception], Any]] = {}

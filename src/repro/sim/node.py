@@ -90,7 +90,8 @@ class Node:
 
         ``when`` is the virtual instant of the power-off; the runtime
         delivers the death to each of the node's ranks when *that rank's
-        own clock* reaches it (see ``RankContext.check``), so ``when=0.0``
+        own clock* reaches it (see ``RankContext.check``; a pinned node's
+        ranks go by the pin's death key instead), so ``when=0.0``
         (the default) means "dead immediately for everyone".  ``_failed_at``
         is published before ``_alive`` so a concurrent reader never
         observes a dead node without a death time.

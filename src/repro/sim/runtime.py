@@ -161,25 +161,24 @@ class RankContext:
         self.node = node
         self.clock: float = 0.0
         self.world: Communicator = job.world
+        #: the pinned trigger of this rank's node, if any: its
+        #: ``(fire_clock, via_rank)`` is the node's death key (see
+        #: :meth:`check`)
+        self._pin = job.failure_plan.pin(node.node_id)
 
     # -- liveness / failure delivery ------------------------------------------
     def check(self) -> None:
         """Raise if this rank's node died or a hard abort was requested.
 
-        Own-node death is delivered by *virtual time*: the rank dies at its
-        first check whose clock has reached the node's power-off instant
-        (``Node.failed_at``).  A sibling rank that is virtually *behind*
-        the failure keeps executing its pre-death program segment instead
-        of being cut down wherever host scheduling happened to put it —
-        the death point depends on virtual program order, not thread
-        interleaving.
-
-        Ranks of a node a *pinned* trigger targets (see
-        :meth:`~repro.sim.failures.FailurePlan.rank_doomed`) are exempt
-        from the clock fallback entirely: each dies at the announcement
-        the pin names in :meth:`phase`, or inside a communicator wait a
-        dead peer can no longer satisfy — so its death point does not
-        even depend on *when* (in host time) the failure flag was set.
+        One rule delivers every node death: the rank dies at its first
+        check whose ``(clock, rank)`` is past its node's death key.  A
+        pinned node's key is ``(fire_clock, via_rank)`` (see
+        :class:`~repro.sim.failures.PhaseTrigger`), known before the node
+        fails, so a rank that passes it before the announcing rank trips
+        the trigger powers the node off itself; any other node's is
+        ``(failed_at, -1)`` once it has failed.  A rank virtually *behind*
+        the death keeps running its pre-death program segment: the death
+        point depends on virtual program order, not thread interleaving.
 
         A *failure* abort is still not delivered to healthy ranks here:
         they learn of it only inside communicator waits that terminated
@@ -187,10 +186,15 @@ class RankContext:
         """
         # fields read directly, not through properties: this runs on
         # every simulated event
-        failed_at = self.node._failed_at
-        if failed_at is not None and self.clock >= failed_at:
-            if not self.job.failure_plan.rank_doomed(self.node.node_id):
+        pin = self._pin
+        if pin is None:
+            failed_at = self.node._failed_at
+            # (clock, rank) > (failed_at, -1), spelled without tuples
+            if failed_at is not None and self.clock >= failed_at:
                 raise NodeFailedError(self.node.node_id, self.clock)
+        elif (self.clock, self.rank) > (pin.fire_clock, pin.via_rank):
+            self.job.fail_node(pin.node_id, when=pin.fire_clock)
+            raise NodeFailedError(self.node.node_id, self.clock)
         if self.job._abort_hard:
             raise JobAbortedError(f"rank {self.rank}: job aborting")
 
@@ -243,20 +247,14 @@ class RankContext:
         tracer = job.tracer
         if tracer is not None:
             tracer.phase(self.rank, self.clock, name)
-        trigger, doomed = job.failure_plan.announce(
+        trigger = job.failure_plan.announce(
             self.node.node_id, self.rank, name, self.clock
         )
         if trigger is not None:
+            # the announcing rank dies at the announcement it tripped
             for nid in trigger.all_nodes:
                 job.fail_node(nid, when=self.clock)
-        if doomed is not None:
-            # this rank's pinned death point: mark the node failed even if
-            # the announcing rank has not tripped the trigger yet (this
-            # rank may have outrun it in host time) and die here
-            for nid in doomed.all_nodes:
-                job.fail_node(nid, when=doomed.fire_clock)
             raise NodeFailedError(self.node.node_id, self.clock)
-        self.check()
 
     # -- observability -----------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> ContextManager[Any]:

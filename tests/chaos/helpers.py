@@ -11,6 +11,7 @@ import numpy as np
 from repro.chaos.plan import KIND_KILL
 from repro.ckpt.self_ckpt import SelfCheckpoint
 from repro.par.replay import run_units
+from repro.sim.mpi import Communicator
 from repro.sim.runtime import Job
 
 
@@ -70,6 +71,30 @@ def seeded_schedule(seed):
         yield
 
 
+@contextlib.contextmanager
+def count_swap_rendezvous():
+    """Inside the block every ``Communicator._run_swaps`` call — one
+    ``swap_rows`` rendezvous run — adds one to the yielded ``[count]``, so
+    a net can assert that the rendezvous it means to cover ran at all."""
+    runs = [0]
+    run_swaps = Communicator._run_swaps
+
+    def counted(comm, job):
+        runs[0] += 1
+        return run_swaps(comm, job)
+
+    with mock.patch.object(Communicator, "_run_swaps", counted):
+        yield runs
+
+
+#: what FIFO's contract holds for a random (MTBF) schedule under any order
+RANDOM_FIELDS = ("verdict", "n_restarts", "gave_up_reason")
+
+
+def _contract(outcome):
+    return tuple(getattr(outcome, f) for f in RANDOM_FIELDS)
+
+
 def schedule_divergence(plan, seeds):
     """Replay every unit of ``plan`` (a :class:`~repro.chaos.plan.
     CampaignPlan`) serially under FIFO, then once per seed under
@@ -77,9 +102,10 @@ def schedule_divergence(plan, seeds):
 
     A kill unit must match FIFO's whole outcome: verdict, restarts,
     makespan, fired lines and obs payload.  A random schedule must match
-    its verdict only: its time triggers and unpinned ``restore.begin``
-    kill fire on whichever rank gets there first, which moves the
-    makespan by microseconds under another order."""
+    its verdict, restarts and give-up reason (:data:`RANDOM_FIELDS`):
+    its time triggers and unpinned ``restore.begin`` kill fire on
+    whichever rank gets there first, which can change the fired lines,
+    the obs payload and the makespan under another order."""
     specs = [u.spec for u in plan.units]
     fifo = run_units(specs)
     divergent = {}
@@ -89,6 +115,6 @@ def schedule_divergence(plan, seeds):
         divergent[seed] = [
             u.ord
             for u, a, b in zip(plan.units, fifo, outcomes)
-            if (a != b if u.kind == KIND_KILL else a.verdict != b.verdict)
+            if (a != b if u.kind == KIND_KILL else _contract(a) != _contract(b))
         ]
     return divergent

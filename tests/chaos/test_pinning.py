@@ -5,13 +5,17 @@ host-scheduler order: which rank tripped a node-wide phase count, and how
 far its siblings got before observing the power-off, varied run to run.
 :func:`point_trigger` now pins each matrix point to the concrete
 fault-free announcement it resolves to (``via_rank``/``via_occurrence``)
-and carries the probe clock; the failure plan then dooms every sibling
-rank at its own first announcement past the kill in ``(clock, rank)``
-order, and refuses to fire a trigger whose primary target node already
-died.  The payoff asserted here: repeating a ranks-per-node > 1 kill
-matrix yields byte-identical telemetry, and so does replaying it under
-any other legal schedule.
+and carries the probe clock; ``(fire_clock, via_rank)`` is then the
+node's death key, and every sibling rank dies at its first runtime check
+past it in ``(clock, rank)`` order.  The failure plan refuses to fire a
+trigger whose primary target node already died.  The payoff asserted
+here: repeating a ranks-per-node > 1 kill matrix yields byte-identical
+telemetry, and so does replaying it under any other legal schedule.
 """
+
+import dataclasses
+
+import pytest
 
 from repro.chaos import (
     KillPoint,
@@ -26,14 +30,16 @@ from repro.chaos.campaign import point_trigger
 from repro.chaos.plan import plan_campaign
 from repro.obs.spans import SpanTracer
 from repro.obs.store import TraceStore, ingest_kill_matrix
+from repro.sim.cluster import Cluster
 from repro.sim.errors import JobAbortedError, NodeFailedError
 from repro.sim.failures import FailurePlan, PhaseTrigger, TimeTrigger
+from repro.sim.node import NodeSpec
 from repro.sim.runtime import Job
-from tests.chaos.helpers import schedule_divergence, stripped_digest
+from tests.chaos.helpers import count_swap_rendezvous, schedule_divergence, stripped_digest
 
 #: ``stripped_digest`` of ``repro chaos --smoke --obs summary``'s store
 SMOKE_SUMMARY_DIGEST = (
-    "07ea07a25138dd645c949463d77fbc12042a03e555b52a60c28cde884c1a2672"
+    "911155c5acc8dbbf43e683215276e443f72f31e133618fc2fe85aafbb57cfe08"
 )
 
 
@@ -86,62 +92,65 @@ class TestPointTriggerPinning:
         assert t.via_rank is None
 
 
-def merged_order_dooms(probe, node_id, fire_clock, via_rank):
-    """Where each sibling of a pinned kill dies, resolved from the probe
-    alone: its first announcement strictly after ``(fire_clock,
-    via_rank)`` in the node's announcement streams merged into one
-    ``(clock, rank)`` order, the reference the failure plan's runtime
-    rule must agree with.  ``{rank: (phase, local occurrence)}``; a
-    sibling with no later announcement is absent."""
-    merged = sorted(
-        (clock, rank, local, phase)
-        for (nid, phase), anns in probe.announcements.items()
-        if nid == node_id
-        for clock, rank, local in anns
-    )
-    dooms = {}
-    for clock, rank, local, phase in merged:
-        if rank != via_rank and rank not in dooms and (clock, rank) > (
-            fire_clock, via_rank
-        ):
-            dooms[rank] = (phase, local)
-    return dooms
-
-
 class TestPinnedSiblingDeaths:
     def test_pin_dooms_a_sibling_past_its_clock_and_rank(self):
-        """The pin alone says where the node's other ranks die."""
+        """The pin alone says where the node's other ranks die: at their
+        first check past ``(fire_clock, via_rank)``.  Ranks 2 (same clock,
+        higher rank) and 3 (later clock) pass it in an ``elapse`` and die
+        at that check, before the wait they would enter next with no
+        announcement in between; rank 0 reaches the same clock but is
+        lower than ``via_rank``, so it lives on into its wait and learns
+        of the death there."""
         pin = PhaseTrigger(
-            node_id=0, phase="ckpt.encode", occurrence=3,
-            via_rank=1, via_occurrence=2, fire_clock=5.0,
+            node_id=0, phase="p", occurrence=1,
+            via_rank=1, via_occurrence=1, fire_clock=1.0,
         )
         plan = FailurePlan([pin])
-        # before the pin in (clock, rank) order: the sibling lives on
-        assert plan.announce(0, 0, "ckpt.flush", 5.0) == (None, None)
-        assert plan.announce(0, 2, "ckpt.flush", 4.0) == (None, None)
-        # past it: a same-clock higher rank, or any later clock, dies
-        assert plan.announce(0, 2, "ckpt.flush", 5.0) == (None, pin)
-        assert plan.announce(0, 0, "ckpt.flush", 5.5) == (None, pin)
-        # the pinned rank dies at its pinned announcement and no other
-        assert plan.announce(0, 1, "ckpt.encode", 5.0) == (None, None)
-        assert plan.announce(0, 1, "ckpt.encode", 5.0) == (pin, pin)
-        # a rank of another node is untouched; the exemption is per node
-        assert plan.announce(1, 2, "ckpt.flush", 6.0) == (None, None)
-        assert plan.rank_doomed(0) and not plan.rank_doomed(1)
+
+        def main(ctx):
+            ctx.elapse(1.5 if ctx.rank == 3 else 1.0)
+            if ctx.rank == 1:
+                ctx.phase("p")
+            ctx.world.recv(1)
+
+        result = Job(
+            Cluster(1, NodeSpec(cores=4)), main, 4, failure_plan=plan, procs_per_node=4
+        ).run()
+        assert result.failed_nodes == [0]
+        assert [f.rank for f in plan.fired] == [1]
+        assert {r: type(e) for r, e in result.rank_errors.items()} == {
+            0: JobAbortedError, 1: NodeFailedError, 2: NodeFailedError, 3: NodeFailedError
+        }
+        assert result.rank_clocks == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.5}
+
+    def test_a_second_pin_on_one_node_is_refused(self):
+        """A node has one death key, so a second pin on it is an error, not
+        a silent replacement of the first."""
+        pins = [
+            PhaseTrigger(
+                node_id=0, phase=phase, via_rank=r, via_occurrence=1, fire_clock=c
+            )
+            for phase, r, c in (("a", 0, 1.0), ("b", 1, 2.0))
+        ]
+        with pytest.raises(ValueError, match="node 0"):
+            FailurePlan(pins)
+        plan = FailurePlan([pins[0]])
+        plan.add(dataclasses.replace(pins[1], node_id=1))
+        assert plan.pin(0) is pins[0] and plan.pin(2) is None
 
     def test_siblings_die_where_the_merged_order_names(self):
-        """Every pinned kill of a two-ranks-per-node matrix: each sibling
-        of the announcing rank dies at the announcement the probe's merged
-        order names, or inside a wait before reaching it, or — with none
-        named — runs out its program; the announcing rank dies at its
-        pinned announcement."""
+        """Every pinned kill of a two-ranks-per-node matrix: no sibling of
+        the announcing rank announces past the death key ``(fire_clock,
+        via_rank)``, each sibling that dies of the node failure has a
+        final clock past it, and the announcing rank dies at its pinned
+        announcement."""
         sc = ppn2_scenario()
         probe = probe_baseline(sc)
         points = enumerate_kill_points(probe, nodes=[0])
         assert len(points) > 10
         for point in points:
             trig = point_trigger(point, probe)
-            dooms = merged_order_dooms(probe, 0, trig.fire_clock, trig.via_rank)
+            key = (trig.fire_clock, trig.via_rank)
             inst = sc.make()
             tracer = SpanTracer()
             result = Job(
@@ -157,19 +166,18 @@ class TestPinnedSiblingDeaths:
                     if e.rank == rank:
                         counts[e.name] = counts.get(e.name, 0) + 1
                         seen.append((e.name, counts[e.name]))
+                        if rank != trig.via_rank:
+                            assert (e.clock, rank) <= key, (point, rank, e)
                 err = result.rank_errors.get(rank)
-                named = (
-                    (trig.phase, trig.via_occurrence)
-                    if rank == trig.via_rank
-                    else dooms.get(rank)
-                )
-                if err is None:
-                    assert named is None and rank in result.rank_results
+                if rank == trig.via_rank:
+                    assert isinstance(err, NodeFailedError), (point, rank, err)
+                    assert seen[-1] == (trig.phase, trig.via_occurrence), (point, rank)
+                elif err is None:
+                    assert rank in result.rank_results
                 elif isinstance(err, NodeFailedError):
-                    assert seen[-1] == named, (point, rank)
+                    assert (result.rank_clocks[rank], rank) > key, (point, rank)
                 else:
                     assert isinstance(err, JobAbortedError), (point, rank, err)
-                    assert rank != trig.via_rank and named not in seen, (point, rank)
 
 
 class TestKilledNodeSuppression:
@@ -204,7 +212,7 @@ class TestKilledNodeSuppression:
             ]
         )
         assert plan.check_time(0, 1.0) is not None
-        assert plan.announce(0, 0, "ckpt.begin", 1.5)[0] is None
+        assert plan.announce(0, 0, "ckpt.begin", 1.5) is None
         assert len(plan.fired) == 1
 
 
@@ -254,8 +262,8 @@ class TestScheduleIndependence:
         """Every pop of the ready queue is a legal MPI execution, so the
         whole outcome of each kill unit — verdict, restarts, makespan,
         fired lines, obs summary — must be FIFO's under any of them.
-        Unpinning ``point_trigger`` or dropping the pinned node's clock
-        exemption makes units diverge."""
+        Unpinning ``point_trigger`` or letting a power-off replace the
+        pinned node's death key makes units diverge."""
         plan = plan_campaign(
             [ppn2_scenario(method=m) for m in ("self", "double")], obs="summary"
         )
@@ -269,6 +277,10 @@ class TestScheduleIndependence:
         process rows they touch, and its two ranks per node share a node
         across process columns: every kill unit must still keep FIFO's
         whole outcome when the ready queue is popped at random."""
-        plan = plan_campaign([skt_scenario(procs_per_node=2)], obs="summary")
-        assert plan.n_units == 40
-        assert schedule_divergence(plan, seeds=range(2)) == {0: [], 1: []}
+        plan = plan_campaign(
+            [skt_scenario(n=64, procs_per_node=2)], obs="summary", max_occurrences=2
+        )
+        assert plan.n_units == 28
+        with count_swap_rendezvous() as runs:
+            assert schedule_divergence(plan, seeds=range(2)) == {0: [], 1: []}
+        assert runs[0] > 0

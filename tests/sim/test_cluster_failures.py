@@ -94,14 +94,14 @@ class TestTriggers:
 
     def test_phase_trigger_occurrence(self):
         plan = FailurePlan([PhaseTrigger(node_id=0, phase="ckpt", occurrence=3)])
-        assert not plan.announce(0, 0, "ckpt", 0.0)[0]
-        assert not plan.announce(0, 0, "ckpt", 0.0)[0]
-        assert plan.announce(0, 0, "ckpt", 0.0)[0]
+        assert not plan.announce(0, 0, "ckpt", 0.0)
+        assert not plan.announce(0, 0, "ckpt", 0.0)
+        assert plan.announce(0, 0, "ckpt", 0.0)
 
     def test_phase_trigger_rank_filter(self):
         plan = FailurePlan([PhaseTrigger(node_id=0, phase="p", rank=2)])
-        assert not plan.announce(0, 1, "p", 0.0)[0]
-        assert plan.announce(0, 2, "p", 0.0)[0]
+        assert not plan.announce(0, 1, "p", 0.0)
+        assert plan.announce(0, 2, "p", 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,9 +112,15 @@ class TestTriggers:
                 TimeTrigger(node_id=0, at_time=never)
         with pytest.raises(ValueError):
             PhaseTrigger(node_id=0, phase="p", occurrence=0)
-        # a pin dooms the node's other ranks relative to its clock
+        # a pin fixes the node's death key, which needs its clock
         with pytest.raises(ValueError, match="fire_clock"):
             PhaseTrigger(node_id=0, phase="p", via_rank=1, via_occurrence=1)
+        # ... of one node: extra nodes would die in host order
+        with pytest.raises(ValueError, match="extra_nodes"):
+            PhaseTrigger(
+                node_id=0, phase="p", via_rank=1, via_occurrence=1,
+                fire_clock=1.0, extra_nodes=(1,),
+            )
 
 
 class TestRankScopedTriggers:
@@ -127,26 +133,26 @@ class TestRankScopedTriggers:
         plan = FailurePlan(
             [PhaseTrigger(node_id=0, phase="p", rank=1, occurrence=2)]
         )
-        assert not plan.announce(0, 0, "p", 0.0)[0]  # rank 0 announces first
-        assert not plan.announce(0, 1, "p", 0.0)[0]  # rank 1's 1st
-        assert not plan.announce(0, 0, "p", 0.0)[0]  # rank 0 again
-        assert plan.announce(0, 1, "p", 0.0)[0]  # rank 1's 2nd -> fires
+        assert not plan.announce(0, 0, "p", 0.0)  # rank 0 announces first
+        assert not plan.announce(0, 1, "p", 0.0)  # rank 1's 1st
+        assert not plan.announce(0, 0, "p", 0.0)  # rank 0 again
+        assert plan.announce(0, 1, "p", 0.0)  # rank 1's 2nd -> fires
 
     def test_rank_scoped_ignores_high_node_wide_count(self):
         # node-wide count far past the occurrence before the target rank
         # ever announces: the trigger must wait for the rank's own 1st
         plan = FailurePlan([PhaseTrigger(node_id=0, phase="p", rank=2)])
         for _ in range(5):
-            assert not plan.announce(0, 0, "p", 0.0)[0]
-        assert plan.announce(0, 2, "p", 0.0)[0]
+            assert not plan.announce(0, 0, "p", 0.0)
+        assert plan.announce(0, 2, "p", 0.0)
         assert plan.fired[0].rank == 2
         assert plan.fired[0].count == 1
 
     def test_node_wide_trigger_counts_all_ranks(self):
         plan = FailurePlan([PhaseTrigger(node_id=0, phase="p", occurrence=3)])
-        assert not plan.announce(0, 0, "p", 0.0)[0]
-        assert not plan.announce(0, 1, "p", 0.0)[0]
-        assert plan.announce(0, 2, "p", 0.0)[0]  # 3rd announcement on the node
+        assert not plan.announce(0, 0, "p", 0.0)
+        assert not plan.announce(0, 1, "p", 0.0)
+        assert plan.announce(0, 2, "p", 0.0)  # 3rd announcement on the node
 
     def test_fired_record_provenance(self):
         plan = FailurePlan([PhaseTrigger(node_id=3, phase="ckpt.flush")])

@@ -12,7 +12,10 @@ World rank 0 owns no rows.  It runs first under FIFO and sets the
 failure up before any row owner moves: it crosses a time trigger of node
 0 (with two ranks per node, process row 0 dies where its clock crosses
 the trigger's instant, inside the chain or before entering it), or it
-issues a hard abort.  Process row ``p`` is world rank ``p + 1``.
+issues a hard abort.  In ``pin`` mode it does nothing: node 0 carries a
+pin that never fires, and process row 0 powers the node off itself at
+its first check past the pin's death key.  Process row ``p`` is world
+rank ``p + 1``.
 """
 
 import math
@@ -26,7 +29,7 @@ from repro.obs.metrics import MetricsObserver
 from repro.sancheck.races import RaceDetector
 from repro.sim import Cluster, Job, Topology
 from repro.sim.errors import JobAbortedError, NodeFailedError, SimError
-from repro.sim.failures import FailurePlan, TimeTrigger
+from repro.sim.failures import FailurePlan, PhaseTrigger, TimeTrigger
 
 TAG = 1000
 
@@ -102,7 +105,12 @@ class Case:
             return ctx.clock
 
         n_ranks = self.P + 1
-        plan = FailurePlan([TimeTrigger(0, self.t_fail)]) if self.mode == "fail" else None
+        plan = {
+            "fail": FailurePlan([TimeTrigger(0, self.t_fail)]),
+            "pin": FailurePlan([PhaseTrigger(
+                0, "never", via_rank=0, via_occurrence=1, fire_clock=self.t_fail
+            )]),
+        }.get(self.mode)
         job = Job(
             Cluster(math.ceil(n_ranks / self.ppn)), main, n_ranks,
             procs_per_node=self.ppn, failure_plan=plan,
@@ -138,7 +146,7 @@ def cases(draw):
     # partial pivoting swaps row k0 + j with a row at or below it
     piv = [draw(st.integers(k0 + j, n - 1)) for j in range(min(nb, n - k0))]
     skew = [draw(st.floats(0.0, 2e-5)) for _ in range(P + 1)]
-    mode = draw(st.sampled_from(["none", "fail", "abort"]))
+    mode = draw(st.sampled_from(["none", "fail", "pin", "abort"]))
     # two messages a step at most ~4 us each: the draw spans entry to past the end
     t_fail = draw(st.floats(0.0, 1.0)) * (2e-5 + 8e-6 * len(piv))
     return Case(
@@ -179,6 +187,14 @@ class TestFailureDelivery:
         assert entry < got["clocks"][1] < end  # died mid-chain
         assert got["errors"][2][0] is JobAbortedError
         assert got["arrays"][1] != [a.tobytes() for a in _two_row_case("none").arrays[1]]
+
+    def test_a_pinned_sibling_powers_its_node_off_inside_the_chain(self):
+        clean = _two_row_case("none").check()
+        entry, end = 3e-6, clean["clocks"][1]
+        got = _two_row_case("pin", t_fail=(entry + end) / 2).check()
+        assert got["errors"][1][0] is NodeFailedError
+        assert entry < got["clocks"][1] < end
+        assert got["errors"][2][0] is JobAbortedError
 
     def test_a_participant_terminated_before_entering(self):
         got = _two_row_case("fail", t_fail=1e-6).check()
