@@ -8,11 +8,48 @@ from unittest import mock
 
 import numpy as np
 
+from repro.chaos import bench as chaos_bench
+from repro.chaos import selfckpt_scenario
 from repro.chaos.plan import KIND_KILL
 from repro.ckpt.self_ckpt import SelfCheckpoint
 from repro.par.replay import run_units
 from repro.sim.mpi import Communicator
 from repro.sim.runtime import Job
+
+
+#: the poison fill the goldens' shared campaigns run under (the poison
+#: net's first).  The production allocator, ``np.empty``, promises no
+#: contents either, so a golden holds under any fill or none.
+GOLDEN_FILL = 0xA5
+
+
+def poison_alloc(fill):
+    """An unzeroed allocator (``repro.sim.shm._alloc_unzeroed``'s
+    signature) that hands out segments filled with byte ``fill``."""
+
+    def alloc(shape, dtype=np.float64):
+        arr = np.empty(shape, dtype=dtype)
+        arr.reshape(-1).view(np.uint8)[:] = fill
+        return arr
+
+    return alloc
+
+
+def small_scenario(**kw):
+    """A 2-node, 1-rank-per-node ``self`` scenario, 4 iterations with a
+    checkpoint every 2: the smallest campaign the chaos tests share."""
+    kw.setdefault("n_nodes", 2)
+    kw.setdefault("procs_per_node", 1)
+    kw.setdefault("group_size", 2)
+    kw.setdefault("iters", 4)
+    kw.setdefault("ckpt_every", 2)
+    kw.setdefault("method", "self")
+    return selfckpt_scenario(**kw)
+
+
+def bench_bytes(matrices, schedules=None, seed=0):
+    """The ``BENCH_chaos.json`` bytes of a campaign's results."""
+    return chaos_bench.bench_json(chaos_bench.bench_record(matrices, schedules, None, seed=seed))
 
 
 def stripped_digest(store, tables=("runs", "summaries", "spans", "metrics"), keep=None):

@@ -19,21 +19,10 @@ from repro.chaos import (
     run_kill_matrix,
     run_kill_point,
     run_schedule,
-    selfckpt_scenario,
 )
 from repro.chaos.bench import bench_json, bench_record
 from repro.sim.failures import PhaseTrigger, TimeTrigger
-from tests.chaos.helpers import SilentCorruptRecover
-
-
-def small_scenario(**kw):
-    kw.setdefault("n_nodes", 2)
-    kw.setdefault("procs_per_node", 1)
-    kw.setdefault("group_size", 2)
-    kw.setdefault("iters", 4)
-    kw.setdefault("ckpt_every", 2)
-    kw.setdefault("method", "self")
-    return selfckpt_scenario(**kw)
+from tests.chaos.helpers import SilentCorruptRecover, small_scenario
 
 
 class OracleNeverPasses(ChaosScenario):

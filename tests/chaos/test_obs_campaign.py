@@ -14,9 +14,7 @@ from repro.chaos import (
     probe_baseline,
     random_campaign,
     run_kill_matrix,
-    selfckpt_scenario,
 )
-from repro.chaos import bench as chaos_bench
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import OBS_FULL, OBS_OFF, OBS_SUMMARY
 from repro.obs.store import (
@@ -26,22 +24,9 @@ from repro.obs.store import (
     ingest_schedules,
 )
 from repro.par import MemoCache
+from tests.chaos.helpers import bench_bytes, small_scenario
 
-
-def small_scenario(**kw):
-    kw.setdefault("n_nodes", 2)
-    kw.setdefault("procs_per_node", 1)
-    kw.setdefault("group_size", 2)
-    kw.setdefault("iters", 4)
-    kw.setdefault("ckpt_every", 2)
-    kw.setdefault("method", "self")
-    return selfckpt_scenario(**kw)
-
-
-def _bench_bytes(matrices, schedules=None):
-    return chaos_bench.bench_json(
-        chaos_bench.bench_record(matrices, schedules, None, seed=0)
-    )
+MODES = (OBS_OFF, OBS_SUMMARY, OBS_FULL)
 
 
 def _store_digest(scenario, report, obs_mode):
@@ -53,10 +38,18 @@ def _store_digest(scenario, report, obs_mode):
         return store.digest()
 
 
+@pytest.fixture(scope="module")
+def matrix():
+    """``{obs mode: serial kill matrix of the small scenario}``, each run
+    once for the tests that only read it."""
+    sc = small_scenario()
+    probe = probe_baseline(sc)
+    return {mode: run_kill_matrix(sc, probe=probe, obs=mode) for mode in MODES}
+
+
 class TestAttemptPayload:
-    def test_summary_mode_carries_rollup_only(self):
-        sc = small_scenario()
-        report = run_kill_matrix(sc, probe=probe_baseline(sc), obs=OBS_SUMMARY)
+    def test_summary_mode_carries_rollup_only(self, matrix):
+        report = matrix[OBS_SUMMARY]
         assert report.results
         for r in report.results:
             assert r.obs is not None
@@ -65,48 +58,35 @@ class TestAttemptPayload:
             assert "spans" not in r.obs
             assert "metrics" not in r.obs
 
-    def test_full_mode_carries_streams(self):
-        sc = small_scenario()
-        report = run_kill_matrix(sc, probe=probe_baseline(sc), obs=OBS_FULL)
-        for r in report.results:
+    def test_full_mode_carries_streams(self, matrix):
+        for r in matrix[OBS_FULL].results:
             assert r.obs["mode"] == "full"
             assert isinstance(r.obs["spans"], list) and r.obs["spans"]
             assert isinstance(r.obs["metrics"], list)
 
-    def test_off_mode_carries_nothing(self):
-        sc = small_scenario()
-        report = run_kill_matrix(sc, probe=probe_baseline(sc), obs=OBS_OFF)
-        assert all(r.obs is None for r in report.results)
+    def test_off_mode_carries_nothing(self, matrix):
+        assert all(r.obs is None for r in matrix[OBS_OFF].results)
 
 
 class TestBenchCompat:
-    def test_bench_bytes_never_see_obs_payload(self):
-        sc = small_scenario()
-        probe = probe_baseline(sc)
-        off = run_kill_matrix(sc, probe=probe, obs=OBS_OFF)
-        summary = run_kill_matrix(sc, probe=probe, obs=OBS_SUMMARY)
-        full = run_kill_matrix(sc, probe=probe, obs=OBS_FULL)
-        assert (
-            _bench_bytes([off])
-            == _bench_bytes([summary])
-            == _bench_bytes([full])
-        )
+    def test_bench_bytes_never_see_obs_payload(self, matrix):
+        off, summary, full = (bench_bytes([matrix[mode]]) for mode in MODES)
+        assert off == summary == full
 
     def test_random_campaign_bench_obs_invariant(self):
         sc = small_scenario()
         cfg = RandomCampaignConfig(n_schedules=2, seed=5)
         off = random_campaign(sc, cfg, obs=OBS_OFF)
         summary = random_campaign(sc, cfg, obs=OBS_SUMMARY)
-        assert _bench_bytes([], off) == _bench_bytes([], summary)
+        assert bench_bytes([], off) == bench_bytes([], summary)
 
 
 class TestStoreEquivalence:
-    def test_serial_and_pooled_ingest_identically(self):
+    def test_serial_and_pooled_ingest_identically(self, matrix):
         sc = small_scenario()
-        probe = probe_baseline(sc)
-        serial = run_kill_matrix(sc, probe=probe, obs=OBS_SUMMARY)
+        serial = matrix[OBS_SUMMARY]
         pooled = run_kill_matrix(
-            sc, probe=probe, obs=OBS_SUMMARY, workers=2
+            sc, probe=probe_baseline(sc), obs=OBS_SUMMARY, workers=2
         )
         assert _store_digest(sc, serial, OBS_SUMMARY) == _store_digest(
             sc, pooled, OBS_SUMMARY
@@ -130,13 +110,10 @@ class TestStoreEquivalence:
                 digests.append(store.digest())
         assert digests[0] == digests[1]
 
-    def test_run_identity_differs_across_obs_modes(self):
+    def test_run_identity_differs_across_obs_modes(self, matrix):
         sc = small_scenario()
-        probe = probe_baseline(sc)
-        summary = run_kill_matrix(sc, probe=probe, obs=OBS_SUMMARY)
-        full = run_kill_matrix(sc, probe=probe, obs=OBS_FULL)
-        a = _store_digest(sc, summary, OBS_SUMMARY)
-        b = _store_digest(sc, full, OBS_FULL)
+        a = _store_digest(sc, matrix[OBS_SUMMARY], OBS_SUMMARY)
+        b = _store_digest(sc, matrix[OBS_FULL], OBS_FULL)
         assert a != b  # modes are part of the run identity
 
 

@@ -18,28 +18,11 @@ from repro.chaos import (
     random_campaign,
     run_kill_matrix,
     run_schedule,
-    selfckpt_scenario,
 )
-from repro.chaos import bench as chaos_bench
 from repro.chaos.plan import run_campaign
 from repro.obs.metrics import MetricsRegistry
 from repro.par import MemoCache
-
-
-def small_scenario(**kw):
-    kw.setdefault("n_nodes", 2)
-    kw.setdefault("procs_per_node", 1)
-    kw.setdefault("group_size", 2)
-    kw.setdefault("iters", 4)
-    kw.setdefault("ckpt_every", 2)
-    kw.setdefault("method", "self")
-    return selfckpt_scenario(**kw)
-
-
-def _bench_bytes(matrices, schedules=None):
-    return chaos_bench.bench_json(
-        chaos_bench.bench_record(matrices, schedules, None, seed=0)
-    )
+from tests.chaos.helpers import bench_bytes, small_scenario
 
 
 class UnbuildableScenario(ChaosScenario):
@@ -59,7 +42,7 @@ class TestGoldenEquivalence:
         one = run_kill_matrix(sc, probe=probe, workers=1)
         pooled = run_kill_matrix(sc, probe=probe, workers=2)
         assert (
-            _bench_bytes([legacy]) == _bench_bytes([one]) == _bench_bytes([pooled])
+            bench_bytes([legacy]) == bench_bytes([one]) == bench_bytes([pooled])
         )
 
     def test_random_campaign_is_worker_count_invariant(self):
@@ -68,7 +51,7 @@ class TestGoldenEquivalence:
         cfg = RandomCampaignConfig(n_schedules=4, seed=7)
         serial = random_campaign(sc, cfg, probe=probe)
         pooled = random_campaign(sc, cfg, probe=probe, workers=2)
-        assert _bench_bytes([], serial) == _bench_bytes([], pooled)
+        assert bench_bytes([], serial) == bench_bytes([], pooled)
 
     def test_pooled_matrix_with_cache_still_identical(self):
         sc = small_scenario()
@@ -78,7 +61,7 @@ class TestGoldenEquivalence:
         warm = run_kill_matrix(sc, probe=probe, workers=2, cache=cache)
         plain = run_kill_matrix(sc, probe=probe)
         assert (
-            _bench_bytes([cold]) == _bench_bytes([warm]) == _bench_bytes([plain])
+            bench_bytes([cold]) == bench_bytes([warm]) == bench_bytes([plain])
         )
 
 
@@ -157,5 +140,5 @@ class TestCacheSemantics:
             cache=MemoCache(str(tmp_path)),
             registry=registry,
         )
-        assert _bench_bytes([cold]) == _bench_bytes([warm])
+        assert bench_bytes([cold]) == bench_bytes([warm])
         assert registry.total("par.cache_hits") == len(warm.results)

@@ -14,6 +14,10 @@ telemetry, and so does replaying it under any other legal schedule.
 """
 
 import dataclasses
+import hashlib
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,6 @@ from repro.chaos import (
     enumerate_kill_points,
     probe_baseline,
     run_kill_matrix,
-    selfckpt_scenario,
     skt_scenario,
 )
 from repro.chaos.campaign import point_trigger
@@ -35,7 +38,12 @@ from repro.sim.errors import JobAbortedError, NodeFailedError
 from repro.sim.failures import FailurePlan, PhaseTrigger, TimeTrigger
 from repro.sim.node import NodeSpec
 from repro.sim.runtime import Job
-from tests.chaos.helpers import count_swap_rendezvous, schedule_divergence, stripped_digest
+from tests.chaos.helpers import (
+    count_swap_rendezvous,
+    schedule_divergence,
+    small_scenario,
+    stripped_digest,
+)
 
 #: ``stripped_digest`` of ``repro chaos --smoke --obs summary``'s store
 SMOKE_SUMMARY_DIGEST = (
@@ -43,14 +51,23 @@ SMOKE_SUMMARY_DIGEST = (
 )
 
 
+def run_smoke(obs):
+    """``repro chaos --smoke --obs obs``: its exit status, one sha256 of its
+    ``BENCH_chaos.json`` and report (the benchmark's ``chaos_smoke``
+    digest), and — unless ``obs`` is ``off`` — its store's run count and
+    id-stripped digest."""
+    with tempfile.TemporaryDirectory() as out:
+        status = chaos_main(["--smoke", "--obs", obs, "--no-progress", "--out", out])
+        artifacts = b"".join(Path(out, n).read_bytes() for n in ("BENCH_chaos.json", "report.txt"))
+        record = {"exit_status": status, "artifacts_sha256": hashlib.sha256(artifacts).hexdigest()}
+        if obs != "off":
+            with TraceStore(os.path.join(out, "obs.sqlite")) as store:
+                record.update(runs=store.counts()["runs"], store_digest=stripped_digest(store))
+    return record
+
+
 def ppn2_scenario(**kw):
-    kw.setdefault("n_nodes", 2)
-    kw.setdefault("procs_per_node", 2)
-    kw.setdefault("group_size", 2)
-    kw.setdefault("iters", 2)
-    kw.setdefault("ckpt_every", 1)
-    kw.setdefault("method", "self")
-    return selfckpt_scenario(**kw)
+    return small_scenario(**{"procs_per_node": 2, "iters": 2, "ckpt_every": 1, **kw})
 
 
 class TestProbeDeterminism:
@@ -217,6 +234,12 @@ class TestKilledNodeSuppression:
 
 
 class TestRepeatedMatrixTelemetry:
+    """Several ranks per node, repeated: the same telemetry every time.
+    The smoke golden reads the session's one ``--smoke --obs summary``
+    campaign (``filled_run`` in ``tests/conftest.py``, made under the
+    0xA5 poison fill of the unzeroed segments); the poison net's 0xA5
+    smoke case reads the same run."""
+
     def test_ppn2_matrix_is_byte_stable_across_runs(self):
         # two independent sweeps of the same several-ranks-per-node
         # matrix: verdicts AND per-attempt telemetry must agree exactly
@@ -241,20 +264,16 @@ class TestRepeatedMatrixTelemetry:
                 digests.append(store.digest())
         assert digests[0] == digests[1]
 
-    def test_smoke_summary_store_reproduces_the_golden(self, tmp_path, capsys):
+    def test_smoke_summary_store_reproduces_the_golden(self, filled_run):
         """The ``--smoke`` campaign runs two ranks per node, so its doomed
         attempts' telemetry is what the pins hold fixed: with
         ``point_trigger`` unpinned, ``BENCH_chaos.json`` and the report
         stay byte-identical but this store does not.  The digest is id-
         stripped, so it is comparable across commits."""
-        out = tmp_path / "out"
-        assert chaos_main(
-            ["--smoke", "--obs", "summary", "--no-progress", "--out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        with TraceStore(str(out / "obs.sqlite")) as store:
-            assert store.counts()["runs"] == 176
-            assert stripped_digest(store) == SMOKE_SUMMARY_DIGEST
+        run = filled_run(run_smoke, "summary")
+        assert run["exit_status"] == 0
+        assert run["runs"] == 176
+        assert run["store_digest"] == SMOKE_SUMMARY_DIGEST
 
 
 class TestScheduleIndependence:

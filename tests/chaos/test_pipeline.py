@@ -22,9 +22,7 @@ from repro.chaos import (
     probe_baseline,
     run_campaign,
     run_kill_matrix,
-    selfckpt_scenario,
 )
-from repro.chaos import bench as chaos_bench
 from repro.chaos.report import render_campaign
 from repro.obs.store import (
     TraceStore,
@@ -34,10 +32,9 @@ from repro.obs.store import (
 )
 from repro.shard import run_sharded_campaign
 from repro.shard.queue import queue_path_for
-from tests.chaos.helpers import SilentCorruptRecover, stripped_digest
+from tests.chaos.helpers import SilentCorruptRecover, bench_bytes, small_scenario, stripped_digest
 
 SEED = 7
-CFG = dict(n_nodes=2, procs_per_node=1, group_size=2, iters=4, ckpt_every=2)
 METHODS = ("self", "double")
 OBS = "summary"
 ENGINES = ("workers=1", "workers=2", "n_shards=2")
@@ -47,7 +44,7 @@ with open(os.path.join(os.path.dirname(__file__), "pipeline_golden.json")) as f:
 
 
 def scenarios():
-    return [selfckpt_scenario(method=m, **CFG) for m in METHODS]
+    return [small_scenario(method=m) for m in METHODS]
 
 
 def run_engine(engine, out_dir, scs=None, **campaign):
@@ -86,9 +83,7 @@ def artifacts(tmp_path_factory):
                 seed=SEED, obs_mode=OBS, ord_base=ord_,
             )
             out[engine] = (
-                chaos_bench.bench_json(
-                    chaos_bench.bench_record(matrices, schedules, None, seed=SEED)
-                ),
+                bench_bytes(matrices, schedules, SEED),
                 render_campaign(matrices, schedules),
                 store.digest(),
                 stripped_digest(store),
@@ -115,7 +110,7 @@ class TestSpeclessScenario:
     def test_runs_in_process(self):
         from repro.ckpt.self_ckpt import SelfCheckpoint
 
-        sc = selfckpt_scenario(protocol_factory=SelfCheckpoint, **CFG)
+        sc = small_scenario(protocol_factory=SelfCheckpoint)
         plan, (report,), _ = run_campaign(
             [sc], phases=["ckpt.done"], max_occurrences=1
         )
@@ -129,7 +124,7 @@ class TestCustomProtocolOnEveryEngine:
     fingerprinted, on all three engines."""
 
     def test_mutant_matrix_is_engine_invariant(self, tmp_path):
-        sc = selfckpt_scenario(protocol_factory=SilentCorruptRecover, **CFG)
+        sc = small_scenario(protocol_factory=SilentCorruptRecover)
         results = {}
         for engine in ENGINES:
             _, (report,), _ = run_engine(engine, tmp_path / engine, scs=[sc])
@@ -142,7 +137,7 @@ class TestCustomProtocolOnEveryEngine:
 
 class TestMatrixFilters:
     def test_run_kill_matrix_filters_like_enumerate_kill_points(self):
-        sc = selfckpt_scenario(method="self", **CFG)
+        sc = small_scenario()
         probe = probe_baseline(sc)
         filt = dict(nodes=[1], phases=["ckpt.flush", "ckpt.done"], max_occurrences=1)
         want = enumerate_kill_points(probe, **filt)

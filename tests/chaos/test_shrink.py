@@ -15,22 +15,15 @@ from repro.chaos import (
     random_campaign,
     run_kill_matrix,
     run_schedule,
-    selfckpt_scenario,
     shrink_failures,
     shrink_schedule,
 )
-from repro.chaos.bench import bench_json, bench_record
 from repro.sim.failures import PhaseTrigger, TimeTrigger
+from tests.chaos.helpers import bench_bytes, small_scenario
 
 
 def scenario(**kw):
-    kw.setdefault("n_nodes", 3)
-    kw.setdefault("procs_per_node", 1)
-    kw.setdefault("group_size", 3)
-    kw.setdefault("iters", 4)
-    kw.setdefault("ckpt_every", 2)
-    kw.setdefault("method", "self")
-    return selfckpt_scenario(**kw)
+    return small_scenario(**{"n_nodes": 3, "group_size": 3, **kw})
 
 
 def lethal_schedule():
@@ -73,9 +66,7 @@ class TestRandomCampaign:
         matrix = run_kill_matrix(
             sc, probe=probe, phases=["ckpt.done"], max_occurrences=1
         )
-        assert bench_json(bench_record([matrix], a, seed=7)) == bench_json(
-            bench_record([matrix], b, seed=7)
-        )
+        assert bench_bytes([matrix], a, 7) == bench_bytes([matrix], b, 7)
 
     def test_multi_failure_schedules_occur(self):
         # a short MTBF relative to the makespan must yield schedules with

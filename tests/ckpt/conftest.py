@@ -55,6 +55,14 @@ def make_app(
     return app
 
 
+def double_loss_plan():
+    """Nodes 2 and 5 fail at the same instant, at node 2's 2nd ``ckpt.flush``:
+    two members of one 8-wide group."""
+    return FailurePlan(
+        [PhaseTrigger(node_id=2, phase="ckpt.flush", occurrence=2, extra_nodes=(5,))]
+    )
+
+
 class MultiLevelFlushEach(MultiLevelCheckpoint):
     """The multi-level scheme with every checkpoint also written to level 2."""
 

@@ -10,12 +10,21 @@ so that every fresh such segment is filled with ``0xA5``, then ``0x5A``,
 and requires what the zero-filled tree produced, byte for byte:
 
 * the all-method kill matrices (seven methods at group size 4, ``buddy``
-  at 2) — ``BENCH_chaos.json`` and the report, as pinned in
-  ``tests/chaos/lifecycle_golden.json``;
+  at 2), as pinned in ``tests/chaos/lifecycle_golden.json``;
 * the smoke campaign's ``BENCH_chaos.json`` and report, and the
   ``ckpt_bulk`` / ``ckpt_tiny`` statistics, as pinned in the benchmark's
   ``golden.json``;
 * both SKT-HPL runs of ``tests/hpl/skt_golden.json``.
+
+The campaigns and SKT-HPL runs come from the session's ``filled_run``
+(``tests/conftest.py``).  Under ``0xA5`` a case reads the very run its
+golden reads — the kill matrices' ``--obs full`` campaigns of
+``tests/chaos/test_lifecycle_golden.py``, the ``--smoke --obs summary``
+campaign of ``tests/chaos/test_pinning.py``, the runs of
+``tests/hpl/test_skt_golden.py`` — and asserts that golden's whole
+record: status, artifacts, store and virtual-time digests, and
+``SMOKE_SUMMARY_DIGEST``.  Under ``0x5A`` a campaign runs bare (``--obs
+off``) and its case asserts the artifacts.
 
 A protocol that read a slot before its first write would carry the fill
 into a checksum or a rebuilt member and change a verdict, a restore or a
@@ -24,37 +33,30 @@ artifact, so ``TestFreshSegments`` also requires the segments themselves
 to come out of two checkpoints identical under both fills.
 """
 
-import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
 
 from benchmarks.e2e import config as e2e_config
 from benchmarks.e2e.workloads import make as make_workload
-from repro.chaos import chaos_main
 from repro.ckpt import CheckpointManager
 from repro.sim import Cluster, Job
 from repro.sim import shm
-from tests.chaos.test_lifecycle_golden import CAMPAIGNS, GOLDEN_PATH as LIFECYCLE_GOLDEN
+from tests.chaos.helpers import GOLDEN_FILL, poison_alloc
+from tests.chaos.test_lifecycle_golden import (
+    CAMPAIGNS,
+    GOLDEN_PATH as LIFECYCLE_GOLDEN,
+    pinned,
+    run_campaign_cli,
+)
+from tests.chaos.test_pinning import SMOKE_SUMMARY_DIGEST, run_smoke
 from tests.hpl.test_skt_golden import GOLDEN_PATH as SKT_GOLDEN, GOLDEN_RUNS as SKT_RUNS
 
-FILLS = (0xA5, 0x5A)
+FILLS = (GOLDEN_FILL, 0x5A)
 
 with open(e2e_config.GOLDEN_JSON) as f:
     E2E_DIGESTS = json.load(f)["digests"]
-
-
-def poison_alloc(fill):
-    """An unzeroed allocator that hands out segments filled with byte ``fill``."""
-
-    def alloc(shape, dtype=np.float64):
-        arr = np.empty(shape, dtype=dtype)
-        arr.reshape(-1).view(np.uint8)[:] = fill
-        return arr
-
-    return alloc
 
 
 @pytest.fixture(params=FILLS, ids=hex)
@@ -62,14 +64,6 @@ def poison(request, monkeypatch):
     """Fill every fresh ``zeroed=False`` segment with the parametrized byte."""
     monkeypatch.setattr(shm, "_alloc_unzeroed", poison_alloc(request.param))
     return request.param
-
-
-def _artifacts_sha256(out):
-    h = hashlib.sha256()
-    for name in ("BENCH_chaos.json", "report.txt"):
-        with open(os.path.join(out, name), "rb") as f:
-            h.update(f.read())
-    return h.hexdigest()
 
 
 class TestFreshSegments:
@@ -139,30 +133,24 @@ class TestFreshSegments:
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
-def test_all_method_kill_matrix_is_unchanged(tmp_path, capsys, poison, name):
-    methods, group_size = CAMPAIGNS[name]
-    status = chaos_main(
-        [
-            "--methods", methods, "--nodes", "4", "--ppn", "1",
-            "--group-size", str(group_size), "--iters", "6",
-            "--no-progress", "--out", str(tmp_path),
-        ]
-    )
-    capsys.readouterr()
+def test_all_method_kill_matrix_is_unchanged(filled_run, poison, name):
     with open(LIFECYCLE_GOLDEN) as f:
-        want = json.load(f)[name]
-    with open(tmp_path / "BENCH_chaos.json", "rb") as f:
-        bench_sha256 = hashlib.sha256(f.read()).hexdigest()
-    report = (tmp_path / "report.txt").read_text(encoding="utf-8")
-    assert (status, bench_sha256, report) == (
-        want["exit_status"], want["bench_sha256"], want["report"]
-    )
+        want = pinned(name, json.load(f)[name])
+    obs = "full" if poison == GOLDEN_FILL else "off"
+    got = pinned(name, filled_run(run_campaign_cli, name, obs, fill=poison))
+    assert got == {k: want[k] for k in got}
 
 
-def test_smoke_campaign_is_unchanged(tmp_path, capsys, poison):
-    assert chaos_main(["--smoke", "--no-progress", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert _artifacts_sha256(tmp_path) == E2E_DIGESTS["chaos_smoke"]
+def test_smoke_campaign_is_unchanged(filled_run, poison):
+    want = {
+        "exit_status": 0,
+        "artifacts_sha256": E2E_DIGESTS["chaos_smoke"],
+        "runs": 176,
+        "store_digest": SMOKE_SUMMARY_DIGEST,
+    }
+    obs = "summary" if poison == GOLDEN_FILL else "off"
+    got = filled_run(run_smoke, obs, fill=poison)
+    assert got == {k: want[k] for k in got}
 
 
 @pytest.mark.parametrize("name", ["ckpt_bulk", "ckpt_tiny"])
@@ -174,7 +162,7 @@ def test_checkpoint_cycles_are_unchanged(poison, name):
 
 
 @pytest.mark.parametrize("name", sorted(SKT_RUNS))
-def test_skt_hpl_is_unchanged(poison, name):
+def test_skt_hpl_is_unchanged(filled_run, poison, name):
     with open(SKT_GOLDEN) as f:
         want = json.load(f)[name]
-    assert SKT_RUNS[name]() == want
+    assert filled_run(SKT_RUNS[name], fill=poison) == want

@@ -18,8 +18,8 @@ from repro.ckpt.stripes_rs import (
     reconstruct_rs,
     verify_group_rs,
 )
-from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger, UnrecoverableError
-from tests.ckpt.conftest import assert_final_state, make_app
+from repro.sim import Cluster, Job, UnrecoverableError
+from tests.ckpt.conftest import assert_final_state, double_loss_plan, make_app
 
 
 def row_roles(row, n):
@@ -160,13 +160,7 @@ class TestSelfCheckpointRS:
         XOR scheme would be helpless, the RS scheme recovers."""
         app = make_app("self-rs", group_size=8)
         cluster = Cluster(8, n_spares=4)
-        plan = FailurePlan(
-            [
-                PhaseTrigger(
-                    node_id=2, phase="ckpt.flush", occurrence=2, extra_nodes=(5,)
-                )
-            ]
-        )
+        plan = double_loss_plan()
         job = Job(cluster, app, 8, procs_per_node=1, failure_plan=plan)
         first = job.run()
         assert first.aborted and set(first.failed_nodes) == {2, 5}
@@ -181,13 +175,7 @@ class TestSelfCheckpointRS:
     def test_xor_scheme_dies_on_the_same_double_loss(self):
         app = make_app("self", group_size=8)
         cluster = Cluster(8, n_spares=4)
-        plan = FailurePlan(
-            [
-                PhaseTrigger(
-                    node_id=2, phase="ckpt.flush", occurrence=2, extra_nodes=(5,)
-                )
-            ]
-        )
+        plan = double_loss_plan()
         job = Job(cluster, app, 8, procs_per_node=1, failure_plan=plan)
         assert job.run().aborted
         repl = cluster.replace_dead()

@@ -74,15 +74,18 @@ def test_larger_problem_higher_efficiency():
     assert eff(192) > eff(48)
 
 
+class _Ctx:
+    """The rank context ``_factor_panel`` charges its flops to."""
+
+    clock = 0.0
+
+    def compute(self, *a, **k):
+        pass
+
+
 def test_factor_panel_matches_lapack():
     """The unblocked getf2 against scipy's LU on a tall panel."""
     import scipy.linalg as sla
-
-    class _Ctx:
-        clock = 0.0
-
-        def compute(self, *a, **k):
-            pass
 
     rng = np.random.default_rng(0)
     a = rng.standard_normal((12, 4))
@@ -112,12 +115,6 @@ def _reference_getf2(panel, k0):
 
 @pytest.mark.parametrize("m, nbk", [(1, 1), (7, 7), (40, 8), (300, 32), (33, 5)])
 def test_factor_panel_is_bit_identical_to_the_textbook_loop(m, nbk):
-    class _Ctx:
-        clock = 0.0
-
-        def compute(self, *a, **k):
-            pass
-
     a = np.random.default_rng(m * nbk).uniform(-0.5, 0.5, (m, nbk))
     want = a.copy()
     want_piv = _reference_getf2(want, k0=64)
@@ -128,12 +125,6 @@ def test_factor_panel_is_bit_identical_to_the_textbook_loop(m, nbk):
 
 
 def test_singular_matrix_detected():
-    class _Ctx:
-        clock = 0.0
-
-        def compute(self, *a, **k):
-            pass
-
     panel = np.zeros((4, 2))
     with pytest.raises(SingularMatrixError):
         _factor_panel(_Ctx(), panel, k0=0)

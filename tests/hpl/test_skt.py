@@ -14,6 +14,7 @@ from repro.hpl import (
 from repro.hpl.matgen import dense_matrix, dense_rhs
 from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
 from repro.sim._tls import current_ctx
+from tests.ckpt.conftest import double_loss_plan
 
 CFG = HPLConfig(n=96, nb=8, p=2, q=4)  # 8 ranks, 12 panels
 
@@ -272,13 +273,7 @@ class TestPowerOff:
         """Extension: SKT-HPL on the Reed-Solomon scheme survives two
         nodes of one group dying at the same instant."""
         scfg = SKTConfig(hpl=CFG, method="self-rs", group_size=8, interval_panels=3)
-        plan = FailurePlan(
-            [
-                PhaseTrigger(
-                    node_id=2, phase="ckpt.flush", occurrence=2, extra_nodes=(5,)
-                )
-            ]
-        )
+        plan = double_loss_plan()
         report = daemon_run(scfg, plan, n_spares=4)
         assert report.completed, report.gave_up_reason
         r0 = report.result.rank_results[0]
@@ -287,13 +282,7 @@ class TestPowerOff:
 
     def test_simultaneous_double_loss_xor_fails(self):
         scfg = SKTConfig(hpl=CFG, method="self", group_size=8, interval_panels=3)
-        plan = FailurePlan(
-            [
-                PhaseTrigger(
-                    node_id=2, phase="ckpt.flush", occurrence=2, extra_nodes=(5,)
-                )
-            ]
-        )
+        plan = double_loss_plan()
         report = daemon_run(scfg, plan, n_spares=4)
         assert not report.completed
         assert report.gave_up_reason == "application state unrecoverable"

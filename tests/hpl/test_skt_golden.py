@@ -12,6 +12,10 @@ swaps were planned per panel, by running this module
 (``PYTHONPATH=src python -m tests.hpl.test_skt_golden``) on that tree;
 recapture the same way, and only when a change of the solve's arithmetic
 or charged virtual time is intended.
+
+The test reads each run from the session's ``filled_run``
+(``tests/conftest.py``), made under the 0xA5 poison fill of the unzeroed
+segments; the poison net's 0xA5 cases read the same two runs.
 """
 
 import hashlib
@@ -81,10 +85,10 @@ GOLDEN_RUNS = {"daemon-200-2x4": daemon_node_loss, "clean-150-3x2": clean_3x2}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_skt_hpl_is_bit_identical_to_the_golden(name):
+def test_skt_hpl_is_bit_identical_to_the_golden(filled_run, name):
     with open(GOLDEN_PATH) as f:
         want = json.load(f)[name]
-    got = GOLDEN_RUNS[name]()
+    got = filled_run(GOLDEN_RUNS[name])
     assert all(r["passed"] for r in got["ranks"])
     assert got == want
 

@@ -57,7 +57,7 @@ class TestExitCodes:
         assert main(["check", "flow"]) == 2
         assert "analyzer crashed" in capsys.readouterr().err
 
-    def test_deep_clean_on_shipped_tree(self, capsys):
+    def test_deep_clean_on_shipped_tree(self, capsys, shipped_analyses_once):
         """Acceptance: ``repro check --deep --fail-on error`` is clean on
         main."""
         assert main(["check", "--deep", "--fail-on", "error"]) == 0

@@ -15,7 +15,6 @@ from repro.sancheck import default_lint_root
 from repro.sancheck.flow import (
     RNG_UNSEEDED,
     WALLCLOCK,
-    analyze_index,
     analyze_paths,
     build_index,
     propagate,
@@ -42,6 +41,17 @@ def shipped_index():
     return build_index([default_lint_root()])
 
 
+@pytest.fixture(scope="module")
+def fixture_index():
+    return build_index([FIXTURE])
+
+
+@pytest.fixture(scope="module")
+def fixture_summaries(fixture_index):
+    intrinsics = build_intrinsics(fixture_index.functions, WALLCLOCK_ALLOW, RNG_ALLOW)
+    return propagate(fixture_index, intrinsics)
+
+
 def by_rule(findings):
     out = {}
     for f in findings:
@@ -50,51 +60,39 @@ def by_rule(findings):
 
 
 class TestIndex:
-    def test_fixture_classes_and_shm_attrs(self):
-        index = build_index([FIXTURE])
-        cls = index.classes["proto.EvilCheckpoint"]
+    def test_fixture_classes_and_shm_attrs(self, fixture_index):
+        cls = fixture_index.classes["proto.EvilCheckpoint"]
         assert cls.shm_attrs == {"_b", "_ctrl"}
         assert {"checkpoint", "try_restore", "_wipe", "scribble"} <= set(
             cls.methods
         )
 
-    def test_cross_module_calls_resolve(self):
-        index = build_index([FIXTURE])
-        ckpt = index.functions["proto.EvilCheckpoint.checkpoint"]
+    def test_cross_module_calls_resolve(self, fixture_index):
+        ckpt = fixture_index.functions["proto.EvilCheckpoint.checkpoint"]
         callees = {q for q, _line in ckpt.calls}
         assert "helpers.jitter" in callees
         assert "proto.EvilCheckpoint.gen_block" in callees
 
-    def test_duck_typed_protocol_detected_structurally(self):
-        index = build_index([FIXTURE])
-        assert protocol_classes(index, "Checkpointer") == [
+    def test_duck_typed_protocol_detected_structurally(self, fixture_index):
+        assert protocol_classes(fixture_index, "Checkpointer") == [
             "proto.EvilCheckpoint"
         ]
 
-    def test_kernel_module_detected_by_name(self):
-        index = build_index([FIXTURE])
-        assert kernel_functions(index, ("stripes",)) == [
+    def test_kernel_module_detected_by_name(self, fixture_index):
+        assert kernel_functions(fixture_index, ("stripes",)) == [
             "stripes.encode_stripe"
         ]
 
 
 class TestPropagation:
-    def test_unseeded_default_argument_is_its_own_source(self):
+    def test_unseeded_default_argument_is_its_own_source(self, fixture_summaries):
         """Violation 3 of the fixture: ``gen_block``'s default argument
         alone makes it an RNG source, independent of ``jitter``."""
-        index = build_index([FIXTURE])
-        summaries = propagate(
-            index, build_intrinsics(index.functions, WALLCLOCK_ALLOW, RNG_ALLOW)
-        )
-        w = summaries["proto.EvilCheckpoint.gen_block"][RNG_UNSEEDED]
+        w = fixture_summaries["proto.EvilCheckpoint.gen_block"][RNG_UNSEEDED]
         assert "default_rng" in w.site
 
-    def test_wallclock_taints_through_helper_module(self):
-        index = build_index([FIXTURE])
-        summaries = propagate(
-            index, build_intrinsics(index.functions, WALLCLOCK_ALLOW, RNG_ALLOW)
-        )
-        w = summaries["proto.EvilCheckpoint.try_restore"][WALLCLOCK]
+    def test_wallclock_taints_through_helper_module(self, fixture_summaries):
+        w = fixture_summaries["proto.EvilCheckpoint.try_restore"][WALLCLOCK]
         assert w.chain[-1] == "helpers.stamp"
 
 
@@ -163,11 +161,10 @@ class TestDeterminism:
 
 
 class TestRealTree:
-    def test_shipped_package_has_no_errors(self, shipped_index):
+    def test_shipped_package_has_no_errors(self, shipped_flow_findings):
         """The shipped protocols must satisfy their own lifecycle
         discipline (warnings may exist; errors may not)."""
-        fs = analyze_index(shipped_index)
-        assert [f for f in fs if f.severity == "error"] == []
+        assert [f for f in shipped_flow_findings if f.severity == "error"] == []
 
     def test_all_shipped_protocols_are_seen(self, shipped_index):
         names = {
@@ -185,7 +182,9 @@ class TestRealTree:
             "DiskCheckpoint",
         } <= names
 
-    def test_restore_preamble_is_checked_in_one_place(self, shipped_index):
+    def test_restore_preamble_is_checked_in_one_place(
+        self, shipped_index, shipped_flow_findings
+    ):
         """Every group protocol restores through ``Checkpointer.try_restore``,
         so ``lifecycle-premature-write`` checks the status exchange once;
         only the disk and multi-level tiers have a restore entry of their
@@ -201,7 +200,7 @@ class TestRealTree:
             "repro.ckpt.disk.DiskCheckpoint.try_restore",
             "repro.ckpt.multilevel.MultiLevelCheckpoint.try_restore",
         }
-        fs = by_rule(analyze_index(shipped_index))
+        fs = by_rule(shipped_flow_findings)
         assert fs.get("lifecycle-premature-write", []) == []
 
     def test_segments_made_by_the_shared_helper_are_tracked(self, shipped_index):

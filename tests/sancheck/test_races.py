@@ -5,6 +5,14 @@ from repro.sancheck.scenarios import run_clean_selfckpt, run_seeded_race
 from repro.sim import Cluster, Job
 
 
+def run_two_ranks_on_one_node(app):
+    """``(result, race detector)`` of ``app`` as a 2-rank job on one node."""
+    job = Job(Cluster(1), app, 2, ranklist=[0, 0])
+    det = RaceDetector(2)
+    det.install(job)
+    return job.run(), det
+
+
 class TestVectorClock:
     def test_ordering(self):
         a = VectorClock.of([1, 0])
@@ -54,11 +62,7 @@ class TestSeededRace:
                 seg.write(2.0)
             return True
 
-        cluster = Cluster(1)
-        det = RaceDetector(2)
-        job = Job(cluster, app, 2, ranklist=[0, 0])
-        det.install(job)
-        result = job.run()
+        result, det = run_two_ranks_on_one_node(app)
         assert result.completed
         assert det.findings == []
 
@@ -75,11 +79,7 @@ class TestSeededRace:
                 seg.write(2.0)
             return True
 
-        cluster = Cluster(1)
-        det = RaceDetector(2)
-        job = Job(cluster, app, 2, ranklist=[0, 0])
-        det.install(job)
-        result = job.run()
+        result, det = run_two_ranks_on_one_node(app)
         assert result.completed, result.rank_errors
         assert det.findings == []
 
@@ -89,11 +89,8 @@ class TestSeededRace:
             seg.read()
             return True
 
-        cluster = Cluster(1)
-        det = RaceDetector(2)
-        job = Job(cluster, app, 2, ranklist=[0, 0])
-        det.install(job)
-        assert job.run().completed
+        result, det = run_two_ranks_on_one_node(app)
+        assert result.completed
         # create vs attach/read may race (create is a write); but two pure
         # reads after a common create must not add a second finding pair
         reads = [f for f in det.findings if "read" in f.message and "create" not in f.message]

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.sancheck import default_lint_root, lint_paths, lint_source
+from repro.sancheck import lint_paths, lint_source
 from repro.sancheck.simlint import module_name_for
 from pathlib import Path
 
@@ -252,9 +252,9 @@ class TestObsLabel:
 
 
 class TestTree:
-    def test_repo_source_tree_is_clean(self):
+    def test_repo_source_tree_is_clean(self, shipped_lint):
         """The shipped package must satisfy its own invariants."""
-        assert lint_paths([default_lint_root()]) == []
+        assert shipped_lint == []
 
     def test_lint_flags_bad_file_on_disk(self, tmp_path):
         bad = tmp_path / "offender.py"

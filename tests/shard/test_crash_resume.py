@@ -21,29 +21,19 @@ from repro.chaos import (
     probe_baseline,
     random_campaign,
     run_kill_matrix,
-    selfckpt_scenario,
 )
-from repro.chaos import bench as chaos_bench
 from repro.chaos.report import render_campaign
 from repro.shard import ShardCampaignError, run_sharded_campaign
 from repro.shard.faults import FAULTS_ENV
 from repro.shard.queue import ShardQueue, queue_path_for
+from tests.chaos.helpers import bench_bytes, small_scenario
 
 SEED = 7
-CFG = dict(
-    n_nodes=2, procs_per_node=1, group_size=2, iters=4, ckpt_every=2
-)
 METHODS = ("self", "double")
 
 
 def scenarios():
-    return [selfckpt_scenario(method=m, **CFG) for m in METHODS]
-
-
-def _bench_bytes(matrices, schedules):
-    return chaos_bench.bench_json(
-        chaos_bench.bench_record(matrices, schedules, None, seed=SEED)
-    )
+    return [small_scenario(method=m) for m in METHODS]
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +59,8 @@ def run_sharded(out_dir, **kw):
 
 def assert_matches_serial(serial, matrices, schedules):
     s_matrices, s_schedules = serial
-    assert _bench_bytes(matrices, schedules) == _bench_bytes(
-        s_matrices, s_schedules
+    assert bench_bytes(matrices, schedules, SEED) == bench_bytes(
+        s_matrices, s_schedules, SEED
     )
     assert render_campaign(matrices, schedules) == render_campaign(
         s_matrices, s_schedules

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import probe_baseline, selfckpt_scenario
+from repro.chaos import probe_baseline
 from repro.shard import plan_campaign
 from repro.shard.health import (
     DEFAULT_ATTEMPTS_CAP,
@@ -19,6 +19,7 @@ from repro.shard.health import (
     retry_transient,
 )
 from repro.shard.queue import ShardQueue, queue_path_for
+from tests.chaos.helpers import small_scenario
 
 
 class TestRetryTransient:
@@ -124,10 +125,7 @@ def _wait_until(cond, timeout_s=5.0):
 
 @pytest.fixture(scope="module")
 def plan():
-    sc = selfckpt_scenario(
-        n_nodes=2, procs_per_node=1, group_size=2, iters=4,
-        ckpt_every=2, method="self",
-    )
+    sc = small_scenario()
     return plan_campaign([sc], n_shards=2, probes=[probe_baseline(sc)])
 
 

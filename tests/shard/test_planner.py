@@ -6,21 +6,11 @@ from repro.chaos import (
     RandomCampaignConfig,
     enumerate_kill_points,
     probe_baseline,
-    selfckpt_scenario,
 )
 from repro.par import ReplaySpec, replay_fingerprint
 from repro.shard import plan_campaign
 from repro.shard.planner import KIND_KILL, KIND_RANDOM, partition
-
-
-def small_scenario(**kw):
-    kw.setdefault("n_nodes", 2)
-    kw.setdefault("procs_per_node", 1)
-    kw.setdefault("group_size", 2)
-    kw.setdefault("iters", 4)
-    kw.setdefault("ckpt_every", 2)
-    kw.setdefault("method", "self")
-    return selfckpt_scenario(**kw)
+from tests.chaos.helpers import small_scenario
 
 
 @pytest.fixture(scope="module")

@@ -2,20 +2,11 @@
 
 import pytest
 
-from repro.chaos import probe_baseline, selfckpt_scenario
+from repro.chaos import probe_baseline
 from repro.par import ReplayOutcome
 from repro.shard import ShardQueue, plan_campaign
 from repro.shard.queue import QueueMismatchError, queue_path_for
-
-
-def small_scenario(**kw):
-    kw.setdefault("n_nodes", 2)
-    kw.setdefault("procs_per_node", 1)
-    kw.setdefault("group_size", 2)
-    kw.setdefault("iters", 4)
-    kw.setdefault("ckpt_every", 2)
-    kw.setdefault("method", "self")
-    return selfckpt_scenario(**kw)
+from tests.chaos.helpers import small_scenario
 
 
 @pytest.fixture(scope="module")

@@ -11,17 +11,14 @@ attempts cap instead of crash-looping.
 
 import math
 import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.chaos import (
+    chaos_main,
     probe_baseline,
     run_kill_matrix,
-    selfckpt_scenario,
 )
-from repro.chaos import bench as chaos_bench
 from repro.chaos.report import render_campaign
 from repro.shard import driver as shard_driver
 from repro.shard import (
@@ -34,21 +31,13 @@ from repro.shard import (
 from repro.shard.faults import FAULTS_ENV, POISON_EXIT_CODE
 from repro.shard.health import is_quarantined
 from repro.shard.queue import ShardQueue, queue_path_for
+from tests.chaos.helpers import bench_bytes, small_scenario
 
 SEED = 11
-CFG = dict(
-    n_nodes=2, procs_per_node=1, group_size=2, iters=4, ckpt_every=2
-)
 
 
 def scenarios():
-    return [selfckpt_scenario(method="self", **CFG)]
-
-
-def _bench_bytes(matrices):
-    return chaos_bench.bench_json(
-        chaos_bench.bench_record(matrices, None, None, seed=SEED)
-    )
+    return [small_scenario()]
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +69,7 @@ def run_sharded(out_dir, **kw):
 
 
 def assert_matches_serial(serial, matrices):
-    assert _bench_bytes(matrices) == _bench_bytes(serial)
+    assert bench_bytes(matrices, seed=SEED) == bench_bytes(serial, seed=SEED)
     assert render_campaign(matrices, None) == render_campaign(serial, None)
 
 
@@ -236,7 +225,7 @@ class TestPoisonFault:
         assert is_quarantined(outcomes[victim])
         assert outcomes[victim].verdict == "gave-up"
         # documented degradation: exactly the poisoned cell diverges
-        assert _bench_bytes(matrices) != _bench_bytes(serial)
+        assert bench_bytes(matrices, seed=SEED) != bench_bytes(serial, seed=SEED)
         clean = {
             ord_: out_
             for ord_, out_ in outcomes.items()
@@ -330,16 +319,14 @@ CLI_FLAGS = [
 ]
 
 
-def cli(*extra, env_extra=None):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
-    env.pop(FAULTS_ENV, None)
-    env.update(env_extra or {})
-    return subprocess.run(
-        [sys.executable, "-m", "repro", "chaos", *CLI_FLAGS, *extra],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+def cli(*extra):
+    """``repro chaos`` in-process: its exit status, ``SystemExit(2)`` of a
+    usage error included.  A fault spec set with ``monkeypatch.setenv``
+    reaches the forked executors, which inherit the environment."""
+    try:
+        return chaos_main([*CLI_FLAGS, *extra])
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestCLIExitContract:
@@ -347,37 +334,32 @@ class TestCLIExitContract:
     1 findings, 2 infra misuse/corruption, 3 resumable abort."""
 
     def test_malformed_fault_spec_is_exit_2_not_a_crash_loop(
-        self, tmp_path
+        self, tmp_path, monkeypatch, capsys
     ):
-        res = cli(
-            "--shards", "2", "--out", str(tmp_path / "out"),
-            env_extra={FAULTS_ENV: "explode:when=now"},
-        )
-        assert res.returncode == 2
-        assert FAULTS_ENV in res.stderr
-        assert "explode" in res.stderr
+        monkeypatch.setenv(FAULTS_ENV, "explode:when=now")
+        assert cli("--shards", "2", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert FAULTS_ENV in err
+        assert "explode" in err
 
-    def test_salvage_without_resume_is_a_usage_error(self, tmp_path):
-        res = cli(
-            "--shards", "2", "--out", str(tmp_path / "out"), "--salvage"
-        )
-        assert res.returncode == 2
-        assert "--resume" in res.stderr
+    def test_salvage_without_resume_is_a_usage_error(self, tmp_path, capsys):
+        assert cli("--shards", "2", "--out", str(tmp_path / "out"), "--salvage") == 2
+        assert "--resume" in capsys.readouterr().err
 
     def test_quarantine_surfaces_on_stdout_and_campaign_succeeds(
-        self, tmp_path, the_plan
+        self, tmp_path, the_plan, monkeypatch, capsys
     ):
         victim = the_plan.n_units // 2
-        out = tmp_path / "out"
-        res = cli(
-            "--shards", "2", "--lease", "1", "--out", str(out),
+        monkeypatch.setenv(FAULTS_ENV, f"poison:ord={victim},worker=all")
+        status = cli(
+            "--shards", "2", "--lease", "1", "--out", str(tmp_path / "out"),
             "--respawn", "10", "--attempts-cap", "2",
-            env_extra={FAULTS_ENV: f"poison:ord={victim},worker=all"},
         )
-        assert res.returncode in (0, 1), res.stderr
-        assert "quarantined" in res.stdout
-        assert str(victim) in res.stdout
-        assert "respawned" in res.stdout
+        out, err = capsys.readouterr()
+        assert status in (0, 1), err
+        assert "quarantined" in out
+        assert str(victim) in out
+        assert "respawned" in out
 
 
 class TestLeaseValidation:
@@ -389,11 +371,10 @@ class TestLeaseValidation:
     an infinite one never re-issued a crashed executor's shard."""
 
     @pytest.mark.parametrize("lease", ["0", "-1.5", "nan", "inf"])
-    def test_cli_rejects_nonpositive_lease(self, tmp_path, lease):
+    def test_cli_rejects_nonpositive_lease(self, tmp_path, lease, capsys):
         out = tmp_path / "out"
-        res = cli("--shards", "2", "--lease", lease, "--out", str(out))
-        assert res.returncode == 2
-        assert "--lease" in res.stderr
+        assert cli("--shards", "2", "--lease", lease, "--out", str(out)) == 2
+        assert "--lease" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("lease_s", [0, -1.0, math.nan, math.inf])

@@ -7,6 +7,7 @@ from repro.sim import Node, NodeSpec, ShmError
 from repro.sim import shm as shm_module
 from repro.sim.shm import shape_tuple
 from repro.util import GiB
+from tests.chaos.helpers import poison_alloc
 
 
 @pytest.fixture
@@ -126,12 +127,7 @@ class TestZeroedKeyword:
 
     @pytest.fixture(autouse=True)
     def poisoned(self, monkeypatch):
-        def alloc(shape, dtype=np.float64):
-            arr = np.empty(shape, dtype=dtype)
-            arr.reshape(-1).view(np.uint8)[:] = 0xA5
-            return arr
-
-        monkeypatch.setattr(shm_module, "_alloc_unzeroed", alloc)
+        monkeypatch.setattr(shm_module, "_alloc_unzeroed", poison_alloc(0xA5))
 
     def test_default_create_reads_all_zeros(self, node):
         assert not node.shm.create("x", (64, 3), np.int32).array.any()

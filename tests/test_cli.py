@@ -31,13 +31,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
-    def test_check_all_smoke(self, capsys):
+    def test_check_all_smoke(self, capsys, shipped_analyses_once):
         """`repro check --all` runs every analysis and certifies clean."""
         assert main(["check", "--all"]) == 0
         out = capsys.readouterr().out
         assert "sancheck: 0 findings (analyses: simlint, flow, race)" in out
 
-    def test_check_lint_clean_tree(self, capsys):
+    def test_check_lint_clean_tree(self, capsys, shipped_analyses_once):
         assert main(["check", "lint"]) == 0
         assert "simlint" in capsys.readouterr().out
 

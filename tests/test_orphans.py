@@ -35,8 +35,10 @@ tests, which would otherwise keep a counter alive just by asserting on it
 """
 
 import ast
+import functools
 import os
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -134,24 +136,36 @@ def _public_definitions(tree, module):
             yield f"{module}.{node.name}.{member.name}", member
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _parse_once():
+    """The walks share one parse of each directory while this module runs;
+    the trees go with it."""
+    yield
+    _parsed.cache_clear()
+
+
+@functools.cache
+def _parsed(top):
+    """``[(normalized path, tree)]`` of every Python file under ``top``: the
+    walks only read the trees."""
+    return [
+        (os.path.normpath(path), ast.parse(Path(path).read_text(encoding="utf-8"), path))
+        for path in _python_files(top)
+    ]
+
+
 def _sources(root, dirs):
-    """``(normalized path, tree)`` of every Python file under ``dirs``."""
-    for top in dirs:
-        for path in _python_files(os.path.join(root, top)):
-            with open(path, encoding="utf-8") as f:
-                yield os.path.normpath(path), ast.parse(f.read(), path)
+    """``[(normalized path, tree)]`` of every Python file under ``dirs``."""
+    return [source for top in dirs for source in _parsed(os.path.join(root, top))]
 
 
-def _trees(root, dirs):
-    for _, tree in _sources(root, dirs):
-        yield tree
-
-
-def _modules(package):
-    """``(path relative to the package's parent, dotted module, tree)``."""
-    for path in _python_files(package):
-        with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read(), path)
+def _modules(package, sources):
+    """``(path relative to the package's parent, dotted module, tree)`` of
+    the files of ``sources`` under ``package``."""
+    package = os.path.normpath(package)
+    for path, tree in sources:
+        if not path.startswith(package + os.sep):
+            continue
         rel = os.path.relpath(path, os.path.dirname(package))
         module = rel[: -len(".py")].replace(os.sep, ".")
         if module.endswith(".__init__"):
@@ -162,11 +176,12 @@ def _modules(package):
 def find_orphans(root=ROOT, package=PACKAGE):
     """``{qualified name: "file:line"}`` of unreferenced public top-level
     definitions and class members under ``package``."""
+    sources = _sources(root, CONSUMER_DIRS)
     consumed = Counter()
-    for tree in _trees(root, CONSUMER_DIRS):
+    for _, tree in sources:
         consumed.update(_loads(tree))
     orphans = {}
-    for rel, module, tree in _modules(package):
+    for rel, module, tree in _modules(package, sources):
         for qualified, node in _public_definitions(tree, module):
             if consumed[node.name] - _loads(node)[node.name] <= 0:
                 orphans[qualified] = f"{rel}:{node.lineno}"
@@ -364,15 +379,16 @@ def find_orphan_parameters(root=ROOT, package=PACKAGE):
     as a value).  ``f(name=x)``, where ``x`` is a parameter of a function
     the call sits in and one this walk checks, sets ``name`` only once
     ``x`` is itself set."""
+    sources = _sources(root, PARAM_CONSUMER_DIRS)
     params, defined, at = [], set(), {}
-    for rel, module, tree in _modules(package):
+    for rel, module, tree in _modules(package, sources):
         defined.update(n.name for n in ast.walk(tree) if isinstance(n, _DEFS))
         path = os.path.normpath(os.path.join(os.path.dirname(package), rel))
         for callee, qualified, name, index, node in _signature_params(tree, module):
             params.append((rel, callee, qualified, name, index, node.lineno))
             at[path, node.lineno, node.col_offset] = qualified
     records, loads, called = [], Counter(), Counter()
-    for path, tree in _sources(root, PARAM_CONSUMER_DIRS):
+    for path, tree in sources:
         for callee, args, kws, scopes in _calls(tree, loads):
             records.append((path, callee, args, kws, scopes))
             called[callee] += 1
@@ -592,12 +608,13 @@ def find_orphan_attributes(root=ROOT, package=PACKAGE):
     """``{module.Class.attr: "file:line"}`` of the instance attributes under
     ``package`` that nothing under ``src/``, ``benchmarks/`` or
     ``examples/`` reads."""
+    sources = _sources(root, CONSUMER_DIRS)
     reads = Counter()
-    for tree in _trees(root, CONSUMER_DIRS):
+    for _, tree in sources:
         reads.update(_attribute_reads(tree))
     return {
         qualified: f"{rel}:{line}"
-        for rel, module, tree in _modules(package)
+        for rel, module, tree in _modules(package, sources)
         for qualified, name, line in _instance_attributes(tree, module)
         if not reads[name]
     }
