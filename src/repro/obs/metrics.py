@@ -204,10 +204,16 @@ class MetricsRegistry:
     def total(self, name: str, **labels: Any) -> float:
         """Sum of a counter/gauge over all label sets matching ``labels``."""
         want = set(labels.items())
+        with self._lock:
+            matching = [
+                (kind, lkey, inst)
+                for (kind, n, lkey), inst in self._instruments.items()
+                if n == name and kind != "histogram" and want <= set(lkey)
+            ]
         out = 0.0
-        for s in self.samples():
-            if s.name == name and s.kind != "histogram" and want <= set(s.labels.items()):
-                out += s.value
+        # summed in samples() order, so the float sum is the same
+        for _kind, _lkey, inst in sorted(matching, key=lambda m: m[:2]):
+            out += inst.value
         return out
 
 

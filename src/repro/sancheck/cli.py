@@ -28,9 +28,12 @@ import argparse
 import sys
 import traceback
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.sancheck.findings import Finding, Report
+
+if TYPE_CHECKING:
+    from repro.sancheck.simlint import Sources
 
 ANALYSES = ("lint", "flow", "races")
 FAIL_ON_CHOICES = ("error", "warning", "any")
@@ -40,19 +43,16 @@ EXIT_FINDINGS = 1
 EXIT_CRASH = 2
 
 
-def _run_lint(report: Report, paths: Optional[List[str]]) -> None:
-    from repro.sancheck.simlint import default_lint_root, lint_paths
+def _run_lint(report: Report, sources: Sources) -> None:
+    from repro.sancheck.simlint import lint_sources
 
-    targets = paths or [str(default_lint_root())]
-    report.extend(lint_paths(targets), analysis="simlint")
+    report.extend(lint_sources(sources), analysis="simlint")
 
 
-def _run_flow(report: Report, paths: Optional[List[str]]) -> None:
-    from repro.sancheck.flow import analyze_paths
-    from repro.sancheck.simlint import default_lint_root
+def _run_flow(report: Report, sources: Sources) -> None:
+    from repro.sancheck.flow import analyze_sources
 
-    targets = paths or [str(default_lint_root())]
-    report.extend(analyze_paths(targets), analysis="flow")
+    report.extend(analyze_sources(sources), analysis="flow")
 
 
 def _selftest_failure(tool: str, what: str) -> Finding:
@@ -147,24 +147,26 @@ def check_main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--path does not exist: {', '.join(missing)}")
 
     report = Report()
-    runners: List[Callable[[], None]] = []
-    if "lint" in selected:
-        runners.append(lambda: _run_lint(report, args.path))
-    if "flow" in selected:
-        runners.append(lambda: _run_flow(report, args.path))
-    if "races" in selected:
-        runners.append(lambda: _run_races(report))
-    for run in runners:
-        try:
-            run()
-        except Exception:
-            traceback.print_exc()
-            print(
-                "sancheck: analyzer crashed — this is a bug in the checker, "
-                "not a finding",
-                file=sys.stderr,
-            )
-            return EXIT_CRASH
+    try:
+        if "lint" in selected or "flow" in selected:
+            from repro.sancheck.simlint import default_lint_root, parse_paths
+
+            # one parse of each file serves both static analyses
+            sources = parse_paths([Path(p) for p in args.path or [default_lint_root()]])
+            if "lint" in selected:
+                _run_lint(report, sources)
+            if "flow" in selected:
+                _run_flow(report, sources)
+        if "races" in selected:
+            _run_races(report)
+    except Exception:
+        traceback.print_exc()
+        print(
+            "sancheck: analyzer crashed — this is a bug in the checker, "
+            "not a finding",
+            file=sys.stderr,
+        )
+        return EXIT_CRASH
 
     report.finalize()
 

@@ -20,12 +20,13 @@ the effect lattice:
   ``checkpoint()``/``try_restore()``/``commit()`` breaks the phase
   discipline the recovery-decision invariants assume.
 
-Entry point: :func:`analyze_paths` (exposed as ``repro check --deep``).
+Entry points: :func:`analyze_paths`, and :func:`analyze_sources` on the
+parse simlint also reads (what ``repro check --deep`` runs).
 Reports export to SARIF and JSONL (:mod:`repro.sancheck.flow.export`).
 """
 
 from repro.sancheck.flow.callgraph import FunctionNode, ProjectIndex, build_index
-from repro.sancheck.flow.driver import analyze_index, analyze_paths
+from repro.sancheck.flow.driver import analyze_index, analyze_paths, analyze_sources
 from repro.sancheck.flow.effects import (
     ALL_EFFECTS,
     ALLOCATES,
@@ -42,6 +43,7 @@ from repro.sancheck.flow.taint import Witness, propagate
 
 __all__ = [
     "analyze_paths",
+    "analyze_sources",
     "analyze_index",
     "build_index",
     "ProjectIndex",

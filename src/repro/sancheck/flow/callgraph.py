@@ -17,6 +17,16 @@ resolution is deliberately *sound-ish* rather than precise:
 * everything else is recorded as an unresolved external/method call and
   classified by name at the effect layer.
 
+SHM-backed memory (what ``mutates-shm`` and ``lifecycle-premature-write``
+see written) is inferred by one fixpoint.  One walk per function records
+what each assignment binds and each ``return`` yields, as *atoms*
+(``shm_create``, locals, ``self.<attr>``, ``self.<m>(...)``); iterating
+those facts until nothing changes finds the SHM-returning functions
+(through CHA dispatch), each class's SHM attributes (inherited down the
+hierarchy) and each function's SHM locals — through helper chains of any
+depth, whatever the helpers are called.  One predicate over atoms serves
+the fixpoint and the write scan, which rebinds locals in program order.
+
 Nested functions and lambdas are inlined into their enclosing function:
 their calls and writes belong to the parent summary, which matches how
 the closures in this codebase are used (built and invoked locally, e.g.
@@ -28,13 +38,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from repro.sancheck.simlint import (
-    ImportResolver,
-    iter_python_files,
-    module_name_for,
-)
+from repro.sancheck.simlint import ImportResolver, Sources, module_name_for
 
 #: sentinel for calls on SHM segment stores (create/unlink)
 SHM_METHODS = frozenset({"shm_create", "shm_unlink"})
@@ -172,41 +178,142 @@ class ProjectIndex:
         return cls.split(".")[-1] == base_name
 
 
-def _contains_shm_source(node: ast.AST) -> bool:
-    """True when an expression subtree manufactures SHM-backed memory."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr == "shm_create":
-            return True
-        if isinstance(sub, ast.Name) and sub.id == "shm_create":
-            return True
-    return False
+class _ShmAtoms(NamedTuple):
+    """What an expression reads that may be SHM-backed memory."""
+
+    source: bool  # ``shm_create`` itself
+    names: FrozenSet[str]  # bare names: SHM when a local bound to SHM
+    attrs: FrozenSet[str]  # ``self.<attr>``: SHM when the class's attr is
+    calls: FrozenSet[str]  # ``self.<m>(...)``: SHM when a target of m returns it
 
 
-def _returns_shm(fn_node: ast.AST, is_source=_contains_shm_source) -> bool:
-    """Does this function return SHM-backed memory?  Tracks locals bound
-    to ``shm_create`` results (``seg = ctx.shm_create(...);
-    return seg.array`` is the idiom everywhere).  ``is_source`` widens
-    what counts as manufacturing SHM (see :func:`build_index`)."""
-    shm_locals: Set[str] = set()
-    for _ in range(2):
-        for sub in ast.walk(fn_node):
-            if isinstance(sub, ast.Assign):
-                tainted = is_source(sub.value) or any(
-                    isinstance(n, ast.Name) and n.id in shm_locals
-                    for n in ast.walk(sub.value)
-                )
-                if tainted:
-                    for target in sub.targets:
-                        if isinstance(target, ast.Name):
-                            shm_locals.add(target.id)
-    for sub in ast.walk(fn_node):
-        if isinstance(sub, ast.Return) and sub.value is not None:
-            if is_source(sub.value) or any(
-                isinstance(n, ast.Name) and n.id in shm_locals
-                for n in ast.walk(sub.value)
-            ):
+def _atoms(expr: ast.AST, self_name: Optional[str]) -> _ShmAtoms:
+    source = False
+    names: Set[str] = set()
+    attrs: Set[str] = set()
+    calls: Set[str] = set()
+    for n in ast.walk(expr):
+        if isinstance(n, ast.Name):
+            source = source or n.id == "shm_create"
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            source = source or n.attr == "shm_create"
+            if isinstance(n.value, ast.Name) and n.value.id == self_name:
+                attrs.add(n.attr)
+        elif (
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and isinstance(n.func.value, ast.Name)
+            and n.func.value.id == self_name
+        ):
+            calls.add(n.func.attr)
+    return _ShmAtoms(source, frozenset(names), frozenset(attrs), frozenset(calls))
+
+
+@dataclass
+class _ShmFacts:
+    """One function's SHM facts, read in one walk of its body: what each
+    assignment binds (locals, ``self.x`` / ``self.x[...]``) and what its
+    value reads, and what each ``return`` reads."""
+
+    owner: Optional[ClassNode]
+    binds: List[Tuple[Tuple[str, ...], Tuple[str, ...], _ShmAtoms]]
+    returns: List[_ShmAtoms]
+    #: locals bound to SHM somewhere in the body (program order ignored)
+    shm_locals: Set[str] = field(default_factory=set)
+
+
+class _ShmInference:
+    """Which functions return SHM-backed memory, and which class
+    attributes and locals hold it: the least fixpoint of every function's
+    facts, so a helper chain is seen at any depth, in any name order."""
+
+    def __init__(self, index: "ProjectIndex", facts: Dict[str, _ShmFacts]) -> None:
+        self.index = index
+        self.returning: Set[str] = set()
+        self._targets: Dict[Tuple[str, str], List[str]] = {}
+        classes = index.classes
+        ancestors = {q: index.mro(q)[1:] for q in classes}
+        size = -1
+        while size != self._size(facts):
+            size = self._size(facts)
+            for q, f in facts.items():
+                for names, attrs, atoms in f.binds:
+                    if self.is_shm(atoms, f.owner, f.shm_locals):
+                        f.shm_locals.update(names)
+                        if f.owner is not None:
+                            f.owner.shm_attrs.update(attrs)
+                if any(self.is_shm(a, f.owner, f.shm_locals) for a in f.returns):
+                    self.returning.add(q)
+            for q, cnode in classes.items():
+                for anc in ancestors[q]:
+                    cnode.shm_attrs |= classes[anc].shm_attrs
+
+    def _size(self, facts: Dict[str, _ShmFacts]) -> int:
+        return (
+            len(self.returning)
+            + sum(len(f.shm_locals) for f in facts.values())
+            + sum(len(c.shm_attrs) for c in self.index.classes.values())
+        )
+
+    def is_shm(
+        self, atoms: _ShmAtoms, owner: Optional[ClassNode], shm_locals: Set[str]
+    ) -> bool:
+        """The one predicate both the fixpoint and the write scan ask."""
+        if atoms.source or not atoms.names.isdisjoint(shm_locals):
+            return True
+        if owner is None:
+            return False
+        if not atoms.attrs.isdisjoint(owner.shm_attrs):
+            return True
+        for name in atoms.calls:
+            key = (owner.qualname, name)
+            if key not in self._targets:
+                self._targets[key] = self.index.dispatch_targets(*key)
+            if not self.returning.isdisjoint(self._targets[key]):
                 return True
-    return False
+        return False
+
+
+def _shm_facts(
+    body: ast.AST,
+    owner: Optional[ClassNode],
+    index: "ProjectIndex",
+    imports: ImportResolver,
+    module_classes: Dict[str, str],
+) -> _ShmFacts:
+    """Walk a function once for its SHM facts; ``self.x = Cls(...)`` also
+    types ``owner``'s attribute ``x``."""
+    self_name = _first_arg_name(body) if owner is not None else None
+    facts = _ShmFacts(owner, [], [])
+    for node in ast.walk(body):
+        if isinstance(node, ast.Return) and node.value is not None:
+            facts.returns.append(_atoms(node.value, self_name))
+        if not isinstance(node, ast.Assign):
+            continue
+        names: List[str] = []
+        attrs: List[str] = []
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                names.append(target.id)
+                continue
+            base = target.value if isinstance(target, ast.Subscript) else target
+            if not (
+                isinstance(base, ast.Attribute)
+                and isinstance(base.value, ast.Name)
+                and base.value.id == self_name
+            ):
+                continue
+            attrs.append(base.attr)
+            if base is target and owner is not None and isinstance(node.value, ast.Call):
+                cls = _resolve_class(index, imports.resolve(node.value.func), module_classes)
+                if cls is not None:
+                    owner.attr_types.setdefault(base.attr, cls)
+        if names or attrs:
+            facts.binds.append(
+                (tuple(names), tuple(attrs), _atoms(node.value, self_name))
+            )
+    return facts
 
 
 class _FunctionScanner(ast.NodeVisitor):
@@ -227,7 +334,7 @@ class _FunctionScanner(ast.NodeVisitor):
         owner: Optional[ClassNode],
         fn: FunctionNode,
         self_name: Optional[str],
-        shm_returning: Optional[Set[str]] = None,
+        shm: _ShmInference,
     ) -> None:
         self.index = index
         self.imports = imports
@@ -237,7 +344,7 @@ class _FunctionScanner(ast.NodeVisitor):
         self.owner = owner
         self.fn = fn
         self.self_name = self_name
-        self.shm_returning = shm_returning or set()
+        self.shm = shm
         #: local var -> project class qualname
         self.var_types: Dict[str, str] = {}
         #: local names aliasing SHM-backed memory
@@ -245,21 +352,6 @@ class _FunctionScanner(ast.NodeVisitor):
         self.globals_declared: Set[str] = set()
 
     # -- resolution helpers -----------------------------------------------------
-    def _resolve_class(self, dotted: Optional[str]) -> Optional[str]:
-        if dotted is None:
-            return None
-        if dotted in self.index.classes:
-            return dotted
-        if dotted in self.module_classes:
-            return self.module_classes[dotted]
-        last = dotted.split(".")[-1]
-        candidates = [
-            q for q, c in self.index.classes.items() if c.name == last
-        ]
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
-
     def _self_attr(self, node: ast.expr) -> Optional[str]:
         """Attribute name when ``node`` is exactly ``self.<attr>``."""
         if (
@@ -273,30 +365,7 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def _is_shm_expr(self, node: ast.expr) -> bool:
         """Does this expression read SHM-backed memory?"""
-        if _contains_shm_source(node):
-            return True
-        for sub in ast.walk(node):
-            attr = self._self_attr(sub) if isinstance(sub, ast.expr) else None
-            if (
-                attr is not None
-                and self.owner is not None
-                and attr in self.owner.shm_attrs
-            ):
-                return True
-            if isinstance(sub, ast.Name) and sub.id in self.shm_vars:
-                return True
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and self._self_attr(sub.func) is not None
-                and self.owner is not None
-            ):
-                targets = self.index.dispatch_targets(
-                    self.owner.qualname, sub.func.attr
-                )
-                if any(t in self.shm_returning for t in targets):
-                    return True
-        return False
+        return self.shm.is_shm(_atoms(node, self.self_name), self.owner, self.shm_vars)
 
     def _record_shm_write(self, lineno: int) -> None:
         self.fn.shm_writes.append(lineno)
@@ -310,7 +379,7 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def _bind(self, name: str, value: ast.expr, lineno: int) -> None:
         dotted = self.imports.resolve(value.func) if isinstance(value, ast.Call) else None
-        cls = self._resolve_class(dotted) if dotted else None
+        cls = _resolve_class(self.index, dotted, self.module_classes)
         if cls is not None:
             self.var_types[name] = cls
         else:
@@ -418,7 +487,7 @@ class _FunctionScanner(ast.NodeVisitor):
         if dotted in self.module_functions:
             self._add_project_call(self.module_functions[dotted], lineno)
             return True
-        cls = self._resolve_class(dotted)
+        cls = _resolve_class(self.index, dotted, self.module_classes)
         if cls is not None:
             init = self.index.lookup_method(cls, "__init__")
             if init is not None:
@@ -482,7 +551,7 @@ class _FunctionScanner(ast.NodeVisitor):
                 self._add_project_call(dotted, lineno)
                 return True
             head, _, tail = dotted.rpartition(".")
-            cls = self._resolve_class(head) if head else None
+            cls = _resolve_class(self.index, head, self.module_classes)
             if cls is not None:
                 target = self.index.lookup_method(cls, tail)
                 if target is not None:
@@ -491,18 +560,16 @@ class _FunctionScanner(ast.NodeVisitor):
         return False
 
 
-def build_index(paths: Sequence[Path]) -> ProjectIndex:
-    """Parse every ``*.py`` under ``paths`` into a :class:`ProjectIndex`."""
-    paths = [Path(p) for p in paths]
+def build_index(sources: Sources) -> ProjectIndex:
+    """The :class:`ProjectIndex` of the files :func:`parse_paths` read."""
+    paths = sources.paths
     root = paths[0] if paths and paths[0].is_dir() else Path(".")
     index = ProjectIndex()
     parsed: List[Tuple[str, str, ast.Module, ImportResolver]] = []
 
     # pass 1: modules, classes, functions
-    for path in iter_python_files(paths):
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        except SyntaxError:
+    for path, _source, tree in sources.files:
+        if isinstance(tree, SyntaxError):
             continue  # simlint reports syntax errors; the graph skips the file
         module = module_name_for(path)
         file = rel_file(path, root)
@@ -552,72 +619,36 @@ def build_index(paths: Sequence[Path]) -> ProjectIndex:
                         )
 
     # pass 2: resolve bases, subclass map, attribute types, SHM attributes
+    module_classes: Dict[str, Dict[str, str]] = {}
+    for cqual, cnode in index.classes.items():
+        module_classes.setdefault(cnode.module, {})[cnode.name] = cqual
     for cqual in sorted(index.classes):
         cnode = index.classes[cqual]
         resolved: List[str] = []
         for raw in cnode.raw_bases:
-            target: Optional[str] = None
-            if raw in index.classes:
-                target = raw
-            else:
-                last = raw.split(".")[-1]
-                cands = [q for q, c in index.classes.items() if c.name == last]
-                if len(cands) == 1:
-                    target = cands[0]
+            target = _resolve_class(index, raw, module_classes.get(cnode.module, {}))
             if target is not None and target != cqual:
                 resolved.append(target)
                 index.subclasses.setdefault(target, set()).add(cqual)
         cnode.bases = tuple(resolved)
 
-    shm_returning = {
-        q
-        for q, fn in index.functions.items()
-        if fn.body is not None and _returns_shm(fn.body)
-    }
-    # Two rounds: round 1 harvests direct `self.x = shm_create(...)` forms;
-    # round 2 sees one-hop helpers (`self._ctrl = self._make_ctrl()`,
-    # `self._arrays[k] = self._alloc_array(...)`) and methods that return
-    # an SHM attribute discovered in round 1.
-    for _ in range(2):
-        for cqual in sorted(index.classes):
-            cnode = index.classes[cqual]
-            imports = _imports_for(parsed, cnode.module)
-            for mname in sorted(cnode.methods):
-                fn = index.functions[cnode.methods[mname]]
-                if fn.body is not None:
-                    _harvest_class_attrs(cnode, fn, index, imports, shm_returning)
-        # inherit SHM attributes and attribute types down the hierarchy
-        for cqual in sorted(index.classes):
-            cnode = index.classes[cqual]
-            for anc in index.mro(cqual)[1:]:
-                cnode.shm_attrs |= index.classes[anc].shm_attrs
-                for k, v in index.classes[anc].attr_types.items():
-                    cnode.attr_types.setdefault(k, v)
-        # methods returning self.<shm attr>, or what an SHM-returning
-        # method of theirs returned (``return self._shm(...)``), also
-        # manufacture SHM aliases
-        for q in sorted(index.functions):
-            fn = index.functions[q]
+    imports_of: Dict[str, ImportResolver] = {}
+    for module, _file, _tree, imports in parsed:
+        imports_of.setdefault(module, imports)
+    facts: Dict[str, _ShmFacts] = {}
+    for q in sorted(index.functions):
+        fn = index.functions[q]
+        if fn.body is not None:
             owner = index.classes.get(fn.cls) if fn.cls else None
-            if fn.body is None or owner is None or q in shm_returning:
-                continue
-            self_name = _first_arg_name(fn.body)
-
-            def is_source(value: ast.expr) -> bool:
-                return (
-                    _contains_shm_source(value)
-                    or _calls_shm_returning(value, self_name, owner, index, shm_returning)
-                    or any(
-                        isinstance(n, ast.Attribute)
-                        and isinstance(n.value, ast.Name)
-                        and n.value.id == self_name
-                        and n.attr in owner.shm_attrs
-                        for n in ast.walk(value)
-                    )
-                )
-
-            if _returns_shm(fn.body, is_source):
-                shm_returning.add(q)
+            facts[q] = _shm_facts(
+                fn.body, owner, index, imports_of[fn.module], module_classes.get(fn.module, {})
+            )
+    for cqual in sorted(index.classes):
+        cnode = index.classes[cqual]
+        for anc in index.mro(cqual)[1:]:
+            for k, v in index.classes[anc].attr_types.items():
+                cnode.attr_types.setdefault(k, v)
+    shm = _ShmInference(index, facts)
 
     # pass 3: per-function call/write scan
     for module, file, tree, imports in parsed:
@@ -625,9 +656,6 @@ def build_index(paths: Sequence[Path]) -> ProjectIndex:
             fn.name: q
             for q, fn in index.functions.items()
             if fn.module == module and fn.cls is None
-        }
-        module_classes = {
-            c.name: q for q, c in index.classes.items() if c.module == module
         }
         for q in sorted(index.functions):
             fn = index.functions[q]
@@ -640,11 +668,11 @@ def build_index(paths: Sequence[Path]) -> ProjectIndex:
                 imports,
                 module,
                 module_functions,
-                module_classes,
+                module_classes.get(module, {}),
                 owner,
                 fn,
                 self_name,
-                shm_returning,
+                shm,
             )
             assert isinstance(fn.body, (ast.FunctionDef, ast.AsyncFunctionDef))
             for default in list(fn.body.args.defaults) + [
@@ -665,110 +693,17 @@ def _first_arg_name(fn_node: ast.AST) -> Optional[str]:
     return None
 
 
-def _calls_shm_returning(
-    value: ast.expr,
-    self_name: Optional[str],
-    cnode: ClassNode,
-    index: ProjectIndex,
-    shm_returning: Set[str],
-) -> bool:
-    """``self.attr = self._make_ctrl()`` — one interprocedural hop to
-    methods whose body returns SHM-backed memory."""
-    for node in ast.walk(value):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        base = node.func.value
-        if not (
-            isinstance(base, ast.Name)
-            and self_name is not None
-            and base.id == self_name
-        ):
-            continue
-        for target in index.dispatch_targets(cnode.qualname, node.func.attr):
-            if target in shm_returning:
-                return True
-    return False
-
-
-def _class_for(dotted: Optional[str], index: ProjectIndex) -> Optional[str]:
+def _resolve_class(
+    index: ProjectIndex, dotted: Optional[str], module_classes: Dict[str, str]
+) -> Optional[str]:
+    """The project class ``dotted`` names: itself, a class of the calling
+    module, or the only project class with its last name."""
     if dotted is None:
         return None
     if dotted in index.classes:
         return dotted
+    if dotted in module_classes:
+        return module_classes[dotted]
     last = dotted.split(".")[-1]
     cands = [q for q, c in index.classes.items() if c.name == last]
     return cands[0] if len(cands) == 1 else None
-
-
-def _harvest_class_attrs(
-    cnode: ClassNode,
-    fn: FunctionNode,
-    index: ProjectIndex,
-    imports: ImportResolver,
-    shm_returning: Set[str],
-) -> None:
-    """Scan one method body for ``self.attr = ...`` bindings, recording
-    attribute types and SHM-backed attributes (including container forms
-    like ``self._arrays[name] = arr`` with ``arr`` SHM-aliased locally)."""
-    maybe_self = _first_arg_name(fn.body) if fn.body is not None else None
-    if fn.body is None or maybe_self is None:
-        return
-    self_name: str = maybe_self
-    shm_locals: Set[str] = set()
-
-    def value_is_shm(value: ast.expr) -> bool:
-        if _contains_shm_source(value):
-            return True
-        if _calls_shm_returning(value, self_name, cnode, index, shm_returning):
-            return True
-        for n in ast.walk(value):
-            if isinstance(n, ast.Name) and n.id in shm_locals:
-                return True
-            if (
-                isinstance(n, ast.Attribute)
-                and isinstance(n.value, ast.Name)
-                and n.value.id == self_name
-                and n.attr in cnode.shm_attrs
-            ):
-                return True
-        return False
-
-    # two local iterations: a local bound before its use site settles
-    for _ in range(2):
-        for node in ast.walk(fn.body):
-            if not isinstance(node, ast.Assign):
-                continue
-            is_shm = value_is_shm(node.value)
-            for target in node.targets:
-                if isinstance(target, ast.Name) and is_shm:
-                    shm_locals.add(target.id)
-                elif (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == self_name
-                ):
-                    if is_shm:
-                        cnode.shm_attrs.add(target.attr)
-                    if isinstance(node.value, ast.Call):
-                        cls = _class_for(
-                            imports.resolve(node.value.func), index
-                        )
-                        if cls is not None:
-                            cnode.attr_types.setdefault(target.attr, cls)
-                elif (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Attribute)
-                    and isinstance(target.value.value, ast.Name)
-                    and target.value.value.id == self_name
-                    and is_shm
-                ):
-                    cnode.shm_attrs.add(target.value.attr)
-
-
-def _imports_for(
-    parsed: List[Tuple[str, str, ast.Module, ImportResolver]], module: str
-) -> ImportResolver:
-    for m, _f, _t, imports in parsed:
-        if m == module:
-            return imports
-    return ImportResolver()

@@ -1,10 +1,10 @@
 """Top-level driver: paths in, deterministic findings out.
 
-``analyze_paths`` is what ``repro check --deep`` (and the test fixtures)
-call: build the project index, extract intrinsic effects, propagate to a
-fixpoint, run the lifecycle checker, and return findings sorted by
-``(file, line, rule, message)`` so two consecutive runs are
-byte-identical.
+``analyze_paths`` (and ``analyze_sources``, for files ``repro check``
+has already parsed for the lint) builds the project index, extracts
+intrinsic effects, propagates them to a fixpoint, runs the lifecycle
+checker, and returns findings sorted by ``(file, line, rule, message)``
+so two consecutive runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.sancheck.flow.callgraph import ProjectIndex, build_index
 from repro.sancheck.flow.effects import build_intrinsics
 from repro.sancheck.flow.lifecycle import lifecycle_findings
 from repro.sancheck.flow.taint import SummaryMap, propagate
-from repro.sancheck.simlint import RNG_ALLOW, WALLCLOCK_ALLOW
+from repro.sancheck.simlint import RNG_ALLOW, WALLCLOCK_ALLOW, Sources, parse_paths
 
 
 def analyze_index(index: ProjectIndex) -> List[Finding]:
@@ -29,5 +29,8 @@ def analyze_index(index: ProjectIndex) -> List[Finding]:
 
 def analyze_paths(paths: Sequence[Union[str, Path]]) -> List[Finding]:
     """Run the whole-program analysis over files/directories."""
-    index = build_index([Path(p) for p in paths])
-    return analyze_index(index)
+    return analyze_sources(parse_paths([Path(p) for p in paths]))
+
+
+def analyze_sources(sources: Sources) -> List[Finding]:
+    return analyze_index(build_index(sources))

@@ -57,8 +57,9 @@ from __future__ import annotations
 
 import ast
 import re
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.obs.labels import METRIC_NAMES, SPAN_LABELS
 from repro.sancheck.findings import Finding
@@ -529,19 +530,33 @@ def lint_source(
     module: Optional[str] = None,
 ) -> List[Finding]:
     """Lint one source string; returns findings (possibly a syntax error)."""
-    module = module or module_name_for(Path(filename))
+    return _lint_parsed(source, _parse(source, filename), filename, module)
+
+
+def _parse(source: str, filename: str) -> Union[ast.Module, SyntaxError]:
     try:
-        tree = ast.parse(source, filename=filename)
+        return ast.parse(source, filename=filename)
     except SyntaxError as e:
+        return e
+
+
+def _lint_parsed(
+    source: str,
+    tree: Union[ast.Module, SyntaxError],
+    filename: str,
+    module: Optional[str],
+) -> List[Finding]:
+    if isinstance(tree, SyntaxError):
         return [
             Finding(
                 tool="simlint",
                 rule="syntax",
-                message=f"cannot parse: {e.msg}",
+                message=f"cannot parse: {tree.msg}",
                 file=filename,
-                line=e.lineno or 0,
+                line=tree.lineno or 0,
             )
         ]
+    module = module or module_name_for(Path(filename))
     imports = ImportResolver()
     imports.visit(tree)
     pragmas = _pragma_lines(source)
@@ -561,12 +576,34 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
     return out
 
 
+@dataclass(frozen=True)
+class Sources:
+    """Every ``*.py`` file under ``paths``, read and parsed once, so the
+    lint and the flow analysis of one ``repro check`` read one parse."""
+
+    paths: Tuple[Path, ...]
+    #: (path, source text, tree — or the SyntaxError it raised)
+    files: Tuple[Tuple[Path, str, Union[ast.Module, SyntaxError]], ...]
+
+
+def parse_paths(paths: Sequence[Path]) -> Sources:
+    files: List[Tuple[Path, str, Union[ast.Module, SyntaxError]]] = []
+    for path in iter_python_files([Path(p) for p in paths]):
+        source = path.read_text(encoding="utf-8")
+        files.append((path, source, _parse(source, str(path))))
+    return Sources(tuple(Path(p) for p in paths), tuple(files))
+
+
+def lint_sources(sources: Sources) -> List[Finding]:
+    findings: List[Finding] = []
+    for path, source, tree in sources.files:
+        findings.extend(_lint_parsed(source, tree, str(path), None))
+    return findings
+
+
 def lint_paths(paths: Sequence[Path]) -> List[Finding]:
     """Lint every ``*.py`` under ``paths`` (files or directories)."""
-    findings: List[Finding] = []
-    for path in iter_python_files([Path(p) for p in paths]):
-        findings.extend(lint_source(path.read_text(encoding="utf-8"), str(path)))
-    return findings
+    return lint_sources(parse_paths(paths))
 
 
 def default_lint_root() -> Path:

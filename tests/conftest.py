@@ -1,16 +1,19 @@
 """Runs that tests in several modules assert on, each made once per
 session: a golden's run under a poison fill (the golden and the poison
 net's case of that fill read one run), and the findings of simlint and of
-the flow analysis on the shipped package.  Only results are kept: a
-parsed tree held for the session would slow every later test's garbage
-collection."""
+the flow analysis on the shipped package, with the facts of the flow
+index the tests read.  Only results are kept: a parsed tree (the flow
+index holds one per function) held for the session would slow every
+later test's garbage collection."""
 
 import contextlib
 import io
+from types import SimpleNamespace
 
 import pytest
 
 from repro.sancheck import flow, simlint
+from repro.sancheck.flow.lifecycle import KERNEL_MODULES, kernel_functions, protocol_classes
 from repro.sim import shm
 from tests.chaos.helpers import GOLDEN_FILL, poison_alloc
 
@@ -39,22 +42,42 @@ def shipped_lint():
 
 
 @pytest.fixture(scope="session")
-def shipped_flow_findings():
-    return flow.analyze_paths([simlint.default_lint_root()])
+def shipped_flow():
+    """One flow index of the shipped package serves every test that reads
+    it: its findings and the facts of it the tests assert on."""
+    index = flow.build_index(simlint.parse_paths([simlint.default_lint_root()]))
+    return SimpleNamespace(
+        findings=flow.analyze_index(index),
+        shm_attrs={q: set(c.shm_attrs) for q, c in index.classes.items()},
+        checkpointers=protocol_classes(index, "Checkpointer"),
+        restore_entries={
+            index.lookup_method(q, "try_restore")
+            for q in protocol_classes(index, "CheckpointProtocol")
+            if index.is_descendant_of(q, "CheckpointProtocol")
+        },
+        kernel_functions=kernel_functions(index, KERNEL_MODULES),
+    )
 
 
 @pytest.fixture
-def shipped_analyses_once(monkeypatch, shipped_lint, shipped_flow_findings):
-    """Inside the test, simlint and the flow analysis return the session's
-    findings on the shipped package, the only path they may be given."""
-    root = [str(simlint.default_lint_root())]
+def shipped_analyses_once(monkeypatch, shipped_lint, shipped_flow):
+    """Inside the test, ``repro check`` reads the session's simlint and
+    flow findings on the shipped package, the only path it may be given,
+    and parses nothing."""
+    root = (simlint.default_lint_root(),)
+    shipped = simlint.Sources(root, ())
+
+    def parse(paths):
+        assert tuple(paths) == root
+        return shipped
 
     def served(findings):
-        def analysis(paths):
-            assert list(map(str, paths)) == root
+        def analysis(sources):
+            assert sources is shipped
             return list(findings)
 
         return analysis
 
-    monkeypatch.setattr(simlint, "lint_paths", served(shipped_lint))
-    monkeypatch.setattr(flow, "analyze_paths", served(shipped_flow_findings))
+    monkeypatch.setattr(simlint, "parse_paths", parse)
+    monkeypatch.setattr(simlint, "lint_sources", served(shipped_lint))
+    monkeypatch.setattr(flow, "analyze_sources", served(shipped_flow.findings))

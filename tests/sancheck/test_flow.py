@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.sancheck import default_lint_root
 from repro.sancheck.flow import (
     RNG_UNSEEDED,
     WALLCLOCK,
@@ -22,11 +21,10 @@ from repro.sancheck.flow import (
 from repro.sancheck.flow.effects import build_intrinsics
 from repro.sancheck.flow.export import to_jsonl
 from repro.sancheck.flow.lifecycle import (
-    KERNEL_MODULES,
     kernel_functions,
     protocol_classes,
 )
-from repro.sancheck.simlint import RNG_ALLOW, WALLCLOCK_ALLOW, lint_paths
+from repro.sancheck.simlint import RNG_ALLOW, WALLCLOCK_ALLOW, lint_paths, parse_paths
 
 FIXTURE = Path(__file__).parent / "fixtures" / "badckpt"
 
@@ -36,14 +34,8 @@ def fixture_findings():
 
 
 @pytest.fixture(scope="module")
-def shipped_index():
-    """The whole-program index of the shipped tree, parsed once (~2 s)."""
-    return build_index([default_lint_root()])
-
-
-@pytest.fixture(scope="module")
 def fixture_index():
-    return build_index([FIXTURE])
+    return build_index(parse_paths([FIXTURE]))
 
 
 @pytest.fixture(scope="module")
@@ -161,15 +153,13 @@ class TestDeterminism:
 
 
 class TestRealTree:
-    def test_shipped_package_has_no_errors(self, shipped_flow_findings):
+    def test_shipped_package_has_no_errors(self, shipped_flow):
         """The shipped protocols must satisfy their own lifecycle
         discipline (warnings may exist; errors may not)."""
-        assert [f for f in shipped_flow_findings if f.severity == "error"] == []
+        assert [f for f in shipped_flow.findings if f.severity == "error"] == []
 
-    def test_all_shipped_protocols_are_seen(self, shipped_index):
-        names = {
-            q.split(".")[-1] for q in protocol_classes(shipped_index, "Checkpointer")
-        }
+    def test_all_shipped_protocols_are_seen(self, shipped_flow):
+        names = {q.split(".")[-1] for q in shipped_flow.checkpointers}
         # nominal subclasses AND the duck-typed protocols
         assert {
             "SelfCheckpoint",
@@ -182,28 +172,21 @@ class TestRealTree:
             "DiskCheckpoint",
         } <= names
 
-    def test_restore_preamble_is_checked_in_one_place(
-        self, shipped_index, shipped_flow_findings
-    ):
+    def test_restore_preamble_is_checked_in_one_place(self, shipped_flow):
         """Every group protocol restores through ``Checkpointer.try_restore``,
         so ``lifecycle-premature-write`` checks the status exchange once;
         only the disk and multi-level tiers have a restore entry of their
         own (the manager is a structural match that only delegates) — and
         none of them writes SHM before the exchange."""
-        entries = {
-            shipped_index.lookup_method(q, "try_restore")
-            for q in protocol_classes(shipped_index, "CheckpointProtocol")
-            if shipped_index.is_descendant_of(q, "CheckpointProtocol")
-        }
-        assert entries == {
+        assert shipped_flow.restore_entries == {
             "repro.ckpt.protocol.Checkpointer.try_restore",
             "repro.ckpt.disk.DiskCheckpoint.try_restore",
             "repro.ckpt.multilevel.MultiLevelCheckpoint.try_restore",
         }
-        fs = by_rule(shipped_flow_findings)
+        fs = by_rule(shipped_flow.findings)
         assert fs.get("lifecycle-premature-write", []) == []
 
-    def test_segments_made_by_the_shared_helper_are_tracked(self, shipped_index):
+    def test_segments_made_by_the_shared_helper_are_tracked(self, shipped_flow):
         """Every protocol creates its segments through
         ``Checkpointer._shm``; the control flags and the (possibly SHM)
         workspace reach their attributes through a second helper on top
@@ -218,7 +201,7 @@ class TestRealTree:
             "repro.ckpt.self_ckpt.SelfCheckpointRS": {"_a1", "_b", "_b2", "_c", "_d"},
         }.items():
             assert (
-                attrs | {"_ctrl", "_arrays"} <= shipped_index.classes[cls].shm_attrs
+                attrs | {"_ctrl", "_arrays"} <= shipped_flow.shm_attrs[cls]
             ), cls
 
 
@@ -256,6 +239,54 @@ class TestOneNondeterminismAnswer:
         )
 
 
+class TestShmHelperChains:
+    """SHM-backed memory is found through a chain of helpers of any depth,
+    whatever the helpers are called: a duck-typed protocol whose attributes
+    come through 1 to 4 helpers writes each of them in ``try_restore()``
+    before the status exchange, and each write is a finding."""
+
+    @staticmethod
+    def source(helper):
+        """``helper(k)`` names the helper ``k`` calls away from ``shm_create``."""
+        lines = [
+            "class ChainCheckpoint:",
+            "    def __init__(self, ctx, comm):",
+            "        self.ctx = ctx",
+            "        self.comm = comm",
+        ]
+        lines += [f"        self._a{k} = self.{helper(k)}()" for k in range(1, 5)]
+        lines += ["", f"    def {helper(0)}(self):"]
+        lines += ["        return self.ctx.shm_create('seg', 8).array"]
+        for k in range(1, 5):
+            lines += ["", f"    def {helper(k)}(self):"]
+            lines += [f"        return self.{helper(k - 1)}()"]
+        lines += ["", "    def checkpoint(self):", "        return None", ""]
+        lines += ["    def try_restore(self):"]
+        lines += [f"        self._a{k}[0] = 1" for k in range(1, 5)]
+        lines += ["        self.comm.allgather(1)", "        return None", ""]
+        return "\n".join(lines)
+
+    def _premature_lines(self, root, helper):
+        root.mkdir()
+        (root / "chain.py").write_text(self.source(helper))
+        return [
+            f.line
+            for f in analyze_paths([root])
+            if f.rule == "lifecycle-premature-write"
+        ]
+
+    def test_every_hop_is_seen_under_either_naming(self, tmp_path):
+        writes = [
+            i
+            for i, line in enumerate(self.source(str).splitlines(), start=1)
+            if line.endswith("[0] = 1")
+        ]
+        against = self._premature_lines(tmp_path / "against", lambda k: f"_seg{4 - k}")
+        along = self._premature_lines(tmp_path / "along", lambda k: f"_seg{k}")
+        assert against == writes and len(writes) == 4
+        assert along == against
+
+
 class TestKernelModuleList:
     """``repro.ckpt.kernels`` holds every GF(256) fold and row codec, so
     it is under the ``flow-kernel-*`` purity rules like the stripe
@@ -274,13 +305,12 @@ class TestKernelModuleList:
         assert "gpow_fold" in f.message and "unseeded RNG" in f.message
         # the hole this closes: the pre-kernels module list saw nothing
         old = ("stripes", "stripes_rs", "raid6")
-        assert kernel_functions(build_index([pkg]), old) == []
+        assert kernel_functions(build_index(parse_paths([pkg])), old) == []
 
-    def test_shipped_folds_are_kernel_functions(self, shipped_index):
-        quals = kernel_functions(shipped_index, KERNEL_MODULES)
+    def test_shipped_folds_are_kernel_functions(self, shipped_flow):
         for name in (
             "kernels.gpow_fold",
             "kernels.RSCodec.decode",
             "stripes.reconstruct_members",
         ):
-            assert any(q.endswith(name) for q in quals), name
+            assert any(q.endswith(name) for q in shipped_flow.kernel_functions), name

@@ -88,6 +88,19 @@ ALLOWED = {
         "memory), pinned by tests/models; only the deleted fig8 bench printed "
         "it, and `repro fig8` stdout is frozen against the parent"
     ),
+    "repro.sancheck.simlint.lint_source": (
+        "documented one-call API (docs/API.md): lints one string as a named "
+        "module, which the rule tests need; `repro check` lints through "
+        "parse_paths + lint_sources so the flow analysis reads the same parse"
+    ),
+    "repro.sancheck.simlint.lint_paths": (
+        "documented one-call API (docs/API.md), lint_sources(parse_paths(p)); "
+        "`repro check` spells it in two steps for the same shared parse"
+    ),
+    "repro.sancheck.flow.driver.analyze_paths": (
+        "documented one-call API (docs/API.md), analyze_sources(parse_paths(p)); "
+        "`repro check` spells it in two steps for the same shared parse"
+    ),
     "repro.ckpt.kernels.GF256.mul": (
         "scalar reference: the GF(2^8) field-law tests and the vec_mul / "
         "vec_mul_xor kernel tests check against it"
