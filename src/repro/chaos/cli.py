@@ -16,8 +16,9 @@ prints the survivability report, and writes ``report.txt`` +
 point survived and no randomized schedule produced a wrong answer.
 
 ``--workers N`` fans the independent replays out over the
-:mod:`repro.par` engine (``auto`` = one per CPU, capped); the artifacts
-are byte-identical to the serial run.  ``--cache DIR`` persists
+:mod:`repro.par` engine (``auto`` = one per CPU, capped) with at most one
+process per usable CPU — on one CPU the replays run in-process; the
+artifacts are byte-identical to the serial run.  ``--cache DIR`` persists
 classified outcomes across invocations, keyed by a content fingerprint
 that includes the repo's source code — edit any protocol and every entry
 invalidates itself.
@@ -212,7 +213,8 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--workers", default="1", metavar="N",
         help="replay worker processes (an integer or 'auto'; default 1 = "
-        "serial — artifacts are byte-identical either way)",
+        "serial), at most one per usable CPU: on one CPU the replays run "
+        "in-process — artifacts are byte-identical either way",
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -280,6 +282,8 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.par import MemoCache, ProgressReporter, resolve_workers
+    from repro.par.engine import live_workers
+    from repro.par.progress import describe_width
 
     try:
         workers = resolve_workers(args.workers)
@@ -410,7 +414,7 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         engine_desc = f"{args.shards} shard{'s' if args.shards != 1 else ''}"
     else:
         hits = int(registry.total("par.cache_hits"))
-        engine_desc = f"{workers} worker{'s' if workers != 1 else ''}" + (
+        engine_desc = describe_width(workers, live_workers(workers)) + (
             f", {hits} cached" if hits else ""
         )
     status = _finish_campaign(

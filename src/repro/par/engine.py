@@ -27,12 +27,23 @@ Three behaviors ride on the map:
 ``workers <= 1`` runs the same code path inline — no pool, no pickling
 requirement — which is also the fallback for tasks that cannot cross a
 process boundary.
+
+The pool never outnumbers the CPUs: a map starts ``min(workers,
+usable_cpus(), pending)`` processes (:func:`live_workers`), because more
+only time-slice the same CPUs.  At one it runs the inline loop — no
+fork — with the same ordering, error folding and cache path.  Nothing a
+map returns or counts depends on that host reading: ``par.workers``,
+``par.worker_tasks`` and ``par.queue_depth`` stay keyed on the requested
+width, and a map the requested width would pool still pickles each
+task as the pool would ship it, so a task that cannot cross a process
+fails in its slot on any host.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.par.progress import NullProgress
@@ -50,6 +61,12 @@ def usable_cpus() -> int:
     except AttributeError:  # pragma: no cover - non-Linux
         n = multiprocessing.cpu_count()
     return max(1, n)
+
+
+def live_workers(workers: int) -> int:
+    """Pool processes ``workers`` can keep busy on this host:
+    ``min(workers, usable_cpus())``."""
+    return min(workers, usable_cpus())
 
 
 def default_workers() -> int:
@@ -139,7 +156,8 @@ class ParallelEngine:
                         "par.worker_tasks", worker=slot
                     ).inc(share)
 
-        self.progress.start(total, self.workers)
+        running = live_workers(self.workers)
+        self.progress.start(total, self.workers, running)
         done = hits
         if done:
             self.progress.update(done, total, hits, self.workers)
@@ -158,14 +176,24 @@ class ParallelEngine:
             done += 1
             self.progress.update(done, total, hits, self.workers)
 
-        if self.workers > 1 and len(pending) > 1:
-            with self._ctx.Pool(processes=n_procs) as pool:
+        n_live = min(running, n_procs)
+        if n_live > 1:
+            with self._ctx.Pool(processes=n_live) as pool:
                 handles = [(i, pool.apply_async(fn, (tasks[i],))) for i in pending]
                 for i, handle in handles:
                     settle(i, handle.get)
         else:
+            pooled = n_procs > 1  # the requested width would pool this map
             for i in pending:
-                settle(i, lambda i=i: fn(tasks[i]))
+                settle(i, lambda i=i: self._inline(fn, tasks[i], pooled))
 
         self.progress.finish(done, total, hits, self.workers)
         return results
+
+    @staticmethod
+    def _inline(fn: Callable[[Any], Any], task: Any, pooled: bool) -> Any:
+        if pooled:
+            # what the pool would ship: a task that cannot cross a process
+            # fails here, in its slot, whatever the host's CPU count
+            ForkingPickler.dumps((fn, (task,)))
+        return fn(task)

@@ -20,6 +20,10 @@ class ProgressReporter:
 
     The engine calls :meth:`start` once, :meth:`update` after every
     resolved task (cache hits included) and :meth:`finish` at the end.
+    ``workers`` is the requested width, ``running`` the processes that
+    width keeps busy on this host: occupancy is reckoned on ``running``,
+    and the line names it when it is the smaller (``2 workers (1
+    running)``).
     ``min_interval_s`` throttles redraws so tiny campaigns don't spam —
     but only *intermediate* redraws: :meth:`finish` always emits one
     final, un-throttled summary line, so a campaign that resolves
@@ -38,13 +42,15 @@ class ProgressReporter:
         self.min_interval_s = min_interval_s
         self._t0 = 0.0
         self._last: Optional[float] = None
+        self._running = 0
 
     def _now(self) -> float:
         return time.monotonic()
 
-    def start(self, total: int, workers: int) -> None:
+    def start(self, total: int, workers: int, running: int) -> None:
         self._t0 = self._now()
         self._last = None
+        self._running = running
         self._emit(0, total, 0, workers)
 
     def update(self, done: int, total: int, cache_hits: int, workers: int) -> None:
@@ -75,28 +81,35 @@ class ProgressReporter:
         elapsed = max(self._now() - self._t0, 1e-9)
         rate = done / elapsed
         hits = f", {cache_hits} cached" if cache_hits else ""
+        live = min(workers, self._running)
         if final:
             extra = f", {elapsed:.1f}s"
         else:
-            # live pool occupancy: every slot is busy until fewer tasks
-            # remain than workers (the tail drain), plus the backlog still
-            # queued behind the pool
-            inflight = max(0, min(workers, total - done))
+            # live pool occupancy: every running process is busy until
+            # fewer tasks remain than processes (the tail drain), plus the
+            # backlog still queued behind them
+            inflight = max(0, min(live, total - done))
             queued = max(0, total - done - inflight)
-            util = (inflight / workers) if workers else 0.0
+            util = (inflight / live) if live else 0.0
             extra = f", {util:.0%} util, {queued} queued"
         self.stream.write(
             f"\r{self.label}: {done}/{total} replays "
-            f"({rate:.1f}/s, {workers} worker{'s' if workers != 1 else ''}"
-            f"{extra}{hits})"
+            f"({rate:.1f}/s, {describe_width(workers, live)}{extra}{hits})"
         )
         self.stream.flush()
+
+
+def describe_width(workers: int, running: int) -> str:
+    """``N workers``, naming the running processes when a host caps them
+    (``2 workers (1 running)``)."""
+    desc = f"{workers} worker{'s' if workers != 1 else ''}"
+    return desc if running >= workers else f"{desc} ({running} running)"
 
 
 class NullProgress:
     """No-op reporter (the engine default)."""
 
-    def start(self, total: int, workers: int) -> None:
+    def start(self, total: int, workers: int, running: int) -> None:
         pass
 
     def update(self, done: int, total: int, cache_hits: int, workers: int) -> None:

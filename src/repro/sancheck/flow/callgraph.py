@@ -20,7 +20,8 @@ resolution is deliberately *sound-ish* rather than precise:
 SHM-backed memory (what ``mutates-shm`` and ``lifecycle-premature-write``
 see written) is inferred by one fixpoint.  One walk per function records
 what each assignment binds and each ``return`` yields, as *atoms*
-(``shm_create``, locals, ``self.<attr>``, ``self.<m>(...)``); iterating
+(``shm_create``, locals, ``self.<attr>``, ``self.<m>(...)``; a call
+contributes its receiver chain, never its arguments); iterating
 those facts until nothing changes finds the SHM-returning functions
 (through CHA dispatch), each class's SHM attributes (inherited down the
 hierarchy) and each function's SHM locals — through helper chains of any
@@ -188,11 +189,27 @@ class _ShmAtoms(NamedTuple):
 
 
 def _atoms(expr: ast.AST, self_name: Optional[str]) -> _ShmAtoms:
+    """A call's result is SHM through its receiver chain
+    (``self.ctx.shm_create(...).array``, ``self._b[0].view(...)``) or an
+    SHM-returning callee (``self.<m>(...)``), never through its
+    arguments: ``self.layout.unpack_into(flat, self._arrays)`` returns a
+    fresh dict."""
     source = False
     names: Set[str] = set()
     attrs: Set[str] = set()
     calls: Set[str] = set()
-    for n in ast.walk(expr):
+    stack = [expr]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Call):
+            if (
+                isinstance(n.func, ast.Attribute)
+                and isinstance(n.func.value, ast.Name)
+                and n.func.value.id == self_name
+            ):
+                calls.add(n.func.attr)
+            stack.append(n.func)
+            continue
         if isinstance(n, ast.Name):
             source = source or n.id == "shm_create"
             names.add(n.id)
@@ -200,13 +217,7 @@ def _atoms(expr: ast.AST, self_name: Optional[str]) -> _ShmAtoms:
             source = source or n.attr == "shm_create"
             if isinstance(n.value, ast.Name) and n.value.id == self_name:
                 attrs.add(n.attr)
-        elif (
-            isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and isinstance(n.func.value, ast.Name)
-            and n.func.value.id == self_name
-        ):
-            calls.add(n.func.attr)
+        stack.extend(ast.iter_child_nodes(n))
     return _ShmAtoms(source, frozenset(names), frozenset(attrs), frozenset(calls))
 
 
@@ -565,9 +576,13 @@ def build_index(sources: Sources) -> ProjectIndex:
     paths = sources.paths
     root = paths[0] if paths and paths[0].is_dir() else Path(".")
     index = ProjectIndex()
-    parsed: List[Tuple[str, str, ast.Module, ImportResolver]] = []
+    #: function qualname -> the imports of the file that defines it
+    imports_of: Dict[str, ImportResolver] = {}
 
-    # pass 1: modules, classes, functions
+    # pass 1: modules, classes, functions.  Outside a ``repro`` package two
+    # files can share a module name (``a/helpers.py``, ``b/helpers.py``):
+    # the first file read keeps a name, a later file never overwrites it
+    # (inside one file the last definition wins, as at import)
     for path, _source, tree in sources.files:
         if isinstance(tree, SyntaxError):
             continue  # simlint reports syntax errors; the graph skips the file
@@ -576,11 +591,12 @@ def build_index(sources: Sources) -> ProjectIndex:
         index.files.append(file)
         imports = ImportResolver()
         imports.visit(tree)
-        parsed.append((module, file, tree, imports))
 
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{module}.{stmt.name}"
+                if imports_of.setdefault(qual, imports) is not imports:
+                    continue
                 index.functions[qual] = FunctionNode(
                     qualname=qual,
                     module=module,
@@ -592,6 +608,8 @@ def build_index(sources: Sources) -> ProjectIndex:
                 )
             elif isinstance(stmt, ast.ClassDef):
                 cqual = f"{module}.{stmt.name}"
+                if cqual in index.classes and index.classes[cqual].file != file:
+                    continue
                 raw_bases = tuple(
                     b for b in (imports.resolve(base) for base in stmt.bases) if b
                 )
@@ -607,6 +625,8 @@ def build_index(sources: Sources) -> ProjectIndex:
                 for sub in stmt.body:
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         mqual = f"{cqual}.{sub.name}"
+                        if imports_of.setdefault(mqual, imports) is not imports:
+                            continue
                         cnode.methods[sub.name] = mqual
                         index.functions[mqual] = FunctionNode(
                             qualname=mqual,
@@ -632,16 +652,13 @@ def build_index(sources: Sources) -> ProjectIndex:
                 index.subclasses.setdefault(target, set()).add(cqual)
         cnode.bases = tuple(resolved)
 
-    imports_of: Dict[str, ImportResolver] = {}
-    for module, _file, _tree, imports in parsed:
-        imports_of.setdefault(module, imports)
     facts: Dict[str, _ShmFacts] = {}
     for q in sorted(index.functions):
         fn = index.functions[q]
         if fn.body is not None:
             owner = index.classes.get(fn.cls) if fn.cls else None
             facts[q] = _shm_facts(
-                fn.body, owner, index, imports_of[fn.module], module_classes.get(fn.module, {})
+                fn.body, owner, index, imports_of[q], module_classes.get(fn.module, {})
             )
     for cqual in sorted(index.classes):
         cnode = index.classes[cqual]
@@ -650,37 +667,36 @@ def build_index(sources: Sources) -> ProjectIndex:
                 cnode.attr_types.setdefault(k, v)
     shm = _ShmInference(index, facts)
 
-    # pass 3: per-function call/write scan
-    for module, file, tree, imports in parsed:
-        module_functions = {
-            fn.name: q
-            for q, fn in index.functions.items()
-            if fn.module == module and fn.cls is None
-        }
-        for q in sorted(index.functions):
-            fn = index.functions[q]
-            if fn.module != module or fn.body is None:
-                continue
-            owner = index.classes.get(fn.cls) if fn.cls else None
-            self_name = _first_arg_name(fn.body) if owner is not None else None
-            scanner = _FunctionScanner(
-                index,
-                imports,
-                module,
-                module_functions,
-                module_classes.get(module, {}),
-                owner,
-                fn,
-                self_name,
-                shm,
-            )
-            assert isinstance(fn.body, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for default in list(fn.body.args.defaults) + [
-                d for d in fn.body.args.kw_defaults if d is not None
-            ]:
-                scanner.visit(default)
-            for stmt in fn.body.body:
-                scanner.visit(stmt)
+    # pass 3: per-function call/write scan, each function once, with its
+    # own file's imports
+    module_functions: Dict[str, Dict[str, str]] = {}
+    for q, fn in index.functions.items():
+        if fn.cls is None:
+            module_functions.setdefault(fn.module, {})[fn.name] = q
+    for q in sorted(index.functions):
+        fn = index.functions[q]
+        if fn.body is None:
+            continue
+        owner = index.classes.get(fn.cls) if fn.cls else None
+        self_name = _first_arg_name(fn.body) if owner is not None else None
+        scanner = _FunctionScanner(
+            index,
+            imports_of[q],
+            fn.module,
+            module_functions.get(fn.module, {}),
+            module_classes.get(fn.module, {}),
+            owner,
+            fn,
+            self_name,
+            shm,
+        )
+        assert isinstance(fn.body, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for default in list(fn.body.args.defaults) + [
+            d for d in fn.body.args.kw_defaults if d is not None
+        ]:
+            scanner.visit(default)
+        for stmt in fn.body.body:
+            scanner.visit(stmt)
     return index
 
 

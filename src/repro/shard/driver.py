@@ -193,7 +193,7 @@ def run_sharded_campaign(
         # the CPU count are the supervisor's crash reserves
         n_exec = min(n_slots, usable_cpus())
         if progress is not None:
-            progress.start(plan.n_units, n_exec)
+            progress.start(plan.n_units, n_exec, n_exec)
         if not queue.all_done():
             supervisor = ExecutorSupervisor(
                 _executor_spawner(

@@ -5,7 +5,9 @@ else.  The kill matrix and the randomized campaign must produce the same
 verdicts in the same order — down to the bytes of ``BENCH_chaos.json`` —
 whether replays run inline, on one worker, or fanned out over a pool; a
 replay that crashes inside a worker must surface as its own verdict in
-its own slot, never abort or reorder the sweep.
+its own slot, never abort or reorder the sweep.  Pool tests pin two CPUs
+(``two_cpus``), so a real pool runs on a host of any size; at one CPU the
+pool runs inline (``TestOneCpu``), and nothing it writes shows it.
 """
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from repro.chaos import (
     ChaosScenario,
     RandomCampaignConfig,
+    chaos_main,
     enumerate_kill_points,
     probe_baseline,
     random_campaign,
@@ -34,6 +37,7 @@ class UnbuildableScenario(ChaosScenario):
         raise RuntimeError("scenario cannot be built")
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestGoldenEquivalence:
     def test_kill_matrix_is_worker_count_invariant(self):
         sc = small_scenario()
@@ -67,7 +71,7 @@ class TestGoldenEquivalence:
 
 class TestWorkerCrash:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_crashed_replay_is_a_verdict_not_a_loss(self, workers):
+    def test_crashed_replay_is_a_verdict_not_a_loss(self, workers, two_cpus):
         base = small_scenario()
         sc = UnbuildableScenario(base.kind, base.kwargs)
         probe = probe_baseline(base)  # the plan comes from the buildable twin
@@ -95,6 +99,57 @@ class TestSerialOnlyFallback:
         report = run_kill_matrix(sc, phases=["ckpt.done"], max_occurrences=1)
         assert report.results
         assert report.survived_all
+
+
+class TestOneCpu:
+    """``--workers 2`` on one CPU runs the replays inline: same verdicts,
+    same refusals, and a summary line that says so."""
+
+    def test_a_scenario_that_cannot_cross_a_process_fails_on_every_host(
+        self, engine_cpus
+    ):
+        """A recipe a pool cannot ship crashes every replay at
+        ``workers=2`` whether the host pools it or not; it runs only at
+        ``workers=1``."""
+
+        class LocalScenario(ChaosScenario):
+            pass
+
+        base = small_scenario()
+        sc = LocalScenario(base.kind, base.kwargs)
+        probe = probe_baseline(base)
+        points = enumerate_kill_points(probe, max_occurrences=1)
+
+        def reasons(workers):
+            _, (report,), _ = run_campaign(
+                [sc], workers=workers, probes=[probe], points=[points]
+            )
+            return [r.gave_up_reason for r in report.results]
+
+        engine_cpus(1)
+        inline = reasons(2)
+        engine_cpus(2)
+        assert reasons(2) == inline
+        assert all(
+            r.startswith("replay crashed: AttributeError: Can't pickle local object")
+            for r in inline
+        )
+        assert not any(reasons(1))
+
+    def test_summary_line_names_the_running_processes(self, engine_cpus, capsys):
+        flags = [
+            "--methods", "self", "--nodes", "2", "--ppn", "1",
+            "--group-size", "2", "--max-occurrences", "1", "--workers", "2",
+            "--no-progress", "--report-only",
+        ]
+        out = {}
+        for cpus in (1, 2):
+            engine_cpus(cpus)
+            assert chaos_main(flags) == 0
+            out[cpus] = capsys.readouterr().out.splitlines()
+        assert out[1][-1].endswith("(2 workers (1 running))")
+        assert out[2][-1].endswith("(2 workers)")
+        assert out[1][:-1] == out[2][:-1]
 
 
 class TestCacheSemantics:

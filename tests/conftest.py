@@ -2,7 +2,8 @@
 session: a golden's run under a poison fill (the golden and the poison
 net's case of that fill read one run), and the findings of simlint and of
 the flow analysis on the shipped package, with the facts of the flow
-index the tests read.  Only results are kept: a parsed tree (the flow
+index the tests read.  Also the replay pool's CPU pin the pool tests of
+``tests/par`` and ``tests/chaos`` share.  Only results are kept: a parsed tree (the flow
 index holds one per function) held for the session would slow every
 later test's garbage collection."""
 
@@ -12,10 +13,29 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.par import engine as par_engine
 from repro.sancheck import flow, simlint
 from repro.sancheck.flow.lifecycle import KERNEL_MODULES, kernel_functions, protocol_classes
 from repro.sim import shm
 from tests.chaos.helpers import GOLDEN_FILL, poison_alloc
+
+
+@pytest.fixture
+def engine_cpus(monkeypatch):
+    """``engine_cpus(n)`` pins the CPU count the replay pool reads
+    (``repro.par.engine.usable_cpus``), so a pool test means the same on
+    a host of any size."""
+
+    def pin(n):
+        monkeypatch.setattr(par_engine, "usable_cpus", lambda: n)
+
+    return pin
+
+
+@pytest.fixture
+def two_cpus(engine_cpus):
+    """A real two-process pool, whatever the host's CPU count."""
+    engine_cpus(2)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,8 @@
-"""Tests for the parallel execution engine (repro.par.engine)."""
+"""Tests for the parallel execution engine (repro.par.engine).
+
+Pool tests pin the CPU count the engine reads (``two_cpus``), so a real
+two-process pool runs on a host of any size; ``TestOneCpu`` pins one.
+"""
 
 import pytest
 
@@ -22,6 +26,10 @@ def _boom_on_three(task):
     if task == 3:
         raise ValueError(f"bad task {task}")
     return task * task
+
+
+def _kind(task):
+    return type(task).__name__
 
 
 class TestResolveWorkers:
@@ -61,17 +69,20 @@ class TestMapOrdering:
         engine = ParallelEngine(1)
         assert engine.map(_square, [3, 1, 2]) == [9, 1, 4]
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_parallel_preserves_task_order(self):
         engine = ParallelEngine(2)
         tasks = list(range(10))
         assert engine.map(_square, tasks) == [t * t for t in tasks]
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_parallel_equals_serial(self):
         tasks = [5, 3, 8, 1]
         assert ParallelEngine(2).map(_square, tasks) == ParallelEngine(1).map(
             _square, tasks
         )
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_empty_task_list(self):
         assert ParallelEngine(2).map(_square, []) == []
 
@@ -89,6 +100,7 @@ class TestErrorFolding:
         )
         assert folded == [1, ("crashed", 3, "bad task 3"), 16]
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_on_error_folds_in_pool_workers_too(self):
         folded = ParallelEngine(2).map(
             _boom_on_three,
@@ -139,7 +151,7 @@ class TestAccounting:
         calls = []
 
         class Probe:
-            def start(self, total, workers):
+            def start(self, total, workers, running):
                 calls.append(("start", total))
 
             def update(self, done, total, cache_hits, workers):
@@ -152,3 +164,84 @@ class TestAccounting:
         assert calls[0] == ("start", 2)
         assert calls[-1] == ("finish", 2, 2)
         assert ("update", 2, 2) in calls
+
+
+def _par_samples(registry):
+    return [
+        (m.name, m.labels, m.value)
+        for m in registry.samples()
+        if m.name.startswith("par.")
+    ]
+
+
+class TestOneCpu:
+    """At one usable CPU a pool could only time-slice it: the map runs
+    inline, and nothing it returns, stores or counts shows it."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        engine = ParallelEngine(4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started at one CPU")
+
+        monkeypatch.setattr(engine._ctx, "Pool", refuse)
+        return engine
+
+    def test_starts_no_process(self, engine_cpus, no_pool):
+        engine_cpus(1)
+        assert no_pool.map(_square, [3, 1, 2]) == [9, 1, 4]
+
+    def test_same_results_folds_and_cache_as_one_worker(self, engine_cpus, no_pool):
+        engine_cpus(1)
+        tasks = [1, 3, 4, 5, 2]
+        fold = lambda task, exc: ("crashed", task, str(exc))  # noqa: E731
+        caches = MemoCache(), MemoCache()
+        for cache in caches:
+            cache.put("2", 99)  # a hit resolves without running
+        wide = no_pool.map(_boom_on_three, tasks, cache=caches[0], key=str, on_error=fold)
+        one = ParallelEngine(1).map(
+            _boom_on_three, tasks, cache=caches[1], key=str, on_error=fold
+        )
+        assert wide == one == [1, ("crashed", 3, "bad task 3"), 16, 25, 99]
+        assert [c.get(str(t)) for c in caches for t in tasks] == 2 * [1, None, 16, 25, 99]
+
+    def test_counters_are_the_requested_widths(self, engine_cpus):
+        registries = {}
+        for cpus in (1, 2):
+            engine_cpus(cpus)
+            registries[cpus] = MetricsRegistry()
+            ParallelEngine(4, registry=registries[cpus]).map(_square, list(range(7)))
+        assert _par_samples(registries[1]) == _par_samples(registries[2])
+        assert registries[1].gauge("par.workers").value == 4
+        assert registries[1].gauge("par.queue_depth").value == 3
+        assert registries[1].counter("par.worker_tasks", worker=3).value == 1
+
+    def test_an_unpicklable_task_fails_in_its_slot_on_every_host(self, engine_cpus):
+        """A task the requested width would ship to a pool is pickled even
+        when the host runs it inline: it fails the same way at one CPU as
+        at two, and runs only at ``workers=1``."""
+        tasks = [1, lambda: None, 3]
+        fold = lambda task, exc: (type(exc).__name__, str(exc))  # noqa: E731
+        got = {}
+        for cpus in (1, 2):
+            engine_cpus(cpus)
+            got[cpus] = ParallelEngine(4).map(_kind, tasks, on_error=fold)
+        assert got[1] == got[2]
+        assert got[1][0] == got[1][2] == "int"
+        assert got[1][1][0] == "AttributeError" and "pickle" in got[1][1][1]
+        assert ParallelEngine(1).map(_kind, tasks) == ["int", "function", "int"]
+
+    def test_four_workers_on_two_cpus_start_two_processes(self, engine_cpus, monkeypatch):
+        engine_cpus(2)
+        engine = ParallelEngine(4)
+        started = []
+        pool = engine._ctx.Pool
+
+        def counted(processes):
+            started.append(processes)
+            return pool(processes=processes)
+
+        monkeypatch.setattr(engine._ctx, "Pool", counted)
+        assert engine.map(_square, list(range(6))) == [t * t for t in range(6)]
+        assert started == [2]

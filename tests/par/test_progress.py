@@ -26,7 +26,7 @@ class TestProgressReporter:
         # away, yet finish must still print the totals
         buf = io.StringIO()
         rep = ProgressReporter("camp", stream=buf, min_interval_s=3600.0)
-        rep.start(3, 2)
+        rep.start(3, 2, 2)
         for done in (1, 2, 3):
             rep.update(done, 3, 0, 2)
         rep.finish(3, 3, 0, 2)
@@ -40,7 +40,7 @@ class TestProgressReporter:
     def test_last_update_inside_window_not_dropped_silently(self):
         buf = io.StringIO()
         rep = ProgressReporter("c", stream=buf, min_interval_s=3600.0)
-        rep.start(2, 1)
+        rep.start(2, 1, 1)
         rep.update(1, 2, 0, 1)  # throttled
         rep.finish(2, 2, 1, 1)
         final = buf.getvalue().rstrip("\n").rsplit("\r", 1)[-1]
@@ -50,7 +50,7 @@ class TestProgressReporter:
     def test_live_line_reports_utilization_and_queue(self):
         buf = io.StringIO()
         rep = ProgressReporter("c", stream=buf, min_interval_s=0.0)
-        rep.start(5, 2)
+        rep.start(5, 2, 2)
         rep.update(1, 5, 0, 2)
         live = buf.getvalue().rsplit("\r", 1)[-1]
         assert "100% util" in live  # 4 left >= 2 workers: pool saturated
@@ -59,11 +59,23 @@ class TestProgressReporter:
     def test_tail_drain_utilization(self):
         buf = io.StringIO()
         rep = ProgressReporter("c", stream=buf, min_interval_s=0.0)
-        rep.start(2, 4)
+        rep.start(2, 4, 4)
         rep.update(1, 2, 0, 4)  # one task left on a 4-wide pool
         live = buf.getvalue().rsplit("\r", 1)[-1]
         assert "25% util" in live
         assert "0 queued" in live
+
+    def test_capped_line_names_the_running_processes(self):
+        buf = io.StringIO()
+        rep = ProgressReporter("c", stream=buf, min_interval_s=0.0)
+        rep.start(5, 4, 1)
+        rep.update(1, 5, 0, 4)
+        live = buf.getvalue().rsplit("\r", 1)[-1]
+        assert "4 workers (1 running)" in live
+        assert "100% util" in live  # the one running process is busy
+        assert "3 queued" in live
+        rep.update(4, 5, 0, 4)
+        assert "100% util, 0 queued" in buf.getvalue().rsplit("\r", 1)[-1]
 
     def test_engine_uses_reporter_and_ends_with_newline(self):
         buf = io.StringIO()

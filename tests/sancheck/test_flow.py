@@ -287,6 +287,77 @@ class TestShmHelperChains:
         assert along == against
 
 
+class TestSameModuleName:
+    """Outside a ``repro`` package two files can share a module name: each
+    function is indexed from one file, scanned once, with that file's
+    imports, and a later file never overwrites it."""
+
+    def test_two_helpers_files(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        (tmp_path / "a" / "helpers.py").write_text(
+            "import os\n\n\n"
+            "def g():\n"
+            "    return os.getcwd()\n\n\n"
+            "def f():\n"
+            "    return g()\n"
+        )
+        (tmp_path / "b" / "helpers.py").write_text(
+            "import time as os\n\n\n"
+            "def f():\n"
+            "    return os.time()\n\n\n"
+            "def h():\n"
+            "    return os.time()\n"
+        )
+        fns = build_index(parse_paths([tmp_path])).functions
+        assert fns["helpers.f"].file.endswith("a/helpers.py")
+        assert fns["helpers.f"].calls == [("helpers.g", 9)]
+        assert fns["helpers.f"].external == []
+        assert fns["helpers.g"].external == [("os.getcwd", 5, False)]
+        assert fns["helpers.h"].file.endswith("b/helpers.py")
+        assert fns["helpers.h"].external == [("time.time", 9, False)]
+
+
+class TestShmThroughCalls:
+    """A call's result is SHM through its receiver chain or an
+    SHM-returning callee, never through its arguments: ``local``, the A2
+    dict ``unpack_into`` / ``unpack_a2`` return, is no segment memory, and
+    writing it before the status exchange is no finding — a write through
+    a view of a segment still is."""
+
+    SOURCE = (
+        "class UnpackCheckpoint:\n"
+        "    def __init__(self, ctx, comm, layout):\n"
+        "        self.ctx = ctx\n"
+        "        self.comm = comm\n"
+        "        self.layout = layout\n"
+        "        self._a1 = self.ctx.shm_create('a1', 8).array\n"
+        "        self._b2 = self.ctx.shm_create('b2', 8).array\n"
+        "        self._arrays = {'a': self._a1}\n\n"
+        "    def checkpoint(self):\n"
+        "        return None\n\n"
+        "    def try_restore(self):\n"
+        "        self.local = self.layout.unpack_into(self._a1, self._arrays)\n"
+        "        self.local['k'] = 1\n"
+        "        self.other = self.layout.unpack_a2(self._b2)\n"
+        "        self.other['k'] = 1\n"
+        "        self._a1.reshape(-1)[0] = 1\n"
+        "        self.comm.allgather(1)\n"
+        "        return None\n"
+    )
+
+    def test_only_the_view_write_is_premature(self, tmp_path):
+        (tmp_path / "unpack.py").write_text(self.SOURCE)
+        lines = [
+            f.line
+            for f in analyze_paths([tmp_path])
+            if f.rule == "lifecycle-premature-write"
+        ]
+        assert lines == [18]
+        cls = build_index(parse_paths([tmp_path])).classes["unpack.UnpackCheckpoint"]
+        assert cls.shm_attrs == {"_a1", "_b2", "_arrays"}
+
+
 class TestKernelModuleList:
     """``repro.ckpt.kernels`` holds every GF(256) fold and row codec, so
     it is under the ``flow-kernel-*`` purity rules like the stripe
