@@ -76,6 +76,12 @@ def rank_busy(spans: List[Span]) -> Dict[int, float]:
     return busy
 
 
+def head_s(heads: List[Span]) -> float:
+    """Virtual seconds of the span a descent from ``heads`` starts at (0.0
+    for none): with no spans to descend into, :func:`_descend` stops at it."""
+    return _dur(_descend([], heads)[0]) if heads else 0.0
+
+
 def _descend(spans: List[Span], heads: List[Span]) -> List[Span]:
     """From the head with the latest end clock (ties: lowest rank /
     earliest begin), descend through the longest child at each level."""

@@ -10,17 +10,19 @@ boundary and through the memo cache's JSON encoding, and lands in the
 SQLite :class:`~repro.obs.store.TraceStore`.
 
 Everything here is deterministic and wall-clock-free: payloads are pure
-functions of the tracer/registry state, which the simulator's virtual
+functions of the recorded state, which the simulator's virtual
 clocks make byte-identical across same-seed runs — the property the
 store digest and ``repro obs query`` byte-stability tests pin.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Span, SpanTracer
+from repro.obs.report import head_s
+from repro.obs.spans import STATUS_OK, Span, SpanTracer
+from repro.sim.observer import SimObserver
 
 #: sampling modes of the campaign obs flag (``repro chaos --obs ...``)
 OBS_OFF = "off"
@@ -101,10 +103,28 @@ def fill_job_metrics(
             registry.counter("restore.count", rank=s.rank).inc()
 
 
+class TrafficTotals(SimObserver):
+    """What ``summary`` records beside the tracer: the ``mpi.bytes_posted`` /
+    ``mpi.bytes_sent`` totals.  Ranks call one at a time (the baton): no lock."""
+
+    def __init__(self) -> None:
+        self.posted = self.sent = 0
+
+    def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> Any:
+        self.posted += nbytes
+        return nbytes
+
+    def on_recv(
+        self, dst: int, src: int, tag: int, token: Any, clock: float, waited_s: float = 0.0
+    ) -> None:
+        self.sent += int(token) if token is not None else 0
+
+
 def attempt_summary(
-    spans: List[Span], registry: MetricsRegistry
+    spans: List[Span], posted: float, sent: float, n_restarts: int
 ) -> Dict[str, float]:
-    """The flat rollup of one attempt: dotted ``{key: float}`` pairs.
+    """The flat rollup of one attempt, the one fold of both sampling modes:
+    dotted ``{key: float}`` pairs summed in canonical span order.
 
     Key families (all values floats so they drop straight into the
     store's ``summaries`` table and aggregate across thousands of
@@ -113,63 +133,51 @@ def attempt_summary(
     * ``spans.count`` / ``spans.interrupted`` — span-stream totals;
     * ``span.total_s.<name>`` / ``span.count.<name>`` — per-label
       inclusive virtual time and count;
-    * ``critical_path_s`` / ``recovery_path_s`` — the makespan-bounding
-      chain and the latest-restore descent (paper Fig. 10's segments);
+    * ``critical_path_s`` / ``recovery_path_s`` — the first span of the
+      makespan-bounding chain and of the latest-restore descent (Fig. 10);
     * ``traffic.*`` — delivered/posted/stranded byte balance;
     * ``ckpt.count`` / ``ckpt.bytes_encoded`` / ``restore.count`` /
       ``job.restarts`` — lifecycle aggregates.
     """
-    from repro.obs.report import critical_path, recovery_path
-
+    ok = [s.name for s in spans if s.status == STATUS_OK]
     out: Dict[str, float] = {
         "spans.count": float(len(spans)),
-        "spans.interrupted": float(
-            sum(1 for s in spans if s.status != "ok")
-        ),
+        "spans.interrupted": float(len(spans) - len(ok)),
     }
     for s in spans:
         dur = 0.0 if s.end is None else s.end - s.begin
         out[f"span.total_s.{s.name}"] = out.get(f"span.total_s.{s.name}", 0.0) + dur
         out[f"span.count.{s.name}"] = out.get(f"span.count.{s.name}", 0.0) + 1.0
-
-    def _chain_s(chain: List[Span]) -> float:
-        return sum(0.0 if s.end is None else s.end - s.begin for s in chain[:1])
-
-    out["critical_path_s"] = _chain_s(critical_path(spans))
-    out["recovery_path_s"] = _chain_s(recovery_path(spans))
-    sent = registry.total("mpi.bytes_sent")
-    posted = registry.total("mpi.bytes_posted")
-    out["traffic.bytes_sent"] = sent
-    out["traffic.bytes_posted"] = posted
-    out["traffic.bytes_stranded"] = posted - sent
-    out["ckpt.count"] = registry.total("ckpt.count")
-    out["ckpt.bytes_encoded"] = registry.total("ckpt.bytes_encoded")
-    out["restore.count"] = registry.total("restore.count")
-    out["job.restarts"] = registry.total("job.restarts")
+    out["critical_path_s"] = head_s([s for s in spans if s.parent_id is None])
+    out["recovery_path_s"] = head_s([s for s in spans if s.name == "restore"])
+    out["traffic.bytes_sent"] = float(sent)
+    out["traffic.bytes_posted"] = float(posted)
+    out["traffic.bytes_stranded"] = float(posted - sent)
+    encoded = [int(s.attrs.get("nbytes", 0)) for s in spans if s.name == "ckpt.encode"]
+    out["ckpt.count"] = float(ok.count("ckpt"))
+    out["ckpt.bytes_encoded"] = float(sum(encoded))
+    out["restore.count"] = float(ok.count("restore"))
+    out["job.restarts"] = float(n_restarts)
     return out
 
 
 def attempt_payload(
-    tracer: SpanTracer,
-    registry: MetricsRegistry,
-    mode: str,
-) -> Optional[Dict[str, Any]]:
-    """The obs payload one replay ships back, or ``None`` for ``off``.
-
-    ``summary`` carries only the flat rollup; ``full`` adds the complete
-    span and metric streams (store ingest re-derives the summary from
-    either, so queries work uniformly across sampling modes).
+    tracer: SpanTracer, recorded: Any, mode: str, n_restarts: int
+) -> Dict[str, Any]:
+    """The obs payload one replay ships back at ``mode`` ``summary`` or
+    ``full``, from the tracer and the :class:`TrafficTotals` or the
+    ``MetricsRegistry`` beside it.  Both modes' ``summary`` is
+    :func:`attempt_summary` of the same inputs; ``full`` adds the complete
+    span and metric streams.  Store ingest keeps the summary as shipped.
     """
-    if mode == OBS_OFF:
-        return None
-    if mode not in OBS_MODES:
-        raise ValueError(f"unknown obs mode {mode!r}; choose from {OBS_MODES}")
     spans = tracer.spans()
-    payload: Dict[str, Any] = {
-        "mode": mode,
-        "summary": attempt_summary(spans, registry),
-    }
+    if mode == OBS_SUMMARY:
+        traffic = recorded.posted, recorded.sent
+    else:
+        traffic = recorded.total("mpi.bytes_posted"), recorded.total("mpi.bytes_sent")
+    summary = attempt_summary(spans, *traffic, n_restarts)
+    payload: Dict[str, Any] = {"mode": mode, "summary": summary}
     if mode == OBS_FULL:
         payload["spans"] = [span_doc(s) for s in spans]
-        payload["metrics"] = metric_docs(registry)
+        payload["metrics"] = metric_docs(recorded)
     return payload

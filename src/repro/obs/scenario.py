@@ -230,7 +230,7 @@ def store_run(store: Any, run: ObsRun) -> str:
         n_restarts=run.n_restarts,
         makespan_s=run.makespan_s,
         params=dict(run.params),
-        obs=attempt_payload(run.tracer, run.registry, "full"),
+        obs=attempt_payload(run.tracer, run.registry, "full", run.n_restarts),
     )
 
 

@@ -165,12 +165,17 @@ class TraceStore:
 
     # -- lifecycle --------------------------------------------------------------
     def close(self) -> None:
+        """Commit what was ingested and close."""
+        self._conn.commit()
         self._conn.close()
 
     def __enter__(self) -> "TraceStore":
         return self
 
-    def __exit__(self, *exc: Any) -> None:
+    def __exit__(self, exc_type: Any, *exc: Any) -> None:
+        """One ``with`` block is one transaction: its rows land all or none."""
+        if exc_type is not None:
+            self._conn.rollback()
         self.close()
 
     # -- ingestion --------------------------------------------------------------
@@ -196,7 +201,7 @@ class TraceStore:
         ``obs`` is the :attr:`~repro.par.replay.ReplayOutcome.obs` payload
         — ``None`` (mode ``off``: the run row alone), a summary rollup, or
         the full span/metric streams (see
-        :func:`repro.obs.rollup.attempt_payload`).
+        :func:`repro.obs.rollup.attempt_payload`).  It commits nothing.
         """
         obs_mode = "off" if obs is None else str(obs.get("mode", "summary"))
         self._conn.execute(
@@ -223,7 +228,6 @@ class TraceStore:
             self._put_summary(run_id, obs.get("summary", {}))
             self._put_spans(run_id, obs.get("spans", ()))
             self._put_metrics(run_id, obs.get("metrics", ()))
-        self._conn.commit()
         return run_id
 
     def _put_summary(self, run_id: str, summary: Dict[str, float]) -> None:

@@ -20,8 +20,8 @@ flow through the same outcome fields.
 
 One optional extra rides along: with an obs sampling mode armed
 (``spec.obs != "off"``), the worker attaches a fresh
-:class:`~repro.obs.spans.SpanTracer` + metrics observer to the attempt
-and ships a JSON-canonical payload back in :attr:`ReplayOutcome.obs` —
+:class:`~repro.obs.spans.SpanTracer` + the mode's traffic recorder to
+the attempt and ships a JSON-canonical payload back in :attr:`ReplayOutcome.obs` —
 a flat summary rollup (``summary``) or the full span/metric streams
 (``full``), built by :mod:`repro.obs.rollup`.  The payload is a pure
 function of the virtual-clock-driven run, so outcomes stay deterministic
@@ -97,31 +97,33 @@ def instrumented_run(
 ) -> Tuple[Any, Any, Any, Any, Any]:
     """The one instrumented supervised run: :func:`repro.chaos.campaign.
     run_with_triggers` with, unless ``obs`` is ``"off"``, a fresh
-    :class:`~repro.obs.spans.SpanTracer` + metrics observer attached and
-    the job-level counters filled in afterwards.
+    :class:`~repro.obs.spans.SpanTracer` and the mode's recorder attached:
+    a :class:`~repro.obs.rollup.TrafficTotals` at ``"summary"``, a metrics
+    observer (job-level counters filled in afterwards) at ``"full"``.
 
     Campaign units (:func:`replay`) and ``repro obs`` profile runs
     (:func:`repro.obs.scenario.run_scenario`) both come through here, so
     they agree on every span and counter.  Returns ``(instance, plan,
-    report, tracer, registry)``; the last two are ``None`` at ``"off"``.
+    report, tracer, recorded)``, ``recorded`` being the ``TrafficTotals``
+    or the ``MetricsRegistry``; the last two are ``None`` at ``"off"``.
     """
     from repro.chaos.campaign import run_with_triggers
 
-    tracer = observer = registry = None
+    tracer = observer = None
     if obs != OBS_OFF:
         from repro.obs.metrics import MetricsObserver
-        from repro.obs.rollup import OBS_MODES
+        from repro.obs.rollup import OBS_MODES, OBS_SUMMARY, TrafficTotals
         from repro.obs.spans import SpanTracer
 
         if obs not in OBS_MODES:
             raise ValueError(f"unknown obs mode {obs!r}; choose from {OBS_MODES}")
         tracer = SpanTracer()
-        observer = MetricsObserver()
-        registry = observer.registry
+        observer = TrafficTotals() if obs == OBS_SUMMARY else MetricsObserver()
     inst, plan, report = run_with_triggers(
         scenario, list(triggers), tracer=tracer, observer=observer
     )
-    if tracer is not None:
+    registry = getattr(observer, "registry", None)
+    if registry is not None:
         from repro.obs.rollup import fill_job_metrics
 
         fill_job_metrics(
@@ -132,21 +134,21 @@ def instrumented_run(
             completed=report.completed,
             makespan_s=report.total_virtual_s,
         )
-    return inst, plan, report, tracer, registry
+    return inst, plan, report, tracer, observer if registry is None else registry
 
 
 def replay(spec: ReplaySpec) -> ReplayOutcome:
     """Worker entry point: replay the scenario with the triggers armed."""
     from repro.chaos.campaign import classify
 
-    inst, plan, report, tracer, registry = instrumented_run(
+    inst, plan, report, tracer, recorded = instrumented_run(
         spec.scenario, spec.triggers, spec.obs
     )
     payload = None
     if tracer is not None:
         from repro.obs.rollup import attempt_payload
 
-        payload = attempt_payload(tracer, registry, spec.obs)
+        payload = attempt_payload(tracer, recorded, spec.obs, report.n_restarts)
     return ReplayOutcome(
         verdict=classify(inst, plan, report),
         n_restarts=report.n_restarts,

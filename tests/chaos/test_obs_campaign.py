@@ -6,6 +6,9 @@ store whether replays run serially or over a worker pool, and turning
 observability on must never perturb ``BENCH_chaos.json``.
 """
 
+import dataclasses
+import sqlite3
+
 import pytest
 
 from repro.chaos import (
@@ -14,6 +17,7 @@ from repro.chaos import (
     probe_baseline,
     random_campaign,
     run_kill_matrix,
+    skt_scenario,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import OBS_FULL, OBS_OFF, OBS_SUMMARY
@@ -68,6 +72,36 @@ class TestAttemptPayload:
         assert all(r.obs is None for r in matrix[OBS_OFF].results)
 
 
+class TestOneFold:
+    """``summary`` records less than ``full`` but folds it the same way:
+    each attempt's ``summary`` payload is the ``summary`` key of its
+    ``full`` payload, float for float."""
+
+    @staticmethod
+    def _assert_summary_is_fulls(summary, full):
+        assert len(summary.results) == len(full.results) > 0
+        for s, f in zip(summary.results, full.results):
+            assert s.point == f.point
+            assert s.obs == {"mode": OBS_SUMMARY, "summary": f.obs["summary"]}
+
+    def test_small_matrix(self, matrix):
+        self._assert_summary_is_fulls(matrix[OBS_SUMMARY], matrix[OBS_FULL])
+
+    def test_skt_hpl_self_matrix(self):
+        """SKT-HPL's span totals depend on summation order (a fold in
+        span-arrival order moves some ``span.total_s.*`` values here,
+        none on the small matrix): both modes must sum in canonical
+        ``(incarnation, rank, seq)`` order."""
+        sc = skt_scenario(group_size=4, seed=0)
+        probe = probe_baseline(sc)
+        summary, full = (
+            run_kill_matrix(sc, probe=probe, obs=mode)
+            for mode in (OBS_SUMMARY, OBS_FULL)
+        )
+        assert len(summary.results) == 40
+        self._assert_summary_is_fulls(summary, full)
+
+
 class TestBenchCompat:
     def test_bench_bytes_never_see_obs_payload(self, matrix):
         off, summary, full = (bench_bytes([matrix[mode]]) for mode in MODES)
@@ -115,6 +149,31 @@ class TestStoreEquivalence:
         a = _store_digest(sc, matrix[OBS_SUMMARY], OBS_SUMMARY)
         b = _store_digest(sc, matrix[OBS_FULL], OBS_FULL)
         assert a != b  # modes are part of the run identity
+
+
+class TestStoreTransaction:
+    def test_failed_ingest_leaves_no_rows_of_its_campaign(self, matrix, tmp_path):
+        """A ``with TraceStore`` block is one transaction: an ingest that
+        raises partway keeps none of that campaign's rows, and rows
+        committed before it stay."""
+        sc, path = small_scenario(), str(tmp_path / "obs.sqlite")
+        report = matrix[OBS_SUMMARY]
+        with TraceStore(path) as store:
+            ingest_kill_matrix(store, "good", sc, report, seed=0, obs_mode=OBS_SUMMARY)
+            kept = store.digest()
+        results = list(report.results)
+        # runs.verdict is NOT NULL: the third insert raises
+        results[2] = dataclasses.replace(results[2], verdict=None)
+        bad = dataclasses.replace(report, results=results)
+        with pytest.raises(sqlite3.IntegrityError):
+            with TraceStore(path) as store:
+                ingest_kill_matrix(
+                    store, "bad", sc, bad, seed=0, obs_mode=OBS_SUMMARY,
+                    ord_base=len(results),
+                )
+        with TraceStore(path, readonly=True) as store:
+            assert store.query("SELECT COUNT(*) FROM runs WHERE campaign_id = 'bad'") == [(0,)]
+            assert store.digest() == kept
 
 
 class TestCacheIsolation:

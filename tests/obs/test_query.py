@@ -38,8 +38,6 @@ def _store(path=":memory:"):
     for i, (verdict, off) in enumerate(
         [("survived", 0.0), ("survived", 1.0), ("gave-up", 2.0)]
     ):
-        reg = MetricsRegistry()
-        reg.counter("job.restarts").inc(i)
         store.ingest_attempt(
             run_id=f"run-{i}",
             campaign_id="camp",
@@ -53,7 +51,7 @@ def _store(path=":memory:"):
             n_restarts=i,
             makespan_s=10.0 + i,
             params={},
-            obs=attempt_payload(_tracer(off), reg, "full"),
+            obs=attempt_payload(_tracer(off), MetricsRegistry(), "full", n_restarts=i),
         )
     return store
 
@@ -136,7 +134,7 @@ class TestAggregation:
             n_restarts=0,
             makespan_s=1.0,
             params={},
-            obs=attempt_payload(tr, MetricsRegistry(), "full"),
+            obs=attempt_payload(tr, MetricsRegistry(), "full", n_restarts=0),
         )
         (agg,) = aggregate_spans(span_rows(store, QueryFilter()))
         assert agg.count == 1 and agg.open == 1

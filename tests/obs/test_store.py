@@ -2,6 +2,7 @@
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import (
+    TrafficTotals,
     attempt_payload,
     attempt_summary,
     span_doc,
@@ -33,8 +34,16 @@ def _registry():
     return reg
 
 
+def _traffic():
+    """What ``summary`` records of the traffic :func:`_registry` counts."""
+    traffic = TrafficTotals()
+    traffic.posted, traffic.sent = 160, 128
+    return traffic
+
+
 def _ingest_sample(store, run_id="run-a", mode="full"):
-    payload = attempt_payload(_sample_tracer(), _registry(), mode)
+    recorded = _registry() if mode == "full" else _traffic()
+    payload = attempt_payload(_sample_tracer(), recorded, mode, 1)
     return store.ingest_attempt(
         run_id=run_id,
         campaign_id="camp",
@@ -246,7 +255,7 @@ class TestSpanDocRoundTrip:
         assert back == spans
 
     def test_summary_is_float_valued(self):
-        summary = attempt_summary(_sample_tracer().spans(), _registry())
+        summary = attempt_summary(_sample_tracer().spans(), 160, 128, 1)
         assert summary["spans.count"] == 4.0
         assert summary["spans.interrupted"] == 1.0
         assert all(isinstance(v, float) for v in summary.values())
