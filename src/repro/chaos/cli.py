@@ -5,7 +5,7 @@ Usage::
     repro chaos --smoke                         # CI-sized matrix, self+double
     repro chaos --smoke --workers 4             # same artifact, 4 processes
     repro chaos --methods self --nodes 2 --group-size 2
-    repro chaos --scenario skt-hpl --methods self --ppn 1
+    repro chaos --scenario skt-hpl --methods self
     repro chaos --methods self --random 8 --shrink
     repro chaos --smoke --workers auto --cache .chaos-cache
 
@@ -14,6 +14,11 @@ a seeded randomized campaign with shrinking of any failing schedule),
 prints the survivability report, and writes ``report.txt`` +
 ``BENCH_chaos.json`` into ``--out``.  Exit status 0 means every kill
 point survived and no randomized schedule produced a wrong answer.
+
+``--ppn`` defaults by scenario (:data:`DEFAULT_PPN`): 2 ranks per node
+for ``selfckpt``, 1 for ``skt-hpl`` — one HPL rank per node, as
+:func:`~repro.chaos.scenarios.skt_scenario` defaults, so the default
+groups of 4 on the default 2x2 grid co-locate no two ranks.
 
 ``--workers N`` fans the independent replays out over the
 :mod:`repro.par` engine (``auto`` = one per CPU, capped) with at most one
@@ -38,7 +43,7 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.chaos.bench import bench_record, write_bench
 from repro.chaos.campaign import VERDICT_WRONG_ANSWER, ChaosError
@@ -49,6 +54,8 @@ from repro.chaos.schedules import RandomCampaignConfig
 from repro.chaos.shrink import shrink_failures
 
 SCENARIOS = ("selfckpt", "skt-hpl")
+#: ranks per node when ``--ppn`` is not given, per scenario
+DEFAULT_PPN = {"selfckpt": 2, "skt-hpl": 1}
 
 
 def _finish_campaign(
@@ -150,7 +157,12 @@ def _build_scenario(args: argparse.Namespace, method: str):
     )
 
 
-def chaos_main(argv: Optional[List[str]] = None) -> int:
+def parse_args(
+    argv: Optional[List[str]] = None,
+) -> Tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """The parser and the parsed flags, resolved: ``workers`` a count,
+    ``grid`` a ``(p, q)`` pair, the ``--smoke`` preset applied and
+    ``ppn`` defaulted by scenario."""
     parser = argparse.ArgumentParser(
         prog="repro chaos",
         description=(
@@ -174,7 +186,8 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--nodes", type=int, default=4, help="compute nodes")
     parser.add_argument(
-        "--ppn", type=int, default=2, help="ranks per node (default: 2)"
+        "--ppn", type=int, default=None,
+        help="ranks per node (default: 2 for selfckpt, 1 for skt-hpl)",
     )
     parser.add_argument(
         "--group-size", type=int, default=4, help="checkpoint group size"
@@ -281,12 +294,10 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.par import MemoCache, ProgressReporter, resolve_workers
-    from repro.par.engine import live_workers
-    from repro.par.progress import describe_width
+    from repro.par import resolve_workers
 
     try:
-        workers = resolve_workers(args.workers)
+        args.workers = resolve_workers(args.workers)
     except ValueError:
         parser.error(f"--workers must be a positive integer or 'auto', got {args.workers!r}")
 
@@ -301,6 +312,18 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         args.methods = "self,double"
         args.nodes, args.ppn, args.group_size = 4, 2, 4
         args.iters, args.ckpt_every = 4, 2
+    if args.ppn is None:
+        args.ppn = DEFAULT_PPN[args.scenario]
+    return parser, args
+
+
+def chaos_main(argv: Optional[List[str]] = None) -> int:
+    parser, args = parse_args(argv)
+    workers = args.workers
+
+    from repro.par import MemoCache, ProgressReporter
+    from repro.par.engine import live_workers
+    from repro.par.progress import describe_width
 
     from repro.obs.metrics import MetricsRegistry
 

@@ -22,7 +22,7 @@ contribute nothing and receive their reconstructed state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,10 @@ from repro.ckpt.kernels import codec_for
 from repro.sim.mpi import Communicator
 
 Contribution = Optional[Tuple[np.ndarray, np.ndarray]]
+
+#: encode plans one encoder keeps: ``self`` encodes one set of member
+#: buffers every epoch, ``double`` one per slot
+KEPT_PLANS = 2
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,9 @@ class GroupEncoder:
         self.comm = comm
         self.op = op
         self.parity = parity
+        #: plans of the member buffers encoded lately, most recent first
+        self._plans: List[stripes.EncodePlan] = []
+        self._costs: Dict[int, float] = {}  # _encode_cost by byte count
 
     @property
     def group_size(self) -> int:
@@ -80,11 +87,28 @@ class GroupEncoder:
         """Every byte crosses the network once whatever the parity count;
         each parity beyond the first adds one bandwidth round's worth of
         work."""
-        net = self.comm.net
-        extra = (nbytes / net.params.per_process_bandwidth_Bps) * (
-            net.params.stripe_round_overhead
-        )
-        return net.stripe_encode_time(nbytes, self.group_size) + (self.parity - 1) * extra
+        t = self._costs.get(nbytes)
+        if t is None:
+            net = self.comm.net
+            extra = (nbytes / net.params.per_process_bandwidth_Bps) * (
+                net.params.stripe_round_overhead
+            )
+            t = net.stripe_encode_time(nbytes, self.group_size) + (self.parity - 1) * extra
+            self._costs[nbytes] = t
+        return t
+
+    def _plan_for(
+        self, flats: Sequence[np.ndarray], outs: Sequence[np.ndarray]
+    ) -> stripes.EncodePlan:
+        """The kept plan built on exactly these arrays (``is``, member by
+        member), else a new one that displaces the oldest: a re-attached
+        or swapped buffer never meets a plan of its predecessor."""
+        for plan in self._plans:
+            if plan.built_on(flats, outs):
+                return plan
+        plan = stripes.EncodePlan(flats, outs, self.parity, self.op)
+        self._plans = [plan, *self._plans[: KEPT_PLANS - 1]]
+        return plan
 
     # -- encode -----------------------------------------------------------------
     def encode(
@@ -99,9 +123,11 @@ class GroupEncoder:
 
         ``flat`` must be the padded uint8 buffer, the same length on every
         member (enforced).  ``out`` is this rank's checksum segment: the
-        collective writes its parity straight into it and returns it.
+        collective writes its parity straight into it and returns it, and
+        the encoder keeps the plan of these buffers for the next epoch.
         Without ``out`` the segment is a view of one ``(N, m, stripe)``
-        parity block the collective allocates.  ``effective_bytes``
+        parity block the collective allocates, and the plan is dropped
+        after the call.  ``effective_bytes``
         overrides the byte count used for cost accounting — the
         incremental protocol encodes a mostly-zero delta buffer but only
         moves its dirty pages.
@@ -123,7 +149,9 @@ class GroupEncoder:
                 c = self.checksum_size(len(flats[0]))
                 block = np.empty((n, m, c // m), dtype=np.uint8)
                 outs = [block[r].reshape(-1) if o is None else o for r, o in enumerate(outs)]
-            stripes.build_parity(flats, m, self.op, out=[o.reshape(m, -1) for o in outs])
+                stripes.EncodePlan(flats, outs, m, self.op).run()
+            else:
+                self._plan_for(flats, outs).run()
             return dict(enumerate(outs))
 
         checksum = self.comm.custom_collective(

@@ -165,6 +165,9 @@ class GF256:
 
 _GF = GF256()
 
+#: one slot row of a planned encode: its data stripes and its parity outs
+Row = Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]
+
 
 class _Lanes:
     """A uint8 vector split into uint64 lanes plus a ragged uint8 tail.
@@ -178,7 +181,9 @@ class _Lanes:
 
     __slots__ = ("head", "tail", "_hs", "_ts")
 
-    def __init__(self, v: np.ndarray) -> None:
+    def __init__(self, v: np.ndarray, scratch: Optional[np.ndarray] = None) -> None:
+        """``scratch`` (uint8, at least ``v.size`` bytes) holds the
+        overflow bits; lanes that share it must not run interleaved."""
         n8 = v.size & ~7
         head: Optional[np.ndarray] = None
         if n8:
@@ -186,10 +191,12 @@ class _Lanes:
                 head = v[:n8].view(np.uint64)
             except ValueError:  # non-contiguous caller buffer: stay uint8
                 n8 = 0
+        if scratch is None:
+            scratch = np.empty(v.size, dtype=np.uint8)
         self.head = head
         self.tail = v[n8:]
-        self._hs = None if head is None else np.empty_like(head)
-        self._ts = np.empty_like(self.tail)
+        self._hs = None if head is None else scratch[:n8].view(np.uint64)
+        self._ts = scratch[n8 : v.size]
 
     def gmul(self) -> None:
         """In-place multiply of every byte by the generator g = 0x02."""
@@ -222,13 +229,19 @@ def xor_fold(rows: Sequence[np.ndarray], out: np.ndarray) -> None:
 
 
 def gpow_fold(
-    rows: Sequence[np.ndarray], exps: Sequence[int], out: np.ndarray
+    rows: Sequence[np.ndarray],
+    exps: Sequence[int],
+    out: np.ndarray,
+    lanes: Optional[_Lanes] = None,
 ) -> None:
-    """``out = XOR_i g^exps[i] * rows[i]`` (exps strictly increasing)."""
+    """``out = XOR_i g^exps[i] * rows[i]`` (exps strictly increasing).
+
+    ``lanes`` is a :class:`_Lanes` over ``out`` that a planned encode
+    built once; without it a lanes-size fold allocates its own scratch."""
     if out.size < BITSLICE_MIN_BYTES:
         _gpow_fold_table(rows, exps, out)
     else:
-        _gpow_fold_lanes(rows, exps, out)
+        _gpow_fold_lanes(rows, exps, out, lanes)
 
 
 def _gpow_fold_table(
@@ -240,13 +253,16 @@ def _gpow_fold_table(
 
 
 def _gpow_fold_lanes(
-    rows: Sequence[np.ndarray], exps: Sequence[int], out: np.ndarray
+    rows: Sequence[np.ndarray],
+    exps: Sequence[int],
+    out: np.ndarray,
+    lanes: Optional[_Lanes] = None,
 ) -> None:
-    exps = list(exps)
     # Horner from the highest exponent down: between consecutive rows
     # multiply by g once per exponent gap, then a final e_min lift.
     np.copyto(out, rows[-1])
-    lanes = _Lanes(out)
+    if lanes is None:
+        lanes = _Lanes(out)
     prev = exps[-1]
     for i in range(len(rows) - 2, -1, -1):
         for _ in range(prev - exps[i]):
@@ -304,6 +320,7 @@ class RSCodec:
         self.group_size = group_size
         self.parity = parity
         self.gf = _GF
+        self._exps = range(group_size)  # Q's exponents, data position order
 
     def encode(
         self,
@@ -325,8 +342,41 @@ class RSCodec:
             return (out_p,)
         if out_q is None:
             out_q = np.empty_like(buffers[0])
-        gpow_fold(buffers, range(len(buffers)), out_q)
+        gpow_fold(buffers, self._exps, out_q)
         return out_p, out_q
+
+    def plan_rows(self, rows: Sequence[Row]) -> Tuple[tuple, ...]:
+        """The fold arguments of a planned encode of ``rows`` (one slot
+        row each), for :meth:`encode_rows`.
+
+        The caller has checked the stripes: ``group_size`` data and
+        ``parity`` outs per row, all ``uint8`` of one length
+        (:class:`repro.ckpt.stripes.EncodePlan` checks each member once).
+        Each lanes-size Q out gets its :class:`_Lanes`, all of them over
+        one stripe of scratch — the rows fold one after another, so they
+        can share it.
+        """
+        size = len(rows[0][1][0])
+        scratch = None
+        planned = []
+        for data, outs in rows:
+            q = lanes = None
+            if self.parity == 2:
+                q = outs[1]
+                if size >= BITSLICE_MIN_BYTES:
+                    if scratch is None:
+                        scratch = np.empty(size, dtype=np.uint8)
+                    lanes = _Lanes(q, scratch)
+            planned.append((tuple(data), outs[0], q, lanes))
+        return tuple(planned)
+
+    def encode_rows(self, planned: Tuple[tuple, ...]) -> None:
+        """Write every planned row's parity: the folds and nothing else."""
+        exps = self._exps
+        for data, p, q, lanes in planned:
+            xor_fold(data, p)
+            if q is not None:
+                gpow_fold(data, exps, q, lanes)
 
     def _check(self, buffers: Sequence[np.ndarray]) -> None:
         if len(buffers) != self.group_size:
@@ -431,6 +481,13 @@ class RSCodec:
         return bool(np.array_equal(fresh, stored))
 
 
+def _sum_fold(words: Sequence[np.ndarray], acc: np.ndarray) -> None:
+    """``acc = words[0] + words[1] + ...``, strictly left to right."""
+    np.copyto(acc, words[0])
+    for w in words[1:]:
+        acc += w
+
+
 class SumCodec:
     """Single-parity row codec adding float64 words (``MPI_SUM``, paper
     §2.2) — same interface as :class:`RSCodec` with ``parity == 1``.
@@ -456,11 +513,23 @@ class SumCodec:
             )
         if out_p is None:
             out_p = np.empty_like(buffers[0])
-        acc = out_p.view(np.float64)
-        np.copyto(acc, buffers[0].view(np.float64))
-        for b in buffers[1:]:
-            acc += b.view(np.float64)
+        _sum_fold([b.view(np.float64) for b in buffers], out_p.view(np.float64))
         return (out_p,)
+
+    def plan_rows(self, rows: Sequence[Row]) -> Tuple[tuple, ...]:
+        """The float64 views a planned encode of ``rows`` folds, for
+        :meth:`encode_rows` (the stripes checked as for
+        :meth:`RSCodec.plan_rows`)."""
+        return tuple(
+            (tuple(b.view(np.float64) for b in data), p.view(np.float64))
+            for data, (p,) in rows
+        )
+
+    @staticmethod
+    def encode_rows(planned: Tuple[tuple, ...]) -> None:
+        """Write every planned row's checksum."""
+        for words, acc in planned:
+            _sum_fold(words, acc)
 
     def decode(
         self,

@@ -96,18 +96,21 @@ class StateLayout:
             )
         if out is None:
             out = np.empty(8 + self.a2_capacity, dtype=np.uint8)
+        n = len(blob)
+        raw = memoryview(out)
         # explicit little-endian length header: checkpoint images (and every
         # fingerprint derived from them) must be byte-stable across platforms
-        out[:8] = np.frombuffer(len(blob).to_bytes(8, "little"), dtype=np.uint8)
-        out[8 : 8 + len(blob)] = np.frombuffer(blob, dtype=np.uint8)
-        out[8 + len(blob) :] = 0
+        raw[:8] = n.to_bytes(8, "little")
+        raw[8 : 8 + n] = blob
+        out[8 + n :] = 0
         return out
 
     def unpack_a2(self, blob: np.ndarray) -> Dict[str, Any]:
-        n = int(np.frombuffer(blob[:8].tobytes(), dtype="<u8")[0])
+        raw = memoryview(blob)
+        n = int.from_bytes(raw[:8], "little")
         if n > self.a2_capacity:
             raise ValueError(f"corrupt A2 header: length {n}")
-        return pickle.loads(blob[8 : 8 + n].tobytes())
+        return pickle.loads(raw[8 : 8 + n])
 
     def pack(
         self,

@@ -34,7 +34,9 @@ Hot paths are zero-copy: each member buffer is reshaped once into an
 each member's ``(m, stripe)`` view of its checksum segment — everything
 member ``i`` hosts, contiguous, so nothing is packed or copied after the
 encode — and reconstruction decodes straight through stripe views of the
-rebuilt members.
+rebuilt members.  An encode is an :class:`EncodePlan` (those views, per
+row, and the codec) built and run; a caller that encodes the same
+buffers every epoch keeps the plan and pays only its folds.
 
 All functions are pure numpy; the communication side lives in
 :mod:`repro.ckpt.encoding`.  Buffers must be ``uint8`` arrays whose length
@@ -141,6 +143,64 @@ def _stripe_matrix(buf: np.ndarray, n_stripes: int) -> np.ndarray:
     return buf.reshape(n_stripes, len(buf) // n_stripes)
 
 
+class EncodePlan:
+    """One group's encode, set up once: every slot row's data-stripe
+    views, its parity-out views and the row codec.
+
+    Built from the member ``buffers``, the per-member parity ``outs``
+    (each an ``(m, stripe)`` uint8 array or its flat segment), ``parity``
+    and ``op``; every shape and dtype is checked here.  :meth:`run` then
+    reads whatever the buffers hold now and is only the codec's folds,
+    so a caller that encodes the same buffers every epoch keeps the plan
+    (:class:`repro.ckpt.encoding.GroupEncoder`).  The plan holds the
+    arrays it was built on; :meth:`built_on` tells whether a call's
+    arrays are those very objects.
+    """
+
+    __slots__ = ("buffers", "outs", "codec", "rows")
+
+    def __init__(
+        self,
+        buffers: Sequence[np.ndarray],
+        outs: Sequence[np.ndarray],
+        parity: int = 1,
+        op: str = "xor",
+    ) -> None:
+        n = len(buffers)
+        layout = layout_for(n, parity)
+        k = layout.n_stripes
+        size = len(buffers[0])
+        if any(len(b) != size for b in buffers):
+            raise ValueError("group buffers must share one padded size")
+        self.codec = codec_for(k, parity, op)
+        mats = [_stripe_matrix(b, k) for b in buffers]
+        shape = (parity, size // k)
+        if len(outs) != n or any(
+            o.dtype != np.uint8 or o.shape not in (shape, (parity * shape[1],)) for o in outs
+        ):
+            raise ValueError(f"out must hold {n} uint8 arrays of shape {shape}")
+        blocks = [o.reshape(shape) for o in outs]
+        self.buffers = tuple(buffers)
+        self.outs = tuple(outs)
+        self.rows = self.codec.plan_rows(
+            [
+                ([mats[j][s] for j, s in cells], [blocks[h][i] for i, h in enumerate(holders)])
+                for holders, cells in layout.rows
+            ]
+        )
+
+    def built_on(self, buffers: Sequence[np.ndarray], outs: Sequence[np.ndarray]) -> bool:
+        """True when ``buffers`` and ``outs`` are the arrays this plan
+        holds, object for object (a same-sized stand-in is not)."""
+        return all(a is b for a, b in zip(self.buffers, buffers)) and all(
+            a is b for a, b in zip(self.outs, outs)
+        )
+
+    def run(self) -> None:
+        """Encode: write every row's parity from the buffers' contents."""
+        self.codec.encode_rows(self.rows)
+
+
 @overload
 def build_parity(
     buffers: Sequence[np.ndarray], parity: int = ..., op: str = ..., out: None = ...
@@ -155,7 +215,8 @@ def build_parity(
     op: str = "xor",
     out: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray | Sequence[np.ndarray]:
-    """Compute every parity stripe of a group.
+    """Compute every parity stripe of a group: one :class:`EncodePlan`,
+    built and run.
 
     Parameters
     ----------
@@ -172,26 +233,15 @@ def build_parity(
     Returns
     -------
     ``out``, or the ``(N, m, stripe)`` uint8 block allocated in its place
-    — the only allocation made here — whose ``[i][j]`` is parity ``j``
-    hosted by member ``i`` (of slot row ``i - j``).
+    — the only allocation made here beside a Q fold's one stripe of
+    scratch — whose ``[i][j]`` is parity ``j`` hosted by member ``i`` (of
+    slot row ``i - j``).
     """
-    n = len(buffers)
-    layout = layout_for(n, parity)
-    size = len(buffers[0])
-    if any(len(b) != size for b in buffers):
-        raise ValueError("group buffers must share one padded size")
-    codec = codec_for(layout.n_stripes, parity, op)
-    mats = [_stripe_matrix(b, layout.n_stripes) for b in buffers]
-    shape = (parity, size // layout.n_stripes)
     if out is None:
-        out = np.empty((n, *shape), dtype=np.uint8)
-    elif len(out) != n or any(o.shape != shape or o.dtype != np.uint8 for o in out):
-        raise ValueError(f"out must hold {n} uint8 arrays of shape {shape}")
-    for holders, cells in layout.rows:
-        codec.encode(
-            [mats[j][s] for j, s in cells],
-            *[out[h][i] for i, h in enumerate(holders)],
-        )
+        n = len(buffers)
+        stripe = len(buffers[0]) // layout_for(n, parity).n_stripes
+        out = np.empty((n, parity, stripe), dtype=np.uint8)
+    EncodePlan(buffers, out, parity, op).run()
     return out
 
 

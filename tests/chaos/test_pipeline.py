@@ -23,6 +23,7 @@ from repro.chaos import (
     run_campaign,
     run_kill_matrix,
 )
+from repro.chaos.cli import DEFAULT_PPN, SCENARIOS, _build_scenario, parse_args
 from repro.chaos.report import render_campaign
 from repro.obs.store import (
     TraceStore,
@@ -244,6 +245,35 @@ class TestMisusedFlags:
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == f"repro chaos: error: {why}"
         assert not out.exists()
+
+
+class TestDefaults:
+    """``--ppn`` defaults by scenario, resolved without running a
+    campaign: ``skt-hpl`` at its own defaults builds (one HPL rank per
+    node), and ``--smoke`` and an explicit ``--ppn`` keep their value."""
+
+    @pytest.mark.parametrize(
+        "flags, ppn",
+        [
+            ([], 2),
+            (["--scenario", "skt-hpl"], 1),
+            (["--scenario", "skt-hpl", "--ppn", "2"], 2),
+            (["--ppn", "3"], 3),
+            (["--smoke"], 2),
+            (["--smoke", "--scenario", "skt-hpl", "--ppn", "1"], 2),
+        ],
+        ids=["selfckpt", "skt-hpl", "skt-hpl-explicit", "explicit", "smoke",
+             "smoke-overrides"],
+    )
+    def test_ppn_resolves_per_scenario(self, flags, ppn):
+        _, args = parse_args(flags)
+        assert args.ppn == ppn
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_each_scenario_builds_at_its_defaults(self, scenario):
+        _, args = parse_args(["--scenario", scenario])
+        assert args.ppn == DEFAULT_PPN[scenario]
+        _build_scenario(args, "self")  # raises on a co-located group
 
 
 class TestConfigurationErrors:

@@ -135,6 +135,114 @@ class TestGroupEncoder:
         run(main, n_ranks=2)
 
 
+class TestEncodePlans:
+    """The encoder keeps the plan of the member buffers it encoded and
+    reuses it only for those very arrays: every checksum equals a fresh
+    ``stripes.build_parity`` of what the members held at that encode."""
+
+    SIZE = 8 * 3 * 64  # stripe-aligned for N = 4 at m = 1 and m = 2
+
+    def _encodes(self, parity, epochs):
+        """Run ``epochs(rank)`` — the ``(flat, out)`` pairs a rank fills
+        with fresh bytes and encodes, in order — and return, per rank,
+        the ``(flat bytes, checksum bytes)`` of each encode."""
+
+        def main(ctx):
+            enc = GroupEncoder(ctx.world, parity=parity)
+            rng = np.random.default_rng(ctx.rank)
+            seen = []
+            for flat, out in epochs(ctx.rank):
+                flat[:] = rng.integers(0, 256, flat.size, dtype=np.uint8)
+                res = enc.encode(flat, out=out)
+                assert res.checksum is out
+                seen.append((flat.copy(), res.checksum.copy()))
+            return seen
+
+        res = run(main)
+        return [res.rank_results[r] for r in range(4)]
+
+    def _assert_fresh(self, parity, per_rank):
+        from repro.ckpt.stripes import build_parity
+
+        for epoch in range(len(per_rank[0])):
+            flats = [per_rank[r][epoch][0] for r in range(4)]
+            want = build_parity(flats, parity)
+            for r in range(4):
+                got = per_rank[r][epoch][1]
+                assert got.tobytes() == want[r].tobytes(), (parity, epoch, r)
+
+    @pytest.mark.parametrize("parity", [1, 2])
+    def test_epochs_mutate_one_set_of_buffers(self, parity):
+        def epochs(rank):
+            flat = np.empty(self.SIZE, dtype=np.uint8)
+            out = np.empty(self.SIZE * parity // (4 - parity), dtype=np.uint8)
+            return [(flat, out)] * 4
+
+        self._assert_fresh(parity, self._encodes(parity, epochs))
+
+    @pytest.mark.parametrize("parity", [1, 2])
+    def test_double_alternates_two_slots(self, parity):
+        def epochs(rank):
+            cs = self.SIZE * parity // (4 - parity)
+            slots = [
+                (np.empty(self.SIZE, dtype=np.uint8), np.empty(cs, dtype=np.uint8))
+                for _ in range(2)
+            ]
+            return [slots[e % 2] for e in range(5)]
+
+        self._assert_fresh(parity, self._encodes(parity, epochs))
+
+    @pytest.mark.parametrize("swapped", ["flat", "out"])
+    def test_one_member_swaps_in_a_same_sized_array(self, swapped):
+        """Member 2 hands in a different array of the same size for one
+        epoch, then its own again: neither call may meet the other's
+        plan."""
+
+        def epochs(rank):
+            cs = self.SIZE // 3
+            flat = np.empty(self.SIZE, dtype=np.uint8)
+            out = np.empty(cs, dtype=np.uint8)
+            other = np.empty(self.SIZE if swapped == "flat" else cs, dtype=np.uint8)
+            swap = (other, out) if swapped == "flat" else (flat, other)
+            own = (flat, out)
+            return [own, own, swap if rank == 2 else own, own]
+
+        self._assert_fresh(1, self._encodes(1, epochs))
+
+    def test_steady_state_encode_allocates_no_scratch(self):
+        """The second encode of one ``self-rs`` group at a lanes-size
+        stripe runs the kept plan: its Q folds share the plan's one
+        stripe of scratch, so the encode's peak stays below a stripe
+        (allocating a stripe per row, as a fresh fold does, would not)."""
+        import tracemalloc
+
+        from repro.ckpt import kernels
+
+        size = 8 * 2 * 1024  # N = 4, m = 2: two data stripes of 8 KiB
+        stripe = size // 2
+        assert stripe >= kernels.BITSLICE_MIN_BYTES
+
+        def main(ctx):
+            enc = GroupEncoder(ctx.world, parity=2)
+            flat = np.random.default_rng(ctx.rank).integers(0, 256, size, dtype=np.uint8)
+            out = np.empty(2 * stripe, dtype=np.uint8)
+            enc.encode(flat, out=out)
+            ctx.world.barrier()
+            if ctx.rank == 0:
+                # the collective completes only once rank 0 is in it,
+                # so the last arriver's folds run inside the trace
+                tracemalloc.start()
+            enc.encode(flat, out=out)
+            if ctx.rank == 0:
+                _, peak = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
+                return peak
+            return None
+
+        peak = run(main).rank_results[0]
+        assert peak < stripe, (peak, stripe)
+
+
 class TestManager:
     def test_unknown_method_rejected(self):
         def main(ctx):
