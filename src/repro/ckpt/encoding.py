@@ -32,7 +32,7 @@ from repro.sim.mpi import Communicator
 
 Contribution = Optional[Tuple[np.ndarray, np.ndarray]]
 
-#: encode plans one encoder keeps: ``self`` encodes one set of member
+#: encode plans one group keeps: ``self`` encodes one set of member
 #: buffers every epoch, ``double`` one per slot
 KEPT_PLANS = 2
 
@@ -69,8 +69,12 @@ class GroupEncoder:
         self.comm = comm
         self.op = op
         self.parity = parity
-        #: plans of the member buffers encoded lately, most recent first
-        self._plans: List[stripes.EncodePlan] = []
+        #: plans of the member buffers the group encoded lately, most
+        #: recent first: kept on the communicator, since whichever
+        #: member arrives last runs the encode
+        self._plans: List[stripes.EncodePlan] = comm.attrs.setdefault(
+            (GroupEncoder, parity, op), []
+        )
         self._costs: Dict[int, float] = {}  # _encode_cost by byte count
 
     @property
@@ -107,7 +111,7 @@ class GroupEncoder:
             if plan.built_on(flats, outs):
                 return plan
         plan = stripes.EncodePlan(flats, outs, self.parity, self.op)
-        self._plans = [plan, *self._plans[: KEPT_PLANS - 1]]
+        self._plans[:] = [plan, *self._plans[: KEPT_PLANS - 1]]
         return plan
 
     # -- encode -----------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.util.rng import seeded_rng
 
@@ -172,6 +172,17 @@ class FailurePlan:
     :meth:`check_time` on every clock advance and :meth:`announce` on
     every phase announcement, and powers off the returned node ids.
 
+    Triggers are indexed when they are armed: phase triggers by the
+    ``(node, phase)`` pair they watch, time triggers by node.  An
+    announcement of a pair no phase trigger watches, or a clock advance
+    on a node with no pending time trigger, returns None without taking
+    the lock, and nothing counts it.  A watched pair is counted from the
+    moment it is armed, node-wide and per rank, and stays watched after
+    its triggers fire.  So once an announcement has reached the plan,
+    :meth:`add` refuses a phase trigger on a pair the plan does not
+    watch yet (that pair's earlier announcements went uncounted); arming
+    on a watched pair, or a time trigger, stays exact.
+
     The plan is shared across job incarnations (the daemon re-arms
     nothing): phase counts keep accumulating over restarts, and triggers
     that have not fired stay armed.  :attr:`fired` lists the
@@ -184,11 +195,21 @@ class FailurePlan:
         triggers: Optional[List[AnyTrigger]] = None,
     ):
         self._lock = threading.Lock()
-        self._time_triggers: List[TimeTrigger] = []
-        self._phase_triggers: List[PhaseTrigger] = []
-        #: announcement counts keyed by ``(node, phase, rank_or_None)``;
-        #: the ``None`` slot is the node-wide count, the rank slots are
-        #: what rank-restricted triggers consult
+        #: pending time triggers of each node, in arming order
+        self._time_triggers: Dict[int, List[TimeTrigger]] = {}
+        #: pending phase triggers of each watched ``(node, phase)`` pair,
+        #: in arming order
+        self._phase_triggers: Dict[Tuple[int, str], List[PhaseTrigger]] = {}
+        #: the phases each node's phase triggers watch: the only pairs
+        #: :meth:`announce` counts (per node, so the unwatched path
+        #: builds no tuple key)
+        self._watched: Dict[int, Set[str]] = {}
+        #: set by the first announcement: from then on an unwatched pair
+        #: has uncounted announcements, so no trigger may start watching it
+        self._announced = False
+        #: announcement counts of the watched pairs, keyed by ``(node,
+        #: phase, rank_or_None)``; the ``None`` slot is the node-wide
+        #: count, the rank slots are what rank-restricted triggers consult
         self._phase_counts: Dict[Tuple[int, str, Optional[int]], int] = {}
         #: the pinned trigger of each node that has one (see
         #: :attr:`PhaseTrigger.via_rank`); it stays after firing, since it
@@ -208,26 +229,40 @@ class FailurePlan:
             self.add(t)
 
     def add(self, trigger: AnyTrigger) -> None:
+        """Arm ``trigger``.
+
+        Raises ValueError for a second pin on one node and RuntimeError
+        for a phase trigger on a pair the plan does not watch once an
+        announcement has reached it; a refused trigger leaves the plan
+        unchanged.
+        """
         with self._lock:
             if isinstance(trigger, TimeTrigger):
-                self._time_triggers.append(trigger)
+                self._time_triggers.setdefault(trigger.node_id, []).append(trigger)
             elif isinstance(trigger, PhaseTrigger):
-                self._phase_triggers.append(trigger)
+                node, phase = trigger.node_id, trigger.phase
+                if trigger.via_rank is not None and node in self._pins:
+                    raise ValueError(
+                        f"node {node} is already pinned; a node has one death key"
+                    )
+                if self._announced and phase not in self._watched.get(node, ()):
+                    raise RuntimeError(
+                        f"(node {node}, phase {phase!r}) is not watched and "
+                        "announcements have already gone uncounted; arm its "
+                        "triggers before the run"
+                    )
+                self._watched.setdefault(node, set()).add(phase)
+                self._phase_triggers.setdefault((node, phase), []).append(trigger)
                 if trigger.via_rank is not None:
-                    if trigger.node_id in self._pins:
-                        raise ValueError(
-                            f"node {trigger.node_id} is already pinned; "
-                            "a node has one death key"
-                        )
-                    self._pins[trigger.node_id] = trigger
+                    self._pins[node] = trigger
             else:
                 raise TypeError(f"not a trigger: {trigger!r}")
 
     def pin(self, node_id: int) -> Optional[PhaseTrigger]:
         """The pinned trigger of ``node_id``, whose ``(fire_clock,
-        via_rank)`` is the node's death key, or None."""
-        with self._lock:
-            return self._pins.get(node_id)
+        via_rank)`` is the node's death key, or None.  Read without the
+        lock: a pin is set once, when it is armed, and never replaced."""
+        return self._pins.get(node_id)
 
     def _fire(self, pending: list, record: FiredTrigger) -> bool:
         """Fire ``record.trigger`` unless its primary node already died;
@@ -249,11 +284,14 @@ class FailurePlan:
         skipped: a node dies once, and only a doomed rank draining its
         pre-death program segment could even reach such a trigger.
         """
+        pending = self._time_triggers.get(node_id)
+        if not pending:
+            return None
         with self._lock:
-            for t in self._time_triggers:
-                if t.node_id == node_id and now >= t.at_time:
+            for t in pending:
+                if now >= t.at_time:
                     record = FiredTrigger(t, node_id, now, rank=rank)
-                    if self._fire(self._time_triggers, record):
+                    if self._fire(pending, record):
                         return t
             return None
 
@@ -263,6 +301,8 @@ class FailurePlan:
         """Record a phase announcement and return the trigger it trips,
         None when there is none.
 
+        Only a ``(node, phase)`` pair some trigger watches is counted; any
+        other announcement returns None at once, without the lock.
         Counting is exact (``count == occurrence``), not a threshold: a
         trigger armed *after* its target count has already passed stays
         silent instead of firing on the next unrelated announcement.
@@ -275,15 +315,18 @@ class FailurePlan:
         node's other ranks die is no business of this method: the death
         key decides it (see :class:`PhaseTrigger`).
         """
+        self._announced = True
+        watched = self._watched.get(node_id)
+        if watched is None or phase not in watched:
+            return None
         with self._lock:
             counts = self._phase_counts
             node_key = (node_id, phase, None)
             rank_key = (node_id, phase, rank)
             node_count = counts[node_key] = counts.get(node_key, 0) + 1
             rank_count = counts[rank_key] = counts.get(rank_key, 0) + 1
-            for t in self._phase_triggers:
-                if t.node_id != node_id or t.phase != phase:
-                    continue
+            pending = self._phase_triggers[(node_id, phase)]
+            for t in pending:
                 if t.via_rank is not None:
                     # pinned node-wide trigger: fire on the resolved rank's
                     # own announcement; report the advertised node count
@@ -298,7 +341,7 @@ class FailurePlan:
                     continue
                 if count == t.occurrence:
                     record = FiredTrigger(t, node_id, clock, rank, phase, count)
-                    if self._fire(self._phase_triggers, record):
+                    if self._fire(pending, record):
                         return t
             return None
 

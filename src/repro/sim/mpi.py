@@ -237,6 +237,10 @@ class Communicator:
         self._slot = _CollectiveSlot()
         self._swap = _SwapSlot()
         self._split_counter = 0
+        #: attribute caching (``MPI_Comm_set_attr``): state a library
+        #: keeps once per communicator, shared by its members' instances
+        #: (the group encoder's encode plans)
+        self.attrs: Dict[Any, Any] = {}
 
     # -- identity -------------------------------------------------------------
     @property

@@ -13,6 +13,7 @@ here: repeating a ranks-per-node > 1 kill matrix yields byte-identical
 telemetry, and so does replaying it under any other legal schedule.
 """
 
+import copy
 import dataclasses
 import hashlib
 import os
@@ -154,6 +155,12 @@ class TestPinnedSiblingDeaths:
         plan = FailurePlan([pins[0]])
         plan.add(dataclasses.replace(pins[1], node_id=1))
         assert plan.pin(0) is pins[0] and plan.pin(2) is None
+        armed = copy.deepcopy((plan._phase_triggers, plan._watched, plan._pins))
+        with pytest.raises(ValueError, match="node 0"):
+            plan.add(pins[1])
+        # the refused pin is not armed: its phase fires nothing
+        assert (plan._phase_triggers, plan._watched, plan._pins) == armed
+        assert plan.announce(0, 1, "b", 2.0) is None and not plan.fired
 
     def test_siblings_die_where_the_merged_order_names(self):
         """Every pinned kill of a two-ranks-per-node matrix: no sibling of

@@ -12,7 +12,7 @@ from repro.ckpt import (
     expected_runtime,
     optimal_interval_young,
 )
-from repro.sim import Cluster, Job
+from repro.sim import Cluster, Job, NodeSpec
 
 
 def run(main, n_ranks=4, **kw):
@@ -208,6 +208,58 @@ class TestEncodePlans:
             return [own, own, swap if rank == 2 else own, own]
 
         self._assert_fresh(1, self._encodes(1, epochs))
+
+    @pytest.mark.parametrize("method", ["self", "self-rs", "double"])
+    def test_a_group_builds_one_plan_per_set_of_buffers(self, monkeypatch, method):
+        """A ``ckpt_tiny``-shaped job (4 KiB per rank, two ranks per node,
+        groups of 4) whose last arriver at each encode rotates through
+        the group: the group keeps one plan per set of member buffers
+        whichever member runs the encode, and every checksum equals a
+        fresh ``build_parity`` of what the members held."""
+        from repro.ckpt import stripes
+
+        init, run_plan = stripes.EncodePlan.__init__, stripes.EncodePlan.run
+        built = {}  # every plan an encoder built -> its (parity, op)
+        runs = []
+        reference = []  # non-empty while the spy runs build_parity
+
+        def spy_init(plan, buffers, outs, parity=1, op="xor"):
+            init(plan, buffers, outs, parity, op)
+            if not reference:
+                built[plan] = (parity, op)
+
+        def spy_run(plan):
+            run_plan(plan)
+            if reference:
+                return
+            runs.append(plan)
+            reference.append(plan)
+            try:
+                want = stripes.build_parity(list(plan.buffers), *built[plan])
+            finally:
+                reference.pop()
+            for r, out in enumerate(plan.outs):
+                assert out.tobytes() == want[r].tobytes(), (method, r)
+
+        def main(ctx):
+            mgr = CheckpointManager(ctx, ctx.world, group_size=4, method=method)
+            arr = mgr.alloc("data", 512)
+            mgr.commit()
+            arr[:] = ctx.rank
+            for it in range(8):
+                arr += ctx.rank + 1
+                late = it % 4 == mgr.group.rank
+                ctx.elapse(1.5 if late else 1.0)
+                mgr.checkpoint()
+            return arr
+
+        monkeypatch.setattr(stripes.EncodePlan, "__init__", spy_init)
+        monkeypatch.setattr(stripes.EncodePlan, "run", spy_run)
+        res = Job(Cluster(4, NodeSpec(cores=2)), main, 8, procs_per_node=2).run()
+        assert res.completed, res.rank_errors
+        sets = {tuple(map(id, plan.buffers)) for plan in built}
+        assert len(runs) == 2 * 8
+        assert len(built) == len(sets) == (4 if method == "double" else 2), method
 
     def test_steady_state_encode_allocates_no_scratch(self):
         """The second encode of one ``self-rs`` group at a lanes-size
