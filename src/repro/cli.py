@@ -7,8 +7,7 @@ Usage::
     python -m repro table3
     python -m repro all          # every target once (slow: live power-off checks)
     python -m repro report       # the same artifacts as one markdown document
-    python -m repro check --all  # sanitizer suite (lint, flow, races, deadlock)
-    python -m repro check --deep # static gauntlet: lint + whole-program flow
+    python -m repro check --all  # sanitizer suite (lint, flow)
     python -m repro obs --scenario skt-hpl --fail-at panel:3  # profile run
     python -m repro obs query --store out/obs.sqlite   # cross-run queries
     python -m repro chaos --smoke                # kill-matrix campaign

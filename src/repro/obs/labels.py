@@ -52,8 +52,8 @@ METRIC_NAMES = frozenset(
         "mpi.blocked_s",  # histogram: virtual seconds blocked per receive
         "mpi.collective_s",  # virtual seconds inside collectives (sync + cost)
         "mpi.collectives",  # collective operations completed
-        # shared memory (instrumented accesses through ShmSegment.read/write
-        # and store create/attach/unlink; raw .array references are invisible)
+        # shared memory (store create/attach/unlink; reads and writes through
+        # a segment's array are invisible)
         "shm.ops",
         "shm.bytes_written",
         # job lifecycle (fed by the scenario runner from the daemon report)

@@ -7,20 +7,17 @@ values are driven by *virtual* quantities (bytes, virtual seconds), never
 wall time, so snapshots are bit-deterministic across runs with one seed.
 
 :class:`MetricsObserver` rides the :class:`~repro.sim.observer.SimObserver`
-hook layer exactly like the sancheck race detector does, which means it
-composes with it through :class:`~repro.sim.observer.MultiObserver` — a
-job can run with the race detector and the metrics observer attached at
-once.
+hook layer, so it composes with any other observer through
+:class:`~repro.sim.observer.MultiObserver`.
 
 Accounting contract (also in :mod:`repro.obs.labels`):
 
 * ``mpi.bytes_posted``/``mpi.msgs_posted`` count at **send** time — they
   include messages a failure strands in flight;
 * ``mpi.bytes_sent``/``mpi.bytes_recv`` count at **delivery** time, the
-  sender's bytes attributed via the observer token that rides the
-  envelope.  Aggregated over a job, sent == recv by construction, and a
-  send retried after a restore is counted once per actual delivery —
-  never double-counted.
+  sender's bytes read from the delivered envelope.  Aggregated over a
+  job, sent == recv by construction, and a send retried after a restore
+  is counted once per actual delivery — never double-counted.
 * ``mpi.blocked_s`` is the *virtual* wait a receive experienced — how far
   the sender's arrival outran the receiver's own clock (the ``waited_s``
   the communicator reports at delivery; deterministic, unlike whether the
@@ -226,13 +223,7 @@ class MetricsObserver(SimObserver):
         #: rank -> clock at collective entry
         self._coll_entered_at: Dict[int, float] = {}
 
-    # -- installation (same shape as the sancheck detectors) --------------------
-    def install(self, job: Any) -> "MetricsObserver":
-        """Attach to a job's communicator events and its cluster's SHM."""
-        install_observer(job, self)
-        self.watch_cluster(job.cluster)
-        return self
-
+    # -- installation ------------------------------------------------------------
     def watch_cluster(self, cluster: Any) -> None:
         """Subscribe to SHM events on every node of ``cluster`` —
         spares included, so replacement nodes report from the moment
@@ -242,25 +233,23 @@ class MetricsObserver(SimObserver):
             install_observer(node.shm, self)
 
     # -- point to point ----------------------------------------------------------
-    def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> Any:
+    def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> None:
         cls = tag_class(tag)
         self.registry.counter("mpi.bytes_posted", rank=src, cls=cls).inc(nbytes)
         self.registry.counter("mpi.msgs_posted", rank=src, cls=cls).inc()
-        # the token rides the envelope; delivery-time accounting happens in
-        # on_recv so stranded in-flight messages never count as "sent"
-        return nbytes
+        # delivery-time accounting happens in on_recv, so stranded
+        # in-flight messages never count as "sent"
 
     def on_recv(
         self,
         dst: int,
         src: int,
         tag: int,
-        token: Any,
+        nbytes: int,
         clock: float,
         waited_s: float = 0.0,
     ) -> None:
         cls = tag_class(tag)
-        nbytes = int(token) if token is not None else 0
         self.registry.counter("mpi.bytes_sent", rank=src, cls=cls).inc(nbytes)
         self.registry.counter("mpi.bytes_recv", rank=dst, cls=cls).inc(nbytes)
         self.registry.counter("mpi.msgs_recv", rank=dst, cls=cls).inc()
@@ -283,5 +272,5 @@ class MetricsObserver(SimObserver):
     # -- shared memory ------------------------------------------------------------
     def on_shm(self, node_id: int, name: str, kind: str, nbytes: int = 0) -> None:
         self.registry.counter("shm.ops", node=node_id, kind=kind).inc()
-        if kind in ("write", "create"):
+        if kind == "create":
             self.registry.counter("shm.bytes_written", node=node_id).inc(nbytes)

@@ -110,14 +110,13 @@ class TrafficTotals(SimObserver):
     def __init__(self) -> None:
         self.posted = self.sent = 0
 
-    def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> Any:
+    def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> None:
         self.posted += nbytes
-        return nbytes
 
     def on_recv(
-        self, dst: int, src: int, tag: int, token: Any, clock: float, waited_s: float = 0.0
+        self, dst: int, src: int, tag: int, nbytes: int, clock: float, waited_s: float = 0.0
     ) -> None:
-        self.sent += int(token) if token is not None else 0
+        self.sent += nbytes
 
 
 def attempt_summary(

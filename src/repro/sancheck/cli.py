@@ -5,9 +5,7 @@ Usage::
     repro check lint                  # static invariants over the package
     repro check lint --path FILE.py   # ... or over explicit files/dirs
     repro check flow                  # whole-program effect/taint analysis
-    repro check races                 # race-detector self-test + clean run
-    repro check --all                 # everything
-    repro check --deep                # lint + flow (the static gauntlet)
+    repro check --all                 # both
 
 Every finding is reported: an accepted lint finding is a ``# simlint:
 allow[rule]`` pragma at the site, anything else is fixed.
@@ -30,12 +28,12 @@ import traceback
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.sancheck.findings import Finding, Report
+from repro.sancheck.findings import Report
 
 if TYPE_CHECKING:
     from repro.sancheck.simlint import Sources
 
-ANALYSES = ("lint", "flow", "races")
+ANALYSES = ("lint", "flow")
 FAIL_ON_CHOICES = ("error", "warning", "any")
 
 EXIT_CLEAN = 0
@@ -55,35 +53,12 @@ def _run_flow(report: Report, sources: Sources) -> None:
     report.extend(analyze_sources(sources), analysis="flow")
 
 
-def _selftest_failure(tool: str, what: str) -> Finding:
-    return Finding(
-        tool=tool,
-        rule="selftest",
-        message=f"self-test failed: {what}",
-    )
-
-
-def _run_races(report: Report) -> None:
-    """The race detector's seeded bug, then one clean self-checkpoint run."""
-    from repro.sancheck import scenarios
-
-    _, seeded = scenarios.run_seeded_race()
-    if not seeded.findings:
-        report.add(
-            _selftest_failure("race", "the seeded unsynchronized SHM write was NOT flagged")
-        )
-    result, race = scenarios.run_clean_selfckpt()
-    if not result.completed:
-        report.add(_selftest_failure("race", "clean self-checkpoint run did not complete"))
-    report.extend(race.findings, analysis="race")
-
-
 def check_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro check",
         description=(
-            "Simulator sanitizer suite: static invariant lint, whole-program "
-            "effect/taint analysis, SHM race detection (see docs/SANCHECK.md)."
+            "Simulator sanitizer suite: static invariant lint and whole-program "
+            "effect/taint analysis (see docs/SANCHECK.md)."
         ),
     )
     parser.add_argument(
@@ -94,11 +69,6 @@ def check_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--all", action="store_true", help="run every analysis"
-    )
-    parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="run the static gauntlet (lint + flow)",
     )
     parser.add_argument(
         "--path",
@@ -135,12 +105,8 @@ def check_main(argv: Optional[List[str]] = None) -> int:
     selected = list(args.analyses)
     if args.all:
         selected = list(ANALYSES)
-    elif args.deep:
-        selected = sorted(set(selected) | {"lint", "flow"}, key=ANALYSES.index)
     if not selected:
-        parser.error(
-            "nothing to do: name at least one analysis or pass --all/--deep"
-        )
+        parser.error("nothing to do: name at least one analysis or pass --all")
     if args.path:
         missing = [p for p in args.path if not Path(p).exists()]
         if missing:
@@ -148,17 +114,14 @@ def check_main(argv: Optional[List[str]] = None) -> int:
 
     report = Report()
     try:
-        if "lint" in selected or "flow" in selected:
-            from repro.sancheck.simlint import default_lint_root, parse_paths
+        from repro.sancheck.simlint import default_lint_root, parse_paths
 
-            # one parse of each file serves both static analyses
-            sources = parse_paths([Path(p) for p in args.path or [default_lint_root()]])
-            if "lint" in selected:
-                _run_lint(report, sources)
-            if "flow" in selected:
-                _run_flow(report, sources)
-        if "races" in selected:
-            _run_races(report)
+        # one parse of each file serves both analyses
+        sources = parse_paths([Path(p) for p in args.path or [default_lint_root()]])
+        if "lint" in selected:
+            _run_lint(report, sources)
+        if "flow" in selected:
+            _run_flow(report, sources)
     except Exception:
         traceback.print_exc()
         print(

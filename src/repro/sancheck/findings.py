@@ -1,7 +1,7 @@
-"""Common finding/report types shared by all three sanitizer analyses.
+"""Common finding/report types shared by both sanitizer analyses.
 
-Every analysis — the static linter, the flow verifier and the SHM race
-detector — reduces to a list of :class:`Finding`; a
+Each analysis — the static linter and the flow verifier — reduces to a
+list of :class:`Finding`; a
 :class:`Report` aggregates them, renders an ASCII summary and maps to a
 process exit code (the CLI contract: zero findings == exit 0).
 """
@@ -18,13 +18,9 @@ from repro.util import render_table
 class Finding:
     """One violation discovered by an analysis.
 
-    ``tool`` names the analysis (``simlint``, ``flow``, ``race``);
-    ``rule`` the specific invariant (e.g. ``wallclock``, ``flow-nondet``,
-    ``shm-race``).  Static findings carry ``file``/``line``; dynamic
-    findings carry the offending world ``ranks`` and the virtual ``clock``
-    at detection time.  ``detail`` holds a multi-line elaboration (both
-    sides of a race with their vector clocks) kept out of the one-line
-    summary.
+    ``tool`` names the analysis (``simlint``, ``flow``); ``rule`` the
+    specific invariant (e.g. ``wallclock``, ``flow-nondet``).  A finding
+    carries the ``file``/``line`` it is about.
     """
 
     tool: str
@@ -32,26 +28,18 @@ class Finding:
     message: str
     file: str = ""
     line: int = 0
-    ranks: Tuple[int, ...] = ()
-    clock: float = 0.0
-    detail: str = ""
     #: ``error`` | ``warning`` | ``note`` — CI gates on ``--fail-on``
     severity: str = "error"
 
     def sort_key(self) -> Tuple:
         """Canonical ordering: byte-stable output across runs/workers."""
-        return (self.file, self.line, self.tool, self.rule, self.message, self.ranks, self.clock)
+        return (self.file, self.line, self.tool, self.rule, self.message)
 
     def location(self) -> str:
-        if self.file:
-            return f"{self.file}:{self.line}"
-        if self.ranks:
-            return f"ranks {','.join(map(str, self.ranks))} @ t={self.clock:.4g}s"
-        return "-"
+        return f"{self.file}:{self.line}" if self.file else "-"
 
     def __str__(self) -> str:
-        base = f"[{self.tool}:{self.rule}] {self.location()}: {self.message}"
-        return base if not self.detail else base + "\n" + self.detail
+        return f"[{self.tool}:{self.rule}] {self.location()}: {self.message}"
 
 
 @dataclass
@@ -104,7 +92,7 @@ class Report:
         return 0 if self.count(fail_on) == 0 else 1
 
     def render(self) -> str:
-        """Human-readable summary: a table of findings plus any details."""
+        """Human-readable summary: a table of findings."""
         self.finalize()
         ran = ", ".join(self.analyses) or "(none)"
         if self.ok:
@@ -113,10 +101,8 @@ class Report:
             [f.severity, f.tool, f.rule, f.location(), f.message]
             for f in self.findings
         ]
-        table = render_table(
+        return render_table(
             ["severity", "tool", "rule", "where", "finding"],
             rows,
             title=f"sancheck — {len(self.findings)} finding(s), analyses: {ran}",
         )
-        details = [f.detail for f in self.findings if f.detail]
-        return table if not details else table + "\n\n" + "\n\n".join(details)

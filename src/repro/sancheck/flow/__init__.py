@@ -21,7 +21,7 @@ the effect lattice:
   discipline the recovery-decision invariants assume.
 
 Entry points: :func:`analyze_paths`, and :func:`analyze_sources` on the
-parse simlint also reads (what ``repro check --deep`` runs).
+parse simlint also reads (what ``repro check --all`` runs).
 Reports export to SARIF and JSONL (:mod:`repro.sancheck.flow.export`).
 """
 

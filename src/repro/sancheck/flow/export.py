@@ -8,8 +8,8 @@ Two machine formats ride next to the ASCII report:
 * **SARIF 2.1.0** — the static-analysis interchange format GitHub code
   scanning ingests; the ``check-deep`` CI job uploads it as an artifact.
 
-Both exporters accept findings from *any* sancheck tool (simlint, flow,
-race) — the rule vocabulary is namespaced ``tool/rule``.
+Both exporters accept findings from either sancheck tool (simlint,
+flow) — the rule vocabulary is namespaced ``tool/rule``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _SARIF_LEVEL = {"error": "error", "warning": "warning", "note": "note"}
 
 def finding_to_dict(f: Finding) -> Dict[str, object]:
     """Stable JSON shape of one finding (fixed key order)."""
-    out: Dict[str, object] = {
+    return {
         "tool": f.tool,
         "rule": f.rule,
         "severity": f.severity,
@@ -41,13 +41,6 @@ def finding_to_dict(f: Finding) -> Dict[str, object]:
         "line": f.line,
         "message": f.message,
     }
-    if f.ranks:
-        out["ranks"] = list(f.ranks)
-    if f.clock:
-        out["clock"] = f.clock
-    if f.detail:
-        out["detail"] = f.detail
-    return out
 
 
 def to_jsonl(findings: Sequence[Finding]) -> str:

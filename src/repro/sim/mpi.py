@@ -176,9 +176,6 @@ class _Envelope:
     payload: Any
     nbytes: int
     arrival_time: float
-    #: opaque observer token (e.g. the sender's vector-clock snapshot);
-    #: handed back to the observer when the message is received
-    token: Any = None
 
 
 class _CollectiveSlot:
@@ -290,12 +287,10 @@ class Communicator:
         ]
 
     # -- observer plumbing -----------------------------------------------------
-    def _notify_send(self, ctx: "RankContext", dest: int, tag: int, nbytes: int) -> Any:
-        """Report a send; returns the observer token to ride the envelope."""
+    def _notify_send(self, ctx: "RankContext", dest: int, tag: int, nbytes: int) -> None:
         obs = ctx.job.observer
-        if obs is None:
-            return None
-        return obs.on_send(ctx.rank, self._members[dest], tag, nbytes, ctx.clock)
+        if obs is not None:
+            obs.on_send(ctx.rank, self._members[dest], tag, nbytes, ctx.clock)
 
     def _notify_recv(
         self,
@@ -308,7 +303,7 @@ class Communicator:
         if obs is None:
             return
         _, src, tag = key
-        obs.on_recv(ctx.rank, self._members[src], tag, env.token, ctx.clock, waited_s)
+        obs.on_recv(ctx.rank, self._members[src], tag, env.nbytes, ctx.clock, waited_s)
 
     # -- waiting with failure delivery -----------------------------------------
     def _wait(
@@ -371,12 +366,8 @@ class Communicator:
         me = self._index[ctx.rank]
         nbytes = _payload_nbytes(obj)
         ctx.clock += self._p2p_time_to(ctx.job, me, dest, nbytes)
-        env = _Envelope(
-            payload=_copy_payload(obj),
-            nbytes=nbytes,
-            arrival_time=ctx.clock,
-            token=self._notify_send(ctx, dest, tag, nbytes),
-        )
+        env = _Envelope(payload=_copy_payload(obj), nbytes=nbytes, arrival_time=ctx.clock)
+        self._notify_send(ctx, dest, tag, nbytes)
         self._mail.setdefault((dest, me, tag), []).append(env)
         ctx.job._notify((self, dest))
 
@@ -547,8 +538,8 @@ class Communicator:
             return False
 
         for j, entries in enumerate(by_pivot):
-            #: sender -> (partner, tag, source row, arrival clock, observer token)
-            sent: Dict[int, Tuple[int, int, int, float, Any]] = {}
+            #: sender -> (partner, tag, source row, arrival clock, payload bytes)
+            sent: Dict[int, Tuple[int, int, int, float, int]] = {}
             for p, row, partner, num, other_num in entries:
                 if p not in live:
                     continue
@@ -565,10 +556,9 @@ class Communicator:
                         self._p2p_time_to(job, p, partner, nbytes), nbytes
                     )
                 c = clock[p] = clock[p] + price[0]
-                token = None
                 if obs is not None:
-                    token = obs.on_send(ctx.rank, members[partner], tag + j, price[1], c)
-                sent[p] = (partner, tag, source[num], c, token)
+                    obs.on_send(ctx.rank, members[partner], tag + j, price[1], c)
+                sent[p] = (partner, tag, source[num], c, price[1])
             for p, _, partner, num, _ in entries:
                 if partner is None or p not in live:
                     continue
@@ -580,12 +570,12 @@ class Communicator:
                     outcome[p] = (clock[p], None, ((p, partner, tag + j), members[partner]))
                     live.discard(p)
                     continue
-                _, _, ref, arrival, token = msg
+                _, _, ref, arrival, nbytes = msg
                 before = clock[p]
                 c = clock[p] = max(before + lat, arrival)
                 if obs is not None:
                     obs.on_recv(
-                        ctx.rank, members[partner], tag + j, token, c, max(0.0, c - before - lat)
+                        ctx.rank, members[partner], tag + j, nbytes, c, max(0.0, c - before - lat)
                     )
                 source[num] = ref
         for p in live:

@@ -1,12 +1,15 @@
 """Observer hook points for simulator instrumentation.
 
 The runtime, communicator and SHM store expose a small set of callbacks so
-that tooling (the :mod:`repro.sancheck` race detector, the metrics
-observer, custom profilers) can watch a job run without monkeypatching.  A
-job carries at most one :class:`SimObserver`; :func:`install_observer`
-transparently fans out to several via :class:`MultiObserver`.
+that tooling (the metrics observer, the campaign traffic totals, custom
+profilers) can watch a job run without monkeypatching.  An observer sees
+messages with their sizes, collectives, and the lifecycle of a segment
+(create/attach/unlink); no hook sees a segment's contents being read or
+written.  A job carries at most one :class:`SimObserver`;
+:func:`install_observer` transparently fans out to several via
+:class:`MultiObserver`.
 
-Design rules observers must follow (the race detector does):
+Design rules observers must follow:
 
 * callbacks run on **rank threads**, one at a time (the rank holding the
   baton); observers reachable from the driver thread too still guard their
@@ -27,31 +30,27 @@ from typing import Any, List
 
 
 class SimObserver:
-    """No-op base class; subclass and override what you need.
-
-    Returning a value from :meth:`on_send` attaches it to the in-flight
-    message; the matching :meth:`on_recv` receives it back as ``token`` —
-    which is how the race detector ships vector-clock snapshots along
-    happens-before edges without the simulator knowing about clocks.
-    """
+    """No-op base class; subclass and override what you need."""
 
     # -- point to point -------------------------------------------------------
-    def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> Any:
-        return None
+    def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> None:
+        """A message posted: ``nbytes`` is its payload size."""
+        pass
 
     def on_recv(
         self,
         dst: int,
         src: int,
         tag: int,
-        token: Any,
+        nbytes: int,
         clock: float,
         waited_s: float = 0.0,
     ) -> None:
-        """Message delivery.  ``waited_s`` is the *virtual* time the
-        receiver's clock jumped waiting for the sender's arrival (0 when
-        the message was already there) — deterministic, unlike whether the
-        rank physically parked."""
+        """Message delivery of the ``nbytes`` the matching send posted.
+        ``waited_s`` is the *virtual* time the receiver's clock jumped
+        waiting for the sender's arrival (0 when the message was already
+        there) — deterministic, unlike whether the rank physically
+        parked."""
         pass
 
     # -- collectives ----------------------------------------------------------
@@ -67,10 +66,10 @@ class SimObserver:
 
     # -- shared memory --------------------------------------------------------
     def on_shm(self, node_id: int, name: str, kind: str, nbytes: int = 0) -> None:
-        """SHM segment access: ``kind`` is one of ``create``, ``attach``,
-        ``read``, ``write``, ``unlink``.  ``nbytes`` is the segment size the
-        operation touched (0 when unknown).  The accessing rank (if any) is
-        the thread's bound :class:`~repro.sim.runtime.RankContext`."""
+        """SHM segment lifecycle: ``kind`` is one of ``create``,
+        ``attach``, ``unlink``; ``nbytes`` is the segment's size.  The
+        acting rank (if any) is the thread's bound
+        :class:`~repro.sim.runtime.RankContext`."""
         pass
 
 
@@ -80,21 +79,21 @@ class MultiObserver(SimObserver):
     def __init__(self, observers: List[SimObserver]):
         self.observers = list(observers)
 
-    def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> Any:
-        return tuple(o.on_send(src, dst, tag, nbytes, clock) for o in self.observers)
+    def on_send(self, src: int, dst: int, tag: int, nbytes: int, clock: float) -> None:
+        for o in self.observers:
+            o.on_send(src, dst, tag, nbytes, clock)
 
     def on_recv(
         self,
         dst: int,
         src: int,
         tag: int,
-        token: Any,
+        nbytes: int,
         clock: float,
         waited_s: float = 0.0,
     ) -> None:
-        tokens = token if isinstance(token, tuple) else (token,) * len(self.observers)
-        for o, t in zip(self.observers, tokens):
-            o.on_recv(dst, src, tag, t, clock, waited_s)
+        for o in self.observers:
+            o.on_recv(dst, src, tag, nbytes, clock, waited_s)
 
     def on_collective_enter(self, comm: str, size: int, rank: int, clock: float) -> None:
         for o in self.observers:

@@ -350,8 +350,8 @@ class Job:
     observer:
         Optional :class:`~repro.sim.observer.SimObserver` receiving
         communication and SHM events from every rank — the hook the
-        :mod:`repro.sancheck` race detector and the metrics observer
-        install through.
+        metrics observer and the campaign traffic totals install
+        through.
     tracer:
         Optional :class:`~repro.obs.spans.SpanTracer`; when set,
         ``ctx.span(...)`` records nested virtual-time spans, spans a

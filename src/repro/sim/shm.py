@@ -11,18 +11,17 @@ segment of their own.
 
 Instrumentation: a store may carry an
 :class:`~repro.sim.observer.SimObserver`; every ``create``/``attach``/
-``unlink`` and every access through :meth:`ShmSegment.read` /
-:meth:`ShmSegment.write` is reported to it.  The race detector in
-:mod:`repro.sancheck.races` derives its access history from exactly these
-events.
+``unlink`` is reported to it.  A segment's contents are read and written
+through its ``array``, which no observer sees: each rank keeps its
+segments to itself, and the protocols order their phases with
+collectives (paper section 3).
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -53,36 +52,17 @@ def shape_tuple(shape: Any) -> Tuple[int, ...]:
 
 @dataclass
 class ShmSegment:
-    """A named, node-resident array that outlives its creating process.
-
-    ``array`` may be used directly (the checkpoint protocols keep raw
-    references for speed); code that wants its accesses visible to the
-    sanitizer tooling goes through :meth:`read` / :meth:`write` instead.
-    """
+    """A named, node-resident array that outlives its creating process."""
 
     name: str
     array: np.ndarray
-    #: the owning store, held weakly: the store owns its segments
-    _store: Optional["weakref.ref[ShmStore]"] = field(default=None, repr=False, compare=False)
 
     @property
     def nbytes(self) -> int:
         return int(self.array.nbytes)
 
-    def _notify(self, kind: str) -> None:
-        store = self._store() if self._store is not None else None
-        if store is not None:
-            store._notify(self.name, kind, self.nbytes)
-
-    def read(self) -> np.ndarray:
-        """Instrumented read: report the access, return the live array."""
-        self._notify("read")
-        return self.array
-
     def write(self, value: Any, where: Union[slice, Tuple[Any, ...]] = slice(None)) -> None:
-        """Instrumented write: report the access, then store ``value`` at
-        ``where`` (the whole segment by default)."""
-        self._notify("write")
+        """Store ``value`` at ``where`` (the whole segment by default)."""
         self.array[where] = value
 
 
@@ -140,7 +120,7 @@ class ShmStore:
             else:
                 alloc = np.zeros if zeroed else _alloc_unzeroed
                 arr = alloc(shape, dtype=dtype)
-                seg = ShmSegment(name=name, array=arr, _store=weakref.ref(self))
+                seg = ShmSegment(name=name, array=arr)
                 self._segments[name] = seg
                 kind = "create"
         self._notify(name, kind, seg.nbytes)

@@ -1,0 +1,48 @@
+"""Every SHM segment a protocol uses belongs to one rank.
+
+The protocols keep each rank's copies and workspace in segments of its
+own (``{prefix}.r{rank}.{kind}``) and order their phases with collectives
+(paper section 3), so co-resident ranks never touch one segment and no
+ordering of shared accesses needs checking.  This test holds that premise
+at two ranks per node, fault-free and through one restart: a protocol
+that shares a segment between ranks fails it.
+"""
+
+from collections import defaultdict
+
+import pytest
+
+from repro.chaos.campaign import run_with_triggers
+from repro.chaos.scenarios import selfckpt_scenario
+from repro.sim._tls import current_ctx
+from repro.sim.failures import PhaseTrigger
+from repro.sim.observer import SimObserver, install_observer
+
+
+class SegmentUsers(SimObserver):
+    """The world ranks that created, attached or unlinked each
+    ``(node, segment)``, spare nodes included."""
+
+    def __init__(self):
+        self.users = defaultdict(set)
+
+    def watch_cluster(self, cluster):
+        for node in cluster.all_nodes():
+            install_observer(node.shm, self)
+
+    def on_shm(self, node_id, name, kind, nbytes=0):
+        self.users[node_id, name].add(current_ctx().rank)
+
+
+@pytest.mark.parametrize("method", ["self", "double", "single", "self-rs"])
+@pytest.mark.parametrize("kill", [False, True], ids=["fault-free", "restart"])
+def test_each_segment_has_one_rank(method, kill):
+    scenario = selfckpt_scenario(method=method, n_nodes=4, procs_per_node=2, group_size=4)
+    triggers = [PhaseTrigger(node_id=1, phase="ckpt.done", occurrence=2)] if kill else []
+    seen = SegmentUsers()
+    inst, _, report = run_with_triggers(scenario, triggers, observer=seen)
+    assert seen.users
+    shared = {key: ranks for key, ranks in seen.users.items() if len(ranks) != 1}
+    assert shared == {}
+    assert report.completed and inst.check(report.result)
+    assert report.n_restarts == kill

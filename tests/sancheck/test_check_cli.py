@@ -58,9 +58,9 @@ class TestExitCodes:
         assert "analyzer crashed" in capsys.readouterr().err
 
     def test_deep_clean_on_shipped_tree(self, capsys, shipped_analyses_once):
-        """Acceptance: ``repro check --deep --fail-on error`` is clean on
+        """Acceptance: ``repro check --all --fail-on error`` is clean on
         main."""
-        assert main(["check", "--deep", "--fail-on", "error"]) == 0
+        assert main(["check", "--all", "--fail-on", "error"]) == 0
         out = capsys.readouterr().out
         assert "simlint" in out and "flow" in out
 
@@ -70,10 +70,17 @@ class TestExitCodes:
 
     def test_baseline_flags_are_gone(self):
         """There is no findings file to subtract: the three flags that
-        managed one are argparse errors (exit 2), not silent no-ops."""
-        for flag in (["--baseline", "x"], ["--no-baseline"], ["--update-baseline"]):
+        managed one are argparse errors (exit 2), not silent no-ops.  Nor
+        is there a race analysis, or a second spelling of ``--all``."""
+        for flag in (
+            ["--all", "--baseline", "x"],
+            ["--all", "--no-baseline"],
+            ["--all", "--update-baseline"],
+            ["races"],
+            ["--deep"],
+        ):
             with pytest.raises(SystemExit) as e:
-                main(["check", "--deep"] + flag)
+                main(["check"] + flag)
             assert e.value.code == 2, flag
 
 

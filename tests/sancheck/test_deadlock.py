@@ -4,8 +4,8 @@ tag and ending in the phase timeline."""
 
 import time
 
+from repro.apps.iterative import IterativeConfig, iterative_main
 from repro.obs.spans import SpanTracer
-from repro.sancheck.scenarios import run_clean_selfckpt
 from repro.sim import Cluster, Job, SimError
 
 
@@ -154,7 +154,13 @@ class TestSeededDeadlock:
 
 class TestNoFalsePositives:
     def test_clean_self_checkpoint_run(self):
-        result, _ = run_clean_selfckpt()
+        """The paper's protocol (four ranks, one group, a checkpoint every
+        two of four iterations) runs to completion, traced."""
+        cfg = IterativeConfig(iters=4, ckpt_every=2, group_size=4)
+        job = Job(
+            Cluster(4), iterative_main, 4, args=(cfg,), procs_per_node=1, tracer=SpanTracer()
+        )
+        result = job.run()
         assert result.completed, result.rank_errors
 
     def test_blocked_recv_with_late_sender_is_not_a_deadlock(self):

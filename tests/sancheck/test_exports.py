@@ -39,12 +39,12 @@ def sample_findings():
             line=30,
         ),
         Finding(
-            tool="race",
-            rule="shm-race",
+            tool="simlint",
+            rule="wallclock",
             severity="error",
-            message="unsynchronized write",
-            ranks=(0, 1),
-            clock=1.5,
+            message="time.time() in rank code",
+            file="repro/apps/y.py",
+            line=3,
         ),
     ]
 
@@ -54,19 +54,14 @@ class TestJsonl:
         d = finding_to_dict(sample_findings()[0])
         assert list(d) == ["tool", "rule", "severity", "file", "line", "message"]
 
-    def test_dynamic_finding_carries_ranks_and_clock(self):
-        d = finding_to_dict(sample_findings()[2])
-        assert d["ranks"] == [0, 1] and d["clock"] == 1.5
-
     def test_round_trip(self):
         fs = sample_findings()
         lines = to_jsonl(fs).splitlines()
         assert len(lines) == len(fs)
         parsed = [json.loads(line) for line in lines]
-        # output is sorted by the canonical key: dynamic findings
-        # (file == "") sort first
+        # output is sorted by the canonical key: file first
         assert [p["rule"] for p in parsed] == [
-            "shm-race",
+            "wallclock",
             "flow-nondet",
             "lifecycle-phase-escape",
         ]
@@ -85,7 +80,7 @@ class TestSarif:
         assert run["tool"]["driver"]["name"] == "repro-sancheck"
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
         assert "flow/flow-nondet" in rule_ids
-        assert "race/shm-race" in rule_ids
+        assert "simlint/wallclock" in rule_ids
 
     def test_levels_and_locations(self):
         doc = to_sarif(sample_findings())
@@ -96,8 +91,8 @@ class TestSarif:
         loc = by_rule["flow/flow-nondet"]["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"] == "repro/ckpt/x.py"
         assert loc["region"]["startLine"] == 10
-        # dynamic findings have no file, hence no location block
-        assert "locations" not in by_rule["race/shm-race"]
+        loc = by_rule["simlint/wallclock"]["locations"][0]["physicalLocation"]
+        assert loc["artifactLocation"]["uri"] == "repro/apps/y.py"
 
     def test_write_sarif_round_trip(self, tmp_path):
         out = tmp_path / "out.sarif"
@@ -112,7 +107,7 @@ class TestReportFinalize:
         report = Report(findings=[fs[1], fs[0], fs[1], fs[2]])
         report.finalize()
         assert [f.rule for f in report.findings] == [
-            "shm-race",
+            "wallclock",
             "flow-nondet",
             "lifecycle-phase-escape",
         ]

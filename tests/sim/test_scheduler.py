@@ -32,7 +32,7 @@ class EventLog(SimObserver):
     def on_send(self, src, dst, tag, nbytes, clock):
         self.events.append(("send", src, dst, tag, nbytes, clock))
 
-    def on_recv(self, dst, src, tag, token, clock, waited_s=0.0):
+    def on_recv(self, dst, src, tag, nbytes, clock, waited_s=0.0):
         self.events.append(("recv", dst, src, tag, clock, waited_s))
 
     def on_collective_enter(self, comm, size, rank, clock):

@@ -197,39 +197,23 @@ class TestSnapshot:
 
 
 class TestSegmentHooks:
-    """ShmSegment.read()/write() route through the store observer."""
-
-    def test_read_write_notify_observer(self, node):
-        events = []
-
-        class Spy:
-            def on_shm(self, node_id, name, kind, nbytes=0):
-                events.append((node_id, name, kind))
-
-        node.shm.observer = Spy()
-        seg = node.shm.create("a", 4)
-        seg.write(3.0)
-        got = seg.read()
-        assert np.all(got == 3.0)
-        node.shm.unlink("a")
-        assert events == [
-            (0, "a", "create"),
-            (0, "a", "write"),
-            (0, "a", "read"),
-            (0, "a", "unlink"),
-        ]
+    """The store reports a segment's lifecycle, not its accesses."""
 
     def test_exist_ok_reattach_reports_attach(self, node):
         events = []
 
         class Spy:
             def on_shm(self, node_id, name, kind, nbytes=0):
-                events.append(kind)
+                events.append((node_id, name, kind, nbytes))
 
         node.shm.observer = Spy()
         node.shm.create("a", 4)
-        node.shm.create("a", 4, exist_ok=True)
-        assert events == ["create", "attach"]
+        seg = node.shm.create("a", 4, exist_ok=True)
+        seg.write(3.0)
+        seg.array[0] = 1.0
+        node.shm.unlink("a")
+        # neither write is an event: only the lifecycle is
+        assert events == [(0, "a", "create", 32), (0, "a", "attach", 32), (0, "a", "unlink", 32)]
 
     def test_write_supports_slices(self, node):
         seg = node.shm.create("a", 4)

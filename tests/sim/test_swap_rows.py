@@ -5,8 +5,8 @@ per remote pivot, in pivot order, and rows swapped in place for a local
 one.  Each case runs the same job twice, once through the loop and once
 through the primitive, and everything a job leaves behind must be equal:
 every rank's arrays, clock, return value and error (type, message and
-the clock in it), the metrics registry and the race detector's vector
-clocks.
+the clock in it), the metrics registry and each rank's own observer
+stream.
 
 World rank 0 owns no rows.  It runs first under FIFO and sets the
 failure up before any row owner moves: it crosses a time trigger of node
@@ -19,6 +19,7 @@ rank ``p + 1``.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -26,10 +27,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hpl.grid import BlockCyclicMap, swap_plan
 from repro.obs.metrics import MetricsObserver
-from repro.sancheck.races import RaceDetector
 from repro.sim import Cluster, Job, Topology
 from repro.sim.errors import JobAbortedError, NodeFailedError, SimError
 from repro.sim.failures import FailurePlan, PhaseTrigger, TimeTrigger
+from repro.sim.observer import SimObserver, install_observer
 
 TAG = 1000
 
@@ -49,6 +50,25 @@ def reference_swap_rows(comm, arrays, steps, tag):
             )
             for a, value in zip(arrays, got):
                 a[row] = value
+
+
+class RankStreams(SimObserver):
+    """Each rank's own observer stream, keyed by the event's rank."""
+
+    def __init__(self):
+        self.streams = defaultdict(list)
+
+    def on_send(self, src, dst, tag, nbytes, clock):
+        self.streams[src].append(("send", dst, tag, nbytes, clock))
+
+    def on_recv(self, dst, src, tag, nbytes, clock, waited_s=0.0):
+        self.streams[dst].append(("recv", src, tag, nbytes, clock, waited_s))
+
+    def on_collective_enter(self, comm, size, rank, clock):
+        self.streams[rank].append(("enter", comm, size, clock))
+
+    def on_collective_exit(self, comm, size, rank, clock):
+        self.streams[rank].append(("exit", comm, size, clock))
 
 
 class Case:
@@ -116,17 +136,21 @@ class Case:
             procs_per_node=self.ppn, failure_plan=plan,
             topology=Topology(nodes_per_rack=1, inter_rack_bw_factor=0.5) if self.racks else None,
         )
-        metrics = MetricsObserver().install(job)
-        race = RaceDetector(n_ranks).install(job)
+        metrics, streams = MetricsObserver(), RankStreams()
+        install_observer(job, metrics)
+        install_observer(job, streams)
         res = job.run()
+        # both observers share one MultiObserver: each sees every delivery's bytes
+        assert metrics.registry.total("mpi.bytes_recv") == sum(
+            e[3] for s in streams.streams.values() for e in s if e[0] == "recv"
+        )
         return {
             "clocks": res.rank_clocks,
             "results": res.rank_results,
             "errors": {r: (type(e), str(e)) for r, e in res.rank_errors.items()},
             "arrays": {r: [a.tobytes() for a in arrays] for r, arrays in held.items()},
             "metrics": metrics.registry.samples(),
-            "vector_clocks": [vc.ticks for vc in race._vc],
-            "race_findings": race.findings,
+            "streams": dict(streams.streams),
         }
 
     def check(self):

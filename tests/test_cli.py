@@ -35,7 +35,7 @@ class TestCLI:
         """`repro check --all` runs every analysis and certifies clean."""
         assert main(["check", "--all"]) == 0
         out = capsys.readouterr().out
-        assert "sancheck: 0 findings (analyses: simlint, flow, race)" in out
+        assert "sancheck: 0 findings (analyses: simlint, flow)" in out
 
     def test_check_lint_clean_tree(self, capsys, shipped_analyses_once):
         assert main(["check", "lint"]) == 0
@@ -57,7 +57,7 @@ class TestCLI:
         with pytest.raises(SystemExit) as exit_info:
             main(["check", "deadlock"])
         assert exit_info.value.code == 2
-        assert "choose from lint, flow, races" in capsys.readouterr().err
+        assert "choose from lint, flow" in capsys.readouterr().err
 
     def test_targets_cover_every_table_and_figure(self, capsys):
         """`repro list` is the catalogue's targets plus `report` — nothing
