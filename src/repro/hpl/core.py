@@ -14,7 +14,9 @@ The algorithm is the one the HPL benchmark implements (paper §5.1):
    ``L11 U12 = A12`` for its trailing columns and broadcasts U12 (plus the
    transformed rhs segment) down each process column.
 5. **Trailing update** — every rank performs its local
-   ``A22 -= L21 @ U12`` GEMM, the O(n^3) heart of HPL.
+   ``A22 -= L21 @ U12`` GEMM, the O(n^3) heart of HPL: one BLAS ``dgemm``
+   with ``beta = 1`` that writes into the trailing block in place
+   (:func:`gemm_update`), as HPL's own ``dgemm`` call does.
 
 Back substitution then walks block rows bottom-up, broadcasting each solved
 ``x`` segment; verification regenerates the original matrix from the fixed
@@ -29,6 +31,7 @@ structure the paper's model in §4 assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -107,6 +110,81 @@ def solve_triangular(
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
     return x
+
+
+@lru_cache(maxsize=None)
+def _dgemm() -> Callable[..., None]:
+    """BLAS ``dgemm`` from SciPy's ``cython_blas`` capsule, bound through
+    ctypes once per process, as ``dgemm(transa, transb, m, n, k, a, lda,
+    b, ldb, c, ldc)`` on raw pointers: ``c = -op(a) op(b) + c``,
+    column-major.
+
+    SciPy's f2py ``blas.dgemm`` copies a ``c`` that is not F-contiguous,
+    and a trailing view never is; the capsule takes its leading dimension.
+    """
+    import ctypes
+
+    from scipy.linalg import cython_blas  # loaded on first update: no other process pays for it
+
+    capsule = cython_blas.__pyx_capi__["dgemm"]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    blas = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)(
+        get_pointer(capsule, get_name(capsule))
+    )
+    ref, c_int = ctypes.byref, ctypes.c_int
+    minus_one, one = ref(ctypes.c_double(-1.0)), ref(ctypes.c_double(1.0))
+
+    def dgemm(transa, transb, m, n, k, a, lda, b, ldb, c, ldc):
+        blas(
+            transa, transb, ref(c_int(m)), ref(c_int(n)), ref(c_int(k)), minus_one,
+            a, ref(c_int(lda)), b, ref(c_int(ldb)), one, c, ref(c_int(ldc)),
+        )
+
+    return dgemm
+
+
+def _column_major(x: np.ndarray) -> Tuple[bytes, int]:
+    """``x.T`` as a column-major BLAS operand: its ``trans`` flag and
+    leading dimension."""
+    if x.flags.c_contiguous:
+        return b"N", max(1, x.shape[1])
+    if x.flags.f_contiguous:
+        return b"T", max(1, x.shape[0])
+    raise ValueError("gemm_update: operands must be C- or F-contiguous")
+
+
+def gemm_update(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``c -= a @ b`` in place for float64 arrays, bit for bit, with no
+    temporary: one BLAS ``dgemm(alpha=-1, beta=1)`` that writes through
+    ``c``'s leading dimension.
+
+    ``c`` may be any view with unit stride along its rows (a trailing
+    block of a C-ordered matrix); ``a`` and ``b`` are C- or F-contiguous.
+    The call is numpy's own, column-major (``cᵀ -= bᵀ aᵀ``), so every entry
+    sees the same sum, negated exactly.  A one-row or one-column ``c``
+    stays numpy's expression: numpy hands a vector product to ``gemv`` or
+    ``dot``, which sum in another order than ``gemm``.
+    """
+    m, n = c.shape
+    k = a.shape[1]
+    if a.shape != (m, k) or b.shape != (k, n):
+        raise ValueError(f"gemm_update: shapes {c.shape} != {a.shape} @ {b.shape}")
+    if m <= 1 or n <= 1:
+        c -= a @ b
+        return
+    floats = c.dtype == a.dtype == b.dtype == np.float64
+    ld_c, skew = divmod(c.strides[0], c.itemsize)
+    if not floats or c.strides[1] != c.itemsize or skew or ld_c < n or not c.flags.writeable:
+        raise ValueError("gemm_update: needs float64 operands and a writeable c of unit row stride")
+    trans_b, ld_b = _column_major(b)
+    trans_a, ld_a = _column_major(a)
+    _dgemm()(
+        trans_b, trans_a, n, m, k, b.ctypes.data, ld_b, a.ctypes.data, ld_a, c.ctypes.data, ld_c
+    )
 
 
 def _factor_panel(
@@ -249,7 +327,7 @@ def hpl_solve(
             lr_trail = rowmap.local_start(myrow, k0 + nbk)
             l21 = panel[my_grows[lr_trail:] - k0, :]
             if l21.size and u12.size:
-                a_loc[lr_trail:, lc_trail:] -= l21 @ u12
+                gemm_update(a_loc[lr_trail:, lc_trail:], l21, u12)
             if l21.size:
                 b_loc[lr_trail:] -= l21 @ yk
             ctx.compute(

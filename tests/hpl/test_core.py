@@ -1,15 +1,20 @@
 """Correctness tests of the distributed HPL solver against serial numpy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hpl import HPLConfig, hpl_main
 from repro.hpl.core import (
     RESIDUAL_THRESHOLD,
     SingularMatrixError,
     _factor_panel,
+    gemm_update,
     solve_triangular,
 )
+from repro.hpl.grid import BlockCyclicMap
 from repro.hpl.matgen import dense_matrix, dense_rhs
 from repro.sim import Cluster, Job
 
@@ -200,3 +205,125 @@ class TestSolveTriangular:
             solve_triangular(a, np.ones(5), lower=False)
         assert str(got.value) == str(want.value)
         assert str(got.value) == "singular matrix: resolution failed at diagonal 3"
+
+
+def _trailing_blocks(cfg):
+    """Every (rank, panel) trailing update of ``cfg`` as ``hpl_solve``
+    runs it: ``(local rows, local cols, lr_trail, lc_trail, nbk)``."""
+    rowmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.p)
+    colmap = BlockCyclicMap(cfg.n, cfg.nb, cfg.q)
+    for myrow in range(cfg.p):
+        for mycol in range(cfg.q):
+            for k in range(cfg.n_blocks):
+                k0 = k * cfg.nb
+                nbk = min(cfg.nb, cfg.n - k0)
+                yield (
+                    rowmap.local_count(myrow),
+                    colmap.local_count(mycol),
+                    rowmap.local_start(myrow, k0 + nbk),
+                    colmap.local_start(mycol, k0 + nbk),
+                    nbk,
+                )
+
+
+def _check_update(rng, matrix, r0, c0, k, a_order="C", b_order="C"):
+    """``gemm_update`` on the ``[r0:, c0:]`` view of a copy of ``matrix``
+    against ``view -= a @ b``, bit for bit; everything outside the view is
+    a sentinel that must not change."""
+    base = matrix.copy()
+    base[:r0, :] = 7.0
+    base[:, :c0] = -7.0
+    m, n = base.shape[0] - r0, base.shape[1] - c0
+    a = np.asarray(rng.uniform(-0.5, 0.5, (m, k)), order=a_order)
+    b = np.asarray(rng.uniform(-0.5, 0.5, (k, n)), order=b_order)
+    want = base.copy()
+    want[r0:, c0:] -= a @ b
+    got = base
+    gemm_update(got[r0:, c0:], a, b)
+    bits = np.uint64
+    assert np.array_equal(got.view(bits), want.view(bits)), (base.shape, r0, c0, k, a_order, b_order)
+    assert (got[:r0, c0:] == 7.0).all() and (got[:, :c0] == -7.0).all()
+
+
+class TestGemmUpdate:
+    """The in-place trailing update, bit for bit against ``c -= a @ b``."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [HPLConfig(1024, 32, 2, 4), HPLConfig(97, 8, 3, 2)],
+        ids=["skt_hpl", "edge-3x2"],
+    )
+    def test_every_trailing_block_of_a_run(self, cfg):
+        """``skt_hpl``'s shape, and an edge shape (``n`` one past a
+        multiple of ``nb``, a 3 x 2 grid) whose last block is one row and
+        one column wide.  ``u12`` is F-ordered, as ``dtrtrs`` returns it
+        and the broadcast copies it; ``l21`` is a C-ordered gather."""
+        rng = np.random.default_rng(cfg.n)
+        blocks = [blk for blk in _trailing_blocks(cfg) if blk[0] > blk[2] and blk[1] > blk[3]]
+        assert len(blocks) >= (200 if cfg.n == 1024 else 40)
+        matrices = {}
+        for rows, cols, r0, c0, k in blocks:
+            if (rows, cols) not in matrices:
+                matrices[rows, cols] = rng.uniform(-0.5, 0.5, (rows, cols))
+            _check_update(rng, matrices[rows, cols], r0, c0, k, b_order="F")
+        if cfg.n == 97:
+            assert {1} <= {rows - r0 for rows, _, r0, _, _ in blocks}
+            assert {1} <= {cols - c0 for _, cols, _, c0, _ in blocks}
+
+    @pytest.mark.parametrize("a_order", ["C", "F"])
+    @pytest.mark.parametrize("b_order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "m, n, k",
+        [(1, 40, 32), (40, 1, 32), (1, 1, 32), (1, 40, 1), (40, 1, 1), (2, 2, 1), (37, 53, 0)],
+    )
+    def test_thin_blocks(self, m, n, k, a_order, b_order):
+        """One-row and one-column blocks (numpy takes ``gemv`` / ``dot``
+        there), a single-column panel and an empty one."""
+        rng = np.random.default_rng(m * n + k)
+        _check_update(rng, rng.uniform(-0.5, 0.5, (m + 3, n + 2)), 3, 2, k, a_order, b_order)
+
+    @given(
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        k=st.integers(0, 34),
+        r0=st.integers(0, 5),
+        c0=st.integers(0, 5),
+        a_order=st.sampled_from("CF"),
+        b_order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sweep(self, m, n, k, r0, c0, a_order, b_order, seed):
+        rng = np.random.default_rng(seed)
+        _check_update(rng, rng.uniform(-0.5, 0.5, (m + r0, n + c0)), r0, c0, k, a_order, b_order)
+
+    def test_writes_in_place_without_a_temporary(self):
+        """The product of a 256 x 256 update is 512 KiB; the call allocates
+        none of it."""
+        rng = np.random.default_rng(3)
+        c = rng.uniform(size=(300, 300))
+        a, b = rng.uniform(size=(256, 32)), np.asfortranarray(rng.uniform(size=(32, 256)))
+        gemm_update(c[44:, 44:], a, b)  # bind BLAS before measuring
+        tracemalloc.start()
+        try:
+            gemm_update(c[44:, 44:], a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+    @pytest.mark.parametrize(
+        "c, a, b",
+        [
+            (np.zeros((4, 4)), np.zeros((4, 3)), np.zeros((2, 4))),  # k disagrees
+            (np.zeros((4, 4)), np.zeros((3, 2)), np.zeros((2, 4))),  # m disagrees
+            (np.zeros((4, 8))[:, ::2], np.zeros((4, 2)), np.zeros((2, 4))),  # strided c
+            (np.zeros((4, 4))[::-1], np.zeros((4, 2)), np.zeros((2, 4))),  # rows reversed
+            (np.zeros((4, 4)), np.zeros((4, 4))[:, ::2], np.zeros((2, 4))),  # strided a
+            (np.zeros((4, 4)), np.zeros((4, 2), np.float32), np.zeros((2, 4))),
+        ],
+        ids=["k", "m", "strided-c", "reversed-c", "strided-a", "float32"],
+    )
+    def test_refuses_what_blas_cannot_take(self, c, a, b):
+        with pytest.raises(ValueError, match="gemm_update"):
+            gemm_update(c, a, b)
