@@ -20,7 +20,6 @@ Typical use inside a rank main::
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -60,13 +59,6 @@ def uses_groups(method: str) -> bool:
     return issubclass(_METHODS.get(method, Checkpointer), Checkpointer)
 
 
-#: each live world communicator's group layouts, by (group size, strategy,
-#: topology)
-_layouts: "weakref.WeakKeyDictionary[Communicator, Dict[tuple, GroupLayout]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 class CheckpointManager:
     """Builds groups and the protocol; delegates the checkpoint surface."""
 
@@ -96,18 +88,19 @@ class CheckpointManager:
             self.group: Optional[Communicator] = None
             self._impl = cls(ctx, prefix=prefix)
         else:
-            # one partition per job: every rank asks for the same one
-            layouts = _layouts.setdefault(world, {})
-            key = (group_size, strategy, topology)
-            if key not in layouts:
-                layouts[key] = partition_groups(
+            # one partition per job: every rank asks for the same one, so
+            # it is kept on the world communicator, which they share
+            key = (GroupLayout, group_size, strategy, topology)
+            layout = world.attrs.get(key)
+            if layout is None:
+                layout = world.attrs[key] = partition_groups(
                     world.size,
                     group_size,
                     strategy=strategy,
                     ranklist=ctx.job.ranklist,
                     topology=topology,
                 )
-            self.group_layout = layouts[key]
+            self.group_layout = layout
             me = world.rank
             gid = self.group_layout.group_of(me)
             grank = self.group_layout.group_rank_of(me)

@@ -29,10 +29,17 @@ element-wise, anything else via ``copy.deepcopy``) so ranks never alias each
 other's buffers — matching the value semantics of real message passing.
 Deeply immutable payloads are shared instead: no receiver can change them.
 
+Each rank holds its own :class:`Communicator` handle, as an MPI process
+holds its own ``MPI_Comm``: ``ctx.world``, and whatever :meth:`~Communicator.split`
+returns to it.  A handle carries its rank's context and its communicator
+rank; what the members share — mailboxes, the collective and swap slots,
+``attrs`` — is one group object per communicator, which is what
+:attr:`Job.world <repro.sim.runtime.Job.world>` holds.
+
 Nothing here locks or reads the host clock: one rank runs at a time (see
 :mod:`repro.sim.runtime`), so mailboxes and the collective slot are plain
-dicts.  A rank that must wait *parks* on a channel — its own mailbox, or its
-communicator's collective slot — and hands the baton on; ``send`` wakes only
+dicts.  A rank that must wait *parks* on a channel of the group — its own
+mailbox, or the collective slot — and hands the baton on; ``send`` wakes only
 the receiver, and the last arriver of a collective computes every member's
 result and wakes them all, one hand-off per member.
 """
@@ -45,7 +52,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.sim._tls import current_ctx
 from repro.sim.errors import JobAbortedError, SimError
 from repro.sim.netmodel import NetworkModel
 
@@ -193,7 +199,7 @@ class _CollectiveSlot:
 
 
 #: the wait key of a rank parked in :meth:`Communicator.swap_rows`; its
-#: channel, ``(comm, "swap_rows")``, is apart from every mailbox and from
+#: channel, ``(group, "swap_rows")``, is apart from every mailbox and from
 #: the collective slot
 _SWAP_KEY = ("swap_rows",)
 
@@ -211,57 +217,35 @@ class _SwapSlot:
         self.outbox: Dict[int, Tuple[float, Optional[Exception], Any]] = {}
 
 
-class Communicator:
-    """A group of ranks that can exchange messages and run collectives.
+class _Group:
+    """What the members of one communicator share: who they are, its name
+    and cost model, and its message and rendezvous state.  Rank code never
+    holds one; it holds a :class:`Communicator` handle on it.  The runtime
+    parks and wakes ranks on channels keyed by the group."""
 
-    Created by :class:`~repro.sim.runtime.Job` (the world communicator) or
-    by :meth:`split`.  All methods infer the calling rank, and through it
-    the Job, from the thread's bound :class:`RankContext`, so the API reads
-    like mpi4py; the communicator keeps no reference to the Job that owns
-    it.
-    """
-
-    def __init__(self, job: "Job", members: List[int], name: str = "world"):
+    def __init__(self, members: List[int], name: str, net: NetworkModel):
         self._members = list(members)
         self._index: Dict[int, int] = {w: i for i, w in enumerate(members)}
         self.name = name
-        self._net = NetworkModel(job.cluster.spec.net)
+        self._net = net
         # the network parameters are frozen, so a barrier's price is a
         # constant of the communicator
-        barrier_s = self._net.barrier_time(len(self._members))
+        barrier_s = net.barrier_time(len(self._members))
         self._barrier_cost: Callable[[Dict[int, Any]], float] = lambda _data: barrier_s
         self._mail: Dict[Tuple[int, int, int], List[_Envelope]] = {}
         self._slot = _CollectiveSlot()
         self._swap = _SwapSlot()
         self._split_counter = 0
         #: attribute caching (``MPI_Comm_set_attr``): state a library
-        #: keeps once per communicator, shared by its members' instances
-        #: (the group encoder's encode plans)
+        #: keeps once per communicator, shared by its members' handles
+        #: (the checkpoint manager's group layouts, the group encoder's
+        #: encode plans)
         self.attrs: Dict[Any, Any] = {}
-
-    # -- identity -------------------------------------------------------------
-    @property
-    def net(self) -> NetworkModel:
-        """The cost model pricing this communicator's operations."""
-        return self._net
-
-    @property
-    def size(self) -> int:
-        return len(self._members)
-
-    @property
-    def rank(self) -> int:
-        """Rank of the calling thread within this communicator."""
-        return self._index[current_ctx().rank]
-
-    @property
-    def members(self) -> List[int]:
-        """World ranks of the members, in communicator rank order."""
-        return list(self._members)
 
     # -- deadlock report --------------------------------------------------------
     def _describe_wait(self, key: Optional[Tuple[int, int, int]]) -> str:
-        """What a rank parked by :meth:`_wait` waits for, in world ranks."""
+        """What a rank parked by :meth:`Communicator._wait` waits for, in
+        world ranks."""
         if key is None:
             missing = [w for r, w in enumerate(self._members) if r not in self._slot.contrib]
             return f"collective on {self.name}, waiting for ranks {missing}"
@@ -286,36 +270,61 @@ class Communicator:
             if dst == me and s == src and t != tag
         ]
 
-    # -- observer plumbing -----------------------------------------------------
-    def _notify_send(self, ctx: "RankContext", dest: int, tag: int, nbytes: int) -> None:
-        obs = ctx.job.observer
-        if obs is not None:
-            obs.on_send(ctx.rank, self._members[dest], tag, nbytes, ctx.clock)
 
-    def _notify_recv(
-        self,
-        ctx: "RankContext",
-        key: Tuple[int, int, int],
-        env: _Envelope,
-        waited_s: float,
-    ) -> None:
-        obs = ctx.job.observer
-        if obs is None:
-            return
-        _, src, tag = key
-        obs.on_recv(ctx.rank, self._members[src], tag, env.nbytes, ctx.clock, waited_s)
+class Communicator:
+    """One rank's handle on a group of ranks that can exchange messages and
+    run collectives.
+
+    The world handle is the rank context's ``ctx.world``; :meth:`split`
+    returns each member a handle of its own on the new group.  A handle
+    belongs to the rank that received it: it holds that rank's
+    :class:`RankContext`, and through it the Job, and its communicator
+    :attr:`rank`, so the API reads like mpi4py.  Handing it to another rank
+    would make that rank act as its owner.
+    """
+
+    __slots__ = ("_group", "_ctx", "rank")
+
+    def __init__(self, group: _Group, ctx: "RankContext"):
+        self._group = group
+        self._ctx = ctx
+        #: rank of the handle's owner within this communicator
+        self.rank: int = group._index[ctx.rank]
+
+    # -- identity -------------------------------------------------------------
+    @property
+    def name(self) -> str:
+        return self._group.name
+
+    @property
+    def net(self) -> NetworkModel:
+        """The cost model pricing this communicator's operations."""
+        return self._group._net
+
+    @property
+    def size(self) -> int:
+        return len(self._group._members)
+
+    @property
+    def members(self) -> List[int]:
+        """World ranks of the members, in communicator rank order."""
+        return list(self._group._members)
+
+    @property
+    def attrs(self) -> Dict[Any, Any]:
+        """The communicator's attribute cache, one dict its members share."""
+        return self._group.attrs
 
     # -- waiting with failure delivery -----------------------------------------
     def _wait(
         self,
-        ctx: "RankContext",
         key: Optional[Tuple[int, int, int]],
         predicate: Callable[[], Any],
         peers: Sequence[int],
     ) -> None:
-        """Park the calling rank ``ctx`` until ``predicate`` holds, handing
-        the baton on meanwhile; deliver aborts.  ``key`` is the awaited
-        mailbox key, ``None`` for this communicator's collective slot.
+        """Park the handle's rank until ``predicate`` holds, handing the
+        baton on meanwhile; deliver aborts.  ``key`` is the awaited mailbox
+        key, ``None`` for this communicator's collective slot.
 
         ``peers`` lists the world ranks whose progress could satisfy this
         wait.  When the job is aborting and one of them has terminated the
@@ -325,15 +334,16 @@ class Communicator:
         only on virtual program order.  Parking when no rank is ready to
         run is deadlock and raises :class:`SimError` at once.
         """
+        ctx = self._ctx
         job = ctx.job
         while not predicate():
             ctx.check()
             if job.wait_unsatisfiable(peers):
                 raise JobAbortedError(
                     f"rank {ctx.rank}: job aborting and a peer rank "
-                    f"terminated; {self.name} wait cannot be satisfied"
+                    f"terminated; {self._group.name} wait cannot be satisfied"
                 )
-            job._park(ctx.rank, self, key)
+            job._park(ctx.rank, self._group, key)
 
     def _p2p_scale(self, job: "Job", my_rank: int, peer_rank: int) -> float:
         """Bandwidth derating for a message between two communicator ranks:
@@ -342,59 +352,64 @@ class Communicator:
         if topo is None:
             return 1.0
         ranklist = job.ranklist
-        a = ranklist[self._members[my_rank]]
-        b = ranklist[self._members[peer_rank]]
+        members = self._group._members
+        a = ranklist[members[my_rank]]
+        b = ranklist[members[peer_rank]]
         if topo.rack_of(a) == topo.rack_of(b):
             return 1.0
         return topo.inter_rack_bw_factor
 
     def _p2p_time_to(self, job: "Job", my_rank: int, peer_rank: int, nbytes: int) -> float:
         scale = self._p2p_scale(job, my_rank, peer_rank)
-        base = self._net.p2p_time(nbytes)
+        net = self._group._net
+        base = net.p2p_time(nbytes)
         if scale >= 1.0:
             return base
         # only the bandwidth term is derated, not the latency
-        bw_term = nbytes / self._net.params.bandwidth_Bps
+        bw_term = nbytes / net.params.bandwidth_Bps
         return base + bw_term * (1.0 / scale - 1.0)
 
     # -- point to point ----------------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking standard-mode send to communicator rank ``dest``."""
-        ctx = current_ctx()
+        ctx = self._ctx
         ctx.check()
         self._check_rank("dest", dest)
-        me = self._index[ctx.rank]
+        me = self.rank
         nbytes = _payload_nbytes(obj)
         ctx.clock += self._p2p_time_to(ctx.job, me, dest, nbytes)
         env = _Envelope(payload=_copy_payload(obj), nbytes=nbytes, arrival_time=ctx.clock)
-        self._notify_send(ctx, dest, tag, nbytes)
-        self._mail.setdefault((dest, me, tag), []).append(env)
-        ctx.job._notify((self, dest))
+        group = self._group
+        obs = ctx.job.observer
+        if obs is not None:
+            obs.on_send(ctx.rank, group._members[dest], tag, nbytes, ctx.clock)
+        group._mail.setdefault((dest, me, tag), []).append(env)
+        ctx.job._notify((group, dest))
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive from communicator rank ``source``: takes the
         next message under ``(me, source, tag)``, parking until it is
         posted."""
-        ctx = current_ctx()
+        ctx = self._ctx
         ctx.check()
         self._check_rank("source", source)
-        key = (self._index[ctx.rank], source, tag)
-        self._wait(
-            ctx,
-            key,
-            lambda: self._mail.get(key),
-            peers=(self._members[source],),
-        )
-        env = self._mail[key].pop(0)
-        if not self._mail[key]:
-            del self._mail[key]
+        group = self._group
+        mail = group._mail
+        key = (self.rank, source, tag)
+        self._wait(key, lambda: mail.get(key), peers=(group._members[source],))
+        env = mail[key].pop(0)
+        if not mail[key]:
+            del mail[key]
         # virtual time spent waiting on the sender: how far the arrival
         # outran our own clock-plus-latency (deterministic, unlike whether
         # the rank physically parked)
+        latency = group._net.params.latency_s
         before = ctx.clock
-        ctx.clock = max(ctx.clock + self._net.params.latency_s, env.arrival_time)
-        waited = max(0.0, ctx.clock - before - self._net.params.latency_s)
-        self._notify_recv(ctx, key, env, waited)
+        ctx.clock = max(ctx.clock + latency, env.arrival_time)
+        obs = ctx.job.observer
+        if obs is not None:
+            waited = max(0.0, ctx.clock - before - latency)
+            obs.on_recv(ctx.rank, group._members[source], tag, env.nbytes, ctx.clock, waited)
         return env.payload
 
     def sendrecv(
@@ -442,8 +457,8 @@ class Communicator:
         so raises :class:`JobAbortedError` where the receive would.  No
         message enters a mailbox and no collective is reported.
         """
-        ctx = current_ctx()
-        me = self._index[ctx.rank]
+        ctx = self._ctx
+        me = self.rank
         if all(s[2] is None for s in steps):
             if me in participants:
                 raise ValueError(f"swap_rows: rank {me} is a participant with no exchange")
@@ -456,18 +471,20 @@ class Communicator:
             return
         if me not in participants:
             raise ValueError(f"swap_rows: rank {me} has an exchange but is not a participant")
-        swap = self._swap
+        group = self._group
+        swap = group._swap
         if not swap.arrived:
             swap.participants = tuple(participants)
         swap.arrived[me] = (ctx, arrays, steps, tag)
         job = ctx.job
         done = job._done_ranks
+        members = group._members
         try:
             while me not in swap.outbox:
-                if all(p in swap.arrived or self._members[p] in done for p in swap.participants):
+                if all(p in swap.arrived or members[p] in done for p in swap.participants):
                     self._run_swaps(job)
                 else:
-                    job._park(ctx.rank, self, _SWAP_KEY)
+                    job._park(ctx.rank, group, _SWAP_KEY)
         except BaseException:
             swap.arrived.pop(me, None)
             raise
@@ -476,7 +493,7 @@ class Communicator:
             raise error
         if blocked is not None:
             key, peer = blocked
-            self._wait(ctx, key, lambda: False, peers=(peer,))
+            self._wait(key, lambda: False, peers=(peer,))
 
     def _run_swaps(self, job: "Job") -> None:
         """Run one ``swap_rows`` instance for every participant that arrived,
@@ -491,10 +508,11 @@ class Communicator:
         the number of the row that held it at entry, and rows are written
         once, at the end; a step carries its rows' numbers from the start.
         """
-        swap = self._swap
+        group = self._group
+        swap = group._swap
         arrived, swap.arrived = swap.arrived, {}
-        members = self._members
-        lat = self._net.params.latency_s
+        members = group._members
+        lat = group._net.params.latency_s
         obs = job.observer
         clock = {p: entry[0].clock for p, entry in arrived.items()}
         risky = {
@@ -582,7 +600,7 @@ class Communicator:
             outcome[p] = (clock[p], None, None)
         _move_rows([entry[1] for entry in arrived.values()], held, source)
         swap.outbox.update(outcome)
-        job._notify((self, _SWAP_KEY[0]))
+        job._notify((group, _SWAP_KEY[0]))
 
     # -- generic custom collective -------------------------------------------------
     def custom_collective(
@@ -602,25 +620,25 @@ class Communicator:
         If ``compute`` or ``cost`` raises, that exception is the collective's
         outcome: every member raises it, and the communicator stays usable.
         """
-        ctx = current_ctx()
+        ctx = self._ctx
         ctx.check()
-        slot = self._slot
-        me = self._index[ctx.rank]
-        size = len(self._members)
+        group = self._group
+        slot = group._slot
+        me = self.rank
+        size = len(group._members)
         job = ctx.job
         obs = job.observer
         slot.contrib[me] = (contribution, ctx.clock)
         if obs is not None:
-            obs.on_collective_enter(self.name, size, ctx.rank, ctx.clock)
+            obs.on_collective_enter(group.name, size, ctx.rank, ctx.clock)
         if len(slot.contrib) == size:
             self._complete(job, compute, cost)
         else:
             try:
                 self._wait(
-                    ctx,
                     None,
                     lambda: me in slot.outbox,
-                    peers=self._members,  # self included: it cannot have terminated
+                    peers=group._members,  # self included: it cannot have terminated
                 )
             except BaseException:
                 slot.abandoned.add(me)
@@ -649,7 +667,8 @@ class Communicator:
         instance.  Every member leaves at exactly ``finish``: it is at least
         ``t_start``, the latest entry clock.
         """
-        slot = self._slot
+        group = self._group
+        slot = group._slot
         contrib, slot.contrib = slot.contrib, {}
         data = {r: c for r, (c, _) in contrib.items()}
         t_start = max(t for _, t in contrib.values())
@@ -661,15 +680,15 @@ class Communicator:
         takers = [r for r in range(self.size) if r not in slot.abandoned]
         for r in takers:
             slot.outbox[r] = (None if error is not None else results[r], finish, error)
-        job._notify((self, None))
+        job._notify((group, None))
         obs = job.observer
         if obs is not None:
             for r in takers:
-                obs.on_collective_exit(self.name, self.size, self._members[r], finish)
+                obs.on_collective_exit(group.name, self.size, group._members[r], finish)
 
     # -- standard collectives ---------------------------------------------------------
     def barrier(self) -> None:
-        self.custom_collective(None, compute=dict.fromkeys, cost=self._barrier_cost)
+        self.custom_collective(None, compute=dict.fromkeys, cost=self._group._barrier_cost)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns its copy."""
@@ -682,7 +701,7 @@ class Communicator:
         return self.custom_collective(
             obj if self.rank == root else None,
             compute=compute,
-            cost=lambda data: self._net.bcast_time(_payload_nbytes(data[root]), self.size),
+            cost=lambda data: self.net.bcast_time(_payload_nbytes(data[root]), self.size),
         )
 
     def allreduce(self, array: np.ndarray, op: ReduceOp = ReduceOp.SUM) -> np.ndarray:
@@ -695,7 +714,7 @@ class Communicator:
         return self.custom_collective(
             array,
             compute=compute,
-            cost=lambda data: self._net.allreduce_time(int(array.nbytes), self.size),
+            cost=lambda data: self.net.allreduce_time(int(array.nbytes), self.size),
         )
 
     def allreduce_obj(self, value: Any, func: Callable[[Any, Any], Any]) -> Any:
@@ -709,7 +728,7 @@ class Communicator:
         return self.custom_collective(
             value,
             compute=compute,
-            cost=lambda data: self._net.allreduce_time(_SMALL_OBJ_BYTES, self.size),
+            cost=lambda data: self.net.allreduce_time(_SMALL_OBJ_BYTES, self.size),
         )
 
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
@@ -724,7 +743,7 @@ class Communicator:
         return self.custom_collective(
             obj,
             compute=compute,
-            cost=lambda data: self._net.gather_time(
+            cost=lambda data: self.net.gather_time(
                 max(_payload_nbytes(v) for v in data.values()), self.size
             ),
         )
@@ -744,7 +763,7 @@ class Communicator:
         gathered = self.custom_collective(
             obj,
             compute=compute,
-            cost=lambda data: self._net.allgather_time(
+            cost=lambda data: self.net.allgather_time(
                 max(_payload_nbytes(v) for v in data.values()), self.size
             ),
         )
@@ -753,38 +772,39 @@ class Communicator:
     # -- communicator construction ---------------------------------------------------
     def split(self, color: int, key: int | None = None) -> "Communicator":
         """MPI_Comm_split: ranks sharing ``color`` form a new communicator,
-        ordered by ``(key, old rank)``."""
-        me = self.rank
-        sort_key = me if key is None else key
-        job = current_ctx().job
+        ordered by ``(key, old rank)``.  The completing rank builds each new
+        group once; every member returns a handle of its own on its group."""
+        sort_key = self.rank if key is None else key
+        parent = self._group
 
         def compute(data: Dict[int, Any]) -> Dict[int, Any]:
             # the completing rank alone numbers the split: split1, split2, ...
-            self._split_counter += 1
-            split_id = self._split_counter
-            groups: Dict[int, List[Tuple[int, int]]] = {}
+            parent._split_counter += 1
+            split_id = parent._split_counter
+            colors: Dict[int, List[Tuple[int, int]]] = {}
             for r, (c, k) in data.items():
-                groups.setdefault(c, []).append((k, r))
-            comms: Dict[int, Communicator] = {}
-            for c, pairs in groups.items():
+                colors.setdefault(c, []).append((k, r))
+            groups: Dict[int, _Group] = {}
+            for c, pairs in colors.items():
                 pairs.sort()
-                members = [self._members[r] for _, r in pairs]
-                comms[c] = Communicator(job, members, name=f"{self.name}/split{split_id}.{c}")
-            return {r: comms[c] for r, (c, _) in data.items()}
+                members = [parent._members[r] for _, r in pairs]
+                groups[c] = _Group(members, f"{parent.name}/split{split_id}.{c}", parent._net)
+            return {r: groups[c] for r, (c, _) in data.items()}
 
-        return self.custom_collective(
+        group = self.custom_collective(
             (color, sort_key),
             compute=compute,
-            cost=self._barrier_cost,
+            cost=parent._barrier_cost,
         )
+        return Communicator(group, self._ctx)
 
     def _check_rank(self, kind: str, r: int) -> None:
         # a float or a bool would pass the range check and post to, or wait
         # on, a mailbox no rank reads
         if type(r) is not int and (type(r) is bool or not isinstance(r, np.integer)):
             raise TypeError(f"{kind} must be an integer rank, got {r!r}")
-        if not 0 <= r < len(self._members):
+        if not 0 <= r < len(self._group._members):
             raise ValueError(f"bad {kind} {r} for size {self.size}")
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Communicator({self.name}, size={self.size})"
+        return f"Communicator({self.name}, rank={self.rank}, size={self.size})"

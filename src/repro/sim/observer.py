@@ -67,9 +67,11 @@ class SimObserver:
     # -- shared memory --------------------------------------------------------
     def on_shm(self, node_id: int, name: str, kind: str, nbytes: int = 0) -> None:
         """SHM segment lifecycle: ``kind`` is one of ``create``,
-        ``attach``, ``unlink``; ``nbytes`` is the segment's size.  The
-        acting rank (if any) is the thread's bound
-        :class:`~repro.sim.runtime.RankContext`."""
+        ``attach``, ``unlink``; ``nbytes`` is the segment's size.  No rank
+        is named: every event comes from one
+        :meth:`~repro.sim.runtime.RankContext.shm_create` or
+        :meth:`~repro.sim.runtime.RankContext.shm_unlink` call, which does
+        not park, so a recorder can take the acting rank from there."""
         pass
 
 

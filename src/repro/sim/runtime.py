@@ -64,11 +64,11 @@ from typing import (
 
 import numpy as np
 
-from repro.sim import _tls
 from repro.sim.cluster import Cluster
 from repro.sim.errors import JobAbortedError, NodeFailedError, SimError
 from repro.sim.failures import FailurePlan
-from repro.sim.mpi import Communicator
+from repro.sim.mpi import Communicator, _Group
+from repro.sim.netmodel import NetworkModel
 from repro.sim.node import Node
 from repro.sim.observer import SimObserver
 from repro.sim.shm import ShmSegment
@@ -160,7 +160,9 @@ class RankContext:
         self.rank = rank
         self.node = node
         self.clock: float = 0.0
-        self.world: Communicator = job.world
+        #: this rank's handle on the world communicator; it refers back to
+        #: this context, a cycle :meth:`Job._bootstrap` breaks on exit
+        self.world: Communicator = Communicator(job.world, self)
         #: the pinned trigger of this rank's node, if any: its
         #: ``(fire_clock, via_rank)`` is the node's death key (see
         #: :meth:`check`)
@@ -381,8 +383,8 @@ class Job:
         self.args = tuple(args)
         self.name = name
         self.failure_plan = failure_plan or FailurePlan()
-        #: optional instrumentation observer; must be set before the world
-        #: communicator is built so every operation is visible to it
+        #: optional instrumentation observer; every operation reads it
+        #: afresh, so one installed on a built job sees what follows
         self.observer = observer
         #: optional :class:`~repro.obs.spans.SpanTracer` behind
         #: :meth:`RankContext.span` and :meth:`RankContext.phase`; spans
@@ -421,8 +423,11 @@ class Job:
         self._finished = threading.Lock()
         self._finished.acquire()
 
-        # the world communicator; must exist before contexts are built
-        self.world = Communicator(self, list(range(n_ranks)), name=f"{name}.world")
+        #: the world communicator's shared group; each rank's context holds
+        #: its own handle on it, ``ctx.world``
+        self.world = _Group(
+            list(range(n_ranks)), f"{name}.world", NetworkModel(cluster.spec.net)
+        )
 
         self._results: Dict[int, Any] = {}
         self._errors: Dict[int, BaseException] = {}
@@ -455,11 +460,12 @@ class Job:
         if self._ready:
             self._gates[self._next_ready()].release()
 
-    def _park(self, rank: int, comm: Communicator, key: Any) -> None:
+    def _park(self, rank: int, group: _Group, key: Any) -> None:
         """Park ``rank`` and hand the baton on; returns once a wake-up made
         the rank ready and the baton came round to it.  The channel it parks
-        on is ``(comm, mailbox owner)`` when ``key`` is the mailbox key it
-        awaits, ``(comm, None)`` — the collective slot — when it is None.
+        on is ``(group, mailbox owner)`` when ``key`` is the mailbox key it
+        awaits, ``(group, None)`` — the collective slot — when it is None;
+        ``group`` is the communicator's shared group, never a rank's handle.
 
         With no rank ready, every live rank is parked: the deadlock
         :class:`SimError` names each wait in world ranks, adds a line per
@@ -467,7 +473,7 @@ class Job:
         timeline, parked ranks starred, when the job's tracer has one."""
         if not self._ready:
             waits = sorted(
-                [(rank, comm, key)]
+                [(rank, group, key)]
                 + [(r, c, k) for (c, _), entries in self._parked.items() for r, k in entries],
                 key=lambda wait: wait[0],
             )
@@ -483,7 +489,7 @@ class Job:
 
                 lines.append(render_timeline(self.tracer, focus=[r for r, _, _ in waits]))
             raise SimError("\n".join(lines))
-        channel = (comm, None if key is None else key[0])
+        channel = (group, None if key is None else key[0])
         self._parked.setdefault(channel, []).append((rank, key))
         self._hand_on()
         self._gates[rank].acquire()
@@ -527,7 +533,6 @@ class Job:
         carrier to release."""
         node = self.cluster.node(self.ranklist[rank])
         ctx = RankContext(self, rank, node)
-        _tls.bind(ctx)
         try:
             result = self.main(ctx, *self.args)
             self._results[rank] = result
@@ -543,7 +548,9 @@ class Job:
             self.abort()
         finally:
             self._clocks[rank] = ctx.clock
-            _tls.unbind()
+            # ctx.world refers back to ctx: drop the handle, so reference
+            # counting alone frees the context and what it reaches
+            del ctx.world
             # mark this rank terminated and wake parked peers so waits
             # that can no longer be satisfied re-evaluate and raise
             with self._abort_lock:

@@ -14,32 +14,46 @@ import pytest
 
 from repro.chaos.campaign import run_with_triggers
 from repro.chaos.scenarios import selfckpt_scenario
-from repro.sim._tls import current_ctx
 from repro.sim.failures import PhaseTrigger
 from repro.sim.observer import SimObserver, install_observer
+from repro.sim.runtime import RankContext
 
 
 class SegmentUsers(SimObserver):
     """The world ranks that created, attached or unlinked each
-    ``(node, segment)``, spare nodes included."""
+    ``(node, segment)``, spare nodes included.
 
-    def __init__(self):
+    Every create, attach and unlink is a :meth:`RankContext.shm_create` or
+    :meth:`RankContext.shm_unlink` call, and neither parks, so the rank the
+    last such call recorded is the one the store's event belongs to."""
+
+    def __init__(self, monkeypatch):
         self.users = defaultdict(set)
+        self.rank = None
+        for name in ("shm_create", "shm_unlink"):
+            monkeypatch.setattr(RankContext, name, self._recording(getattr(RankContext, name)))
+
+    def _recording(self, call):
+        def wrapper(ctx, *args, **kwargs):
+            self.rank = ctx.rank
+            return call(ctx, *args, **kwargs)
+
+        return wrapper
 
     def watch_cluster(self, cluster):
         for node in cluster.all_nodes():
             install_observer(node.shm, self)
 
     def on_shm(self, node_id, name, kind, nbytes=0):
-        self.users[node_id, name].add(current_ctx().rank)
+        self.users[node_id, name].add(self.rank)
 
 
 @pytest.mark.parametrize("method", ["self", "double", "single", "self-rs"])
 @pytest.mark.parametrize("kill", [False, True], ids=["fault-free", "restart"])
-def test_each_segment_has_one_rank(method, kill):
+def test_each_segment_has_one_rank(method, kill, monkeypatch):
     scenario = selfckpt_scenario(method=method, n_nodes=4, procs_per_node=2, group_size=4)
     triggers = [PhaseTrigger(node_id=1, phase="ckpt.done", occurrence=2)] if kill else []
-    seen = SegmentUsers()
+    seen = SegmentUsers(monkeypatch)
     inst, _, report = run_with_triggers(scenario, triggers, observer=seen)
     assert seen.users
     shared = {key: ranks for key, ranks in seen.users.items() if len(ranks) != 1}

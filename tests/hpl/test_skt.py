@@ -13,7 +13,6 @@ from repro.hpl import (
 )
 from repro.hpl.matgen import dense_matrix, dense_rhs
 from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
-from repro.sim._tls import current_ctx
 from tests.ckpt.conftest import double_loss_plan
 
 CFG = HPLConfig(n=96, nb=8, p=2, q=4)  # 8 ranks, 12 panels
@@ -137,21 +136,25 @@ class TestFaultFree:
 
         start, ckpt_s, ckpt_panels = {}, {}, {}
         solve, checkpoint = skt.hpl_solve, CheckpointManager.checkpoint
+        # nothing parks between a checkpoint's return and the Young call
+        # it feeds, so the last checkpoint's context is the caller's
+        last_ctx = []
 
         def timed_solve(ctx, *args, **kwargs):
             start[ctx.rank] = ctx.clock
             return solve(ctx, *args, **kwargs)
 
         def timed_checkpoint(mgr):
-            ctx = current_ctx()
+            ctx = mgr.ctx
             before = ctx.clock
             info = checkpoint(mgr)
             ckpt_s[ctx.rank] = ckpt_s.get(ctx.rank, 0.0) + ctx.clock - before
             ckpt_panels.setdefault(ctx.rank, []).append(mgr.local["panel"])
+            last_ctx[:] = [ctx]
             return info
 
         def young(delta_s, mtbf_s):
-            ctx = current_ctx()
+            (ctx,) = last_ctx
             work_s = ctx.clock - start[ctx.rank] - ckpt_s[ctx.rank]
             return 10.2 * work_s / ckpt_panels[ctx.rank][-1]
 

@@ -17,10 +17,9 @@ from repro.hpl import JobDaemon
 from repro.obs.metrics import MetricsObserver
 from repro.obs.spans import SpanTracer
 from repro.sim import Cluster, FailurePlan, Job, PhaseTrigger
-from repro.sim._tls import current_ctx
 from repro.sim.errors import JobAbortedError, NodeFailedError, SimError, UnrecoverableError
 from repro.sim.observer import SimObserver
-from repro.sim.runtime import RankExit, _idle
+from repro.sim.runtime import RankExit
 
 
 class EventLog(SimObserver):
@@ -446,33 +445,6 @@ def _in_fresh_process(fn):
 def test_forked_child_runs_a_job_of_its_own():
     parent = _ring_outcome()  # the parent's idle list is populated now
     assert _in_fresh_process(_ring_outcome) == parent
-
-
-def test_no_context_is_bound_in_a_carrier_between_jobs():
-    _ring_outcome()
-    outcome = []
-
-    class Probe:
-        name = "probe"
-
-        def _bootstrap(self, rank):
-            try:
-                current_ctx()
-            except RuntimeError as e:
-                outcome.append(e)
-            done = threading.Lock()  # the carrier releases it when it parks
-            done.acquire()
-            self.done = done
-            return done
-
-    probe = Probe()
-    carrier = _idle.pop()  # a carrier that has run a rank
-    carrier._task = (probe, 0)
-    carrier._lock.release()  # its lock is the rank's gate: the first hand-off
-    while not hasattr(probe, "done"):
-        time.sleep(1e-3)
-    assert probe.done.acquire(timeout=5)
-    assert len(outcome) == 1 and "no RankContext" in str(outcome[0])
 
 
 def _carrier_policies():
