@@ -19,8 +19,8 @@ class Finding:
     """One violation discovered by an analysis.
 
     ``tool`` names the analysis (``simlint``, ``flow``); ``rule`` the
-    specific invariant (e.g. ``wallclock``, ``flow-nondet``).  A finding
-    carries the ``file``/``line`` it is about.
+    specific invariant (e.g. ``wallclock``, ``lifecycle-phase-escape``).
+    A finding carries the ``file``/``line`` it is about.
     """
 
     tool: str

@@ -1,24 +1,24 @@
-"""``repro.sancheck.flow`` — whole-program checkpoint-consistency verifier.
+"""``repro.sancheck.flow`` — whole-program SHM-lifecycle verifier.
 
 Where :mod:`repro.sancheck.simlint` judges each file in isolation, this
 package parses the *entire* source tree into a project-wide module/call
-graph, infers a per-function **effect summary** (reads unseeded RNG,
-reads the wall clock, mutates SHM, mutates module globals, sends/recvs
-MPI, allocates), propagates the summaries interprocedurally to a
-fixpoint, and then checks the checkpoint-protocol **lifecycle** against
-the effect lattice:
+graph, infers a per-function **effect summary** (mutates SHM, mutates
+module globals, sends/recvs MPI), propagates the summaries
+interprocedurally to a fixpoint, and then checks the checkpoint-protocol
+**lifecycle** against the effect lattice:
 
-* no nondeterministic effect (unseeded RNG, wall clock) may be reachable
-  from any protocol ``checkpoint()``/``try_restore()`` entry point or
-  from any encode/reconstruct kernel — restarted ranks must regenerate
-  bit-identical state (paper §5.2);
 * ``try_restore()`` must not reach an SHM write before the group status
   exchange that decides the restore path — a premature write can destroy
   the very survivor state the reconstruction needs;
 * checkpoint-buffer (SHM) mutation must stay inside the protocol
   lifecycle — a helper that scribbles on segments outside
   ``checkpoint()``/``try_restore()``/``commit()`` breaks the phase
-  discipline the recovery-decision invariants assume.
+  discipline the recovery-decision invariants assume;
+* encode/reconstruct kernels send no MPI and mutate no module global.
+
+Nondeterminism on a recovery path (paper §5.2) is simlint's ``rng`` /
+``wallclock`` question: it flags the call itself, wherever it is reached
+from.
 
 Entry points: :func:`analyze_paths`, and :func:`analyze_sources` on the
 parse simlint also reads (what ``repro check --all`` runs).
@@ -27,17 +27,7 @@ Reports export to SARIF and JSONL (:mod:`repro.sancheck.flow.export`).
 
 from repro.sancheck.flow.callgraph import FunctionNode, ProjectIndex, build_index
 from repro.sancheck.flow.driver import analyze_index, analyze_paths, analyze_sources
-from repro.sancheck.flow.effects import (
-    ALL_EFFECTS,
-    ALLOCATES,
-    MPI_RECV,
-    MPI_SEND,
-    MUTATES_GLOBAL,
-    MUTATES_SHM,
-    RNG_SEEDED,
-    RNG_UNSEEDED,
-    WALLCLOCK,
-)
+from repro.sancheck.flow.effects import MPI_RECV, MPI_SEND, MUTATES_GLOBAL, MUTATES_SHM
 from repro.sancheck.flow.export import to_jsonl, to_sarif, write_jsonl, write_sarif
 from repro.sancheck.flow.taint import Witness, propagate
 
@@ -50,15 +40,10 @@ __all__ = [
     "FunctionNode",
     "propagate",
     "Witness",
-    "ALL_EFFECTS",
-    "RNG_UNSEEDED",
-    "RNG_SEEDED",
-    "WALLCLOCK",
     "MUTATES_SHM",
     "MUTATES_GLOBAL",
     "MPI_SEND",
     "MPI_RECV",
-    "ALLOCATES",
     "to_sarif",
     "to_jsonl",
     "write_sarif",

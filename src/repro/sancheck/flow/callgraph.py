@@ -14,8 +14,9 @@ resolution is deliberately *sound-ish* rather than precise:
   map harvested from ``self.attr = ClassName(...)`` assignments;
 * ``var = ClassName(...); var.method(...)`` resolves through local
   variable types;
-* everything else is recorded as an unresolved external/method call and
-  classified by name at the effect layer.
+* any other method call is recorded by its terminal name and classified
+  by name at the effect layer (``shm_create``, ``send``, ``allgather``);
+  a call into an imported module is no effect of the project's.
 
 SHM-backed memory (what ``mutates-shm`` and ``lifecycle-premature-write``
 see written) is inferred by one fixpoint.  One walk per function records
@@ -38,32 +39,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.sancheck.simlint import ImportResolver, Sources, module_name_for
 
 #: sentinel for calls on SHM segment stores (create/unlink)
 SHM_METHODS = frozenset({"shm_create", "shm_unlink"})
-
-
-def rel_file(path: Path, root: Path) -> str:
-    """Stable, machine-independent display path for a source file.
-
-    Files inside a ``repro`` package render anchored at that package
-    (``repro/ckpt/self_ckpt.py``); anything else renders relative to the
-    scanned root, prefixed with the root directory's name, so fixture
-    trees get deterministic paths too.
-    """
-    parts = path.parts
-    if "repro" in parts:
-        idx = len(parts) - 1 - parts[::-1].index("repro")
-        return "/".join(parts[idx:])
-    try:
-        rel = path.resolve().relative_to(root.resolve())
-        return "/".join((root.name,) + rel.parts)
-    except ValueError:
-        return "/".join(parts[-2:]) if len(parts) >= 2 else path.name
 
 
 @dataclass
@@ -78,8 +59,6 @@ class FunctionNode:
     line: int
     #: resolved project callees as (callee qualname, call lineno)
     calls: List[Tuple[str, int]] = field(default_factory=list)
-    #: unresolved external calls as (dotted path, lineno, has_any_args)
-    external: List[Tuple[str, int, bool]] = field(default_factory=list)
     #: unresolved attribute calls as (terminal method name, lineno)
     method_calls: List[Tuple[str, int]] = field(default_factory=list)
     #: linenos of writes through SHM-backed attributes/aliases
@@ -116,7 +95,6 @@ class ProjectIndex:
     classes: Dict[str, ClassNode] = field(default_factory=dict)
     #: class qualname -> direct subclasses
     subclasses: Dict[str, Set[str]] = field(default_factory=dict)
-    files: List[str] = field(default_factory=list)
 
     # -- hierarchy helpers ------------------------------------------------------
     def mro(self, cls: str) -> List[str]:
@@ -447,68 +425,43 @@ class _FunctionScanner(ast.NodeVisitor):
 
     # -- calls ------------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        has_args = bool(node.args or node.keywords)
-        lineno = node.lineno
         func = node.func
-        resolved = False
-
         if isinstance(func, ast.Name):
-            dotted = self.imports.resolve(func)
-            resolved = self._resolve_plain(dotted, lineno, has_args)
-        elif isinstance(func, ast.Attribute):
-            resolved = self._resolve_attribute(func, lineno, has_args)
-        if not resolved and isinstance(func, ast.Attribute):
+            self._resolve_plain(self.imports.resolve(func), node.lineno)
+        elif isinstance(func, ast.Attribute) and not self._resolve_attribute(
+            func, node.lineno
+        ):
             root = func.value
             while isinstance(root, ast.Attribute):
                 root = root.value
-            dotted = self.imports.resolve(func)
-            if (
-                dotted is not None
-                and isinstance(root, ast.Name)
-                and root.id in self.imports.aliases
-            ):
-                # the receiver chain is rooted in an imported module
-                # (e.g. ``numpy.bitwise_xor.reduce``): a known library
-                # call, not a method on an unresolved comm/shm object —
-                # classifying it by terminal name would misread a library
-                # function that shares a communicator method's name
-                self.fn.external.append((dotted, lineno, has_args))
-            else:
-                self.fn.method_calls.append((func.attr, lineno))
-                if dotted is not None:
-                    self.fn.external.append((dotted, lineno, has_args))
-        elif not resolved and isinstance(func, ast.Name):
-            dotted = self.imports.resolve(func)
-            if dotted is not None:
-                self.fn.external.append((dotted, lineno, has_args))
+            # a receiver chain rooted in an imported module (e.g.
+            # ``numpy.bitwise_xor.reduce``) is a known library call, not a
+            # method on an unresolved comm/shm object — classifying it by
+            # terminal name would misread a library function that shares a
+            # communicator method's name
+            if not (isinstance(root, ast.Name) and root.id in self.imports.aliases):
+                self.fn.method_calls.append((func.attr, node.lineno))
         self.generic_visit(node)
 
     def _add_project_call(self, qual: str, lineno: int) -> None:
         self.fn.calls.append((qual, lineno))
 
-    def _resolve_plain(
-        self, dotted: Optional[str], lineno: int, has_args: bool
-    ) -> bool:
-        """Resolve a bare-name (or from-imported) call."""
+    def _resolve_plain(self, dotted: Optional[str], lineno: int) -> None:
+        """Record a bare-name (or from-imported) call of a project
+        function, or of a project class's ``__init__``."""
         if dotted is None:
-            return False
+            return
         if dotted in self.index.functions:
             self._add_project_call(dotted, lineno)
-            return True
-        if dotted in self.module_functions:
+        elif dotted in self.module_functions:
             self._add_project_call(self.module_functions[dotted], lineno)
-            return True
-        cls = _resolve_class(self.index, dotted, self.module_classes)
-        if cls is not None:
-            init = self.index.lookup_method(cls, "__init__")
+        else:
+            cls = _resolve_class(self.index, dotted, self.module_classes)
+            init = None if cls is None else self.index.lookup_method(cls, "__init__")
             if init is not None:
                 self._add_project_call(init, lineno)
-            return True
-        return False
 
-    def _resolve_attribute(
-        self, func: ast.Attribute, lineno: int, has_args: bool
-    ) -> bool:
+    def _resolve_attribute(self, func: ast.Attribute, lineno: int) -> bool:
         """Resolve ``a.b.c(...)`` forms."""
         # self.method(...)
         attr = self._self_attr(func)
@@ -573,8 +526,6 @@ class _FunctionScanner(ast.NodeVisitor):
 
 def build_index(sources: Sources) -> ProjectIndex:
     """The :class:`ProjectIndex` of the files :func:`parse_paths` read."""
-    paths = sources.paths
-    root = paths[0] if paths and paths[0].is_dir() else Path(".")
     index = ProjectIndex()
     #: function qualname -> the imports of the file that defines it
     imports_of: Dict[str, ImportResolver] = {}
@@ -583,12 +534,10 @@ def build_index(sources: Sources) -> ProjectIndex:
     # files can share a module name (``a/helpers.py``, ``b/helpers.py``):
     # the first file read keeps a name, a later file never overwrites it
     # (inside one file the last definition wins, as at import)
-    for path, _source, tree in sources.files:
+    for path, file, _source, tree in sources.files:
         if isinstance(tree, SyntaxError):
             continue  # simlint reports syntax errors; the graph skips the file
         module = module_name_for(path)
-        file = rel_file(path, root)
-        index.files.append(file)
         imports = ImportResolver()
         imports.visit(tree)
 

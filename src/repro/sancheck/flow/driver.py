@@ -17,11 +17,11 @@ from repro.sancheck.flow.callgraph import ProjectIndex, build_index
 from repro.sancheck.flow.effects import build_intrinsics
 from repro.sancheck.flow.lifecycle import lifecycle_findings
 from repro.sancheck.flow.taint import SummaryMap, propagate
-from repro.sancheck.simlint import RNG_ALLOW, WALLCLOCK_ALLOW, Sources, parse_paths
+from repro.sancheck.simlint import Sources, parse_paths
 
 
 def analyze_index(index: ProjectIndex) -> List[Finding]:
-    intrinsics = build_intrinsics(index.functions, WALLCLOCK_ALLOW, RNG_ALLOW)
+    intrinsics = build_intrinsics(index.functions)
     summaries: SummaryMap = propagate(index, intrinsics)
     findings = lifecycle_findings(index, summaries)
     return sorted(findings, key=Finding.sort_key)

@@ -6,17 +6,6 @@ executes a fixed state machine whose SHM writes are fenced by group
 collectives and world barriers.  This module checks the parts of that
 discipline that are *statically* decidable on the call graph:
 
-``flow-nondet`` (error)
-    A protocol ``checkpoint()``/``try_restore()`` entry point can reach
-    unseeded RNG or the wall clock.  A restarted rank replaying that
-    path would diverge from the survivors bit-for-bit (paper §5.2).
-    Reported once per concrete protocol class, with the witness chain.
-
-``flow-kernel-nondet`` (error)
-    An encode/reconstruct kernel (the pure-numpy stripe codecs) can
-    reach unseeded RNG or the wall clock.  Checksums must be a pure
-    function of the group's buffers.
-
 ``flow-kernel-mpi`` / ``flow-kernel-global`` (warning)
     A kernel reaches MPI or mutates module globals — kernels are
     documented pure and the perf harness relies on it.
@@ -32,6 +21,10 @@ discipline that are *statically* decidable on the call graph:
     protocol lifecycle (``__init__``/``alloc``/``commit``/
     ``checkpoint``/``try_restore``).  Such a method can violate the
     epoch-flag invariants if called at an arbitrary point.
+
+Nondeterminism (unseeded RNG, the wall clock) is no rule of this module:
+simlint's ``rng`` / ``wallclock`` flag the call itself, which is where a
+finding is fixed or a pragma says why it is allowed.
 """
 
 from __future__ import annotations
@@ -48,8 +41,6 @@ from repro.sancheck.flow.effects import (
     MPI_SEND,
     MUTATES_GLOBAL,
     MUTATES_SHM,
-    RNG_UNSEEDED,
-    WALLCLOCK,
 )
 from repro.sancheck.flow.taint import SummaryMap, Witness
 
@@ -57,19 +48,12 @@ TOOL = "flow"
 
 #: bare class name every checkpoint protocol descends from
 PROTOCOL_BASE = "CheckpointProtocol"
-#: protocol entry points checked for nondeterministic effects
-LIFECYCLE_ENTRIES = ("checkpoint", "try_restore")
 #: the restore entry checked for premature SHM writes
 RESTORE_ENTRY = "try_restore"
 #: methods whose call closure constitutes the sanctioned lifecycle
 LIFECYCLE_ROOTS = ("__init__", "alloc", "commit", "checkpoint", "try_restore")
 #: last path components of the pure encode/reconstruct kernel modules
 KERNEL_MODULES = ("stripes", "stripes_rs", "kernels")
-
-_NONDET: Tuple[Tuple[str, str], ...] = (
-    (RNG_UNSEEDED, "unseeded RNG"),
-    (WALLCLOCK, "the wall clock"),
-)
 
 
 def protocol_classes(index: ProjectIndex, base: str) -> List[str]:
@@ -99,56 +83,11 @@ def kernel_functions(index: ProjectIndex, kernel_modules: Tuple[str, ...]) -> Li
     )
 
 
-def _entry_findings(index: ProjectIndex, summaries: SummaryMap) -> List[Finding]:
-    out: List[Finding] = []
-    for cqual in protocol_classes(index, PROTOCOL_BASE):
-        cls = index.classes[cqual]
-        for entry in LIFECYCLE_ENTRIES:
-            mqual = index.lookup_method(cqual, entry)
-            if mqual is None:
-                continue
-            fn = index.functions[mqual]
-            for effect, label in _NONDET:
-                w = summaries.get(mqual, {}).get(effect)
-                if w is None:
-                    continue
-                out.append(
-                    Finding(
-                        tool=TOOL,
-                        rule="flow-nondet",
-                        severity="error",
-                        message=(
-                            f"{cls.name}.{entry}() can reach {label}: "
-                            f"{w.describe()}"
-                        ),
-                        file=fn.file,
-                        line=fn.line,
-                    )
-                )
-    return out
-
-
 def _kernel_findings(index: ProjectIndex, summaries: SummaryMap) -> List[Finding]:
     out: List[Finding] = []
     for q in kernel_functions(index, KERNEL_MODULES):
         fn = index.functions[q]
         summary = summaries.get(q, {})
-        for effect, label in _NONDET:
-            w = summary.get(effect)
-            if w is not None:
-                out.append(
-                    Finding(
-                        tool=TOOL,
-                        rule="flow-kernel-nondet",
-                        severity="error",
-                        message=(
-                            f"kernel {fn.name}() can reach {label}: "
-                            f"{w.describe()}"
-                        ),
-                        file=fn.file,
-                        line=fn.line,
-                    )
-                )
         for effect, rule, label in (
             (MPI_SEND, "flow-kernel-mpi", "MPI traffic"),
             (MPI_RECV, "flow-kernel-mpi", "MPI traffic"),
@@ -301,7 +240,6 @@ def _phase_escape_findings(index: ProjectIndex, summaries: SummaryMap) -> List[F
 
 def lifecycle_findings(index: ProjectIndex, summaries: SummaryMap) -> List[Finding]:
     out: List[Finding] = []
-    out.extend(_entry_findings(index, summaries))
     out.extend(_kernel_findings(index, summaries))
     out.extend(_premature_write_findings(index, summaries))
     out.extend(_phase_escape_findings(index, summaries))

@@ -11,8 +11,8 @@ Each propagated effect keeps one witness chain (first one discovered
 under the sorted iteration): the path of qualnames from the summarized
 function down to the function whose own body introduces the effect, plus
 the concrete site.  Verdict messages print these chains, which is what
-makes a whole-program finding actionable ("``checkpoint`` reaches
-``random.random()`` via ``_helper``") instead of a bare boolean.
+makes a whole-program finding actionable ("``try_restore`` reaches an
+SHM write via ``_wipe``") instead of a bare boolean.
 """
 
 from __future__ import annotations

@@ -18,9 +18,14 @@ tree:
     outside ``repro.sim`` — rank concurrency belongs to the runtime.
 
 ``rng``
-    No stdlib ``random`` and no legacy/unseeded ``numpy.random`` outside
+    No stdlib ``random``, no host entropy (``os.urandom``, ``uuid1`` /
+    ``uuid4``, ``secrets``) and no ``numpy.random`` call but a seeded
+    generator, bit-generator or ``SeedSequence`` constructor outside
     ``repro.util.rng``; everything else must derive streams from
-    ``seeded_rng``/``block_rng``.
+    ``seeded_rng``/``block_rng``.  This rule and ``wallclock`` are the
+    suite's one answer on nondeterminism: a restarted rank must regenerate
+    bit-identical data (paper §5.2), and a call is flagged where it is
+    made, however deep under ``checkpoint()`` it runs.
 
 ``recv-mutate``
     A name bound directly to an MPI ``recv``/collective result must not be
@@ -94,24 +99,20 @@ THREADING_CALLS = {
     "threading.local",
 }
 
-#: legacy global-state numpy.random functions (unseeded by construction)
-NUMPY_LEGACY_RANDOM = {
-    "rand",
-    "randn",
-    "randint",
-    "random",
-    "random_sample",
-    "ranf",
-    "sample",
-    "seed",
-    "choice",
-    "shuffle",
-    "permutation",
-    "normal",
-    "uniform",
-    "standard_normal",
-    "bytes",
+#: numpy.random constructors that are deterministic when given a seed
+NUMPY_SEEDABLE = {
+    "default_rng",
+    "Generator",
+    "SeedSequence",
+    "PCG64",
+    "PCG64DXSM",
+    "MT19937",
+    "Philox",
+    "SFC64",
 }
+
+#: calls that read the host's entropy pool (so do all of ``secrets.*``)
+ENTROPY_CALLS = {"os.urandom", "uuid.uuid1", "uuid.uuid4"}
 
 #: communicator methods whose return value feeds ``recv-mutate`` tracking
 COMM_RESULT_METHODS = {
@@ -145,9 +146,7 @@ _PRAGMA_RE = re.compile(
 
 
 #: modules that may read the host clock, and modules that own RNG
-#: construction — the one pair of allowlists simlint and the whole-program
-#: flow analysis both use (every allowlist prefix-matches dotted module
-#: names)
+#: construction (every allowlist prefix-matches dotted module names)
 WALLCLOCK_ALLOW: Tuple[str, ...] = (
     "repro.par.progress",
     # lease expiry is real-world liveness (a dead executor's wall
@@ -164,35 +163,28 @@ def _module_allowed(module: str, prefixes: Sequence[str]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
-def classify_nondet_call(
-    path: str,
-    has_args: bool,
-    module: str,
-    wallclock_allow: Sequence[str],
-    rng_allow: Sequence[str],
-) -> Optional[str]:
+def classify_nondet_call(path: str, has_args: bool, module: str) -> Optional[str]:
     """The one answer to "is this call nondeterministic, and is it allowed
-    in ``module``" — simlint's ``wallclock`` / ``rng`` rules and the flow
-    analysis's effect extraction both ask it, and word their own messages.
-
-    ``"wallclock"``, ``"rng-stdlib"``, ``"rng-legacy"`` and
-    ``"rng-unseeded"`` are violations; ``"rng-seeded"`` is a
-    ``default_rng`` that stays deterministic (seeded, or inside an
-    RNG-owning module); ``None`` is every other call."""
+    in ``module``": the kind of ``wallclock`` / ``rng`` finding it is, or
+    ``None``.  Outside :data:`RNG_ALLOW` every ``numpy.random`` call is a
+    finding — global state, or an unseeded stream — except a generator,
+    bit-generator or ``SeedSequence`` constructor given an argument."""
     if path in WALLCLOCK_CALLS:
-        return None if _module_allowed(module, wallclock_allow) else "wallclock"
-    if _module_allowed(module, rng_allow):
-        return "rng-seeded" if path == "numpy.random.default_rng" else None
+        return None if _module_allowed(module, WALLCLOCK_ALLOW) else "wallclock"
+    if _module_allowed(module, RNG_ALLOW):
+        return None
     if path == "random" or path.startswith("random."):
         return "rng-stdlib"
-    if path.startswith("numpy.random.") and path.split(".")[-1] in NUMPY_LEGACY_RANDOM:
-        return "rng-legacy"
-    if path == "numpy.random.default_rng":
-        return "rng-seeded" if has_args else "rng-unseeded"
+    if path in ENTROPY_CALLS or path.startswith("secrets."):
+        return "rng-entropy"
+    if path.startswith("numpy.random."):
+        if path.removeprefix("numpy.random.") not in NUMPY_SEEDABLE:
+            return "rng-numpy"
+        return None if has_args else "rng-unseeded"
     return None
 
 
-#: simlint's rule and wording per :func:`classify_nondet_call` violation
+#: rule and wording per :func:`classify_nondet_call` kind
 _NONDET_FINDINGS = {
     "wallclock": (
         "wallclock",
@@ -203,9 +195,13 @@ _NONDET_FINDINGS = {
         "rng",
         "stdlib {path}() — derive streams from repro.util.rng.seeded_rng/block_rng",
     ),
-    "rng-legacy": (
+    "rng-entropy": (
         "rng",
-        "legacy global-state {path}() — use repro.util.rng.seeded_rng/block_rng",
+        "host entropy {path}() — derive streams from repro.util.rng.seeded_rng/block_rng",
+    ),
+    "rng-numpy": (
+        "rng",
+        "global-state or legacy {path}() — use repro.util.rng.seeded_rng/block_rng",
     ),
     "rng-unseeded": (
         "rng",
@@ -213,6 +209,22 @@ _NONDET_FINDINGS = {
         "identical streams",
     ),
 }
+
+
+def rel_file(path: Path, root: Path) -> str:
+    """Stable, machine-independent display path of a file found under
+    ``root`` (a scanned directory, or a scanned file's own directory).
+
+    Files inside a ``repro`` package render anchored at that package
+    (``repro/ckpt/self_ckpt.py``); anything else renders relative to
+    ``root``, prefixed with the root directory's name, so fixture trees
+    get deterministic paths too (``badckpt/proto.py``).
+    """
+    parts = path.parts
+    if "repro" in parts:
+        idx = len(parts) - 1 - parts[::-1].index("repro")
+        return "/".join(parts[idx:])
+    return "/".join((root.resolve().name,) + path.relative_to(root).parts)
 
 
 def module_name_for(path: Path) -> str:
@@ -410,14 +422,8 @@ class _Linter(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         path = self.imports.resolve(node.func)
         if path is not None:
-            kind = classify_nondet_call(
-                path,
-                bool(node.args or node.keywords),
-                self.module,
-                WALLCLOCK_ALLOW,
-                RNG_ALLOW,
-            )
-            if kind in _NONDET_FINDINGS:
+            kind = classify_nondet_call(path, bool(node.args or node.keywords), self.module)
+            if kind is not None:
                 rule, message = _NONDET_FINDINGS[kind]
                 self._report(rule, node, message.format(path=path))
             if path in THREADING_CALLS and not _module_allowed(
@@ -578,26 +584,30 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
 
 @dataclass(frozen=True)
 class Sources:
-    """Every ``*.py`` file under ``paths``, read and parsed once, so the
-    lint and the flow analysis of one ``repro check`` read one parse."""
+    """Every ``*.py`` file under the paths :func:`parse_paths` was given,
+    read and parsed once, so the lint and the flow analysis of one
+    ``repro check`` read one parse."""
 
-    paths: Tuple[Path, ...]
-    #: (path, source text, tree — or the SyntaxError it raised)
-    files: Tuple[Tuple[Path, str, Union[ast.Module, SyntaxError]], ...]
+    #: (path, display path, source text, tree — or the SyntaxError it
+    #: raised); both analyses report the display path (:func:`rel_file`)
+    files: Tuple[Tuple[Path, str, str, Union[ast.Module, SyntaxError]], ...]
 
 
 def parse_paths(paths: Sequence[Path]) -> Sources:
-    files: List[Tuple[Path, str, Union[ast.Module, SyntaxError]]] = []
-    for path in iter_python_files([Path(p) for p in paths]):
-        source = path.read_text(encoding="utf-8")
-        files.append((path, source, _parse(source, str(path))))
-    return Sources(tuple(Path(p) for p in paths), tuple(files))
+    files: List[Tuple[Path, str, str, Union[ast.Module, SyntaxError]]] = []
+    for root in (Path(p) for p in paths):
+        anchor = root if root.is_dir() else root.parent
+        for path in iter_python_files([root]):
+            source = path.read_text(encoding="utf-8")
+            tree = _parse(source, str(path))
+            files.append((path, rel_file(path, anchor), source, tree))
+    return Sources(tuple(files))
 
 
 def lint_sources(sources: Sources) -> List[Finding]:
     findings: List[Finding] = []
-    for path, source, tree in sources.files:
-        findings.extend(_lint_parsed(source, tree, str(path), None))
+    for path, file, source, tree in sources.files:
+        findings.extend(_lint_parsed(source, tree, file, module_name_for(path)))
     return findings
 
 

@@ -5,9 +5,12 @@ own (``{prefix}.r{rank}.{kind}``) and order their phases with collectives
 (paper section 3), so co-resident ranks never touch one segment and no
 ordering of shared accesses needs checking.  This test holds that premise
 at two ranks per node, fault-free and through one restart: a protocol
-that shares a segment between ranks fails it.
+that shares a segment between ranks fails it, and so does one that names
+a segment for anything but the rank that creates it (a per-node name
+would be shared as soon as two ranks of one group share a node).
 """
 
+import re
 from collections import defaultdict
 
 import pytest
@@ -29,6 +32,8 @@ class SegmentUsers(SimObserver):
 
     def __init__(self, monkeypatch):
         self.users = defaultdict(set)
+        #: (segment name, world rank) of every create
+        self.created = []
         self.rank = None
         for name in ("shm_create", "shm_unlink"):
             monkeypatch.setattr(RankContext, name, self._recording(getattr(RankContext, name)))
@@ -46,6 +51,8 @@ class SegmentUsers(SimObserver):
 
     def on_shm(self, node_id, name, kind, nbytes=0):
         self.users[node_id, name].add(self.rank)
+        if kind == "create":
+            self.created.append((name, self.rank))
 
 
 @pytest.mark.parametrize("method", ["self", "double", "single", "self-rs"])
@@ -58,5 +65,12 @@ def test_each_segment_has_one_rank(method, kill, monkeypatch):
     assert seen.users
     shared = {key: ranks for key, ranks in seen.users.items() if len(ranks) != 1}
     assert shared == {}
+    assert seen.created
+    misnamed = [
+        (name, rank)
+        for name, rank in seen.created
+        if not re.fullmatch(rf".+\.r{rank}\.[^.]+", name)
+    ]
+    assert misnamed == []
     assert report.completed and inst.check(report.result)
     assert report.n_restarts == kill

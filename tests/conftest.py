@@ -85,7 +85,7 @@ def shipped_analyses_once(monkeypatch, shipped_lint, shipped_flow):
     flow findings on the shipped package, the only path it may be given,
     and parses nothing."""
     root = (simlint.default_lint_root(),)
-    shipped = simlint.Sources(root, ())
+    shipped = simlint.Sources(())
 
     def parse(paths):
         assert tuple(paths) == root

@@ -1,7 +1,7 @@
-"""Deliberately nondeterministic helpers for the flow-analyzer fixture.
+"""Deliberately nondeterministic helpers for the sanitizer fixture.
 
 The violations live here, one module away from the protocol class that
-calls them — the whole point of the interprocedural pass is that hiding
+calls them: simlint flags each call where it is made, so hiding
 ``random``/``time`` behind an innocent-looking helper does not help.
 """
 

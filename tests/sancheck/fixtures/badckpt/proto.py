@@ -1,7 +1,7 @@
 """A deliberately phase-violating checkpoint protocol (fixture).
 
-tests/sancheck/test_flow.py asserts the exact findings this file
-produces — keep the violations (and their count) in sync when editing:
+tests/sancheck/test_flow.py asserts the exact findings (simlint's and
+flow's) — keep the violations (and their count) in sync when editing:
 
 * ``checkpoint()`` reaches unseeded RNG two ways: through the
   cross-module ``jitter()`` helper and through ``gen_block()``'s

@@ -1,8 +1,8 @@
 """An impure "kernel" module (fixture).
 
 The module is named ``stripes`` so the flow analyzer treats it as an
-encode/reconstruct kernel; kernels are documented pure, and this one
-reads the wall clock.
+encode/reconstruct kernel; this one reads the wall clock, which is
+simlint's ``wallclock`` finding in a kernel as anywhere else.
 """
 
 import time

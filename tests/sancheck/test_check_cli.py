@@ -37,7 +37,7 @@ class TestExitCodes:
     def test_flow_fixture_fails(self, capsys):
         assert main(["check", "flow", "--path", FIXTURE]) == 1
         out = capsys.readouterr().out
-        assert "flow-nondet" in out
+        assert "3 finding(s)" in out
         assert "lifecycle-premature-write" in out
 
     def test_fail_on_error_ignores_warnings(self, tmp_path, capsys):
@@ -91,5 +91,29 @@ class TestExports:
         args = ["check", "flow", "--path", FIXTURE]
         assert main(args + ["--sarif", str(sarif), "--jsonl", str(jsonl)]) == 1
         doc = json.loads(sarif.read_text())
-        assert len(doc["runs"][0]["results"]) == 6
-        assert len(jsonl.read_text().splitlines()) == 6
+        assert len(doc["runs"][0]["results"]) == 3
+        assert len(jsonl.read_text().splitlines()) == 3
+
+    def test_one_file_has_one_uri_in_a_path_run(self, tmp_path, capsys):
+        """simlint and flow name a file the same way: every SARIF URI of
+        a ``--path`` run is anchored at the scanned directory."""
+        sarif = tmp_path / "out.sarif"
+        jsonl = tmp_path / "out.jsonl"
+        args = ["check", "--all", "--path", FIXTURE]
+        assert main(args + ["--sarif", str(sarif), "--jsonl", str(jsonl)]) == 1
+        results = json.loads(sarif.read_text())["runs"][0]["results"]
+        located = {
+            (
+                r["ruleId"].split("/")[0],
+                r["locations"][0]["physicalLocation"]["artifactLocation"]["uri"],
+            )
+            for r in results
+        }
+        assert located == {
+            ("simlint", "badckpt/helpers.py"),
+            ("simlint", "badckpt/proto.py"),
+            ("simlint", "badckpt/stripes.py"),
+            ("flow", "badckpt/proto.py"),
+        }
+        assert len(results) == 7
+        assert len(jsonl.read_text().splitlines()) == 7

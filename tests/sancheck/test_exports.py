@@ -24,9 +24,9 @@ def sample_findings():
     return [
         Finding(
             tool="flow",
-            rule="flow-nondet",
+            rule="lifecycle-premature-write",
             severity="error",
-            message="checkpoint() can reach unseeded RNG",
+            message="try_restore() writes SHM before the group status exchange",
             file="repro/ckpt/x.py",
             line=10,
         ),
@@ -62,7 +62,7 @@ class TestJsonl:
         # output is sorted by the canonical key: file first
         assert [p["rule"] for p in parsed] == [
             "wallclock",
-            "flow-nondet",
+            "lifecycle-premature-write",
             "lifecycle-phase-escape",
         ]
 
@@ -79,16 +79,16 @@ class TestSarif:
         (run,) = doc["runs"]
         assert run["tool"]["driver"]["name"] == "repro-sancheck"
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert "flow/flow-nondet" in rule_ids
+        assert "flow/lifecycle-premature-write" in rule_ids
         assert "simlint/wallclock" in rule_ids
 
     def test_levels_and_locations(self):
         doc = to_sarif(sample_findings())
         results = doc["runs"][0]["results"]
         by_rule = {r["ruleId"]: r for r in results}
-        assert by_rule["flow/flow-nondet"]["level"] == "error"
+        assert by_rule["flow/lifecycle-premature-write"]["level"] == "error"
         assert by_rule["flow/lifecycle-phase-escape"]["level"] == "warning"
-        loc = by_rule["flow/flow-nondet"]["locations"][0]["physicalLocation"]
+        loc = by_rule["flow/lifecycle-premature-write"]["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"] == "repro/ckpt/x.py"
         assert loc["region"]["startLine"] == 10
         loc = by_rule["simlint/wallclock"]["locations"][0]["physicalLocation"]
@@ -98,7 +98,7 @@ class TestSarif:
         out = tmp_path / "out.sarif"
         write_sarif(out, analyze_paths([FIXTURE]))
         doc = json.loads(out.read_text())
-        assert len(doc["runs"][0]["results"]) == 6
+        assert len(doc["runs"][0]["results"]) == 3
 
 
 class TestReportFinalize:
@@ -108,7 +108,7 @@ class TestReportFinalize:
         report.finalize()
         assert [f.rule for f in report.findings] == [
             "wallclock",
-            "flow-nondet",
+            "lifecycle-premature-write",
             "lifecycle-phase-escape",
         ]
 

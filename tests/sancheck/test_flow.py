@@ -1,30 +1,26 @@
-"""Tests for the whole-program effect/taint analyzer (repro.sancheck.flow).
+"""Tests for the whole-program SHM-lifecycle analyzer (repro.sancheck.flow).
 
 The fixture package at ``tests/sancheck/fixtures/badckpt`` seeds one of
-every violation class the analyzer promises to catch; the assertions
-here are exact so a regression in any pass (call graph, intrinsic
-effects, propagation, lifecycle rules) shows up as a missing or extra
-finding, not a vague count change.
+every violation class the sanitizer suite promises to catch; the
+assertions here are exact so a regression in any pass (call graph,
+intrinsic effects, propagation, lifecycle rules) shows up as a missing
+or extra finding, not a vague count change.  The fixture's unseeded RNG
+and wall-clock sites are simlint's ``rng`` / ``wallclock`` findings, the
+suite's one answer on nondeterminism; flow reports none of them.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.sancheck.flow import (
-    RNG_UNSEEDED,
-    WALLCLOCK,
-    analyze_paths,
-    build_index,
-    propagate,
-)
-from repro.sancheck.flow.effects import build_intrinsics
+from repro.sancheck.flow import analyze_paths, build_index
 from repro.sancheck.flow.export import to_jsonl
 from repro.sancheck.flow.lifecycle import (
+    KERNEL_MODULES,
     kernel_functions,
     protocol_classes,
 )
-from repro.sancheck.simlint import RNG_ALLOW, WALLCLOCK_ALLOW, lint_paths, parse_paths
+from repro.sancheck.simlint import WALLCLOCK_ALLOW, lint_paths, parse_paths
 
 FIXTURE = Path(__file__).parent / "fixtures" / "badckpt"
 
@@ -33,15 +29,14 @@ def fixture_findings():
     return analyze_paths([FIXTURE])
 
 
+def fixture_lint_sites():
+    """simlint's findings on the fixture, as ``{(file, line): finding}``."""
+    return {(f.file, f.line): f for f in lint_paths([FIXTURE])}
+
+
 @pytest.fixture(scope="module")
 def fixture_index():
     return build_index(parse_paths([FIXTURE]))
-
-
-@pytest.fixture(scope="module")
-def fixture_summaries(fixture_index):
-    intrinsics = build_intrinsics(fixture_index.functions, WALLCLOCK_ALLOW, RNG_ALLOW)
-    return propagate(fixture_index, intrinsics)
 
 
 def by_rule(findings):
@@ -77,23 +72,25 @@ class TestIndex:
 
 
 class TestPropagation:
-    def test_unseeded_default_argument_is_its_own_source(self, fixture_summaries):
-        """Violation 3 of the fixture: ``gen_block``'s default argument
-        alone makes it an RNG source, independent of ``jitter``."""
-        w = fixture_summaries["proto.EvilCheckpoint.gen_block"][RNG_UNSEEDED]
-        assert "default_rng" in w.site
-
-    def test_wallclock_taints_through_helper_module(self, fixture_summaries):
-        w = fixture_summaries["proto.EvilCheckpoint.try_restore"][WALLCLOCK]
-        assert w.chain[-1] == "helpers.stamp"
+    def test_wallclock_taints_through_helper_module(self, fixture_index):
+        """``try_restore()``'s call to ``stamp()`` resolves one module
+        away, and the host-clock read at the end of that chain is
+        simlint's finding where it is made."""
+        restore = fixture_index.functions["proto.EvilCheckpoint.try_restore"]
+        assert "helpers.stamp" in {q for q, _line in restore.calls}
+        stamp = fixture_index.functions["helpers.stamp"]
+        in_stamp = [
+            f.rule
+            for (file, line), f in fixture_lint_sites().items()
+            if file == stamp.file and stamp.line <= line <= stamp.body.end_lineno
+        ]
+        assert in_stamp == ["wallclock"]
 
 
 class TestFindings:
     def test_exact_rule_counts(self):
         rules = {r: len(fs) for r, fs in by_rule(fixture_findings()).items()}
         assert rules == {
-            "flow-nondet": 2,
-            "flow-kernel-nondet": 1,
             "lifecycle-premature-write": 2,
             "lifecycle-phase-escape": 1,
         }
@@ -108,19 +105,36 @@ class TestFindings:
             if f.rule != "lifecycle-phase-escape"
         )
 
+    def test_nondeterminism_is_simlints_at_four_sites(self):
+        """Every unseeded RNG or wall-clock call the fixture's protocol and
+        kernel can reach is a simlint finding where it is made, and only
+        those four calls are."""
+        sites = {key: f.rule for key, f in fixture_lint_sites().items()}
+        assert sites == {
+            ("badckpt/helpers.py", 13): "rng",
+            ("badckpt/helpers.py", 17): "wallclock",
+            ("badckpt/proto.py", 31): "rng",
+            ("badckpt/stripes.py", 12): "wallclock",
+        }
+
     def test_hidden_rng_witness_names_the_helper(self):
-        nondet = by_rule(fixture_findings())["flow-nondet"]
-        rng = [f for f in nondet if "unseeded RNG" in f.message]
-        assert len(rng) == 1
-        assert "checkpoint" in rng[0].message
-        assert "jitter" in rng[0].message  # the full chain, not just the sink
+        """``checkpoint()`` reaches ``random.random()`` through the
+        cross-module ``jitter()`` helper: the finding is at the helper's
+        call, one module away from the protocol."""
+        f = fixture_lint_sites()["badckpt/helpers.py", 13]
+        assert f.rule == "rng" and "random.random()" in f.message
+
+    def test_unseeded_default_argument_is_its_own_site(self):
+        """``gen_block``'s default argument ``default_rng()`` is a finding
+        of its own, independent of ``jitter``."""
+        f = fixture_lint_sites()["badckpt/proto.py", 31]
+        assert f.rule == "rng" and "unseeded numpy.random.default_rng()" in f.message
 
     def test_cross_module_wallclock_witness(self):
-        nondet = by_rule(fixture_findings())["flow-nondet"]
-        wc = [f for f in nondet if "wall clock" in f.message]
-        assert len(wc) == 1
-        assert "try_restore" in wc[0].message
-        assert "stamp" in wc[0].message
+        """``try_restore()`` reads the host clock through ``stamp()`` in
+        another module: the finding is at ``stamp``'s call."""
+        f = fixture_lint_sites()["badckpt/helpers.py", 17]
+        assert f.rule == "wallclock" and "time.time()" in f.message
 
     def test_premature_writes_stop_at_the_status_exchange(self):
         fs = by_rule(fixture_findings())["lifecycle-premature-write"]
@@ -133,9 +147,11 @@ class TestFindings:
         assert "scribble" in f.message
 
     def test_kernel_nondet(self):
-        (f,) = by_rule(fixture_findings())["flow-kernel-nondet"]
-        assert f.file == "badckpt/stripes.py"
-        assert "encode_stripe" in f.message
+        """The impure kernel's wall-clock read is simlint's finding; flow
+        reports nothing in the kernel module."""
+        f = fixture_lint_sites()["badckpt/stripes.py", 12]
+        assert f.rule == "wallclock"
+        assert [f for f in fixture_findings() if f.file == "badckpt/stripes.py"] == []
 
 
 class TestDeterminism:
@@ -206,23 +222,24 @@ class TestRealTree:
 
 
 class TestOneNondeterminismAnswer:
-    """simlint and flow ask one classifier with one pair of allowlists: a
-    protocol whose ``checkpoint()`` reads the host clock is a finding of
-    both, or — in a module allowed to read it — of neither."""
+    """simlint alone answers "is this call nondeterministic": a protocol
+    whose ``checkpoint()`` reads the host clock is a simlint ``wallclock``
+    finding, except in a module allowed to read it, and never a flow
+    finding."""
 
     SOURCE = (
         "import time\n\n\n"
         "class LeaseCheckpoint:\n"
         "    def checkpoint(self):\n"
-        "        return time.time()\n\n"
+        "        return time.time(){pragma}\n\n"
         "    def try_restore(self):\n"
         "        return None\n"
     )
 
-    def _rules(self, tmp_path, module):
+    def _rules(self, tmp_path, module, pragma=""):
         path = tmp_path.joinpath(*module.split(".")).with_suffix(".py")
         path.parent.mkdir(parents=True)
-        path.write_text(self.SOURCE)
+        path.write_text(self.SOURCE.format(pragma=pragma))
         return (
             [f.rule for f in lint_paths([path])],
             [f.rule for f in analyze_paths([tmp_path])],
@@ -232,11 +249,14 @@ class TestOneNondeterminismAnswer:
     def test_lint_allowed_wallclock_is_flow_allowed(self, tmp_path, module):
         assert self._rules(tmp_path, module) == ([], [])
 
-    def test_elsewhere_both_report_it(self, tmp_path):
-        assert self._rules(tmp_path, "repro.ckpt.lease") == (
-            ["wallclock"],
-            ["flow-nondet"],
-        )
+    def test_elsewhere_only_simlint_reports_it(self, tmp_path):
+        assert self._rules(tmp_path, "repro.ckpt.lease") == (["wallclock"], [])
+
+    def test_a_pragma_at_the_call_is_honoured(self, tmp_path):
+        """An ``allow[wallclock]`` pragma on a call ``checkpoint()`` reaches
+        is no finding of either analysis."""
+        pragma = "  # simlint: allow[wallclock]"
+        assert self._rules(tmp_path, "repro.ckpt.lease", pragma) == ([], [])
 
 
 class TestShmHelperChains:
@@ -293,8 +313,8 @@ class TestSameModuleName:
     imports, and a later file never overwrites it."""
 
     def test_two_helpers_files(self, tmp_path):
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
+        for d in "abc":
+            (tmp_path / d).mkdir()
         (tmp_path / "a" / "helpers.py").write_text(
             "import os\n\n\n"
             "def g():\n"
@@ -303,19 +323,20 @@ class TestSameModuleName:
             "    return g()\n"
         )
         (tmp_path / "b" / "helpers.py").write_text(
-            "import time as os\n\n\n"
+            "import tools as os\n\n\n"
             "def f():\n"
-            "    return os.time()\n\n\n"
+            "    return os.getcwd()\n\n\n"
             "def h():\n"
-            "    return os.time()\n"
+            "    return os.getcwd()\n"
         )
+        (tmp_path / "c" / "tools.py").write_text("def getcwd():\n    return '.'\n")
         fns = build_index(parse_paths([tmp_path])).functions
-        assert fns["helpers.f"].file.endswith("a/helpers.py")
+        assert fns["helpers.f"].file == f"{tmp_path.name}/a/helpers.py"
         assert fns["helpers.f"].calls == [("helpers.g", 9)]
-        assert fns["helpers.f"].external == []
-        assert fns["helpers.g"].external == [("os.getcwd", 5, False)]
-        assert fns["helpers.h"].file.endswith("b/helpers.py")
-        assert fns["helpers.h"].external == [("time.time", 9, False)]
+        # ``os`` is the standard library in a/, the project's tools in b/
+        assert fns["helpers.g"].calls == []
+        assert fns["helpers.h"].file == f"{tmp_path.name}/b/helpers.py"
+        assert fns["helpers.h"].calls == [("tools.getcwd", 9)]
 
 
 class TestShmThroughCalls:
@@ -361,7 +382,7 @@ class TestShmThroughCalls:
 class TestKernelModuleList:
     """``repro.ckpt.kernels`` holds every GF(256) fold and row codec, so
     it is under the ``flow-kernel-*`` purity rules like the stripe
-    modules."""
+    modules; an RNG call in it is simlint's finding, as in any module."""
 
     def test_rng_call_in_a_kernels_module_is_reported(self, tmp_path):
         pkg = tmp_path / "pkg"
@@ -371,12 +392,14 @@ class TestKernelModuleList:
             "def gpow_fold(rows, out):\n"
             "    out[:] = np.random.default_rng().integers(0, 256, out.size)\n"
         )
-        (f,) = analyze_paths([pkg])
-        assert f.rule == "flow-kernel-nondet" and f.severity == "error"
-        assert "gpow_fold" in f.message and "unseeded RNG" in f.message
-        # the hole this closes: the pre-kernels module list saw nothing
+        (f,) = lint_paths([pkg])
+        assert (f.rule, f.file, f.line) == ("rng", "pkg/kernels.py", 5)
+        assert analyze_paths([pkg]) == []
+        index = build_index(parse_paths([pkg]))
+        assert kernel_functions(index, KERNEL_MODULES) == ["kernels.gpow_fold"]
+        # the hole the module list closed: the pre-kernels list saw nothing
         old = ("stripes", "stripes_rs", "raid6")
-        assert kernel_functions(build_index(parse_paths([pkg])), old) == []
+        assert kernel_functions(index, old) == []
 
     def test_shipped_folds_are_kernel_functions(self, shipped_flow):
         for name in (

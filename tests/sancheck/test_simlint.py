@@ -1,10 +1,12 @@
 """Tests for the static invariant linter (repro.sancheck.simlint)."""
 
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.sancheck import lint_paths, lint_source
 from repro.sancheck.simlint import module_name_for
-from pathlib import Path
 
 
 def lint(source, module="somepkg.mod"):
@@ -149,6 +151,39 @@ class TestRng:
         )
         assert fs == []
 
+    PROBE = "import os, random, secrets, uuid\nimport numpy as np\nx = {}\n"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "np.random.rand()",
+            "np.random.exponential(1.0)",
+            "np.random.RandomState()",
+            "np.random.PCG64()",
+            "np.random.SeedSequence()",
+            "np.random.Generator(np.random.Philox())",
+            "np.random.default_rng()",
+            "os.urandom(8)",
+            "uuid.uuid1()",
+            "uuid.uuid4()",
+            "secrets.token_bytes(8)",
+            "random.random()",
+        ],
+    )
+    def test_each_unseeded_spelling_is_one_finding(self, call):
+        assert rules(lint(self.PROBE.format(call))) == ["rng"]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "np.random.default_rng(1)",
+            "np.random.Generator(np.random.PCG64(1))",
+            "np.random.SeedSequence(5)",
+        ],
+    )
+    def test_seeded_constructors_are_clean(self, call):
+        assert lint(self.PROBE.format(call)) == []
+
 
 class TestRecvMutate:
     def test_augassign_after_recv_flagged(self):
@@ -261,6 +296,8 @@ class TestTree:
         bad.write_text("import time\ntime.sleep(3)\n")
         fs = lint_paths([bad])
         assert rules(fs) == ["wallclock"]
+        # the path is anchored at the file's directory, as flow reports it
+        assert fs[0].file == f"{tmp_path.name}/offender.py"
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"
